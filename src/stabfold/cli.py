@@ -10,6 +10,7 @@ sorted before emission.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -17,13 +18,15 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .exterior import Cochain, format_monomial, parse_monomial
-from .gf import Poly, field_create, primitive_root_of_unity
+from . import __version__ as VERSION
+from .exterior import MAX_N, Cochain, format_monomial, parse_monomial
+from .gf import Poly, field_create, is_prime, primitive_root_of_unity
 from .homology import (
     betti,
-    exterior_ring_check,
+    exterior_profile,
     inclusion_map,
     induced_map_rank,
+    matrix_rank,
     monomial_projection,
 )
 from .kummer import KummerConnection, core_build, core_homogeneity, medial_build, monodromy, solve_h_diagonal, t_fixed_masks
@@ -41,7 +44,6 @@ from .ravenel import (
 )
 from .retract import critical_model, kernel_model, lambda_h_pair, laplacian, smallest_extension_degree
 
-VERSION = "0.1.0"
 SCHEMA_VERSION = 1
 
 # smallest prime exceeding 2 n^2, per height: the bound under which the
@@ -83,7 +85,20 @@ def cache_root(args) -> Path:
     return Path(os.environ.get("STABFOLD_CACHE", ".stabfold-cache"))
 
 
-def cache_get(root: Path, key: str) -> dict | None:
+@functools.lru_cache(maxsize=None)
+def code_fingerprint() -> str:
+    """sha256 of the package's source files and fixtures: a cached result is
+    only trusted when the code that wrote it is the code reading it."""
+    pkg = Path(__file__).parent
+    digest = hashlib.sha256()
+    for path in sorted(pkg.glob("*.py")) + [pkg / "data" / "fixtures.json"]:
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def cache_get(root: Path, key: str, cfg: dict) -> dict | None:
+    """The entry stored under key, or None unless it was written for this
+    config by this code."""
     path = root / f"{key}.json"
     if not path.exists():
         return None
@@ -91,7 +106,9 @@ def cache_get(root: Path, key: str) -> dict | None:
         data = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError):
         return None
-    if data.get("schema_version") != SCHEMA_VERSION:
+    if (data.get("schema_version") != SCHEMA_VERSION
+            or data.get("config") != cfg
+            or data.get("fingerprint") != code_fingerprint()):
         return None
     return data
 
@@ -160,6 +177,14 @@ def build_complex(lie: str, label: str, n: int, p: int, ext: int = 1, epsilon=0)
     return cx
 
 
+def basis_size(label: str, n: int, p: int) -> int:
+    """Basis size of a configured complex, in closed form: no enumeration."""
+    if label == "full":
+        return 1 << (n * n)
+    cc, fsc, _ = dims_by_class(n, p)
+    return cc if label == "cc" else fsc
+
+
 # -- dims ---------------------------------------------------------------------------------
 
 
@@ -220,24 +245,26 @@ def cmd_betti(args) -> int:
     }
     key = config_hash(cfg)
     root = cache_root(args)
-    cached = None if args.no_cache else cache_get(root, key)
+    cached = None if args.no_cache else cache_get(root, key, cfg)
     if cached is not None:
         rows = cached["rows"]
     else:
-        cx = build_complex(args.lie, args.complex, args.n, args.p, args.ext,
-                           int(epsilon) if args.lie == "ravenel" else 1)
-        if cx.dim() > _SLOW_GATE and not args.slow:
+        size = basis_size(args.complex, args.n, args.p)
+        if size > _SLOW_GATE and not args.slow:
             print(
-                f"refusing: {cx.dim()} basis monomials exceeds the default "
+                f"refusing: {size} basis monomials exceeds the default "
                 "work cap; rerun with --slow to allow it",
                 file=sys.stderr,
             )
             return 2
+        cx = build_complex(args.lie, args.complex, args.n, args.p, args.ext,
+                           int(epsilon) if args.lie == "ravenel" else 1)
         table = betti(cx)
         rows = table.to_json_rows()
         if not args.no_cache:
             cache_put(root, key, {"schema_version": SCHEMA_VERSION,
-                                  "config": cfg, "rows": rows})
+                                  "config": cfg, "fingerprint": code_fingerprint(),
+                                  "rows": rows})
     totals: dict[int, int] = {}
     for r in rows:
         totals[r["s"]] = totals.get(r["s"], 0) + r["dim"]
@@ -499,16 +526,9 @@ def suite_collapse(args) -> list[dict]:
         f"totals {t0.totals_by_degree()}"))
     fixtures = load_fixtures()
     degs = fixtures["exterior_generator_degrees"][str(n)]
-    poincare: dict[int, int] = {}
-    from itertools import combinations as _comb
-
-    for r in range(len(degs) + 1):
-        for cmb in _comb(degs, r):
-            d = sum(cmb)
-            poincare[d] = poincare.get(d, 0) + 1
     checks.append(_check(
         f"H*(critical complex at eps=0) has the exterior-algebra profile "
-        f"on degrees {degs}", t0.totals_by_degree() == poincare))
+        f"on degrees {degs}", t0.totals_by_degree() == exterior_profile(degs)))
     if n == 2:
         full = run_pages(filter_first_subscript(gl))
         checks.append(_check(
@@ -679,8 +699,6 @@ def cmd_presentations(args) -> int:
             z = _eval_product(named, prod, cx)
             red = coh.reduce_cocycle(z)
             checks.append(_check(f"[{prod}] is nonzero in cohomology", bool(red)))
-        from .homology import rref
-
         for group in fixtures["independent_sets"]:
             vecs = []
             index: dict = {}
@@ -690,10 +708,9 @@ def cmd_presentations(args) -> int:
                 for ref, c in red.items():
                     vec[index.setdefault(ref, len(index))] = c
                 vecs.append(vec)
-            rows, _ = rref(vecs, field)
             checks.append(_check(
                 f"classes {{{', '.join(group)}}} are linearly independent",
-                len(rows) == len(group)))
+                matrix_rank(vecs, len(index), field) == len(group)))
 
     else:
         p = args.p or 3
@@ -801,6 +818,43 @@ def cmd_monodromy(args) -> int:
 # -- argument parsing -------------------------------------------------------------------------------
 
 
+def _integer(text: str, what: str, lo: int, hi: int | None = None) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{what} must be an integer, got {text!r}")
+    if value < lo or (hi is not None and value > hi):
+        bounds = f"{lo}..{hi}" if hi is not None else f"at least {lo}"
+        raise argparse.ArgumentTypeError(f"{what} must be {bounds}, got {value}")
+    return value
+
+
+def _height(text: str) -> int:
+    return _integer(text, "n", 1, MAX_N)
+
+
+def _prime(text: str) -> int:
+    p = _integer(text, "p", 2)
+    if not is_prime(p):
+        raise argparse.ArgumentTypeError(f"p must be a prime, got {p}")
+    return p
+
+
+def _positive(text: str) -> int:
+    return _integer(text, "value", 1)
+
+
+def _epsilon(text: str) -> str:
+    # kept as given: the string is part of the config hash
+    if text != "x":
+        try:
+            int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"epsilon must be an integer or x, got {text!r}")
+    return text
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stabfold",
@@ -813,11 +867,10 @@ def make_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=["text", "json", "csv"], default="text")
         p.add_argument("--cache-dir", default=None)
-        p.add_argument("--threads", type=int, default=1)
 
     p_dims = sub.add_parser("dims", help="dimension tables for n = 1..n-max")
     p_dims.add_argument("--n-max", type=int, default=5)
-    p_dims.add_argument("--p", type=int, default=None,
+    p_dims.add_argument("--p", type=_prime, default=None,
                         help="grading prime (default: smallest prime > 2n^2 per row)")
     common(p_dims)
     p_dims.set_defaults(fn=cmd_dims)
@@ -826,11 +879,11 @@ def make_parser() -> argparse.ArgumentParser:
     p_betti.add_argument("--lie", choices=["ravenel", "gl"], required=True)
     p_betti.add_argument("--complex", choices=["full", "cc", "fsc"],
                          dest="complex", default="full")
-    p_betti.add_argument("--n", type=int, required=True)
-    p_betti.add_argument("--p", type=int, required=True)
-    p_betti.add_argument("--ext", type=int, default=1)
-    p_betti.add_argument("--epsilon", default="0",
-                         help="deformation parameter (ravenel only)")
+    p_betti.add_argument("--n", type=_height, required=True)
+    p_betti.add_argument("--p", type=_prime, required=True)
+    p_betti.add_argument("--ext", type=_positive, default=1)
+    p_betti.add_argument("--epsilon", type=_epsilon, default="0",
+                         help="deformation parameter: an integer, or x (ravenel only)")
     p_betti.add_argument("--slow", action="store_true",
                          help="allow jobs above the default size gate")
     p_betti.add_argument("--no-cache", action="store_true")
@@ -839,21 +892,23 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}")
-    p_verify.add_argument("--n", type=int, default=None)
-    p_verify.add_argument("--p", type=int, default=None)
+    p_verify.add_argument("--n", type=_height, default=None)
+    p_verify.add_argument("--p", type=_prime, default=None)
+    p_verify.add_argument("--threads", type=_positive, default=1,
+                          help="worker processes for the dd-zero scan at n >= 4")
     common(p_verify)
     p_verify.set_defaults(fn=cmd_verify)
 
     p_pres = sub.add_parser("presentations",
                             help="worked generator/relation tables, heights 1-3")
-    p_pres.add_argument("--n", type=int, required=True)
-    p_pres.add_argument("--p", type=int, default=None)
+    p_pres.add_argument("--n", type=_height, required=True)
+    p_pres.add_argument("--p", type=_prime, default=None)
     common(p_pres)
     p_pres.set_defaults(fn=cmd_presentations)
 
     p_pages = sub.add_parser("pages", help="first-subscript spectral sequence")
-    p_pages.add_argument("--n", type=int, required=True)
-    p_pages.add_argument("--p", type=int, required=True)
+    p_pages.add_argument("--n", type=_height, required=True)
+    p_pages.add_argument("--p", type=_prime, required=True)
     p_pages.add_argument("--block", choices=["critical", "full"], default="critical")
     p_pages.add_argument("--r-max", type=int, default=None)
     common(p_pages)
@@ -861,9 +916,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_mono = sub.add_parser("monodromy",
                             help="core/medial structure of a connection")
-    p_mono.add_argument("--n", type=int, required=True)
-    p_mono.add_argument("--p", type=int, required=True)
-    p_mono.add_argument("--ext", type=int, default=1)
+    p_mono.add_argument("--n", type=_height, required=True)
+    p_mono.add_argument("--p", type=_prime, required=True)
+    p_mono.add_argument("--ext", type=_positive, default=1)
     p_mono.add_argument("--flavor", choices=["sigma", "semilinear", "custom"],
                         default="sigma")
     p_mono.add_argument("--params", default=None,

@@ -1,142 +1,80 @@
 """Exact cohomology over finite fields: Betti tables, representatives, cup
 products, ring recognition, and ranks of induced maps.
 
-Rank computations run through sparse Gaussian elimination with Markowitz
-pivoting (dense row reduction below 512 columns); an independent dense
-elimination oracle is kept for cross-checks and never shares code with the
-sparse path.
+All linear algebra runs through one sparse echelon over rows
+``{column: FieldScalar}``: each pivot sits at its row's least column and is
+normalized to 1, rows are inserted shortest first, and a single
+``row -= c * prow`` step (``_subtract``) serves rank, reduced echelon form,
+kernels, reduction of representatives and ``retract.minimal_polynomial``.
+A row space has exactly one reduced echelon form with pivots at least
+columns, so every result is independent of the insertion order.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .exterior import Cochain, degree, format_monomial
 from .gf import Field
-
-_DENSE_CUTOFF = 512
 
 
 # -- elimination ----------------------------------------------------------------
 
 
-def dense_rank_oracle(rows: list[dict[int, object]], ncols: int, field: Field) -> int:
-    """Textbook row echelon over a dense matrix; the independent oracle."""
-    mat = []
-    for r in rows:
-        row = [field.zero] * ncols
-        for c, v in r.items():
-            row[c] = v
-        mat.append(row)
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(mat)):
-            if mat[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = mat[rank][col].inverse()
-        prow = mat[rank]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                factor = mat[i][col] * inv
-                row = mat[i]
-                for c in range(col, ncols):
-                    if prow[c]:
-                        row[c] = row[c] - factor * prow[c]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+def _subtract(row: dict, c, prow: dict) -> None:
+    """row -= c * prow, in place, dropping the entries that cancel."""
+    for col, v in prow.items():
+        if col in row:
+            nv = row[col] - c * v
+            if nv:
+                row[col] = nv
+            else:
+                del row[col]
+        else:
+            row[col] = -(c * v)
 
 
-def sparse_rank(rows: list[dict[int, object]]) -> int:
-    """Markowitz-pivoted sparse elimination; deterministic tie-break by
-    (row weight, column index, row index)."""
-    work = {i: dict(r) for i, r in enumerate(rows) if r}
-    col_rows: dict[int, set[int]] = {}
-    for i, r in work.items():
-        for c in r:
-            col_rows.setdefault(c, set()).add(i)
-    rank = 0
-    while work:
-        best = None
-        for i, r in work.items():
-            rw = len(r)
-            for c in r:
-                score = (rw - 1) * (len(col_rows[c]) - 1)
-                key = (score, rw, c, i)
-                if best is None or key < best:
-                    best = key
-        _, _, pc, pi = best
-        prow = work.pop(pi)
-        for c in prow:
-            col_rows[c].discard(pi)
-        inv = prow[pc].inverse()
-        for i in list(col_rows.get(pc, ())):
-            row = work[i]
-            factor = row[pc] * inv
-            for c, v in prow.items():
-                if c in row:
-                    nv = row[c] - factor * v
-                    if nv:
-                        row[c] = nv
-                    else:
-                        del row[c]
-                        col_rows[c].discard(i)
-                else:
-                    row[c] = -(factor * v)
-                    col_rows.setdefault(c, set()).add(i)
-            if not row:
-                del work[i]
-        rank += 1
-    return rank
+def insert_row(row: dict, ech: dict[int, dict]):
+    """Reduce ``row`` (consumed) against the echelon ``ech`` (pivot -> row)
+    until its least column is not a pivot; store it there, normalized, and
+    return that column, or None when the row reduces to zero."""
+    while row:
+        piv = min(row)
+        prow = ech.get(piv)
+        if prow is None:
+            inv = row[piv].inverse()
+            ech[piv] = {c: v * inv for c, v in row.items()}
+            return piv
+        _subtract(row, row[piv], prow)
+    return None
 
 
-def matrix_rank(rows, ncols: int, field: Field, method: str = "auto") -> int:
-    if method == "dense" or (method == "auto" and ncols < _DENSE_CUTOFF):
-        return dense_rank_oracle(rows, ncols, field)
-    return sparse_rank(rows)
+def echelon(rows) -> dict[int, dict]:
+    """Echelon of the row space, pivot column -> row, shortest rows first."""
+    ech: dict[int, dict] = {}
+    for r in sorted(rows, key=len):
+        if r:
+            insert_row(dict(r), ech)
+    return ech
+
+
+def matrix_rank(rows, ncols: int, field: Field) -> int:
+    """Number of pivots; the engine needs neither ncols nor field."""
+    return len(echelon(rows))
 
 
 def rref(rows: list[dict[int, object]], field: Field):
     """Reduced row echelon form of sparse rows; returns (rows, pivot columns),
     rows ordered by pivot column, each pivot normalized to 1."""
-    reduced: list[dict[int, object]] = []
-    pivots: list[int] = []
-    for r in rows:
-        row = dict(r)
-        for p, prow in zip(pivots, reduced):
-            if p in row:
-                factor = row[p]
-                for c, v in prow.items():
-                    nv = row.get(c, field.zero) - factor * v
-                    if nv:
-                        row[c] = nv
-                    elif c in row:
-                        del row[c]
-        if not row:
-            continue
-        piv = min(row)
-        inv = row[piv].inverse()
-        row = {c: v * inv for c, v in row.items()}
-        # back-substitute into existing rows
-        for i, (p, prow) in enumerate(zip(pivots, reduced)):
-            if piv in prow:
-                factor = prow[piv]
-                newr = dict(prow)
-                for c, v in row.items():
-                    nv = newr.get(c, field.zero) - factor * v
-                    if nv:
-                        newr[c] = nv
-                    elif c in newr:
-                        del newr[c]
-                reduced[i] = newr
-        pivots.append(piv)
-        reduced.append(row)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [reduced[i] for i in order], [pivots[i] for i in order]
+    ech = echelon(rows)
+    pivots = sorted(ech)
+    # back-substitute from the last pivot up: rows below are already reduced,
+    # so clearing one pivot column touches no other
+    for p in reversed(pivots):
+        row = ech[p]
+        for q in [q for q in row if q != p and q in ech]:
+            _subtract(row, row[q], ech[q])
+    return [dict(ech[p]) for p in pivots], pivots
 
 
 def nullspace(rows: list[dict[int, object]], ncols: int, field: Field):
@@ -158,18 +96,13 @@ def nullspace(rows: list[dict[int, object]], ncols: int, field: Field):
 
 
 def reduce_against(vec: dict[int, object], rr_rows, pivots, field: Field):
-    """Eliminate the pivot coordinates of an echelon family from a vector."""
+    """Eliminate the pivot coordinates of a reduced echelon family from a
+    vector."""
     out = dict(vec)
     for p, row in zip(pivots, rr_rows):
         c = out.get(p)
-        if not c:
-            continue
-        for col, v in row.items():
-            nv = out.get(col, field.zero) - c * v
-            if nv:
-                out[col] = nv
-            elif col in out:
-                del out[col]
+        if c:
+            _subtract(out, c, row)
     return out
 
 
@@ -240,7 +173,7 @@ def block_matrix(cx, s: int, u: int):
     return rows, len(src)
 
 
-def betti(cx, method: str = "auto") -> BettiTable:
+def betti(cx) -> BettiTable:
     """Betti numbers per (cohomological degree, internal class) block."""
     if cx.descriptor.is_bundle():
         raise ValueError(
@@ -255,7 +188,7 @@ def betti(cx, method: str = "auto") -> BettiTable:
         for u, monos in cx.blocks(s).items():
             dims[(s, u)] = len(monos)
             rows, ncols = block_matrix(cx, s, u)
-            ranks[(s, u)] = matrix_rank(rows, ncols, field, method)
+            ranks[(s, u)] = matrix_rank(rows, ncols, field)
     entries: dict[tuple[int, int], int] = {}
     for (s, u), dim in dims.items():
         b = dim - ranks[(s, u)] - ranks.get((s - 1, u), 0)
@@ -321,18 +254,10 @@ class BlockCohomology:
         """Class coordinates of a cocycle in this block's representative basis."""
         field = self.cx.field
         vec = reduce_against(self.vector_of(z), self.cob_rows, self.cob_pivots, field)
-        coords = [field.zero] * self.dim
-        for i, (p, row) in enumerate(zip(self.rep_pivots, self.rep_rows)):
-            c = vec.get(p)
-            if c:
-                coords[i] = c
-                for col, v in row.items():
-                    nv = vec.get(col, field.zero) - c * v
-                    if nv:
-                        vec[col] = nv
-                    elif col in vec:
-                        del vec[col]
-        if vec:
+        # the representatives are reduced, so a class coordinate is the entry
+        # at its pivot
+        coords = [vec.get(p, field.zero) for p in self.rep_pivots]
+        if reduce_against(vec, self.rep_rows, self.rep_pivots, field):
             raise ValueError("not a cocycle modulo coboundaries")
         return coords
 
@@ -398,6 +323,17 @@ def cup(cx_or_coh, a, b):
 # -- ring recognition ---------------------------------------------------------------
 
 
+def exterior_profile(degrees) -> dict[int, int]:
+    """Poincare profile of the exterior algebra on one generator per degree:
+    cohomological degree -> dimension."""
+    out: dict[int, int] = {}
+    for r in range(len(degrees) + 1):
+        for combo in combinations(degrees, r):
+            d = sum(combo)
+            out[d] = out.get(d, 0) + 1
+    return out
+
+
 def exterior_ring_check(cx, expected_degrees: list[int]) -> dict:
     """Does the cohomology ring look like the exterior algebra on one generator
     in each expected (odd) degree?
@@ -407,15 +343,9 @@ def exterior_ring_check(cx, expected_degrees: list[int]) -> dict:
     the earlier generators), and all square-free cup monomials must be linearly
     independent and exhaust the cohomology.
     """
-    from itertools import combinations
-
     field = cx.field
     table = betti(cx)
-    poincare: dict[int, int] = {}
-    for r in range(len(expected_degrees) + 1):
-        for combo in combinations(expected_degrees, r):
-            d = sum(combo)
-            poincare[d] = poincare.get(d, 0) + 1
+    poincare = exterior_profile(expected_degrees)
     totals = table.totals_by_degree()
     if totals != poincare:
         return {
@@ -463,8 +393,7 @@ def exterior_ring_check(cx, expected_degrees: list[int]) -> dict:
             return {"holds": False,
                     "reason": f"generator in degree {g[0]} has nonzero square"}
     vectors = [coords_of(z) for z in products.values()]
-    rr_rows, _ = rref([v for v in vectors if v], field)
-    if len(rr_rows) != len(vectors):
+    if matrix_rank(vectors, nclasses, field) != len(vectors):
         return {"holds": False, "reason": "cup monomials are linearly dependent"}
     if len(vectors) != nclasses:
         return {"holds": False, "reason": "cup monomials do not exhaust cohomology"}
@@ -555,8 +484,7 @@ def induced_map_rank(chmap: ChainMap) -> dict:
             vec = {j: c for j, c in enumerate(coords) if c}
             if vec:
                 image_rows.append(vec)
-        rr_rows, _ = rref(image_rows, field)
-        ranks[(s, u)] = len(rr_rows)
+        ranks[(s, u)] = matrix_rank(image_rows, tdim, field)
 
     iso = all(
         ranks.get(k, 0) == src_b.get(k, 0) == tgt_b.get(k, 0)

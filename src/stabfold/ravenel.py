@@ -236,14 +236,6 @@ class Complex:
 
         return cochain_from_text(text, self.n, self.ring_one)
 
-    def evaluate_at(self, eps: FieldScalar) -> "Complex":
-        """Fiber of a bundle complex at x = eps."""
-        if not self.descriptor.is_bundle():
-            raise ValueError("evaluate_at applies to bundle-mode complexes")
-        desc = DgaDescriptor(self.n, self.p, self.field, self.field.scalar(eps),
-                             self.descriptor.lie, self.descriptor.label)
-        return Complex(desc, self._member)
-
     def __repr__(self):
         eps = "x" if self.descriptor.is_bundle() else self.descriptor.epsilon
         return (f"Complex(lie={self.descriptor.lie}, label={self.descriptor.label}, "
@@ -358,12 +350,12 @@ def subcomplex(cx: Complex, which: str) -> Complex:
     return sub
 
 
-def _containment_witness_count(n: int, p: int) -> int:
-    """Number of monomials with internal degree 0 but first-subscript sum != 0,
-    by the same meet-in-the-middle tally as dims_by_class."""
+def _class_tallies(n: int, p: int):
+    """Meet-in-the-middle split of the n^2 slots into a low and a high half:
+    for each half, the number of its subsets per (internal class, first-
+    subscript sum mod n); returns (low tally, high tally, internal modulus)."""
     slots = n * n
     weights, mod = internal_weights(n, p)
-    half = slots // 2
 
     def tally(idxs):
         cnt: dict[tuple[int, int], int] = {}
@@ -374,8 +366,13 @@ def _containment_witness_count(n: int, p: int) -> int:
                 cnt[(u, f)] = cnt.get((u, f), 0) + 1
         return cnt
 
-    lo_t = tally(range(half))
-    hi_t = tally(range(half, slots))
+    return tally(range(slots // 2)), tally(range(slots // 2, slots)), mod
+
+
+def _containment_witness_count(n: int, p: int) -> int:
+    """Number of monomials with internal degree 0 but first-subscript sum != 0,
+    by the same meet-in-the-middle tally as dims_by_class."""
+    lo_t, hi_t, mod = _class_tallies(n, p)
     hi_by_u: dict[int, int] = {}
     for (u, f), c in hi_t.items():
         hi_by_u[u] = hi_by_u.get(u, 0) + c
@@ -532,22 +529,7 @@ def sigma_apply(cx: Complex, z: Cochain, semilinear: bool = False) -> Cochain:
 def dims_by_class(n: int, p: int) -> tuple[int, int, int]:
     """(dim critical, dim first-subscript, dim full) counted over all 2^(n^2)
     monomials, by a meet-in-the-middle split of the slot set."""
-    slots = n * n
-    weights, mod = internal_weights(n, p)
-    half = slots // 2
-    lo, hi = range(half), range(half, slots)
-
-    def tally(idxs):
-        cnt: dict[tuple[int, int], int] = {}
-        for r in range(len(idxs) + 1):
-            for combo in combinations(idxs, r):
-                u = sum(weights[b] for b in combo) % mod
-                f = sum(b // n + 1 for b in combo) % n
-                key = (u, f)
-                cnt[key] = cnt.get(key, 0) + 1
-        return cnt
-
-    lo_t, hi_t = tally(lo), tally(hi)
+    lo_t, hi_t, mod = _class_tallies(n, p)
     hi_by_u: dict[int, int] = {}
     hi_by_f: dict[int, int] = {}
     for (u, f), c in hi_t.items():
@@ -560,4 +542,4 @@ def dims_by_class(n: int, p: int) -> tuple[int, int, int]:
         lo_by_f[f] = lo_by_f.get(f, 0) + c
     for f, c in lo_by_f.items():
         fsc += c * hi_by_f.get((-f) % n, 0)
-    return cc, fsc, 1 << slots
+    return cc, fsc, 1 << (n * n)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from .exterior import Cochain, slots_of
 from .gf import Field, FieldScalar, Poly, poly_divmod, poly_gcd, poly_powmod
+from .homology import insert_row
 from .ravenel import Complex, DgaDescriptor
 
 # complexes at most this big get their kernel/diagonality claims verified on
@@ -159,45 +160,29 @@ def _mat_vec(a, v, field):
 
 def minimal_polynomial(mat, field: Field) -> Poly:
     """Minimal polynomial of a square matrix: lcm of the local minimal
-    polynomials of the standard basis vectors, tracked through an echelon."""
+    polynomials of the standard basis vectors, tracked through an echelon.
+
+    Krylov vector k enters the echelon augmented with column n + k, so the
+    first vector whose coordinates reduce to zero leaves the coefficients of
+    its local minimal polynomial in columns n, ..., n + k.
+    """
     n = len(mat)
     result = Poly.const(field, 1)
     for start in range(n):
-        # echelon rows paired with the polynomial combination producing them
-        ech: list[tuple[dict[int, FieldScalar], list[FieldScalar]]] = []
+        ech: dict[int, dict] = {}
         v = [field.zero] * n
         v[start] = field.one
-        combo = [field.one]
-        while True:
-            vec = {i: c for i, c in enumerate(v) if c}
-            poly = list(combo)
-            for row, rpoly in ech:
-                piv = min(row)
-                c = vec.get(piv)
-                if not c:
-                    continue
-                for col, val in row.items():
-                    nv = vec.get(col, field.zero) - c * val
-                    if nv:
-                        vec[col] = nv
-                    elif col in vec:
-                        del vec[col]
-                for k, val in enumerate(rpoly):
-                    if k < len(poly):
-                        poly[k] = poly[k] - c * val
-                    else:
-                        poly.append(-(c * val))
-            if not vec:
-                local = Poly(field, poly)
+        for k in range(n + 1):
+            row = {i: c for i, c in enumerate(v) if c}
+            row[n + k] = field.one
+            piv = insert_row(row, ech)
+            if piv >= n:
+                local = Poly(field, [ech[piv].get(n + j, field.zero)
+                                     for j in range(k + 1)])
                 g = poly_gcd(local, result)
                 result = poly_divmod(local * result, g)[0] if g else local
                 break
-            piv = min(vec)
-            inv = vec[piv].inverse()
-            ech.append(({c: val * inv for c, val in vec.items()},
-                        [c * inv for c in poly]))
             v = _mat_vec(mat, v, field)
-            combo = [field.zero] + combo
     return result.monic()
 
 

@@ -200,3 +200,115 @@ def test_monodromy_custom_params(capsys, tmp_path):
     assert code == 0
     # these parameters reproduce the sigma flavor, so the core is homogeneous
     assert js["homogeneous"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["betti", "--lie", "ravenel", "--n", "2", "--p", "10"],
+    ["betti", "--lie", "ravenel", "--n", "2", "--p", "11", "--ext", "0"],
+    ["betti", "--lie", "ravenel", "--n", "2", "--p", "11", "--epsilon", "abc"],
+    ["betti", "--lie", "ravenel", "--n", "0", "--p", "11"],
+    ["betti", "--lie", "ravenel", "--n", "6", "--p", "73"],
+    ["pages", "--n", "2", "--p", "9"],
+    ["monodromy", "--n", "7", "--p", "11"],
+    ["verify", "collapse", "--n", "9"],
+    ["dims", "--threads", "2"],
+])
+def test_bad_arguments_exit_2_with_message(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_closed_form_basis_sizes_match_enumeration():
+    from stabfold.cli import basis_size, build_complex
+
+    for n, p in ((1, 3), (2, 11), (3, 19), (3, 7)):
+        for lie in ("ravenel", "gl"):
+            for label in ("full", "cc", "fsc"):
+                cx = build_complex(lie, label, n, p)
+                assert basis_size(label, n, p) == cx.dim(), (lie, label, n, p)
+
+
+def test_betti_size_gate_n5_is_immediate(capsys):
+    import time
+
+    for label in ("full", "cc", "fsc"):
+        t0 = time.perf_counter()
+        code = main(["betti", "--lie", "ravenel", "--complex", label,
+                     "--n", "5", "--p", "53", "--no-cache"])
+        assert code == 2 and time.perf_counter() - t0 < 5
+        assert "--slow" in capsys.readouterr().err
+
+
+def test_version_defined_once():
+    import stabfold
+    from stabfold import cli
+
+    assert cli.VERSION == stabfold.__version__
+
+
+BETTI_N2 = ["betti", "--lie", "ravenel", "--n", "2", "--p", "11",
+            "--format", "json"]
+
+
+def _counting_betti(monkeypatch):
+    from stabfold import cli
+
+    calls = []
+    real = cli.betti
+
+    def counted(cx):
+        calls.append(cx)
+        return real(cx)
+
+    monkeypatch.setattr(cli, "betti", counted)
+    return calls
+
+
+def _edit_entry(tmp_path, edit):
+    (path,) = tmp_path.glob("*.json")
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(schema_version=0),
+    lambda d: d["config"].update(p=13),
+    lambda d: d.pop("config"),
+    lambda d: d.update(fingerprint="0" * 64),
+    lambda d: d.pop("fingerprint"),
+], ids=["schema", "config", "no-config", "fingerprint", "no-fingerprint"])
+def test_betti_cache_rejects_stale_entries(capsys, tmp_path, monkeypatch, edit):
+    argv = BETTI_N2 + ["--cache-dir", str(tmp_path)]
+    main(argv)
+    first = capsys.readouterr().out
+    calls = _counting_betti(monkeypatch)
+    main(argv)
+    assert not calls and capsys.readouterr().out == first  # a hit
+    _edit_entry(tmp_path, edit)
+    main(argv)
+    assert len(calls) == 1 and capsys.readouterr().out == first  # a miss
+
+
+def test_betti_cache_rejects_unreadable_entry(capsys, tmp_path, monkeypatch):
+    argv = BETTI_N2 + ["--cache-dir", str(tmp_path)]
+    main(argv)
+    first = capsys.readouterr().out
+    (path,) = tmp_path.glob("*.json")
+    path.write_text("{not json")
+    calls = _counting_betti(monkeypatch)
+    main(argv)
+    assert len(calls) == 1 and capsys.readouterr().out == first
+
+
+def test_no_cache_path_never_fingerprints(capsys, monkeypatch):
+    from stabfold import cli
+
+    def refuse():
+        raise AssertionError("fingerprint computed on the --no-cache path")
+
+    monkeypatch.setattr(cli, "code_fingerprint", refuse)
+    assert main(BETTI_N2 + ["--no-cache"]) == 0

@@ -1,0 +1,112 @@
+"""Property tests of the sparse echelon engine over GF(p) and GF(3^2)."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import dense_rank_oracle
+
+from stabfold.gf import field_create
+from stabfold.homology import matrix_rank, nullspace, reduce_against, rref
+
+FIELDS = [field_create(5), field_create(7), field_create(3, 2)]
+MAX_ROWS, MAX_COLS = 6, 7
+
+FAST = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def matrices(draw):
+    """(field, rows, ncols) with sparse rows over one of FIELDS."""
+    field = draw(st.sampled_from(FIELDS))
+    elems = list(field.elements())
+    ncols = draw(st.integers(1, MAX_COLS))
+    nrows = draw(st.integers(0, MAX_ROWS))
+    rows = []
+    for _ in range(nrows):
+        codes = draw(st.lists(st.integers(0, len(elems) - 1),
+                              min_size=ncols, max_size=ncols))
+        rows.append({c: elems[k] for c, k in enumerate(codes) if k})
+    return field, rows, ncols
+
+
+def add_multiple(rows, i, j, c):
+    """row_i += c * row_j."""
+    out = [dict(r) for r in rows]
+    for col, v in rows[j].items():
+        nv = out[i].get(col, c.field.zero) + c * v
+        if nv:
+            out[i][col] = nv
+        else:
+            out[i].pop(col, None)
+    return out
+
+
+@FAST
+@given(matrices(), st.randoms(use_true_random=False))
+def test_rank_and_rref_invariant_under_row_permutations(mat, rnd):
+    field, rows, ncols = mat
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    assert matrix_rank(shuffled, ncols, field) == matrix_rank(rows, ncols, field)
+    assert rref(shuffled, field) == rref(rows, field)
+
+
+@FAST
+@given(matrices(), st.randoms(use_true_random=False))
+def test_rank_and_rref_invariant_under_invertible_row_operations(mat, rnd):
+    field, rows, ncols = mat
+    if len(rows) < 2:
+        return
+    units = [x for x in field.elements() if x]
+    moved = rows
+    for _ in range(5):
+        i, j = rnd.sample(range(len(rows)), 2)
+        moved = add_multiple(moved, i, j, rnd.choice(units))
+        k = rnd.randrange(len(rows))
+        scale = rnd.choice(units)
+        moved[k] = {c: v * scale for c, v in moved[k].items()}
+    rank = matrix_rank(rows, ncols, field)
+    assert matrix_rank(moved, ncols, field) == rank == dense_rank_oracle(moved, ncols, field)
+    assert rref(moved, field) == rref(rows, field)
+
+
+@FAST
+@given(matrices())
+def test_rref_idempotent_with_sorted_normalized_pivots(mat):
+    field, rows, ncols = mat
+    rr, piv = rref(rows, field)
+    assert piv == sorted(set(piv))
+    assert len(rr) == len(piv) == matrix_rank(rows, ncols, field)
+    for p, row in zip(piv, rr):
+        assert min(row) == p and row[p] == field.one
+        assert not any(q in row for q in piv if q != p)
+    assert rref(rr, field) == (rr, piv)
+
+
+@FAST
+@given(matrices())
+def test_nullspace_annihilates_with_corank_vectors(mat):
+    field, rows, ncols = mat
+    kern = nullspace(rows, ncols, field)
+    assert len(kern) == ncols - matrix_rank(rows, ncols, field)
+    for vec in kern:
+        for row in rows:
+            acc = field.zero
+            for c, v in row.items():
+                if c in vec:
+                    acc = acc + v * vec[c]
+            assert not acc
+
+
+@FAST
+@given(matrices(), st.data())
+def test_reduce_against_clears_every_pivot(mat, data):
+    field, rows, ncols = mat
+    rr, piv = rref(rows, field)
+    elems = list(field.elements())
+    codes = data.draw(st.lists(st.integers(0, len(elems) - 1),
+                               min_size=ncols, max_size=ncols))
+    vec = {c: elems[k] for c, k in enumerate(codes) if k}
+    out = reduce_against(vec, rr, piv, field)
+    assert not any(p in out for p in piv)
+    # the reduction stays in the coset vec + row space
+    assert matrix_rank(rr + [out], ncols, field) == matrix_rank(rr + [vec], ncols, field)

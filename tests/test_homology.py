@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from oracles import dense_rank_oracle, sympy_rank
 
 from stabfold.exterior import Cochain, generator_mask, parse_monomial
 from stabfold.gf import field_create
@@ -9,7 +10,7 @@ from stabfold.homology import (
     Cohomology,
     betti,
     block_matrix,
-    dense_rank_oracle,
+    exterior_profile,
     exterior_ring_check,
     inclusion_map,
     induced_map_rank,
@@ -17,7 +18,6 @@ from stabfold.homology import (
     monomial_projection,
     nullspace,
     rref,
-    sparse_rank,
 )
 from stabfold.ravenel import build_bundle, build_deformed, build_gl, build_singular, subcomplex
 
@@ -35,13 +35,17 @@ def random_sparse_rows(rng, field, nrows, ncols, density=0.4):
 
 
 def test_sparse_and_dense_rank_agree_random():
+    # the sparse engine against the dense oracle; over GF(5) also against sympy
     rng = random.Random(101)
     for p, m in [(5, 1), (3, 2)]:
         f = field_create(p, m)
         for _ in range(30):
             nr, nc = rng.randint(0, 7), rng.randint(1, 7)
             rows = random_sparse_rows(rng, f, nr, nc)
-            assert sparse_rank(rows) == dense_rank_oracle(rows, nc, f)
+            rank = matrix_rank(rows, nc, f)
+            assert rank == dense_rank_oracle(rows, nc, f)
+            if m == 1:
+                assert rank == sympy_rank(rows, nc, f)
 
 
 def test_rank_structured_cases():
@@ -49,7 +53,8 @@ def test_rank_structured_cases():
     one = f.one
     # identity, rank 3
     rows = [{i: one} for i in range(3)]
-    assert sparse_rank(rows) == 3 == dense_rank_oracle(rows, 3, f)
+    assert matrix_rank(rows, 3, f) == 3 == dense_rank_oracle(rows, 3, f)
+    assert sympy_rank(rows, 3, f) == 3
     # repeated row
     rows = [{0: one, 1: one}, {0: one, 1: one}]
     assert matrix_rank(rows, 2, f) == 1
@@ -118,11 +123,36 @@ def test_betti_rejects_bundle():
         betti(build_bundle(2, 5, f))
 
 
+def oracle_betti(cx, rank) -> dict:
+    """Betti entries from the block matrices, with ranks from an oracle."""
+    ranks, dims = {}, {}
+    for s in range(cx.top_degree + 1):
+        for u, monos in cx.blocks(s).items():
+            dims[(s, u)] = len(monos)
+            rows, ncols = block_matrix(cx, s, u)
+            ranks[(s, u)] = rank(rows, ncols, cx.field)
+    entries = {}
+    for (s, u), dim in dims.items():
+        b = dim - ranks[(s, u)] - ranks.get((s - 1, u), 0)
+        if b:
+            entries[(s, u)] = b
+    return entries
+
+
 def test_betti_sparse_dense_methods_agree_n2():
+    # Betti tables from the sparse engine against those from both oracles
     f = field_create(11)
     for eps in (0, 1):
         cx = build_deformed(2, 11, f, eps)
-        assert betti(cx, method="sparse").entries == betti(cx, method="dense").entries
+        entries = betti(cx).entries
+        assert entries == oracle_betti(cx, dense_rank_oracle)
+        assert entries == oracle_betti(cx, sympy_rank)
+
+
+def test_exterior_profile_literal():
+    assert exterior_profile([1, 3, 5]) == {0: 1, 1: 1, 3: 1, 4: 1, 5: 1, 6: 1,
+                                           8: 1, 9: 1}
+    assert exterior_profile([]) == {0: 1}
 
 
 def test_representatives_n1():
