@@ -53,6 +53,24 @@ TABLE_PRIMES = {1: 3, 2: 11, 3: 19, 4: 37, 5: 53}
 # total-basis-size gate: larger jobs need --slow
 _SLOW_GATE = 20000
 
+# commands other than betti enumerate all 2^(n^2) monomials of the full
+# complex; above this height that is out of reach
+_MAX_ENUMERATED_N = 4
+
+
+class UsageError(Exception):
+    """A request the tool does not serve, raised by a command or a suite;
+    main prints it and exits with status 2, where a paper claim found false
+    exits with status 1."""
+
+
+def _require_enumerable(n: int, what: str) -> None:
+    if n > _MAX_ENUMERATED_N:
+        raise UsageError(
+            f"{what} at n={n} would enumerate all 2^{n * n} monomials; heights "
+            f"above {_MAX_ENUMERATED_N} need the direct critical-basis "
+            "enumeration of ROADMAP item 5")
+
 
 def _first_primes_above(bound: int, count: int) -> list[int]:
     from .gf import is_prime
@@ -235,9 +253,8 @@ def cmd_dims(args) -> int:
 def cmd_betti(args) -> int:
     epsilon = args.epsilon
     if epsilon == "x":
-        print("cohomology over F[x] is not computed directly; evaluate a fiber "
-              "(--epsilon k) or use the pages/monodromy commands", file=sys.stderr)
-        return 2
+        raise UsageError("cohomology over F[x] is not computed directly; evaluate "
+                         "a fiber (--epsilon k) or use the pages/monodromy commands")
     cfg = {
         "cmd": "betti", "lie": args.lie, "complex": args.complex, "n": args.n,
         "p": args.p, "ext": args.ext, "epsilon": epsilon,
@@ -251,12 +268,8 @@ def cmd_betti(args) -> int:
     else:
         size = basis_size(args.complex, args.n, args.p)
         if size > _SLOW_GATE and not args.slow:
-            print(
-                f"refusing: {size} basis monomials exceeds the default "
-                "work cap; rerun with --slow to allow it",
-                file=sys.stderr,
-            )
-            return 2
+            raise UsageError(f"refusing: {size} basis monomials exceeds the "
+                             "default work cap; rerun with --slow to allow it")
         cx = build_complex(args.lie, args.complex, args.n, args.p, args.ext,
                            int(epsilon) if args.lie == "ravenel" else 1)
         table = betti(cx)
@@ -309,39 +322,18 @@ def suite_tables(args) -> list[dict]:
 def suite_dd_zero(args) -> list[dict]:
     n = args.n or 3
     primes = [args.p] if args.p else _first_primes_above(2 * n * n, 2)
-    checks = []
-    if n <= 3:
-        for p in primes:
-            field = field_create(p)
-            for eps in (0, 1):
-                cx = build_deformed(n, p, field, eps)
-                bad = 0
-                for s in range(cx.top_degree + 1):
-                    for mask in cx.basis(s):
-                        acc: dict[int, object] = {}
-                        for t, c in cx.d_monomial(mask).items():
-                            for t2, c2 in cx.d_monomial(t).items():
-                                cur = acc.get(t2)
-                                acc[t2] = cur + c2 * c if cur is not None else c2 * c
-                        if any(bool(v) for v in acc.values()):
-                            bad += 1
-                checks.append(_check(f"dd=0 n={n} p={p} eps={eps} (exhaustive)",
-                                     bad == 0, f"{cx.dim()} monomials"))
-            cxb = build_bundle(n, p, field)
-            bad = 0
-            for s in range(cxb.top_degree + 1):
-                for mask in cxb.basis(s):
-                    z = Cochain(n, {mask: cxb.ring_one})
-                    if cxb.d_cochain(cxb.d_cochain(z)):
-                        bad += 1
-            checks.append(_check(f"dd=0 n={n} p={p} bundle (exhaustive)",
-                                 bad == 0, f"{cxb.dim()} monomials"))
-    else:
-        rep = _dd_scan_parallel(n, primes, args.threads)
-        checks.append(_check(
+    rep = _dd_scan_parallel(n, primes, args.threads)
+    detail = f"{rep['checked']} monomials"
+    if n >= 4:
+        return [_check(
             f"dd=0 n={n} p in {primes}, eps in (0, 1, x) (exhaustive integer scan)",
-            rep["ok"], f"{rep['checked']} monomials",
-        ))
+            rep["ok"], detail)]
+    checks = []
+    for p in primes:
+        for eps in (0, 1, "x"):
+            what = "bundle" if eps == "x" else f"eps={eps}"
+            checks.append(_check(f"dd=0 n={n} p={p} {what} (exhaustive)",
+                                 rep["bad"][(p, eps)] == 0, detail))
     return checks
 
 
@@ -358,10 +350,12 @@ def _dd_scan_parallel(n: int, primes: list[int], threads: int) -> dict:
 
     with mp.Pool(threads) as pool:
         parts = pool.map(_dd_worker, [(n, primes, s) for s in degrees])
+    bad = {key: sum(p["bad"][key] for p in parts) for key in parts[0]["bad"]}
     return {
         "ok": all(p["ok"] for p in parts),
         "checked": sum(p["checked"] for p in parts),
         "failures": [f for p in parts for f in p["failures"]][:8],
+        "bad": bad,
     }
 
 
@@ -435,7 +429,7 @@ def suite_model_kernel(args) -> list[dict]:
             t_cc.totals_by_degree() == t_full.totals_by_degree()
             and t_cc.grand_total() == 16))
     else:
-        checks.append(_check(f"model-kernel n={n}", False, "supported n: 2, 3, 4"))
+        raise UsageError(f"model-kernel supports n = 2, 3, 4, not {n}")
     return checks
 
 
@@ -506,6 +500,7 @@ def suite_core_homogeneity(args) -> list[dict]:
 
 def suite_collapse(args) -> list[dict]:
     n = args.n or 2
+    _require_enumerable(n, "verify collapse")
     p = args.p or TABLE_PRIMES[n]
     field = field_create(p)
     gl = build_gl(n, field, p)
@@ -540,6 +535,7 @@ def suite_collapse(args) -> list[dict]:
 
 def suite_invariant_cycles(args) -> list[dict]:
     n = args.n or 2
+    _require_enumerable(n, "verify invariant-cycles")
     p = args.p or TABLE_PRIMES[n]
     field = field_create(p)
     full0 = build_singular(n, p, field)
@@ -578,9 +574,8 @@ SUITES = {
 
 def cmd_verify(args) -> int:
     if args.suite not in SUITES:
-        print(f"unknown suite {args.suite!r}; available: {', '.join(sorted(SUITES))}",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"unknown suite {args.suite!r}; available: "
+                         f"{', '.join(sorted(SUITES))}")
     cfg = {"cmd": "verify", "suite": args.suite, "n": args.n, "p": args.p}
     checks = SUITES[args.suite](args)
     ok = all(c["ok"] for c in checks)
@@ -636,8 +631,7 @@ def _eval_expr(named: dict, terms: list, cx) -> Cochain:
 def cmd_presentations(args) -> int:
     n = args.n
     if n not in (1, 2, 3):
-        print("presentations are computed for heights 1-3", file=sys.stderr)
-        return 2
+        raise UsageError("presentations are computed for heights 1-3")
     fixtures = load_fixtures()["presentations"][str(n)]
     cfg = {"cmd": "presentations", "n": n, "p": args.p}
     checks = []
@@ -738,6 +732,7 @@ def cmd_presentations(args) -> int:
 
 def cmd_pages(args) -> int:
     n, p = args.n, args.p
+    _require_enumerable(n, "pages")
     cfg = {"cmd": "pages", "n": n, "p": p, "block": args.block, "r_max": args.r_max}
     field = field_create(p)
     gl = build_gl(n, field, p)
@@ -764,6 +759,7 @@ def cmd_pages(args) -> int:
 
 def cmd_monodromy(args) -> int:
     n, p = args.n, args.p
+    _require_enumerable(n, "monodromy")
     cfg = {"cmd": "monodromy", "n": n, "p": p, "flavor": args.flavor,
            "which": args.which}
     field = field_create(p, args.ext)
@@ -895,7 +891,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=_height, default=None)
     p_verify.add_argument("--p", type=_prime, default=None)
     p_verify.add_argument("--threads", type=_positive, default=1,
-                          help="worker processes for the dd-zero scan at n >= 4")
+                          help="worker processes for the dd-zero scan")
     common(p_verify)
     p_verify.set_defaults(fn=cmd_verify)
 
@@ -933,7 +929,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

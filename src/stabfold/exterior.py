@@ -128,16 +128,6 @@ def angle_bracket(mask: int, n: int) -> tuple[int, ...]:
     return tuple(t)
 
 
-def first_subscript_sum(mask: int, n: int) -> int:
-    total = 0
-    mm = mask
-    while mm:
-        low = mm & -mm
-        total += (low.bit_length() - 1) // n + 1
-        mm ^= low
-    return total % n
-
-
 def first_subscript_filtration(mask: int, n: int) -> int:
     """The integer (not mod n) sum of first subscripts."""
     total = 0
@@ -149,19 +139,27 @@ def first_subscript_filtration(mask: int, n: int) -> int:
     return total
 
 
+def first_subscript_sum(mask: int, n: int) -> int:
+    """The sum of first subscripts mod n."""
+    return first_subscript_filtration(mask, n) % n
+
+
+def _sorted_monomial(slots: list[int]) -> tuple[int, int]:
+    """(sign, mask) of a product of distinct generators written in the given
+    slot order: the sign is the parity of the permutation sorting the list."""
+    sign = 1
+    mask = 0
+    for a, s in enumerate(slots):
+        for t in slots[a + 1:]:
+            if s > t:
+                sign = -sign
+        mask |= 1 << s
+    return sign, mask
+
+
 def sigma_shift(mask: int, n: int) -> tuple[int, int]:
     """Image of a monomial under h[i,j] -> h[i,j+1], with the reordering sign."""
-    new_slots = [slot(i, j + 1, n) for i, j in slots_of(mask, n)]
-    sign = 1
-    # parity of the permutation sorting the shifted slot list
-    for a in range(len(new_slots)):
-        for b in range(a + 1, len(new_slots)):
-            if new_slots[a] > new_slots[b]:
-                sign = -sign
-    out = 0
-    for s in new_slots:
-        out |= 1 << s
-    return sign, out
+    return _sorted_monomial([slot(i, j + 1, n) for i, j in slots_of(mask, n)])
 
 
 # -- textual syntax ----------------------------------------------------------------
@@ -191,15 +189,7 @@ def parse_monomial(text: str, n: int) -> tuple[int, int]:
         raise ValueError(f"not a monomial: {text!r}")
     if len(set(slots)) != len(slots):
         raise ValueError(f"repeated generator in {text!r}")
-    sign = 1
-    for a in range(len(slots)):
-        for b in range(a + 1, len(slots)):
-            if slots[a] > slots[b]:
-                sign = -sign
-    mask = 0
-    for s in slots:
-        mask |= 1 << s
-    return sign, mask
+    return _sorted_monomial(slots)
 
 
 def format_monomial(mask: int, n: int) -> str:

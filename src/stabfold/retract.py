@@ -414,7 +414,10 @@ def critical_model(cx, verify: str = "auto") -> dict:
         for k, c in enumerate(cyclotomic_polynomial(d)):
             if c:
                 acc = acc + field.scalar(c) * field.pow(omega, k)
-        assert not acc
+        if acc:
+            raise AssertionError(
+                f"an element of order {d} is not a root of the {d}-th "
+                "cyclotomic polynomial")
         omegas.append(omega)
     derivations = []
     for omega in omegas:

@@ -242,6 +242,50 @@ def test_betti_size_gate_n5_is_immediate(capsys):
         assert "--slow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["1", "5"])
+def test_model_kernel_unsupported_height_is_a_usage_error(capsys, n):
+    code = main(["verify", "model-kernel", "--n", n])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "2, 3, 4" in captured.err and "Traceback" not in captured.err
+    assert "[FAIL]" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["pages", "--n", "5", "--p", "53"],
+    ["pages", "--n", "5", "--p", "53", "--block", "full"],
+    ["verify", "collapse", "--n", "5"],
+    ["verify", "invariant-cycles", "--n", "5"],
+    ["monodromy", "--n", "5", "--p", "53"],
+])
+def test_height5_enumeration_refused_at_once(capsys, argv):
+    import time
+
+    t0 = time.perf_counter()
+    code = main(argv)
+    assert code == 2 and time.perf_counter() - t0 < 5
+    captured = capsys.readouterr()
+    assert "ROADMAP item 5" in captured.err and not captured.out
+
+
+def test_verify_dd_zero_reports_a_flipped_sign(capsys, monkeypatch):
+    from stabfold import ravenel
+
+    from oracles import flipped_sign_table
+
+    real = ravenel.generator_pair_table
+    faulty = flipped_sign_table(real(2))  # an eps term of d(h[1,1])
+    monkeypatch.setattr(ravenel, "generator_pair_table",
+                        lambda n: faulty if n == 2 else real(n))
+    code, js = run_json(capsys, "verify", "dd-zero", "--n", "2")
+    assert code == 1 and not js["ok"]
+    failed = {c["name"] for c in js["checks"] if not c["ok"]}
+    assert failed == {f"dd=0 n=2 p={p} {what} (exhaustive)"
+                      for p in (11, 13) for what in ("eps=1", "bundle")}
+    code, out = run(capsys, "verify", "dd-zero", "--n", "2")
+    assert code == 1 and "[FAIL] dd=0 n=2 p=11 eps=1" in out
+
+
 def test_version_defined_once():
     import stabfold
     from stabfold import cli

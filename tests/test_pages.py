@@ -25,11 +25,29 @@ def test_zero_differential_collapses_immediately():
 
 
 def test_filter_first_subscript_gr_matches_singular():
-    # the assertion runs inside the builder; n = 2 and n = 3
-    f = field_create(11)
-    filter_first_subscript(build_gl(2, f, 11))
-    f19 = field_create(19)
-    filter_first_subscript(build_gl(3, f19, 19))
+    # on every monomial, the filtration-preserving part of d on gl_n is the
+    # singular fiber's d, term for term; n = 2 and n = 3
+    for n, p in ((2, 11), (3, 19)):
+        f = field_create(p)
+        fc = filter_first_subscript(build_gl(n, f, p))
+        singular = build_singular(n, p, f)
+        for mask in range(1 << (n * n)):
+            graded = {t: c for t, c in fc.cx.d_monomial(mask).items()
+                      if fc.fil(t) == fc.fil(mask)}
+            assert graded == singular.d_monomial(mask)
+
+
+def test_filter_first_subscript_rejects_a_misgraded_pair_table(monkeypatch):
+    from stabfold import ravenel
+
+    real = ravenel.generator_pair_table
+    table = {s: list(terms) for s, terms in real(2).items()}
+    pmask, presign, _e = table[2][0]  # d(h[2,1]) = h[1,1]h[1,2], eps-free
+    table[2][0] = (pmask, presign, 1)
+    monkeypatch.setattr(ravenel, "generator_pair_table",
+                        lambda n: table if n == 2 else real(n))
+    with pytest.raises(AssertionError):
+        filter_first_subscript(build_gl(2, field_create(11), 11))
 
 
 def test_e1_equals_singular_betti_n2():

@@ -9,20 +9,30 @@ from stabfold.exterior import (
     format_monomial,
     generator_mask,
     internal_degree,
+    internal_weights,
     parse_monomial,
+    reduced_weights,
 )
-from stabfold.gf import field_create
+from stabfold.gf import Poly, field_create
+from stabfold import ravenel
 from stabfold.ravenel import (
     BUNDLE,
+    KRONECKER_BASE,
     build_bundle,
     build_deformed,
     build_gl,
     build_singular,
     containment_report,
+    dd_zero_exhaustive,
     dims_by_class,
+    generator_pair_table,
+    integer_d,
+    kronecker_digits,
     sigma_apply,
     subcomplex,
 )
+
+from oracles import flipped_sign_table, gl_ce_differential
 
 
 def test_n1_zero_differential():
@@ -115,6 +125,98 @@ def test_gl_matches_deformed_at_one():
     for s in range(5):
         for mask in gl.basis(s):
             assert gl.d_monomial(mask) == sm.d_monomial(mask)
+
+
+@pytest.mark.parametrize("n,p,m", [(2, 7, 1), (3, 7, 1), (4, 7, 1), (4, 13, 2)])
+def test_gl_differential_matches_bracket_oracle(n, p, m):
+    f = field_create(p, m)
+    gl = build_gl(n, f, p)
+    for gslot, dxi in gl_ce_differential(n).items():
+        expected = {mask: f.scalar(c) for mask, c in dxi.items() if f.scalar(c)}
+        assert gl.d_monomial(1 << gslot) == expected, format_monomial(1 << gslot, n)
+
+
+def _direct_bundle_d(n, f):
+    """d over F[x] of every monomial, expanded from the defining formula by
+    d(g m) = d(g) m - g d(m) on the lowest generator g."""
+    from stabfold.exterior import normalize_j
+
+    one = Poly.const(f, 1)
+    gen_d = {}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            z = Cochain(n, {})
+            for ell in range(1, n + 1):
+                a = generator_mask(ell, j, n)
+                i2 = i - ell if ell < i else i - ell + n
+                b = generator_mask(i2, normalize_j(j + ell, n), n)
+                c = one if ell < i else Poly.x_power(f, 1)
+                z = z + Cochain(n, {a: c}).wedge(Cochain(n, {b: one}), one)
+            gen_d[generator_mask(i, j, n)] = z
+    d = {0: Cochain(n, {})}
+    for mask in range(1, 1 << (n * n)):
+        g = mask & -mask
+        rest = Cochain(n, {mask ^ g: one})
+        d[mask] = (gen_d[g].wedge(rest, one)
+                   - Cochain(n, {g: one}).wedge(d[mask ^ g], one))
+    return d
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_bundle_and_fibers_against_direct_expansion_every_monomial(n, p):
+    f = field_create(p)
+    direct = _direct_bundle_d(n, f)
+    bundle = build_bundle(n, p, f)
+    fibers = {e: build_deformed(n, p, f, e) for e in (0, 1, 2)}
+    for mask, z in direct.items():
+        assert bundle.d_monomial(mask) == z.terms, format_monomial(mask, n)
+        for e, fiber in fibers.items():
+            at_e = {t: c.evaluate(f.scalar(e)) for t, c in z.terms.items()}
+            assert fiber.d_monomial(mask) == {t: c for t, c in at_e.items() if c}
+
+
+def test_kronecker_digits_are_the_eps_grading():
+    # d at eps = B, read in balanced base B, is c0 + eps * c1 at every integer eps
+    table = generator_pair_table(3)
+    for mask in range(1 << 9):
+        graded = {t: kronecker_digits(v, 2)
+                  for t, v in integer_d(table, mask, KRONECKER_BASE).items()}
+        for e in (0, 1, 2, -3):
+            direct = {t: c for t, c in integer_d(table, mask, e).items() if c}
+            assert direct == {t: c0 + e * c1 for t, (c0, c1) in graded.items()
+                              if c0 + e * c1}
+    assert kronecker_digits(-5 + 7 * KRONECKER_BASE - 3 * KRONECKER_BASE**2, 3) == [-5, 7, -3]
+
+
+def test_dd_zero_scan_catches_a_flipped_sign(monkeypatch):
+    assert dd_zero_exhaustive(2, [11])["ok"]
+    real = generator_pair_table
+    faulty = flipped_sign_table(real(2))  # an eps term of d(h[1,1])
+    monkeypatch.setattr(ravenel, "generator_pair_table",
+                        lambda n: faulty if n == 2 else real(n))
+    rep = dd_zero_exhaustive(2, [11])
+    assert not rep["ok"] and rep["failures"]
+    assert rep["bad"][(11, 0)] == 0
+    assert rep["bad"][(11, 1)] > 0 and rep["bad"][(11, "x")] > 0
+
+
+@pytest.mark.parametrize("n,p", [(2, 5), (3, 7), (4, 13), (4, 37)])
+def test_reduced_grading_zero_iff_internal_class_zero(n, p):
+    # every monomial: reduced internal degree 0 <=> internal class 0, so the
+    # critical complex has the same basis under either grading
+    w, mod = internal_weights(n, p)
+    rw, rmod = reduced_weights(n, p)
+    for mask in range(1 << (n * n)):
+        u = r = 0
+        mm = mask
+        while mm:
+            low = mm & -mm
+            b = low.bit_length() - 1
+            u += w[b]
+            r += rw[b]
+            mm ^= low
+        assert (r % rmod == 0) == (u % mod == 0), format_monomial(mask, n)
 
 
 def test_gl3_dd_zero_all_512():
@@ -243,3 +345,12 @@ def test_descriptor_json_roundtrip_fields():
     js = cx.descriptor.to_json()
     assert js["epsilon"] == "x"
     assert js["field"] == {"p": 7, "m": 2, "modulus": list(f.modulus)}
+
+
+def test_epsilon_outside_prime_subfield_rejected():
+    from stabfold.ravenel import Complex, DgaDescriptor
+
+    f = field_create(7, 2)
+    with pytest.raises(ValueError, match="prime subfield"):
+        Complex(DgaDescriptor(2, 7, f, f.primitive_element()))
+    assert build_deformed(2, 7, f, 3).d_monomial(generator_mask(1, 1, 2))
