@@ -321,6 +321,7 @@ def suite_tables(args) -> list[dict]:
 
 def suite_dd_zero(args) -> list[dict]:
     n = args.n or 3
+    _require_enumerable(n, "verify dd-zero")
     primes = [args.p] if args.p else _first_primes_above(2 * n * n, 2)
     rep = _dd_scan_parallel(n, primes, args.threads)
     detail = f"{rep['checked']} monomials"
@@ -700,7 +701,7 @@ def cmd_presentations(args) -> int:
                 red = coh.reduce_cocycle(_eval_product(named, prod, cx))
                 vec = {}
                 for ref, c in red.items():
-                    vec[index.setdefault(ref, len(index))] = c
+                    vec[index.setdefault(ref, len(index))] = field.coding.encode(c)
                 vecs.append(vec)
             checks.append(_check(
                 f"classes {{{', '.join(group)}}} are linearly independent",

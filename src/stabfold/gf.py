@@ -5,6 +5,19 @@ different fields never mix silently.  Extension fields GF(p^m) with at most
 2^16 elements get log/exp tables for fast multiplication; larger fields fall
 back to schoolbook polynomial arithmetic modulo the field's modulus
 polynomial.
+
+Sparse linear algebra does not use scalars.  Each field carries a coding
+(``Field.coding``) that maps its nonzero elements to compact codes and does
+the one row operation of the echelon engine in ``homology`` on them:
+
+- GF(p): the residue in [1, p) (``ResidueCoding``);
+- tabled GF(p^m): the discrete log to the base of the primitive element, in
+  [0, q - 1); products add logs and sums go through a Zech table
+  (``LogCoding``);
+- untabled GF(p^m): the ``FieldScalar`` itself (``ScalarCoding``).
+
+Callers encode rows where they enter the engine and decode entries where
+results leave it; nothing outside this module reads a code.
 """
 
 from __future__ import annotations
@@ -130,9 +143,15 @@ class Field:
         self.one = FieldScalar(self, 1 if m == 1 else (1,) + (0,) * (m - 1))
         self._exp: list | None = None
         self._log: dict | None = None
+        self._zech: list | None = None
         self._primitive: FieldScalar | None = None
-        if m > 1 and self.cardinality <= _TABLE_LIMIT:
+        if m == 1:
+            self.coding = ResidueCoding(self)
+        elif self.cardinality <= _TABLE_LIMIT:
             self._build_tables()
+            self.coding = LogCoding(self)
+        else:
+            self.coding = ScalarCoding(self)
 
     # -- construction helpers -------------------------------------------------
 
@@ -197,7 +216,10 @@ class Field:
             exp[i] = acc
             log[acc] = i
             acc = self._raw_mul(acc, g.v)
-        self._exp, self._log = exp, log
+        # Zech logarithms: zech[k] = log(1 + g^k), None where 1 + g^k = 0
+        p = self.p
+        zech = [log.get(((e[0] + 1) % p,) + e[1:]) for e in exp]
+        self._exp, self._log, self._zech = exp, log, zech
 
     def mul(self, a: FieldScalar, b: FieldScalar) -> FieldScalar:
         if self.m == 1:
@@ -276,6 +298,142 @@ class Field:
         if self.m == 1:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.m})"
+
+
+# -- codes for sparse linear algebra --------------------------------------------
+
+
+class _Coding:
+    """Codes of the nonzero elements of one field; a sparse row is a dict
+    column -> code.  Every coding has ``one``, ``encode``/``decode`` of a
+    single nonzero element, ``encode_row``/``decode_row``, ``neg``, the
+    engine's row step ``step(row, c, prow)`` (row -= c * prow in place,
+    dropping the entries that cancel) and ``normalize(row, c)`` (a new row
+    equal to row / c)."""
+
+    def __init__(self, field: Field):
+        self.field = field
+
+    def encode_row(self, row: dict) -> dict:
+        """Codes of the nonzero entries of a row of scalars."""
+        encode = self.encode
+        return {k: encode(v) for k, v in row.items() if v}
+
+    def decode_row(self, row: dict) -> dict:
+        decode = self.decode
+        return {k: decode(c) for k, c in row.items()}
+
+
+class ResidueCoding(_Coding):
+    """GF(p): a nonzero element is its residue in [1, p)."""
+
+    one = 1
+
+    def encode(self, x: FieldScalar) -> int:
+        return x.v
+
+    def decode(self, c: int) -> FieldScalar:
+        return FieldScalar(self.field, c)
+
+    def neg(self, c: int) -> int:
+        return self.field.p - c
+
+    def step(self, row: dict, c: int, prow: dict) -> None:
+        p = self.field.p
+        nc = p - c
+        get = row.get
+        for col, v in prow.items():
+            # a column new to row gets nc * v != 0 mod p
+            nv = (get(col, 0) + nc * v) % p
+            if nv:
+                row[col] = nv
+            else:
+                del row[col]
+
+    def normalize(self, row: dict, c: int) -> dict:
+        p = self.field.p
+        inv = pow(c, p - 2, p)
+        return {col: v * inv % p for col, v in row.items()}
+
+
+class LogCoding(_Coding):
+    """Tabled GF(p^m): a nonzero element g^k is its log k in [0, q - 1).
+
+    Products add logs mod q - 1; -1 = g^h with h = (q - 1)/2, or h = 0 when
+    p = 2; g^a + g^b = g^(a + Z(b - a)) with the field's Zech table Z, whose
+    only empty entry is Z(h), where the sum is zero.
+    """
+
+    one = 0
+
+    def __init__(self, field: Field):
+        super().__init__(field)
+        self.q1 = field.cardinality - 1
+        self.half = 0 if field.p == 2 else self.q1 // 2
+        self.log, self.exp, self.zech = field._log, field._exp, field._zech
+
+    def encode(self, x: FieldScalar) -> int:
+        return self.log[x.v]
+
+    def decode(self, c: int) -> FieldScalar:
+        return FieldScalar(self.field, self.exp[c])
+
+    def neg(self, c: int) -> int:
+        return (c + self.half) % self.q1
+
+    def step(self, row: dict, c: int, prow: dict) -> None:
+        q1, zech = self.q1, self.zech
+        nc = c + self.half  # log of -c
+        get = row.get
+        for col, v in prow.items():
+            b = (nc + v) % q1  # log of -c * v
+            a = get(col)
+            if a is None:
+                row[col] = b
+                continue
+            # b - a lies in (-q1, q1): a negative index wraps to b - a + q1
+            z = zech[b - a]
+            if z is None:
+                del row[col]
+            else:
+                row[col] = (a + z) % q1
+
+    def normalize(self, row: dict, c: int) -> dict:
+        q1 = self.q1
+        return {col: (v - c) % q1 for col, v in row.items()}
+
+
+class ScalarCoding(_Coding):
+    """Untabled GF(p^m): a nonzero element is its own code, and the row step
+    is boxed scalar arithmetic."""
+
+    def __init__(self, field: Field):
+        super().__init__(field)
+        self.one = field.one
+
+    def encode(self, x: FieldScalar) -> FieldScalar:
+        return x
+
+    def decode(self, c: FieldScalar) -> FieldScalar:
+        return c
+
+    def neg(self, c: FieldScalar) -> FieldScalar:
+        return -c
+
+    def step(self, row: dict, c: FieldScalar, prow: dict) -> None:
+        for col, v in prow.items():
+            if col in row:
+                nv = row[col] - c * v
+                if nv:
+                    row[col] = nv
+                else:
+                    del row[col]
+            else:
+                row[col] = -(c * v)
+
+    def normalize(self, row: dict, c: FieldScalar) -> dict:
+        inv = c.inverse()
+        return {col: v * inv for col, v in row.items()}
 
 
 # -- modulus search ------------------------------------------------------------

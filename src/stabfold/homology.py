@@ -2,12 +2,18 @@
 products, ring recognition, and ranks of induced maps.
 
 All linear algebra runs through one sparse echelon over rows
-``{column: FieldScalar}``: each pivot sits at its row's least column and is
-normalized to 1, rows are inserted shortest first, and a single
-``row -= c * prow`` step (``_subtract``) serves rank, reduced echelon form,
-kernels, reduction of representatives and ``retract.minimal_polynomial``.
-A row space has exactly one reduced echelon form with pivots at least
-columns, so every result is independent of the insertion order.
+``{column: code}``, where a code stands for a nonzero field element in the
+coding of the field passed along (``Field.coding``, see ``gf``).  Each pivot
+sits at its row's least column and is normalized to one, rows are inserted
+shortest first, and the coding's single ``row -= c * prow`` step serves rank,
+reduced echelon form, kernels, reduction of representatives and
+``retract.minimal_polynomial``.  A row space has exactly one reduced echelon
+form with pivots at least columns, so every result is independent of the
+insertion order.
+
+Rows are coded where they enter the engine (``block_matrix`` emits coded rows)
+and decoded where results leave it: representatives, class coordinates and
+cup products are ``FieldScalar``-valued.
 """
 
 from __future__ import annotations
@@ -21,88 +27,78 @@ from .gf import Field
 # -- elimination ----------------------------------------------------------------
 
 
-def _subtract(row: dict, c, prow: dict) -> None:
-    """row -= c * prow, in place, dropping the entries that cancel."""
-    for col, v in prow.items():
-        if col in row:
-            nv = row[col] - c * v
-            if nv:
-                row[col] = nv
-            else:
-                del row[col]
-        else:
-            row[col] = -(c * v)
-
-
-def insert_row(row: dict, ech: dict[int, dict]):
-    """Reduce ``row`` (consumed) against the echelon ``ech`` (pivot -> row)
-    until its least column is not a pivot; store it there, normalized, and
-    return that column, or None when the row reduces to zero."""
+def insert_row(row: dict, ech: dict[int, dict], field: Field):
+    """Reduce the coded ``row`` (consumed) against the echelon ``ech`` (pivot
+    -> row) until its least column is not a pivot; store it there, normalized,
+    and return that column, or None when the row reduces to zero."""
+    coding = field.coding
     while row:
         piv = min(row)
         prow = ech.get(piv)
         if prow is None:
-            inv = row[piv].inverse()
-            ech[piv] = {c: v * inv for c, v in row.items()}
+            ech[piv] = coding.normalize(row, row[piv])
             return piv
-        _subtract(row, row[piv], prow)
+        coding.step(row, row[piv], prow)
     return None
 
 
-def echelon(rows) -> dict[int, dict]:
+def echelon(rows, field: Field) -> dict[int, dict]:
     """Echelon of the row space, pivot column -> row, shortest rows first."""
     ech: dict[int, dict] = {}
     for r in sorted(rows, key=len):
         if r:
-            insert_row(dict(r), ech)
+            insert_row(dict(r), ech, field)
     return ech
 
 
 def matrix_rank(rows, ncols: int, field: Field) -> int:
-    """Number of pivots; the engine needs neither ncols nor field."""
-    return len(echelon(rows))
+    """Number of pivots of coded rows; the engine does not need ncols."""
+    return len(echelon(rows, field))
 
 
 def rref(rows: list[dict[int, object]], field: Field):
-    """Reduced row echelon form of sparse rows; returns (rows, pivot columns),
-    rows ordered by pivot column, each pivot normalized to 1."""
-    ech = echelon(rows)
+    """Reduced row echelon form of coded sparse rows; returns (rows, pivot
+    columns), rows ordered by pivot column, each pivot normalized to one."""
+    step = field.coding.step
+    ech = echelon(rows, field)
     pivots = sorted(ech)
     # back-substitute from the last pivot up: rows below are already reduced,
     # so clearing one pivot column touches no other
     for p in reversed(pivots):
         row = ech[p]
         for q in [q for q in row if q != p and q in ech]:
-            _subtract(row, row[q], ech[q])
+            step(row, row[q], ech[q])
     return [dict(ech[p]) for p in pivots], pivots
 
 
 def nullspace(rows: list[dict[int, object]], ncols: int, field: Field):
-    """Kernel basis of the matrix (rows act on column vectors), one vector per
-    free column, echelon-style and deterministic."""
+    """Kernel basis of the coded matrix (rows act on column vectors), one
+    coded vector per free column, echelon-style and deterministic."""
+    coding = field.coding
     rr, pivots = rref(rows, field)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = {free: field.one}
+        vec = {free: coding.one}
         for p, row in zip(pivots, rr):
             v = row.get(free)
-            if v:
-                vec[p] = -v
+            if v is not None:
+                vec[p] = coding.neg(v)
         basis.append(vec)
     return basis
 
 
 def reduce_against(vec: dict[int, object], rr_rows, pivots, field: Field):
     """Eliminate the pivot coordinates of a reduced echelon family from a
-    vector."""
+    coded vector."""
+    step = field.coding.step
     out = dict(vec)
     for p, row in zip(pivots, rr_rows):
         c = out.get(p)
-        if c:
-            _subtract(out, c, row)
+        if c is not None:
+            step(out, c, row)
     return out
 
 
@@ -156,8 +152,10 @@ class BettiTable:
 
 
 def block_matrix(cx, s: int, u: int):
-    """Rows of d^s restricted to the (s, u) block: one sparse row per target
-    monomial in the (s+1, u) block, columns indexed by the source basis."""
+    """Coded rows of d^s restricted to the (s, u) block: one sparse row per
+    target monomial in the (s+1, u) block, columns indexed by the source
+    basis."""
+    encode = cx.field.coding.encode
     src = cx.blocks(s).get(u, [])
     tgt = cx.blocks(s + 1).get(u, [])
     tgt_index = {m: i for i, m in enumerate(tgt)}
@@ -169,7 +167,7 @@ def block_matrix(cx, s: int, u: int):
                 raise AssertionError(
                     f"differential leaves block u={u}: {format_monomial(mask, cx.n)}"
                 )
-            rows[i][j] = c
+            rows[i][j] = encode(c)
     return rows, len(src)
 
 
@@ -201,14 +199,16 @@ def betti(cx) -> BettiTable:
 
 
 class BlockCohomology:
-    """Cohomology of one (s, u) block: cocycle representatives in echelon form
-    plus the machinery to reduce any cocycle to class coordinates."""
+    """Cohomology of one (s, u) block: cocycle representatives in coded
+    echelon form plus the machinery to reduce any cocycle to class
+    coordinates."""
 
     def __init__(self, cx, s: int, u: int):
         self.cx = cx
         self.s = s
         self.u = u
         field = cx.field
+        self.coding = coding = field.coding
         self.monomials = cx.blocks(s).get(u, [])
         self.index = {m: i for i, m in enumerate(self.monomials)}
         ncols = len(self.monomials)
@@ -221,7 +221,7 @@ class BlockCohomology:
         for mask in prev:
             vec = {}
             for t, c in cx.d_monomial(mask).items():
-                vec[self.index[t]] = c
+                vec[self.index[t]] = coding.encode(c)
             if vec:
                 cob_vectors.append(vec)
         self.cob_rows, self.cob_pivots = rref(cob_vectors, field)
@@ -236,10 +236,12 @@ class BlockCohomology:
         return len(self.rep_rows)
 
     def representative(self, idx: int) -> Cochain:
-        row = self.rep_rows[idx]
+        row = self.coding.decode_row(self.rep_rows[idx])
         return Cochain(self.cx.n, {self.monomials[c]: v for c, v in row.items()})
 
     def vector_of(self, z: Cochain) -> dict[int, object]:
+        """The coded coordinate vector of a cochain on this block."""
+        encode = self.coding.encode
         vec = {}
         for mask, c in z.terms.items():
             i = self.index.get(mask)
@@ -247,7 +249,7 @@ class BlockCohomology:
                 raise ValueError(
                     f"cochain not supported on block (s={self.s}, u={self.u})"
                 )
-            vec[i] = c
+            vec[i] = encode(c)
         return vec
 
     def reduce(self, z: Cochain) -> list:
@@ -256,7 +258,9 @@ class BlockCohomology:
         vec = reduce_against(self.vector_of(z), self.cob_rows, self.cob_pivots, field)
         # the representatives are reduced, so a class coordinate is the entry
         # at its pivot
-        coords = [vec.get(p, field.zero) for p in self.rep_pivots]
+        decode = self.coding.decode
+        coords = [decode(vec[p]) if p in vec else field.zero
+                  for p in self.rep_pivots]
         if reduce_against(vec, self.rep_rows, self.rep_pivots, field):
             raise ValueError("not a cocycle modulo coboundaries")
         return coords
@@ -344,6 +348,7 @@ def exterior_ring_check(cx, expected_degrees: list[int]) -> dict:
     independent and exhaust the cohomology.
     """
     field = cx.field
+    coding = field.coding
     table = betti(cx)
     poincare = exterior_profile(expected_degrees)
     totals = table.totals_by_degree()
@@ -362,7 +367,9 @@ def exterior_ring_check(cx, expected_degrees: list[int]) -> dict:
     class_index = {ref: i for i, ref in enumerate(all_classes)}
 
     def coords_of(z: Cochain) -> dict[int, object]:
-        return {class_index[r]: c for r, c in coh.reduce_cocycle(z).items()}
+        """Coded class coordinates of a cocycle."""
+        return {class_index[r]: coding.encode(c)
+                for r, c in coh.reduce_cocycle(z).items()}
 
     # representative cochain for each square-free product of chosen generators,
     # keyed by the (distinct) degrees of the factors
@@ -375,7 +382,7 @@ def exterior_ring_check(cx, expected_degrees: list[int]) -> dict:
         rr_rows, rr_piv = rref(spanned, field)
         candidate = None
         for ref in by_degree.get(d, []):
-            red = reduce_against({class_index[ref]: field.one}, rr_rows, rr_piv, field)
+            red = reduce_against({class_index[ref]: coding.one}, rr_rows, rr_piv, field)
             if red:
                 candidate = ref
                 break
@@ -481,7 +488,7 @@ def induced_map_rank(chmap: ChainMap) -> dict:
         for i in range(sdim):
             img = chmap.apply(sb.representative(i))
             coords = tb.reduce(img)
-            vec = {j: c for j, c in enumerate(coords) if c}
+            vec = field.coding.encode_row(dict(enumerate(coords)))
             if vec:
                 image_rows.append(vec)
         ranks[(s, u)] = matrix_rank(image_rows, tdim, field)

@@ -152,7 +152,10 @@ def run_pages(fc: FilteredComplex, r_max: int | None = None,
         for u in fc.blocks(s):
             keys.add((s, u))
 
+    encode = field.coding.encode
+
     def block_data(s, u):
+        """Filtration values and coded columns of the (s, u) block, once."""
         if (s, u) in data:
             return data[(s, u)]
         src = fc.blocks(s).get(u, [])
@@ -168,7 +171,7 @@ def run_pages(fc: FilteredComplex, r_max: int | None = None,
                         "differential lowers the filtration; the decreasing "
                         "convention is violated"
                     )
-                col.append((tgt_index[t_mask], c))
+                col.append((tgt_index[t_mask], encode(c)))
             cols.append(col)
         entry = {
             "src_fil": [fc.fil(m) for m in src],
@@ -266,6 +269,7 @@ def finite_betti(field: Field, basis_by_degree: dict[int, list],
                  diff: dict) -> dict[int, int]:
     """Betti numbers of an explicit finite complex on labeled basis elements;
     diff maps a label to {label: coefficient} one degree up."""
+    encode = field.coding.encode
     ranks: dict[int, int] = {}
     degs = sorted(basis_by_degree)
     for s in degs:
@@ -274,7 +278,7 @@ def finite_betti(field: Field, basis_by_degree: dict[int, list],
         rows: dict[int, dict[int, object]] = {}
         for j, lbl in enumerate(basis_by_degree[s]):
             for t_lbl, c in diff.get(lbl, {}).items():
-                rows.setdefault(tgt_index[t_lbl], {})[j] = c
+                rows.setdefault(tgt_index[t_lbl], {})[j] = encode(c)
         ranks[s] = matrix_rank(list(rows.values()), len(basis_by_degree[s]), field)
     out = {}
     for s in degs:

@@ -10,10 +10,10 @@ basis because it is an ungraded derivation.
 
 from __future__ import annotations
 
-from .exterior import Cochain, slots_of
+from .exterior import Cochain, format_monomial
 from .gf import Field, FieldScalar, Poly, poly_divmod, poly_gcd, poly_powmod
 from .homology import insert_row
-from .ravenel import Complex, DgaDescriptor
+from .ravenel import ClosureError, Complex, DgaDescriptor
 
 # complexes at most this big get their kernel/diagonality claims verified on
 # every single monomial; larger ones are verified on degree 1 plus a
@@ -167,17 +167,19 @@ def minimal_polynomial(mat, field: Field) -> Poly:
     its local minimal polynomial in columns n, ..., n + k.
     """
     n = len(mat)
+    coding = field.coding
     result = Poly.const(field, 1)
     for start in range(n):
         ech: dict[int, dict] = {}
         v = [field.zero] * n
         v[start] = field.one
         for k in range(n + 1):
-            row = {i: c for i, c in enumerate(v) if c}
-            row[n + k] = field.one
-            piv = insert_row(row, ech)
+            row = coding.encode_row(dict(enumerate(v)))
+            row[n + k] = coding.one
+            piv = insert_row(row, ech, field)
             if piv >= n:
-                local = Poly(field, [ech[piv].get(n + j, field.zero)
+                coeffs = coding.decode_row(ech[piv])
+                local = Poly(field, [coeffs.get(n + j, field.zero)
                                      for j in range(k + 1)])
                 g = poly_gcd(local, result)
                 result = poly_divmod(local * result, g)[0] if g else local
@@ -270,12 +272,26 @@ def _diagonal_eigenvalues(cx, D: Derivation) -> dict[int, FieldScalar]:
     return out
 
 
+def _subset_sums(values: list[FieldScalar], zero: FieldScalar) -> list[FieldScalar]:
+    """sums[sub] = sum of values[i] over the bits i of sub, for all 2^k subsets."""
+    sums = [zero]
+    for v in values:
+        sums += [s + v for s in sums]
+    return sums
+
+
 def kernel_masks(cx, D: Derivation, verify: str = "auto") -> set[int]:
     """Monomials annihilated by a monomial-diagonal degree-preserving
-    derivation.  Eigenvalues add along wedge products (D is ungraded), so the
-    kernel is spanned by monomials with eigenvalue sum zero; diagonality is
-    re-verified monomial by monomial (exhaustively on small complexes,
-    sampled on large ones)."""
+    derivation on a complex that contains every generator.
+
+    Eigenvalues add along wedge products (D is ungraded), so the kernel is
+    spanned by monomials with eigenvalue sum zero.  The sum is split in the
+    middle of the slots: the eigenvalue sums of every subset of the low slots
+    and of every subset of the high slots are tabulated once, and a monomial
+    is in the kernel iff its low sum is minus its high sum, a comparison of
+    coordinates with no arithmetic per monomial.  Diagonality is re-verified
+    monomial by monomial against the directly summed eigenvalue (exhaustively
+    on small complexes, sampled on large ones)."""
     field = cx.field
     gen_eigen = _diagonal_eigenvalues(cx, D)
     n = cx.n
@@ -289,13 +305,21 @@ def kernel_masks(cx, D: Derivation, verify: str = "auto") -> set[int]:
             mm ^= low
         return acc
 
+    slots = cx.top_degree
+    half = slots // 2
+    lo_bits = (1 << half) - 1
+    lo_sum = [x.v for x in _subset_sums(
+        [gen_eigen[1 << i] for i in range(half)], field.zero)]
+    neg_hi_sum = [(-x).v for x in _subset_sums(
+        [gen_eigen[1 << i] for i in range(half, slots)], field.zero)]
+
     kernel = {0}
     to_verify = []
     total = cx.dim()
     for s in range(1, cx.top_degree + 1):
         basis = cx.basis(s)
         for idx, mask in enumerate(basis):
-            if not eigenvalue(mask):
+            if lo_sum[mask & lo_bits] == neg_hi_sum[mask >> half]:
                 kernel.add(mask)
             if verify == "full" or (verify == "auto" and total <= _FULL_VERIFY_LIMIT):
                 to_verify.append(mask)
@@ -311,6 +335,22 @@ def kernel_masks(cx, D: Derivation, verify: str = "auto") -> set[int]:
     return kernel
 
 
+def _closed_model(cx, kern: set[int]) -> Complex:
+    """The sub-DGA of cx on the monomials of kern, after checking on every
+    one of them that d stays inside kern (ker D is closed under d since D
+    commutes with d; a miss means a wrong kernel)."""
+    desc = DgaDescriptor(cx.n, cx.p, cx.field, cx.descriptor.epsilon,
+                         cx.descriptor.lie, "custom")
+    model = Complex(desc, member=lambda m: m in kern)
+    for mask in sorted(kern):
+        for tgt in model.d_monomial(mask):
+            if tgt not in kern:
+                raise ClosureError(
+                    "kernel model not closed under d at "
+                    + format_monomial(mask, cx.n))
+    return model
+
+
 def kernel_model(cx, D: Derivation, verify: str = "auto") -> Complex:
     """The sub-DGA ker D, for D diagonal on the monomial basis."""
     check = u_property_check(cx, D)
@@ -319,25 +359,13 @@ def kernel_model(cx, D: Derivation, verify: str = "auto") -> Complex:
             "D is not diagonalizable; use idempotent_exponent and the image "
             "of id - D^t"
         )
-    kern = kernel_masks(cx, D, verify=verify)
-    desc = DgaDescriptor(cx.n, cx.p, cx.field, cx.descriptor.epsilon,
-                         cx.descriptor.lie, "custom")
-    model = Complex(desc, member=lambda m: m in kern)
-    # ker D is closed under d since D commutes with d; spot-assert on degree 1
-    for mask in model.basis(1):
-        for tgt in model.d_monomial(mask):
-            if tgt not in kern:
-                raise AssertionError("kernel model not closed under d")
-    return model
+    return _closed_model(cx, kernel_masks(cx, D, verify=verify))
 
 
 def intersection_model(cx, derivations, verify: str = "auto") -> Complex:
     """Common kernel of several monomial-diagonal derivations, as a sub-DGA."""
     kerns = [kernel_masks(cx, D, verify=verify) for D in derivations]
-    common = set.intersection(*kerns) if kerns else {0}
-    desc = DgaDescriptor(cx.n, cx.p, cx.field, cx.descriptor.epsilon,
-                         cx.descriptor.lie, "custom")
-    return Complex(desc, member=lambda m: m in common)
+    return _closed_model(cx, set.intersection(*kerns) if kerns else {0})
 
 
 # -- cyclotomic bookkeeping -----------------------------------------------------------

@@ -257,6 +257,7 @@ def test_model_kernel_unsupported_height_is_a_usage_error(capsys, n):
     ["verify", "collapse", "--n", "5"],
     ["verify", "invariant-cycles", "--n", "5"],
     ["monodromy", "--n", "5", "--p", "53"],
+    ["verify", "dd-zero", "--n", "5"],
 ])
 def test_height5_enumeration_refused_at_once(capsys, argv):
     import time
@@ -356,3 +357,13 @@ def test_no_cache_path_never_fingerprints(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "code_fingerprint", refuse)
     assert main(BETTI_N2 + ["--no-cache"]) == 0
+
+
+def test_betti_over_untabled_extension_field(capsys):
+    # GF(257^2) has 66,049 elements, above the log-table limit, so its rows
+    # are eliminated with boxed scalars
+    code, js = run_json(capsys, "betti", "--lie", "gl", "--n", "2", "--p", "257",
+                        "--ext", "2", "--no-cache")
+    assert code == 0 and js["grand_total"] == 4
+    assert [(r["s"], r["u"], r["dim"]) for r in js["rows"]] == [
+        (0, 0, 1), (1, 0, 1), (3, 0, 1), (4, 0, 1)]

@@ -1,4 +1,10 @@
-"""Property tests of the sparse echelon engine over GF(p) and GF(3^2)."""
+"""Property tests of the sparse echelon engine over GF(p), GF(2^3) and
+GF(3^2).
+
+Matrices are drawn with ``FieldScalar`` entries; the engine gets them in the
+field's coding, and its results are decoded wherever they are compared with
+scalar arithmetic.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +13,7 @@ from oracles import dense_rank_oracle
 from stabfold.gf import field_create
 from stabfold.homology import matrix_rank, nullspace, reduce_against, rref
 
-FIELDS = [field_create(5), field_create(7), field_create(3, 2)]
+FIELDS = [field_create(5), field_create(7), field_create(2, 3), field_create(3, 2)]
 MAX_ROWS, MAX_COLS = 6, 7
 
 FAST = settings(max_examples=40, deadline=None)
@@ -28,6 +34,10 @@ def matrices(draw):
     return field, rows, ncols
 
 
+def coded(rows, field):
+    return [field.coding.encode_row(r) for r in rows]
+
+
 def add_multiple(rows, i, j, c):
     """row_i += c * row_j."""
     out = [dict(r) for r in rows]
@@ -44,6 +54,7 @@ def add_multiple(rows, i, j, c):
 @given(matrices(), st.randoms(use_true_random=False))
 def test_rank_and_rref_invariant_under_row_permutations(mat, rnd):
     field, rows, ncols = mat
+    rows = coded(rows, field)
     shuffled = list(rows)
     rnd.shuffle(shuffled)
     assert matrix_rank(shuffled, ncols, field) == matrix_rank(rows, ncols, field)
@@ -64,8 +75,10 @@ def test_rank_and_rref_invariant_under_invertible_row_operations(mat, rnd):
         k = rnd.randrange(len(rows))
         scale = rnd.choice(units)
         moved[k] = {c: v * scale for c, v in moved[k].items()}
+    oracle_rank = dense_rank_oracle(moved, ncols, field)
+    rows, moved = coded(rows, field), coded(moved, field)
     rank = matrix_rank(rows, ncols, field)
-    assert matrix_rank(moved, ncols, field) == rank == dense_rank_oracle(moved, ncols, field)
+    assert matrix_rank(moved, ncols, field) == rank == oracle_rank
     assert rref(moved, field) == rref(rows, field)
 
 
@@ -73,11 +86,12 @@ def test_rank_and_rref_invariant_under_invertible_row_operations(mat, rnd):
 @given(matrices())
 def test_rref_idempotent_with_sorted_normalized_pivots(mat):
     field, rows, ncols = mat
+    rows = coded(rows, field)
     rr, piv = rref(rows, field)
     assert piv == sorted(set(piv))
     assert len(rr) == len(piv) == matrix_rank(rows, ncols, field)
     for p, row in zip(piv, rr):
-        assert min(row) == p and row[p] == field.one
+        assert min(row) == p and field.coding.decode(row[p]) == field.one
         assert not any(q in row for q in piv if q != p)
     assert rref(rr, field) == (rr, piv)
 
@@ -86,9 +100,9 @@ def test_rref_idempotent_with_sorted_normalized_pivots(mat):
 @given(matrices())
 def test_nullspace_annihilates_with_corank_vectors(mat):
     field, rows, ncols = mat
-    kern = nullspace(rows, ncols, field)
-    assert len(kern) == ncols - matrix_rank(rows, ncols, field)
-    for vec in kern:
+    kern = nullspace(coded(rows, field), ncols, field)
+    assert len(kern) == ncols - matrix_rank(coded(rows, field), ncols, field)
+    for vec in map(field.coding.decode_row, kern):
         for row in rows:
             acc = field.zero
             for c, v in row.items():
@@ -101,11 +115,11 @@ def test_nullspace_annihilates_with_corank_vectors(mat):
 @given(matrices(), st.data())
 def test_reduce_against_clears_every_pivot(mat, data):
     field, rows, ncols = mat
-    rr, piv = rref(rows, field)
+    rr, piv = rref(coded(rows, field), field)
     elems = list(field.elements())
     codes = data.draw(st.lists(st.integers(0, len(elems) - 1),
                                min_size=ncols, max_size=ncols))
-    vec = {c: elems[k] for c, k in enumerate(codes) if k}
+    vec = field.coding.encode_row({c: elems[k] for c, k in enumerate(codes) if k})
     out = reduce_against(vec, rr, piv, field)
     assert not any(p in out for p in piv)
     # the reduction stays in the coset vec + row space

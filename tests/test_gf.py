@@ -198,3 +198,53 @@ def test_modulus_is_irreducible_by_brute_factoring():
         mod = Poly(base, [base.scalar(c) for c in f.modulus] + [base.one])
         for e in base.elements():
             assert poly_evaluate(mod, e) != base.zero
+
+
+# -- the codings of sparse linear algebra -----------------------------------------
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (37, 1), (2, 3), (3, 2), (13, 2)])
+def test_coding_agrees_with_scalar_arithmetic_on_every_pair(p, m):
+    f = field_create(p, m)
+    coding = f.coding
+    units = [x for x in f.elements() if x]
+    enc = {x: coding.encode(x) for x in units}
+    # encode/decode round-trip, one code per element
+    assert all(coding.decode(c) == x for x, c in enc.items())
+    assert len(set(enc.values())) == len(units)
+    assert coding.decode(coding.one) == f.one
+    for x in units:
+        cx = enc[x]
+        assert coding.neg(cx) == enc[-x]
+        # normalize: the pivot becomes one and the rest is divided by x
+        assert coding.normalize({0: cx, 1: enc[f.one]}, cx) == {
+            0: coding.one, 1: enc[x.inverse()]}
+        for y in units:
+            cy = enc[y]
+            # multiply: into an empty row, row -= x * y leaves -(x * y)
+            row = {}
+            coding.step(row, cx, {0: cy})
+            assert row == {0: enc[-(x * y)]}
+            # subtract, with the zero sentinel where x == y
+            row = {0: cx}
+            coding.step(row, cy, {0: coding.one})
+            assert row == ({0: enc[x - y]} if x != y else {})
+            # a full row step: (x, y, 0) -= y * (0, x, 1)
+            row = {0: cx, 1: cy}
+            coding.step(row, cy, {1: cx, 2: coding.one})
+            want = {0: x, 1: y - y * x, 2: -y}
+            assert row == {k: enc[v] for k, v in want.items() if v}
+
+
+def test_coding_chosen_by_table_size():
+    from stabfold.gf import LogCoding, ResidueCoding, ScalarCoding
+
+    assert isinstance(field_create(257).coding, ResidueCoding)
+    assert isinstance(field_create(13, 2).coding, LogCoding)
+    big = field_create(257, 2)  # 66,049 elements, above the table limit
+    assert isinstance(big.coding, ScalarCoding)
+    x, y = big.scalar((3, 5)), big.scalar((250, 7))
+    row = {0: x, 1: y}
+    big.coding.step(row, y, {0: big.one, 1: x})
+    assert row == {0: x - y, 1: y - y * x}
+    assert big.coding.normalize({0: x, 1: y}, x) == {0: big.one, 1: y * x.inverse()}

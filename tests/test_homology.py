@@ -34,6 +34,10 @@ def random_sparse_rows(rng, field, nrows, ncols, density=0.4):
     return rows
 
 
+def coded(rows, field):
+    return [field.coding.encode_row(r) for r in rows]
+
+
 def test_sparse_and_dense_rank_agree_random():
     # the sparse engine against the dense oracle; over GF(5) also against sympy
     rng = random.Random(101)
@@ -42,10 +46,25 @@ def test_sparse_and_dense_rank_agree_random():
         for _ in range(30):
             nr, nc = rng.randint(0, 7), rng.randint(1, 7)
             rows = random_sparse_rows(rng, f, nr, nc)
-            rank = matrix_rank(rows, nc, f)
+            rank = matrix_rank(coded(rows, f), nc, f)
             assert rank == dense_rank_oracle(rows, nc, f)
             if m == 1:
                 assert rank == sympy_rank(rows, nc, f)
+
+
+def test_rank_over_untabled_extension_field():
+    # GF(257^2) is above the log-table limit: its codes are the scalars
+    f = field_create(257, 2)
+    rng = random.Random(109)
+    rows = [{c: f.scalar((rng.randrange(257), rng.randrange(257)))
+             for c in rng.sample(range(6), 4)} for _ in range(4)]
+    k = f.scalar((5, 11))
+    dependent = dict(rows[0])
+    for c, v in rows[1].items():
+        dependent[c] = dependent.get(c, f.zero) + k * v
+    rows.append({c: v for c, v in dependent.items() if v})
+    rank = matrix_rank(coded(rows, f), 6, f)
+    assert rank == dense_rank_oracle(rows, 6, f) == 4
 
 
 def test_rank_structured_cases():
@@ -53,11 +72,11 @@ def test_rank_structured_cases():
     one = f.one
     # identity, rank 3
     rows = [{i: one} for i in range(3)]
-    assert matrix_rank(rows, 3, f) == 3 == dense_rank_oracle(rows, 3, f)
+    assert matrix_rank(coded(rows, f), 3, f) == 3 == dense_rank_oracle(rows, 3, f)
     assert sympy_rank(rows, 3, f) == 3
     # repeated row
     rows = [{0: one, 1: one}, {0: one, 1: one}]
-    assert matrix_rank(rows, 2, f) == 1
+    assert matrix_rank(coded(rows, f), 2, f) == 1
     assert matrix_rank([], 5, f) == 0
 
 
@@ -67,10 +86,10 @@ def test_nullspace_annihilates():
     for _ in range(20):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         rows = random_sparse_rows(rng, f, nr, nc)
-        kern = nullspace(rows, nc, f)
+        kern = nullspace(coded(rows, f), nc, f)
         rank = dense_rank_oracle(rows, nc, f)
         assert len(kern) == nc - rank
-        for v in kern:
+        for v in map(f.coding.decode_row, kern):
             for row in rows:
                 acc = f.zero
                 for c, val in row.items():
@@ -83,7 +102,7 @@ def test_rref_idempotent_and_pivots_sorted():
     rng = random.Random(107)
     f = field_create(5)
     rows = random_sparse_rows(rng, f, 5, 6)
-    rr, piv = rref(rows, f)
+    rr, piv = rref(coded(rows, f), f)
     assert piv == sorted(piv)
     rr2, piv2 = rref(rr, f)
     assert rr2 == rr and piv2 == piv
@@ -130,7 +149,8 @@ def oracle_betti(cx, rank) -> dict:
         for u, monos in cx.blocks(s).items():
             dims[(s, u)] = len(monos)
             rows, ncols = block_matrix(cx, s, u)
-            ranks[(s, u)] = rank(rows, ncols, cx.field)
+            scalars = [cx.field.coding.decode_row(r) for r in rows]
+            ranks[(s, u)] = rank(scalars, ncols, cx.field)
     entries = {}
     for (s, u), dim in dims.items():
         b = dim - ranks[(s, u)] - ranks.get((s - 1, u), 0)

@@ -218,6 +218,29 @@ def test_kernel_model_rejects_non_diagonal():
         kernel_model(cx, Derivation(cx, 0, False, op=swap))
 
 
+def test_kernel_models_check_closure_on_every_monomial(monkeypatch):
+    from stabfold import retract
+    from stabfold.ravenel import ClosureError
+
+    f = field_create(7)
+    cx = build_gl(3, f, 7)
+    h, _ = lambda_h_pair(cx, primitive_root_of_unity(f, 3))
+    D = laplacian(cx, h)
+    kern = retract.kernel_masks(cx, D)
+    # plant a kernel missing one d-target of a degree-2 kernel monomial; no
+    # degree-1 kernel monomial reaches it, so a degree-1 check cannot see it
+    target = min(t for m in sorted(kern) if degree(m) == 2
+                 for t in cx.d_monomial(m) if t in kern)
+    assert degree(target) == 3
+    assert not any(target in cx.d_monomial(m) for m in kern if degree(m) == 1)
+    planted = kern - {target}
+    monkeypatch.setattr(retract, "kernel_masks", lambda *a, **k: set(planted))
+    with pytest.raises(ClosureError, match="not closed under d"):
+        kernel_model(cx, D)
+    with pytest.raises(ClosureError, match="not closed under d"):
+        intersection_model(cx, [D])
+
+
 def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(1) == [-1, 1]
     assert cyclotomic_polynomial(2) == [1, 1]
