@@ -323,7 +323,7 @@ def suite_dd_zero(args) -> list[dict]:
     n = args.n or 3
     _require_enumerable(n, "verify dd-zero")
     primes = [args.p] if args.p else _first_primes_above(2 * n * n, 2)
-    rep = _dd_scan_parallel(n, primes, args.threads)
+    rep = dd_zero_exhaustive(n, primes)
     detail = f"{rep['checked']} monomials"
     if n >= 4:
         return [_check(
@@ -336,28 +336,6 @@ def suite_dd_zero(args) -> list[dict]:
             checks.append(_check(f"dd=0 n={n} p={p} {what} (exhaustive)",
                                  rep["bad"][(p, eps)] == 0, detail))
     return checks
-
-
-def _dd_worker(task):
-    n, primes, s = task
-    return dd_zero_exhaustive(n, primes, degrees=[s])
-
-
-def _dd_scan_parallel(n: int, primes: list[int], threads: int) -> dict:
-    degrees = list(range(n * n + 1))
-    if threads <= 1:
-        return dd_zero_exhaustive(n, primes)
-    import multiprocessing as mp
-
-    with mp.Pool(threads) as pool:
-        parts = pool.map(_dd_worker, [(n, primes, s) for s in degrees])
-    bad = {key: sum(p["bad"][key] for p in parts) for key in parts[0]["bad"]}
-    return {
-        "ok": all(p["ok"] for p in parts),
-        "checked": sum(p["checked"] for p in parts),
-        "failures": [f for p in parts for f in p["failures"]][:8],
-        "bad": bad,
-    }
 
 
 def suite_containment(args) -> list[dict]:
@@ -891,8 +869,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}")
     p_verify.add_argument("--n", type=_height, default=None)
     p_verify.add_argument("--p", type=_prime, default=None)
-    p_verify.add_argument("--threads", type=_positive, default=1,
-                          help="worker processes for the dd-zero scan")
     common(p_verify)
     p_verify.set_defaults(fn=cmd_verify)
 

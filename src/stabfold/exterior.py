@@ -5,6 +5,9 @@ A monomial is a square-free product of generators h[i,j] with i, j in
 and normalized to j = n).  It is stored as a bitmask over the n^2 slots
 slot(i, j) = (i-1)*n + (j-1), so the canonical order of generators inside a
 monomial is lexicographic on (i, j) and monomial equality is integer equality.
+
+``add_term`` is the one merge-add into a sparse combination {key: nonzero
+coefficient}; cochains, d of a cochain, the shift and the derivations use it.
 """
 
 from __future__ import annotations
@@ -201,6 +204,18 @@ def format_monomial(mask: int, n: int) -> str:
 # -- cochains ----------------------------------------------------------------------
 
 
+def add_term(out: dict, key, c) -> None:
+    """out[key] += c on a sparse combination that holds no zero values: a sum
+    that cancels deletes the key, and a zero c adds nothing."""
+    if key in out:
+        c = out[key] + c
+        if not c:
+            del out[key]
+            return
+    if c:
+        out[key] = c
+
+
 class Cochain:
     """Sparse linear combination of monomials; coefficients are field scalars
     or polynomials, depending on the complex the cochain lives in."""
@@ -224,14 +239,7 @@ class Cochain:
     def __add__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():
-            if m in out:
-                s = out[m] + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-            else:
-                out[m] = c
+            add_term(out, m, c)
         return Cochain(self.n, out)
 
     def __sub__(self, other):
@@ -255,16 +263,7 @@ class Cochain:
                     continue
                 sign, mm = w
                 c = ca * cb
-                if sign < 0:
-                    c = -c
-                if mm in out:
-                    s = out[mm] + c
-                    if s:
-                        out[mm] = s
-                    else:
-                        del out[mm]
-                elif c:
-                    out[mm] = c
+                add_term(out, mm, -c if sign < 0 else c)
         return Cochain(self.n, out)
 
     def degrees(self) -> set[int]:

@@ -11,9 +11,18 @@ reduced echelon form, kernels, reduction of representatives and
 form with pivots at least columns, so every result is independent of the
 insertion order.
 
-Rows are coded where they enter the engine (``block_matrix`` emits coded rows)
-and decoded where results leave it: representatives, class coordinates and
-cup products are ``FieldScalar``-valued.
+Rows are coded where they enter the engine and decoded where results leave
+it: representatives, class coordinates and cup products are
+``FieldScalar``-valued.
+
+``block_matrix`` is the one place that turns d on an (s, u) block into coded
+rows, and every consumer reads those rows rather than expanding d again:
+``betti`` streams them block by block into ranks; ``Cohomology`` hands each
+block's rows to two consumers, the kernel of BlockCohomology(s, u) and,
+transposed, the coboundaries of BlockCohomology(s + 1, u), holding them only
+until the second has taken them; ``exterior_ring_check`` reads its Betti
+profile off those blocks' classes; and ``pages.run_pages`` filters them by
+the filtration.
 """
 
 from __future__ import annotations
@@ -39,6 +48,8 @@ def insert_row(row: dict, ech: dict[int, dict], field: Field):
             ech[piv] = coding.normalize(row, row[piv])
             return piv
         coding.step(row, row[piv], prow)
+        if piv in row:
+            raise ArithmeticError(f"row step left its pivot column {piv} in the row")
     return None
 
 
@@ -141,12 +152,6 @@ class BettiTable:
             for (s, u), b in sorted(self.entries.items())
         ]
 
-    def to_csv(self) -> str:
-        lines = ["s,u,dim"]
-        for (s, u), b in sorted(self.entries.items()):
-            lines.append(f"{s},{u},{b}")
-        return "\n".join(lines) + "\n"
-
     def __eq__(self, other):
         return isinstance(other, BettiTable) and self.entries == other.entries
 
@@ -201,30 +206,27 @@ def betti(cx) -> BettiTable:
 class BlockCohomology:
     """Cohomology of one (s, u) block: cocycle representatives in coded
     echelon form plus the machinery to reduce any cocycle to class
-    coordinates."""
+    coordinates.
 
-    def __init__(self, cx, s: int, u: int):
+    d_out and d_in are the ``block_matrix`` rows of d on this block, whose
+    kernel holds the cocycles, and of d on the (s - 1, u) block, whose columns
+    are the coboundaries."""
+
+    def __init__(self, cx, s: int, u: int, *, d_out: list, d_in: list):
         self.cx = cx
         self.s = s
         self.u = u
         field = cx.field
-        self.coding = coding = field.coding
+        self.coding = field.coding
         self.monomials = cx.blocks(s).get(u, [])
         self.index = {m: i for i, m in enumerate(self.monomials)}
-        ncols = len(self.monomials)
 
-        rows, _ = block_matrix(cx, s, u)
-        kernel = nullspace(rows, ncols, field)
-
-        prev = cx.blocks(s - 1).get(u, []) if s > 0 else []
-        cob_vectors = []
-        for mask in prev:
-            vec = {}
-            for t, c in cx.d_monomial(mask).items():
-                vec[self.index[t]] = coding.encode(c)
-            if vec:
-                cob_vectors.append(vec)
-        self.cob_rows, self.cob_pivots = rref(cob_vectors, field)
+        kernel = nullspace(d_out, len(self.monomials), field)
+        cob_vectors: dict[int, dict] = {}
+        for i, row in enumerate(d_in):
+            for j, c in row.items():
+                cob_vectors.setdefault(j, {})[i] = c
+        self.cob_rows, self.cob_pivots = rref(list(cob_vectors.values()), field)
 
         reduced = [
             reduce_against(v, self.cob_rows, self.cob_pivots, field) for v in kernel
@@ -267,18 +269,32 @@ class BlockCohomology:
 
 
 class Cohomology:
-    """Lazy per-block cohomology of a fiber-mode complex."""
+    """Lazy per-block cohomology of a fiber-mode complex.
+
+    The rows of d on an (s, u) block serve two blocks: BlockCohomology(s, u)
+    takes its kernel, BlockCohomology(s + 1, u) its coboundaries.  They are
+    assembled once, for whichever block comes first, and held only until the
+    other one takes them."""
 
     def __init__(self, cx):
         if cx.descriptor.is_bundle():
             raise ValueError("representatives need a fiber-mode complex")
         self.cx = cx
         self._blocks: dict[tuple[int, int], BlockCohomology] = {}
+        self._held: dict[tuple[int, int], list] = {}
+
+    def _rows(self, s: int, u: int) -> list:
+        rows = self._held.pop((s, u), None)
+        if rows is None:
+            rows = self._held[(s, u)] = block_matrix(self.cx, s, u)[0]
+        return rows
 
     def block(self, s: int, u: int) -> BlockCohomology:
         key = (s, u)
         if key not in self._blocks:
-            self._blocks[key] = BlockCohomology(self.cx, s, u)
+            self._blocks[key] = BlockCohomology(
+                self.cx, s, u, d_out=self._rows(s, u),
+                d_in=self._rows(s - 1, u) if s > 0 else [])
         return self._blocks[key]
 
     def classes(self) -> list[tuple[int, int, int]]:
@@ -315,15 +331,6 @@ class Cohomology:
         return self.reduce_cocycle(prod)
 
 
-def representatives(cx) -> Cohomology:
-    return Cohomology(cx)
-
-
-def cup(cx_or_coh, a, b):
-    coh = cx_or_coh if isinstance(cx_or_coh, Cohomology) else Cohomology(cx_or_coh)
-    return coh.cup(a, b)
-
-
 # -- ring recognition ---------------------------------------------------------------
 
 
@@ -342,27 +349,27 @@ def exterior_ring_check(cx, expected_degrees: list[int]) -> dict:
     """Does the cohomology ring look like the exterior algebra on one generator
     in each expected (odd) degree?
 
-    Betti totals are compared first; on mismatch no generator search runs.
+    The class counts per degree, read off the blocks' cohomology, are compared
+    with the exterior profile first; on mismatch no generator search runs.
     Then generators are chosen greedily (any class independent of products of
     the earlier generators), and all square-free cup monomials must be linearly
     independent and exhaust the cohomology.
     """
     field = cx.field
     coding = field.coding
-    table = betti(cx)
+    coh = Cohomology(cx)
+    all_classes = coh.classes()
+    by_degree: dict[int, list] = {}
+    for ref in all_classes:
+        by_degree.setdefault(ref[0], []).append(ref)
     poincare = exterior_profile(expected_degrees)
-    totals = table.totals_by_degree()
+    totals = {s: len(refs) for s, refs in by_degree.items()}
     if totals != poincare:
         return {
             "holds": False,
             "reason": f"Betti profile {totals} differs from exterior profile {poincare}",
         }
 
-    coh = Cohomology(cx)
-    all_classes = coh.classes()
-    by_degree: dict[int, list] = {}
-    for ref in all_classes:
-        by_degree.setdefault(ref[0], []).append(ref)
     nclasses = len(all_classes)
     class_index = {ref: i for i, ref in enumerate(all_classes)}
 

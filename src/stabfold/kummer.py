@@ -12,6 +12,11 @@ with subscripts taken in {1..n}.  Monodromy multiplies a monomial by
 omega^(D*alpha), D the common denominator, so its fixed monomials are those
 with integral parameter: the first-subscript complex for sigma, the critical
 complex for the semilinear flavor.
+
+Cores and medial layers read the bundle differential as (target,
+coefficient, x-power) terms straight from ``ravenel.bundle_digits``, the
+x-power digits of the one integer expansion of d, without building
+polynomial coefficients; ``exterior.add_term`` merges their terms.
 """
 
 from __future__ import annotations
@@ -19,9 +24,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .exterior import Cochain, degree, format_monomial, slots_of
+from .exterior import Cochain, add_term, format_monomial
 from .gf import Field, FieldScalar, nth_roots
-from .ravenel import Complex
+from .ravenel import Complex, bundle_digits
 
 
 class KummerConnection:
@@ -229,14 +234,6 @@ class Monodromy:
     def is_fixed(self, mask: int) -> bool:
         return self.exponent(mask) % self.conn.denominator == 0
 
-    def fixed_masks(self, cx: Complex) -> set[int]:
-        out = set()
-        for s in range(cx.top_degree + 1):
-            for mask in cx.basis(s):
-                if self.conn.is_fixed(mask):
-                    out.add(mask)
-        return out
-
 
 def monodromy(conn: KummerConnection, field: Field, omega) -> Monodromy:
     return Monodromy(conn, field, field.scalar(omega))
@@ -252,6 +249,16 @@ def t_fixed_masks(conn: KummerConnection, n: int) -> set[int]:
 
 
 # -- cores and medial layers -------------------------------------------------------------
+
+
+def _bundle_terms(bundle: Complex, mask: int):
+    """The nonzero terms c x^xpow b of d(mask) on the bundle, as
+    (b, c, xpow) with c a field scalar."""
+    scalar = bundle.field.scalar
+    for tgt, digits in bundle_digits(bundle.n, mask, bundle.field.p):
+        for xpow, c in enumerate(digits):
+            if c:
+                yield tgt, scalar(c), xpow
 
 
 class Core:
@@ -283,14 +290,11 @@ class Core:
         for s in range(bundle.top_degree + 1):
             for m in self._basis[s]:
                 triples = []
-                for tgt, poly in bundle.d_monomial(m).items():
-                    for xpow, c in enumerate(poly.coeffs):
-                        if not c:
-                            continue
-                        e = self.shift[m] + xpow - self.shift[tgt]
-                        triples.append((tgt, c, e))
-                        if e < 0:
-                            self.closure_failures.append((m, tgt, e))
+                for tgt, c, xpow in _bundle_terms(bundle, m):
+                    e = self.shift[m] + xpow - self.shift[tgt]
+                    triples.append((tgt, c, e))
+                    if e < 0:
+                        self.closure_failures.append((m, tgt, e))
                 triples.sort(key=lambda t: (t[0], t[2]))
                 self._triples[m] = triples
 
@@ -318,23 +322,19 @@ class Core:
         """The exponent-zero part of the differential: the complex core/x."""
         out: dict[int, dict[int, FieldScalar]] = {}
         for m, triples in self._triples.items():
-            row: dict[int, FieldScalar] = {}
+            out[m] = row = {}
             for tgt, c, e in triples:
                 if e == 0:
-                    acc = row.get(tgt)
-                    row[tgt] = acc + c if acc is not None else c
-            out[m] = {t: c for t, c in row.items() if c}
+                    add_term(row, tgt, c)
         return out
 
     def full_diff_at_one(self) -> dict[int, dict[int, FieldScalar]]:
         """All terms with x set to 1: the core evaluated at x = 1."""
         out: dict[int, dict[int, FieldScalar]] = {}
         for m, triples in self._triples.items():
-            row: dict[int, FieldScalar] = {}
+            out[m] = row = {}
             for tgt, c, _e in triples:
-                acc = row.get(tgt)
-                row[tgt] = acc + c if acc is not None else c
-            out[m] = {t: c for t, c in row.items() if c}
+                add_term(row, tgt, c)
         return out
 
 
@@ -407,12 +407,7 @@ class Medial:
     def d_pairs(self, mask: int):
         """Bundle differential restricted to the fixed basis, as
         (target, coefficient, x-power) triples."""
-        out = []
-        for tgt, poly in self.bundle.d_monomial(mask).items():
-            for xpow, c in enumerate(poly.coeffs):
-                if c:
-                    out.append((tgt, c, xpow))
-        return sorted(out, key=lambda t: (t[0], t[2]))
+        return sorted(_bundle_terms(self.bundle, mask), key=lambda t: (t[0], t[2]))
 
     def weight_preserving(self) -> bool:
         """True when every differential term preserves fil(x^w b); holds

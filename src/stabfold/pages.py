@@ -11,13 +11,18 @@ subspaces Z_r^(s,t) = {x in F^t C^s : dx in F^(t+r)}:
 
 For a filtration of span W every differential on pages beyond W vanishes for
 lack of targets, which is the collapse certificate.
+
+``run_pages`` expands no differential itself: it reads each block's
+``homology.block_matrix`` rows once, checks on their entries that d never
+lowers the filtration, and cuts each z_r matrix out of them by the source
+and target filtration values.
 """
 
 from __future__ import annotations
 
-from .exterior import first_subscript_filtration, format_monomial
+from .exterior import add_term, first_subscript_filtration, format_monomial
 from .gf import Field
-from .homology import betti, matrix_rank
+from .homology import betti, block_matrix, matrix_rank
 
 
 class FilteredComplex:
@@ -152,32 +157,24 @@ def run_pages(fc: FilteredComplex, r_max: int | None = None,
         for u in fc.blocks(s):
             keys.add((s, u))
 
-    encode = field.coding.encode
-
     def block_data(s, u):
-        """Filtration values and coded columns of the (s, u) block, once."""
+        """Filtration values and the ``block_matrix`` entries of the (s, u)
+        block by source column, as (target row, code) pairs, once."""
         if (s, u) in data:
             return data[(s, u)]
-        src = fc.blocks(s).get(u, [])
-        tgt = fc.blocks(s + 1).get(u, [])
-        tgt_index = {m: i for i, m in enumerate(tgt)}
-        cols = []
-        for mask in src:
-            col = []
-            f_src = fc.fil(mask)
-            for t_mask, c in cx.d_monomial(mask).items():
-                if fc.fil(t_mask) < f_src:
+        rows, ncols = block_matrix(cx, s, u)
+        src_fil = [fc.fil(m) for m in cx.blocks(s).get(u, [])]
+        tgt_fil = [fc.fil(m) for m in cx.blocks(s + 1).get(u, [])]
+        cols = [[] for _ in range(ncols)]
+        for i, row in enumerate(rows):
+            for j, c in row.items():
+                if src_fil[j] > tgt_fil[i]:
                     raise AssertionError(
                         "differential lowers the filtration; the decreasing "
                         "convention is violated"
                     )
-                col.append((tgt_index[t_mask], encode(c)))
-            cols.append(col)
-        entry = {
-            "src_fil": [fc.fil(m) for m in src],
-            "tgt_fil": [fc.fil(m) for m in tgt],
-            "cols": cols,
-        }
+                cols[j].append((i, c))
+        entry = {"src_fil": src_fil, "tgt_fil": tgt_fil, "cols": cols}
         data[(s, u)] = entry
         return entry
 
@@ -195,10 +192,10 @@ def run_pages(fc: FilteredComplex, r_max: int | None = None,
         cut = t + r
         live_rows = {i for i, f in enumerate(bd["tgt_fil"]) if f < cut}
         rows: dict[int, dict[int, object]] = {}
-        for newj, j in enumerate(cols):
+        for j in cols:
             for i, c in bd["cols"][j]:
                 if i in live_rows:
-                    rows.setdefault(i, {})[newj] = c
+                    rows.setdefault(i, {})[j] = c
         rank = matrix_rank(list(rows.values()), len(cols), field)
         val = len(cols) - rank
         zcache[key] = val
@@ -391,10 +388,8 @@ def _windowed_pages(core, t_report: int) -> PageReport:
             row = {}
             for tgt, c, e in core.d_triples(m):
                 if w + e <= span:
-                    key = (tgt, w + e)
-                    acc = row.get(key)
-                    row[key] = acc + c if acc is not None else c
-            diff[(m, w)] = {k: v for k, v in row.items() if v}
+                    add_term(row, (tgt, w + e), c)
+            diff[(m, w)] = row
 
     class _Window:
         top_degree = core.bundle.top_degree

@@ -11,8 +11,11 @@ every complex specializes it: a fiber reduces the integers mod p (eps = 1 is
 the Chevalley-Eilenberg complex of the n x n matrix Lie algebra, eps = 0 the
 singular, solvable fiber); the bundle, where eps stays the variable x and
 coefficients live in F[x], evaluates at eps = KRONECKER_BASE and reads the
-coefficients of the powers of x off as base-B digits; the exhaustive d∘d = 0
-scan does the same with two applications of d.
+coefficients of the powers of x off as base-B digits (``bundle_digits``, the
+one bundle reader, which ``Complex.d_monomial`` and the cores and medial
+layers of ``kummer`` share); the exhaustive d∘d = 0 scan does the same with
+two applications of d.  Sparse combinations of terms are merged with
+``exterior.add_term``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from itertools import combinations
 
 from .exterior import (
     Cochain,
+    add_term,
     first_subscript_sum,
     generator_mask,
     internal_weights,
@@ -150,6 +154,18 @@ def kronecker_digits(v: int, count: int) -> list[int]:
     return out
 
 
+def bundle_digits(n: int, mask: int, p: int):
+    """d of a monomial on the bundle, read off integer_d at eps =
+    KRONECKER_BASE: yields (target, (c0, c1)) with c_k the residue mod p of
+    the coefficient of x^k, for each target where c0 + c1 x is nonzero."""
+    for tgt, v in integer_d(generator_pair_table(n), mask, KRONECKER_BASE).items():
+        c0, c1 = kronecker_digits(v, 2)
+        c0 %= p
+        c1 %= p
+        if c0 or c1:
+            yield tgt, (c0, c1)
+
+
 def _integer_epsilon(descriptor: "DgaDescriptor") -> int:
     """eps as the integer integer_d evaluates at: KRONECKER_BASE for the
     bundle, else the residue of a prime-subfield scalar."""
@@ -238,16 +254,10 @@ class Complex:
         """d of a basis monomial, as a map target mask -> ring coefficient."""
         p = self.field.p
         scalars = self._scalars
-        out: dict[int, object] = {}
         if self._bundle:
-            field = self.field
-            for tgt, v in integer_d(self._table, mask, KRONECKER_BASE).items():
-                c0, c1 = kronecker_digits(v, 2)
-                c0 %= p
-                c1 %= p
-                if c0 or c1:
-                    out[tgt] = Poly(field, (scalars[c0], scalars[c1]))
-            return out
+            return {tgt: Poly(self.field, (scalars[c0], scalars[c1]))
+                    for tgt, (c0, c1) in bundle_digits(self.n, mask, p)}
+        out: dict[int, object] = {}
         for tgt, c in integer_d(self._table, mask, self._eps).items():
             c %= p
             if c:
@@ -258,15 +268,7 @@ class Complex:
         out: dict[int, object] = {}
         for mask, c in z.terms.items():
             for tgt, dc in self.d_monomial(mask).items():
-                v = dc * c
-                if tgt in out:
-                    acc = out[tgt] + v
-                    if acc:
-                        out[tgt] = acc
-                    else:
-                        del out[tgt]
-                elif v:
-                    out[tgt] = v
+                add_term(out, tgt, dc * c)
         return Cochain(self.n, out)
 
     def coefficient(self, value) -> object:
@@ -422,7 +424,7 @@ def containment_report(n: int, p: int, max_witnesses: int = 8) -> dict:
             "scanned": total, "witness_count": bad}
 
 
-def dd_zero_exhaustive(n: int, primes: list[int], degrees=None) -> dict:
+def dd_zero_exhaustive(n: int, primes: list[int]) -> dict:
     """Exhaustive d(d(m)) = 0 check over every monomial of the height-n DGA.
 
     d∘d is taken over the integers at eps = KRONECKER_BASE, and its balanced
@@ -433,11 +435,10 @@ def dd_zero_exhaustive(n: int, primes: list[int], degrees=None) -> dict:
     eps in (0, 1, "x").
     """
     table = generator_pair_table(n)
-    degs = range(n * n + 1) if degrees is None else degrees
     checked = 0
     failures = []
     bad = {(p, eps): 0 for p in primes for eps in (0, 1, "x")}
-    for s in degs:
+    for s in range(n * n + 1):
         d_next: dict[int, dict[int, int]] = {}  # d of degree s + 1, memoized
         for combo in combinations(range(n * n), s):
             mask = 0
@@ -492,16 +493,7 @@ def sigma_apply(cx: Complex, z: Cochain, semilinear: bool = False) -> Cochain:
     for mask, c in z.terms.items():
         sign, shifted = sigma_shift(mask, cx.n)
         cc = twist(c)
-        if sign < 0:
-            cc = -cc
-        if shifted in out:
-            acc = out[shifted] + cc
-            if acc:
-                out[shifted] = acc
-            else:
-                del out[shifted]
-        else:
-            out[shifted] = cc
+        add_term(out, shifted, -cc if sign < 0 else cc)
     return Cochain(cx.n, out)
 
 

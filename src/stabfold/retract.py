@@ -10,7 +10,7 @@ basis because it is an ungraded derivation.
 
 from __future__ import annotations
 
-from .exterior import Cochain, format_monomial
+from .exterior import Cochain, add_term, format_monomial
 from .gf import Field, FieldScalar, Poly, poly_divmod, poly_gcd, poly_powmod
 from .homology import insert_row
 from .ravenel import ClosureError, Complex, DgaDescriptor
@@ -39,7 +39,6 @@ class Derivation:
         if self._op is not None:
             return self._op(z)
         out: dict[int, object] = {}
-        field = self.cx.field
         for mask, coeff in z.terms.items():
             pos = 0
             mm = mask
@@ -47,16 +46,8 @@ class Derivation:
                 low = mm & -mm
                 val = self.values.get(low.bit_length() - 1)
                 if val:
-                    c = val * coeff if pos % 2 == 0 else -(val * coeff)
-                    rest = mask ^ low
-                    if rest in out:
-                        acc = out[rest] + c
-                        if acc:
-                            out[rest] = acc
-                        else:
-                            del out[rest]
-                    else:
-                        out[rest] = c
+                    c = val * coeff
+                    add_term(out, mask ^ low, -c if pos % 2 else c)
                 mm ^= low
                 pos += 1
         return Cochain(self.cx.n, out)

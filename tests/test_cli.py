@@ -212,6 +212,7 @@ def test_monodromy_custom_params(capsys, tmp_path):
     ["monodromy", "--n", "7", "--p", "11"],
     ["verify", "collapse", "--n", "9"],
     ["dims", "--threads", "2"],
+    ["verify", "dd-zero", "--threads", "2"],
 ])
 def test_bad_arguments_exit_2_with_message(capsys, argv):
     with pytest.raises(SystemExit) as exc:

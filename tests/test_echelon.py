@@ -6,6 +6,7 @@ field's coding, and its results are decoded wherever they are compared with
 scalar arithmetic.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import dense_rank_oracle
@@ -124,3 +125,20 @@ def test_reduce_against_clears_every_pivot(mat, data):
     assert not any(p in out for p in piv)
     # the reduction stays in the coset vec + row space
     assert matrix_rank(rr + [out], ncols, field) == matrix_rank(rr + [vec], ncols, field)
+
+
+def test_insert_row_fails_loudly_when_a_step_keeps_the_pivot(monkeypatch):
+    # a faulty coding whose step cancels nothing: the second row keeps
+    # meeting the first one's pivot, which must be an error, not a loop
+    field = field_create(7)
+    calls = []
+
+    def faulty_step(row, c, prow):
+        calls.append(c)
+        if len(calls) > 100:
+            raise RuntimeError("insert_row keeps stepping on one pivot")
+
+    monkeypatch.setattr(field.coding, "step", faulty_step)
+    with pytest.raises(ArithmeticError, match="pivot column 0"):
+        matrix_rank([{0: 1, 1: 2}, {0: 3}], 2, field)
+    assert len(calls) == 1

@@ -19,7 +19,14 @@ from stabfold.homology import (
     nullspace,
     rref,
 )
-from stabfold.ravenel import build_bundle, build_deformed, build_gl, build_singular, subcomplex
+from stabfold.ravenel import (
+    Complex,
+    build_bundle,
+    build_deformed,
+    build_gl,
+    build_singular,
+    subcomplex,
+)
 
 
 def random_sparse_rows(rng, field, nrows, ncols, density=0.4):
@@ -238,6 +245,24 @@ def test_exterior_ring_check_gl2_and_gl3():
     assert exterior_ring_check(cc2, [1, 3])["holds"]
     cc3 = subcomplex(build_gl(3, f, 7), "critical")
     assert exterior_ring_check(cc3, [1, 3, 5])["holds"]
+
+
+def test_exterior_ring_check_expands_d_once_per_monomial(monkeypatch):
+    # each block's rows serve its kernel, the next block's coboundaries and
+    # the class counts; none of them expands d again
+    f = field_create(7)
+    cc3 = subcomplex(build_gl(3, f, 7), "critical")
+    expanded = []
+    d_monomial = Complex.d_monomial
+
+    def counted(cx, mask):
+        expanded.append(mask)
+        return d_monomial(cx, mask)
+
+    monkeypatch.setattr(Complex, "d_monomial", counted)
+    assert exterior_ring_check(cc3, [1, 3, 5])["holds"]
+    assert len(expanded) == cc3.dim() == 80
+    assert sorted(expanded) == sorted(m for s in range(10) for m in cc3.basis(s))
 
 
 def test_exterior_ring_check_rejects_ravenel_full():
