@@ -370,7 +370,7 @@ def suite_model_kernel(args) -> list[dict]:
         cx = build_gl(2, field, p)
         h, _ = lambda_h_pair(cx, field.scalar(4) if p == 5 else
                              primitive_root_of_unity(field, 2))
-        model = kernel_model(cx, laplacian(cx, h), verify="full")
+        model = kernel_model(cx, laplacian(cx, h))
         cc = subcomplex(cx, "critical")
         same = all(model.basis(s) == cc.basis(s) for s in range(5))
         checks.append(_check("ker(dh+hd) equals the critical complex of gl_2", same))
@@ -383,7 +383,7 @@ def suite_model_kernel(args) -> list[dict]:
         cx = build_gl(3, field, p)
         w = primitive_root_of_unity(field, 3)
         h, _ = lambda_h_pair(cx, w)
-        model = kernel_model(cx, laplacian(cx, h), verify="full")
+        model = kernel_model(cx, laplacian(cx, h))
         cc = subcomplex(cx, "critical")
         same = all(model.basis(s) == cc.basis(s) for s in range(10))
         checks.append(_check("ker(dh+hd) equals the critical complex of gl_3", same))
@@ -736,6 +736,23 @@ def cmd_pages(args) -> int:
     return 0
 
 
+def _custom_connection(n: int, params: str | None) -> KummerConnection:
+    """The connection of a --params file: {"params": [{"i", "j", "num",
+    "den"}, ...]}, one entry per generator."""
+    if params is None:
+        raise UsageError("--flavor custom needs --params FILE")
+    try:
+        spec = json.loads(Path(params).read_text())
+        return KummerConnection.custom(n, {
+            (e["i"], e["j"]): Fraction(e["num"], e["den"]) for e in spec["params"]
+        })
+    except OSError as exc:
+        raise UsageError(f"cannot read params file {params!r}: {exc.strerror or exc}")
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise UsageError(f"malformed params file {params!r}: "
+                         f"{type(exc).__name__}: {exc}")
+
+
 def cmd_monodromy(args) -> int:
     n, p = args.n, args.p
     _require_enumerable(n, "monodromy")
@@ -748,10 +765,7 @@ def cmd_monodromy(args) -> int:
     elif args.flavor == "semilinear":
         conn = KummerConnection.semilinear(n, p)
     else:
-        spec = json.loads(Path(args.params).read_text())
-        conn = KummerConnection.custom(n, {
-            (e["i"], e["j"]): Fraction(e["num"], e["den"]) for e in spec["params"]
-        })
+        conn = _custom_connection(n, args.params)
     text = [f"connection flavor {conn.flavor}, common denominator {conn.denominator}"]
     payload: dict = {"config_hash": config_hash(cfg), "version": VERSION,
                      "connection": conn.to_json()}
@@ -844,7 +858,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-dir", default=None)
 
     p_dims = sub.add_parser("dims", help="dimension tables for n = 1..n-max")
-    p_dims.add_argument("--n-max", type=int, default=5)
+    p_dims.add_argument("--n-max", type=lambda t: _integer(t, "n-max", 1, MAX_N),
+                        default=5)
     p_dims.add_argument("--p", type=_prime, default=None,
                         help="grading prime (default: smallest prime > 2n^2 per row)")
     common(p_dims)
@@ -883,7 +898,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_pages.add_argument("--n", type=_height, required=True)
     p_pages.add_argument("--p", type=_prime, required=True)
     p_pages.add_argument("--block", choices=["critical", "full"], default="critical")
-    p_pages.add_argument("--r-max", type=int, default=None)
+    p_pages.add_argument("--r-max", type=lambda t: _integer(t, "r-max", 1),
+                         default=None)
     common(p_pages)
     p_pages.set_defaults(fn=cmd_pages)
 
@@ -897,7 +913,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_mono.add_argument("--params", default=None,
                         help="JSON file with custom connection parameters")
     p_mono.add_argument("--which", choices=["core", "medial"], default="core")
-    p_mono.add_argument("--t-report", type=int, default=3)
+    p_mono.add_argument("--t-report", type=lambda t: _integer(t, "t-report", 0),
+                        default=3)
     common(p_mono)
     p_mono.set_defaults(fn=cmd_monodromy)
 

@@ -90,6 +90,8 @@ class KummerConnection:
 
 # -- parallel transport ---------------------------------------------------------------
 
+_CHECK_GRADING_PRIME = 2  # grades the fibers a transport is checked on
+
 
 class Transport:
     """An h-diagonal DGA isomorphism between the fibers at eps and delta,
@@ -149,7 +151,7 @@ class Transport:
 
 
 def solve_h_diagonal(n: int, field: Field, eps, delta, mode: str = "sigma",
-                     q: int | None = None, verify_p: int | None = None) -> list[Transport]:
+                     q: int | None = None) -> list[Transport]:
     """All h-diagonal DGA isomorphisms from the fiber at eps to the fiber at
     delta, in the requested equivariance mode.
 
@@ -158,9 +160,9 @@ def solve_h_diagonal(n: int, field: Field, eps, delta, mode: str = "sigma",
     mode "semilinear": one per root of x^((q^n-1)/(q-1)) = delta/eps, with
     x_(j+1) = x_j^q.
 
-    Every returned transport is verified to commute with the differentials
-    (verify_p defaults to n's grading prime being irrelevant: any p works,
-    the differential does not depend on it).
+    Every returned transport is verified to commute with the differentials.
+    The fibers for that check are graded by p = 2: the grading prime only
+    sorts monomials into blocks, and d does not depend on it.
     """
     eps = field.scalar(eps)
     delta = field.scalar(delta)
@@ -199,9 +201,8 @@ def solve_h_diagonal(n: int, field: Field, eps, delta, mode: str = "sigma",
         rec([])
     else:
         raise ValueError(f"unknown transport mode {mode!r}")
-    p_check = verify_p if verify_p is not None else 2
     for t in out:
-        t.verify_dga_map(n, p_check)
+        t.verify_dga_map(n, _CHECK_GRADING_PRIME)
     return out
 
 

@@ -170,7 +170,7 @@ def test_criterion_04_model_kernel_theorem():
     f5 = field_create(5)
     gl2 = build_gl(2, f5, 5)
     h, _ = lambda_h_pair(gl2, f5.scalar(4))
-    model = kernel_model(gl2, laplacian(gl2, h), verify="full")
+    model = kernel_model(gl2, laplacian(gl2, h))
     cc2 = subcomplex(gl2, "critical")
     ok = ok and all(model.basis(s) == cc2.basis(s) for s in range(5))
     ok = ok and induced_map_rank(inclusion_map(model, gl2))["quasi_isomorphism"]
@@ -178,7 +178,7 @@ def test_criterion_04_model_kernel_theorem():
     f7 = field_create(7)
     gl3 = build_gl(3, f7, 7)
     h3, _ = lambda_h_pair(gl3, primitive_root_of_unity(f7, 3))
-    model3 = kernel_model(gl3, laplacian(gl3, h3), verify="full")
+    model3 = kernel_model(gl3, laplacian(gl3, h3))
     cc3 = subcomplex(gl3, "critical")
     ok = ok and all(model3.basis(s) == cc3.basis(s) for s in range(10))
     ok = ok and induced_map_rank(inclusion_map(model3, gl3))["quasi_isomorphism"]

@@ -213,6 +213,10 @@ def test_monodromy_custom_params(capsys, tmp_path):
     ["verify", "collapse", "--n", "9"],
     ["dims", "--threads", "2"],
     ["verify", "dd-zero", "--threads", "2"],
+    ["dims", "--n-max", "9"],
+    ["dims", "--n-max", "0"],
+    ["pages", "--n", "2", "--p", "11", "--r-max", "0"],
+    ["monodromy", "--n", "2", "--p", "11", "--t-report", "-3"],
 ])
 def test_bad_arguments_exit_2_with_message(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -220,6 +224,47 @@ def test_bad_arguments_exit_2_with_message(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+def _params(i, j, num, den):
+    return {"i": i, "j": j, "num": num, "den": den}
+
+
+SIGMA_2 = [_params(i, j, -i, 2) for i in (1, 2) for j in (1, 2)]
+
+
+@pytest.mark.parametrize("content,message", [
+    (None, "needs --params"),
+    ("missing", "cannot read"),
+    ("{not json", "malformed"),
+    (json.dumps([1, 2]), "malformed"),
+    (json.dumps({"parameters": SIGMA_2}), "malformed"),
+    (json.dumps({"params": [{"i": 1, "j": 1, "num": 1}] + SIGMA_2[1:]}), "malformed"),
+    (json.dumps({"params": [_params(1, 1, 1, 0)] + SIGMA_2[1:]}), "malformed"),
+    (json.dumps({"params": SIGMA_2[:3]}), "malformed"),
+    (json.dumps({"params": [_params(3, 1, 1, 2)] + SIGMA_2[1:]}), "malformed"),
+])
+def test_bad_params_file_exits_2_with_message(capsys, tmp_path, content, message):
+    # no file, a missing file, bad JSON, a list, missing keys, a zero
+    # denominator, too few parameters, a subscript out of range
+    argv = ["monodromy", "--n", "2", "--p", "11", "--flavor", "custom"]
+    if content is not None:
+        path = tmp_path / "conn.json"
+        if content != "missing":
+            path.write_text(content)
+        argv += ["--params", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert not captured.out
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("suite", ["invariant-cycles", "collapse"])
+def test_verify_suites_pass_at_n4(capsys, suite):
+    # about 9 s and 27 s on a 2-core machine; run with -m slow
+    code, js = run_json(capsys, "verify", suite, "--n", "4")
+    assert code == 0 and js["ok"]
 
 
 def test_closed_form_basis_sizes_match_enumeration():

@@ -194,6 +194,47 @@ def test_run_pages_r_max_truncation():
     f = field_create(11)
     gl = build_gl(2, f, 11)
     fc = filter_first_subscript(gl)
-    report = run_pages(fc, r_max=1, check_e_infinity=False)
+    report = run_pages(fc, r_max=1)
     assert report.collapse_page is None  # not certified within one page
     assert 1 in report.entries
+
+
+@pytest.mark.parametrize("n,p", [(2, 11), (3, 19)])
+def test_e_infinity_equals_betti_on_every_block(n, p):
+    # exhaustive at n = 2, 3, critical and full runs: run_pages cross-checks
+    # E-infinity with ranks of the block rows it holds; homology.betti
+    # assembles and eliminates every block on its own
+    cx = build_gl(n, field_create(p), p)
+    table = betti(cx).entries
+    fc = filter_first_subscript(cx)
+    for block, keep in ((critical_block(fc), lambda u: u == 0),
+                        (fc, lambda u: True)):
+        report = run_pages(block)
+        assert report.notes["e_infinity_matches_betti"]
+        assert report.e_infinity_totals() == {
+            (s, u): b for (s, u), b in table.items() if keep(u)}
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_run_pages_catches_a_rank_wrong_only_on_cut_matrices(monkeypatch, delta):
+    from stabfold import pages
+
+    real_block, real_rank = pages.block_matrix, pages.matrix_rank
+    full_blocks = []  # the row lists block_matrix handed out, uncut
+
+    def recording_block(cx, s, u):
+        rows, ncols = real_block(cx, s, u)
+        full_blocks.append(rows)
+        return rows, ncols
+
+    def faulty_rank(rows, ncols, field):
+        rank = real_rank(rows, ncols, field)
+        if not rank or any(rows is b for b in full_blocks):
+            return rank
+        return rank + delta
+
+    monkeypatch.setattr(pages, "block_matrix", recording_block)
+    monkeypatch.setattr(pages, "matrix_rank", faulty_rank)
+    fc = filter_first_subscript(build_gl(3, field_create(19), 19))
+    with pytest.raises(AssertionError, match="disagree with Betti numbers"):
+        run_pages(critical_block(fc))

@@ -22,6 +22,7 @@ from stabfold.ravenel import (
     build_deformed,
     build_gl,
     build_singular,
+    ClosureError,
     containment_report,
     dd_zero_exhaustive,
     dims_by_class,
@@ -243,6 +244,59 @@ def test_subcomplex_dims():
     cx3 = build_singular(3, 19, f19)
     assert subcomplex(cx3, "critical").dim() == 80
     assert subcomplex(cx3, "fsc").dim() == 176
+
+
+def _assert_closed(sub) -> int:
+    """d of every member of sub stays in sub; returns the member count."""
+    members = 0
+    for s in range(sub.top_degree + 1):
+        for mask in sub.basis(s):
+            for tgt in sub.d_monomial(mask):
+                assert sub.contains(tgt), (sub, format_monomial(mask, sub.n))
+            members += 1
+    return members
+
+
+@pytest.mark.parametrize("n,p", [(2, 11), (3, 7), (3, 19)])
+def test_subcomplexes_closed_on_every_member(n, p):
+    # exhaustive at n = 2, 3: critical and fsc of the ravenel fibers at
+    # eps = 0 and 1, of the bundle and of gl_n; subcomplex itself checks
+    # closure on the pair table only
+    f = field_create(p)
+    fulls = [build_singular(n, p, f), build_deformed(n, p, f, 1),
+             build_bundle(n, p, f), build_gl(n, f, p)]
+    cc, fsc, _ = dims_by_class(n, p)
+    for cx in fulls:
+        assert _assert_closed(subcomplex(cx, "critical")) == cc
+        assert _assert_closed(subcomplex(cx, "fsc")) == fsc
+
+
+def test_critical_subcomplexes_closed_on_every_member_n4():
+    # exhaustive at n = 4: gl_4 over GF(13^2), and the ravenel fibers at
+    # p = 37, eps = 0 and 1; 2,432 members each
+    f169, f37 = field_create(13, 2), field_create(37)
+    for cx in (build_gl(4, f169, 13), build_singular(4, 37, f37),
+               build_deformed(4, 37, f37, 1)):
+        assert _assert_closed(subcomplex(cx, "critical")) == 2432
+
+
+def test_subcomplex_certificate_catches_a_term_outside_its_class(monkeypatch):
+    n, p = 3, 19
+    cx = build_gl(n, field_create(p), p)
+    real = ravenel.generator_pair_table
+    table = real(n)
+    key = cx.block_key
+    # the first term of d(h[1,1]) moved onto a pair of another internal class
+    pmask, sign, eps = table[0][0]
+    other = next(pm for terms in table.values() for pm, _s, _e in terms
+                 if key(pm) != key(pmask))
+    faulty = dict(table)
+    faulty[0] = [(other, sign, eps)] + table[0][1:]
+    monkeypatch.setattr(ravenel, "generator_pair_table",
+                        lambda m: faulty if m == n else real(m))
+    for which in ("critical", "fsc"):
+        with pytest.raises(ClosureError, match="internal class not preserved"):
+            subcomplex(cx, which)
 
 
 def test_dims_by_class_table():

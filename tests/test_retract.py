@@ -15,6 +15,7 @@ from stabfold.retract import (
     extend_functional,
     idempotent_exponent,
     intersection_model,
+    kernel_masks,
     kernel_model,
     lambda_h_pair,
     laplacian,
@@ -128,6 +129,42 @@ def test_eigenvector_product_rule():
         assert D.apply(Cochain(3, {m: f.one})) == Cochain(3, {m: eig(m)})
 
 
+@pytest.mark.parametrize("n,p", [(2, 5), (3, 7)])
+def test_laplacian_eigenvalue_sum_on_every_monomial(n, p):
+    """Exhaustive at n = 2 (F_5, w = 4) and n = 3 (F_7, a primitive cube
+    root): D(m) is lam(m) m on every monomial, lam(m) the sum of lam over m's
+    generators from lambda_h_pair's formula, and kernel_masks holds exactly
+    the monomials with lam(m) = 0.  kernel_masks itself checks D on the
+    generators only."""
+    f = field_create(p)
+    cx = build_gl(n, f, p)
+    w = f.scalar(4) if n == 2 else primitive_root_of_unity(f, 3)
+    h, lam = lambda_h_pair(cx, w)
+    D = laplacian(cx, h)
+    kern = kernel_masks(cx, D)
+    checked = 0
+    for s in range(n * n + 1):
+        for mask in cx.basis(s):
+            eig = sum((lam[b] for b in range(n * n) if mask >> b & 1), f.zero)
+            assert D.apply(Cochain(n, {mask: f.one})) == Cochain(n, {mask: eig})
+            assert (mask in kern) == (not eig)
+            checked += 1
+    assert checked == 1 << (n * n)
+
+
+def test_kernel_masks_rejects_a_perturbed_h():
+    # h off the distinguished pair at one generator: D is no longer diagonal
+    # on the generators, and the generator certificate says so
+    f = field_create(7)
+    cx = build_gl(3, f, 7)
+    h, _ = lambda_h_pair(cx, primitive_root_of_unity(f, 3))
+    h.values[generator_mask(1, 1, 3).bit_length() - 1] = f.one
+    with pytest.raises(NotDiagonalError):
+        kernel_masks(cx, laplacian(cx, h))
+    with pytest.raises(NotDiagonalError):
+        intersection_model(cx, [laplacian(cx, h)])
+
+
 def test_u_property_examples():
     f = field_create(5)
     cx = build_gl(2, f, 5)
@@ -183,7 +220,7 @@ def test_kernel_model_gl2_is_critical_complex():
     f = field_create(5)
     cx = build_gl(2, f, 5)
     h, _ = lambda_h_pair(cx, f.scalar(4))
-    model = kernel_model(cx, laplacian(cx, h), verify="full")
+    model = kernel_model(cx, laplacian(cx, h))
     cc = subcomplex(cx, "critical")
     for s in range(5):
         assert model.basis(s) == cc.basis(s)
@@ -196,7 +233,7 @@ def test_kernel_model_gl3():
     cx = build_gl(3, f, 7)
     w = primitive_root_of_unity(f, 3)
     h, _ = lambda_h_pair(cx, w)
-    model = kernel_model(cx, laplacian(cx, h), verify="full")
+    model = kernel_model(cx, laplacian(cx, h))
     cc = subcomplex(cx, "critical")
     for s in range(10):
         assert model.basis(s) == cc.basis(s)
@@ -264,7 +301,7 @@ def test_critical_model_composite_n4():
     # (x^4 - 1)/(x - 1), over a degree-2 extension of F_13
     f = field_create(13, 2)
     cx = build_gl(4, f, 13)
-    out = critical_model(cx, verify="auto")
+    out = critical_model(cx)
     model = out["model"]
     cc = subcomplex(cx, "critical")
     for s in range(17):
