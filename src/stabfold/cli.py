@@ -758,6 +758,8 @@ def cmd_monodromy(args) -> int:
     _require_enumerable(n, "monodromy")
     cfg = {"cmd": "monodromy", "n": n, "p": p, "flavor": args.flavor,
            "which": args.which}
+    if args.params is not None and args.flavor != "custom":
+        raise UsageError(f"--params needs --flavor custom, not --flavor {args.flavor}")
     field = field_create(p, args.ext)
     bundle = build_bundle(n, p, field)
     if args.flavor == "sigma":
@@ -911,7 +913,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_mono.add_argument("--flavor", choices=["sigma", "semilinear", "custom"],
                         default="sigma")
     p_mono.add_argument("--params", default=None,
-                        help="JSON file with custom connection parameters")
+                        help="JSON file with custom connection parameters "
+                        "(with --flavor custom)")
     p_mono.add_argument("--which", choices=["core", "medial"], default="core")
     p_mono.add_argument("--t-report", type=lambda t: _integer(t, "t-report", 0),
                         default=3)

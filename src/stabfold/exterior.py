@@ -102,6 +102,15 @@ def reduced_weights(n: int, p: int) -> tuple[list[int], int]:
     return w, mod
 
 
+def subset_sums(values: list, zero) -> list:
+    """sums[sub] = sum of values[i] over the bits i of sub, for all 2^k
+    subsets: the half-slot tables of meet-in-the-middle gradings."""
+    sums = [zero]
+    for v in values:
+        sums += [s + v for s in sums]
+    return sums
+
+
 def _weighted_sum(mask: int, weights: list[int]) -> int:
     total = 0
     while mask:

@@ -18,11 +18,23 @@ it: representatives, class coordinates and cup products are
 ``block_matrix`` is the one place that turns d on an (s, u) block into coded
 rows, and every consumer reads those rows rather than expanding d again:
 ``betti`` streams them block by block into ranks; ``Cohomology`` hands each
-block's rows to two consumers, the kernel of BlockCohomology(s, u) and,
+block's rows to two consumers, the cocycles of BlockCohomology(s, u) and,
 transposed, the coboundaries of BlockCohomology(s + 1, u), holding them only
 until the second has taken them; ``exterior_ring_check`` reads its Betti
 profile off those blocks' classes; and ``pages.run_pages`` filters them by
 the filtration.
+
+Representatives come from one identity.  Let B = im d_(s-1) and Z = ker d_s
+on a block, and let pi reduce a vector against an echelon of B, zeroing B's
+pivot coordinates; pi is linear with kernel B.  The premise is d∘d = 0,
+which ``ravenel.dd_zero_exhaustive`` establishes monomial by monomial: it
+puts B inside Z, so pi(z) = z - b stays in Z, and
+
+    pi(Z) = Z ∩ span{e_q : q not a pivot of B}.
+
+A block's classes are therefore the kernel of d_s with B's pivot columns
+deleted: one vector per class, where the full kernel of d_s has one per
+dimension of Z.
 """
 
 from __future__ import annotations
@@ -102,8 +114,13 @@ def nullspace(rows: list[dict[int, object]], ncols: int, field: Field):
 
 
 def reduce_against(vec: dict[int, object], rr_rows, pivots, field: Field):
-    """Eliminate the pivot coordinates of a reduced echelon family from a
-    coded vector."""
+    """Eliminate the pivot coordinates of an echelon family from a coded
+    vector: the one vector of vec + span(rows) that is zero at every pivot.
+
+    Any echelon will do, reduced or not, as long as the pivots come in
+    ascending order and each row's least column is its pivot: a step at one
+    pivot then touches only larger columns, so the pivots already cleared
+    stay clear."""
     step = field.coding.step
     out = dict(vec)
     for p, row in zip(pivots, rr_rows):
@@ -205,12 +222,16 @@ def betti(cx) -> BettiTable:
 
 class BlockCohomology:
     """Cohomology of one (s, u) block: cocycle representatives in coded
-    echelon form plus the machinery to reduce any cocycle to class
+    reduced echelon form plus the machinery to reduce any cocycle to class
     coordinates.
 
     d_out and d_in are the ``block_matrix`` rows of d on this block, whose
-    kernel holds the cocycles, and of d on the (s - 1, u) block, whose columns
-    are the coboundaries."""
+    kernel Z holds the cocycles, and of d on the (s - 1, u) block, whose
+    columns span the coboundaries B.  As d∘d = 0 puts B inside Z, reducing Z
+    against an echelon of B gives pi(Z) = Z ∩ span{e_q : q not a pivot of B}
+    (see the module docstring): the kernel of d_out with B's pivot columns
+    deleted, whose reduced echelon basis is the representatives, one vector
+    per class."""
 
     def __init__(self, cx, s: int, u: int, *, d_out: list, d_in: list):
         self.cx = cx
@@ -221,17 +242,21 @@ class BlockCohomology:
         self.monomials = cx.blocks(s).get(u, [])
         self.index = {m: i for i, m in enumerate(self.monomials)}
 
-        kernel = nullspace(d_out, len(self.monomials), field)
         cob_vectors: dict[int, dict] = {}
         for i, row in enumerate(d_in):
             for j, c in row.items():
                 cob_vectors.setdefault(j, {})[i] = c
-        self.cob_rows, self.cob_pivots = rref(list(cob_vectors.values()), field)
+        cob = echelon(cob_vectors.values(), field)
+        self.cob_pivots = sorted(cob)
+        self.cob_rows = [cob[p] for p in self.cob_pivots]
 
-        reduced = [
-            reduce_against(v, self.cob_rows, self.cob_pivots, field) for v in kernel
-        ]
-        self.rep_rows, self.rep_pivots = rref([r for r in reduced if r], field)
+        # the kernel of d_out on the columns that are no pivot of B
+        free = [q for q in range(len(self.monomials)) if q not in cob]
+        at = {q: k for k, q in enumerate(free)}
+        restricted = [{at[q]: c for q, c in row.items() if q in at} for row in d_out]
+        kernel = [{free[k]: c for k, c in v.items()}
+                  for v in nullspace(restricted, len(free), field)]
+        self.rep_rows, self.rep_pivots = rref(kernel, field)
 
     @property
     def dim(self) -> int:
@@ -272,7 +297,7 @@ class Cohomology:
     """Lazy per-block cohomology of a fiber-mode complex.
 
     The rows of d on an (s, u) block serve two blocks: BlockCohomology(s, u)
-    takes its kernel, BlockCohomology(s + 1, u) its coboundaries.  They are
+    takes its cocycles, BlockCohomology(s + 1, u) its coboundaries.  They are
     assembled once, for whichever block comes first, and held only until the
     other one takes them."""
 

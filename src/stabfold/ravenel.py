@@ -35,6 +35,7 @@ from .exterior import (
     internal_weights,
     normalize_j,
     sigma_shift,
+    subset_sums,
     wedge,
 )
 from .gf import Field, Poly
@@ -111,6 +112,23 @@ def generator_pair_table(n: int) -> dict[int, list[tuple[int, int, int]]]:
     return _PAIR_TABLES[n]
 
 
+_KEY_TABLES: dict[tuple[int, int], tuple] = {}
+
+
+def block_key_tables(n: int, p: int) -> tuple[list[int], list[int], int, int]:
+    """(lo, hi, half, modulus): the internal classes of every subset of the
+    low half and of the high half of the n^2 slots, so that a monomial's class
+    is (lo[mask & (2^half - 1)] + hi[mask >> half]) % modulus."""
+    if (n, p) not in _KEY_TABLES:
+        weights, mod = internal_weights(n, p)
+        half = n * n // 2
+        _KEY_TABLES[(n, p)] = (
+            [w % mod for w in subset_sums(weights[:half], 0)],
+            [w % mod for w in subset_sums(weights[half:], 0)],
+            half, mod)
+    return _KEY_TABLES[(n, p)]
+
+
 def integer_d(table, mask: int, eps: int) -> dict[int, int]:
     """d of a monomial over Z with eps set to the integer eps, by the graded
     Leibniz rule over a pair table: {target mask: coefficient}.  A target
@@ -184,18 +202,27 @@ class Complex:
     """Graded cochain complex on a monomial basis with a sparse differential.
 
     Bases and blocks are computed lazily per cohomological degree; the block
-    key is the internal degree class mod 2(p^n - 1).
+    key is the internal degree class mod 2(p^n - 1).  A subcomplex is given
+    either by a ``member`` test, which its bases apply to every subset, or by
+    the list of its ``members``, which its bases read by degree.
     """
 
-    def __init__(self, descriptor: DgaDescriptor, member=None):
+    def __init__(self, descriptor: DgaDescriptor, member=None, members=None):
         self.descriptor = descriptor
         self.n = descriptor.n
         self.p = descriptor.p
         self.field = descriptor.field
         self._member = member
-        self._weights, self.internal_modulus = internal_weights(self.n, self.p)
+        (self._key_lo, self._key_hi, self._key_half,
+         self.internal_modulus) = block_key_tables(self.n, self.p)
+        self._key_bits = (1 << self._key_half) - 1
         self._table = generator_pair_table(self.n)
         self._basis_cache: dict[int, list[int]] = {}
+        if members is not None:
+            self._member = frozenset(members).__contains__
+            self._basis_cache = {s: [] for s in range(self.top_degree + 1)}
+            for mask in sorted(members):
+                self._basis_cache[mask.bit_count()].append(mask)
         self._block_cache: dict[int, dict[int, list[int]]] = {}
         f = self.field
         self._bundle = descriptor.is_bundle()
@@ -232,14 +259,8 @@ class Complex:
         return sum(len(self.basis(s)) for s in range(self.top_degree + 1))
 
     def block_key(self, mask: int) -> int:
-        total = 0
-        w = self._weights
-        mm = mask
-        while mm:
-            low = mm & -mm
-            total += w[low.bit_length() - 1]
-            mm ^= low
-        return total % self.internal_modulus
+        return ((self._key_lo[mask & self._key_bits]
+                 + self._key_hi[mask >> self._key_half]) % self.internal_modulus)
 
     def blocks(self, s: int) -> dict[int, list[int]]:
         if s not in self._block_cache:

@@ -15,7 +15,7 @@ monomial: no certificate covers a computed kernel.
 
 from __future__ import annotations
 
-from .exterior import Cochain, add_term, format_monomial
+from .exterior import Cochain, add_term, format_monomial, subset_sums
 from .gf import Field, FieldScalar, Poly, poly_divmod, poly_gcd, poly_powmod
 from .homology import insert_row
 from .ravenel import ClosureError, Complex, DgaDescriptor
@@ -266,14 +266,6 @@ def _diagonal_eigenvalues(cx, D: Derivation) -> dict[int, FieldScalar]:
     return out
 
 
-def _subset_sums(values: list[FieldScalar], zero: FieldScalar) -> list[FieldScalar]:
-    """sums[sub] = sum of values[i] over the bits i of sub, for all 2^k subsets."""
-    sums = [zero]
-    for v in values:
-        sums += [s + v for s in sums]
-    return sums
-
-
 def kernel_masks(cx, D: Derivation) -> set[int]:
     """Monomials annihilated by a degree-preserving derivation that is
     diagonal on the generators, on a complex that contains every generator.
@@ -291,9 +283,9 @@ def kernel_masks(cx, D: Derivation) -> set[int]:
     slots = cx.top_degree
     half = slots // 2
     lo_bits = (1 << half) - 1
-    lo_sum = [x.v for x in _subset_sums(
+    lo_sum = [x.v for x in subset_sums(
         [gen_eigen[1 << i] for i in range(half)], field.zero)]
-    neg_hi_sum = [(-x).v for x in _subset_sums(
+    neg_hi_sum = [(-x).v for x in subset_sums(
         [gen_eigen[1 << i] for i in range(half, slots)], field.zero)]
 
     kernel = {0}
@@ -310,7 +302,7 @@ def _closed_model(cx, kern: set[int]) -> Complex:
     commutes with d; a miss means a wrong kernel)."""
     desc = DgaDescriptor(cx.n, cx.p, cx.field, cx.descriptor.epsilon,
                          cx.descriptor.lie, "custom")
-    model = Complex(desc, member=lambda m: m in kern)
+    model = Complex(desc, members=kern)
     for mask in sorted(kern):
         for tgt in model.d_monomial(mask):
             if tgt not in kern:

@@ -7,10 +7,14 @@ GF(p), so it shares no code with the package; it covers prime fields only.
 `gl_ce_differential` derives the gl_n differential from the bracket of matrix
 units, without the package's generator pair table or wedge signs.
 `flipped_sign_table` plants a sign fault for the checks to catch.
+`full_kernel_representatives` is no independent code but the earlier way of
+taking a block's classes, kept as a reference for the present one.
 """
 
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
+
+from stabfold.homology import nullspace, reduce_against, rref
 
 
 def dense_rank_oracle(rows, ncols, field) -> int:
@@ -89,3 +93,18 @@ def flipped_sign_table(table, gslot=0, k=0):
     pmask, presign, e = out[gslot][k]
     out[gslot][k] = (pmask, -presign, e)
     return out
+
+
+def full_kernel_representatives(d_out, d_in, ncols, field):
+    """A block's class representatives the long way: the full kernel of the
+    coded rows d_out, each vector reduced against the reduced echelon form of
+    the coboundary columns of d_in, and the reduced echelon form of what
+    survives; returns (rows, pivots)."""
+    cob: dict[int, dict] = {}
+    for i, row in enumerate(d_in):
+        for j, c in row.items():
+            cob.setdefault(j, {})[i] = c
+    cob_rows, cob_pivots = rref(list(cob.values()), field)
+    reduced = [reduce_against(v, cob_rows, cob_pivots, field)
+               for v in nullspace(d_out, ncols, field)]
+    return rref([r for r in reduced if r], field)

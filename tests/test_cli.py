@@ -243,11 +243,17 @@ SIGMA_2 = [_params(i, j, -i, 2) for i in (1, 2) for j in (1, 2)]
     (json.dumps({"params": [_params(1, 1, 1, 0)] + SIGMA_2[1:]}), "malformed"),
     (json.dumps({"params": SIGMA_2[:3]}), "malformed"),
     (json.dumps({"params": [_params(3, 1, 1, 2)] + SIGMA_2[1:]}), "malformed"),
+    ("sigma", "needs --flavor custom"),
+    ("semilinear", "needs --flavor custom"),
 ])
 def test_bad_params_file_exits_2_with_message(capsys, tmp_path, content, message):
     # no file, a missing file, bad JSON, a list, missing keys, a zero
-    # denominator, too few parameters, a subscript out of range
-    argv = ["monodromy", "--n", "2", "--p", "11", "--flavor", "custom"]
+    # denominator, too few parameters, a subscript out of range; and a good
+    # file given to a built-in flavor, which would ignore it
+    flavor = "custom"
+    if content in ("sigma", "semilinear"):
+        flavor, content = content, json.dumps({"params": SIGMA_2})
+    argv = ["monodromy", "--n", "2", "--p", "11", "--flavor", flavor]
     if content is not None:
         path = tmp_path / "conn.json"
         if content != "missing":

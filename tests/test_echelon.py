@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import dense_rank_oracle
 
 from stabfold.gf import field_create
-from stabfold.homology import matrix_rank, nullspace, reduce_against, rref
+from stabfold.homology import echelon, matrix_rank, nullspace, reduce_against, rref
 
 FIELDS = [field_create(5), field_create(7), field_create(2, 3), field_create(3, 2)]
 MAX_ROWS, MAX_COLS = 6, 7
@@ -125,6 +125,25 @@ def test_reduce_against_clears_every_pivot(mat, data):
     assert not any(p in out for p in piv)
     # the reduction stays in the coset vec + row space
     assert matrix_rank(rr + [out], ncols, field) == matrix_rank(rr + [vec], ncols, field)
+
+
+@FAST
+@given(matrices(), st.data())
+def test_reduce_against_unreduced_echelon_equals_rref(mat, data):
+    # an echelon that is not back-substituted, taken in ascending pivot
+    # order, reduces any vector to the same vector as the rref does
+    field, rows, ncols = mat
+    rows = coded(rows, field)
+    ech = echelon(rows, field)
+    pivots = sorted(ech)
+    rr, piv = rref(rows, field)
+    assert pivots == piv and all(min(ech[p]) == p for p in pivots)
+    elems = list(field.elements())
+    codes = data.draw(st.lists(st.integers(0, len(elems) - 1),
+                               min_size=ncols, max_size=ncols))
+    vec = field.coding.encode_row({c: elems[k] for c, k in enumerate(codes) if k})
+    assert (reduce_against(vec, [ech[p] for p in pivots], pivots, field)
+            == reduce_against(vec, rr, piv, field))
 
 
 def test_insert_row_fails_loudly_when_a_step_keeps_the_pivot(monkeypatch):

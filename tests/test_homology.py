@@ -1,11 +1,14 @@
 import random
+import sys
 
 import pytest
-from oracles import dense_rank_oracle, sympy_rank
+from oracles import dense_rank_oracle, full_kernel_representatives, sympy_rank
 
+from stabfold import homology
 from stabfold.exterior import Cochain, generator_mask, parse_monomial
 from stabfold.gf import field_create
 from stabfold.homology import (
+    BlockCohomology,
     ChainMap,
     Cohomology,
     betti,
@@ -263,6 +266,104 @@ def test_exterior_ring_check_expands_d_once_per_monomial(monkeypatch):
     assert exterior_ring_check(cc3, [1, 3, 5])["holds"]
     assert len(expanded) == cc3.dim() == 80
     assert sorted(expanded) == sorted(m for s in range(10) for m in cc3.basis(s))
+
+
+# complexes whose every block the class tests visit, by coverage id
+CLASS_CASES = {
+    "gl2-full-GF7": lambda: build_gl(2, field_create(7), 7),
+    "gl2-critical-GF7": lambda: subcomplex(build_gl(2, field_create(7), 7), "critical"),
+    "gl3-full-GF7": lambda: build_gl(3, field_create(7), 7),
+    "gl3-critical-GF7": lambda: subcomplex(build_gl(3, field_create(7), 7), "critical"),
+    "ravenel3-eps0-GF19": lambda: build_deformed(3, 19, field_create(19), 0),
+    "ravenel3-eps1-GF19": lambda: build_deformed(3, 19, field_create(19), 1),
+    "gl4-critical-GF169": lambda: subcomplex(
+        build_gl(4, field_create(13, 2), 13), "critical"),
+}
+# the dense oracle takes about 15 s on gl_4's critical complex
+CLASS_IDS = [pytest.param(k, marks=pytest.mark.slow) if k.startswith("gl4")
+             else k for k in CLASS_CASES]
+
+
+def _blocks(cx):
+    for s in range(cx.top_degree + 1):
+        for u in sorted(cx.blocks(s)):
+            yield s, u
+
+
+@pytest.mark.parametrize("case", CLASS_IDS)
+def test_block_classes_against_dense_oracle(case):
+    # every block: each representative is a cocycle, dim is the Betti number
+    # of the dense oracle, and the representatives are independent modulo the
+    # coboundaries, which they complete to rank(B) + dim
+    cx = CLASS_CASES[case]()
+    field = cx.field
+    decode = field.coding.decode_row
+    coh = Cohomology(cx)
+    ranks = {}
+    for s, u in _blocks(cx):
+        bc = coh.block(s, u)
+        ncols = len(bc.monomials)
+        d_out = [decode(r) for r in block_matrix(cx, s, u)[0]]
+        ranks[(s, u)] = dense_rank_oracle(d_out, ncols, field)
+        rank_b = ranks.get((s - 1, u), 0)
+        assert bc.dim == ncols - ranks[(s, u)] - rank_b
+        for i in range(bc.dim):
+            assert not cx.d_cochain(bc.representative(i))
+        cob: dict[int, dict] = {}
+        if s > 0 and u in cx.blocks(s - 1):
+            for i, row in enumerate(block_matrix(cx, s - 1, u)[0]):
+                for j, c in decode(row).items():
+                    cob.setdefault(j, {})[i] = c
+        reps = [decode(r) for r in bc.rep_rows]
+        assert dense_rank_oracle(list(cob.values()) + reps, ncols, field) == rank_b + bc.dim
+
+
+@pytest.mark.parametrize("case", ["gl3-full-GF7", "gl3-critical-GF7",
+                                  "ravenel3-eps0-GF19", "ravenel3-eps1-GF19",
+                                  "gl4-critical-GF169"])
+def test_block_classes_equal_full_kernel_pipeline(case):
+    # the kernel on the coboundaries' non-pivot columns gives the very rows
+    # and pivots of the full kernel reduced against the coboundaries
+    cx = CLASS_CASES[case]()
+    coh = Cohomology(cx)
+    for s, u in _blocks(cx):
+        bc = coh.block(s, u)
+        d_in = block_matrix(cx, s - 1, u)[0] if s > 0 else []
+        old = full_kernel_representatives(block_matrix(cx, s, u)[0], d_in,
+                                          len(bc.monomials), cx.field)
+        assert (bc.rep_rows, bc.rep_pivots) == old
+
+
+def test_block_classes_need_no_reduce_against_per_kernel_vector(monkeypatch):
+    # building the classes of every block of gl_3's critical complex reduces
+    # nothing; the ring check then reduces only its cup products and cocycles
+    # (two calls per BlockCohomology.reduce) and its generator candidates
+    f = field_create(7)
+    cc3 = subcomplex(build_gl(3, f, 7), "critical")
+    callers = []
+    reduce_against = homology.reduce_against
+    block_reduce = BlockCohomology.reduce
+
+    def counted(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return reduce_against(*args)
+
+    def counted_reduce(bc, z):
+        callers.append("BlockCohomology.reduce")
+        return block_reduce(bc, z)
+
+    monkeypatch.setattr(homology, "reduce_against", counted)
+    monkeypatch.setattr(BlockCohomology, "reduce", counted_reduce)
+    Cohomology(cc3).classes()
+    assert callers == []
+    assert exterior_ring_check(cc3, [1, 3, 5])["holds"]
+    reduces = callers.count("BlockCohomology.reduce")
+    assert callers.count("reduce") == 2 * reduces
+    assert len(callers) == 3 * reduces + callers.count("exterior_ring_check")
+    kernel_vectors = sum(
+        len(cc3.blocks(s)[u]) - matrix_rank(*block_matrix(cc3, s, u), f)
+        for s, u in _blocks(cc3))
+    assert len(callers) - reduces < kernel_vectors
 
 
 def test_exterior_ring_check_rejects_ravenel_full():

@@ -205,9 +205,11 @@ def test_dd_zero_scan_catches_a_flipped_sign(monkeypatch):
 @pytest.mark.parametrize("n,p", [(2, 5), (3, 7), (4, 13), (4, 37)])
 def test_reduced_grading_zero_iff_internal_class_zero(n, p):
     # every monomial: reduced internal degree 0 <=> internal class 0, so the
-    # critical complex has the same basis under either grading
+    # critical complex has the same basis under either grading; and the
+    # table-driven block key is the bit-by-bit internal class
     w, mod = internal_weights(n, p)
     rw, rmod = reduced_weights(n, p)
+    key = build_gl(n, field_create(p), p).block_key
     for mask in range(1 << (n * n)):
         u = r = 0
         mm = mask
@@ -218,6 +220,7 @@ def test_reduced_grading_zero_iff_internal_class_zero(n, p):
             r += rw[b]
             mm ^= low
         assert (r % rmod == 0) == (u % mod == 0), format_monomial(mask, n)
+        assert key(mask) == u % mod, format_monomial(mask, n)
 
 
 def test_gl3_dd_zero_all_512():

@@ -5,7 +5,7 @@ import pytest
 from stabfold.exterior import Cochain, degree, generator_mask
 from stabfold.gf import field_create, primitive_root_of_unity
 from stabfold.homology import induced_map_rank, inclusion_map
-from stabfold.ravenel import build_gl, subcomplex
+from stabfold.ravenel import Complex, build_gl, subcomplex
 from stabfold.retract import (
     Derivation,
     NotDiagonalError,
@@ -237,6 +237,27 @@ def test_kernel_model_gl3():
     cc = subcomplex(cx, "critical")
     for s in range(10):
         assert model.basis(s) == cc.basis(s)
+
+
+def test_kernel_model_reads_its_bases_off_the_kernel(monkeypatch):
+    # the model's bases come from its member list, so it tests no subset for
+    # membership; the critical complex, given by a test, tests all 2^9
+    f = field_create(7)
+    cx = build_gl(3, f, 7)
+    h, _ = lambda_h_pair(cx, primitive_root_of_unity(f, 3))
+    model = kernel_model(cx, laplacian(cx, h))
+    tested = []
+    contains = Complex.contains
+
+    def counted(c, mask):
+        tested.append(c)
+        return contains(c, mask)
+
+    monkeypatch.setattr(Complex, "contains", counted)
+    cc = subcomplex(cx, "critical")
+    assert [model.basis(s) for s in range(10)] == [cc.basis(s) for s in range(10)]
+    assert len(tested) == 512 and all(c is cc for c in tested)
+    assert model.contains(cc.basis(3)[0]) and not model.contains(cx.basis(1)[0])
 
 
 def test_kernel_model_rejects_non_diagonal():
