@@ -29,7 +29,7 @@ from .homology import (
     matrix_rank,
     monomial_projection,
 )
-from .kummer import KummerConnection, core_build, core_homogeneity, medial_build, monodromy, solve_h_diagonal, t_fixed_masks
+from .kummer import KummerConnection, core_build, core_homogeneity, medial_build, solve_h_diagonal
 from .pages import critical_block, filter_first_subscript, monodromy_ss, run_pages
 from .ravenel import (
     BUNDLE,
@@ -68,8 +68,7 @@ def _require_enumerable(n: int, what: str) -> None:
     if n > _MAX_ENUMERATED_N:
         raise UsageError(
             f"{what} at n={n} would enumerate all 2^{n * n} monomials; heights "
-            f"above {_MAX_ENUMERATED_N} need the direct critical-basis "
-            "enumeration of ROADMAP item 5")
+            f"above {_MAX_ENUMERATED_N} wait on ROADMAP item 4")
 
 
 def _first_primes_above(bound: int, count: int) -> list[int]:
@@ -363,10 +362,16 @@ def suite_containment(args) -> list[dict]:
 
 def suite_model_kernel(args) -> list[dict]:
     n = args.n or 2
+    if n not in (2, 3, 4):
+        raise UsageError(f"model-kernel supports n = 2, 3, 4, not {n}")
+    p = args.p or {2: 5, 3: 7, 4: 13}[n]
+    try:
+        ext = smallest_extension_degree(p, n)
+    except ValueError as exc:
+        raise UsageError(f"model-kernel at n={n}, p={p}: {exc}")
     checks = []
     if n == 2:
-        p = args.p or 5
-        field = field_create(p)
+        field = field_create(p, ext)
         cx = build_gl(2, field, p)
         h, _ = lambda_h_pair(cx, field.scalar(4) if p == 5 else
                              primitive_root_of_unity(field, 2))
@@ -378,8 +383,7 @@ def suite_model_kernel(args) -> list[dict]:
         checks.append(_check("inclusion is a quasi-isomorphism",
                              out["quasi_isomorphism"]))
     elif n == 3:
-        p = args.p or 7
-        field = field_create(p, smallest_extension_degree(p, 3))
+        field = field_create(p, ext)
         cx = build_gl(3, field, p)
         w = primitive_root_of_unity(field, 3)
         h, _ = lambda_h_pair(cx, w)
@@ -390,8 +394,7 @@ def suite_model_kernel(args) -> list[dict]:
         out = induced_map_rank(inclusion_map(model, cx))
         checks.append(_check("inclusion is a quasi-isomorphism",
                              out["quasi_isomorphism"]))
-    elif n == 4:
-        p = args.p or 13
+    else:
         field = field_create(p, 2)
         cx = build_gl(4, field, p)
         out = critical_model(cx)
@@ -407,8 +410,6 @@ def suite_model_kernel(args) -> list[dict]:
             "critical and full complexes have equal Betti totals",
             t_cc.totals_by_degree() == t_full.totals_by_degree()
             and t_cc.grand_total() == 16))
-    else:
-        raise UsageError(f"model-kernel supports n = 2, 3, 4, not {n}")
     return checks
 
 
@@ -438,14 +439,14 @@ def suite_monodromy_fixed(args) -> list[dict]:
     checks = []
     for n in range(2, 5):
         conn = KummerConnection.sigma(n)
-        fixed = t_fixed_masks(conn, n)
+        fixed = set(conn.fixed_masks())
         expected = {m for m in range(1 << (n * n)) if first_subscript_sum(m, n) == 0}
         checks.append(_check(
             f"sigma-flavor fixed monomials = first-subscript basis, n={n}",
             fixed == expected, f"{len(fixed)} monomials"))
     for n, p in ((2, 11), (3, 7), (3, 19)):
         conn = KummerConnection.semilinear(n, p)
-        fixed = t_fixed_masks(conn, n)
+        fixed = set(conn.fixed_masks())
         expected = {m for m in range(1 << (n * n)) if internal_degree(m, n, p) == 0}
         checks.append(_check(
             f"semilinear-flavor fixed monomials = critical basis, n={n} p={p}",
@@ -538,6 +539,9 @@ def suite_invariant_cycles(args) -> list[dict]:
     return checks
 
 
+# suites that run fixed heights and primes, so take no --n or --p
+_FIXED_SUITES = ("tables", "transport", "monodromy-fixed", "core-homogeneity")
+
 SUITES = {
     "tables": suite_tables,
     "dd-zero": suite_dd_zero,
@@ -555,6 +559,9 @@ def cmd_verify(args) -> int:
     if args.suite not in SUITES:
         raise UsageError(f"unknown suite {args.suite!r}; available: "
                          f"{', '.join(sorted(SUITES))}")
+    if args.suite in _FIXED_SUITES and (args.n is not None or args.p is not None):
+        raise UsageError(f"verify {args.suite} runs fixed heights and primes; "
+                         "it takes no --n or --p")
     cfg = {"cmd": "verify", "suite": args.suite, "n": args.n, "p": args.p}
     checks = SUITES[args.suite](args)
     ok = all(c["ok"] for c in checks)
@@ -773,7 +780,7 @@ def cmd_monodromy(args) -> int:
                      "connection": conn.to_json()}
     if args.which == "medial":
         med = medial_build(bundle, conn)
-        report = monodromy_ss(med, "medial", t_report=args.t_report)
+        report = monodromy_ss(med, t_report=args.t_report)
         payload.update(report.to_json())
         text.append(f"medial layer: {sum(len(med.basis(s)) for s in range(n*n+1))} "
                     f"generators, min filtration {med.min_filtration()}")
@@ -788,7 +795,7 @@ def cmd_monodromy(args) -> int:
         else:
             text.append("core is homogeneous (differential preserves x-valuation)")
         if core.closed:
-            report = monodromy_ss(core, "core", t_report=args.t_report)
+            report = monodromy_ss(core, t_report=args.t_report)
             payload.update(report.to_json())
             text.append(f"x-adic spectral sequence collapse page: "
                         f"{report.collapse_page}")

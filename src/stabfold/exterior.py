@@ -8,6 +8,12 @@ monomial is lexicographic on (i, j) and monomial equality is integer equality.
 
 ``add_term`` is the one merge-add into a sparse combination {key: nonzero
 coefficient}; cochains, d of a cochain, the shift and the derivations use it.
+
+The gradings are additive over the generators, so the monomials where one
+vanishes are a meet-in-the-middle join: ``subset_sums`` tabulates it on the
+subsets of the low and of the high half of the slots, and ``split_join``
+pairs the halves that cancel.  Critical and first-subscript complexes, kernel
+models and monodromy-fixed bases are all listed so, testing no subset.
 """
 
 from __future__ import annotations
@@ -109,6 +115,20 @@ def subset_sums(values: list, zero) -> list:
     for v in values:
         sums += [s + v for s in sums]
     return sums
+
+
+def split_join(lo_keys: list, hi_keys: list, half: int) -> list[int]:
+    """Every mask hi << half | lo with lo_keys[lo] == hi_keys[hi], ascending.
+    The low halves are bucketed by key, so no rejected mask is ever formed."""
+    bucket: dict = {}
+    for lo, key in enumerate(lo_keys):
+        bucket.setdefault(key, []).append(lo)
+    out: list[int] = []
+    for hi, key in enumerate(hi_keys):
+        if key in bucket:
+            base = hi << half
+            out += [base | lo for lo in bucket[key]]
+    return out
 
 
 def _weighted_sum(mask: int, weights: list[int]) -> int:

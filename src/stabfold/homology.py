@@ -22,7 +22,8 @@ block's rows to two consumers, the cocycles of BlockCohomology(s, u) and,
 transposed, the coboundaries of BlockCohomology(s + 1, u), holding them only
 until the second has taken them; ``exterior_ring_check`` reads its Betti
 profile off those blocks' classes; and ``pages.run_pages`` filters them by
-the filtration.
+the filtration.  A ``FiniteComplex`` on arbitrary labels (the cores, medial
+layers and x-adic windows of ``pages``) is read the same way.
 
 Representatives come from one identity.  Let B = im d_(s-1) and Z = ker d_s
 on a block, and let pi reduce a vector against an echelon of B, zeroing B's
@@ -135,10 +136,9 @@ def reduce_against(vec: dict[int, object], rr_rows, pivots, field: Field):
 
 class BettiTable:
     def __init__(self, entries: dict[tuple[int, int], int],
-                 block_dims: dict[tuple[int, int], int], descriptor=None):
+                 block_dims: dict[tuple[int, int], int]):
         self.entries = {k: v for k, v in entries.items() if v}
         self.block_dims = block_dims
-        self.descriptor = descriptor
 
     def get(self, s: int, u: int) -> int:
         return self.entries.get((s, u), 0)
@@ -173,10 +173,31 @@ class BettiTable:
         return isinstance(other, BettiTable) and self.entries == other.entries
 
 
+class FiniteComplex:
+    """A finite cochain complex over a field on arbitrary hashable labels:
+    the labels of each degree, and d as label -> {label: coefficient} one
+    degree up.  Each degree is one block, u = 0, so ``betti``, ``block_matrix``
+    and ``pages.run_pages`` read it like a ``Complex``."""
+
+    descriptor = None  # no DGA behind it, so no bundle either
+
+    def __init__(self, field, labels_by_degree: dict[int, list], diff: dict):
+        self.field = field
+        self.top_degree = max(labels_by_degree, default=0)
+        self._labels = labels_by_degree
+        self._diff = diff
+
+    def blocks(self, s: int) -> dict[int, list]:
+        labels = self._labels.get(s)
+        return {0: labels} if labels else {}
+
+    def d_monomial(self, label) -> dict:
+        return self._diff.get(label, {})
+
+
 def block_matrix(cx, s: int, u: int):
     """Coded rows of d^s restricted to the (s, u) block: one sparse row per
-    target monomial in the (s+1, u) block, columns indexed by the source
-    basis."""
+    target in the (s+1, u) block, columns indexed by the source basis."""
     encode = cx.field.coding.encode
     src = cx.blocks(s).get(u, [])
     tgt = cx.blocks(s + 1).get(u, [])
@@ -186,35 +207,40 @@ def block_matrix(cx, s: int, u: int):
         for t, c in cx.d_monomial(mask).items():
             i = tgt_index.get(t)
             if i is None:
-                raise AssertionError(
-                    f"differential leaves block u={u}: {format_monomial(mask, cx.n)}"
-                )
+                where = (repr(mask) if isinstance(cx, FiniteComplex)
+                         else format_monomial(mask, cx.n))
+                raise AssertionError(f"differential leaves block u={u}: {where}")
             rows[i][j] = encode(c)
     return rows, len(src)
 
 
+def betti_numbers(dims: dict, ranks: dict) -> dict:
+    """b(s, u) = dim C^(s,u) - rank d^(s,u) - rank d^(s-1,u), for the blocks
+    where it is nonzero."""
+    out = {}
+    for (s, u), dim in dims.items():
+        b = dim - ranks[(s, u)] - ranks.get((s - 1, u), 0)
+        if b:
+            out[(s, u)] = b
+    return out
+
+
 def betti(cx) -> BettiTable:
     """Betti numbers per (cohomological degree, internal class) block."""
-    if cx.descriptor.is_bundle():
+    if cx.descriptor is not None and cx.descriptor.is_bundle():
         raise ValueError(
             "bundle-mode complex: cohomology over F[x] is handled through "
             "the pages module"
         )
     field = cx.field
-    top = cx.top_degree
     ranks: dict[tuple[int, int], int] = {}
     dims: dict[tuple[int, int], int] = {}
-    for s in range(top + 1):
+    for s in range(cx.top_degree + 1):
         for u, monos in cx.blocks(s).items():
             dims[(s, u)] = len(monos)
             rows, ncols = block_matrix(cx, s, u)
             ranks[(s, u)] = matrix_rank(rows, ncols, field)
-    entries: dict[tuple[int, int], int] = {}
-    for (s, u), dim in dims.items():
-        b = dim - ranks[(s, u)] - ranks.get((s - 1, u), 0)
-        if b:
-            entries[(s, u)] = b
-    return BettiTable(entries, dims, cx.descriptor)
+    return BettiTable(betti_numbers(dims, ranks), dims)
 
 
 # -- representatives and the cup product ----------------------------------------------
@@ -445,11 +471,10 @@ def exterior_ring_check(cx, expected_degrees: list[int]) -> dict:
 class ChainMap:
     """Degree-0 map between fiber complexes, given on basis monomials."""
 
-    def __init__(self, source, target, fn, name: str = ""):
+    def __init__(self, source, target, fn):
         self.source = source
         self.target = target
         self.fn = fn
-        self.name = name
 
     def apply(self, z: Cochain) -> Cochain:
         out = Cochain(self.target.n, {})
@@ -472,7 +497,7 @@ class ChainMap:
 
 def inclusion_map(sub, full) -> ChainMap:
     one = full.ring_one
-    return ChainMap(sub, full, lambda m: Cochain(full.n, {m: one}), "inclusion")
+    return ChainMap(sub, full, lambda m: Cochain(full.n, {m: one}))
 
 
 def monomial_projection(full, member, target) -> ChainMap:
@@ -484,7 +509,7 @@ def monomial_projection(full, member, target) -> ChainMap:
             return Cochain(target.n, {mask: one})
         return Cochain(target.n, {})
 
-    return ChainMap(full, target, fn, "projection")
+    return ChainMap(full, target, fn)
 
 
 def induced_map_rank(chmap: ChainMap) -> dict:

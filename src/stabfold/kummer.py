@@ -11,7 +11,10 @@ built-in flavors are
 with subscripts taken in {1..n}.  Monodromy multiplies a monomial by
 omega^(D*alpha), D the common denominator, so its fixed monomials are those
 with integral parameter: the first-subscript complex for sigma, the critical
-complex for the semilinear flavor.
+complex for the semilinear flavor.  ``KummerConnection.fixed_masks`` lists
+them as the ``exterior.split_join`` of the numerators D*alpha mod D on the
+two halves of the slots; cores, medial layers and the fixed fiber of
+``pages`` take their bases from that list.
 
 Cores and medial layers read the bundle differential as (target,
 coefficient, x-power) terms straight from ``ravenel.bundle_digits``, the
@@ -24,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .exterior import Cochain, add_term, format_monomial
+from .exterior import Cochain, add_term, format_monomial, split_join, subset_sums
 from .gf import Field, FieldScalar, nth_roots
 from .ravenel import Complex, bundle_digits
 
@@ -73,8 +76,17 @@ class KummerConnection:
             mm ^= low
         return total
 
-    def is_fixed(self, mask: int) -> bool:
-        return self.monomial_parameter(mask).denominator == 1
+    def fixed_masks(self) -> list[int]:
+        """The monomials with integral parameter, ascending: the split join
+        of the numerators D*alpha mod D on the subsets of the low slots with
+        their negatives on the subsets of the high slots."""
+        d = self.denominator
+        slots = self.n * self.n
+        half = slots // 2
+        nums = [int(self.params[b] * d) for b in range(slots)]
+        lo = [v % d for v in subset_sums(nums[:half], 0)]
+        hi = [-v % d for v in subset_sums(nums[half:], 0)]
+        return split_join(lo, hi, half)
 
     def to_json(self) -> dict:
         n = self.n
@@ -232,24 +244,20 @@ class Monodromy:
     def apply(self, z: Cochain) -> Cochain:
         return Cochain(z.n, {m: c * self.eigenvalue(m) for m, c in z.terms.items()})
 
-    def is_fixed(self, mask: int) -> bool:
-        return self.exponent(mask) % self.conn.denominator == 0
-
 
 def monodromy(conn: KummerConnection, field: Field, omega) -> Monodromy:
     return Monodromy(conn, field, field.scalar(omega))
 
 
-def t_fixed_masks(conn: KummerConnection, n: int) -> set[int]:
-    """All monomials with integral parameter, over the full 2^(n^2) basis."""
-    out = set()
-    for mask in range(1 << (n * n)):
-        if conn.is_fixed(mask):
-            out.add(mask)
-    return out
-
-
 # -- cores and medial layers -------------------------------------------------------------
+
+
+def _fixed_basis(bundle: Complex, conn: KummerConnection) -> dict[int, list[int]]:
+    """The monomials with integral parameter, by degree, each degree ascending."""
+    out: dict[int, list[int]] = {s: [] for s in range(bundle.top_degree + 1)}
+    for m in conn.fixed_masks():
+        out[m.bit_count()].append(m)
+    return out
 
 
 def _bundle_terms(bundle: Complex, mask: int):
@@ -279,13 +287,9 @@ class Core:
         self.conn = conn
         self.field = bundle.field
         self.n = bundle.n
-        self.shift: dict[int, int] = {}
-        self._basis: dict[int, list[int]] = {}
-        for s in range(bundle.top_degree + 1):
-            fixed = [m for m in bundle.basis(s) if conn.is_fixed(m)]
-            self._basis[s] = fixed
-            for m in fixed:
-                self.shift[m] = -int(conn.monomial_parameter(m))
+        self._basis = _fixed_basis(bundle, conn)
+        self.shift = {m: -int(conn.monomial_parameter(m))
+                      for fixed in self._basis.values() for m in fixed}
         self._triples: dict[int, list[tuple[int, FieldScalar, int]]] = {}
         self.closure_failures: list[tuple[int, int, int]] = []
         for s in range(bundle.top_degree + 1):
@@ -371,21 +375,12 @@ class Medial:
         self.conn = conn
         self.field = bundle.field
         self.n = bundle.n
-        self.alpha: dict[int, int] = {}
-        self._basis: dict[int, list[int]] = {}
-        for s in range(bundle.top_degree + 1):
-            fixed = []
-            for m in bundle.basis(s):
-                if conn.is_fixed(m):
-                    a = int(conn.monomial_parameter(m))
-                    if a > 0:
-                        raise ValueError(
-                            "medial layer needs nonpositive parameters on the "
-                            "fixed basis"
-                        )
-                    fixed.append(m)
-                    self.alpha[m] = a
-            self._basis[s] = fixed
+        self._basis = _fixed_basis(bundle, conn)
+        self.alpha = {m: int(conn.monomial_parameter(m))
+                      for fixed in self._basis.values() for m in fixed}
+        if any(a > 0 for a in self.alpha.values()):
+            raise ValueError(
+                "medial layer needs nonpositive parameters on the fixed basis")
 
     def basis(self, s: int) -> list[int]:
         return self._basis.get(s, [])

@@ -23,15 +23,13 @@ taken on the same rows before they are cut.
 from __future__ import annotations
 
 from .exterior import add_term, first_subscript_filtration, format_monomial
-from .gf import Field
-from .homology import betti, block_matrix, matrix_rank
+from .homology import FiniteComplex, betti, betti_numbers, block_matrix, matrix_rank
 
 
 class FilteredComplex:
-    def __init__(self, cx, fil, name: str = "", u_filter=None):
+    def __init__(self, cx, fil, u_filter=None):
         self.cx = cx
         self.fil = fil  # mask -> int
-        self.name = name
         self.u_filter = u_filter  # predicate on u, or None for all classes
 
     def blocks(self, s: int) -> dict[int, list[int]]:
@@ -51,7 +49,7 @@ class FilteredComplex:
         return (0, 0) if lo is None else (lo, hi)
 
     def restrict_classes(self, u_filter) -> "FilteredComplex":
-        return FilteredComplex(self.cx, self.fil, self.name, u_filter)
+        return FilteredComplex(self.cx, self.fil, u_filter)
 
 
 def filter_first_subscript(ce_gl) -> FilteredComplex:
@@ -78,7 +76,7 @@ def filter_first_subscript(ce_gl) -> FilteredComplex:
                     "associated graded differs from the singular fiber at "
                     + format_monomial(1 << gslot, n)
                 )
-    return FilteredComplex(ce_gl, fil, name="first-subscript")
+    return FilteredComplex(ce_gl, fil)
 
 
 def critical_block(fc: FilteredComplex) -> FilteredComplex:
@@ -250,12 +248,8 @@ def run_pages(fc: FilteredComplex, r_max: int | None = None) -> PageReport:
         einf: dict[tuple[int, int], int] = {}
         for (s, t, u), d in entries[r_stop].items():
             einf[(s, u)] = einf.get((s, u), 0) + d
-        rank = {k: bd["rank"] for k, bd in data.items()}
-        expected = {}
-        for (s, u) in keys:
-            b = len(data[(s, u)]["src_fil"]) - rank[(s, u)] - rank.get((s - 1, u), 0)
-            if b:
-                expected[(s, u)] = b
+        expected = betti_numbers({k: len(data[k]["src_fil"]) for k in keys},
+                                 {k: bd["rank"] for k, bd in data.items()})
         einf = {k: v for k, v in einf.items() if v}
         if einf != expected:
             raise AssertionError(
@@ -269,30 +263,7 @@ def run_pages(fc: FilteredComplex, r_max: int | None = None) -> PageReport:
 # -- monodromy spectral sequences ----------------------------------------------------
 
 
-def finite_betti(field: Field, basis_by_degree: dict[int, list],
-                 diff: dict) -> dict[int, int]:
-    """Betti numbers of an explicit finite complex on labeled basis elements;
-    diff maps a label to {label: coefficient} one degree up."""
-    encode = field.coding.encode
-    ranks: dict[int, int] = {}
-    degs = sorted(basis_by_degree)
-    for s in degs:
-        tgt = basis_by_degree.get(s + 1, [])
-        tgt_index = {lbl: i for i, lbl in enumerate(tgt)}
-        rows: dict[int, dict[int, object]] = {}
-        for j, lbl in enumerate(basis_by_degree[s]):
-            for t_lbl, c in diff.get(lbl, {}).items():
-                rows.setdefault(tgt_index[t_lbl], {})[j] = encode(c)
-        ranks[s] = matrix_rank(list(rows.values()), len(basis_by_degree[s]), field)
-    out = {}
-    for s in degs:
-        b = len(basis_by_degree[s]) - ranks.get(s, 0) - ranks.get(s - 1, 0)
-        if b:
-            out[s] = b
-    return out
-
-
-def monodromy_ss(obj, which: str = "core", t_report: int = 3) -> PageReport:
+def monodromy_ss(obj, t_report: int = 3) -> PageReport:
     """Pages of the x-adic spectral sequence of a core, or of the extended
     filtration of a medial layer.
 
@@ -303,18 +274,16 @@ def monodromy_ss(obj, which: str = "core", t_report: int = 3) -> PageReport:
     """
     from .kummer import Core, Medial
 
-    if which == "core":
-        core: Core = obj
+    if isinstance(obj, Core):
+        core = obj
         if not core.closed:
             raise ValueError(
                 "the differential leaves the core (negative x-exponents); "
                 "its x-adic spectral sequence is undefined"
             )
-        field = core.field
-        basis = {s: core.basis(s) for s in range(core.bundle.top_degree + 1)
-                 if core.basis(s)}
+        basis = {s: core.basis(s) for s in range(core.bundle.top_degree + 1)}
         homogeneous = core.homogeneity_witness() is None
-        e1 = finite_betti(field, basis, core.gr_diff())
+        e1 = betti(FiniteComplex(core.field, basis, core.gr_diff())).totals_by_degree()
         entries: dict[int, dict] = {1: {}}
         for s, b in e1.items():
             for t in range(0, t_report + 1):
@@ -332,9 +301,8 @@ def monodromy_ss(obj, which: str = "core", t_report: int = 3) -> PageReport:
         report.notes["smooth_fiber_betti"] = fiber
         return report
 
-    if which == "medial":
-        med: Medial = obj
-        field = med.field
+    if isinstance(obj, Medial):
+        med = obj
         if not med.weight_preserving():
             raise ValueError(
                 "medial filtration is not preserved by d for this connection"
@@ -345,20 +313,18 @@ def monodromy_ss(obj, which: str = "core", t_report: int = 3) -> PageReport:
             gr = med.gr_basis(t)
             if not gr:
                 continue
-            basis = {s: pairs for s, pairs in gr.items()}
             diff = {}
-            for s, pairs in basis.items():
+            for pairs in gr.values():
                 for (m, w) in pairs:
-                    row = {}
-                    for tgt, c, xpow in med.d_pairs(m):
-                        row[(tgt, w + xpow)] = c
-                    diff[(m, w)] = row
-            for s, b in finite_betti(field, basis, diff).items():
+                    diff[(m, w)] = {(tgt, w + xpow): c
+                                    for tgt, c, xpow in med.d_pairs(m)}
+            table = betti(FiniteComplex(med.field, gr, diff))
+            for s, b in table.totals_by_degree().items():
                 entries[1][(s, t, 0)] = b
         return PageReport(entries, {1: {}}, 1, t_report, 1,
                           notes={"certified_by": "weight grading"})
 
-    raise ValueError(f"unknown monodromy spectral sequence {which!r}")
+    raise TypeError(f"monodromy_ss takes a Core or a Medial, not {type(obj).__name__}")
 
 
 def _fixed_fiber_betti(bundle, conn) -> dict[int, int]:
@@ -367,51 +333,32 @@ def _fixed_fiber_betti(bundle, conn) -> dict[int, int]:
 
     desc = DgaDescriptor(bundle.n, bundle.p, bundle.field,
                          bundle.field.one, bundle.descriptor.lie, "custom")
-    fixed = Complex(desc, member=conn.is_fixed)
-    table = betti(fixed)
-    return table.totals_by_degree()
+    fixed = Complex(desc, members=conn.fixed_masks())
+    return betti(fixed).totals_by_degree()
 
 
 def _windowed_pages(core, t_report: int) -> PageReport:
     """Truncated x-weight model for a closed but inhomogeneous core: exact
     for t <= t_report since differentials only raise the weight."""
-    field = core.field
     max_e = max((e for trs in (core.d_triples(m) for s in
                                range(core.bundle.top_degree + 1)
                                for m in core.basis(s)) for (_t, _c, e) in trs),
                 default=0)
     span = t_report + max_e + 1
-    basis_by_degree: dict[int, list] = {}
+    labels_by_degree: dict[int, list] = {}
     diff: dict = {}
     for s in range(core.bundle.top_degree + 1):
-        labels = []
-        for m in core.basis(s):
-            for w in range(span + 1):
-                labels.append((m, w))
-        if labels:
-            basis_by_degree[s] = labels
-    for s, labels in basis_by_degree.items():
-        for (m, w) in labels:
+        labels_by_degree[s] = [(m, w) for m in core.basis(s) for w in range(span + 1)]
+        for (m, w) in labels_by_degree[s]:
             row = {}
             for tgt, c, e in core.d_triples(m):
                 if w + e <= span:
                     add_term(row, (tgt, w + e), c)
             diff[(m, w)] = row
 
-    class _Window:
-        top_degree = core.bundle.top_degree
-        descriptor = core.bundle.descriptor
-
-        def blocks(self, s):
-            return {0: basis_by_degree.get(s, [])}
-
-        def d_monomial(self, lbl):
-            return diff.get(lbl, {})
-
-    win = _Window()
-    win.field = field
-    fc = FilteredComplex(win, lambda lbl: lbl[1], name="x-adic window")
-    report = run_pages(fc, r_max=t_report + 1)
+    window = FiniteComplex(core.field, labels_by_degree, diff)
+    report = run_pages(FilteredComplex(window, lambda lbl: lbl[1]),
+                       r_max=t_report + 1)
     # drop entries beyond the trustworthy window
     for r in list(report.entries):
         report.entries[r] = {

@@ -17,7 +17,11 @@ layers of ``kummer`` share); the exhaustive d∘d = 0 scan does the same with
 two applications of d.  Sparse combinations of terms are merged with
 ``exterior.add_term``.
 
-Closure of the critical and first-subscript subcomplexes rests on a
+A subcomplex is the list of its members.  ``grading_tables`` holds the
+internal class and the first-subscript sum mod n of every subset of the low
+and of the high half of the slots, and ``subcomplex`` lists the critical and
+first-subscript complexes as the ``exterior.split_join`` of those tables: the
+monomials whose two halves cancel.  Their closure under d rests on a
 generator-level certificate that ``subcomplex`` checks on the pair table:
 each term of d(g) keeps g's internal class and first-subscript sum mod n, and
 both gradings add along the wedge products of the Leibniz rule.
@@ -25,7 +29,9 @@ both gradings add along the wedge products of the Leibniz rule.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
+from typing import NamedTuple
 
 from .exterior import (
     Cochain,
@@ -35,6 +41,7 @@ from .exterior import (
     internal_weights,
     normalize_j,
     sigma_shift,
+    split_join,
     subset_sums,
     wedge,
 )
@@ -112,21 +119,31 @@ def generator_pair_table(n: int) -> dict[int, list[tuple[int, int, int]]]:
     return _PAIR_TABLES[n]
 
 
-_KEY_TABLES: dict[tuple[int, int], tuple] = {}
+class GradingTables(NamedTuple):
+    """The internal class and the first-subscript sum mod n of each subset of
+    the low ``half`` slots and of the high n^2 - half slots: a monomial's
+    value is the sum of its halves' entries."""
+    half: int
+    modulus: int  # of the internal class, 2(p^n - 1)
+    class_lo: list
+    class_hi: list
+    fsum_lo: list
+    fsum_hi: list
 
 
-def block_key_tables(n: int, p: int) -> tuple[list[int], list[int], int, int]:
-    """(lo, hi, half, modulus): the internal classes of every subset of the
-    low half and of the high half of the n^2 slots, so that a monomial's class
-    is (lo[mask & (2^half - 1)] + hi[mask >> half]) % modulus."""
-    if (n, p) not in _KEY_TABLES:
+_GRADING_TABLES: dict[tuple[int, int], GradingTables] = {}
+
+
+def grading_tables(n: int, p: int) -> GradingTables:
+    if (n, p) not in _GRADING_TABLES:
         weights, mod = internal_weights(n, p)
+        firsts = [b // n + 1 for b in range(n * n)]
         half = n * n // 2
-        _KEY_TABLES[(n, p)] = (
-            [w % mod for w in subset_sums(weights[:half], 0)],
-            [w % mod for w in subset_sums(weights[half:], 0)],
-            half, mod)
-    return _KEY_TABLES[(n, p)]
+        _GRADING_TABLES[(n, p)] = GradingTables(half, mod, *(
+            [v % m for v in subset_sums(values, 0)] for values, m in (
+                (weights[:half], mod), (weights[half:], mod),
+                (firsts[:half], n), (firsts[half:], n))))
+    return _GRADING_TABLES[(n, p)]
 
 
 def integer_d(table, mask: int, eps: int) -> dict[int, int]:
@@ -203,25 +220,25 @@ class Complex:
 
     Bases and blocks are computed lazily per cohomological degree; the block
     key is the internal degree class mod 2(p^n - 1).  A subcomplex is given
-    either by a ``member`` test, which its bases apply to every subset, or by
-    the list of its ``members``, which its bases read by degree.
+    by the list of its ``members``, which its bases read by degree; without
+    one, every monomial is a member.
     """
 
-    def __init__(self, descriptor: DgaDescriptor, member=None, members=None):
+    def __init__(self, descriptor: DgaDescriptor, members=None):
         self.descriptor = descriptor
         self.n = descriptor.n
         self.p = descriptor.p
         self.field = descriptor.field
-        self._member = member
-        (self._key_lo, self._key_hi, self._key_half,
-         self.internal_modulus) = block_key_tables(self.n, self.p)
-        self._key_bits = (1 << self._key_half) - 1
+        self._grading = grading_tables(self.n, self.p)
+        self.internal_modulus = self._grading.modulus
+        self._key_bits = (1 << self._grading.half) - 1
         self._table = generator_pair_table(self.n)
+        self._members = None
         self._basis_cache: dict[int, list[int]] = {}
         if members is not None:
-            self._member = frozenset(members).__contains__
+            self._members = frozenset(members)
             self._basis_cache = {s: [] for s in range(self.top_degree + 1)}
-            for mask in sorted(members):
+            for mask in sorted(self._members):
                 self._basis_cache[mask.bit_count()].append(mask)
         self._block_cache: dict[int, dict[int, list[int]]] = {}
         f = self.field
@@ -238,29 +255,24 @@ class Complex:
         return self.n * self.n
 
     def contains(self, mask: int) -> bool:
-        return self._member is None or self._member(mask)
+        return self._members is None or mask in self._members
 
     def basis(self, s: int) -> list[int]:
         if s < 0 or s > self.top_degree:
             return []
         if s not in self._basis_cache:
-            out = []
-            for combo in combinations(range(self.n * self.n), s):
-                mask = 0
-                for b in combo:
-                    mask |= 1 << b
-                if self.contains(mask):
-                    out.append(mask)
-            out.sort()
-            self._basis_cache[s] = out
+            # only the full complex gets here: every subset is a member
+            generators = [1 << b for b in range(self.top_degree)]
+            self._basis_cache[s] = sorted(map(sum, combinations(generators, s)))
         return self._basis_cache[s]
 
     def dim(self) -> int:
         return sum(len(self.basis(s)) for s in range(self.top_degree + 1))
 
     def block_key(self, mask: int) -> int:
-        return ((self._key_lo[mask & self._key_bits]
-                 + self._key_hi[mask >> self._key_half]) % self.internal_modulus)
+        g = self._grading
+        return ((g.class_lo[mask & self._key_bits] + g.class_hi[mask >> g.half])
+                % g.modulus)
 
     def blocks(self, s: int) -> dict[int, list[int]]:
         if s not in self._block_cache:
@@ -348,11 +360,7 @@ def subcomplex(cx: Complex, which: str) -> Complex:
     if cx.descriptor.label != "full":
         raise ValueError("subcomplex expects a full complex")
     n, p = cx.n, cx.p
-    if which == "critical":
-        member = lambda mask: cx.block_key(mask) == 0
-    elif which == "fsc":
-        member = lambda mask: first_subscript_sum(mask, n) == 0
-    else:
+    if which not in ("critical", "fsc"):
         raise ValueError(f"unknown subcomplex label {which!r}")
 
     for gslot, terms in generator_pair_table(n).items():
@@ -363,42 +371,31 @@ def subcomplex(cx: Complex, which: str) -> Complex:
             if first_subscript_sum(pmask, n) != first_subscript_sum(gmask, n):
                 raise ClosureError(f"first-subscript class not preserved at {gslot}")
 
+    g = grading_tables(n, p)
+    if which == "critical":
+        lo, hi = g.class_lo, [(-u) % g.modulus for u in g.class_hi]
+    else:
+        lo, hi = g.fsum_lo, [(-f) % n for f in g.fsum_hi]
     desc = DgaDescriptor(n, p, cx.field, cx.descriptor.epsilon,
                          cx.descriptor.lie, which)
-    return Complex(desc, member)
+    return Complex(desc, members=split_join(lo, hi, g.half))
 
 
 def _class_tallies(n: int, p: int):
     """Meet-in-the-middle split of the n^2 slots into a low and a high half:
     for each half, the number of its subsets per (internal class, first-
     subscript sum mod n); returns (low tally, high tally, internal modulus)."""
-    slots = n * n
-    weights, mod = internal_weights(n, p)
-
-    def tally(idxs):
-        cnt: dict[tuple[int, int], int] = {}
-        for r in range(len(idxs) + 1):
-            for combo in combinations(idxs, r):
-                u = sum(weights[b] for b in combo) % mod
-                f = sum(b // n + 1 for b in combo) % n
-                cnt[(u, f)] = cnt.get((u, f), 0) + 1
-        return cnt
-
-    return tally(range(slots // 2)), tally(range(slots // 2, slots)), mod
+    g = grading_tables(n, p)
+    return (Counter(zip(g.class_lo, g.fsum_lo)), Counter(zip(g.class_hi, g.fsum_hi)),
+            g.modulus)
 
 
 def _containment_witness_count(n: int, p: int) -> int:
     """Number of monomials with internal degree 0 but first-subscript sum != 0,
     by the same meet-in-the-middle tally as dims_by_class."""
     lo_t, hi_t, mod = _class_tallies(n, p)
-    hi_by_u: dict[int, int] = {}
-    for (u, f), c in hi_t.items():
-        hi_by_u[u] = hi_by_u.get(u, 0) + c
-    critical = joint = 0
-    for (u, f), c in lo_t.items():
-        critical += c * hi_by_u.get((-u) % mod, 0)
-        joint += c * hi_t.get(((-u) % mod, (-f) % n), 0)
-    return critical - joint
+    joint = sum(c * hi_t[(-u % mod, -f % n)] for (u, f), c in lo_t.items())
+    return dims_by_class(n, p)[0] - joint
 
 
 def containment_report(n: int, p: int, max_witnesses: int = 8) -> dict:
@@ -513,16 +510,12 @@ def dims_by_class(n: int, p: int) -> tuple[int, int, int]:
     """(dim critical, dim first-subscript, dim full) counted over all 2^(n^2)
     monomials, by a meet-in-the-middle split of the slot set."""
     lo_t, hi_t, mod = _class_tallies(n, p)
-    hi_by_u: dict[int, int] = {}
-    hi_by_f: dict[int, int] = {}
+    hi_by_u, hi_by_f, lo_by_f = Counter(), Counter(), Counter()
     for (u, f), c in hi_t.items():
-        hi_by_u[u] = hi_by_u.get(u, 0) + c
-        hi_by_f[f] = hi_by_f.get(f, 0) + c
-    cc = fsc = 0
-    lo_by_f: dict[int, int] = {}
-    for (u, f), c in lo_t.items():
-        cc += c * hi_by_u.get((-u) % mod, 0)
-        lo_by_f[f] = lo_by_f.get(f, 0) + c
-    for f, c in lo_by_f.items():
-        fsc += c * hi_by_f.get((-f) % n, 0)
+        hi_by_u[u] += c
+        hi_by_f[f] += c
+    for (_u, f), c in lo_t.items():
+        lo_by_f[f] += c
+    cc = sum(c * hi_by_u[-u % mod] for (u, _f), c in lo_t.items())
+    fsc = sum(c * hi_by_f[-f % n] for f, c in lo_by_f.items())
     return cc, fsc, 1 << (n * n)

@@ -15,7 +15,7 @@ monomial: no certificate covers a computed kernel.
 
 from __future__ import annotations
 
-from .exterior import Cochain, add_term, format_monomial, subset_sums
+from .exterior import Cochain, add_term, format_monomial, split_join, subset_sums
 from .gf import Field, FieldScalar, Poly, poly_divmod, poly_gcd, poly_powmod
 from .homology import insert_row
 from .ravenel import ClosureError, Complex, DgaDescriptor
@@ -268,32 +268,27 @@ def _diagonal_eigenvalues(cx, D: Derivation) -> dict[int, FieldScalar]:
 
 def kernel_masks(cx, D: Derivation) -> set[int]:
     """Monomials annihilated by a degree-preserving derivation that is
-    diagonal on the generators, on a complex that contains every generator.
+    diagonal on the generators, on a full complex.
 
     Certificate: ``_diagonal_eigenvalues`` checks diagonality on every
     generator, and D is a derivation, so each monomial is an eigenvector
     whose eigenvalue is the sum of its generators' eigenvalues.  The kernel
-    is spanned by the monomials with eigenvalue sum zero.  The sum is split
-    in the middle of the slots: the eigenvalue sums of every subset of the
-    low slots and of every subset of the high slots are tabulated once, and
-    a monomial is in the kernel iff its low sum is minus its high sum, a
-    comparison of coordinates with no arithmetic per monomial."""
+    is spanned by the monomials with eigenvalue sum zero: the
+    ``split_join`` of the eigenvalue sums of every subset of the low slots
+    with minus those of every subset of the high slots.  The join ranges
+    over all 2^(n^2) monomials, so the complex must hold them all."""
+    if cx.descriptor.label != "full":
+        raise ValueError("kernel_masks joins over every monomial; it needs a "
+                         f"full complex, not one labelled {cx.descriptor.label!r}")
     field = cx.field
     gen_eigen = _diagonal_eigenvalues(cx, D)
     slots = cx.top_degree
     half = slots // 2
-    lo_bits = (1 << half) - 1
     lo_sum = [x.v for x in subset_sums(
         [gen_eigen[1 << i] for i in range(half)], field.zero)]
     neg_hi_sum = [(-x).v for x in subset_sums(
         [gen_eigen[1 << i] for i in range(half, slots)], field.zero)]
-
-    kernel = {0}
-    for s in range(1, cx.top_degree + 1):
-        for mask in cx.basis(s):
-            if lo_sum[mask & lo_bits] == neg_hi_sum[mask >> half]:
-                kernel.add(mask)
-    return kernel
+    return set(split_join(lo_sum, neg_hi_sum, half))
 
 
 def _closed_model(cx, kern: set[int]) -> Complex:
@@ -365,11 +360,16 @@ def required_root_orders(n: int) -> list[int]:
 
 
 def smallest_extension_degree(p: int, n: int) -> int:
-    """Least m with all required roots present in GF(p^m)."""
+    """Least m with all required roots present in GF(p^m).  A field of
+    characteristic p has no primitive d-th root of unity when p divides d,
+    since x^d - 1 = (x^(d/p) - 1)^p there: that raises ValueError."""
     import math
 
     m = 1
     for d in required_root_orders(n):
+        if d % p == 0:
+            raise ValueError(f"no field of characteristic {p} has a primitive "
+                             f"root of unity of order {d} ({p} divides {d})")
         # multiplicative order of p mod d
         k = 1
         while pow(p, k, d) != 1:

@@ -32,7 +32,6 @@ from stabfold.kummer import (
     core_homogeneity,
     medial_build,
     solve_h_diagonal,
-    t_fixed_masks,
 )
 from stabfold.pages import critical_block, filter_first_subscript, monodromy_ss, run_pages
 from stabfold.ravenel import (
@@ -244,13 +243,13 @@ def test_criterion_06_critical_collapse():
 def test_criterion_07_monodromy_fixed_points_and_transport():
     ok = True
     for n in (2, 3, 4):
-        fixed = t_fixed_masks(KummerConnection.sigma(n), n)
-        ok = ok and fixed == {
+        fixed = KummerConnection.sigma(n).fixed_masks()
+        ok = ok and set(fixed) == {
             m for m in range(1 << (n * n)) if first_subscript_sum(m, n) == 0
         }
     for n, p in ((2, 11), (3, 7), (3, 19)):
-        fixed = t_fixed_masks(KummerConnection.semilinear(n, p), n)
-        ok = ok and fixed == {
+        fixed = KummerConnection.semilinear(n, p).fixed_masks()
+        ok = ok and set(fixed) == {
             m for m in range(1 << (n * n)) if internal_degree(m, n, p) == 0
         }
     # sigma-equivariant transport counts = n-th root counts (each transport
@@ -285,8 +284,8 @@ def _criterion_08_attainable() -> bool:
     med1 = medial_build(bundle1, conn1)
     ok = ok and med1.gr_basis(-1) == {1: [(1, 0)]}
     ok = ok and med1.gr_basis(0) == {0: [(0, 0)], 1: [(1, 1)]}
-    core_rep = monodromy_ss(core1, "core")
-    med_rep = monodromy_ss(med1, "medial")
+    core_rep = monodromy_ss(core1)
+    med_rep = monodromy_ss(med1)
     ok = ok and core_rep.dim(1, 1, -1) == 0 and med_rep.dim(1, 1, -1) == 1
     ok = ok and core_rep.notes["e1_matches_smooth_fiber"]
     # singular fiber surjects onto the fixed-point cohomology (rank check)

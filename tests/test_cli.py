@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stabfold
 from stabfold.cli import main
 
 
@@ -303,6 +308,29 @@ def test_model_kernel_unsupported_height_is_a_usage_error(capsys, n):
     assert "[FAIL]" not in captured.out
 
 
+@pytest.mark.parametrize("n,p", [("3", "3"), ("2", "2"), ("4", "2")])
+def test_model_kernel_with_p_dividing_n_is_a_usage_error(n, p):
+    # GF(p^m) has no primitive d-th root of unity for p | d; run in a
+    # subprocess so that a search for one that never ends fails the test
+    env = dict(os.environ, PYTHONPATH=str(Path(stabfold.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stabfold.cli", "verify", "model-kernel",
+         "--n", n, "--p", p], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "primitive" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("suite", ["tables", "transport", "monodromy-fixed",
+                                   "core-homogeneity"])
+@pytest.mark.parametrize("flags", [["--n", "2"], ["--p", "7"], ["--n", "2", "--p", "7"]])
+def test_fixed_suites_refuse_height_and_prime(capsys, suite, flags):
+    code = main(["verify", suite] + flags)
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert "takes no --n or --p" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["pages", "--n", "5", "--p", "53"],
     ["pages", "--n", "5", "--p", "53", "--block", "full"],
@@ -318,7 +346,7 @@ def test_height5_enumeration_refused_at_once(capsys, argv):
     code = main(argv)
     assert code == 2 and time.perf_counter() - t0 < 5
     captured = capsys.readouterr()
-    assert "ROADMAP item 5" in captured.err and not captured.out
+    assert "ROADMAP item 4" in captured.err and not captured.out
 
 
 def test_verify_dd_zero_reports_a_flipped_sign(capsys, monkeypatch):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabfold.exterior import (
     angle_bracket,
@@ -13,6 +15,7 @@ from stabfold.exterior import (
     reduced_internal_degree,
     sigma_shift,
     slots_of,
+    split_join,
     wedge,
     wedge_sign_oracle,
 )
@@ -215,3 +218,19 @@ def test_slots_canonical_order():
     n = 3
     m = gm(2, 1, n) | gm(1, 2, n) | gm(1, 1, n)
     assert slots_of(m, n) == [(1, 1), (1, 2), (2, 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_split_join_equals_the_double_loop(lo_bits, hi_bits, data):
+    # every (lo, hi) pair with equal keys, in ascending mask order, against a
+    # double loop over all pairs
+    keys = st.integers(0, 3)
+    lo_keys = data.draw(st.lists(keys, min_size=1 << lo_bits, max_size=1 << lo_bits))
+    hi_keys = data.draw(st.lists(keys, min_size=1 << hi_bits, max_size=1 << hi_bits))
+    expected = []
+    for hi, hk in enumerate(hi_keys):
+        for lo, lk in enumerate(lo_keys):
+            if lk == hk:
+                expected.append(hi << lo_bits | lo)
+    assert split_join(lo_keys, hi_keys, lo_bits) == sorted(expected)

@@ -377,7 +377,7 @@ def test_exterior_ring_check_rejects_ravenel_full():
 def test_induced_identity_map():
     f = field_create(11)
     cx = build_singular(2, 11, f)
-    ident = ChainMap(cx, cx, lambda m: Cochain(2, {m: f.one}), "id")
+    ident = ChainMap(cx, cx, lambda m: Cochain(2, {m: f.one}))
     out = induced_map_rank(ident)
     assert out["quasi_isomorphism"]
     for k, v in out["source_betti"].items():

@@ -18,7 +18,6 @@ from stabfold.kummer import (
     medial_build,
     monodromy,
     solve_h_diagonal,
-    t_fixed_masks,
 )
 from stabfold.ravenel import build_bundle, build_deformed
 
@@ -94,21 +93,45 @@ def test_monodromy_power_is_identity_and_dga_automorphism():
 def test_fixed_masks_sigma_is_fsc():
     for n in (2, 3, 4):
         conn = KummerConnection.sigma(n)
-        fixed = t_fixed_masks(conn, n)
+        fixed = conn.fixed_masks()
         expected = {
             m for m in range(1 << (n * n)) if first_subscript_sum(m, n) == 0
         }
-        assert fixed == expected
+        assert set(fixed) == expected
 
 
 def test_fixed_masks_semilinear_is_critical():
     for n, p in [(1, 5), (2, 5), (2, 11), (3, 7), (3, 19)]:
         conn = KummerConnection.semilinear(n, p)
-        fixed = t_fixed_masks(conn, n)
+        fixed = conn.fixed_masks()
         expected = {
             m for m in range(1 << (n * n)) if internal_degree(m, n, p) == 0
         }
-        assert fixed == expected
+        assert set(fixed) == expected
+
+
+def _mixed_connection(n):
+    # denominators up to 4 by generator (D = 6 at n = 2, 12 at n = 3) and
+    # parameters of both signs
+    return KummerConnection.custom(n, {
+        (i, j): Fraction(i * i - 3 * j, 2 + (i + j) % 3)
+        for i in range(1, n + 1) for j in range(1, n + 1)})
+
+
+@pytest.mark.parametrize("conn", [
+    KummerConnection.sigma(1), KummerConnection.sigma(2), KummerConnection.sigma(3),
+    KummerConnection.sigma(4), KummerConnection.semilinear(2, 5),
+    KummerConnection.semilinear(3, 7), _mixed_connection(2), _mixed_connection(3),
+], ids=["sigma1", "sigma2", "sigma3", "sigma4", "semilinear2-5", "semilinear3-7",
+        "custom2", "custom3"])
+def test_fixed_masks_are_the_integral_parameters_on_every_monomial(conn):
+    # exhaustive over all 2^(n^2) monomials, against the Fraction sum of
+    # monomial_parameter; the list is strictly ascending
+    n = conn.n
+    fixed = conn.fixed_masks()
+    assert all(a < b for a, b in zip(fixed, fixed[1:]))
+    assert set(fixed) == {m for m in range(1 << (n * n))
+                          if conn.monomial_parameter(m).denominator == 1}
 
 
 def test_transport_counts_sigma_n2_f5():

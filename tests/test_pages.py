@@ -2,13 +2,12 @@ import pytest
 
 from stabfold.exterior import first_subscript_filtration, generator_mask
 from stabfold.gf import field_create
-from stabfold.homology import betti
+from stabfold.homology import FiniteComplex, betti
 from stabfold.kummer import KummerConnection, core_build, medial_build
 from stabfold.pages import (
     FilteredComplex,
     critical_block,
     filter_first_subscript,
-    finite_betti,
     monodromy_ss,
     run_pages,
 )
@@ -121,14 +120,29 @@ def test_finite_betti_simple():
     f = field_create(5)
     basis = {0: ["a"], 1: ["b", "c"], 2: ["d"]}
     diff = {"a": {}, "b": {"d": f.one}, "c": {"d": f.one}, "d": {}}
-    out = finite_betti(f, basis, diff)
-    assert out == {0: 1, 1: 1}
+    out = betti(FiniteComplex(f, basis, diff))
+    assert out.totals_by_degree() == {0: 1, 1: 1}
+    assert out.entries == {(0, 0): 1, (1, 0): 1}
+
+
+def test_block_matrix_names_a_label_that_leaves_its_block():
+    # labels need not be monomial masks: the error names the label itself
+    f = field_create(5)
+    fc = FiniteComplex(f, {0: [(3, 0)], 1: [(5, 0)]}, {(3, 0): {(7, 1): f.one}})
+    with pytest.raises(AssertionError, match=r"\(3, 0\)"):
+        betti(fc)
+
+
+def test_monodromy_ss_reads_the_kind_off_the_object():
+    f = field_create(5)
+    with pytest.raises(TypeError, match="Core or a Medial"):
+        monodromy_ss(build_bundle(1, 5, f))
 
 
 def test_monodromy_ss_core_n1():
     f = field_create(5)
     core = core_build(build_bundle(1, 5, f), KummerConnection.sigma(1))
-    report = monodromy_ss(core, "core")
+    report = monodromy_ss(core)
     assert report.collapse_page == 1
     # E_1^{s,t} = H^s(fiber) = 1 for s in {0,1}, every t >= 0; nothing at t < 0
     for t in range(0, 3):
@@ -141,7 +155,7 @@ def test_monodromy_ss_core_n1():
 def test_monodromy_ss_medial_n1_nonsurjectivity_corner():
     f = field_create(5)
     med = medial_build(build_bundle(1, 5, f), KummerConnection.sigma(1))
-    report = monodromy_ss(med, "medial")
+    report = monodromy_ss(med)
     # the medial page has E_1^{1,-1} = 1 where the core page has zero
     assert report.dim(1, 1, -1) == 1
     assert report.dim(1, 0, 0) == 1
@@ -152,7 +166,7 @@ def test_monodromy_ss_medial_n1_nonsurjectivity_corner():
 def test_monodromy_ss_core_n2_collapse_and_fiber_match():
     f = field_create(11)
     core = core_build(build_bundle(2, 11, f), KummerConnection.sigma(2))
-    report = monodromy_ss(core, "core")
+    report = monodromy_ss(core)
     assert report.collapse_page == 1
     assert report.notes["e1_matches_smooth_fiber"]
     # free over x: every t-column repeats the fixed smooth-fiber cohomology
@@ -165,7 +179,7 @@ def test_monodromy_ss_core_n2_collapse_and_fiber_match():
 def test_monodromy_ss_core_n3_sigma_collapse():
     f = field_create(7)
     core = core_build(build_bundle(3, 7, f), KummerConnection.sigma(3))
-    report = monodromy_ss(core, "core")
+    report = monodromy_ss(core)
     assert report.collapse_page == 1
     assert report.notes["certified_by"] == "strict x-adic compatibility"
     assert report.notes["e1_matches_smooth_fiber"]
@@ -176,7 +190,7 @@ def test_monodromy_ss_rejects_unclosed_core():
     core = core_build(build_bundle(3, 7, f), KummerConnection.semilinear(3, 7))
     assert not core.closed
     with pytest.raises(ValueError):
-        monodromy_ss(core, "core")
+        monodromy_ss(core)
 
 
 def test_windowed_pages_on_inhomogeneous_closed_core():
@@ -185,7 +199,7 @@ def test_windowed_pages_on_inhomogeneous_closed_core():
     f = field_create(11)
     core = core_build(build_bundle(2, 11, f), KummerConnection.semilinear(2, 11))
     assert core.closed
-    report = monodromy_ss(core, "core", t_report=2)
+    report = monodromy_ss(core, t_report=2)
     assert report.notes.get("window_limited")
     assert report.entries[1]
 

@@ -249,6 +249,32 @@ def test_subcomplex_dims():
     assert subcomplex(cx3, "fsc").dim() == 176
 
 
+def _members(sub) -> list[int]:
+    """The basis of sub over all degrees, each degree ascending."""
+    out = []
+    for s in range(sub.top_degree + 1):
+        basis = sub.basis(s)
+        assert basis == sorted(basis) and all(degree(m) == s for m in basis)
+        out += basis
+    return out
+
+
+@pytest.mark.parametrize("n,p,labels", [
+    (2, 11, ("critical", "fsc")), (3, 7, ("critical", "fsc")),
+    (3, 19, ("critical", "fsc")), (4, 13, ("critical",)), (4, 37, ("critical",)),
+])
+def test_subcomplex_members_are_the_zero_grading_monomials(n, p, labels):
+    # exhaustive over all 2^(n^2) monomials, against exterior's bit-by-bit
+    # internal degree and first-subscript sum; no mask is listed twice
+    cx = build_gl(n, field_create(p), p)
+    oracle = {"critical": lambda m: internal_degree(m, n, p) == 0,
+              "fsc": lambda m: first_subscript_sum(m, n) == 0}
+    for which in labels:
+        members = _members(subcomplex(cx, which))
+        assert len(members) == len(set(members))
+        assert set(members) == {m for m in range(1 << (n * n)) if oracle[which](m)}
+
+
 def _assert_closed(sub) -> int:
     """d of every member of sub stays in sub; returns the member count."""
     members = 0
