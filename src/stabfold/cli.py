@@ -29,8 +29,8 @@ from .homology import (
     matrix_rank,
     monomial_projection,
 )
-from .kummer import KummerConnection, core_build, core_homogeneity, medial_build, solve_h_diagonal
-from .pages import critical_block, filter_first_subscript, monodromy_ss, run_pages
+from .kummer import FixedLayer, KummerConnection, core_homogeneity, solve_h_diagonal
+from .pages import core_pages, critical_block, filter_first_subscript, medial_pages, run_pages
 from .ravenel import (
     BUNDLE,
     build_bundle,
@@ -250,7 +250,10 @@ def cmd_dims(args) -> int:
 
 
 def cmd_betti(args) -> int:
-    epsilon = args.epsilon
+    if args.lie == "gl" and args.epsilon is not None:
+        raise UsageError("betti --lie gl builds gl_n, which has no deformation "
+                         "parameter; it takes no --epsilon")
+    epsilon = "0" if args.epsilon is None else args.epsilon
     if epsilon == "x":
         raise UsageError("cohomology over F[x] is not computed directly; evaluate "
                          "a fiber (--epsilon k) or use the pages/monodromy commands")
@@ -270,7 +273,7 @@ def cmd_betti(args) -> int:
             raise UsageError(f"refusing: {size} basis monomials exceeds the "
                              "default work cap; rerun with --slow to allow it")
         cx = build_complex(args.lie, args.complex, args.n, args.p, args.ext,
-                           int(epsilon) if args.lie == "ravenel" else 1)
+                           int(epsilon))
         table = betti(cx)
         rows = table.to_json_rows()
         if not args.no_cache:
@@ -458,23 +461,23 @@ def suite_core_homogeneity(args) -> list[dict]:
     checks = []
     for n, p in ((2, 11), (3, 7)):
         field = field_create(p)
-        core = core_build(build_bundle(n, p, field), KummerConnection.sigma(n))
-        hom = core_homogeneity(core)
+        layer = FixedLayer(build_bundle(n, p, field), KummerConnection.sigma(n))
+        hom = core_homogeneity(layer)
         checks.append(_check(
             f"sigma-flavor core is homogeneous, n={n}",
-            core.closed and hom["holds"]))
+            layer.closed and hom["holds"]))
     field = field_create(7)
-    core = core_build(build_bundle(3, 7, field), KummerConnection.semilinear(3, 7))
-    hom = core_homogeneity(core)
+    layer = FixedLayer(build_bundle(3, 7, field), KummerConnection.semilinear(3, 7))
+    hom = core_homogeneity(layer)
     witness_ok = (not hom["holds"]) and hom["witness"]["source"].startswith("h[3,")
     checks.append(_check(
         "semilinear-flavor core fails homogeneity at n=3 with a degree-1 "
         "witness", witness_ok,
         f"witness {hom['witness']}" if not hom["holds"] else ""))
     f5 = field_create(5)
-    core1 = core_build(build_bundle(1, 5, f5), KummerConnection.sigma(1))
+    layer1 = FixedLayer(build_bundle(1, 5, f5), KummerConnection.sigma(1))
     checks.append(_check("height-1 core is homogeneous",
-                         core_homogeneity(core1)["holds"]))
+                         core_homogeneity(layer1)["holds"]))
     return checks
 
 
@@ -531,7 +534,7 @@ def suite_invariant_cycles(args) -> list[dict]:
     checks = [_check(
         f"dim H^s(critical at 0) = dim H^s(FSC at 1) for all s (n={n}, p={p})",
         c0 == f1, detail)]
-    proj = monomial_projection(full0, fsc0.contains, fsc0)
+    proj = monomial_projection(full0, fsc0)
     out = induced_map_rank(proj)
     checks.append(_check(
         f"the singular fiber surjects onto the fixed-point cohomology "
@@ -778,24 +781,33 @@ def cmd_monodromy(args) -> int:
     text = [f"connection flavor {conn.flavor}, common denominator {conn.denominator}"]
     payload: dict = {"config_hash": config_hash(cfg), "version": VERSION,
                      "connection": conn.to_json()}
+    try:
+        layer = FixedLayer(bundle, conn)
+    except ValueError as exc:
+        raise UsageError(f"monodromy: {exc}")
+    hom = core_homogeneity(layer)
     if args.which == "medial":
-        med = medial_build(bundle, conn)
-        report = monodromy_ss(med, t_report=args.t_report)
+        try:
+            report = medial_pages(layer, t_report=args.t_report)
+        except ValueError as exc:
+            w = hom["witness"]
+            raise UsageError(
+                f"monodromy --which medial: {exc}" + ("" if w is None else
+                f"; first term off weight: d({w['source']}) -> {w['target']}, "
+                f"step {w['x_exponent']}"))
         payload.update(report.to_json())
-        text.append(f"medial layer: {sum(len(med.basis(s)) for s in range(n*n+1))} "
-                    f"generators, min filtration {med.min_filtration()}")
+        text.append(f"medial layer: {len(layer.alpha)} generators, "
+                    f"min filtration {min(layer.alpha.values())}")
     else:
-        core = core_build(bundle, conn)
-        hom = core_homogeneity(core)
-        payload["closed"] = core.closed
+        payload["closed"] = layer.closed
         payload["homogeneous"] = hom["holds"]
         if not hom["holds"]:
             payload["witness"] = hom["witness"]
             text.append(f"core homogeneity fails: {hom['witness']}")
         else:
             text.append("core is homogeneous (differential preserves x-valuation)")
-        if core.closed:
-            report = monodromy_ss(core, t_report=args.t_report)
+        if layer.closed:
+            report = core_pages(layer, t_report=args.t_report)
             payload.update(report.to_json())
             text.append(f"x-adic spectral sequence collapse page: "
                         f"{report.collapse_page}")
@@ -805,7 +817,7 @@ def cmd_monodromy(args) -> int:
             payload["closure_failures"] = [
                 {"source": format_monomial(m, n), "target": format_monomial(t, n),
                  "x_exponent": e}
-                for m, t, e in core.closure_failures[:8]
+                for m, t, e in layer.closure_failures[:8]
             ]
             text.append("differential leaves the core; its spectral sequence "
                         "is undefined (this is a finding about the connection)")
@@ -881,8 +893,9 @@ def make_parser() -> argparse.ArgumentParser:
     p_betti.add_argument("--n", type=_height, required=True)
     p_betti.add_argument("--p", type=_prime, required=True)
     p_betti.add_argument("--ext", type=_positive, default=1)
-    p_betti.add_argument("--epsilon", type=_epsilon, default="0",
-                         help="deformation parameter: an integer, or x (ravenel only)")
+    p_betti.add_argument("--epsilon", type=_epsilon, default=None,
+                         help="deformation parameter: an integer (default 0), "
+                         "or x (ravenel only)")
     p_betti.add_argument("--slow", action="store_true",
                          help="allow jobs above the default size gate")
     p_betti.add_argument("--no-cache", action="store_true")

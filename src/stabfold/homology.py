@@ -500,12 +500,12 @@ def inclusion_map(sub, full) -> ChainMap:
     return ChainMap(sub, full, lambda m: Cochain(full.n, {m: one}))
 
 
-def monomial_projection(full, member, target) -> ChainMap:
+def monomial_projection(full, target) -> ChainMap:
     """Kill basis monomials outside the target subcomplex, keep the rest."""
     one = target.ring_one
 
     def fn(mask):
-        if member(mask):
+        if target.contains(mask):
             return Cochain(target.n, {mask: one})
         return Cochain(target.n, {})
 

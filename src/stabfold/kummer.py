@@ -1,5 +1,5 @@
 """Rational-parameter connections on the bundle DGA: parallel transport,
-monodromy operators and their fixed subcomplexes, cores, and medial layers.
+monodromy operators and the fixed layer of a connection.
 
 A connection here is an assignment of an exact rational parameter to each
 generator h[i,j]; monomial parameters add along wedge products.  The two
@@ -13,13 +13,15 @@ omega^(D*alpha), D the common denominator, so its fixed monomials are those
 with integral parameter: the first-subscript complex for sigma, the critical
 complex for the semilinear flavor.  ``KummerConnection.fixed_masks`` lists
 them as the ``exterior.split_join`` of the numerators D*alpha mod D on the
-two halves of the slots; cores, medial layers and the fixed fiber of
-``pages`` take their bases from that list.
+two halves of the slots.
 
-Cores and medial layers read the bundle differential as (target,
-coefficient, x-power) terms straight from ``ravenel.bundle_digits``, the
-x-power digits of the one integer expansion of d, without building
-polynomial coefficients; ``exterior.add_term`` merges their terms.
+``FixedLayer`` holds those monomials with their parameters and the bundle
+differential on them, as (target, coefficient, e) terms read once from
+``ravenel.bundle_digits`` without building polynomial coefficients.  The
+exponent e = k + alpha(b') - alpha(b) of a term c x^k b' of d(b) is both the
+core's x-exponent and the medial filtration step, so the core and the medial
+spectral sequences of ``pages`` (``core_pages`` and ``medial_pages``) read
+the one layer.
 """
 
 from __future__ import annotations
@@ -249,150 +251,89 @@ def monodromy(conn: KummerConnection, field: Field, omega) -> Monodromy:
     return Monodromy(conn, field, field.scalar(omega))
 
 
-# -- cores and medial layers -------------------------------------------------------------
+# -- the fixed layer ---------------------------------------------------------------------
 
 
-def _fixed_basis(bundle: Complex, conn: KummerConnection) -> dict[int, list[int]]:
-    """The monomials with integral parameter, by degree, each degree ascending."""
-    out: dict[int, list[int]] = {s: [] for s in range(bundle.top_degree + 1)}
-    for m in conn.fixed_masks():
-        out[m.bit_count()].append(m)
-    return out
+class FixedLayer:
+    """The monodromy-fixed part of a bundle complex: the monomials b with
+    integral parameter alpha(b), by degree, and the bundle differential on
+    them, read once from ``bundle_digits``.
 
-
-def _bundle_terms(bundle: Complex, mask: int):
-    """The nonzero terms c x^xpow b of d(mask) on the bundle, as
-    (b, c, xpow) with c a field scalar."""
-    scalar = bundle.field.scalar
-    for tgt, digits in bundle_digits(bundle.n, mask, bundle.field.p):
-        for xpow, c in enumerate(digits):
-            if c:
-                yield tgt, scalar(c), xpow
-
-
-class Core:
-    """The polynomial-coefficient span of { x^(-alpha(b)) b } over the
-    T-fixed monomial basis of a bundle complex.
-
-    Differential entries are triples (target, coefficient, x-exponent); a
-    negative x-exponent means the differential leaves the core (recorded as a
-    closure failure, not an exception: for ill-chosen connections this is a
-    finding, not a bug).
+    A term c x^k b' of d(b) is kept as (b', c, e), e = k + alpha(b') - alpha(b):
+    the term's x-exponent in the core, the span of { x^(-alpha(b)) b }, and
+    its step in the medial filtration fil(x^w b) = w + alpha(b).  So e = 0
+    everywhere means both strict core compatibility and medial weight
+    preservation.  A negative e, where d leaves the core, is recorded as a
+    closure failure: for an ill-chosen connection that is a finding.
     """
 
     def __init__(self, bundle: Complex, conn: KummerConnection):
         if not bundle.descriptor.is_bundle():
-            raise ValueError("core_build expects a bundle-mode complex")
+            raise ValueError("a fixed layer is cut from a bundle-mode complex")
         self.bundle = bundle
         self.conn = conn
         self.field = bundle.field
-        self.n = bundle.n
-        self._basis = _fixed_basis(bundle, conn)
-        self.shift = {m: -int(conn.monomial_parameter(m))
-                      for fixed in self._basis.values() for m in fixed}
-        self._triples: dict[int, list[tuple[int, FieldScalar, int]]] = {}
+        self.n = n = bundle.n
+        self.top_degree = bundle.top_degree
+        masks = conn.fixed_masks()
+        self._basis: dict[int, list[int]] = {s: [] for s in range(self.top_degree + 1)}
+        for m in masks:
+            self._basis[m.bit_count()].append(m)
+        self.alpha = {m: int(conn.monomial_parameter(m)) for m in masks}
+        scalar = self.field.scalar
+        self._terms: dict[int, list[tuple[int, FieldScalar, int]]] = {}
         self.closure_failures: list[tuple[int, int, int]] = []
-        for s in range(bundle.top_degree + 1):
+        for s in range(self.top_degree + 1):
             for m in self._basis[s]:
-                triples = []
-                for tgt, c, xpow in _bundle_terms(bundle, m):
-                    e = self.shift[m] + xpow - self.shift[tgt]
-                    triples.append((tgt, c, e))
-                    if e < 0:
-                        self.closure_failures.append((m, tgt, e))
-                triples.sort(key=lambda t: (t[0], t[2]))
-                self._triples[m] = triples
+                terms = []
+                for tgt, digits in bundle_digits(n, m, self.field.p):
+                    if tgt not in self.alpha:
+                        raise ValueError(
+                            f"d({format_monomial(m, n)}) reaches "
+                            f"{format_monomial(tgt, n)}, which is not monodromy-"
+                            "fixed: the connection does not commute with d")
+                    for k, c in enumerate(digits):
+                        if c:
+                            e = k + self.alpha[tgt] - self.alpha[m]
+                            terms.append((tgt, scalar(c), e))
+                            if e < 0:
+                                self.closure_failures.append((m, tgt, e))
+                terms.sort(key=lambda t: (t[0], t[2]))
+                self._terms[m] = terms
 
     def basis(self, s: int) -> list[int]:
         return self._basis.get(s, [])
 
-    def d_triples(self, mask: int):
-        return self._triples[mask]
+    def d_triples(self, mask: int) -> list[tuple[int, FieldScalar, int]]:
+        return self._terms[mask]
 
     @property
     def closed(self) -> bool:
         return not self.closure_failures
 
     def homogeneity_witness(self):
-        """First differential term whose x-exponent is not zero, in
-        (degree, source, target) order; None when strictly compatible."""
-        for s in range(self.bundle.top_degree + 1):
-            for m in self._basis[s]:
-                for tgt, _c, e in self._triples[m]:
-                    if e != 0:
-                        return (m, tgt, e)
+        """First term with e != 0, in (degree, source, target) order, the
+        order the terms were read in; None when every term has e = 0."""
+        for m, terms in self._terms.items():
+            for tgt, _c, e in terms:
+                if e != 0:
+                    return (m, tgt, e)
         return None
 
     def gr_diff(self) -> dict[int, dict[int, FieldScalar]]:
-        """The exponent-zero part of the differential: the complex core/x."""
+        """The e = 0 part of the differential: the complex core/x, and the
+        differential of every medial weight piece."""
         out: dict[int, dict[int, FieldScalar]] = {}
-        for m, triples in self._triples.items():
+        for m, terms in self._terms.items():
             out[m] = row = {}
-            for tgt, c, e in triples:
+            for tgt, c, e in terms:
                 if e == 0:
                     add_term(row, tgt, c)
         return out
 
-    def full_diff_at_one(self) -> dict[int, dict[int, FieldScalar]]:
-        """All terms with x set to 1: the core evaluated at x = 1."""
-        out: dict[int, dict[int, FieldScalar]] = {}
-        for m, triples in self._triples.items():
-            out[m] = row = {}
-            for tgt, c, _e in triples:
-                add_term(row, tgt, c)
-        return out
-
-
-def core_build(bundle: Complex, conn: KummerConnection) -> Core:
-    return Core(bundle, conn)
-
-
-def core_homogeneity(core: Core) -> dict:
-    w = core.homogeneity_witness()
-    if w is None:
-        return {"holds": True, "witness": None}
-    m, tgt, e = w
-    return {
-        "holds": False,
-        "witness": {
-            "source": format_monomial(m, core.n),
-            "target": format_monomial(tgt, core.n),
-            "x_exponent": e,
-        },
-    }
-
-
-class Medial:
-    """The F[x]-span of the T-fixed monomial basis, filtered by
-    fil(x^w b) = w + alpha(b): the unique decreasing filtration extending the
-    x-adic filtration of the core in which multiplication by x raises
-    filtration by one."""
-
-    def __init__(self, bundle: Complex, conn: KummerConnection):
-        if not bundle.descriptor.is_bundle():
-            raise ValueError("medial_build expects a bundle-mode complex")
-        self.bundle = bundle
-        self.conn = conn
-        self.field = bundle.field
-        self.n = bundle.n
-        self._basis = _fixed_basis(bundle, conn)
-        self.alpha = {m: int(conn.monomial_parameter(m))
-                      for fixed in self._basis.values() for m in fixed}
-        if any(a > 0 for a in self.alpha.values()):
-            raise ValueError(
-                "medial layer needs nonpositive parameters on the fixed basis")
-
-    def basis(self, s: int) -> list[int]:
-        return self._basis.get(s, [])
-
-    def filtration(self, mask: int, w: int) -> int:
-        return w + self.alpha[mask]
-
-    def min_filtration(self) -> int:
-        return min(self.alpha.values(), default=0)
-
     def gr_basis(self, t: int) -> dict[int, list[tuple[int, int]]]:
-        """Per cohomological degree: the (mask, w) pairs of weight exactly t."""
+        """Per degree, the medial elements x^w b of weight exactly t, as
+        (b, w) with w = t - alpha(b) >= 0."""
         out: dict[int, list[tuple[int, int]]] = {}
         for s, monos in self._basis.items():
             elems = [(m, t - self.alpha[m]) for m in monos if t - self.alpha[m] >= 0]
@@ -400,21 +341,17 @@ class Medial:
                 out[s] = elems
         return out
 
-    def d_pairs(self, mask: int):
-        """Bundle differential restricted to the fixed basis, as
-        (target, coefficient, x-power) triples."""
-        return sorted(_bundle_terms(self.bundle, mask), key=lambda t: (t[0], t[2]))
 
-    def weight_preserving(self) -> bool:
-        """True when every differential term preserves fil(x^w b); holds
-        exactly when the connection commutes with d on the nose."""
-        for monos in self._basis.values():
-            for m in monos:
-                for tgt, _c, xpow in self.d_pairs(m):
-                    if xpow + self.alpha[tgt] != self.alpha[m]:
-                        return False
-        return True
-
-
-def medial_build(bundle: Complex, conn: KummerConnection) -> Medial:
-    return Medial(bundle, conn)
+def core_homogeneity(layer: FixedLayer) -> dict:
+    w = layer.homogeneity_witness()
+    if w is None:
+        return {"holds": True, "witness": None}
+    m, tgt, e = w
+    return {
+        "holds": False,
+        "witness": {
+            "source": format_monomial(m, layer.n),
+            "target": format_monomial(tgt, layer.n),
+            "x_exponent": e,
+        },
+    }

@@ -18,12 +18,19 @@ lowers the filtration, and cuts each z_r matrix out of them by the source
 and target filtration values.  When the pages reach E-infinity, their totals
 are cross-checked against Betti numbers from the rank of each full block,
 taken on the same rows before they are cut.
+
+The monodromy spectral sequences read one ``kummer.FixedLayer``, whose
+terms carry the exponent e = k + alpha(b') - alpha(b): ``core_pages`` gives
+the x-adic pages of the core (E_1 from the e = 0 part, windowed pages when
+some e > 0), and ``medial_pages`` the weight pieces of the medial
+filtration, which need e = 0 on every term.
 """
 
 from __future__ import annotations
 
 from .exterior import add_term, first_subscript_filtration, format_monomial
 from .homology import FiniteComplex, betti, betti_numbers, block_matrix, matrix_rank
+from .ravenel import Complex, DgaDescriptor
 
 
 class FilteredComplex:
@@ -263,100 +270,86 @@ def run_pages(fc: FilteredComplex, r_max: int | None = None) -> PageReport:
 # -- monodromy spectral sequences ----------------------------------------------------
 
 
-def monodromy_ss(obj, t_report: int = 3) -> PageReport:
-    """Pages of the x-adic spectral sequence of a core, or of the extended
-    filtration of a medial layer.
-
-    Strict compatibility of the differential with the filtration (checked
-    term by term) certifies collapse at the first page; the report then
-    lists E_1 = E_inf on the window t <= t_report.  E_1 is additionally
-    compared against the Betti numbers of the fixed fiber at eps = 1.
+def core_pages(layer, t_report: int = 3) -> PageReport:
+    """Pages of the x-adic spectral sequence of the core of a
+    ``kummer.FixedLayer``: E_1 is the cohomology of the e = 0 part in every
+    column t >= 0.  Strict compatibility (e = 0 on every term) certifies
+    collapse at the first page, so E_1 = E_inf on the window t <= t_report;
+    otherwise the pages come from a truncated model.  E_1 is also compared
+    against the Betti numbers of the fixed fiber at eps = 1.
     """
-    from .kummer import Core, Medial
-
-    if isinstance(obj, Core):
-        core = obj
-        if not core.closed:
-            raise ValueError(
-                "the differential leaves the core (negative x-exponents); "
-                "its x-adic spectral sequence is undefined"
-            )
-        basis = {s: core.basis(s) for s in range(core.bundle.top_degree + 1)}
-        homogeneous = core.homogeneity_witness() is None
-        e1 = betti(FiniteComplex(core.field, basis, core.gr_diff())).totals_by_degree()
-        entries: dict[int, dict] = {1: {}}
-        for s, b in e1.items():
-            for t in range(0, t_report + 1):
-                entries[1][(s, t, 0)] = b
-        if homogeneous:
-            ranks = {1: {}}
-            report = PageReport(entries, ranks, 1, t_report, 1,
-                                notes={"certified_by": "strict x-adic compatibility"})
-        else:
-            report = _windowed_pages(core, t_report)
-            report.notes["e1_window"] = t_report
-        # E_1 columns must reproduce the smooth-fiber cohomology
-        fiber = _fixed_fiber_betti(core.bundle, core.conn)
-        report.notes["e1_matches_smooth_fiber"] = fiber == e1
-        report.notes["smooth_fiber_betti"] = fiber
-        return report
-
-    if isinstance(obj, Medial):
-        med = obj
-        if not med.weight_preserving():
-            raise ValueError(
-                "medial filtration is not preserved by d for this connection"
-            )
-        entries = {1: {}}
-        lo = med.min_filtration()
-        for t in range(lo, t_report + 1):
-            gr = med.gr_basis(t)
-            if not gr:
-                continue
-            diff = {}
-            for pairs in gr.values():
-                for (m, w) in pairs:
-                    diff[(m, w)] = {(tgt, w + xpow): c
-                                    for tgt, c, xpow in med.d_pairs(m)}
-            table = betti(FiniteComplex(med.field, gr, diff))
-            for s, b in table.totals_by_degree().items():
-                entries[1][(s, t, 0)] = b
-        return PageReport(entries, {1: {}}, 1, t_report, 1,
-                          notes={"certified_by": "weight grading"})
-
-    raise TypeError(f"monodromy_ss takes a Core or a Medial, not {type(obj).__name__}")
+    if not layer.closed:
+        raise ValueError(
+            "the differential leaves the core (negative x-exponents); "
+            "its x-adic spectral sequence is undefined"
+        )
+    basis = {s: layer.basis(s) for s in range(layer.top_degree + 1)}
+    e1 = betti(FiniteComplex(layer.field, basis, layer.gr_diff())).totals_by_degree()
+    entries: dict[int, dict] = {1: {}}
+    for s, b in e1.items():
+        for t in range(0, t_report + 1):
+            entries[1][(s, t, 0)] = b
+    if layer.homogeneity_witness() is None:
+        report = PageReport(entries, {1: {}}, 1, t_report, 1,
+                            notes={"certified_by": "strict x-adic compatibility"})
+    else:
+        report = _windowed_pages(layer, t_report)
+        report.notes["e1_window"] = t_report
+    # E_1 columns must reproduce the cohomology of the fixed smooth fiber
+    bundle = layer.bundle
+    desc = DgaDescriptor(bundle.n, bundle.p, layer.field, layer.field.one,
+                         bundle.descriptor.lie, "custom")
+    fiber = betti(Complex(desc, members=layer.conn.fixed_masks())).totals_by_degree()
+    report.notes["e1_matches_smooth_fiber"] = fiber == e1
+    report.notes["smooth_fiber_betti"] = fiber
+    return report
 
 
-def _fixed_fiber_betti(bundle, conn) -> dict[int, int]:
-    """Betti numbers of the fixed subcomplex of the fiber at eps = 1."""
-    from .ravenel import Complex, DgaDescriptor
+def medial_pages(layer, t_report: int = 3) -> PageReport:
+    """E_1 of the medial filtration fil(x^w b) = w + alpha(b) of a
+    ``kummer.FixedLayer``, on the weights min(alpha) <= t <= t_report.  The
+    weight-t piece has the basis (b, t - alpha(b)) and, as d preserves the
+    weights (e = 0 on every term), the layer's e = 0 part as differential;
+    that grading certifies collapse at the first page.
+    """
+    alpha = layer.alpha
+    if any(a > 0 for a in alpha.values()):
+        raise ValueError("medial layer needs nonpositive parameters on the fixed basis")
+    if layer.homogeneity_witness() is not None:
+        raise ValueError("medial filtration is not preserved by d for this connection")
+    gr_diff = layer.gr_diff()
+    entries: dict[int, dict] = {1: {}}
+    for t in range(min(alpha.values()), t_report + 1):
+        gr = layer.gr_basis(t)
+        if not gr:
+            continue
+        diff = {(m, w): {(tgt, t - alpha[tgt]): c for tgt, c in gr_diff[m].items()}
+                for pairs in gr.values() for (m, w) in pairs}
+        table = betti(FiniteComplex(layer.field, gr, diff))
+        for s, b in table.totals_by_degree().items():
+            entries[1][(s, t, 0)] = b
+    return PageReport(entries, {1: {}}, 1, t_report, 1,
+                      notes={"certified_by": "weight grading"})
 
-    desc = DgaDescriptor(bundle.n, bundle.p, bundle.field,
-                         bundle.field.one, bundle.descriptor.lie, "custom")
-    fixed = Complex(desc, members=conn.fixed_masks())
-    return betti(fixed).totals_by_degree()
 
-
-def _windowed_pages(core, t_report: int) -> PageReport:
+def _windowed_pages(layer, t_report: int) -> PageReport:
     """Truncated x-weight model for a closed but inhomogeneous core: exact
     for t <= t_report since differentials only raise the weight."""
-    max_e = max((e for trs in (core.d_triples(m) for s in
-                               range(core.bundle.top_degree + 1)
-                               for m in core.basis(s)) for (_t, _c, e) in trs),
+    max_e = max((e for m in layer.alpha for (_t, _c, e) in layer.d_triples(m)),
                 default=0)
     span = t_report + max_e + 1
     labels_by_degree: dict[int, list] = {}
     diff: dict = {}
-    for s in range(core.bundle.top_degree + 1):
-        labels_by_degree[s] = [(m, w) for m in core.basis(s) for w in range(span + 1)]
+    for s in range(layer.top_degree + 1):
+        labels_by_degree[s] = [(m, w) for m in layer.basis(s) for w in range(span + 1)]
         for (m, w) in labels_by_degree[s]:
             row = {}
-            for tgt, c, e in core.d_triples(m):
+            for tgt, c, e in layer.d_triples(m):
                 if w + e <= span:
                     add_term(row, (tgt, w + e), c)
             diff[(m, w)] = row
 
-    window = FiniteComplex(core.field, labels_by_degree, diff)
+    window = FiniteComplex(layer.field, labels_by_degree, diff)
     report = run_pages(FilteredComplex(window, lambda lbl: lbl[1]),
                        r_max=t_report + 1)
     # drop entries beyond the trustworthy window

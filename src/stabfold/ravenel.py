@@ -12,8 +12,8 @@ the Chevalley-Eilenberg complex of the n x n matrix Lie algebra, eps = 0 the
 singular, solvable fiber); the bundle, where eps stays the variable x and
 coefficients live in F[x], evaluates at eps = KRONECKER_BASE and reads the
 coefficients of the powers of x off as base-B digits (``bundle_digits``, the
-one bundle reader, which ``Complex.d_monomial`` and the cores and medial
-layers of ``kummer`` share); the exhaustive d∘d = 0 scan does the same with
+one bundle reader, which ``Complex.d_monomial`` and the fixed layer of
+``kummer`` share); the exhaustive d∘d = 0 scan does the same with
 two applications of d.  Sparse combinations of terms are merged with
 ``exterior.add_term``.
 
@@ -400,11 +400,15 @@ def _containment_witness_count(n: int, p: int) -> int:
 
 def containment_report(n: int, p: int, max_witnesses: int = 8) -> dict:
     """Decide whether every internal-degree-zero monomial has first-subscript
-    sum zero, and list the earliest failures in (degree, mask) order.
+    sum zero, and list up to max_witnesses failures.
 
     Existence is settled by an exact count over all 2^(n^2) monomials (the
     meet-in-the-middle tally); the degree-by-degree scan for explicit
-    witnesses only runs when failures exist, so it terminates early.
+    witnesses only runs when failures exist, so it terminates early.  The
+    witnesses all come from the lowest degree that has one, in the order
+    ``itertools.combinations`` yields their slot sets: lexicographic in the
+    ascending slot tuples, not ascending in the mask (at (4, 2) the mask 2065,
+    slots (0, 4, 11), comes before 290, slots (1, 5, 8)).
     """
     total = 1 << (n * n)
     bad = _containment_witness_count(n, p)

@@ -27,13 +27,18 @@ from stabfold.homology import (
     monomial_projection,
 )
 from stabfold.kummer import (
+    FixedLayer,
     KummerConnection,
-    core_build,
     core_homogeneity,
-    medial_build,
     solve_h_diagonal,
 )
-from stabfold.pages import critical_block, filter_first_subscript, monodromy_ss, run_pages
+from stabfold.pages import (
+    core_pages,
+    critical_block,
+    filter_first_subscript,
+    medial_pages,
+    run_pages,
+)
 from stabfold.ravenel import (
     build_bundle,
     build_deformed,
@@ -269,23 +274,22 @@ def _criterion_08_attainable() -> bool:
     ok = True
     for n, p in ((2, 11), (3, 7)):
         field = field_create(p)
-        core = core_build(build_bundle(n, p, field), KummerConnection.sigma(n))
-        ok = ok and core.closed and core_homogeneity(core)["holds"]
+        layer = FixedLayer(build_bundle(n, p, field), KummerConnection.sigma(n))
+        ok = ok and layer.closed and core_homogeneity(layer)["holds"]
     f7 = field_create(7)
-    sem = core_build(build_bundle(3, 7, f7), KummerConnection.semilinear(3, 7))
+    sem = FixedLayer(build_bundle(3, 7, f7), KummerConnection.semilinear(3, 7))
     hom = core_homogeneity(sem)
     ok = ok and not hom["holds"] and hom["witness"]["source"].startswith("h[3,")
     # height-1 filtration tables and the E_1^{1,-1} corner
     f5 = field_create(5)
     bundle1 = build_bundle(1, 5, f5)
     conn1 = KummerConnection.sigma(1)
-    core1 = core_build(bundle1, conn1)
-    ok = ok and core1.shift == {0: 0, 1: 1}
-    med1 = medial_build(bundle1, conn1)
-    ok = ok and med1.gr_basis(-1) == {1: [(1, 0)]}
-    ok = ok and med1.gr_basis(0) == {0: [(0, 0)], 1: [(1, 1)]}
-    core_rep = monodromy_ss(core1)
-    med_rep = monodromy_ss(med1)
+    layer1 = FixedLayer(bundle1, conn1)
+    ok = ok and layer1.alpha == {0: 0, 1: -1}
+    ok = ok and layer1.gr_basis(-1) == {1: [(1, 0)]}
+    ok = ok and layer1.gr_basis(0) == {0: [(0, 0)], 1: [(1, 1)]}
+    core_rep = core_pages(layer1)
+    med_rep = medial_pages(layer1)
     ok = ok and core_rep.dim(1, 1, -1) == 0 and med_rep.dim(1, 1, -1) == 1
     ok = ok and core_rep.notes["e1_matches_smooth_fiber"]
     # singular fiber surjects onto the fixed-point cohomology (rank check)
@@ -293,7 +297,7 @@ def _criterion_08_attainable() -> bool:
         field = field_create(p)
         fsc0 = subcomplex(build_singular(n, p, field), "fsc")
         full0 = build_singular(n, p, field)
-        proj = monomial_projection(full0, fsc0.contains, fsc0)
+        proj = monomial_projection(full0, fsc0)
         ok = ok and induced_map_rank(proj)["surjective_on_cohomology"]
     # fixed-fiber Betti equality holds at n = 2 (where FSC = cc)
     f11 = field_create(11)

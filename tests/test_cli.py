@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -205,6 +206,89 @@ def test_monodromy_custom_params(capsys, tmp_path):
     assert code == 0
     # these parameters reproduce the sigma flavor, so the core is homogeneous
     assert js["homogeneous"]
+
+
+# sha256 of the --format json stdout of `monodromy`: these payloads change
+# only on purpose
+MONODROMY_DIGESTS = [
+    (["--n", "1", "--p", "5"],
+     "6c07882e29dccfae7adfc7ce437cd125472bd2c749c13f0752d88685dbaacd69"),
+    (["--n", "2", "--p", "11"],
+     "7dfc61d4fd6cf8864833f739cc6b94278a190ea539d7d74bd2828824216b8fca"),
+    (["--n", "3", "--p", "7"],
+     "287584e725585761510c6f3c07c7f3a1482137525568e27f0dcc975898341311"),
+    (["--n", "1", "--p", "5", "--which", "medial"],
+     "080b5fd811de610857508621f40bb67cdb860bf38695ed0598c5c2829de92e9e"),
+    (["--n", "2", "--p", "11", "--which", "medial"],
+     "44e5c4da84b03b0af5820dfe0c2b3cf2ca2628534241b204803bfc2a4ee2c348"),
+    (["--n", "2", "--p", "11", "--flavor", "semilinear"],
+     "5a230c3934c12ac8643d6c26575f98abc18ec973d4d9532eb5ee8740a615a265"),
+    (["--n", "3", "--p", "7", "--flavor", "semilinear"],
+     "2a2e13c185f9961716f1b662adeac28fcec841adc4b0bb176aed59e92fa3fbe9"),
+    (["--n", "2", "--p", "11", "--flavor", "semilinear", "--t-report", "2"],
+     "83480318b3a273e20280230789ba70b1f4d1d593ecb72d7c94c909c23f2a0bea"),
+]
+
+
+@pytest.mark.parametrize("flags,digest", MONODROMY_DIGESTS,
+                         ids=[" ".join(f) for f, _ in MONODROMY_DIGESTS])
+def test_monodromy_json_payloads_are_pinned(capsys, flags, digest):
+    assert main(["monodromy"] + flags + ["--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _connection_file(tmp_path, n, values):
+    """A --params file: values maps (i, j) to (num, den), absent means 0."""
+    path = tmp_path / "conn.json"
+    path.write_text(json.dumps({"params": [
+        _params(i, j, *values.get((i, j), (0, 1)))
+        for i in range(1, n + 1) for j in range(1, n + 1)]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("n,p,flavor,which,values,message", [
+    # h[2,1] is fixed, but d(h[2,1]) reaches h[1,1]h[1,2] of parameter 1/2
+    (2, 11, "custom", "core", {(1, 2): (1, 2)}, "d(h[2,1]) reaches h[1,1]h[1,2]"),
+    (2, 11, "semilinear", "medial", None, "not preserved"),
+    (3, 7, "semilinear", "medial", None, "not preserved"),
+    (2, 11, "custom", "medial", {(i, j): (1, 1) for i in (1, 2) for j in (1, 2)},
+     "nonpositive parameters"),
+])
+def test_monodromy_refusals_exit_2_with_a_message(capsys, tmp_path, n, p, flavor,
+                                                  which, values, message):
+    argv = ["monodromy", "--n", str(n), "--p", str(p), "--flavor", flavor,
+            "--which", which]
+    if values is not None:
+        argv += ["--params", _connection_file(tmp_path, n, values)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert not captured.out
+    if which == "medial":
+        # the first term off weight is named, as core_homogeneity finds it
+        assert "first term off weight: d(" in captured.err
+
+
+@pytest.mark.parametrize("eps", ["0", "1", "3", "x"])
+def test_betti_gl_refuses_epsilon(capsys, eps):
+    # gl_n has no deformation parameter, so a given --epsilon would be ignored
+    code = main(["betti", "--lie", "gl", "--n", "2", "--p", "7", "--epsilon", eps,
+                 "--no-cache"])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert "takes no --epsilon" in captured.err
+
+
+def test_betti_gl_config_still_hashes_epsilon_0(capsys):
+    from stabfold.cli import SCHEMA_VERSION, config_hash
+
+    code, js = run_json(capsys, "betti", "--lie", "gl", "--n", "2", "--p", "7",
+                        "--no-cache")
+    assert code == 0
+    assert js["config_hash"] == config_hash({
+        "cmd": "betti", "lie": "gl", "complex": "full", "n": 2, "p": 7,
+        "ext": 1, "epsilon": "0", "schema_version": SCHEMA_VERSION})
 
 
 @pytest.mark.parametrize("argv", [

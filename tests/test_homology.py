@@ -396,7 +396,7 @@ def test_retraction_onto_fsc_surjective():
     f = field_create(11)
     cx = build_singular(2, 11, f)
     fsc = subcomplex(cx, "fsc")
-    proj = monomial_projection(cx, fsc.contains, fsc)
+    proj = monomial_projection(cx, fsc)
     out = induced_map_rank(proj)
     assert out["surjective_on_cohomology"]
 

@@ -5,6 +5,7 @@ import pytest
 
 from stabfold.exterior import (
     Cochain,
+    add_term,
     first_subscript_sum,
     generator_mask,
     internal_degree,
@@ -12,10 +13,9 @@ from stabfold.exterior import (
 )
 from stabfold.gf import field_create, primitive_root_of_unity
 from stabfold.kummer import (
+    FixedLayer,
     KummerConnection,
-    core_build,
     core_homogeneity,
-    medial_build,
     monodromy,
     solve_h_diagonal,
 )
@@ -184,45 +184,45 @@ def test_core_n1_fixture():
     # height 1, sigma flavor: core basis {1, x h[1,1]}
     f = field_create(5)
     bundle = build_bundle(1, 5, f)
-    core = core_build(bundle, KummerConnection.sigma(1))
-    assert core.basis(0) == [0]
-    assert core.basis(1) == [generator_mask(1, 1, 1)]
-    assert core.shift[generator_mask(1, 1, 1)] == 1
-    assert core.shift[0] == 0
-    assert core.closed
-    assert core_homogeneity(core)["holds"]
+    layer = FixedLayer(bundle, KummerConnection.sigma(1))
+    assert layer.basis(0) == [0]
+    assert layer.basis(1) == [generator_mask(1, 1, 1)]
+    assert layer.alpha[generator_mask(1, 1, 1)] == -1
+    assert layer.alpha[0] == 0
+    assert layer.closed
+    assert core_homogeneity(layer)["holds"]
 
 
 def test_core_n3_sigma_shifts():
     # core generated by x h[3,j], x k[i,j], x L1, x^2 L2
     f = field_create(7)
     bundle = build_bundle(3, 7, f)
-    core = core_build(bundle, KummerConnection.sigma(3))
+    layer = FixedLayer(bundle, KummerConnection.sigma(3))
     for j in (1, 2, 3):
-        assert core.shift[generator_mask(3, j, 3)] == 1
+        assert layer.alpha[generator_mask(3, j, 3)] == -1
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             kij = generator_mask(1, i, 3) | generator_mask(2, j, 3)
-            assert core.shift[kij] == 1
+            assert layer.alpha[kij] == -1
     _, l1 = parse_monomial("h[1,1]h[1,2]h[1,3]", 3)
     _, l2 = parse_monomial("h[2,1]h[2,2]h[2,3]", 3)
-    assert core.shift[l1] == 1
-    assert core.shift[l2] == 2
-    assert core.closed
+    assert layer.alpha[l1] == -1
+    assert layer.alpha[l2] == -2
+    assert layer.closed
 
 
 def test_core_homogeneity_sigma_holds_n2_n3():
     for n, p in [(2, 11), (3, 7), (3, 19)]:
         f = field_create(p)
-        core = core_build(build_bundle(n, p, f), KummerConnection.sigma(n))
-        assert core.closed
-        assert core_homogeneity(core)["holds"]
+        layer = FixedLayer(build_bundle(n, p, f), KummerConnection.sigma(n))
+        assert layer.closed
+        assert core_homogeneity(layer)["holds"]
 
 
 def test_core_homogeneity_semilinear_n3_fails_on_degree_one():
     f = field_create(7)
-    core = core_build(build_bundle(3, 7, f), KummerConnection.semilinear(3, 7))
-    out = core_homogeneity(core)
+    layer = FixedLayer(build_bundle(3, 7, f), KummerConnection.semilinear(3, 7))
+    out = core_homogeneity(layer)
     assert not out["holds"]
     # the earliest witness sits among the degree-1 core generators h~[3,j]
     assert out["witness"]["source"].startswith("h[3,")
@@ -232,9 +232,9 @@ def test_core_semilinear_n2_closed_but_inhomogeneous():
     # at height 2 the fixed basis agrees for both flavors and the semilinear
     # core is still closed, but d(h~[2,2]) already jumps x-valuation
     f = field_create(11)
-    core = core_build(build_bundle(2, 11, f), KummerConnection.semilinear(2, 11))
-    assert core.closed
-    out = core_homogeneity(core)
+    layer = FixedLayer(build_bundle(2, 11, f), KummerConnection.semilinear(2, 11))
+    assert layer.closed
+    out = core_homogeneity(layer)
     assert not out["holds"]
     assert out["witness"]["source"] == "h[2,2]"
 
@@ -242,45 +242,54 @@ def test_core_semilinear_n2_closed_but_inhomogeneous():
 def test_core_evaluation_at_one_matches_fixed_fiber():
     f = field_create(7)
     bundle = build_bundle(3, 7, f)
-    core = core_build(bundle, KummerConnection.sigma(3))
+    layer = FixedLayer(bundle, KummerConnection.sigma(3))
     fiber = build_deformed(3, 7, f, 1)
-    at_one = core.full_diff_at_one()
     for s in range(10):
-        for m in core.basis(s):
-            expected = {
-                t: c for t, c in fiber.d_monomial(m).items()
-                if True
-            }
-            assert at_one[m] == expected
+        for m in layer.basis(s):
+            # the core at x = 1: every term, whatever its exponent
+            at_one = {}
+            for t, c, _e in layer.d_triples(m):
+                add_term(at_one, t, c)
+            assert at_one == fiber.d_monomial(m)
 
 
 def test_medial_n1_filtration_table():
     f = field_create(5)
     bundle = build_bundle(1, 5, f)
-    med = medial_build(bundle, KummerConnection.sigma(1))
+    layer = FixedLayer(bundle, KummerConnection.sigma(1))
     h = generator_mask(1, 1, 1)
-    assert med.filtration(h, 0) == -1
-    assert med.filtration(0, 0) == 0
-    assert med.filtration(h, 1) == 0
-    gr_minus1 = med.gr_basis(-1)
+    # fil(x^w b) = w + alpha(b)
+    assert 0 + layer.alpha[h] == -1
+    assert 0 + layer.alpha[0] == 0
+    assert 1 + layer.alpha[h] == 0
+    gr_minus1 = layer.gr_basis(-1)
     assert gr_minus1 == {1: [(h, 0)]}
-    gr0 = med.gr_basis(0)
+    gr0 = layer.gr_basis(0)
     assert gr0 == {0: [(0, 0)], 1: [(h, 1)]}
-    gr1 = med.gr_basis(1)
+    gr1 = layer.gr_basis(1)
     assert gr1 == {0: [(0, 1)], 1: [(h, 2)]}
-    assert med.min_filtration() == -1
+    assert min(layer.alpha.values()) == -1
 
 
 def test_medial_n2_weight_preserving():
     f = field_create(11)
     bundle = build_bundle(2, 11, f)
-    med = medial_build(bundle, KummerConnection.sigma(2))
-    assert med.weight_preserving()
+    layer = FixedLayer(bundle, KummerConnection.sigma(2))
+    assert layer.homogeneity_witness() is None
     # basis = first-subscript monomials, every cohomological degree
     for s in range(5):
-        assert med.basis(s) == [
+        assert layer.basis(s) == [
             m for m in bundle.basis(s) if first_subscript_sum(m, 2) == 0
         ]
+
+
+def test_fixed_layer_refuses_a_differential_that_leaves_the_fixed_basis():
+    # h[1,2] = 1/2 and the rest 0: h[2,1] is fixed, but d(h[2,1]) reaches
+    # h[1,1]h[1,2], whose parameter 1/2 is not integral
+    conn = KummerConnection.custom(2, {(1, 1): 0, (2, 1): 0, (2, 2): 0,
+                                       (1, 2): Fraction(1, 2)})
+    with pytest.raises(ValueError, match=r"d\(h\[2,1\]\) reaches h\[1,1\]h\[1,2\]"):
+        FixedLayer(build_bundle(2, 11, field_create(11)), conn)
 
 
 def test_fixed_fiber_betti_equality_holds_at_n2_only():

@@ -3,12 +3,13 @@ import pytest
 from stabfold.exterior import first_subscript_filtration, generator_mask
 from stabfold.gf import field_create
 from stabfold.homology import FiniteComplex, betti
-from stabfold.kummer import KummerConnection, core_build, medial_build
+from stabfold.kummer import FixedLayer, KummerConnection
 from stabfold.pages import (
     FilteredComplex,
+    core_pages,
     critical_block,
     filter_first_subscript,
-    monodromy_ss,
+    medial_pages,
     run_pages,
 )
 from stabfold.ravenel import build_bundle, build_gl, build_singular
@@ -133,16 +134,27 @@ def test_block_matrix_names_a_label_that_leaves_its_block():
         betti(fc)
 
 
-def test_monodromy_ss_reads_the_kind_off_the_object():
+def test_fixed_layer_refuses_a_fiber_complex():
     f = field_create(5)
-    with pytest.raises(TypeError, match="Core or a Medial"):
-        monodromy_ss(build_bundle(1, 5, f))
+    with pytest.raises(ValueError, match="bundle"):
+        FixedLayer(build_singular(1, 5, f), KummerConnection.sigma(1))
+
+
+@pytest.mark.parametrize("n,p", [(1, 5), (2, 11), (3, 7), (3, 19)])
+def test_core_and_medial_e1_agree_on_every_column(n, p):
+    # for sigma every term has e = 0, so the core mod x and the medial weight
+    # pieces t >= 0 are the same complex up to relabelling
+    layer = FixedLayer(build_bundle(n, p, field_create(p)), KummerConnection.sigma(n))
+    core, medial = core_pages(layer), medial_pages(layer)
+    for t in range(4):
+        for s in range(n * n + 1):
+            assert core.dim(1, s, t) == medial.dim(1, s, t)
 
 
 def test_monodromy_ss_core_n1():
     f = field_create(5)
-    core = core_build(build_bundle(1, 5, f), KummerConnection.sigma(1))
-    report = monodromy_ss(core)
+    layer = FixedLayer(build_bundle(1, 5, f), KummerConnection.sigma(1))
+    report = core_pages(layer)
     assert report.collapse_page == 1
     # E_1^{s,t} = H^s(fiber) = 1 for s in {0,1}, every t >= 0; nothing at t < 0
     for t in range(0, 3):
@@ -154,8 +166,8 @@ def test_monodromy_ss_core_n1():
 
 def test_monodromy_ss_medial_n1_nonsurjectivity_corner():
     f = field_create(5)
-    med = medial_build(build_bundle(1, 5, f), KummerConnection.sigma(1))
-    report = monodromy_ss(med)
+    layer = FixedLayer(build_bundle(1, 5, f), KummerConnection.sigma(1))
+    report = medial_pages(layer)
     # the medial page has E_1^{1,-1} = 1 where the core page has zero
     assert report.dim(1, 1, -1) == 1
     assert report.dim(1, 0, 0) == 1
@@ -165,8 +177,8 @@ def test_monodromy_ss_medial_n1_nonsurjectivity_corner():
 
 def test_monodromy_ss_core_n2_collapse_and_fiber_match():
     f = field_create(11)
-    core = core_build(build_bundle(2, 11, f), KummerConnection.sigma(2))
-    report = monodromy_ss(core)
+    layer = FixedLayer(build_bundle(2, 11, f), KummerConnection.sigma(2))
+    report = core_pages(layer)
     assert report.collapse_page == 1
     assert report.notes["e1_matches_smooth_fiber"]
     # free over x: every t-column repeats the fixed smooth-fiber cohomology
@@ -178,8 +190,8 @@ def test_monodromy_ss_core_n2_collapse_and_fiber_match():
 
 def test_monodromy_ss_core_n3_sigma_collapse():
     f = field_create(7)
-    core = core_build(build_bundle(3, 7, f), KummerConnection.sigma(3))
-    report = monodromy_ss(core)
+    layer = FixedLayer(build_bundle(3, 7, f), KummerConnection.sigma(3))
+    report = core_pages(layer)
     assert report.collapse_page == 1
     assert report.notes["certified_by"] == "strict x-adic compatibility"
     assert report.notes["e1_matches_smooth_fiber"]
@@ -187,19 +199,19 @@ def test_monodromy_ss_core_n3_sigma_collapse():
 
 def test_monodromy_ss_rejects_unclosed_core():
     f = field_create(7)
-    core = core_build(build_bundle(3, 7, f), KummerConnection.semilinear(3, 7))
-    assert not core.closed
+    layer = FixedLayer(build_bundle(3, 7, f), KummerConnection.semilinear(3, 7))
+    assert not layer.closed
     with pytest.raises(ValueError):
-        monodromy_ss(core)
+        core_pages(layer)
 
 
 def test_windowed_pages_on_inhomogeneous_closed_core():
     # the height-2 semilinear core is closed but not homogeneous; its pages
     # still converge to the same totals in the reported window
     f = field_create(11)
-    core = core_build(build_bundle(2, 11, f), KummerConnection.semilinear(2, 11))
-    assert core.closed
-    report = monodromy_ss(core, t_report=2)
+    layer = FixedLayer(build_bundle(2, 11, f), KummerConnection.semilinear(2, 11))
+    assert layer.closed
+    report = core_pages(layer, t_report=2)
     assert report.notes.get("window_limited")
     assert report.entries[1]
 

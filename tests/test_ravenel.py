@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -361,11 +362,27 @@ def test_containment_n4_p2_fails_with_paper_monomial_a_witness():
     rep = containment_report(4, 2)
     assert not rep["holds"]
     # the quoted degree-4 counterexample is a genuine witness, though not the
-    # first one in (degree, mask) order (a degree-3 witness exists)
+    # first one listed (the listed ones have degree 3)
     _, quoted = parse_monomial("h[2,0]h[2,1]h[3,0]h[3,1]", 4)
     assert internal_degree(quoted, 4, 2) == 0
     assert first_subscript_sum(quoted, 4) != 0
     assert degree(rep["witness"]) == 3
+
+
+def test_containment_witnesses_come_in_slot_combination_order():
+    # oracle: the lowest degree holding a critical monomial outside the
+    # first-subscript complex, scanned in itertools.combinations order
+    n, p = 4, 2
+    for s in range(n * n + 1):
+        bad = [m for m in (sum(1 << b for b in combo)
+                           for combo in combinations(range(n * n), s))
+               if internal_degree(m, n, p) == 0 and first_subscript_sum(m, n) != 0]
+        if bad:
+            break
+    witnesses = containment_report(n, p)["witnesses"]
+    assert witnesses == bad[:8]
+    # slots (0, 4, 11) come before slots (1, 5, 8), against mask order
+    assert witnesses.index(2065) < witnesses.index(290)
 
 
 def test_containment_n4_holds_for_odd_p():
