@@ -683,12 +683,6 @@ class Poly:
             acc = acc * e + c
         return acc
 
-    def shift(self, e: int) -> "Poly":
-        """Multiply by x^e (e >= 0)."""
-        if not self.coeffs:
-            return self
-        return Poly(self.field, [self.field.zero] * e + list(self.coeffs))
-
     def monic(self) -> "Poly":
         if not self.coeffs:
             return self

@@ -6,10 +6,9 @@ All linear algebra runs through one sparse echelon over rows
 coding of the field passed along (``Field.coding``, see ``gf``).  Each pivot
 sits at its row's least column and is normalized to one, rows are inserted
 shortest first, and the coding's single ``row -= c * prow`` step serves rank,
-reduced echelon form, kernels, reduction of representatives and
-``retract.minimal_polynomial``.  A row space has exactly one reduced echelon
-form with pivots at least columns, so every result is independent of the
-insertion order.
+reduced echelon form, kernels and reduction of representatives.  A row space
+has exactly one reduced echelon form with pivots at least columns, so every
+result is independent of the insertion order.
 
 Rows are coded where they enter the engine and decoded where results leave
 it: representatives, class coordinates and cup products are
@@ -17,13 +16,26 @@ it: representatives, class coordinates and cup products are
 
 ``block_matrix`` is the one place that turns d on an (s, u) block into coded
 rows, and every consumer reads those rows rather than expanding d again:
-``betti`` streams them block by block into ranks; ``Cohomology`` hands each
-block's rows to two consumers, the cocycles of BlockCohomology(s, u) and,
-transposed, the coboundaries of BlockCohomology(s + 1, u), holding them only
-until the second has taken them; ``exterior_ring_check`` reads its Betti
-profile off those blocks' classes; and ``pages.run_pages`` filters them by
-the filtration.  A ``FiniteComplex`` on arbitrary labels (the cores, medial
-layers and x-adic windows of ``pages``) is read the same way.
+``betti`` streams them block by block into ranks, one block per σ-orbit;
+``Cohomology`` hands each block's rows to two consumers, the cocycles of
+BlockCohomology(s, u) and, transposed, the coboundaries of
+BlockCohomology(s + 1, u), holding them only until the second has taken
+them; ``exterior_ring_check`` reads its Betti profile off those blocks'
+classes; and ``pages.run_pages`` filters them by the filtration.  A
+``FiniteComplex`` on arbitrary labels (the cores, medial layers and x-adic
+windows of ``pages``) is read the same way.
+
+``betti`` eliminates one block per σ-orbit.  The cyclic shift σ: h[i,j] ->
+h[i,j+1] permutes the generators, so it is an algebra automorphism, and
+``ravenel.sigma_certificate`` checks on the generators that it multiplies the
+internal class by p and commutes with d at every integer eps.  So σ maps the
+(s, u) block bijectively onto the (s, p u) block, each monomial to a signed
+monomial, and d on the image block is d on the block conjugated by signed
+permutation matrices: the ranks agree, and the one rank of an orbit is copied
+along it once the blocks' sizes are seen to agree.  Only member sets known to
+be σ-stable share (the full, critical and first-subscript complexes, as
+``Complex.block_orbits`` reads their labels); custom member lists and a
+``FiniteComplex`` have one orbit per block.
 
 Representatives come from one identity.  Let B = im d_(s-1) and Z = ker d_s
 on a block, and let pi reduce a vector against an echelon of B, zeroing B's
@@ -191,6 +203,9 @@ class FiniteComplex:
         labels = self._labels.get(s)
         return {0: labels} if labels else {}
 
+    def block_orbits(self, s: int) -> list[list[int]]:
+        return [[u] for u in self.blocks(s)]
+
     def d_monomial(self, label) -> dict:
         return self._diff.get(label, {})
 
@@ -225,8 +240,10 @@ def betti_numbers(dims: dict, ranks: dict) -> dict:
     return out
 
 
-def betti(cx) -> BettiTable:
-    """Betti numbers per (cohomological degree, internal class) block."""
+def block_ranks(cx) -> tuple[dict, dict]:
+    """Dimension and rank of d of every (s, u) block: one elimination per
+    orbit of ``cx.block_orbits``, its rank copied along the orbit once the
+    sizes of the orbit's blocks, and of their targets, are seen to agree."""
     if cx.descriptor is not None and cx.descriptor.is_bundle():
         raise ValueError(
             "bundle-mode complex: cohomology over F[x] is handled through "
@@ -236,10 +253,22 @@ def betti(cx) -> BettiTable:
     ranks: dict[tuple[int, int], int] = {}
     dims: dict[tuple[int, int], int] = {}
     for s in range(cx.top_degree + 1):
-        for u, monos in cx.blocks(s).items():
-            dims[(s, u)] = len(monos)
-            rows, ncols = block_matrix(cx, s, u)
-            ranks[(s, u)] = matrix_rank(rows, ncols, field)
+        blocks, above = cx.blocks(s), cx.blocks(s + 1)
+        for orbit in cx.block_orbits(s):
+            rows, ncols = block_matrix(cx, s, orbit[0])
+            rank = matrix_rank(rows, ncols, field)
+            for u in orbit:
+                if (len(blocks.get(u, ())), len(above.get(u, ()))) != (ncols, len(rows)):
+                    raise RuntimeError(
+                        f"blocks of the σ-orbit {orbit} of degree {s} differ in size")
+                ranks[(s, u)] = rank
+        dims.update(((s, u), len(monos)) for u, monos in blocks.items())
+    return dims, ranks
+
+
+def betti(cx) -> BettiTable:
+    """Betti numbers per (cohomological degree, internal class) block."""
+    dims, ranks = block_ranks(cx)
     return BettiTable(betti_numbers(dims, ranks), dims)
 
 

@@ -318,15 +318,19 @@ def medial_pages(layer, t_report: int = 3) -> PageReport:
     if layer.homogeneity_witness() is not None:
         raise ValueError("medial filtration is not preserved by d for this connection")
     gr_diff = layer.gr_diff()
+    # from weight max(alpha) on, every piece holds the whole fixed basis with
+    # the same differential, relabelled: its Betti totals are computed once
+    whole = max(alpha.values())
+    totals: dict[int, dict] = {}
     entries: dict[int, dict] = {1: {}}
     for t in range(min(alpha.values()), t_report + 1):
-        gr = layer.gr_basis(t)
-        if not gr:
-            continue
-        diff = {(m, w): {(tgt, t - alpha[tgt]): c for tgt, c in gr_diff[m].items()}
-                for pairs in gr.values() for (m, w) in pairs}
-        table = betti(FiniteComplex(layer.field, gr, diff))
-        for s, b in table.totals_by_degree().items():
+        key = min(t, whole)
+        if key not in totals:
+            gr = layer.gr_basis(key)
+            diff = {(m, w): {(tgt, key - alpha[tgt]): c for tgt, c in gr_diff[m].items()}
+                    for pairs in gr.values() for (m, w) in pairs}
+            totals[key] = betti(FiniteComplex(layer.field, gr, diff)).totals_by_degree()
+        for s, b in totals[key].items():
             entries[1][(s, t, 0)] = b
     return PageReport(entries, {1: {}}, 1, t_report, 1,
                       notes={"certified_by": "weight grading"})

@@ -25,6 +25,9 @@ monomials whose two halves cancel.  Their closure under d rests on a
 generator-level certificate that ``subcomplex`` checks on the pair table:
 each term of d(g) keeps g's internal class and first-subscript sum mod n, and
 both gradings add along the wedge products of the Leibniz rule.
+``sigma_certificate`` checks on the same table that the cyclic shift σ
+commutes with d and multiplies the internal class by p, so ``betti``
+eliminates one block per σ-orbit (see ``homology``).
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ from .exterior import (
 from .gf import Field, Poly
 
 BUNDLE = "bundle"
+# the labels whose member sets σ maps onto themselves
+SIGMA_STABLE = ("full", "critical", "fsc")
 
 # Kronecker substitution: eps = x is evaluated at this integer base B.  A
 # coefficient of d or of d∘d is a sum of at most n^3 resp. n^3 * n^3 signed
@@ -282,6 +287,26 @@ class Complex:
             self._block_cache[s] = out
         return self._block_cache[s]
 
+    def block_orbits(self, s: int) -> list[list[int]]:
+        """The internal classes of degree s in σ-orbits u, p u, p^2 u, ...
+        (mod 2(p^n - 1)), each led by its first class in ``blocks`` order.
+        Singletons unless ``sigma_certificate`` holds and the members are
+        σ-stable: all monomials, or the critical or first-subscript complex
+        (σ keeps class 0 and the first-subscript sum)."""
+        blocks = self.blocks(s)
+        if (self.descriptor.label not in SIGMA_STABLE
+                or not sigma_certificate(self.n, self.p)):
+            return [[u] for u in blocks]
+        orbits, seen = [], set()
+        for u in blocks:
+            if u not in seen:
+                orbit = [u]
+                while (v := orbit[-1] * self.p % self.internal_modulus) != u:
+                    orbit.append(v)
+                seen.update(orbit)
+                orbits.append(orbit)
+        return orbits
+
     # -- differential -------------------------------------------------------------
 
     def d_monomial(self, mask: int) -> dict[int, object]:
@@ -348,6 +373,49 @@ def build_gl(n: int, field: Field, p_for_grading: int) -> Complex:
 
 class ClosureError(RuntimeError):
     """A labeled subcomplex failed to be closed under the differential."""
+
+
+def _sigma_commutes(n: int, p: int) -> bool:
+    weights, mod = internal_weights(n, p)
+    table = generator_pair_table(n)
+
+    def d_part(gslot: int, eps: int, shifted: bool) -> dict[int, int]:
+        """The eps-free (eps = 0) or the eps (eps = 1) part of d(g), or of
+        σ(d(g)) when shifted."""
+        out: dict[int, int] = {}
+        for pmask, presign, e in table[gslot]:
+            if e == eps:
+                sign, tgt = sigma_shift(pmask, n) if shifted else (1, pmask)
+                add_term(out, tgt, sign * presign)
+        return out
+
+    for gslot in range(n * n):
+        image = sigma_shift(1 << gslot, n)[1].bit_length() - 1
+        if (weights[gslot] % 2 or weights[image] != p * weights[gslot] % mod
+                or image // n != gslot // n
+                or any(d_part(gslot, e, True) != d_part(image, e, False)
+                       for e in (0, 1))):
+            return False
+    return True
+
+
+_SIGMA_CERTIFICATES: dict[tuple[int, int], bool] = {}
+
+
+def sigma_certificate(n: int, p: int) -> bool:
+    """Does the cyclic shift σ: h[i,j] -> h[i,j+1] map the (s, u) blocks of
+    the height-n complexes graded by p onto one another, commuting with d?
+
+    Checked on the generators: σ multiplies each slot's internal weight by p
+    mod 2(p^n - 1) and keeps its first subscript, every weight is even (so
+    p^n u = u, and the orbit of a class closes within n steps), and σ
+    commutes with d on the pair table, on the eps-free and on the eps terms
+    apart, so for every integer eps.  σ permutes the generators with the
+    reordering sign of ``sigma_shift``, an algebra automorphism, so all of it
+    holds on every monomial."""
+    if (n, p) not in _SIGMA_CERTIFICATES:
+        _SIGMA_CERTIFICATES[(n, p)] = _sigma_commutes(n, p)
+    return _SIGMA_CERTIFICATES[(n, p)]
 
 
 def subcomplex(cx: Complex, which: str) -> Complex:

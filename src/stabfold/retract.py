@@ -1,5 +1,5 @@
-"""Degree -1 derivations, the operator D = dh + hd, eigen-analysis, kernel
-sub-DGAs, and the tensor-sum product on matrices.
+"""Degree -1 derivations, the operator D = dh + hd, kernel sub-DGAs, and the
+tensor-sum product on matrices.
 
 The distinguished derivation pair on the CE complex of gl_n assigns
 h(h[n,j]) = w^j * w/(1-w) for a chosen root of unity w (zero on h[i,j] with
@@ -16,8 +16,7 @@ monomial: no certificate covers a computed kernel.
 from __future__ import annotations
 
 from .exterior import Cochain, add_term, format_monomial, split_join, subset_sums
-from .gf import Field, FieldScalar, Poly, poly_divmod, poly_gcd, poly_powmod
-from .homology import insert_row
+from .gf import Field, FieldScalar
 from .ravenel import ClosureError, Complex, DgaDescriptor
 
 
@@ -54,23 +53,6 @@ class Derivation:
                 mm ^= low
                 pos += 1
         return Cochain(self.cx.n, out)
-
-    def matrix(self, s: int) -> list[list[FieldScalar]]:
-        """Dense matrix of the action on the degree-s basis (degree shift 0)."""
-        if self.degree_shift != 0:
-            raise ValueError("matrix() is for degree-preserving derivations")
-        cx = self.cx
-        field = cx.field
-        basis = cx.basis(s)
-        index = {m: i for i, m in enumerate(basis)}
-        cols = []
-        for mask in basis:
-            img = self.apply(Cochain(cx.n, {mask: field.one}))
-            col = [field.zero] * len(basis)
-            for m2, c in img.terms.items():
-                col[index[m2]] = c
-            cols.append(col)
-        return [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
 
 
 def extend_functional(cx, values: dict) -> Derivation:
@@ -126,127 +108,12 @@ def lambda_h_pair(cx, omega: FieldScalar):
     return extend_functional(cx, hvals), lam
 
 
-# -- eigen-analysis -----------------------------------------------------------------
-
-
-def _mat_mul(a, b, field):
-    n = len(a)
-    out = [[field.zero] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        row = out[i]
-        for k in range(n):
-            c = ai[k]
-            if c:
-                bk = b[k]
-                for j in range(n):
-                    if bk[j]:
-                        row[j] = row[j] + c * bk[j]
-    return out
-
-
-def _mat_vec(a, v, field):
-    return [
-        sum((a[i][j] * v[j] for j in range(len(v)) if v[j]), field.zero)
-        for i in range(len(v))
-    ]
-
-
-def minimal_polynomial(mat, field: Field) -> Poly:
-    """Minimal polynomial of a square matrix: lcm of the local minimal
-    polynomials of the standard basis vectors, tracked through an echelon.
-
-    Krylov vector k enters the echelon augmented with column n + k, so the
-    first vector whose coordinates reduce to zero leaves the coefficients of
-    its local minimal polynomial in columns n, ..., n + k.
-    """
-    n = len(mat)
-    coding = field.coding
-    result = Poly.const(field, 1)
-    for start in range(n):
-        ech: dict[int, dict] = {}
-        v = [field.zero] * n
-        v[start] = field.one
-        for k in range(n + 1):
-            row = coding.encode_row(dict(enumerate(v)))
-            row[n + k] = coding.one
-            piv = insert_row(row, ech, field)
-            if piv >= n:
-                coeffs = coding.decode_row(ech[piv])
-                local = Poly(field, [coeffs.get(n + j, field.zero)
-                                     for j in range(k + 1)])
-                g = poly_gcd(local, result)
-                result = poly_divmod(local * result, g)[0] if g else local
-                break
-            v = _mat_vec(mat, v, field)
-    return result.monic()
-
-
-def poly_roots_in_field(f: Poly, field: Field) -> list[FieldScalar]:
-    return [e for e in field.elements() if not f.evaluate(e)]
-
-
-def is_diagonalizable(mat, field: Field) -> tuple[bool, Poly]:
-    """Diagonalizable over the field iff the minimal polynomial divides
-    y^q - y, i.e. is squarefree and split."""
-    mp = minimal_polynomial(mat, field)
-    yq = poly_powmod(Poly.x_power(field, 1), field.cardinality, mp)
-    y = poly_divmod(Poly.x_power(field, 1), mp)[1]
-    return yq == y, mp
-
-
-def u_property_check(cx_or_field, D) -> dict:
-    """Diagonalizability and eigenvalue report for a degree-preserving
-    derivation (checked on the degree-1 action) or a raw square matrix.
-
-    Over a finite field every nonzero element is a root of unity, so the
-    eigenvalue-membership half of the property holds automatically once the
-    minimal polynomial splits.
-    """
-    if isinstance(D, Derivation):
-        field = D.cx.field
-        mat = D.matrix(1)
-    else:
-        field = cx_or_field if isinstance(cx_or_field, Field) else cx_or_field.field
-        mat = D
-    diag, mp = is_diagonalizable(mat, field)
-    eigen = poly_roots_in_field(mp, field)
-    return {
-        "diagonalizable": diag,
-        "eigenvalues": set(eigen),
-        "all_in_k_u": True,
-        "minimal_polynomial": mp,
-    }
-
-
-def idempotent_exponent(cx_or_field, D, max_steps: int = 100000) -> int:
-    """Smallest t >= 1 with D^(2t) = D^t (such a D^t is then automatically
-    diagonalizable, its minimal polynomial dividing y^2 - y)."""
-    if isinstance(D, Derivation):
-        field = D.cx.field
-        mats = [D.matrix(s) for s in range(1, D.cx.top_degree + 1)
-                if D.cx.basis(s)]
-    else:
-        field = cx_or_field if isinstance(cx_or_field, Field) else cx_or_field.field
-        mats = [D]
-    powers = [list(map(list, m)) for m in mats]  # D^t
-    squares = [_mat_mul(m, m, field) for m in mats]  # D^(2t)
-    for t in range(1, max_steps + 1):
-        if all(p == s for p, s in zip(powers, squares)):
-            return t
-        powers = [_mat_mul(p, m, field) for p, m in zip(powers, mats)]
-        squares = [_mat_mul(_mat_mul(s, m, field), m, field)
-                   for s, m in zip(squares, mats)]
-    raise RuntimeError(f"no idempotent iterate found within {max_steps} steps")
-
-
 # -- kernel models ------------------------------------------------------------------
 
 
 class NotDiagonalError(RuntimeError):
     """Raised when a kernel model is requested for a derivation that is not
-    diagonal on the generators; the caller should fall back to
-    idempotent_exponent and the image of id - D^t."""
+    diagonal on the generators: its kernel is then no span of monomials."""
 
 
 def _diagonal_eigenvalues(cx, D: Derivation) -> dict[int, FieldScalar]:
@@ -259,8 +126,8 @@ def _diagonal_eigenvalues(cx, D: Derivation) -> dict[int, FieldScalar]:
         extra = [m for m in img.terms if m != mask]
         if extra:
             raise NotDiagonalError(
-                "derivation is not h-basis-diagonal in degree 1; use "
-                "idempotent_exponent and the image of id - D^t instead"
+                "derivation is not h-basis-diagonal in degree 1, so its kernel "
+                "is not spanned by monomials"
             )
         out[mask] = img.terms.get(mask, field.zero)
     return out

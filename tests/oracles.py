@@ -9,12 +9,19 @@ units, without the package's generator pair table or wedge signs.
 `flipped_sign_table` plants a sign fault for the checks to catch.
 `full_kernel_representatives` is no independent code but the earlier way of
 taking a block's classes, kept as a reference for the present one.
+`u_property_check` and `idempotent_exponent` are the paper's U-property tools
+on dense matrices (minimal polynomial, diagonalizability, idempotent
+iterates); the package builds kernel models from generator eigenvalues and
+does not need them.
 """
 
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
-from stabfold.homology import nullspace, reduce_against, rref
+from stabfold.exterior import Cochain
+from stabfold.gf import Field, Poly, poly_divmod, poly_gcd, poly_powmod
+from stabfold.homology import insert_row, nullspace, reduce_against, rref
+from stabfold.retract import Derivation
 
 
 def dense_rank_oracle(rows, ncols, field) -> int:
@@ -108,3 +115,130 @@ def full_kernel_representatives(d_out, d_in, ncols, field):
     reduced = [reduce_against(v, cob_rows, cob_pivots, field)
                for v in nullspace(d_out, ncols, field)]
     return rref([r for r in reduced if r], field)
+
+
+# -- the U-property tools ------------------------------------------------------------
+
+
+def derivation_matrix(D: Derivation, s: int):
+    """Dense matrix of a degree-preserving derivation on the degree-s basis."""
+    if D.degree_shift != 0:
+        raise ValueError("a matrix needs a degree-preserving derivation")
+    cx = D.cx
+    field = cx.field
+    basis = cx.basis(s)
+    index = {m: i for i, m in enumerate(basis)}
+    cols = []
+    for mask in basis:
+        img = D.apply(Cochain(cx.n, {mask: field.one}))
+        col = [field.zero] * len(basis)
+        for m2, c in img.terms.items():
+            col[index[m2]] = c
+        cols.append(col)
+    return [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
+
+
+def mat_mul(a, b, field):
+    n = len(a)
+    out = [[field.zero] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            c = a[i][k]
+            if c:
+                for j in range(n):
+                    if b[k][j]:
+                        out[i][j] = out[i][j] + c * b[k][j]
+    return out
+
+
+def mat_vec(a, v, field):
+    return [sum((a[i][j] * v[j] for j in range(len(v)) if v[j]), field.zero)
+            for i in range(len(v))]
+
+
+def minimal_polynomial(mat, field: Field) -> Poly:
+    """Minimal polynomial of a square matrix: lcm of the local minimal
+    polynomials of the standard basis vectors, tracked through an echelon.
+
+    Krylov vector k enters the echelon augmented with column n + k, so the
+    first vector whose coordinates reduce to zero leaves the coefficients of
+    its local minimal polynomial in columns n, ..., n + k.
+    """
+    n = len(mat)
+    coding = field.coding
+    result = Poly.const(field, 1)
+    for start in range(n):
+        ech: dict[int, dict] = {}
+        v = [field.zero] * n
+        v[start] = field.one
+        for k in range(n + 1):
+            row = coding.encode_row(dict(enumerate(v)))
+            row[n + k] = coding.one
+            piv = insert_row(row, ech, field)
+            if piv >= n:
+                coeffs = coding.decode_row(ech[piv])
+                local = Poly(field, [coeffs.get(n + j, field.zero)
+                                     for j in range(k + 1)])
+                g = poly_gcd(local, result)
+                result = poly_divmod(local * result, g)[0] if g else local
+                break
+            v = mat_vec(mat, v, field)
+    return result.monic()
+
+
+def poly_roots_in_field(f: Poly, field: Field):
+    return [e for e in field.elements() if not f.evaluate(e)]
+
+
+def is_diagonalizable(mat, field: Field):
+    """Diagonalizable over the field iff the minimal polynomial divides
+    y^q - y, i.e. is squarefree and split; returns (verdict, minimal poly)."""
+    mp = minimal_polynomial(mat, field)
+    yq = poly_powmod(Poly.x_power(field, 1), field.cardinality, mp)
+    y = poly_divmod(Poly.x_power(field, 1), mp)[1]
+    return yq == y, mp
+
+
+def _field_of(cx_or_field) -> Field:
+    return cx_or_field if isinstance(cx_or_field, Field) else cx_or_field.field
+
+
+def u_property_check(cx_or_field, D) -> dict:
+    """Diagonalizability and eigenvalue report for a degree-preserving
+    derivation (checked on the degree-1 action) or a raw square matrix.
+
+    Over a finite field every nonzero element is a root of unity, so the
+    eigenvalue-membership half of the property holds automatically once the
+    minimal polynomial splits.
+    """
+    if isinstance(D, Derivation):
+        field, mat = D.cx.field, derivation_matrix(D, 1)
+    else:
+        field, mat = _field_of(cx_or_field), D
+    diag, mp = is_diagonalizable(mat, field)
+    return {
+        "diagonalizable": diag,
+        "eigenvalues": set(poly_roots_in_field(mp, field)),
+        "all_in_k_u": True,
+        "minimal_polynomial": mp,
+    }
+
+
+def idempotent_exponent(cx_or_field, D, max_steps: int = 100000) -> int:
+    """Smallest t >= 1 with D^(2t) = D^t (such a D^t is then automatically
+    diagonalizable, its minimal polynomial dividing y^2 - y)."""
+    if isinstance(D, Derivation):
+        field = D.cx.field
+        mats = [derivation_matrix(D, s) for s in range(1, D.cx.top_degree + 1)
+                if D.cx.basis(s)]
+    else:
+        field, mats = _field_of(cx_or_field), [D]
+    powers = [list(map(list, m)) for m in mats]  # D^t
+    squares = [mat_mul(m, m, field) for m in mats]  # D^(2t)
+    for t in range(1, max_steps + 1):
+        if all(p == s for p, s in zip(powers, squares)):
+            return t
+        powers = [mat_mul(p, m, field) for p, m in zip(powers, mats)]
+        squares = [mat_mul(mat_mul(s, m, field), m, field)
+                   for s, m in zip(squares, mats)]
+    raise RuntimeError(f"no idempotent iterate found within {max_steps} steps")

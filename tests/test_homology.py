@@ -2,7 +2,12 @@ import random
 import sys
 
 import pytest
-from oracles import dense_rank_oracle, full_kernel_representatives, sympy_rank
+from oracles import (
+    dense_rank_oracle,
+    flipped_sign_table,
+    full_kernel_representatives,
+    sympy_rank,
+)
 
 from stabfold import homology
 from stabfold.exterior import Cochain, generator_mask, parse_monomial
@@ -11,8 +16,10 @@ from stabfold.homology import (
     BlockCohomology,
     ChainMap,
     Cohomology,
+    FiniteComplex,
     betti,
     block_matrix,
+    block_ranks,
     exterior_profile,
     exterior_ring_check,
     inclusion_map,
@@ -22,6 +29,7 @@ from stabfold.homology import (
     nullspace,
     rref,
 )
+from stabfold import ravenel
 from stabfold.ravenel import (
     Complex,
     build_bundle,
@@ -422,3 +430,154 @@ def test_block_matrix_respects_blocks():
         for u in cx.blocks(s):
             rows, ncols = block_matrix(cx, s, u)
             assert ncols == len(cx.blocks(s)[u])
+
+
+# -- block orbits -------------------------------------------------------------------
+
+
+def assert_copied_ranks_eliminate(cx, oracle=None) -> int:
+    """Every rank that ``block_ranks`` copies along a σ-orbit equals the rank
+    of eliminating that block itself; given an oracle, every block's rank
+    also equals the oracle's on its decoded rows.  Returns how many ranks
+    were copied."""
+    field = cx.field
+    _dims, ranks = block_ranks(cx)
+    copied = 0
+    for s in range(cx.top_degree + 1):
+        orbits = cx.block_orbits(s)
+        assert sorted(u for orbit in orbits for u in orbit) == sorted(cx.blocks(s))
+        for orbit in orbits:
+            copied += len(orbit) - 1
+            for u in orbit if oracle else orbit[1:]:
+                rows, ncols = block_matrix(cx, s, u)
+                assert ranks[(s, u)] == matrix_rank(rows, ncols, field), (s, u)
+                if oracle is not None:
+                    scalars = [field.coding.decode_row(r) for r in rows]
+                    assert ranks[(s, u)] == oracle(scalars, ncols, field)
+    return copied
+
+
+@pytest.mark.parametrize("n,p", [(1, 3), (2, 11), (2, 2), (3, 19), (3, 2), (4, 37)])
+@pytest.mark.parametrize("eps", [0, 1, 2])
+def test_orbit_copied_ranks_equal_eliminated_ranks(n, p, eps):
+    f = field_create(p)
+    cx = build_deformed(n, p, f, eps)
+    oracle = sympy_rank if n <= 2 else None
+    for label in ("critical", "fsc"):
+        assert_copied_ranks_eliminate(subcomplex(cx, label), oracle)
+    copied = assert_copied_ranks_eliminate(cx, oracle)
+    # σ is the identity at n = 1; from n = 2 on some ranks are copied
+    assert (copied > 0) == (n > 1)
+
+
+def test_orbit_copied_ranks_gl4_over_gf169():
+    cx = build_gl(4, field_create(13, 2), 13)
+    assert assert_copied_ranks_eliminate(cx) > 0
+    assert assert_copied_ranks_eliminate(subcomplex(cx, "fsc")) > 0
+
+
+def test_block_orbits_of_the_headline_fiber():
+    # n = 4, p = 37: 1,929 blocks in 506 orbits, 467 of size 4, 22 of size 2
+    # and 17 fixed, the critical blocks
+    cx = build_singular(4, 37, field_create(37))
+    orbits = [(s, orbit) for s in range(17) for orbit in cx.block_orbits(s)]
+    sizes = [len(orbit) for _s, orbit in orbits]
+    assert sum(sizes) == 1929 and len(orbits) == 506
+    assert {k: sizes.count(k) for k in set(sizes)} == {4: 467, 2: 22, 1: 17}
+    assert sorted((s, orbit[0]) for s, orbit in orbits if len(orbit) == 1) == [
+        (s, 0) for s in range(17)]
+
+
+def count_block_matrix_calls(monkeypatch) -> list:
+    calls = []
+
+    def counted(cx, s, u):
+        calls.append((s, u))
+        return block_matrix(cx, s, u)
+
+    monkeypatch.setattr(homology, "block_matrix", counted)
+    return calls
+
+
+@pytest.mark.parametrize("gslot,k", [(0, 0), (3, 0)])
+def test_a_flipped_pair_sign_breaks_the_sigma_certificate(monkeypatch, gslot, k):
+    # at n = 3, d(h[1,1]) has only eps terms and d(h[2,1]) (slot 3) starts
+    # with an eps-free one: a sign flipped in either part breaks σ d = d σ,
+    # and betti then eliminates every block, copying no rank
+    n, p = 3, 19
+    real = ravenel.generator_pair_table
+    assert real(n)[gslot][k][2] == (1 if gslot == 0 else 0)
+    faulty = flipped_sign_table(real(n), gslot, k)
+    cx = build_deformed(n, p, field_create(p), 1)
+    blocks = sum(len(cx.blocks(s)) for s in range(n * n + 1))
+    orbits = sum(len(cx.block_orbits(s)) for s in range(n * n + 1))
+    assert orbits < blocks
+
+    monkeypatch.setattr(ravenel, "generator_pair_table",
+                        lambda m: faulty if m == n else real(m))
+    monkeypatch.setattr(ravenel, "_SIGMA_CERTIFICATES", {})
+    assert not ravenel.sigma_certificate(n, p)
+    calls = count_block_matrix_calls(monkeypatch)
+    for cx in (build_deformed(n, p, field_create(p), 1),
+               subcomplex(build_deformed(n, p, field_create(p), 0), "fsc")):
+        calls.clear()
+        assert all(len(orbit) == 1 for s in range(n * n + 1)
+                   for orbit in cx.block_orbits(s))
+        betti(cx)
+        assert sorted(calls) == sorted((s, u) for s in range(n * n + 1)
+                                       for u in cx.blocks(s))
+
+
+def test_betti_eliminates_one_block_per_orbit(monkeypatch):
+    cx = build_deformed(3, 19, field_create(19), 1)
+    calls = count_block_matrix_calls(monkeypatch)
+    table = betti(cx)
+    leads = [(s, orbit[0]) for s in range(10) for orbit in cx.block_orbits(s)]
+    assert calls == leads
+    assert len(leads) < sum(len(cx.blocks(s)) for s in range(10))
+    assert table.entries == oracle_betti(cx, dense_rank_oracle)
+
+
+def test_orbit_blocks_of_unequal_size_are_refused(monkeypatch):
+    # an orbit that pairs blocks of different sizes copies no rank
+    cx = build_deformed(2, 11, field_create(11), 0)
+    s = 1
+    sizes = {u: len(m) for u, m in cx.blocks(s).items()}
+    small, large = min(sizes, key=sizes.get), max(sizes, key=sizes.get)
+    assert sizes[small] != sizes[large]
+    rest = [[u] for u in cx.blocks(s) if u not in (small, large)]
+    orbits = cx.block_orbits
+    monkeypatch.setattr(cx, "block_orbits",
+                        lambda t: [[small, large]] + rest if t == s else orbits(t))
+    with pytest.raises(RuntimeError, match="differ in size"):
+        betti(cx)
+
+
+def test_custom_member_lists_get_singleton_orbits(monkeypatch):
+    from stabfold import pages
+    from stabfold.gf import primitive_root_of_unity
+    from stabfold.kummer import FixedLayer, KummerConnection
+    from stabfold.retract import kernel_model, lambda_h_pair, laplacian
+
+    # the kernel model of gl_3 has the critical complex's members, but it is
+    # labelled custom: no σ-stability is assumed for it
+    f = field_create(7)
+    cx = build_gl(3, f, 7)
+    h, _ = lambda_h_pair(cx, primitive_root_of_unity(f, 3))
+    model = kernel_model(cx, laplacian(cx, h))
+    assert model.descriptor.label == "custom"
+    seen = [model]
+    # the fixed-mask fiber that core_pages compares E_1 with
+    real = pages.betti
+
+    def recorded(c):
+        seen.append(c)
+        return real(c)
+
+    monkeypatch.setattr(pages, "betti", recorded)
+    pages.core_pages(FixedLayer(build_bundle(3, 7, f), KummerConnection.sigma(3)))
+    assert any(isinstance(c, Complex) for c in seen[1:])
+    assert any(isinstance(c, FiniteComplex) for c in seen[1:])
+    for c in seen:
+        for s in range(c.top_degree + 1):
+            assert c.block_orbits(s) == [[u] for u in c.blocks(s)]

@@ -264,3 +264,31 @@ def test_run_pages_catches_a_rank_wrong_only_on_cut_matrices(monkeypatch, delta)
     fc = filter_first_subscript(build_gl(3, field_create(19), 19))
     with pytest.raises(AssertionError, match="disagree with Betti numbers"):
         run_pages(critical_block(fc))
+
+
+@pytest.mark.parametrize("n,p", [(2, 11), (3, 7)])
+def test_medial_pages_eliminate_the_whole_fixed_basis_once(monkeypatch, n, p):
+    # from weight max(alpha) on, each medial piece is the whole fixed basis
+    # relabelled: one elimination serves all of them, and every weight's
+    # totals still equal those of its own piece
+    from stabfold import pages
+
+    layer = FixedLayer(build_bundle(n, p, field_create(p)), KummerConnection.sigma(n))
+    low, whole = min(layer.alpha.values()), max(layer.alpha.values())
+    calls = []
+
+    def counted(cx):
+        calls.append(cx)
+        return betti(cx)
+
+    monkeypatch.setattr(pages, "betti", counted)
+    report = medial_pages(layer, t_report=3)
+    assert whole == 0 and low < 0
+    assert len(calls) == whole - low + 1
+    gr_diff = layer.gr_diff()
+    for t in range(low, 4):
+        gr = layer.gr_basis(t)
+        diff = {(m, w): {(tgt, t - layer.alpha[tgt]): c for tgt, c in gr_diff[m].items()}
+                for pairs in gr.values() for (m, w) in pairs}
+        totals = betti(FiniteComplex(layer.field, gr, diff)).totals_by_degree()
+        assert totals == {s: d for (s, tt, _u), d in report.entries[1].items() if tt == t}

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from oracles import idempotent_exponent, minimal_polynomial, u_property_check
 
 from stabfold.exterior import Cochain, degree, generator_mask
 from stabfold.gf import field_create, primitive_root_of_unity
@@ -13,16 +14,13 @@ from stabfold.retract import (
     critical_model,
     cyclotomic_polynomial,
     extend_functional,
-    idempotent_exponent,
     intersection_model,
     kernel_masks,
     kernel_model,
     lambda_h_pair,
     laplacian,
-    minimal_polynomial,
     required_root_orders,
     smallest_extension_degree,
-    u_property_check,
 )
 
 
