@@ -1,6 +1,10 @@
 """Command-line interface: dimension tables, Betti computations with a local
-cache, theorem-verification suites, worked presentations, and spectral
-sequence reports.
+cache, the paper's claims, worked presentations, and spectral sequence
+reports.
+
+`verify NAME` looks NAME up in ``claims.CLAIMS`` and prints its checks. The
+claims live in ``claims``, with ``UsageError``, the refusal that ``main``
+turns into exit status 2.
 
 Every run prints a provenance header (tool version plus a hash of the
 canonical config) and produces deterministic output: all iteration orders are
@@ -19,78 +23,31 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__ as VERSION
+from .claims import (
+    CLAIMS,
+    UsageError,
+    _check,
+    _require_enumerable,
+    dims_match,
+    load_fixtures,
+    primes_above,
+)
 from .exterior import MAX_N, Cochain, format_monomial, parse_monomial
-from .gf import Poly, field_create, is_prime, primitive_root_of_unity
-from .homology import (
-    betti,
-    exterior_profile,
-    inclusion_map,
-    induced_map_rank,
-    matrix_rank,
-    monomial_projection,
-)
-from .kummer import FixedLayer, KummerConnection, core_homogeneity, solve_h_diagonal
+from .gf import Poly, field_create, is_prime
+from .homology import Cohomology, betti, matrix_rank
+from .kummer import FixedLayer, KummerConnection, core_homogeneity
 from .pages import core_pages, critical_block, filter_first_subscript, medial_pages, run_pages
-from .ravenel import (
-    BUNDLE,
-    build_bundle,
-    build_deformed,
-    build_gl,
-    build_singular,
-    containment_report,
-    dd_zero_exhaustive,
-    dims_by_class,
-    subcomplex,
-)
-from .retract import critical_model, kernel_model, lambda_h_pair, laplacian, smallest_extension_degree
+from .ravenel import build_bundle, build_deformed, build_gl, build_singular, dims_by_class, subcomplex
 
 SCHEMA_VERSION = 1
 
-# smallest prime exceeding 2 n^2, per height: the bound under which the
-# structure theorems are unconditional
-TABLE_PRIMES = {1: 3, 2: 11, 3: 19, 4: 37, 5: 53}
-
 # total-basis-size gate: larger jobs need --slow
 _SLOW_GATE = 20000
-
-# commands other than betti enumerate all 2^(n^2) monomials of the full
-# complex; above this height that is out of reach
-_MAX_ENUMERATED_N = 4
-
-
-class UsageError(Exception):
-    """A request the tool does not serve, raised by a command or a suite;
-    main prints it and exits with status 2, where a paper claim found false
-    exits with status 1."""
-
-
-def _require_enumerable(n: int, what: str) -> None:
-    if n > _MAX_ENUMERATED_N:
-        raise UsageError(
-            f"{what} at n={n} would enumerate all 2^{n * n} monomials; heights "
-            f"above {_MAX_ENUMERATED_N} wait on ROADMAP item 4")
-
-
-def _first_primes_above(bound: int, count: int) -> list[int]:
-    from .gf import is_prime
-
-    out = []
-    k = bound + 1
-    while len(out) < count:
-        if is_prime(k):
-            out.append(k)
-        k += 1
-    return out
 
 
 def config_hash(cfg: dict) -> str:
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def load_fixtures() -> dict:
-    path = Path(__file__).parent / "data" / "fixtures.json"
-    return json.loads(path.read_text())
 
 
 # -- cache ---------------------------------------------------------------------------
@@ -186,7 +143,7 @@ def build_complex(lie: str, label: str, n: int, p: int, ext: int = 1, epsilon=0)
     if lie == "gl":
         cx = build_gl(n, field, p)
     elif lie == "ravenel":
-        cx = build_deformed(n, p, field, BUNDLE if epsilon == "x" else epsilon)
+        cx = build_deformed(n, p, field, epsilon)
     else:
         raise ValueError(f"unknown Lie model {lie!r}")
     if label != "full":
@@ -211,20 +168,14 @@ def cmd_dims(args) -> int:
     rows = []
     ok = True
     for n in range(1, args.n_max + 1):
-        p = args.p or TABLE_PRIMES.get(n)
-        if p is None:
-            p = _first_primes_above(2 * n * n, 1)[0]
+        p = args.p or primes_above(2 * n * n, 1)[0]
         cc, fsc, full = dims_by_class(n, p)
         row = {
             "n": n, "p": p, "cc": cc, "fsc": fsc, "full": full,
             "cc_q": cc >> n, "fsc_q": fsc >> n, "full_q": full >> n,
         }
-        exp = fixtures["dims_table"].get(str(n))
-        expq = fixtures["dims_quotients"].get(str(n))
-        if exp is not None and args.p is None:
-            row["matches_expected"] = [cc, fsc, full] == exp and [
-                cc >> n, fsc >> n, full >> n
-            ] == expq
+        if args.p is None:
+            row["matches_expected"] = dims_match(n, [cc, fsc, full], fixtures)
             ok = ok and row["matches_expected"]
         rows.append(row)
     csv_lines = ["n,p,cc,fsc,full,cc_q,fsc_q,full_q"]
@@ -298,275 +249,19 @@ def cmd_betti(args) -> int:
     return 0
 
 
-# -- verification suites ----------------------------------------------------------------------
-
-
-def _check(name: str, ok: bool, detail: str = "") -> dict:
-    return {"name": name, "ok": bool(ok), "detail": detail}
-
-
-def suite_tables(args) -> list[dict]:
-    fixtures = load_fixtures()
-    checks = []
-    for n in range(1, 6):
-        got = list(dims_by_class(n, TABLE_PRIMES[n]))
-        exp = fixtures["dims_table"][str(n)]
-        expq = fixtures["dims_quotients"][str(n)]
-        ok = got == exp and [x >> n for x in got] == expq
-        checks.append(_check(f"dims n={n}", ok, f"got {got}, expected {exp}"))
-    eul = fixtures["eulerian_digraph_counts"]
-    cc_q = [dims_by_class(n, TABLE_PRIMES[n])[0] >> n for n in range(1, 6)]
-    checks.append(_check("cc/2^n equals the labelled-digraph count sequence",
-                         cc_q == eul, f"{cc_q}"))
-    return checks
-
-
-def suite_dd_zero(args) -> list[dict]:
-    n = args.n or 3
-    _require_enumerable(n, "verify dd-zero")
-    primes = [args.p] if args.p else _first_primes_above(2 * n * n, 2)
-    rep = dd_zero_exhaustive(n, primes)
-    detail = f"{rep['checked']} monomials"
-    if n >= 4:
-        return [_check(
-            f"dd=0 n={n} p in {primes}, eps in (0, 1, x) (exhaustive integer scan)",
-            rep["ok"], detail)]
-    checks = []
-    for p in primes:
-        for eps in (0, 1, "x"):
-            what = "bundle" if eps == "x" else f"eps={eps}"
-            checks.append(_check(f"dd=0 n={n} p={p} {what} (exhaustive)",
-                                 rep["bad"][(p, eps)] == 0, detail))
-    return checks
-
-
-def suite_containment(args) -> list[dict]:
-    fixtures = load_fixtures()
-    n = args.n or 4
-    p = args.p or 2
-    rep = containment_report(n, p)
-    checks = [_check(f"containment scan n={n} p={p} completed", True,
-                     f"holds={rep['holds']}"
-                     + ("" if rep["holds"] else
-                        f", witness {format_monomial(rep['witness'], n)}"))]
-    known = fixtures["containment"]["known_failures"].get(f"{n},{p}")
-    if known:
-        from .exterior import first_subscript_sum, internal_degree
-
-        _, mask = parse_monomial(known, n)
-        is_wit = internal_degree(mask, n, p) == 0 and first_subscript_sum(mask, n) != 0
-        checks.append(_check(
-            f"known witness {known} is critical but outside the "
-            "first-subscript complex", is_wit and not rep["holds"]))
-    if n <= 3:
-        checks.append(_check(f"containment holds for n={n} (any p)", rep["holds"]))
-    return checks
-
-
-def suite_model_kernel(args) -> list[dict]:
-    n = args.n or 2
-    if n not in (2, 3, 4):
-        raise UsageError(f"model-kernel supports n = 2, 3, 4, not {n}")
-    p = args.p or {2: 5, 3: 7, 4: 13}[n]
-    try:
-        ext = smallest_extension_degree(p, n)
-    except ValueError as exc:
-        raise UsageError(f"model-kernel at n={n}, p={p}: {exc}")
-    checks = []
-    if n == 2:
-        field = field_create(p, ext)
-        cx = build_gl(2, field, p)
-        h, _ = lambda_h_pair(cx, field.scalar(4) if p == 5 else
-                             primitive_root_of_unity(field, 2))
-        model = kernel_model(cx, laplacian(cx, h))
-        cc = subcomplex(cx, "critical")
-        same = all(model.basis(s) == cc.basis(s) for s in range(5))
-        checks.append(_check("ker(dh+hd) equals the critical complex of gl_2", same))
-        out = induced_map_rank(inclusion_map(model, cx))
-        checks.append(_check("inclusion is a quasi-isomorphism",
-                             out["quasi_isomorphism"]))
-    elif n == 3:
-        field = field_create(p, ext)
-        cx = build_gl(3, field, p)
-        w = primitive_root_of_unity(field, 3)
-        h, _ = lambda_h_pair(cx, w)
-        model = kernel_model(cx, laplacian(cx, h))
-        cc = subcomplex(cx, "critical")
-        same = all(model.basis(s) == cc.basis(s) for s in range(10))
-        checks.append(_check("ker(dh+hd) equals the critical complex of gl_3", same))
-        out = induced_map_rank(inclusion_map(model, cx))
-        checks.append(_check("inclusion is a quasi-isomorphism",
-                             out["quasi_isomorphism"]))
-    else:
-        field = field_create(p, 2)
-        cx = build_gl(4, field, p)
-        out = critical_model(cx)
-        cc = subcomplex(cx, "critical")
-        same = all(out["model"].basis(s) == cc.basis(s) for s in range(17))
-        checks.append(_check(
-            "intersection of the cyclotomic-factor kernels equals the "
-            "critical complex of gl_4", same,
-            f"over GF({p}^2)"))
-        t_cc = betti(cc)
-        t_full = betti(cx)
-        checks.append(_check(
-            "critical and full complexes have equal Betti totals",
-            t_cc.totals_by_degree() == t_full.totals_by_degree()
-            and t_cc.grand_total() == 16))
-    return checks
-
-
-def suite_transport(args) -> list[dict]:
-    from .gf import nth_roots
-
-    checks = []
-    for n, p in ((2, 5), (3, 19)):
-        field = field_create(p)
-        for delta in (1, 2, 4):
-            ts = solve_h_diagonal(n, field, 1, delta, mode="sigma")
-            expected = len(nth_roots(field, field.scalar(delta), n))
-            checks.append(_check(
-                f"sigma transport count n={n} F_{p} delta={delta} equals "
-                f"the {n}-th root count", len(ts) == expected,
-                f"{len(ts)} transports, each verified to commute with d"))
-    field = field_create(5)
-    ts = solve_h_diagonal(2, field, 1, 1, mode="all")
-    checks.append(_check("unrestricted transports n=2 F_5: (q-1)^(n-1) of them",
-                         len(ts) == 4))
-    return checks
-
-
-def suite_monodromy_fixed(args) -> list[dict]:
-    from .exterior import first_subscript_sum, internal_degree
-
-    checks = []
-    for n in range(2, 5):
-        conn = KummerConnection.sigma(n)
-        fixed = set(conn.fixed_masks())
-        expected = {m for m in range(1 << (n * n)) if first_subscript_sum(m, n) == 0}
-        checks.append(_check(
-            f"sigma-flavor fixed monomials = first-subscript basis, n={n}",
-            fixed == expected, f"{len(fixed)} monomials"))
-    for n, p in ((2, 11), (3, 7), (3, 19)):
-        conn = KummerConnection.semilinear(n, p)
-        fixed = set(conn.fixed_masks())
-        expected = {m for m in range(1 << (n * n)) if internal_degree(m, n, p) == 0}
-        checks.append(_check(
-            f"semilinear-flavor fixed monomials = critical basis, n={n} p={p}",
-            fixed == expected, f"{len(fixed)} monomials"))
-    return checks
-
-
-def suite_core_homogeneity(args) -> list[dict]:
-    checks = []
-    for n, p in ((2, 11), (3, 7)):
-        field = field_create(p)
-        layer = FixedLayer(build_bundle(n, p, field), KummerConnection.sigma(n))
-        hom = core_homogeneity(layer)
-        checks.append(_check(
-            f"sigma-flavor core is homogeneous, n={n}",
-            layer.closed and hom["holds"]))
-    field = field_create(7)
-    layer = FixedLayer(build_bundle(3, 7, field), KummerConnection.semilinear(3, 7))
-    hom = core_homogeneity(layer)
-    witness_ok = (not hom["holds"]) and hom["witness"]["source"].startswith("h[3,")
-    checks.append(_check(
-        "semilinear-flavor core fails homogeneity at n=3 with a degree-1 "
-        "witness", witness_ok,
-        f"witness {hom['witness']}" if not hom["holds"] else ""))
-    f5 = field_create(5)
-    layer1 = FixedLayer(build_bundle(1, 5, f5), KummerConnection.sigma(1))
-    checks.append(_check("height-1 core is homogeneous",
-                         core_homogeneity(layer1)["holds"]))
-    return checks
-
-
-def suite_collapse(args) -> list[dict]:
-    n = args.n or 2
-    _require_enumerable(n, "verify collapse")
-    p = args.p or TABLE_PRIMES[n]
-    field = field_create(p)
-    gl = build_gl(n, field, p)
-    fc = critical_block(filter_first_subscript(gl))
-    report = run_pages(fc)
-    checks = [_check(
-        f"critical-block first-subscript spectral sequence collapses at E_1 "
-        f"(n={n}, p={p})", report.collapse_page == 1,
-        f"span {report.span}, no nonzero differentials"
-        if report.collapse_page == 1 else
-        f"nonzero differentials {report.nonzero_differentials()[:4]}")]
-    cc0 = subcomplex(build_singular(n, p, field), "critical")
-    cc1 = subcomplex(build_deformed(n, p, field, 1), "critical")
-    t0, t1 = betti(cc0), betti(cc1)
-    checks.append(_check(
-        f"blockwise Betti equality of the critical complex at eps=0 and "
-        f"eps=1 (n={n}, p={p})", t0.entries == t1.entries,
-        f"totals {t0.totals_by_degree()}"))
-    fixtures = load_fixtures()
-    degs = fixtures["exterior_generator_degrees"][str(n)]
-    checks.append(_check(
-        f"H*(critical complex at eps=0) has the exterior-algebra profile "
-        f"on degrees {degs}", t0.totals_by_degree() == exterior_profile(degs)))
-    if n == 2:
-        full = run_pages(filter_first_subscript(gl))
-        checks.append(_check(
-            "full first-subscript spectral sequence has nonzero "
-            "differentials off the critical block",
-            bool(full.nonzero_differentials())))
-    return checks
-
-
-def suite_invariant_cycles(args) -> list[dict]:
-    n = args.n or 2
-    _require_enumerable(n, "verify invariant-cycles")
-    p = args.p or TABLE_PRIMES[n]
-    field = field_create(p)
-    full0 = build_singular(n, p, field)
-    cc0 = subcomplex(full0, "critical")
-    fsc0 = subcomplex(full0, "fsc")
-    fsc1 = subcomplex(build_deformed(n, p, field, 1), "fsc")
-    c0, f0, f1 = (betti(cx).totals_by_degree() for cx in (cc0, fsc0, fsc1))
-    # the singular fiber is read for the extended group (internal class 0);
-    # FSC at eps=0 is not the x=0 fiber of the sigma core and may differ from
-    # FSC at eps=1 (56 against 8 at n=3), so its table is detail only
-    detail = (f"critical at 0: {c0}; FSC at 0: {f0} (total {sum(f0.values())}); "
-              f"FSC at 1: {f1} (total {sum(f1.values())})")
-    checks = [_check(
-        f"dim H^s(critical at 0) = dim H^s(FSC at 1) for all s (n={n}, p={p})",
-        c0 == f1, detail)]
-    proj = monomial_projection(full0, fsc0)
-    out = induced_map_rank(proj)
-    checks.append(_check(
-        f"the singular fiber surjects onto the fixed-point cohomology "
-        f"(n={n}, p={p})", out["surjective_on_cohomology"]))
-    return checks
-
-
-# suites that run fixed heights and primes, so take no --n or --p
-_FIXED_SUITES = ("tables", "transport", "monodromy-fixed", "core-homogeneity")
-
-SUITES = {
-    "tables": suite_tables,
-    "dd-zero": suite_dd_zero,
-    "containment": suite_containment,
-    "model-kernel": suite_model_kernel,
-    "transport": suite_transport,
-    "monodromy-fixed": suite_monodromy_fixed,
-    "core-homogeneity": suite_core_homogeneity,
-    "collapse": suite_collapse,
-    "invariant-cycles": suite_invariant_cycles,
-}
+# -- verify ----------------------------------------------------------------------------------
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in SUITES:
+    claim = CLAIMS.get(args.suite)
+    if claim is None:
         raise UsageError(f"unknown suite {args.suite!r}; available: "
-                         f"{', '.join(sorted(SUITES))}")
-    if args.suite in _FIXED_SUITES and (args.n is not None or args.p is not None):
+                         f"{', '.join(sorted(CLAIMS))}")
+    if claim.fixed and (args.n is not None or args.p is not None):
         raise UsageError(f"verify {args.suite} runs fixed heights and primes; "
                          "it takes no --n or --p")
     cfg = {"cmd": "verify", "suite": args.suite, "n": args.n, "p": args.p}
-    checks = SUITES[args.suite](args)
+    checks = claim.run(args.n, args.p)
     ok = all(c["ok"] for c in checks)
     payload = {"config_hash": config_hash(cfg), "version": VERSION,
                "suite": args.suite, "checks": checks, "ok": ok}
@@ -655,8 +350,6 @@ def cmd_presentations(args) -> int:
         p = args.p or 11
         field = field_create(p)
         cx = build_singular(2, p, field)
-        from .homology import Cohomology
-
         coh = Cohomology(cx)
         named = _named_cochains(cx, fixtures["generators"])
         text.append("generators:")
@@ -903,7 +596,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_betti.set_defaults(fn=cmd_betti)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}")
+    p_verify.add_argument("suite", help=f"one of: {', '.join(sorted(CLAIMS))}")
     p_verify.add_argument("--n", type=_height, default=None)
     p_verify.add_argument("--p", type=_prime, default=None)
     common(p_verify)

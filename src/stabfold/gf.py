@@ -1,5 +1,9 @@
 """Exact arithmetic in GF(p), GF(p^m), and the polynomial ring GF(p^m)[x].
 
+``Poly`` has the ring operations and evaluation, which is what the bundle's
+F[x] coefficients need; polynomial division, gcds and radicals serve only the
+test oracles and live with them, in ``tests/oracles.py``.
+
 Scalars are immutable and carry a reference to their field, so values from
 different fields never mix silently.  Extension fields GF(p^m) with at most
 2^16 elements get log/exp tables for fast multiplication; larger fields fall
@@ -114,10 +118,6 @@ class FieldScalar:
 
     def inverse(self) -> "FieldScalar":
         return self.field.inv(self)
-
-    def frobenius(self) -> "FieldScalar":
-        """The p-power map a -> a^p."""
-        return self.field.pow(self, self.field.p)
 
     def __repr__(self):
         f = self.field
@@ -625,18 +625,8 @@ class Poly:
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self):
         return bool(self.coeffs)
-
-    def valuation(self) -> int | None:
-        """x-adic valuation; None for the zero polynomial."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
 
     def __eq__(self, other):
         return (
@@ -683,18 +673,6 @@ class Poly:
             acc = acc * e + c
         return acc
 
-    def monic(self) -> "Poly":
-        if not self.coeffs:
-            return self
-        inv = self.coeffs[-1].inverse()
-        return Poly(self.field, [c * inv for c in self.coeffs])
-
-    def derivative(self) -> "Poly":
-        f = self.field
-        return Poly(
-            f, [f.scalar(i) * c for i, c in enumerate(self.coeffs) if i > 0]
-        )
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -706,59 +684,3 @@ class Poly:
             parts.append(f"{cv}" if i == 0 else (f"{cv}*x^{i}" if i > 1 else f"{cv}*x"))
         return " + ".join(parts)
 
-
-def poly_evaluate(f: Poly, e: FieldScalar) -> FieldScalar:
-    return f.evaluate(e)
-
-
-def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    field = a.field
-    rem = list(a.coeffs)
-    db = b.degree
-    inv_lead = b.coeffs[-1].inverse()
-    quot = [field.zero] * max(0, len(rem) - db)
-    for k in range(len(rem) - 1, db - 1, -1):
-        c = rem[k]
-        if c:
-            q = c * inv_lead
-            quot[k - db] = q
-            for i, bc in enumerate(b.coeffs):
-                rem[k - db + i] = rem[k - db + i] - q * bc
-    return Poly(field, quot), Poly(field, rem[:db])
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, poly_divmod(a, b)[1]
-    return a.monic() if not a.is_zero() else a
-
-
-def poly_radical(f: Poly) -> Poly:
-    """Squarefree part: same roots, multiplicity one.  Handles the
-    characteristic-p degenerate case f = g(x^p), whose derivative vanishes,
-    by taking p-th roots of coefficients (the field is perfect)."""
-    field = f.field
-    p, m = field.p, field.m
-    while not f.is_zero():
-        fp = f.derivative()
-        if not fp.is_zero():
-            return poly_divmod(f, poly_gcd(f, fp))[0].monic()
-        # f = g(x^p); over a perfect field the roots of f and g biject
-        root_exp = p ** (m - 1)  # c -> c^(p^(m-1)) is the p-th root
-        coeffs = [field.pow(f.coeffs[i], root_exp) if f.coeffs[i] else field.zero
-                  for i in range(0, len(f.coeffs), p)]
-        f = Poly(field, coeffs)
-    return f
-
-
-def poly_powmod(base: Poly, e: int, mod: Poly) -> Poly:
-    result = Poly.const(base.field, 1)
-    base = poly_divmod(base, mod)[1]
-    while e:
-        if e & 1:
-            result = poly_divmod(result * base, mod)[1]
-        base = poly_divmod(base * base, mod)[1]
-        e >>= 1
-    return result

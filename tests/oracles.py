@@ -12,14 +12,15 @@ taking a block's classes, kept as a reference for the present one.
 `u_property_check` and `idempotent_exponent` are the paper's U-property tools
 on dense matrices (minimal polynomial, diagonalizability, idempotent
 iterates); the package builds kernel models from generator eigenvalues and
-does not need them.
+does not need them, nor the polynomial division, gcd and radical
+(`poly_divmod`, `poly_gcd`, `poly_radical`, `poly_powmod`) they rest on.
 """
 
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
 from stabfold.exterior import Cochain
-from stabfold.gf import Field, Poly, poly_divmod, poly_gcd, poly_powmod
+from stabfold.gf import Field, Poly
 from stabfold.homology import insert_row, nullspace, reduce_against, rref
 from stabfold.retract import Derivation
 
@@ -156,6 +157,71 @@ def mat_vec(a, v, field):
             for i in range(len(v))]
 
 
+def poly_monic(f: Poly) -> Poly:
+    if not f:
+        return f
+    inv = f.coeffs[-1].inverse()
+    return Poly(f.field, [c * inv for c in f.coeffs])
+
+
+def poly_derivative(f: Poly) -> Poly:
+    field = f.field
+    return Poly(field, [field.scalar(i) * c for i, c in enumerate(f.coeffs) if i > 0])
+
+
+def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    field = a.field
+    rem = list(a.coeffs)
+    db = b.degree
+    inv_lead = b.coeffs[-1].inverse()
+    quot = [field.zero] * max(0, len(rem) - db)
+    for k in range(len(rem) - 1, db - 1, -1):
+        c = rem[k]
+        if c:
+            q = c * inv_lead
+            quot[k - db] = q
+            for i, bc in enumerate(b.coeffs):
+                rem[k - db + i] = rem[k - db + i] - q * bc
+    return Poly(field, quot), Poly(field, rem[:db])
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return poly_monic(a)
+
+
+def poly_radical(f: Poly) -> Poly:
+    """Squarefree part: same roots, multiplicity one.  Handles the
+    characteristic-p degenerate case f = g(x^p), whose derivative vanishes,
+    by taking p-th roots of coefficients (the field is perfect)."""
+    field = f.field
+    p, m = field.p, field.m
+    while f:
+        fp = poly_derivative(f)
+        if fp:
+            return poly_monic(poly_divmod(f, poly_gcd(f, fp))[0])
+        # f = g(x^p); over a perfect field the roots of f and g biject
+        root_exp = p ** (m - 1)  # c -> c^(p^(m-1)) is the p-th root
+        coeffs = [field.pow(f.coeffs[i], root_exp) if f.coeffs[i] else field.zero
+                  for i in range(0, len(f.coeffs), p)]
+        f = Poly(field, coeffs)
+    return f
+
+
+def poly_powmod(base: Poly, e: int, mod: Poly) -> Poly:
+    result = Poly.const(base.field, 1)
+    base = poly_divmod(base, mod)[1]
+    while e:
+        if e & 1:
+            result = poly_divmod(result * base, mod)[1]
+        base = poly_divmod(base * base, mod)[1]
+        e >>= 1
+    return result
+
+
 def minimal_polynomial(mat, field: Field) -> Poly:
     """Minimal polynomial of a square matrix: lcm of the local minimal
     polynomials of the standard basis vectors, tracked through an echelon.
@@ -183,7 +249,7 @@ def minimal_polynomial(mat, field: Field) -> Poly:
                 result = poly_divmod(local * result, g)[0] if g else local
                 break
             v = mat_vec(mat, v, field)
-    return result.monic()
+    return poly_monic(result)
 
 
 def poly_roots_in_field(f: Poly, field: Field):

@@ -1,5 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
+Where a criterion is one of the paper's registered claims (`stabfold.claims`),
+the test runs the claim and asserts its checks, the same checks `stabfold
+verify` prints; the test itself keeps only what no claim covers, such as the
+literal dimension table, the full transport sweep and the height-1 tables.
+
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.  Everything is exact; there are no tolerances to
 tune anywhere in this module.
@@ -7,48 +12,27 @@ tune anywhere in this module.
 
 import json
 import random
+import re
 import sys
 import time
 
-import pytest
 from oracles import dense_rank_oracle, sympy_rank
 
+from stabfold.claims import CLAIMS, TABLE_PRIMES, load_fixtures, primes_above
 from stabfold.cli import main as cli_main
-from stabfold.exterior import Cochain, degree, first_subscript_sum, internal_degree
-from stabfold.gf import field_create, nth_roots, primitive_root_of_unity
-from stabfold.homology import (
-    betti,
-    block_matrix,
-    exterior_profile,
-    exterior_ring_check,
-    inclusion_map,
-    induced_map_rank,
-    matrix_rank,
-    monomial_projection,
-)
-from stabfold.kummer import (
-    FixedLayer,
-    KummerConnection,
-    core_homogeneity,
-    solve_h_diagonal,
-)
-from stabfold.pages import (
-    core_pages,
-    critical_block,
-    filter_first_subscript,
-    medial_pages,
-    run_pages,
-)
+from stabfold.exterior import Cochain, degree
+from stabfold.gf import field_create, nth_roots
+from stabfold.homology import betti, block_matrix, exterior_profile, exterior_ring_check, matrix_rank
+from stabfold.kummer import FixedLayer, KummerConnection, solve_h_diagonal
+from stabfold.pages import core_pages, medial_pages
 from stabfold.ravenel import (
     build_bundle,
     build_deformed,
     build_gl,
     build_singular,
     dd_zero_exhaustive,
-    dims_by_class,
     subcomplex,
 )
-from stabfold.retract import critical_model, kernel_model, lambda_h_pair, laplacian
 
 
 def report(num: int, ok: bool, text: str) -> None:
@@ -58,22 +42,28 @@ def report(num: int, ok: bool, text: str) -> None:
     assert ok, line
 
 
+def holds(name: str, n: int | None = None, p: int | None = None) -> bool:
+    """Whether every check of the registered claim passes."""
+    return all(c["ok"] for c in CLAIMS[name].run(n, p))
+
+
 def test_criterion_01_dimension_tables():
     expected = {
-        1: (2, 2, 2), 2: (8, 8, 16), 3: (80, 176, 512),
-        4: (2432, 16384, 65536), 5: (247552, 6710912, 33554432),
+        1: [2, 2, 2], 2: [8, 8, 16], 3: [80, 176, 512],
+        4: [2432, 16384, 65536], 5: [247552, 6710912, 33554432],
     }
     quotients = {
-        1: (1, 1, 1), 2: (2, 2, 4), 3: (10, 22, 64),
-        4: (152, 1024, 4096), 5: (7736, 209716, 1048576),
+        1: [1, 1, 1], 2: [2, 2, 4], 3: [10, 22, 64],
+        4: [152, 1024, 4096], 5: [7736, 209716, 1048576],
     }
-    primes = {1: 3, 2: 11, 3: 19, 4: 37, 5: 53}
+    # the tables claim checks the dimensions against the fixture file; the
+    # literal tables pin that file and the primes
+    fixtures = load_fixtures()
+    ok = TABLE_PRIMES == {1: 3, 2: 11, 3: 19, 4: 37, 5: 53}
+    ok = ok and fixtures["dims_table"] == {str(n): v for n, v in expected.items()}
+    ok = ok and fixtures["dims_quotients"] == {str(n): v for n, v in quotients.items()}
     t0 = time.time()
-    ok = True
-    for n in range(1, 6):
-        got = dims_by_class(n, primes[n])
-        ok = ok and got == expected[n]
-        ok = ok and tuple(x >> n for x in got) == quotients[n]
+    ok = holds("tables") and ok
     elapsed = time.time() - t0
     ok = ok and elapsed < 60
     report(1, ok, f"dims and /2^n quotients exact for n=1..5 in {elapsed:.2f}s")
@@ -84,16 +74,7 @@ def test_criterion_02_dga_axioms():
     ok = True
     detail = []
     for n in (1, 2, 3):
-        bound = 2 * n * n
-        primes = []
-        k = bound + 1
-        while len(primes) < 2:
-            from stabfold.gf import is_prime
-
-            if is_prime(k):
-                primes.append(k)
-            k += 1
-        for p in primes:
+        for p in primes_above(2 * n * n, 2):
             field = field_create(p)
             for eps in (0, 1):
                 cx = build_deformed(n, p, field, eps)
@@ -169,35 +150,10 @@ def test_criterion_03_gl_cohomology_exterior():
 
 
 def test_criterion_04_model_kernel_theorem():
-    ok = True
-    # n = 2 over F_5 with omega = 4
-    f5 = field_create(5)
-    gl2 = build_gl(2, f5, 5)
-    h, _ = lambda_h_pair(gl2, f5.scalar(4))
-    model = kernel_model(gl2, laplacian(gl2, h))
-    cc2 = subcomplex(gl2, "critical")
-    ok = ok and all(model.basis(s) == cc2.basis(s) for s in range(5))
-    ok = ok and induced_map_rank(inclusion_map(model, gl2))["quasi_isomorphism"]
-    # n = 3 over F_7 (7 = 1 mod 3, so the cube root lives downstairs)
-    f7 = field_create(7)
-    gl3 = build_gl(3, f7, 7)
-    h3, _ = lambda_h_pair(gl3, primitive_root_of_unity(f7, 3))
-    model3 = kernel_model(gl3, laplacian(gl3, h3))
-    cc3 = subcomplex(gl3, "critical")
-    ok = ok and all(model3.basis(s) == cc3.basis(s) for s in range(10))
-    ok = ok and induced_map_rank(inclusion_map(model3, gl3))["quasi_isomorphism"]
-    # n = 4 composite: intersection over the factors of (x^4-1)/(x-1),
-    # over the degree-2 extension of F_13
-    f169 = field_create(13, 2)
-    gl4 = build_gl(4, f169, 13)
-    out = critical_model(gl4)
-    cc4 = subcomplex(gl4, "critical")
-    ok = ok and all(out["model"].basis(s) == cc4.basis(s) for s in range(17))
-    ok = ok and len(out["omegas"]) == 2
-    t_cc = betti(cc4)
-    t_full = betti(gl4)
-    ok = ok and t_cc.totals_by_degree() == t_full.totals_by_degree()
-    ok = ok and t_cc.grand_total() == 16
+    # n = 2 over F_5 (omega = 4); n = 3 over F_7 (7 = 1 mod 3, so the cube
+    # root lives downstairs); n = 4 composite: intersection over the two
+    # factors of (x^4-1)/(x-1), over the degree-2 extension of F_13
+    ok = all(holds("model-kernel", n, p) for n, p in ((2, 5), (3, 7), (4, 13)))
     report(4, ok, "ker(dh+hd) = critical complex basis-for-basis and "
                   "quasi-isomorphic for n=2 (F_5, w=4), n=3 (F_7); n=4 via "
                   "cyclotomic intersection over GF(13^2), exact Betti equality")
@@ -224,41 +180,22 @@ def test_criterion_05_singular_fiber_dimensions(capsys):
 
 
 def test_criterion_06_critical_collapse():
+    degrees = load_fixtures()["exterior_generator_degrees"]
     ok = True
     for n, p in ((2, 11), (3, 19)):
-        field = field_create(p)
-        gl = build_gl(n, field, p)
-        fc = critical_block(filter_first_subscript(gl))
-        rep = run_pages(fc)
-        ok = ok and rep.collapse_page == 1 and not rep.nonzero_differentials()
-        cc0 = subcomplex(build_singular(n, p, field), "critical")
-        cc1 = subcomplex(build_deformed(n, p, field, 1), "critical")
-        t0, t1 = betti(cc0), betti(cc1)
-        ok = ok and t0.entries == t1.entries
-        ok = ok and t0.totals_by_degree() == exterior_profile(range(1, 2 * n, 2))
-    # the full (non-critical) sequence at n = 2 does have differentials
-    f11 = field_create(11)
-    full = run_pages(filter_first_subscript(build_gl(2, f11, 11)))
-    ok = ok and bool(full.nonzero_differentials())
+        # at n = 2 the claim also finds differentials in the full sequence
+        ok = ok and holds("collapse", n, p)
+        ok = ok and degrees[str(n)] == list(range(1, 2 * n, 2))
     report(6, ok, "critical-block spectral sequence collapses at E_1 for "
                   "(2,11), (3,19); blockwise H(cc at 0) = H(cc at 1); the "
                   "full n=2 sequence has nonzero differentials")
 
 
 def test_criterion_07_monodromy_fixed_points_and_transport():
-    ok = True
-    for n in (2, 3, 4):
-        fixed = KummerConnection.sigma(n).fixed_masks()
-        ok = ok and set(fixed) == {
-            m for m in range(1 << (n * n)) if first_subscript_sum(m, n) == 0
-        }
-    for n, p in ((2, 11), (3, 7), (3, 19)):
-        fixed = KummerConnection.semilinear(n, p).fixed_masks()
-        ok = ok and set(fixed) == {
-            m for m in range(1 << (n * n)) if internal_degree(m, n, p) == 0
-        }
-    # sigma-equivariant transport counts = n-th root counts (each transport
-    # is verified against both differentials inside solve_h_diagonal)
+    ok = holds("monodromy-fixed") and holds("transport")
+    # sigma-equivariant transport counts = n-th root counts for every delta
+    # (each transport is verified against both differentials inside
+    # solve_h_diagonal); the transport claim takes delta in (1, 2, 4) only
     for n, p in ((2, 5), (3, 5), (2, 19), (3, 19)):
         field = field_create(p)
         for delta in range(1, p):
@@ -270,16 +207,14 @@ def test_criterion_07_monodromy_fixed_points_and_transport():
                   "counts over F_5 and F_19, all transports commute with d")
 
 
-def _criterion_08_attainable() -> bool:
-    ok = True
-    for n, p in ((2, 11), (3, 7)):
-        field = field_create(p)
-        layer = FixedLayer(build_bundle(n, p, field), KummerConnection.sigma(n))
-        ok = ok and layer.closed and core_homogeneity(layer)["holds"]
-    f7 = field_create(7)
-    sem = FixedLayer(build_bundle(3, 7, f7), KummerConnection.semilinear(3, 7))
-    hom = core_homogeneity(sem)
-    ok = ok and not hom["holds"] and hom["witness"]["source"].startswith("h[3,")
+def _invariant_cycles() -> dict[int, list[dict]]:
+    """The invariant-cycles claim's two checks, the comparison and the
+    surjectivity, at n = 2 and 3."""
+    return {n: CLAIMS["invariant-cycles"].run(n, p) for n, p in ((2, 11), (3, 19))}
+
+
+def _criterion_08_attainable(cycles: dict[int, list[dict]]) -> bool:
+    ok = holds("core-homogeneity")
     # height-1 filtration tables and the E_1^{1,-1} corner
     f5 = field_create(5)
     bundle1 = build_bundle(1, 5, f5)
@@ -293,12 +228,8 @@ def _criterion_08_attainable() -> bool:
     ok = ok and core_rep.dim(1, 1, -1) == 0 and med_rep.dim(1, 1, -1) == 1
     ok = ok and core_rep.notes["e1_matches_smooth_fiber"]
     # singular fiber surjects onto the fixed-point cohomology (rank check)
-    for n, p in ((2, 11), (3, 19)):
-        field = field_create(p)
-        fsc0 = subcomplex(build_singular(n, p, field), "fsc")
-        full0 = build_singular(n, p, field)
-        proj = monomial_projection(full0, fsc0)
-        ok = ok and induced_map_rank(proj)["surjective_on_cohomology"]
+    for _comparison, surjects in cycles.values():
+        ok = ok and surjects["ok"]
     # fixed-fiber Betti equality holds at n = 2 (where FSC = cc)
     f11 = field_create(11)
     fsc0 = subcomplex(build_singular(2, 11, f11), "fsc")
@@ -317,34 +248,28 @@ def test_criterion_08_core_machinery():
     FSC at eps = 0 is not the fiber of the sigma core at x = 0, so its
     cohomology (56 at n = 3, against 8 at eps = 1) is printed as information
     only; CHANGES.md, "Criterion 8 localization", records why."""
-    ok = _criterion_08_attainable()
-    fsc_totals = {}
-    for n, p in ((2, 11), (3, 19)):
-        field = field_create(p)
-        singular = build_singular(n, p, field)
-        t0 = betti(subcomplex(singular, "critical")).totals_by_degree()
-        t1 = betti(subcomplex(build_deformed(n, p, field, 1), "fsc")).totals_by_degree()
-        ok = ok and t0 == t1 == exterior_profile(range(1, 2 * n, 2))
-        fsc_totals[n] = (betti(subcomplex(singular, "fsc")).grand_total(),
-                         sum(t1.values()))
+    cycles = _invariant_cycles()
+    ok = _criterion_08_attainable(cycles)
+    for comparison, _surjects in cycles.values():
+        ok = ok and comparison["ok"]
+    fsc0_total, fsc1_total = re.findall(r"\(total (\d+)\)", cycles[3][0]["detail"])
     report(8, ok, "core machinery; H(critical at 0) = H(FSC at 1) = exterior "
                   "on 1, 3, ..., 2n-1 for (2,11), (3,19); for information, "
-                  f"dim H(FSC at 0) = {fsc_totals[3][0]} vs dim H(FSC at 1) = "
-                  f"{fsc_totals[3][1]} at n=3")
+                  f"dim H(FSC at 0) = {fsc0_total} vs dim H(FSC at 1) = "
+                  f"{fsc1_total} at n=3")
 
 
 def test_criterion_08_attainable_parts():
     """Everything in criterion 8 except the invariant-cycles comparison, plus
     a pin of the fixed-subcomplex dimensions of both fibers at n = 3 (56 at
     eps = 0 against 8 at eps = 1), which differ; see CHANGES.md, "Criterion 8
-    localization"."""
-    ok = _criterion_08_attainable()
-    f19 = field_create(19)
-    t0 = betti(subcomplex(build_singular(3, 19, f19), "fsc")).totals_by_degree()
-    ok = ok and t0 == {0: 1, 1: 1, 2: 6, 3: 13, 4: 7, 5: 7, 6: 13, 7: 6,
-                       8: 1, 9: 1}
-    t1 = betti(subcomplex(build_deformed(3, 19, f19, 1), "fsc")).totals_by_degree()
-    ok = ok and sum(t1.values()) == 8
+    localization". The claim reports both in the comparison's detail."""
+    cycles = _invariant_cycles()
+    ok = _criterion_08_attainable(cycles)
+    fsc0 = {0: 1, 1: 1, 2: 6, 3: 13, 4: 7, 5: 7, 6: 13, 7: 6, 8: 1, 9: 1}
+    detail = cycles[3][0]["detail"]
+    ok = ok and f"FSC at 0: {fsc0} (total 56); FSC at 1: " in detail
+    ok = ok and detail.endswith("(total 8)")
     report(8, ok, "(attainable parts) sigma cores homogeneous (n=2,3), "
                   "semilinear fails at n=3 with a degree-1 witness; height-1 "
                   "tables and the E_1^(1,-1) corner reproduced; singular-fiber "

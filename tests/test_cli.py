@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import stabfold
+from stabfold.claims import CLAIMS
 from stabfold.cli import main
 
 
@@ -102,6 +103,12 @@ def test_betti_size_gate(capsys):
 
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "bogus"]) == 2
+    assert f"available: {', '.join(sorted(CLAIMS))}" in capsys.readouterr().err
+    # the help text lists the registry's names (argparse may wrap the line)
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    help_text = "".join(capsys.readouterr().out.split())
+    assert "oneof:" + ",".join(sorted(CLAIMS)) in help_text
 
 
 def test_verify_tables(capsys):
@@ -236,6 +243,67 @@ def test_monodromy_json_payloads_are_pinned(capsys, flags, digest):
     assert main(["monodromy"] + flags + ["--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the stdout of `verify` in --format json and --format text; every
+# run exits 0 with nothing on stderr. These outputs change only on purpose
+VERIFY_DIGESTS = [
+    (["tables"],
+     "c8e34244eb19f2f258f0c86c56cdb89ead18de3f6287bf0d5d7ccb3715793054",
+     "a12b6b9ed2ee26747ddf8c5a44ca0b47106cbaf0472353ff591ce43aeb8d790b"),
+    (["transport"],
+     "e0a8e90f109f71464dbaaea10fe36bcfa418c4e05c2191a78140d204655289f2",
+     "bb0fd1974eb2ad9f03453e3c1a0c8a78b7c6f1a042035110f4a27dd725a653b1"),
+    (["monodromy-fixed"],
+     "bf0a52bcf54f83d2b4540a5a45145d645a9a8fb34594d07ed52cac44df374266",
+     "25be912b8f0db519dd2c52b1921ead73ab5f4a57e12a1a86429adcbdf057a81e"),
+    (["core-homogeneity"],
+     "b3dc4b375422f96c20bfcf31e90e080a1ca3f7f166c4ad7876a13e28f3c0e8d1",
+     "17623f311e49f988b951f0a110d2864ff882a778c2860c6fa3631e9cd6cc8309"),
+    (["dd-zero", "--n", "2"],
+     "c11c03fe0e20464db878a321b2670202afbe0c8bf309f0510b18254afe41cab6",
+     "4c20d88ed9894d7ccd326d7a5d7226beade29728f1e826b00bb9796182f1dda1"),
+    (["dd-zero", "--n", "3"],
+     "6d16ea8d58171481680a1ac18a07e284d290ba20fe43223932468119a78bc9fd",
+     "8fe626f17f538239635d2d2a9fee487ae52d9935b9d05da6deee36aae733c325"),
+    (["containment"],
+     "74ce094a7401f6da24c5c494aebc9f4e18e0173c7db9074a6fd624c1a41553f7",
+     "dd0dad383925f4dd5f9a8c7bd545951f6d6f16f2c545a658eb724f13dfb149a9"),
+    (["containment", "--n", "3", "--p", "7"],
+     "866dc137ec9cc9d1865039dffcd7ce0f7130c2cadada0e7e9c5db6d25762269d",
+     "4fff97b597066501b867dbde28b9d33852b9d08689b6cb747fe7bb502299cbcc"),
+    (["model-kernel", "--n", "2"],
+     "86e5db193140444e325925e8222bc34fee0186ed5206ff12c1c95aeece7fb5b5",
+     "741eacab5454918b177cc9f961d98f8ade9f6e2b47e23f279d7e449a4f473c8f"),
+    (["model-kernel", "--n", "3"],
+     "5625ffd816a4c6cd815575d2512b94aba5d829f05b43e43eb9dd40a931dd4312",
+     "8f8aa06dd9e7f98e01a12fc96ef0290dd95991808d3569d76e513482c2468284"),
+    (["model-kernel", "--n", "4"],
+     "7a2da4fbdceebff5d792fbc86ecb0d894629069b61911ca161996ed781060215",
+     "6dbaf7509c1a926581f7684353d815e0c43dcbe7970bdcc62cc877571d474a6e"),
+    (["collapse", "--n", "2"],
+     "d69d866c7cfc61a4c9a15dafe34b8e29da4131d5b54a4dada8611f439dda3d8b",
+     "41b53ac19cdb4455cc3926838cbcdd378591ecaf950db1eb72ac5742f80ae7ac"),
+    (["collapse", "--n", "3"],
+     "959093217790f5d0be9837ea1611b2c53a3782020174b676af581781ae820471",
+     "00aa6380b30e71e79160eac89a3da125fd01e03390661b1adfb776048858340e"),
+    (["invariant-cycles", "--n", "2"],
+     "900b045c59c93d8c90851fe7ff56b7e854da4e3b363aa876a15281c43e8f68e1",
+     "8736255f8942a04e7be67a4d6520d7e0996838f9039f9134aa6a40e936a8cd3b"),
+    (["invariant-cycles", "--n", "3"],
+     "9107c63a0816897419253004beb551d8dd73f95f56e144d44ae7721e29bea714",
+     "2ac551d6ca37aa0166aedfe5d01d1021f63dc22be2a9e4004aafa4b119ee8557"),
+]
+
+
+@pytest.mark.parametrize("flags,json_digest,text_digest", VERIFY_DIGESTS,
+                         ids=[" ".join(f) for f, _, _ in VERIFY_DIGESTS])
+def test_verify_outputs_are_pinned(capsys, flags, json_digest, text_digest):
+    for fmt, digest in (("json", json_digest), ("text", text_digest)):
+        assert main(["verify"] + flags + ["--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert not captured.err
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest, fmt
 
 
 def _connection_file(tmp_path, n, values):
@@ -405,8 +473,7 @@ def test_model_kernel_with_p_dividing_n_is_a_usage_error(n, p):
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("suite", ["tables", "transport", "monodromy-fixed",
-                                   "core-homogeneity"])
+@pytest.mark.parametrize("suite", [name for name, claim in CLAIMS.items() if claim.fixed])
 @pytest.mark.parametrize("flags", [["--n", "2"], ["--p", "7"], ["--n", "2", "--p", "7"]])
 def test_fixed_suites_refuse_height_and_prime(capsys, suite, flags):
     code = main(["verify", suite] + flags)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from oracles import idempotent_exponent, minimal_polynomial, u_property_check
+from oracles import idempotent_exponent, minimal_polynomial, poly_radical, u_property_check
 
 from stabfold.exterior import Cochain, degree, generator_mask
 from stabfold.gf import field_create, primitive_root_of_unity
@@ -366,7 +366,7 @@ def test_circledast_eigenvalue_lemma_2x2_exhaustive_f3():
     exactly the pairwise sums (verified inside F_9, where all roots live)."""
     from itertools import product
 
-    from stabfold.gf import Poly, poly_divmod, poly_gcd
+    from stabfold.gf import Poly
 
     f9 = field_create(3, 2)
 
@@ -415,8 +415,6 @@ def test_circledast_eigenvalue_lemma_2x2_exhaustive_f3():
         return poly
 
     def distinct_roots(poly):
-        from stabfold.gf import poly_radical
-
         roots = {e for e in f9.elements() if not poly.evaluate(e)}
         # all roots must already lie in F_9 for the count to be conclusive
         assert poly_radical(poly).degree == len(roots)
@@ -438,7 +436,7 @@ def test_circledast_eigenvalue_lemma_2x2_exhaustive_f3():
 def test_circledast_eigenvalue_lemma_3x3_sampled():
     """Seeded sample of 3x3 pairs over F_3 (the full pair set is out of
     reach); eigenvalues live in F_27 or F_9, both inside F_(3^6)."""
-    from stabfold.gf import Poly, poly_divmod, poly_gcd
+    from stabfold.gf import Poly
 
     f = field_create(3, 6)
     pts = []
@@ -479,8 +477,6 @@ def test_circledast_eigenvalue_lemma_3x3_sampled():
         return poly
 
     def distinct_roots(poly):
-        from stabfold.gf import poly_radical
-
         roots = {e for e in f.elements() if not poly.evaluate(e)}
         assert poly_radical(poly).degree == len(roots)
         return roots
