@@ -49,7 +49,7 @@ def _require_enumerable(n: int, what: str) -> None:
     if n > _MAX_ENUMERATED_N:
         raise UsageError(
             f"{what} at n={n} would enumerate all 2^{n * n} monomials; heights "
-            f"above {_MAX_ENUMERATED_N} wait on ROADMAP item 4")
+            f"above {_MAX_ENUMERATED_N} wait on ROADMAP item 3")
 
 
 def primes_above(bound: int, count: int) -> list[int]:

@@ -71,20 +71,6 @@ def wedge(a: int, b: int) -> tuple[int, int] | None:
     return (-1 if inversions & 1 else 1, a | b)
 
 
-def wedge_sign_oracle(a_slots: list[int], b_slots: list[int]) -> int | None:
-    """Independent sign computation by explicit bubble sort of slot lists."""
-    seq = list(a_slots) + list(b_slots)
-    if len(set(seq)) != len(seq):
-        return None
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(len(seq) - 1 - i):
-            if seq[j] > seq[j + 1]:
-                seq[j], seq[j + 1] = seq[j + 1], seq[j]
-                sign = -sign
-    return sign
-
-
 # -- gradings ---------------------------------------------------------------------
 
 
@@ -95,16 +81,6 @@ def internal_weights(n: int, p: int) -> tuple[list[int], int]:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             w[(i - 1) * n + (j - 1)] = (2 * (p**i - 1) * p**j) % mod
-    return w, mod
-
-
-def reduced_weights(n: int, p: int) -> tuple[list[int], int]:
-    """Per-slot reduced degrees p^j (p^i - 1)/(p - 1) and modulus (p^n - 1)/(p - 1)."""
-    mod = (p**n - 1) // (p - 1)
-    w = [0] * (n * n)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            w[(i - 1) * n + (j - 1)] = (p**j * (p**i - 1) // (p - 1)) % mod
     return w, mod
 
 
@@ -143,21 +119,6 @@ def _weighted_sum(mask: int, weights: list[int]) -> int:
 def internal_degree(mask: int, n: int, p: int) -> int:
     w, mod = internal_weights(n, p)
     return _weighted_sum(mask, w) % mod
-
-
-def reduced_internal_degree(mask: int, n: int, p: int) -> int:
-    w, mod = reduced_weights(n, p)
-    return _weighted_sum(mask, w) % mod
-
-
-def angle_bracket(mask: int, n: int) -> tuple[int, ...]:
-    """Integer n-tuple indexed by residues (0 = n, 1, ..., n-1): each generator
-    h[i,j] contributes -1 at residue j and +1 at residue i+j."""
-    t = [0] * n
-    for i, j in slots_of(mask, n):
-        t[j % n] -= 1
-        t[(i + j) % n] += 1
-    return tuple(t)
 
 
 def first_subscript_filtration(mask: int, n: int) -> int:
@@ -305,10 +266,3 @@ class Cochain:
         for m in sorted(self.terms):
             parts.append(f"({self.terms[m]!r})*{format_monomial(m, self.n)}")
         return " + ".join(parts)
-
-
-def cochain_from_text(text: str, n: int, one) -> Cochain:
-    """Parse a single signed monomial string into a cochain with coefficient 1."""
-    sign, mask = parse_monomial(text, n)
-    c = one if sign > 0 else -one
-    return Cochain(n, {mask: c})

@@ -621,10 +621,6 @@ class Poly:
     def x_power(cls, field: Field, e: int, c=1) -> "Poly":
         return cls(field, [field.zero] * e + [field.scalar(c)])
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -665,13 +661,6 @@ class Poly:
                     if b:
                         out[i + j] = out[i + j] + a * b
         return Poly(self.field, out)
-
-    def evaluate(self, e: FieldScalar) -> FieldScalar:
-        """Horner evaluation; a ring homomorphism Poly -> field for fixed e."""
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * e + c
-        return acc
 
     def __repr__(self):
         if not self.coeffs:

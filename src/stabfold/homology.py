@@ -164,17 +164,6 @@ class BettiTable:
     def grand_total(self) -> int:
         return sum(self.entries.values())
 
-    def euler_characteristics_match(self) -> bool:
-        """Per internal class: alternating sums of cochain dims and of Betti
-        numbers agree."""
-        us = {u for (_s, u) in self.block_dims}
-        for u in us:
-            chain = sum((-1) ** s * d for (s, uu), d in self.block_dims.items() if uu == u)
-            coh = sum((-1) ** s * b for (s, uu), b in self.entries.items() if uu == u)
-            if chain != coh:
-                return False
-        return True
-
     def to_json_rows(self) -> list[dict]:
         return [
             {"s": s, "u": u, "dim": b}

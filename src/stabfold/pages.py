@@ -15,7 +15,10 @@ lack of targets, which is the collapse certificate.
 ``run_pages`` expands no differential itself: it reads each block's
 ``homology.block_matrix`` rows once, checks on their entries that d never
 lowers the filtration, and cuts each z_r matrix out of them by the source
-and target filtration values.  When the pages reach E-infinity, their totals
+and target filtration values.  A z_r matrix of a block is fixed by two
+counts, nc source columns with fil >= t and nr target rows with fil < t + r,
+so each distinct (nc, nr) is eliminated once, however many (t, r) cut it
+out.  When the pages reach E-infinity, their totals
 are cross-checked against Betti numbers from the rank of each full block,
 taken on the same rows before they are cut.
 
@@ -27,6 +30,8 @@ filtration, which need e = 0 on every term.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from .exterior import add_term, first_subscript_filtration, format_monomial
 from .homology import FiniteComplex, betti, betti_numbers, block_matrix, matrix_rank
@@ -146,9 +151,11 @@ def run_pages(fc: FilteredComplex, r_max: int | None = None) -> PageReport:
 
     Pages are listed for r = 1 .. min(r_max, span + 1); differentials beyond
     the filtration span vanish for lack of targets, so the listed range
-    certifies the collapse page.  When the listed range reaches E-infinity,
-    its totals per (s, u) are cross-checked against Betti numbers from the
-    ranks of the full block rows, taken apart from the cut z_r matrices.
+    certifies the collapse page.  Each z_r matrix is eliminated once per
+    distinct (nc, nr), its counts of columns and rows, not once per (t, r).
+    When the listed range reaches E-infinity, its totals per (s, u) are
+    cross-checked against Betti numbers from the ranks of the full block
+    rows, taken apart from the cut z_r matrices.
     """
     cx = fc.cx
     field = cx.field
@@ -185,6 +192,7 @@ def run_pages(fc: FilteredComplex, r_max: int | None = None) -> PageReport:
                     )
                 cols[j].append((i, c))
         entry = {"src_fil": src_fil, "tgt_fil": tgt_fil, "cols": cols,
+                 "src_sorted": sorted(src_fil), "tgt_sorted": sorted(tgt_fil),
                  "rank": rank}
         data[(s, u)] = entry
         return entry
@@ -192,25 +200,28 @@ def run_pages(fc: FilteredComplex, r_max: int | None = None) -> PageReport:
     zcache: dict[tuple[int, int, int, int], int] = {}
 
     def zdim(s, u, t, r):
-        """dim of {x in F^t C^(s,u) : dx in F^(t+r)}."""
+        """dim of {x in F^t C^(s,u) : dx in F^(t+r)}.  The cut matrix has the
+        nc columns with fil >= t and the nr rows with fil < t + r, so
+        (s, u, nc, nr) fixes it and each distinct one is eliminated once."""
         if s < 0:
             return 0
-        key = (s, u, t, r)
-        if key in zcache:
-            return zcache[key]
         bd = block_data(s, u)
-        cols = [j for j, f in enumerate(bd["src_fil"]) if f >= t]
+        src, tgt = bd["src_sorted"], bd["tgt_sorted"]
         cut = t + r
-        live_rows = {i for i, f in enumerate(bd["tgt_fil"]) if f < cut}
-        rows: dict[int, dict[int, object]] = {}
-        for j in cols:
-            for i, c in bd["cols"][j]:
-                if i in live_rows:
-                    rows.setdefault(i, {})[j] = c
-        rank = matrix_rank(list(rows.values()), len(cols), field)
-        val = len(cols) - rank
-        zcache[key] = val
-        return val
+        nc = len(src) - bisect_left(src, t)
+        nr = bisect_left(tgt, cut)
+        if not nc or not nr:
+            return nc
+        key = (s, u, nc, nr)
+        if key not in zcache:
+            rows: dict[int, dict[int, object]] = {}
+            for j, f in enumerate(bd["src_fil"]):
+                if f >= t:
+                    for i, c in bd["cols"][j]:
+                        if bd["tgt_fil"][i] < cut:
+                            rows.setdefault(i, {})[j] = c
+            zcache[key] = nc - matrix_rank(list(rows.values()), nc, field)
+        return zcache[key]
 
     entries: dict[int, dict[tuple[int, int, int], int]] = {}
     for r in range(1, r_stop + 2):

@@ -336,11 +336,6 @@ class Complex:
             return Poly.const(self.field, value)
         return self.field.scalar(value)
 
-    def one_cochain(self, text: str) -> Cochain:
-        from .exterior import cochain_from_text
-
-        return cochain_from_text(text, self.n, self.ring_one)
-
     def __repr__(self):
         eps = "x" if self.descriptor.is_bundle() else self.descriptor.epsilon
         return (f"Complex(lie={self.descriptor.lie}, label={self.descriptor.label}, "
@@ -546,33 +541,6 @@ def dd_zero_exhaustive(n: int, primes: list[int]) -> dict:
             checked += 1
     return {"ok": not failures, "checked": checked, "failures": failures[:8],
             "primes": list(primes), "bad": bad}
-
-
-def sigma_apply(cx: Complex, z: Cochain, semilinear: bool = False) -> Cochain:
-    """The cyclic shift h[i,j] -> h[i,j+1] on a cochain; the semilinear variant
-    twists coefficients by the designated order-n Frobenius power."""
-    field = cx.field
-    if semilinear:
-        if field.m % cx.n != 0:
-            raise ValueError(
-                "semilinear shift needs an order-n Frobenius power; "
-                f"extension degree {field.m} is not a multiple of n={cx.n}"
-            )
-        q = field.p ** (field.m // cx.n)
-
-        def twist(c):
-            if isinstance(c, Poly):
-                return Poly(field, [field.pow(a, q) for a in c.coeffs])
-            return field.pow(c, q)
-    else:
-        twist = lambda c: c
-
-    out: dict[int, object] = {}
-    for mask, c in z.terms.items():
-        sign, shifted = sigma_shift(mask, cx.n)
-        cc = twist(c)
-        add_term(out, shifted, -cc if sign < 0 else cc)
-    return Cochain(cx.n, out)
 
 
 # -- dimension tables -------------------------------------------------------------------

@@ -9,6 +9,10 @@ units, without the package's generator pair table or wedge signs.
 `flipped_sign_table` plants a sign fault for the checks to catch.
 `full_kernel_representatives` is no independent code but the earlier way of
 taking a block's classes, kept as a reference for the present one.
+`wedge_sign_oracle` takes wedge signs by bubble sort of slot lists;
+`reduced_internal_degree`, `angle_bracket`, `sigma_apply`, `one_cochain`,
+`euler_characteristics_match`, `poly_degree` and `poly_evaluate` are small
+helpers that only the tests call.
 `u_property_check` and `idempotent_exponent` are the paper's U-property tools
 on dense matrices (minimal polynomial, diagonalizability, idempotent
 iterates); the package builds kernel models from generator eigenvalues and
@@ -19,8 +23,8 @@ does not need them, nor the polynomial division, gcd and radical
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
-from stabfold.exterior import Cochain
-from stabfold.gf import Field, Poly
+from stabfold.exterior import Cochain, add_term, parse_monomial, sigma_shift, slots_of
+from stabfold.gf import Field, FieldScalar, Poly
 from stabfold.homology import insert_row, nullspace, reduce_against, rref
 from stabfold.retract import Derivation
 
@@ -93,6 +97,101 @@ def gl_ce_differential(n: int) -> dict[int, dict[int, int]]:
                     dxi = out[slot_of[ab]]
                     dxi[pair] = dxi.get(pair, 0) + coeff
     return {s: {m: c for m, c in dxi.items() if c} for s, dxi in out.items()}
+
+
+def wedge_sign_oracle(a_slots: list[int], b_slots: list[int]) -> int | None:
+    """Independent sign computation by explicit bubble sort of slot lists."""
+    seq = list(a_slots) + list(b_slots)
+    if len(set(seq)) != len(seq):
+        return None
+    sign = 1
+    for i in range(len(seq)):
+        for j in range(len(seq) - 1 - i):
+            if seq[j] > seq[j + 1]:
+                seq[j], seq[j + 1] = seq[j + 1], seq[j]
+                sign = -sign
+    return sign
+
+
+def reduced_weights(n: int, p: int) -> tuple[list[int], int]:
+    """Per-slot reduced degrees p^j (p^i - 1)/(p - 1) and modulus (p^n - 1)/(p - 1)."""
+    mod = (p**n - 1) // (p - 1)
+    w = [0] * (n * n)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            w[(i - 1) * n + (j - 1)] = (p**j * (p**i - 1) // (p - 1)) % mod
+    return w, mod
+
+
+def reduced_internal_degree(mask: int, n: int, p: int) -> int:
+    w, mod = reduced_weights(n, p)
+    return sum(w[b] for b in range(n * n) if mask >> b & 1) % mod
+
+
+def angle_bracket(mask: int, n: int) -> tuple[int, ...]:
+    """Integer n-tuple indexed by residues (0 = n, 1, ..., n-1): each generator
+    h[i,j] contributes -1 at residue j and +1 at residue i+j."""
+    t = [0] * n
+    for i, j in slots_of(mask, n):
+        t[j % n] -= 1
+        t[(i + j) % n] += 1
+    return tuple(t)
+
+
+def sigma_apply(cx, z: Cochain, semilinear: bool = False) -> Cochain:
+    """The cyclic shift h[i,j] -> h[i,j+1] on a cochain; the semilinear variant
+    twists coefficients by the designated order-n Frobenius power."""
+    field = cx.field
+    if semilinear:
+        if field.m % cx.n != 0:
+            raise ValueError(
+                "semilinear shift needs an order-n Frobenius power; "
+                f"extension degree {field.m} is not a multiple of n={cx.n}"
+            )
+        q = field.p ** (field.m // cx.n)
+
+        def twist(c):
+            if isinstance(c, Poly):
+                return Poly(field, [field.pow(a, q) for a in c.coeffs])
+            return field.pow(c, q)
+    else:
+        twist = lambda c: c
+
+    out: dict[int, object] = {}
+    for mask, c in z.terms.items():
+        sign, shifted = sigma_shift(mask, cx.n)
+        cc = twist(c)
+        add_term(out, shifted, -cc if sign < 0 else cc)
+    return Cochain(cx.n, out)
+
+
+def one_cochain(cx, text: str) -> Cochain:
+    """The signed monomial text as a cochain of cx with coefficient one."""
+    sign, mask = parse_monomial(text, cx.n)
+    return Cochain(cx.n, {mask: cx.ring_one if sign > 0 else -cx.ring_one})
+
+
+def euler_characteristics_match(table) -> bool:
+    """Per internal class of a ``BettiTable``: alternating sums of cochain
+    dims and of Betti numbers agree."""
+    for u in {u for (_s, u) in table.block_dims}:
+        chain = sum((-1) ** s * d for (s, uu), d in table.block_dims.items() if uu == u)
+        coh = sum((-1) ** s * b for (s, uu), b in table.entries.items() if uu == u)
+        if chain != coh:
+            return False
+    return True
+
+
+def poly_degree(f: Poly) -> int:
+    return len(f.coeffs) - 1  # -1 for the zero polynomial
+
+
+def poly_evaluate(f: Poly, e: FieldScalar) -> FieldScalar:
+    """Horner evaluation; a ring homomorphism Poly -> field for fixed e."""
+    acc = f.field.zero
+    for c in reversed(f.coeffs):
+        acc = acc * e + c
+    return acc
 
 
 def flipped_sign_table(table, gslot=0, k=0):
@@ -174,7 +273,7 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         raise ZeroDivisionError("polynomial division by zero")
     field = a.field
     rem = list(a.coeffs)
-    db = b.degree
+    db = poly_degree(b)
     inv_lead = b.coeffs[-1].inverse()
     quot = [field.zero] * max(0, len(rem) - db)
     for k in range(len(rem) - 1, db - 1, -1):
@@ -253,7 +352,7 @@ def minimal_polynomial(mat, field: Field) -> Poly:
 
 
 def poly_roots_in_field(f: Poly, field: Field):
-    return [e for e in field.elements() if not f.evaluate(e)]
+    return [e for e in field.elements() if not poly_evaluate(f, e)]
 
 
 def is_diagonalizable(mat, field: Field):

@@ -422,10 +422,13 @@ def test_bad_params_file_exits_2_with_message(capsys, tmp_path, content, message
     assert not captured.out
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("suite", ["invariant-cycles", "collapse"])
+@pytest.mark.parametrize("suite", [
+    pytest.param("invariant-cycles", marks=pytest.mark.slow),
+    "collapse",
+])
 def test_verify_suites_pass_at_n4(capsys, suite):
-    # about 9 s and 27 s on a 2-core machine; run with -m slow
+    # invariant-cycles takes about 9 s on a 2-core machine, run with -m slow;
+    # collapse about 1 s, since run_pages eliminates each cut matrix once
     code, js = run_json(capsys, "verify", suite, "--n", "4")
     assert code == 0 and js["ok"]
 
@@ -497,7 +500,7 @@ def test_height5_enumeration_refused_at_once(capsys, argv):
     code = main(argv)
     assert code == 2 and time.perf_counter() - t0 < 5
     captured = capsys.readouterr()
-    assert "ROADMAP item 4" in captured.err and not captured.out
+    assert "ROADMAP item 3" in captured.err and not captured.out
 
 
 def test_verify_dd_zero_reports_a_flipped_sign(capsys, monkeypatch):

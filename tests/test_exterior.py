@@ -3,21 +3,19 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import angle_bracket, reduced_internal_degree, wedge_sign_oracle
 
 from stabfold.exterior import (
-    angle_bracket,
     degree,
     first_subscript_sum,
     format_monomial,
     generator_mask,
     internal_degree,
     parse_monomial,
-    reduced_internal_degree,
     sigma_shift,
     slots_of,
     split_join,
     wedge,
-    wedge_sign_oracle,
 )
 
 

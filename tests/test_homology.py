@@ -4,8 +4,10 @@ import sys
 import pytest
 from oracles import (
     dense_rank_oracle,
+    euler_characteristics_match,
     flipped_sign_table,
     full_kernel_representatives,
+    one_cochain,
     sympy_rank,
 )
 
@@ -132,7 +134,7 @@ def test_betti_gl2_exterior_profile():
     table = betti(gl)
     assert table.totals_by_degree() == {0: 1, 1: 1, 3: 1, 4: 1}
     assert table.grand_total() == 4
-    assert table.euler_characteristics_match()
+    assert euler_characteristics_match(table)
 
 
 def test_betti_ravenel_n2_total_12():
@@ -210,7 +212,7 @@ def test_zeta2_representative():
     coh = Cohomology(cc)
     block = coh.block(1, 0)
     assert block.dim == 1
-    zeta2 = cc.one_cochain("h[2,1]") + cc.one_cochain("h[2,2]")
+    zeta2 = one_cochain(cc, "h[2,1]") + one_cochain(cc, "h[2,2]")
     assert block.representative(0) == zeta2
     # reduction is idempotent: reducing the representative gives unit coords
     assert block.reduce(zeta2) == [f.one]
@@ -232,9 +234,9 @@ def test_height2_ring_relations():
     cx = build_singular(2, 11, f)
     coh = Cohomology(cx)
     one = cx.ring_one
-    h10 = cx.one_cochain("h[1,0]")  # = h[1,2]
-    h11 = cx.one_cochain("h[1,1]")
-    diff = cx.one_cochain("h[2,0]") - cx.one_cochain("h[2,1]")
+    h10 = one_cochain(cx, "h[1,0]")  # = h[1,2]
+    h11 = one_cochain(cx, "h[1,1]")
+    diff = one_cochain(cx, "h[2,0]") - one_cochain(cx, "h[2,1]")
     g0 = diff.wedge(h10, one)
     g1 = diff.wedge(h11, one)
     for z in (h10, h11, g0, g1):

@@ -1,4 +1,5 @@
 import pytest
+from oracles import dense_rank_oracle
 
 from stabfold.exterior import first_subscript_filtration, generator_mask
 from stabfold.gf import field_create
@@ -6,6 +7,7 @@ from stabfold.homology import FiniteComplex, betti
 from stabfold.kummer import FixedLayer, KummerConnection
 from stabfold.pages import (
     FilteredComplex,
+    PageReport,
     core_pages,
     critical_block,
     filter_first_subscript,
@@ -292,3 +294,107 @@ def test_medial_pages_eliminate_the_whole_fixed_basis_once(monkeypatch, n, p):
                 for pairs in gr.values() for (m, w) in pairs}
         totals = betti(FiniteComplex(layer.field, gr, diff)).totals_by_degree()
         assert totals == {s: d for (s, tt, _u), d in report.entries[1].items() if tt == t}
+
+
+def oracle_pages(fc, r_max=None) -> PageReport:
+    """The pages by the formula of the pages module, with each z_r read off
+    its cut matrix: the block's source columns with fil >= t against its
+    target rows with fil < t + r, built from d_monomial and ranked by the
+    dense oracle, once per distinct pair of column and row sets."""
+    cx = fc.cx
+    lo, hi = fc.fil_range()
+    span = hi - lo
+    r_stop = max(span + 1 if r_max is None else min(r_max, span + 1), 1)
+    to_infinity = r_stop >= span + 1
+    keys = [(s, u) for s in range(cx.top_degree + 1) for u in fc.blocks(s)]
+    ranks, zdims = {}, {}
+
+    def z(s, u, t, r):
+        if s < 0:
+            return 0
+        if (s, u, t, r) not in zdims:
+            cols = tuple(m for m in cx.blocks(s).get(u, []) if fc.fil(m) >= t)
+            live = frozenset(m for m in cx.blocks(s + 1).get(u, []) if fc.fil(m) < t + r)
+            if (cols, live) not in ranks:
+                rows = {}
+                for j, m in enumerate(cols):
+                    for tgt, c in cx.d_monomial(m).items():
+                        if tgt in live:
+                            rows.setdefault(tgt, {})[j] = c
+                ranks[(cols, live)] = dense_rank_oracle(list(rows.values()), len(cols), cx.field)
+            zdims[(s, u, t, r)] = len(cols) - ranks[(cols, live)]
+        return zdims[(s, u, t, r)]
+
+    entries = {}
+    for r in range(1, r_stop + 2):
+        entries[r] = {}
+        for s, u in keys:
+            for t in sorted({fc.fil(m) for m in cx.blocks(s)[u]}):
+                d = (z(s, u, t, r) - z(s, u, t + 1, r - 1)
+                     - z(s - 1, u, t - r + 1, r - 1) + z(s - 1, u, t - r + 1, r))
+                if d:
+                    entries[r][(s, t, u)] = d
+    diffs = {}
+    for r in range(1, r_stop + 1):
+        rk = diffs[r] = {}
+        for (s, t, u), d in sorted(entries[r].items()):
+            out = d - entries[r + 1].get((s, t, u), 0) - rk.get((s - 1, t - r, u), 0)
+            if out:
+                rk[(s, t, u)] = out
+    del entries[r_stop + 1]
+    last = max((r for r, rk in diffs.items() if rk), default=0)
+    notes = {"e_infinity_matches_betti": True} if to_infinity else {}
+    return PageReport(entries, diffs, r_stop, span,
+                      last + 1 if to_infinity else None, notes)
+
+
+def windowed_core_input(monkeypatch):
+    """The filtered window and page bound that core_pages hands run_pages
+    for the height-2 semilinear core of the windowed-pages test."""
+    from stabfold import pages
+
+    real, seen = pages.run_pages, []
+
+    def capture(fc, r_max=None):
+        seen.append((fc, r_max))
+        return real(fc, r_max)
+
+    monkeypatch.setattr(pages, "run_pages", capture)
+    layer = FixedLayer(build_bundle(2, 11, field_create(11)), KummerConnection.semilinear(2, 11))
+    core_pages(layer, t_report=2)
+    (fc, r_max), = seen
+    return fc, r_max
+
+
+@pytest.mark.parametrize("case", ["gl2-full", "gl2-critical", "gl3-full",
+                                  "gl3-critical", "windowed-core"])
+def test_run_pages_matches_cut_matrices_ranked_by_the_oracle(monkeypatch, case):
+    # every z_r that run_pages reads, taken from its own cut matrix, gives
+    # the same pages, differentials and collapse page
+    if case == "windowed-core":
+        fc, r_max = windowed_core_input(monkeypatch)
+    else:
+        n, p = (2, 11) if case.startswith("gl2") else (3, 19)
+        fc, r_max = filter_first_subscript(build_gl(n, field_create(p), p)), None
+        if case.endswith("critical"):
+            fc = critical_block(fc)
+    assert run_pages(fc, r_max).to_json() == oracle_pages(fc, r_max).to_json()
+
+
+@pytest.mark.parametrize("block,most", [("full", 398), ("critical", 44)])
+def test_run_pages_eliminates_each_cut_matrix_once(monkeypatch, block, most):
+    # on gl_3 over GF(19) the z_r keys (s, u, t, r) cut out a few hundred
+    # distinct matrices; keyed by (t, r), run_pages made 13,263 rank calls
+    # on the full filtration and 1,323 on the critical block
+    from stabfold import pages
+
+    real, calls = pages.matrix_rank, []
+
+    def counted(rows, ncols, field):
+        calls.append(ncols)
+        return real(rows, ncols, field)
+
+    monkeypatch.setattr(pages, "matrix_rank", counted)
+    fc = filter_first_subscript(build_gl(3, field_create(19), 19))
+    run_pages(fc if block == "full" else critical_block(fc))
+    assert len(calls) <= most

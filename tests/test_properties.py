@@ -10,8 +10,9 @@ arithmetic, tabled or not.
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import wedge_sign_oracle
 
-from stabfold.exterior import Cochain, wedge, wedge_sign_oracle
+from stabfold.exterior import Cochain, wedge
 from stabfold.gf import Poly, field_create
 from stabfold.ravenel import BUNDLE, build_deformed
 from stabfold.retract import extend_functional
