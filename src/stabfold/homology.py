@@ -18,10 +18,10 @@ it: representatives, class coordinates and cup products are
 rows, and every consumer reads those rows rather than expanding d again:
 ``betti`` streams them block by block into ranks, one block per σ-orbit;
 ``Cohomology`` hands each block's rows to two consumers, the cocycles of
-BlockCohomology(s, u) and, transposed, the coboundaries of
-BlockCohomology(s + 1, u), holding them only until the second has taken
-them; ``exterior_ring_check`` reads its Betti profile off those blocks'
-classes; and ``pages.run_pages`` filters them by the filtration.  A
+BlockCohomology(s, u) and, at the image columns the first has found, the
+coboundaries of BlockCohomology(s + 1, u), holding them only until the second
+has taken them; ``exterior_ring_check`` reads its Betti profile off those
+blocks' classes; and ``pages.run_pages`` filters them by the filtration.  A
 ``FiniteComplex`` on arbitrary labels (the cores, medial layers and x-adic
 windows of ``pages``) is read the same way.
 
@@ -48,6 +48,12 @@ puts B inside Z, so pi(z) = z - b stays in Z, and
 A block's classes are therefore the kernel of d_s with B's pivot columns
 deleted: one vector per class, where the full kernel of d_s has one per
 dimension of Z.
+
+The premise serves twice: d_s kills pi(v) - v in B, so d_s∘pi = d_s, and d_s
+on the columns that are no pivot of B has the image of d_s.  The pivots of
+its reduced echelon form, the block's image columns, index a column basis:
+d_s there is a basis of the next block's B, and the next block's coboundary
+echelon takes only those columns, none of which reduces to zero.
 """
 
 from __future__ import annotations
@@ -110,18 +116,25 @@ def rref(rows: list[dict[int, object]], field: Field):
 def nullspace(rows: list[dict[int, object]], ncols: int, field: Field):
     """Kernel basis of the coded matrix (rows act on column vectors), one
     coded vector per free column, echelon-style and deterministic."""
-    coding = field.coding
     rr, pivots = rref(rows, field)
+    return rref_kernel(rr, pivots, range(ncols), field)
+
+
+def rref_kernel(rr, pivots, labels, field: Field):
+    """Kernel basis of a reduced echelon form ``rref`` returned on the columns
+    0 .. len(labels) - 1: one coded vector per non-pivot column, written with
+    column k relabelled labels[k]."""
+    coding = field.coding
     pivot_set = set(pivots)
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
+    for k, free in enumerate(labels):
+        if k in pivot_set:
             continue
         vec = {free: coding.one}
         for p, row in zip(pivots, rr):
-            v = row.get(free)
+            v = row.get(k)
             if v is not None:
-                vec[p] = coding.neg(v)
+                vec[labels[p]] = coding.neg(v)
         basis.append(vec)
     return basis
 
@@ -271,13 +284,15 @@ class BlockCohomology:
 
     d_out and d_in are the ``block_matrix`` rows of d on this block, whose
     kernel Z holds the cocycles, and of d on the (s - 1, u) block, whose
-    columns span the coboundaries B.  As d∘d = 0 puts B inside Z, reducing Z
-    against an echelon of B gives pi(Z) = Z ∩ span{e_q : q not a pivot of B}
-    (see the module docstring): the kernel of d_out with B's pivot columns
-    deleted, whose reduced echelon basis is the representatives, one vector
-    per class."""
+    columns at ``image``, that block's ``image_cols``, are a basis of the
+    coboundaries B.  As d∘d = 0 puts B inside Z, reducing Z against an echelon
+    of B gives pi(Z) = Z ∩ span{e_q : q not a pivot of B} (see the module
+    docstring): the kernel of d_out with B's pivot columns deleted, whose
+    reduced echelon basis is the representatives, one vector per class.  The
+    pivots of that restricted d_out, as columns of this block, are
+    ``image_cols``, a basis of the (s + 1, u) block's coboundaries."""
 
-    def __init__(self, cx, s: int, u: int, *, d_out: list, d_in: list):
+    def __init__(self, cx, s: int, u: int, *, d_out: list, d_in: list, image: list):
         self.cx = cx
         self.s = s
         self.u = u
@@ -286,10 +301,10 @@ class BlockCohomology:
         self.monomials = cx.blocks(s).get(u, [])
         self.index = {m: i for i, m in enumerate(self.monomials)}
 
-        cob_vectors: dict[int, dict] = {}
+        cob_vectors: dict[int, dict] = {j: {} for j in image}
         for i, row in enumerate(d_in):
-            for j, c in row.items():
-                cob_vectors.setdefault(j, {})[i] = c
+            for j in cob_vectors.keys() & row.keys():
+                cob_vectors[j][i] = row[j]
         cob = echelon(cob_vectors.values(), field)
         self.cob_pivots = sorted(cob)
         self.cob_rows = [cob[p] for p in self.cob_pivots]
@@ -298,9 +313,9 @@ class BlockCohomology:
         free = [q for q in range(len(self.monomials)) if q not in cob]
         at = {q: k for k, q in enumerate(free)}
         restricted = [{at[q]: c for q, c in row.items() if q in at} for row in d_out]
-        kernel = [{free[k]: c for k, c in v.items()}
-                  for v in nullspace(restricted, len(free), field)]
-        self.rep_rows, self.rep_pivots = rref(kernel, field)
+        rr, pivots = rref(restricted, field)
+        self.image_cols = [free[k] for k in pivots]
+        self.rep_rows, self.rep_pivots = rref(rref_kernel(rr, pivots, free, field), field)
 
     @property
     def dim(self) -> int:
@@ -340,30 +355,29 @@ class BlockCohomology:
 class Cohomology:
     """Lazy per-block cohomology of a fiber-mode complex.
 
+    A block is built after the block below it, whose image columns it takes.
     The rows of d on an (s, u) block serve two blocks: BlockCohomology(s, u)
-    takes its cocycles, BlockCohomology(s + 1, u) its coboundaries.  They are
-    assembled once, for whichever block comes first, and held only until the
-    other one takes them."""
+    takes its cocycles, BlockCohomology(s + 1, u) its coboundaries at the
+    image columns.  They are assembled once, for the first, and held only
+    until the second takes them."""
 
     def __init__(self, cx):
-        if cx.descriptor.is_bundle():
-            raise ValueError("representatives need a fiber-mode complex")
+        if cx.descriptor is None or cx.descriptor.is_bundle():
+            raise ValueError("representatives need a fiber-mode Complex")
         self.cx = cx
         self._blocks: dict[tuple[int, int], BlockCohomology] = {}
         self._held: dict[tuple[int, int], list] = {}
 
-    def _rows(self, s: int, u: int) -> list:
-        rows = self._held.pop((s, u), None)
-        if rows is None:
-            rows = self._held[(s, u)] = block_matrix(self.cx, s, u)[0]
-        return rows
-
     def block(self, s: int, u: int) -> BlockCohomology:
         key = (s, u)
         if key not in self._blocks:
+            image = self.block(s - 1, u).image_cols if u in self.cx.blocks(s - 1) else []
+            d_out = block_matrix(self.cx, s, u)[0]
             self._blocks[key] = BlockCohomology(
-                self.cx, s, u, d_out=self._rows(s, u),
-                d_in=self._rows(s - 1, u) if s > 0 else [])
+                self.cx, s, u, d_out=d_out, d_in=self._held.pop((s - 1, u), []),
+                image=image)
+            if d_out:
+                self._held[key] = d_out
         return self._blocks[key]
 
     def classes(self) -> list[tuple[int, int, int]]:

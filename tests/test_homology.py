@@ -344,6 +344,73 @@ def test_block_classes_equal_full_kernel_pipeline(case):
         assert (bc.rep_rows, bc.rep_pivots) == old
 
 
+@pytest.mark.parametrize("case", list(CLASS_CASES))
+def test_coboundary_echelon_takes_no_dependent_vector(case, monkeypatch):
+    # the image columns of the block below are a basis of B: each vector
+    # entering a block's coboundary echelon gives a pivot, and the pivots are
+    # those of the reduced echelon form of all the coboundary columns
+    cx = CLASS_CASES[case]()
+    sizes = []
+    real = homology.echelon
+
+    def counted(rows, field):
+        rows = list(rows)
+        ech = real(rows, field)
+        if sys._getframe(1).f_code is BlockCohomology.__init__.__code__:
+            sizes.append((len(rows), len(ech)))
+        return ech
+
+    monkeypatch.setattr(homology, "echelon", counted)
+    coh = Cohomology(cx)
+    for s, u in _blocks(cx):
+        sizes.clear()
+        bc = coh.block(s, u)
+        assert sizes == [(len(bc.cob_pivots), len(bc.cob_pivots))]
+        cob: dict[int, dict] = {}
+        for i, row in enumerate(block_matrix(cx, s - 1, u)[0] if s > 0 else []):
+            for j, c in row.items():
+                cob.setdefault(j, {})[i] = c
+        assert bc.cob_pivots == rref(list(cob.values()), cx.field)[1]
+
+
+@pytest.mark.parametrize("case", ["gl3-critical-GF7", "ravenel3-eps1-GF19"])
+def test_block_order_does_not_change_the_classes(case):
+    # blocks requested from the top degree down, or one top-degree cocycle
+    # reduced on its own, build the same blocks as an upward classes(), and
+    # hold no rows afterwards
+    cx = CLASS_CASES[case]()
+    up = Cohomology(cx)
+    refs = up.classes()
+
+    def same_blocks(coh):
+        assert not coh._held
+        for key, bc in coh._blocks.items():
+            ref = up._blocks[key]
+            assert (bc.rep_rows, bc.rep_pivots, bc.cob_pivots) == (
+                ref.rep_rows, ref.rep_pivots, ref.cob_pivots)
+
+    assert not up._held
+    down = Cohomology(cx)
+    for s, u in reversed(list(_blocks(cx))):
+        down.block(s, u)
+    assert down._blocks.keys() == up._blocks.keys()
+    same_blocks(down)
+    top = refs[-1]
+    assert top[0] == cx.top_degree
+    lone = Cohomology(cx)
+    assert lone.reduce_cocycle(up.representative(top)) == {top: cx.field.one}
+    same_blocks(lone)
+
+
+@pytest.mark.parametrize("make", [
+    lambda f: FiniteComplex(f, {0: ["a"], 1: ["b"]}, {"a": {"b": f.one}}),
+    lambda f: build_bundle(2, 5, f),
+])
+def test_cohomology_refuses_complexes_without_fiber_cochains(make):
+    with pytest.raises(ValueError, match="fiber-mode"):
+        Cohomology(make(field_create(5)))
+
+
 def test_block_classes_need_no_reduce_against_per_kernel_vector(monkeypatch):
     # building the classes of every block of gl_3's critical complex reduces
     # nothing; the ring check then reduces only its cup products and cocycles
