@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple
 from .exterior import MAX_N, first_subscript_sum, format_monomial, internal_degree, parse_monomial
 from .gf import field_create, is_prime, nth_roots, primitive_root_of_unity
 from .homology import betti, exterior_profile, inclusion_map, induced_map_rank, monomial_projection
+from .homology import block_matrix, matrix_rank
 from .kummer import FixedLayer, KummerConnection, core_homogeneity, solve_h_diagonal
 from .pages import critical_block, filter_first_subscript, run_pages
 from .ravenel import (
@@ -293,6 +294,29 @@ def claim_invariant_cycles(n: int | None, p: int | None) -> list[dict]:
     return checks
 
 
+def claim_duality(n: int | None, p: int | None) -> list[dict]:
+    n = n or 2
+    _require_enumerable(n, "verify duality")
+    p = p or TABLE_PRIMES[n]
+    top, checks = n * n, []
+    for eps in (0, 1):
+        full = build_deformed(n, p, field_create(p), eps)
+        for cx in (full, subcomplex(full, "critical"), subcomplex(full, "fsc")):
+            # every block eliminated: no σ-orbit or dual copies
+            ranks = {(s, u): matrix_rank(*block_matrix(cx, s, u), cx.field)
+                     for s in range(top + 1) for u in cx.blocks(s)}
+            ok = cx.dual_class(0) is not None and all(
+                len(cx.blocks(s)[u]) == len(cx.blocks(top - s).get(v, ()))
+                and r == ranks.get((top - 1 - s, v), 0)
+                for (s, u), r in ranks.items() for v in [cx.dual_class(u)])
+            checks.append(_check(
+                f"Poincare duality of the {cx.descriptor.label} complex (n={n}, "
+                f"p={p}, eps={eps}): rank d^s(u) = rank d^(N-1-s)(u_top-u) and "
+                f"dim C^(s,u) = dim C^(N-s,u_top-u)", ok,
+                f"exhaustive, {len(ranks):,} blocks"))
+    return checks
+
+
 class Claim(NamedTuple):
     run: Callable[[int | None, int | None], list[dict]]
     fixed: bool = False
@@ -308,4 +332,5 @@ CLAIMS = {
     "core-homogeneity": Claim(claim_core_homogeneity, fixed=True),
     "collapse": Claim(claim_collapse),
     "invariant-cycles": Claim(claim_invariant_cycles),
+    "duality": Claim(claim_duality),
 }

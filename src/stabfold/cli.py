@@ -127,12 +127,8 @@ def coeff_repr(c, field) -> str:
 
 
 def format_cochain(z: Cochain, cx) -> str:
-    if not z.terms:
-        return "0"
-    parts = []
-    for m in sorted(z.terms):
-        parts.append(f"({coeff_repr(z.terms[m], cx.field)})*{format_monomial(m, cx.n)}")
-    return " + ".join(parts)
+    return " + ".join(f"({coeff_repr(z.terms[m], cx.field)})*{format_monomial(m, cx.n)}"
+                      for m in sorted(z.terms)) or "0"
 
 
 # -- complexes from config ---------------------------------------------------------------

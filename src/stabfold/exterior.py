@@ -256,13 +256,6 @@ class Cochain:
                 add_term(out, mm, -c if sign < 0 else c)
         return Cochain(self.n, out)
 
-    def degrees(self) -> set[int]:
-        return {degree(m) for m in self.terms}
-
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms):
-            parts.append(f"({self.terms[m]!r})*{format_monomial(m, self.n)}")
-        return " + ".join(parts)
+        return " + ".join(f"({self.terms[m]!r})*{format_monomial(m, self.n)}"
+                          for m in sorted(self.terms)) or "0"

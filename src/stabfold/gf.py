@@ -440,7 +440,9 @@ class ScalarCoding(_Coding):
 
 
 def _poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Rabin test for a monic polynomial y^m + sum coeffs[i] y^i over GF(p)."""
+    """Rabin test for a monic polynomial y^m + sum coeffs[i] y^i over GF(p),
+    m >= 2: irreducible iff y^(p^m) = y mod f and gcd(f, y^(p^(m/q)) - y) = 1
+    for every prime divisor q of m."""
     m = len(coeffs)
 
     def mulmod(a, b):
@@ -458,14 +460,7 @@ def _poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
         return prod[:m]
 
     def ypow(e):
-        # y^e mod f, starting from y
-        res = [0] * m
-        res[0] = 1
-        base = [0] * m
-        if m == 1:
-            base[0] = (-coeffs[0]) % p  # y = -c_0 in GF(p)[y]/(y + c_0)
-        else:
-            base[1] = 1
+        res, base = [1] + [0] * (m - 1), [0, 1] + [0] * (m - 2)
         while e:
             if e & 1:
                 res = mulmod(res, base)
@@ -497,24 +492,13 @@ def _poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
             a.pop()
         return a
 
-    # f irreducible iff y^(p^m) == y mod f and gcd(f, y^(p^(m/q)) - y) = 1
-    # for every prime divisor q of m.
-    xq = ypow(p**m)
-    target = [0] * m
-    if m == 1:
-        target[0] = (-coeffs[0]) % p
-    else:
-        target[1] = 1
-    if xq != target:
+    if ypow(p**m) != [0, 1] + [0] * (m - 2):
         return False
     for q in factorize(m):
         t = ypow(p ** (m // q))
-        t = t[:]
-        t[1 if m > 1 else 0] = (t[1 if m > 1 else 0] - (1 if m > 1 else 0)) % p
-        if m == 1:
-            t[0] = (t[0] - (-coeffs[0])) % p
+        t[1] = (t[1] - 1) % p
         g = gcd_with(t)
-        if len(g) > 1 or (len(g) == 1 and g[0] == 0):
+        if len(g) > 1 or g[0] == 0:
             return False
     return True
 
@@ -534,20 +518,9 @@ def field_create(p: int, m: int = 1) -> Field:
     if m == 1:
         field = Field(p, 1, (0,))
     else:
-        modulus = None
-        for k in range(p**m):
-            digits = []
-            kk = k
-            for _ in range(m):
-                digits.append(kk % p)
-                kk //= p
-            cand = tuple(digits)
-            if _poly_is_irreducible(cand, p):
-                modulus = cand
-                break
-        if modulus is None:  # pragma: no cover - irreducibles always exist
-            raise FieldError("no irreducible modulus found")
-        field = Field(p, m, modulus)
+        # the first irreducible modulus in base-p order; one always exists
+        candidates = (tuple(k // p**i % p for i in range(m)) for k in range(p**m))
+        field = Field(p, m, next(c for c in candidates if _poly_is_irreducible(c, p)))
     _FIELD_CACHE[key] = field
     return field
 

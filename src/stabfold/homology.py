@@ -16,7 +16,8 @@ it: representatives, class coordinates and cup products are
 
 ``block_matrix`` is the one place that turns d on an (s, u) block into coded
 rows, and every consumer reads those rows rather than expanding d again:
-``betti`` streams them block by block into ranks, one block per σ-orbit;
+``betti`` streams them block by block into ranks, one block per σ-orbit up
+to the middle degree;
 ``Cohomology`` hands each block's rows to two consumers, the cocycles of
 BlockCohomology(s, u) and, at the image columns the first has found, the
 coboundaries of BlockCohomology(s + 1, u), holding them only until the second
@@ -36,6 +37,20 @@ along it once the blocks' sizes are seen to agree.  Only member sets known to
 be σ-stable share (the full, critical and first-subscript complexes, as
 ``Complex.block_orbits`` reads their labels); custom member lists and a
 ``FiniteComplex`` have one orbit per block.
+
+Above the middle, 2 s > N - 1 for the top degree N, ``betti`` copies each
+rank from a block below.  <a, b>, the coefficient of the top monomial in
+a b, pairs the (s, u) block perfectly with the (N - s, u_top - u) block,
+each monomial with its complement up to sign.  ``ravenel.duality_certificate``
+checks that d vanishes on the N monomials of degree N - 1 at every integer
+eps, that u_top = 0 and that the members are closed under complement.  Then
+d(a b) = 0 for a of degree s and b of degree N - 1 - s, so <d a, b> =
+-+<a, d b>: d on the (N - 1 - s, u_top - u) block is the signed transpose of
+d on the (s, u) block, and the ranks agree.  This is Poincaré duality of the
+complex of a unimodular Lie algebra (Koszul 1950): gl_n at eps = 1, the
+nilpotent L(n, n) at eps = 0.  ``Complex.dual_class`` names the dual class
+for the same member sets as σ; custom member lists and a ``FiniteComplex``
+name none, and each rank is copied only once the blocks' sizes agree.
 
 Representatives come from one identity.  Let B = im d_(s-1) and Z = ker d_s
 on a block, and let pi reduce a vector against an echelon of B, zeroing B's
@@ -208,6 +223,9 @@ class FiniteComplex:
     def block_orbits(self, s: int) -> list[list[int]]:
         return [[u] for u in self.blocks(s)]
 
+    def dual_class(self, u: int) -> None:
+        return None
+
     def d_monomial(self, label) -> dict:
         return self._diff.get(label, {})
 
@@ -243,28 +261,38 @@ def betti_numbers(dims: dict, ranks: dict) -> dict:
 
 
 def block_ranks(cx) -> tuple[dict, dict]:
-    """Dimension and rank of d of every (s, u) block: one elimination per
-    orbit of ``cx.block_orbits``, its rank copied along the orbit once the
-    sizes of the orbit's blocks, and of their targets, are seen to agree."""
+    """Dimension and rank of d of every (s, u) block.  Up to the middle, 2 s
+    <= N - 1 for the top degree N, one elimination per orbit of
+    ``cx.block_orbits``, its rank copied along the orbit; above it, when
+    ``cx.dual_class`` gives the class v dual to u, the rank of the dual block
+    (N - 1 - s, v).  A rank is copied once the block's source and target are
+    seen to have the sizes of the ones it was found on (swapped for a dual)."""
     if cx.descriptor is not None and cx.descriptor.is_bundle():
         raise ValueError(
             "bundle-mode complex: cohomology over F[x] is handled through "
             "the pages module"
         )
-    field = cx.field
+    field, top = cx.field, cx.top_degree
+    blocks = {s: cx.blocks(s) for s in range(-1, top + 2)}
     ranks: dict[tuple[int, int], int] = {}
     dims: dict[tuple[int, int], int] = {}
-    for s in range(cx.top_degree + 1):
-        blocks, above = cx.blocks(s), cx.blocks(s + 1)
+
+    def sizes(s, u):
+        return len(blocks[s].get(u, ())), len(blocks[s + 1].get(u, ()))
+
+    for s in range(top + 1):
         for orbit in cx.block_orbits(s):
-            rows, ncols = block_matrix(cx, s, orbit[0])
-            rank = matrix_rank(rows, ncols, field)
+            dual = 2 * s > top - 1 and cx.dual_class(orbit[0]) is not None
+            if not dual:
+                ranks[(s, orbit[0])] = matrix_rank(*block_matrix(cx, s, orbit[0]), field)
             for u in orbit:
-                if (len(blocks.get(u, ())), len(above.get(u, ()))) != (ncols, len(rows)):
-                    raise RuntimeError(
-                        f"blocks of the σ-orbit {orbit} of degree {s} differ in size")
-                ranks[(s, u)] = rank
-        dims.update(((s, u), len(monos)) for u, monos in blocks.items())
+                found = (top - 1 - s, cx.dual_class(u)) if dual else (s, orbit[0])
+                want = sizes(*found)
+                if sizes(s, u) != (want[::-1] if dual else want):
+                    raise RuntimeError(f"block {(s, u)} and the block {found} whose "
+                                       "rank it takes differ in size")
+                ranks[(s, u)] = ranks.get(found, 0)
+        dims.update(((s, u), len(monos)) for u, monos in blocks[s].items())
     return dims, ranks
 
 

@@ -140,15 +140,6 @@ class Transport:
     def apply(self, z: Cochain) -> Cochain:
         return Cochain(z.n, {m: c * self.scalar_of(m) for m, c in z.terms.items()})
 
-    def compose(self, other: "Transport") -> "Transport":
-        """other after self: a transport from self.eps to other.delta."""
-        if self.delta != other.eps:
-            raise ValueError("transports do not compose: fibers mismatch")
-        xs = [a * b for a, b in zip(self.xs, other.xs)]
-        zeta = self.zeta * other.zeta if self.zeta is not None else None
-        return Transport(self.n, self.field, self.eps, other.delta,
-                         zeta, xs, self.mode)
-
     def verify_dga_map(self, n: int, p: int) -> None:
         """f(d_eps h) = d_delta(f h) on every generator, by direct expansion."""
         from .ravenel import build_deformed

@@ -51,17 +51,9 @@ class FilteredComplex:
         return {u: monos for u, monos in blocks.items() if self.u_filter(u)}
 
     def fil_range(self) -> tuple[int, int]:
-        lo, hi = None, None
-        for s in range(self.cx.top_degree + 1):
-            for monos in self.blocks(s).values():
-                for m in monos:
-                    f = self.fil(m)
-                    lo = f if lo is None else min(lo, f)
-                    hi = f if hi is None else max(hi, f)
-        return (0, 0) if lo is None else (lo, hi)
-
-    def restrict_classes(self, u_filter) -> "FilteredComplex":
-        return FilteredComplex(self.cx, self.fil, u_filter)
+        fils = [self.fil(m) for s in range(self.cx.top_degree + 1)
+                for monos in self.blocks(s).values() for m in monos]
+        return (min(fils), max(fils)) if fils else (0, 0)
 
 
 def filter_first_subscript(ce_gl) -> FilteredComplex:
@@ -93,7 +85,7 @@ def filter_first_subscript(ce_gl) -> FilteredComplex:
 
 def critical_block(fc: FilteredComplex) -> FilteredComplex:
     """Restriction to internal class 0 (degrees divisible by 2(p^n - 1))."""
-    return fc.restrict_classes(lambda u: u == 0)
+    return FilteredComplex(fc.cx, fc.fil, lambda u: u == 0)
 
 
 class PageReport:
@@ -110,16 +102,9 @@ class PageReport:
     def dim(self, r: int, s: int, t: int, u: int = 0) -> int:
         return self.entries.get(r, {}).get((s, t, u), 0)
 
-    def rank_out(self, r: int, s: int, t: int, u: int = 0) -> int:
-        return self.ranks.get(r, {}).get((s, t, u), 0)
-
     def nonzero_differentials(self) -> list[tuple[int, int, int, int, int]]:
-        out = []
-        for r, rk in sorted(self.ranks.items()):
-            for (s, t, u), v in sorted(rk.items()):
-                if v:
-                    out.append((r, s, t, u, v))
-        return out
+        return [(r, s, t, u, v) for r, rk in sorted(self.ranks.items())
+                for (s, t, u), v in sorted(rk.items()) if v]
 
     def e_infinity_totals(self) -> dict[tuple[int, int], int]:
         """Sum over t of the last-listed page, per (s, u)."""
@@ -167,10 +152,7 @@ def run_pages(fc: FilteredComplex, r_max: int | None = None) -> PageReport:
 
     # per (s, u): source fil values, target fil values, and the d-matrix
     data: dict[tuple[int, int], dict] = {}
-    keys = set()
-    for s in range(cx.top_degree + 1):
-        for u in fc.blocks(s):
-            keys.add((s, u))
+    keys = {(s, u) for s in range(cx.top_degree + 1) for u in fc.blocks(s)}
 
     def block_data(s, u):
         """Filtration values and the ``block_matrix`` entries of the (s, u)
@@ -254,28 +236,20 @@ def run_pages(fc: FilteredComplex, r_max: int | None = None) -> PageReport:
                 rk[(s, t, u)] = out
         ranks[r] = rk
 
-    last_nonzero = 0
-    for r, rk in ranks.items():
-        if any(rk.values()):
-            last_nonzero = max(last_nonzero, r)
-    collapse_page = last_nonzero + 1 if to_infinity else None
+    last_nonzero = max((r for r, rk in ranks.items() if any(rk.values())), default=0)
     entries.pop(r_stop + 1, None)
-
-    notes = {}
+    report = PageReport(entries, ranks, r_stop, span,
+                        last_nonzero + 1 if to_infinity else None)
     if to_infinity:
-        einf: dict[tuple[int, int], int] = {}
-        for (s, t, u), d in entries[r_stop].items():
-            einf[(s, u)] = einf.get((s, u), 0) + d
+        einf = report.e_infinity_totals()
         expected = betti_numbers({k: len(data[k]["src_fil"]) for k in keys},
                                  {k: bd["rank"] for k, bd in data.items()})
-        einf = {k: v for k, v in einf.items() if v}
         if einf != expected:
             raise AssertionError(
                 f"E-infinity totals {einf} disagree with Betti numbers {expected}"
             )
-        notes["e_infinity_matches_betti"] = True
-
-    return PageReport(entries, ranks, r_stop, span, collapse_page, notes)
+        report.notes["e_infinity_matches_betti"] = True
+    return report
 
 
 # -- monodromy spectral sequences ----------------------------------------------------

@@ -27,7 +27,9 @@ each term of d(g) keeps g's internal class and first-subscript sum mod n, and
 both gradings add along the wedge products of the Leibniz rule.
 ``sigma_certificate`` checks on the same table that the cyclic shift σ
 commutes with d and multiplies the internal class by p, so ``betti``
-eliminates one block per σ-orbit (see ``homology``).
+eliminates one block per σ-orbit, and ``duality_certificate`` that d vanishes
+in degree n^2 - 1, so it copies the ranks above the middle degree from their
+Poincaré-dual blocks (see ``homology``).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .exterior import (
     add_term,
     first_subscript_sum,
     generator_mask,
+    internal_degree,
     internal_weights,
     normalize_j,
     sigma_shift,
@@ -307,6 +310,13 @@ class Complex:
                 orbits.append(orbit)
         return orbits
 
+    def dual_class(self, u: int) -> int | None:
+        """The class u_top - u = -u of the blocks dual to the class-u blocks,
+        if ``duality_certificate`` holds for these members, else None."""
+        if not duality_certificate(self.n, self.p, self.descriptor.label):
+            return None
+        return -u % self.internal_modulus
+
     # -- differential -------------------------------------------------------------
 
     def d_monomial(self, mask: int) -> dict[int, object]:
@@ -411,6 +421,33 @@ def sigma_certificate(n: int, p: int) -> bool:
     if (n, p) not in _SIGMA_CERTIFICATES:
         _SIGMA_CERTIFICATES[(n, p)] = _sigma_commutes(n, p)
     return _SIGMA_CERTIFICATES[(n, p)]
+
+
+_DUALITY_CERTIFICATES: dict[tuple[int, int, str], bool] = {}
+
+
+def duality_certificate(n: int, p: int, label: str) -> bool:
+    """Is d^(N-1-s) on the (N-1-s, -u) block the signed transpose of d^s on
+    the (s, u) block under the pairing of a monomial with its complement, for
+    the height-n members ``label`` graded by p (N = n^2)?
+
+    Checked on the N monomials of degree N - 1: d vanishes on each, on the
+    eps-free and on the eps terms apart (``integer_d`` at KRONECKER_BASE), so
+    for every integer eps.  Then d(a b) = d(a) b +- a d(b) is 0 for a of
+    degree s and b of degree N - 1 - s: the top coefficient of d(a) b is -+
+    that of a d(b).  The top monomial has class 0, and the members are closed
+    under complement (for ``fsc``, the top monomial's first-subscript sum is 0
+    mod n): Poincaré duality of a unimodular Lie algebra's complex."""
+    key = (n, p, label)
+    if key not in _DUALITY_CERTIFICATES:
+        table, top = generator_pair_table(n), (1 << n * n) - 1
+        _DUALITY_CERTIFICATES[key] = (
+            label in SIGMA_STABLE
+            and (label != "fsc" or first_subscript_sum(top, n) == 0)
+            and internal_degree(top, n, p) == 0
+            and not any(any(integer_d(table, top ^ (1 << b), KRONECKER_BASE).values())
+                        for b in range(n * n)))
+    return _DUALITY_CERTIFICATES[key]
 
 
 def subcomplex(cx: Complex, which: str) -> Complex:

@@ -1,5 +1,4 @@
-"""Degree -1 derivations, the operator D = dh + hd, kernel sub-DGAs, and the
-tensor-sum product on matrices.
+"""Degree -1 derivations, the operator D = dh + hd, and kernel sub-DGAs.
 
 The distinguished derivation pair on the CE complex of gl_n assigns
 h(h[n,j]) = w^j * w/(1-w) for a chosen root of unity w (zero on h[i,j] with
@@ -16,7 +15,7 @@ monomial: no certificate covers a computed kernel.
 from __future__ import annotations
 
 from .exterior import Cochain, add_term, format_monomial, split_join, subset_sums
-from .gf import Field, FieldScalar
+from .gf import FieldScalar
 from .ravenel import ClosureError, Complex, DgaDescriptor
 
 
@@ -275,23 +274,3 @@ def critical_model(cx) -> dict:
         derivations.append(laplacian(cx, h))
     model = intersection_model(cx, derivations)
     return {"model": model, "omegas": omegas, "derivations": derivations}
-
-
-# -- the tensor-sum product ------------------------------------------------------------
-
-
-def circledast(d1, d2, field: Field):
-    """(D1, D2) -> D1 (x) I + I (x) D2 on the tensor square, in the basis
-    (v_1 (x) w_1, v_1 (x) w_2, ..., v_m (x) w_n) ordered row-major."""
-    n1, n2 = len(d1), len(d2)
-    out = [[field.zero] * (n1 * n2) for _ in range(n1 * n2)]
-    for i in range(n1):
-        for j in range(n2):
-            r = i * n2 + j
-            for k in range(n1):
-                if d1[i][k]:
-                    out[r][k * n2 + j] = out[r][k * n2 + j] + d1[i][k]
-            for l in range(n2):
-                if d2[j][l]:
-                    out[r][i * n2 + l] = out[r][i * n2 + l] + d2[j][l]
-    return out

@@ -6,13 +6,16 @@ it works over every GF(p^m) but shares the field arithmetic of `gf.py`.
 GF(p), so it shares no code with the package; it covers prime fields only.
 `gl_ce_differential` derives the gl_n differential from the bracket of matrix
 units, without the package's generator pair table or wedge signs.
-`flipped_sign_table` plants a sign fault for the checks to catch.
+`flipped_sign_table` plants a sign fault for the checks to catch, and
+`extra_term_table` a term that breaks the duality certificate.
 `full_kernel_representatives` is no independent code but the earlier way of
 taking a block's classes, kept as a reference for the present one.
 `wedge_sign_oracle` takes wedge signs by bubble sort of slot lists;
 `reduced_internal_degree`, `angle_bracket`, `sigma_apply`, `one_cochain`,
 `euler_characteristics_match`, `poly_degree` and `poly_evaluate` are small
-helpers that only the tests call.
+helpers that only the tests call.  So are `compose_transports`, the torsor
+product of two transports, and `circledast`, the tensor-sum product of the
+paper's eigenvalue lemma on dense matrices.
 `u_property_check` and `idempotent_exponent` are the paper's U-property tools
 on dense matrices (minimal polynomial, diagonalizability, idempotent
 iterates); the package builds kernel models from generator eigenvalues and
@@ -23,9 +26,20 @@ does not need them, nor the polynomial division, gcd and radical
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
-from stabfold.exterior import Cochain, add_term, parse_monomial, sigma_shift, slots_of
+from stabfold.exterior import (
+    Cochain,
+    add_term,
+    generator_mask,
+    normalize_j,
+    parse_monomial,
+    sigma_shift,
+    slot,
+    slots_of,
+    wedge,
+)
 from stabfold.gf import Field, FieldScalar, Poly
 from stabfold.homology import insert_row, nullspace, reduce_against, rref
+from stabfold.kummer import Transport
 from stabfold.retract import Derivation
 
 
@@ -200,6 +214,47 @@ def flipped_sign_table(table, gslot=0, k=0):
     pmask, presign, e = out[gslot][k]
     out[gslot][k] = (pmask, -presign, e)
     return out
+
+
+def extra_term_table(table, n, i, c):
+    """A copy of a generator pair table whose d(h[i,j]) has the extra eps-free
+    term h[i,j] h[n,j+c] for every j.  h[n,*] has internal class 0 and first
+    subscript n, so each block and the first-subscript sum mod n are kept, and
+    the terms are shifted along with j, so σ still commutes with d; but d of
+    the degree n^2 - 1 monomial without h[n,j+c] now reaches the top one."""
+    out = {s: list(terms) for s, terms in table.items()}
+    for j in range(1, n + 1):
+        sign, mask = wedge(generator_mask(i, j, n),
+                           generator_mask(n, normalize_j(j + c, n), n))
+        out[slot(i, j, n)].append((mask, sign, 0))
+    return out
+
+
+def circledast(d1, d2, field: Field):
+    """(D1, D2) -> D1 (x) I + I (x) D2 on the tensor square, in the basis
+    (v_1 (x) w_1, v_1 (x) w_2, ..., v_m (x) w_n) ordered row-major."""
+    n1, n2 = len(d1), len(d2)
+    out = [[field.zero] * (n1 * n2) for _ in range(n1 * n2)]
+    for i in range(n1):
+        for j in range(n2):
+            r = i * n2 + j
+            for k in range(n1):
+                if d1[i][k]:
+                    out[r][k * n2 + j] = out[r][k * n2 + j] + d1[i][k]
+            for l in range(n2):
+                if d2[j][l]:
+                    out[r][i * n2 + l] = out[r][i * n2 + l] + d2[j][l]
+    return out
+
+
+def compose_transports(first, then):
+    """``then`` after ``first``: a transport from first.eps to then.delta,
+    scaling each x_j by both transports' x_j."""
+    if first.delta != then.eps:
+        raise ValueError("transports do not compose: fibers mismatch")
+    xs = [a * b for a, b in zip(first.xs, then.xs)]
+    zeta = first.zeta * then.zeta if first.zeta is not None else None
+    return Transport(first.n, first.field, first.eps, then.delta, zeta, xs, first.mode)
 
 
 def full_kernel_representatives(d_out, d_in, ncols, field):

@@ -293,6 +293,12 @@ VERIFY_DIGESTS = [
     (["invariant-cycles", "--n", "3"],
      "9107c63a0816897419253004beb551d8dd73f95f56e144d44ae7721e29bea714",
      "2ac551d6ca37aa0166aedfe5d01d1021f63dc22be2a9e4004aafa4b119ee8557"),
+    (["duality", "--n", "2"],
+     "9ca3648033149c5b4edbe389dc2ef8dc0d255f38debadb09a7339d385b5ca178",
+     "7c611902b180455956b8334212cee01fd4680613f0ac7685ca8a5a46f7bea5a1"),
+    (["duality", "--n", "3"],
+     "023b87c3efbda054c6e7085b42b388552dd68b08f8b7c687b7b373fb568a459c",
+     "f43c64abfe001a29f70989b1b56c8543ca81ab87be776f89a0f9a26251c3f55b"),
 ]
 
 
@@ -433,6 +439,16 @@ def test_verify_suites_pass_at_n4(capsys, suite):
     assert code == 0 and js["ok"]
 
 
+def test_verify_duality_covers_every_block_at_n4(capsys):
+    # betti copies the upper-half ranks across Poincaré duality: the claim
+    # eliminates every block of the full, critical and first-subscript
+    # complexes at n = 4, p = 37, eps = 0 and 1, and says so
+    code, js = run_json(capsys, "verify", "duality", "--n", "4")
+    assert code == 0 and js["ok"]
+    assert [c["detail"] for c in js["checks"]] == [
+        "exhaustive, 1,929 blocks", "exhaustive, 17 blocks", "exhaustive, 495 blocks"] * 2
+
+
 def test_closed_form_basis_sizes_match_enumeration():
     from stabfold.cli import basis_size, build_complex
 
@@ -492,6 +508,7 @@ def test_fixed_suites_refuse_height_and_prime(capsys, suite, flags):
     ["verify", "invariant-cycles", "--n", "5"],
     ["monodromy", "--n", "5", "--p", "53"],
     ["verify", "dd-zero", "--n", "5"],
+    ["verify", "duality", "--n", "5"],
 ])
 def test_height5_enumeration_refused_at_once(capsys, argv):
     import time

@@ -5,6 +5,7 @@ import pytest
 from oracles import (
     dense_rank_oracle,
     euler_characteristics_match,
+    extra_term_table,
     flipped_sign_table,
     full_kernel_representatives,
     one_cochain,
@@ -12,6 +13,7 @@ from oracles import (
 )
 
 from stabfold import homology
+from stabfold.claims import claim_duality
 from stabfold.exterior import Cochain, generator_mask, parse_monomial
 from stabfold.gf import field_create
 from stabfold.homology import (
@@ -505,25 +507,29 @@ def test_block_matrix_respects_blocks():
 
 
 def assert_copied_ranks_eliminate(cx, oracle=None) -> int:
-    """Every rank that ``block_ranks`` copies along a σ-orbit equals the rank
-    of eliminating that block itself; given an oracle, every block's rank
-    also equals the oracle's on its decoded rows.  Returns how many ranks
-    were copied."""
+    """Every rank that ``block_ranks`` copies, along a σ-orbit or from a dual
+    block, equals the rank of eliminating that block itself; given an
+    oracle, every block's rank also equals the oracle's on its decoded rows.
+    Returns how many ranks were copied."""
     field = cx.field
-    _dims, ranks = block_ranks(cx)
-    copied = 0
+    with pytest.MonkeyPatch.context() as mp:
+        eliminated = count_block_matrix_calls(mp)
+        _dims, ranks = block_ranks(cx)
+    blocks = [(s, u) for s in range(cx.top_degree + 1) for u in cx.blocks(s)]
+    assert sorted(ranks) == sorted(blocks)
+    assert len(set(eliminated)) == len(eliminated)
     for s in range(cx.top_degree + 1):
         orbits = cx.block_orbits(s)
         assert sorted(u for orbit in orbits for u in orbit) == sorted(cx.blocks(s))
-        for orbit in orbits:
-            copied += len(orbit) - 1
-            for u in orbit if oracle else orbit[1:]:
-                rows, ncols = block_matrix(cx, s, u)
-                assert ranks[(s, u)] == matrix_rank(rows, ncols, field), (s, u)
-                if oracle is not None:
-                    scalars = [field.coding.decode_row(r) for r in rows]
-                    assert ranks[(s, u)] == oracle(scalars, ncols, field)
-    return copied
+    for s, u in blocks:
+        if oracle is None and (s, u) in eliminated:
+            continue
+        rows, ncols = block_matrix(cx, s, u)
+        assert ranks[(s, u)] == matrix_rank(rows, ncols, field), (s, u)
+        if oracle is not None:
+            scalars = [field.coding.decode_row(r) for r in rows]
+            assert ranks[(s, u)] == oracle(scalars, ncols, field)
+    return len(blocks) - len(eliminated)
 
 
 @pytest.mark.parametrize("n,p", [(1, 3), (2, 11), (2, 2), (3, 19), (3, 2), (4, 37)])
@@ -534,9 +540,11 @@ def test_orbit_copied_ranks_equal_eliminated_ranks(n, p, eps):
     oracle = sympy_rank if n <= 2 else None
     for label in ("critical", "fsc"):
         assert_copied_ranks_eliminate(subcomplex(cx, label), oracle)
-    copied = assert_copied_ranks_eliminate(cx, oracle)
-    # σ is the identity at n = 1; from n = 2 on some ranks are copied
-    assert (copied > 0) == (n > 1)
+    # every height copies the upper half from the dual blocks; σ is the
+    # identity at n = 1, and from n = 2 on it has orbits of several blocks
+    assert assert_copied_ranks_eliminate(cx, oracle) > 0
+    assert any(len(orbit) > 1 for s in range(n * n + 1)
+               for orbit in cx.block_orbits(s)) == (n > 1)
 
 
 def test_orbit_copied_ranks_gl4_over_gf169():
@@ -568,12 +576,26 @@ def count_block_matrix_calls(monkeypatch) -> list:
     return calls
 
 
+def lower_half(cx) -> list:
+    """The σ-orbit leads of degree s, 2 s <= N - 1: the blocks betti
+    eliminates when it copies the upper half from the dual blocks."""
+    top = cx.top_degree
+    return [(s, orbit[0]) for s in range(top + 1) if 2 * s <= top - 1
+            for orbit in cx.block_orbits(s)]
+
+
 @pytest.mark.parametrize("gslot,k", [(0, 0), (3, 0)])
 def test_a_flipped_pair_sign_breaks_the_sigma_certificate(monkeypatch, gslot, k):
     # at n = 3, d(h[1,1]) has only eps terms and d(h[2,1]) (slot 3) starts
     # with an eps-free one: a sign flipped in either part breaks σ d = d σ,
-    # and betti then eliminates every block, copying no rank
+    # and betti then eliminates every block, copying no rank along σ.  The
+    # flipped term h[1,1] h[3,2] of d(h[1,1]) contains h[1,1], so d of the
+    # monomial without h[3,2] now reaches the top one, the duality
+    # certificate fails too and no rank is copied at all; h[1,1] h[1,2] of
+    # d(h[2,1]) does not contain h[2,1], and the upper half is still copied
+    # from the dual blocks
     n, p = 3, 19
+    dual = gslot == 3
     real = ravenel.generator_pair_table
     assert real(n)[gslot][k][2] == (1 if gslot == 0 else 0)
     faulty = flipped_sign_table(real(n), gslot, k)
@@ -585,6 +607,7 @@ def test_a_flipped_pair_sign_breaks_the_sigma_certificate(monkeypatch, gslot, k)
     monkeypatch.setattr(ravenel, "generator_pair_table",
                         lambda m: faulty if m == n else real(m))
     monkeypatch.setattr(ravenel, "_SIGMA_CERTIFICATES", {})
+    monkeypatch.setattr(ravenel, "_DUALITY_CERTIFICATES", {})
     assert not ravenel.sigma_certificate(n, p)
     calls = count_block_matrix_calls(monkeypatch)
     for cx in (build_deformed(n, p, field_create(p), 1),
@@ -592,19 +615,73 @@ def test_a_flipped_pair_sign_breaks_the_sigma_certificate(monkeypatch, gslot, k)
         calls.clear()
         assert all(len(orbit) == 1 for s in range(n * n + 1)
                    for orbit in cx.block_orbits(s))
-        betti(cx)
-        assert sorted(calls) == sorted((s, u) for s in range(n * n + 1)
-                                       for u in cx.blocks(s))
+        assert (cx.dual_class(0) is not None) == dual
+        table = betti(cx)
+        every = [(s, u) for s in range(n * n + 1) for u in cx.blocks(s)]
+        assert sorted(calls) == sorted(lower_half(cx) if dual else every)
+        assert table.entries == oracle_betti(cx, dense_rank_oracle)
 
 
 def test_betti_eliminates_one_block_per_orbit(monkeypatch):
     cx = build_deformed(3, 19, field_create(19), 1)
     calls = count_block_matrix_calls(monkeypatch)
     table = betti(cx)
-    leads = [(s, orbit[0]) for s in range(10) for orbit in cx.block_orbits(s)]
-    assert calls == leads
-    assert len(leads) < sum(len(cx.blocks(s)) for s in range(10))
+    leads = lower_half(cx)
+    assert calls == leads and [s for s, _u in leads][-1] == 4
+    assert len(leads) < sum(len(cx.blocks(s)) for s in range(5))
     assert table.entries == oracle_betti(cx, dense_rank_oracle)
+
+
+def test_a_pair_term_breaking_duality_leaves_every_sigma_lead_eliminated(monkeypatch):
+    # d(h[1,j]) gains h[1,j] h[3,j+2]: σ still commutes with d, but d of the
+    # degree-8 monomial without h[3,j+2] reaches the top monomial, the dual
+    # ranks differ on some blocks, and betti eliminates every σ-lead
+    n, p = 3, 19
+    real = ravenel.generator_pair_table
+    faulty = extra_term_table(real(n), n, 1, 2)
+    monkeypatch.setattr(ravenel, "generator_pair_table",
+                        lambda m: faulty if m == n else real(m))
+    monkeypatch.setattr(ravenel, "_SIGMA_CERTIFICATES", {})
+    monkeypatch.setattr(ravenel, "_DUALITY_CERTIFICATES", {})
+    top = (1 << n * n) - 1
+    assert any(ravenel.integer_d(faulty, top ^ generator_mask(3, 3, n), 0).values())
+    assert ravenel.sigma_certificate(n, p)
+    calls = count_block_matrix_calls(monkeypatch)
+    for eps, label in ((0, "full"), (1, "full"), (0, "critical"), (1, "fsc")):
+        cx = build_deformed(n, p, field_create(p), eps)
+        if label != "full":
+            cx = subcomplex(cx, label)
+        assert not ravenel.duality_certificate(n, p, label)
+        assert cx.dual_class(0) is None
+        calls.clear()
+        table = betti(cx)
+        assert calls == [(s, orbit[0]) for s in range(n * n + 1)
+                         for orbit in cx.block_orbits(s)]
+        ranks = block_ranks(cx)[1]
+        assert any(r != ranks.get((n * n - 1 - s, -u % cx.internal_modulus), 0)
+                   for (s, u), r in ranks.items())
+        assert table.entries == oracle_betti(cx, dense_rank_oracle)
+
+
+def test_a_dual_hook_without_the_sign_is_caught(monkeypatch):
+    # a hook returning u for u_top - u = -u passes the size guard (the block
+    # sizes are symmetric in u) but pairs blocks of unequal rank at eps = 0:
+    # betti goes wrong, and the duality claim fails
+    real = ravenel.Complex.dual_class
+    monkeypatch.setattr(ravenel.Complex, "dual_class",
+                        lambda self, u: None if real(self, u) is None else u)
+    cx = build_singular(3, 19, field_create(19))
+    assert betti(cx).entries != oracle_betti(cx, dense_rank_oracle)
+    checks = claim_duality(3, 19)
+    assert not checks[0]["ok"] and "full" in checks[0]["name"]
+
+
+def test_dual_blocks_of_unequal_size_are_refused(monkeypatch):
+    # a dual hook that pairs blocks of different sizes copies no rank
+    cx = build_deformed(2, 11, field_create(11), 0)
+    monkeypatch.setattr(cx, "dual_class", lambda u: 0)
+    with pytest.raises(RuntimeError, match="differ in size"):
+        betti(cx)
 
 
 def test_orbit_blocks_of_unequal_size_are_refused(monkeypatch):
@@ -650,3 +727,4 @@ def test_custom_member_lists_get_singleton_orbits(monkeypatch):
     for c in seen:
         for s in range(c.top_degree + 1):
             assert c.block_orbits(s) == [[u] for u in c.blocks(s)]
+            assert all(c.dual_class(u) is None for u in c.blocks(s))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from oracles import (
+    circledast,
     idempotent_exponent,
     minimal_polynomial,
     one_cochain,
@@ -18,7 +19,6 @@ from stabfold.ravenel import Complex, build_gl, subcomplex
 from stabfold.retract import (
     Derivation,
     NotDiagonalError,
-    circledast,
     critical_model,
     cyclotomic_polynomial,
     extend_functional,
