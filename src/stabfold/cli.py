@@ -4,7 +4,8 @@ reports.
 
 `verify NAME` looks NAME up in ``claims.CLAIMS`` and prints its checks. The
 claims live in ``claims``, with ``UsageError``, the refusal that ``main``
-turns into exit status 2.
+turns into exit status 2; so does a ``gf.FieldError``, such as a field above
+2^16 elements.
 
 Every run prints a provenance header (tool version plus a hash of the
 canonical config) and produces deterministic output: all iteration orders are
@@ -33,7 +34,7 @@ from .claims import (
     primes_above,
 )
 from .exterior import MAX_N, Cochain, format_monomial, parse_monomial
-from .gf import Poly, field_create, is_prime
+from .gf import FieldError, Poly, field_create, is_prime
 from .homology import Cohomology, betti, matrix_rank
 from .kummer import FixedLayer, KummerConnection, core_homogeneity
 from .pages import core_pages, critical_block, filter_first_subscript, medial_pages, run_pages
@@ -637,7 +638,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, FieldError) as exc:
         print(exc, file=sys.stderr)
         return 2
 

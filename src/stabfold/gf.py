@@ -5,27 +5,22 @@ F[x] coefficients need; polynomial division, gcds and radicals serve only the
 test oracles and live with them, in ``tests/oracles.py``.
 
 Scalars are immutable and carry a reference to their field, so values from
-different fields never mix silently.  Extension fields GF(p^m) with at most
-2^16 elements get log/exp tables for fast multiplication; larger fields fall
-back to schoolbook polynomial arithmetic modulo the field's modulus
-polynomial.
+different fields never mix silently.  Fields have at most 2^16 elements
+(``field_create`` refuses larger ones), and each gets log, exp and Zech
+tables to the base of its smallest primitive element: products, inverses,
+powers and discrete logs are table lookups.
 
-Sparse linear algebra does not use scalars.  Each field carries a coding
-(``Field.coding``) that maps its nonzero elements to compact codes and does
-the one row operation of the echelon engine in ``homology`` on them:
-
-- GF(p): the residue in [1, p) (``ResidueCoding``);
-- tabled GF(p^m): the discrete log to the base of the primitive element, in
-  [0, q - 1); products add logs and sums go through a Zech table
-  (``LogCoding``);
-- untabled GF(p^m): the ``FieldScalar`` itself (``ScalarCoding``).
-
-Callers encode rows where they enter the engine and decode entries where
-results leave it; nothing outside this module reads a code.
+Sparse linear algebra does not use scalars.  Each field carries a ``Coding``
+(``Field.coding``) that maps a nonzero element g^k to its discrete log k, an
+int in [0, q - 1), and does the one row operation of the echelon engine in
+``homology`` on these codes: products add logs and sums go through the Zech
+table.  Callers encode rows where they enter the engine and decode entries
+where results leave it; nothing outside this module reads a code.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator
 
 _TABLE_LIMIT = 1 << 16
@@ -141,17 +136,9 @@ class Field:
         self.cardinality = p**m
         self.zero = FieldScalar(self, 0 if m == 1 else (0,) * m)
         self.one = FieldScalar(self, 1 if m == 1 else (1,) + (0,) * (m - 1))
-        self._exp: list | None = None
-        self._log: dict | None = None
-        self._zech: list | None = None
         self._primitive: FieldScalar | None = None
-        if m == 1:
-            self.coding = ResidueCoding(self)
-        elif self.cardinality <= _TABLE_LIMIT:
-            self._build_tables()
-            self.coding = LogCoding(self)
-        else:
-            self.coding = ScalarCoding(self)
+        self._build_tables()
+        self.coding = Coding(self)
 
     # -- construction helpers -------------------------------------------------
 
@@ -185,7 +172,7 @@ class Field:
                 kk //= p
             yield FieldScalar(self, tuple(digits))
 
-    # -- raw arithmetic --------------------------------------------------------
+    # -- raw arithmetic, which builds the tables --------------------------------
 
     def _raw_mul(self, a, b):
         p, m = self.p, self.m
@@ -206,78 +193,57 @@ class Field:
             prod[k] = 0
         return tuple(x % p for x in prod[:m])
 
+    def _raw_pow(self, a, e: int):
+        res = self.one.v
+        while e:
+            if e & 1:
+                res = self._raw_mul(res, a)
+            a = self._raw_mul(a, a)
+            e >>= 1
+        return res
+
     def _build_tables(self):
-        g = self.primitive_element()
-        q = self.cardinality
-        exp = [None] * (q - 1)
+        g = self.primitive_element().v
+        exp = [None] * (self.cardinality - 1)
         log = {}
         acc = self.one.v
-        for i in range(q - 1):
+        for i in range(len(exp)):
             exp[i] = acc
             log[acc] = i
-            acc = self._raw_mul(acc, g.v)
+            acc = self._raw_mul(acc, g)
         # Zech logarithms: zech[k] = log(1 + g^k), None where 1 + g^k = 0
-        p = self.p
-        zech = [log.get(((e[0] + 1) % p,) + e[1:]) for e in exp]
+        one = self.one
+        zech = [log.get((FieldScalar(self, e) + one).v) for e in exp]
         self._exp, self._log, self._zech = exp, log, zech
 
+    # -- table arithmetic ----------------------------------------------------------
+    # exp has q - 1 entries, so exp[k - (q - 1)] = exp[k] for k in [0, 2(q - 1))
+
     def mul(self, a: FieldScalar, b: FieldScalar) -> FieldScalar:
-        if self.m == 1:
-            return FieldScalar(self, (a.v * b.v) % self.p)
-        if self._log is not None:
-            if not a or not b:
-                return self.zero
-            i = self._log[a.v] + self._log[b.v]
-            q1 = self.cardinality - 1
-            if i >= q1:
-                i -= q1
-            return FieldScalar(self, self._exp[i])
-        return FieldScalar(self, self._raw_mul(a.v, b.v))
+        if not a or not b:
+            return self.zero
+        log = self._log
+        return FieldScalar(self, self._exp[log[a.v] + log[b.v] - len(self._exp)])
 
     def inv(self, a: FieldScalar) -> FieldScalar:
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        if self.m == 1:
-            return FieldScalar(self, pow(a.v, self.p - 2, self.p))
-        if self._log is not None:
-            q1 = self.cardinality - 1
-            return FieldScalar(self, self._exp[(q1 - self._log[a.v]) % q1])
-        return self.pow(a, self.cardinality - 2)
+        return FieldScalar(self, self._exp[-self._log[a.v]])
 
     def pow(self, a: FieldScalar, e: int) -> FieldScalar:
-        if e == 0:
-            return self.one
         if not a:
             if e < 0:
                 raise ZeroDivisionError("inverse of zero")
-            return self.zero
-        q1 = self.cardinality - 1
-        e %= q1
-        if e == 0:
-            return self.one
-        if self.m == 1:
-            return FieldScalar(self, pow(a.v, e, self.p))
-        if self._log is not None:
-            return FieldScalar(self, self._exp[(self._log[a.v] * e) % q1])
-        res = self.one
-        base = a
-        while e:
-            if e & 1:
-                res = self.mul(res, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return res
+            return self.one if e == 0 else self.zero
+        return FieldScalar(self, self._exp[self._log[a.v] * e % len(self._exp)])
 
     # -- multiplicative structure ----------------------------------------------
 
     def element_order(self, a: FieldScalar) -> int:
         if not a:
             raise FieldError("zero has no multiplicative order")
-        order = self.cardinality - 1
-        for q in factorize(order):
-            while order % q == 0 and self.pow(a, order // q) == self.one:
-                order //= q
-        return order
+        q1 = self.cardinality - 1
+        return q1 // math.gcd(self._log[a.v], q1)
 
     def primitive_element(self) -> FieldScalar:
         """Smallest generator of the multiplicative group, in counting order."""
@@ -285,9 +251,7 @@ class Field:
             q1 = self.cardinality - 1
             qs = list(factorize(q1))
             for a in self.elements():
-                if not a:
-                    continue
-                if all(self.pow(a, q1 // q) != self.one for q in qs):
+                if a and all(self._raw_pow(a.v, q1 // q) != self.one.v for q in qs):
                     self._primitive = a
                     break
             else:  # pragma: no cover - never reached, the group is cyclic
@@ -303,61 +267,13 @@ class Field:
 # -- codes for sparse linear algebra --------------------------------------------
 
 
-class _Coding:
-    """Codes of the nonzero elements of one field; a sparse row is a dict
-    column -> code.  Every coding has ``one``, ``encode``/``decode`` of a
-    single nonzero element, ``encode_row``/``decode_row``, ``neg``, the
-    engine's row step ``step(row, c, prow)`` (row -= c * prow in place,
-    dropping the entries that cancel) and ``normalize(row, c)`` (a new row
-    equal to row / c)."""
-
-    def __init__(self, field: Field):
-        self.field = field
-
-    def encode_row(self, row: dict) -> dict:
-        """Codes of the nonzero entries of a row of scalars."""
-        encode = self.encode
-        return {k: encode(v) for k, v in row.items() if v}
-
-    def decode_row(self, row: dict) -> dict:
-        decode = self.decode
-        return {k: decode(c) for k, c in row.items()}
-
-
-class ResidueCoding(_Coding):
-    """GF(p): a nonzero element is its residue in [1, p)."""
-
-    one = 1
-
-    def encode(self, x: FieldScalar) -> int:
-        return x.v
-
-    def decode(self, c: int) -> FieldScalar:
-        return FieldScalar(self.field, c)
-
-    def neg(self, c: int) -> int:
-        return self.field.p - c
-
-    def step(self, row: dict, c: int, prow: dict) -> None:
-        p = self.field.p
-        nc = p - c
-        get = row.get
-        for col, v in prow.items():
-            # a column new to row gets nc * v != 0 mod p
-            nv = (get(col, 0) + nc * v) % p
-            if nv:
-                row[col] = nv
-            else:
-                del row[col]
-
-    def normalize(self, row: dict, c: int) -> dict:
-        p = self.field.p
-        inv = pow(c, p - 2, p)
-        return {col: v * inv % p for col, v in row.items()}
-
-
-class LogCoding(_Coding):
-    """Tabled GF(p^m): a nonzero element g^k is its log k in [0, q - 1).
+class Coding:
+    """Codes of the nonzero elements of one field: g^k, g the field's
+    primitive element, is its log k in [0, q - 1).  A sparse row is a dict
+    column -> code.  ``encode``/``decode`` map a single nonzero element,
+    ``encode_row``/``decode_row`` a row; ``step(row, c, prow)`` is the
+    engine's row step (row -= c * prow in place, dropping the entries that
+    cancel) and ``normalize(row, c)`` a new row equal to row / c.
 
     Products add logs mod q - 1; -1 = g^h with h = (q - 1)/2, or h = 0 when
     p = 2; g^a + g^b = g^(a + Z(b - a)) with the field's Zech table Z, whose
@@ -367,7 +283,7 @@ class LogCoding(_Coding):
     one = 0
 
     def __init__(self, field: Field):
-        super().__init__(field)
+        self.field = field
         self.q1 = field.cardinality - 1
         self.half = 0 if field.p == 2 else self.q1 // 2
         self.log, self.exp, self.zech = field._log, field._exp, field._zech
@@ -377,6 +293,15 @@ class LogCoding(_Coding):
 
     def decode(self, c: int) -> FieldScalar:
         return FieldScalar(self.field, self.exp[c])
+
+    def encode_row(self, row: dict) -> dict:
+        """Codes of the nonzero entries of a row of scalars."""
+        encode = self.encode
+        return {k: encode(v) for k, v in row.items() if v}
+
+    def decode_row(self, row: dict) -> dict:
+        decode = self.decode
+        return {k: decode(c) for k, c in row.items()}
 
     def neg(self, c: int) -> int:
         return (c + self.half) % self.q1
@@ -401,39 +326,6 @@ class LogCoding(_Coding):
     def normalize(self, row: dict, c: int) -> dict:
         q1 = self.q1
         return {col: (v - c) % q1 for col, v in row.items()}
-
-
-class ScalarCoding(_Coding):
-    """Untabled GF(p^m): a nonzero element is its own code, and the row step
-    is boxed scalar arithmetic."""
-
-    def __init__(self, field: Field):
-        super().__init__(field)
-        self.one = field.one
-
-    def encode(self, x: FieldScalar) -> FieldScalar:
-        return x
-
-    def decode(self, c: FieldScalar) -> FieldScalar:
-        return c
-
-    def neg(self, c: FieldScalar) -> FieldScalar:
-        return -c
-
-    def step(self, row: dict, c: FieldScalar, prow: dict) -> None:
-        for col, v in prow.items():
-            if col in row:
-                nv = row[col] - c * v
-                if nv:
-                    row[col] = nv
-                else:
-                    del row[col]
-            else:
-                row[col] = -(c * v)
-
-    def normalize(self, row: dict, c: FieldScalar) -> dict:
-        inv = c.inverse()
-        return {col: v * inv for col, v in row.items()}
 
 
 # -- modulus search ------------------------------------------------------------
@@ -512,6 +404,9 @@ def field_create(p: int, m: int = 1) -> Field:
         raise FieldError(f"{p} is not prime")
     if m < 1:
         raise FieldError("extension degree must be >= 1")
+    if p**m > _TABLE_LIMIT:
+        raise FieldError(f"a field of {p}^{m} = {p**m:,} elements is above the limit "
+                         f"of 2^16 = {_TABLE_LIMIT:,} elements, which bounds its log tables")
     key = (p, m)
     if key in _FIELD_CACHE:
         return _FIELD_CACHE[key]
@@ -539,19 +434,7 @@ def nth_roots(field: Field, a: FieldScalar, n: int) -> set[FieldScalar]:
         raise FieldError("nth_roots requires a nonzero target")
     q1 = field.cardinality - 1
     g = field.primitive_element()
-    # discrete log by direct walk of the power table; fields here are small
-    # enough (at most ~10^7 elements) that this stays cheap and exact.
-    dlog = None
-    acc = field.one
-    for i in range(q1):
-        if acc == a:
-            dlog = i
-            break
-        acc = field.mul(acc, g)
-    if dlog is None:  # pragma: no cover - every nonzero element is a power of g
-        raise FieldError("discrete log not found")
-    import math
-
+    dlog = field._log[a.v]
     d = math.gcd(n, q1)
     if dlog % d != 0:
         return set()

@@ -2,13 +2,13 @@
 products, ring recognition, and ranks of induced maps.
 
 All linear algebra runs through one sparse echelon over rows
-``{column: code}``, where a code stands for a nonzero field element in the
-coding of the field passed along (``Field.coding``, see ``gf``).  Each pivot
-sits at its row's least column and is normalized to one, rows are inserted
-shortest first, and the coding's single ``row -= c * prow`` step serves rank,
-reduced echelon form, kernels and reduction of representatives.  A row space
-has exactly one reduced echelon form with pivots at least columns, so every
-result is independent of the insertion order.
+``{column: code}``, where a code is the discrete log of a nonzero field
+element in the coding of the field passed along (``Field.coding``, see
+``gf``).  Each pivot sits at its row's least column and is normalized to one,
+rows are inserted shortest first, and the coding's single ``row -= c * prow``
+step serves rank, reduced echelon form, kernels and reduction of
+representatives.  A row space has exactly one reduced echelon form with pivots
+at least columns, so every result is independent of the insertion order.
 
 Rows are coded where they enter the engine and decoded where results leave
 it: representatives, class coordinates and cup products are
@@ -50,7 +50,8 @@ d on the (s, u) block, and the ranks agree.  This is Poincaré duality of the
 complex of a unimodular Lie algebra (Koszul 1950): gl_n at eps = 1, the
 nilpotent L(n, n) at eps = 0.  ``Complex.dual_class`` names the dual class
 for the same member sets as σ; custom member lists and a ``FiniteComplex``
-name none, and each rank is copied only once the blocks' sizes agree.
+name none, and each rank is copied only once the complements of the block's
+monomials are seen to be the monomials of the (N - s, u_top - u) block.
 
 Representatives come from one identity.  Let B = im d_(s-1) and Z = ker d_s
 on a block, and let pi reduce a vector against an echelon of B, zeroing B's
@@ -263,16 +264,21 @@ def betti_numbers(dims: dict, ranks: dict) -> dict:
 def block_ranks(cx) -> tuple[dict, dict]:
     """Dimension and rank of d of every (s, u) block.  Up to the middle, 2 s
     <= N - 1 for the top degree N, one elimination per orbit of
-    ``cx.block_orbits``, its rank copied along the orbit; above it, when
-    ``cx.dual_class`` gives the class v dual to u, the rank of the dual block
-    (N - 1 - s, v).  A rank is copied once the block's source and target are
-    seen to have the sizes of the ones it was found on (swapped for a dual)."""
+    ``cx.block_orbits``, its rank copied along the orbit once the block's
+    source and target are seen to have the sizes of the ones it was found on.
+    Above it, when ``cx.dual_class`` gives the class v dual to u, the rank of
+    the dual block (N - 1 - s, v), copied once the complements of the (s, u)
+    monomials are seen to be exactly the (N - s, v) monomials.  That pins v to
+    u_top - u, as classes add along products, so the complements of the
+    target (s + 1, u) lie in the dual's source (N - 1 - s, v); a nonempty
+    target gets the same check in turn, as a source one degree up."""
     if cx.descriptor is not None and cx.descriptor.is_bundle():
         raise ValueError(
             "bundle-mode complex: cohomology over F[x] is handled through "
             "the pages module"
         )
     field, top = cx.field, cx.top_degree
+    full = (1 << top) - 1
     blocks = {s: cx.blocks(s) for s in range(-1, top + 2)}
     ranks: dict[tuple[int, int], int] = {}
     dims: dict[tuple[int, int], int] = {}
@@ -286,11 +292,18 @@ def block_ranks(cx) -> tuple[dict, dict]:
             if not dual:
                 ranks[(s, orbit[0])] = matrix_rank(*block_matrix(cx, s, orbit[0]), field)
             for u in orbit:
-                found = (top - 1 - s, cx.dual_class(u)) if dual else (s, orbit[0])
-                want = sizes(*found)
-                if sizes(s, u) != (want[::-1] if dual else want):
-                    raise RuntimeError(f"block {(s, u)} and the block {found} whose "
-                                       "rank it takes differ in size")
+                if dual:
+                    found = (top - 1 - s, cx.dual_class(u))
+                    # blocks ascend, so their complements descend
+                    if ([m ^ full for m in blocks[s][u]]
+                            != blocks[top - s].get(found[1], [])[::-1]):
+                        raise RuntimeError(f"block {(s, u)} is not the complement of "
+                                           f"the block {(top - s, found[1])}")
+                else:
+                    found = (s, orbit[0])
+                    if sizes(s, u) != sizes(*found):
+                        raise RuntimeError(f"block {(s, u)} and the block {found} "
+                                           "whose rank it takes differ in size")
                 ranks[(s, u)] = ranks.get(found, 0)
         dims.update(((s, u), len(monos)) for u, monos in blocks[s].items())
     return dims, ranks

@@ -174,7 +174,7 @@ def solve_h_diagonal(n: int, field: Field, eps, delta, mode: str = "sigma",
     if not eps or not delta:
         raise ValueError("transports connect smooth fibers only (eps, delta != 0)")
     ratio = delta * eps.inverse()
-    sort_key = lambda x: x.v if field.m == 1 else tuple(x.v)
+    sort_key = lambda x: x.v
     out: list[Transport] = []
     if mode == "sigma":
         for zeta in sorted(nth_roots(field, ratio, n), key=sort_key):

@@ -610,11 +610,15 @@ def test_no_cache_path_never_fingerprints(capsys, monkeypatch):
     assert main(BETTI_N2 + ["--no-cache"]) == 0
 
 
-def test_betti_over_untabled_extension_field(capsys):
-    # GF(257^2) has 66,049 elements, above the log-table limit, so its rows
-    # are eliminated with boxed scalars
-    code, js = run_json(capsys, "betti", "--lie", "gl", "--n", "2", "--p", "257",
-                        "--ext", "2", "--no-cache")
-    assert code == 0 and js["grand_total"] == 4
-    assert [(r["s"], r["u"], r["dim"]) for r in js["rows"]] == [
-        (0, 0, 1), (1, 0, 1), (3, 0, 1), (4, 0, 1)]
+def test_fields_above_2_16_elements_are_refused(capsys):
+    # every field gets log tables, so GF(257^2) (66,049 elements) and
+    # GF(65537) are refused with a message and exit status 2
+    for argv in (["betti", "--lie", "gl", "--n", "2", "--p", "257", "--ext", "2",
+                  "--no-cache"],
+                 ["betti", "--lie", "gl", "--n", "2", "--p", "65537", "--no-cache"],
+                 ["monodromy", "--n", "2", "--p", "257", "--ext", "2"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "2^16" in captured.err and not captured.out
+    # dims only grades by p and builds no field
+    assert main(["dims", "--p", "65537"]) == 0

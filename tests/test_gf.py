@@ -206,7 +206,7 @@ def test_modulus_is_irreducible_by_brute_factoring():
 # -- the codings of sparse linear algebra -----------------------------------------
 
 
-@pytest.mark.parametrize("p, m", [(2, 1), (37, 1), (2, 3), (3, 2), (13, 2)])
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (37, 1), (2, 3), (3, 2), (13, 2)])
 def test_coding_agrees_with_scalar_arithmetic_on_every_pair(p, m):
     f = field_create(p, m)
     coding = f.coding
@@ -239,15 +239,35 @@ def test_coding_agrees_with_scalar_arithmetic_on_every_pair(p, m):
             assert row == {k: enc[v] for k, v in want.items() if v}
 
 
-def test_coding_chosen_by_table_size():
-    from stabfold.gf import LogCoding, ResidueCoding, ScalarCoding
+def test_fields_are_limited_to_2_16_elements():
+    # every field is log-coded, so the table limit bounds the fields
+    assert field_create(65521).cardinality == 65521
+    for p, m in [(257, 2), (2, 17), (65537, 1)]:
+        with pytest.raises(FieldError, match="2\\^16"):
+            field_create(p, m)
 
-    assert isinstance(field_create(257).coding, ResidueCoding)
-    assert isinstance(field_create(13, 2).coding, LogCoding)
-    big = field_create(257, 2)  # 66,049 elements, above the table limit
-    assert isinstance(big.coding, ScalarCoding)
-    x, y = big.scalar((3, 5)), big.scalar((250, 7))
-    row = {0: x, 1: y}
-    big.coding.step(row, y, {0: big.one, 1: x})
-    assert row == {0: x - y, 1: y - y * x}
-    assert big.coding.normalize({0: x, 1: y}, x) == {0: big.one, 1: y * x.inverse()}
+
+@pytest.mark.parametrize("p, m, g", [(37, 1, 2), (13, 2, [2, 1]), (2, 3, [0, 1, 0]),
+                                     (65521, 1, 17)])
+def test_primitive_element_pinned(p, m, g):
+    # the smallest generator in counting order, as found before the tables
+    f = field_create(p, m)
+    assert f.primitive_element() == f.scalar(g)
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (37, 1), (2, 3), (3, 2), (13, 2)])
+def test_tables_agree_with_schoolbook_arithmetic_on_every_pair(p, m):
+    # mul, inv and pow read the log tables; _raw_mul multiplies polynomials
+    # modulo the field's modulus and never reads a table
+    f = field_create(p, m)
+    elems = list(f.elements())
+    for x in elems:
+        for y in elems:
+            assert (x * y).v == f._raw_mul(x.v, y.v)
+        if x:
+            assert f._raw_mul(x.inverse().v, x.v) == f.one.v
+            assert f.pow(x, -1) == x.inverse()
+        power = f.one.v
+        for e in range(2 * f.cardinality):
+            assert f.pow(x, e).v == power
+            power = f._raw_mul(power, x.v)

@@ -74,19 +74,19 @@ def test_sparse_and_dense_rank_agree_random():
                 assert rank == sympy_rank(rows, nc, f)
 
 
-def test_rank_over_untabled_extension_field():
-    # GF(257^2) is above the log-table limit: its codes are the scalars
-    f = field_create(257, 2)
+def test_rank_over_the_largest_tabled_field():
+    # GF(65521), the largest prime below the 2^16 table limit
+    f = field_create(65521)
     rng = random.Random(109)
-    rows = [{c: f.scalar((rng.randrange(257), rng.randrange(257)))
-             for c in rng.sample(range(6), 4)} for _ in range(4)]
-    k = f.scalar((5, 11))
+    rows = [{c: f.scalar(rng.randrange(1, 65521)) for c in rng.sample(range(6), 4)}
+            for _ in range(4)]
+    k = f.scalar(rng.randrange(2, 65521))
     dependent = dict(rows[0])
     for c, v in rows[1].items():
         dependent[c] = dependent.get(c, f.zero) + k * v
     rows.append({c: v for c, v in dependent.items() if v})
     rank = matrix_rank(coded(rows, f), 6, f)
-    assert rank == dense_rank_oracle(rows, 6, f) == 4
+    assert rank == dense_rank_oracle(rows, 6, f) == sympy_rank(rows, 6, f) == 4
 
 
 def test_rank_structured_cases():
@@ -664,14 +664,15 @@ def test_a_pair_term_breaking_duality_leaves_every_sigma_lead_eliminated(monkeyp
 
 
 def test_a_dual_hook_without_the_sign_is_caught(monkeypatch):
-    # a hook returning u for u_top - u = -u passes the size guard (the block
-    # sizes are symmetric in u) but pairs blocks of unequal rank at eps = 0:
-    # betti goes wrong, and the duality claim fails
+    # a hook returning u for u_top - u = -u pairs blocks of equal size (the
+    # block sizes are symmetric in u) but not of complementary monomials, so
+    # betti refuses the copy, and the duality claim fails
     real = ravenel.Complex.dual_class
     monkeypatch.setattr(ravenel.Complex, "dual_class",
                         lambda self, u: None if real(self, u) is None else u)
     cx = build_singular(3, 19, field_create(19))
-    assert betti(cx).entries != oracle_betti(cx, dense_rank_oracle)
+    with pytest.raises(RuntimeError, match="not the complement"):
+        betti(cx)
     checks = claim_duality(3, 19)
     assert not checks[0]["ok"] and "full" in checks[0]["name"]
 
@@ -680,7 +681,7 @@ def test_dual_blocks_of_unequal_size_are_refused(monkeypatch):
     # a dual hook that pairs blocks of different sizes copies no rank
     cx = build_deformed(2, 11, field_create(11), 0)
     monkeypatch.setattr(cx, "dual_class", lambda u: 0)
-    with pytest.raises(RuntimeError, match="differ in size"):
+    with pytest.raises(RuntimeError, match="not the complement"):
         betti(cx)
 
 

@@ -92,8 +92,8 @@ def test_wedge_sign_matches_the_bubble_sort_oracle(a, b):
     assert got == (None if expected is None else (expected, ma | mb))
 
 
-# GF(13^2) and GF(2^3) get log tables; GF(2^17) is above the table limit
-FIELDS = [field_create(13, 2), field_create(2, 3), field_create(2, 17)]
+# two extension fields and a prime field, all log-coded
+FIELDS = [field_create(13, 2), field_create(2, 3), field_create(37)]
 
 
 def elements(field):
