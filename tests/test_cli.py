@@ -162,6 +162,55 @@ def test_presentations_rejects_n4(capsys):
     assert main(["presentations", "--n", "4"]) == 2
 
 
+# sha256 of the stdout of `presentations` in --format text and --format json:
+# these outputs change only on purpose
+PRESENTATIONS_DIGESTS = [
+    (["--n", "1"],
+     "30a7d8e2aeee9f40a7de6894d397efeffa378480e0e125f9d435c9852082739e",
+     "ccd564efe42808a4373cab972143ee3286228b8c02c0b3e5d78c7a167877acef"),
+    (["--n", "2"],
+     "fdf04bf9229444096f45ba717d1f5bc5337e4f9ca447b594c9251df03c4724b8",
+     "b85ee4db7b01e2fea161fad450c90b668deca123f522c23eef10c9bc4169b9d0"),
+    (["--n", "3"],
+     "f3921f32aede427353bd0d0a7bd8c873ea09790f3615491612f2dd66dea8914c",
+     "f148a5b9c34f161f6e7ebc7b768c4f3df01dde576b0d118bfb099ed3a6825dda"),
+    (["--n", "3", "--p", "2"],
+     "f14cb6ec61f6f9546512339d3e505a5575a0e9b4041cd814d138e0fece2ef082",
+     "b3688616cb04c7ec2552e70f0e131e65fe5b763618bb55cf80a9e498d13eeed2"),
+]
+
+
+@pytest.mark.parametrize("flags,text_digest,json_digest", PRESENTATIONS_DIGESTS,
+                         ids=[" ".join(f) for f, _, _ in PRESENTATIONS_DIGESTS])
+def test_presentations_outputs_are_pinned(capsys, flags, text_digest, json_digest):
+    for fmt, digest in (("text", text_digest), ("json", json_digest)):
+        assert main(["presentations"] + flags + ["--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert not captured.err
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest, fmt
+
+
+def test_presentations_catch_a_wrong_x_power(capsys, monkeypatch):
+    # d(kappa1) = -L1 - x L2; with x^0 on L2 the stated formula still holds
+    # at x = 1, but not at x = 0, so the check must not rest on one fiber
+    from stabfold import cli
+
+    real = cli.load_fixtures
+
+    def planted():
+        fixtures = real()
+        terms = fixtures["presentations"]["3"]["differentials"]["kappa1"]
+        assert [-1, 1, "L2"] in terms
+        terms[terms.index([-1, 1, "L2"])] = [-1, 0, "L2"]
+        return fixtures
+
+    monkeypatch.setattr(cli, "load_fixtures", planted)
+    code, js = run_json(capsys, "presentations", "--n", "3")
+    assert code == 1 and not js["ok"]
+    failed = {c["name"] for c in js["checks"] if not c["ok"]}
+    assert failed == {"d(kappa1) matches the stated formula"}
+
+
 def test_pages_critical_collapse(capsys):
     code, js = run_json(capsys, "pages", "--n", "2", "--p", "11")
     assert code == 0
