@@ -24,7 +24,6 @@ from .homology import block_matrix, matrix_rank
 from .kummer import FixedLayer, KummerConnection, core_homogeneity, solve_h_diagonal
 from .pages import critical_block, filter_first_subscript, run_pages
 from .ravenel import (
-    build_bundle,
     build_deformed,
     build_gl,
     build_singular,
@@ -215,20 +214,20 @@ def claim_core_homogeneity(*_) -> list[dict]:
     checks = []
     for n, p in ((2, 11), (3, 7)):
         field = field_create(p)
-        layer = FixedLayer(build_bundle(n, p, field), KummerConnection.sigma(n))
+        layer = FixedLayer(KummerConnection.sigma(n), field)
         hom = core_homogeneity(layer)
         checks.append(_check(
             f"sigma-flavor core is homogeneous, n={n}",
             layer.closed and hom["holds"]))
     field = field_create(7)
-    layer = FixedLayer(build_bundle(3, 7, field), KummerConnection.semilinear(3, 7))
+    layer = FixedLayer(KummerConnection.semilinear(3, 7), field)
     hom = core_homogeneity(layer)
     witness_ok = (not hom["holds"]) and hom["witness"]["source"].startswith("h[3,")
     checks.append(_check(
         "semilinear-flavor core fails homogeneity at n=3 with a degree-1 "
         "witness", witness_ok,
         f"witness {hom['witness']}" if not hom["holds"] else ""))
-    layer1 = FixedLayer(build_bundle(1, 5, field_create(5)), KummerConnection.sigma(1))
+    layer1 = FixedLayer(KummerConnection.sigma(1), field_create(5))
     checks.append(_check("height-1 core is homogeneous",
                          core_homogeneity(layer1)["holds"]))
     return checks

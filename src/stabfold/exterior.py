@@ -207,8 +207,7 @@ def add_term(out: dict, key, c) -> None:
 
 
 class Cochain:
-    """Sparse linear combination of monomials; coefficients are field scalars
-    or polynomials, depending on the complex the cochain lives in."""
+    """Sparse linear combination of monomials with field-scalar coefficients."""
 
     __slots__ = ("n", "terms")
 
@@ -243,8 +242,8 @@ class Cochain:
             return Cochain(self.n, {})
         return Cochain(self.n, {m: coeff * c for m, coeff in self.terms.items()})
 
-    def wedge(self, other: "Cochain", ring_one) -> "Cochain":
-        """Bilinear wedge; ring_one converts +/-1 wedge signs into the ring."""
+    def wedge(self, other: "Cochain") -> "Cochain":
+        """Bilinear wedge product."""
         out: dict[int, object] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():

@@ -1,8 +1,5 @@
-"""Exact arithmetic in GF(p), GF(p^m), and the polynomial ring GF(p^m)[x].
-
-``Poly`` has the ring operations and evaluation, which is what the bundle's
-F[x] coefficients need; polynomial division, gcds and radicals serve only the
-test oracles and live with them, in ``tests/oracles.py``.
+"""Exact arithmetic in GF(p) and GF(p^m): every cochain of the package has
+its coefficients in one such field.
 
 Scalars are immutable and carry a reference to their field, so values from
 different fields never mix silently.  Fields have at most 2^16 elements
@@ -21,7 +18,7 @@ where results leave it; nothing outside this module reads a code.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterator
 
 _TABLE_LIMIT = 1 << 16
 
@@ -452,80 +449,3 @@ def primitive_root_of_unity(field: Field, n: int) -> FieldScalar:
             f"root not present; extend the field (need {n} | {q1})"
         )
     return field.pow(field.primitive_element(), q1 // n)
-
-
-# -- polynomials over the field ---------------------------------------------------
-
-
-class Poly:
-    """Dense univariate polynomial over a Field; the variable is semantic only."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: Field, coeffs: Iterable[FieldScalar]):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.field = field
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def const(cls, field: Field, c) -> "Poly":
-        return cls(field, [field.scalar(c)])
-
-    @classmethod
-    def x_power(cls, field: Field, e: int, c=1) -> "Poly":
-        return cls(field, [field.zero] * e + [field.scalar(c)])
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.field is other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((id(self.field), self.coeffs))
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.field, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, FieldScalar):
-            return Poly(self.field, [c * other for c in self.coeffs])
-        if not self.coeffs or not other.coeffs:
-            return Poly(self.field, [])
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            cv = c.v if self.field.m == 1 else list(c.v)
-            parts.append(f"{cv}" if i == 0 else (f"{cv}*x^{i}" if i > 1 else f"{cv}*x"))
-        return " + ".join(parts)
-

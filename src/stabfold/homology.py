@@ -10,9 +10,11 @@ step serves rank, reduced echelon form, kernels and reduction of
 representatives.  A row space has exactly one reduced echelon form with pivots
 at least columns, so every result is independent of the insertion order.
 
-Rows are coded where they enter the engine and decoded where results leave
-it: representatives, class coordinates and cup products are
-``FieldScalar``-valued.
+Every complex read here, a ``ravenel.Complex`` or a ``FiniteComplex``, has
+field-scalar coefficients; the family over F[x] reaches this module only
+through its fibers and the fixed layers of ``kummer``.  Rows are coded where
+they enter the engine and decoded where results leave it: representatives,
+class coordinates and cup products are ``FieldScalar``-valued.
 
 ``block_matrix`` is the one place that turns d on an (s, u) block into coded
 rows, and every consumer reads those rows rather than expanding d again:
@@ -209,8 +211,6 @@ class FiniteComplex:
     degree up.  Each degree is one block, u = 0, so ``betti``, ``block_matrix``
     and ``pages.run_pages`` read it like a ``Complex``."""
 
-    descriptor = None  # no DGA behind it, so no bundle either
-
     def __init__(self, field, labels_by_degree: dict[int, list], diff: dict):
         self.field = field
         self.top_degree = max(labels_by_degree, default=0)
@@ -272,11 +272,6 @@ def block_ranks(cx) -> tuple[dict, dict]:
     u_top - u, as classes add along products, so the complements of the
     target (s + 1, u) lie in the dual's source (N - 1 - s, v); a nonempty
     target gets the same check in turn, as a source one degree up."""
-    if cx.descriptor is not None and cx.descriptor.is_bundle():
-        raise ValueError(
-            "bundle-mode complex: cohomology over F[x] is handled through "
-            "the pages module"
-        )
     field, top = cx.field, cx.top_degree
     full = (1 << top) - 1
     blocks = {s: cx.blocks(s) for s in range(-1, top + 2)}
@@ -394,7 +389,7 @@ class BlockCohomology:
 
 
 class Cohomology:
-    """Lazy per-block cohomology of a fiber-mode complex.
+    """Lazy per-block cohomology of a ``ravenel.Complex``.
 
     A block is built after the block below it, whose image columns it takes.
     The rows of d on an (s, u) block serve two blocks: BlockCohomology(s, u)
@@ -403,8 +398,9 @@ class Cohomology:
     until the second takes them."""
 
     def __init__(self, cx):
-        if cx.descriptor is None or cx.descriptor.is_bundle():
-            raise ValueError("representatives need a fiber-mode Complex")
+        if isinstance(cx, FiniteComplex):
+            raise ValueError("representatives need a Complex of monomials, "
+                             "not a FiniteComplex")
         self.cx = cx
         self._blocks: dict[tuple[int, int], BlockCohomology] = {}
         self._held: dict[tuple[int, int], list] = {}
@@ -451,7 +447,7 @@ class Cohomology:
         """Cup product of two basis classes, as class coordinates."""
         za = self.representative(a)
         zb = self.representative(b)
-        prod = za.wedge(zb, self.cx.ring_one)
+        prod = za.wedge(zb)
         return self.reduce_cocycle(prod)
 
 
@@ -523,11 +519,11 @@ def exterior_ring_check(cx, expected_degrees: list[int]) -> dict:
         generators.append(candidate)
         zc = coh.representative(candidate)
         for subset, z in list(products.items()):
-            products[subset | {d}] = zc.wedge(z, cx.ring_one)
+            products[subset | {d}] = zc.wedge(z)
 
     for g in generators:
         zg = coh.representative(g)
-        if coh.reduce_cocycle(zg.wedge(zg, cx.ring_one)):
+        if coh.reduce_cocycle(zg.wedge(zg)):
             return {"holds": False,
                     "reason": f"generator in degree {g[0]} has nonzero square"}
     vectors = [coords_of(z) for z in products.values()]
@@ -569,13 +565,13 @@ class ChainMap:
 
 
 def inclusion_map(sub, full) -> ChainMap:
-    one = full.ring_one
+    one = full.field.one
     return ChainMap(sub, full, lambda m: Cochain(full.n, {m: one}))
 
 
 def monomial_projection(full, target) -> ChainMap:
     """Kill basis monomials outside the target subcomplex, keep the rest."""
-    one = target.ring_one
+    one = target.field.one
 
     def fn(mask):
         if target.contains(mask):

@@ -1,5 +1,6 @@
-"""Rational-parameter connections on the bundle DGA: parallel transport,
-monodromy operators and the fixed layer of a connection.
+"""Rational-parameter connections on the family of DGAs over the affine line
+eps = x: parallel transport, monodromy operators and the fixed layer of a
+connection.
 
 A connection here is an assignment of an exact rational parameter to each
 generator h[i,j]; monomial parameters add along wedge products.  The two
@@ -15,11 +16,12 @@ complex for the semilinear flavor.  ``KummerConnection.fixed_masks`` lists
 them as the ``exterior.split_join`` of the numerators D*alpha mod D on the
 two halves of the slots.
 
-``FixedLayer`` holds those monomials with their parameters and the bundle
-differential on them, as (target, coefficient, e) terms read once from
-``ravenel.bundle_digits`` without building polynomial coefficients.  The
-exponent e = k + alpha(b') - alpha(b) of a term c x^k b' of d(b) is both the
-core's x-exponent and the medial filtration step, so the core and the medial
+``FixedLayer`` holds those monomials with their parameters and the
+differential of the family on them, as (target, coefficient, e) terms read
+once from ``ravenel.bundle_digits``: a coefficient c0 + c1 x of d is kept as
+its two field-scalar digits, with no polynomial ring.  The exponent
+e = k + alpha(b') - alpha(b) of a term c x^k b' of d(b) is both the core's
+x-exponent and the medial filtration step, so the core and the medial
 spectral sequences of ``pages`` (``core_pages`` and ``medial_pages``) read
 the one layer.
 """
@@ -31,7 +33,7 @@ from math import lcm
 
 from .exterior import Cochain, add_term, format_monomial, split_join, subset_sums
 from .gf import Field, FieldScalar, nth_roots
-from .ravenel import Complex, bundle_digits
+from .ravenel import bundle_digits
 
 
 class KummerConnection:
@@ -246,9 +248,10 @@ def monodromy(conn: KummerConnection, field: Field, omega) -> Monodromy:
 
 
 class FixedLayer:
-    """The monodromy-fixed part of a bundle complex: the monomials b with
-    integral parameter alpha(b), by degree, and the bundle differential on
-    them, read once from ``bundle_digits``.
+    """The monodromy-fixed part of the family over eps = x, with coefficients
+    in a field of characteristic p: the monomials b with integral parameter
+    alpha(b), by degree, and the differential of the family on them, read
+    once from ``bundle_digits``.
 
     A term c x^k b' of d(b) is kept as (b', c, e), e = k + alpha(b') - alpha(b):
     the term's x-exponent in the core, the span of { x^(-alpha(b)) b }, and
@@ -258,14 +261,11 @@ class FixedLayer:
     closure failure: for an ill-chosen connection that is a finding.
     """
 
-    def __init__(self, bundle: Complex, conn: KummerConnection):
-        if not bundle.descriptor.is_bundle():
-            raise ValueError("a fixed layer is cut from a bundle-mode complex")
-        self.bundle = bundle
+    def __init__(self, conn: KummerConnection, field: Field):
         self.conn = conn
-        self.field = bundle.field
-        self.n = n = bundle.n
-        self.top_degree = bundle.top_degree
+        self.field = field
+        self.n = n = conn.n
+        self.top_degree = n * n
         masks = conn.fixed_masks()
         self._basis: dict[int, list[int]] = {s: [] for s in range(self.top_degree + 1)}
         for m in masks:

@@ -69,8 +69,6 @@ def filter_first_subscript(ce_gl) -> FilteredComplex:
     """
     from .ravenel import generator_pair_table
 
-    if ce_gl.descriptor.is_bundle():
-        raise ValueError("filter a fiber complex, not the bundle")
     n = ce_gl.n
     fil = lambda mask: first_subscript_filtration(mask, n)
     for gslot, terms in generator_pair_table(n).items():
@@ -281,9 +279,8 @@ def core_pages(layer, t_report: int = 3) -> PageReport:
         report = _windowed_pages(layer, t_report)
         report.notes["e1_window"] = t_report
     # E_1 columns must reproduce the cohomology of the fixed smooth fiber
-    bundle = layer.bundle
-    desc = DgaDescriptor(bundle.n, bundle.p, layer.field, layer.field.one,
-                         bundle.descriptor.lie, "custom")
+    field = layer.field
+    desc = DgaDescriptor(layer.n, field.p, field, field.one, label="custom")
     fiber = betti(Complex(desc, members=layer.conn.fixed_masks())).totals_by_degree()
     report.notes["e1_matches_smooth_fiber"] = fiber == e1
     report.notes["smooth_fiber_betti"] = fiber

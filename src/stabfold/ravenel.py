@@ -7,15 +7,14 @@ The degree-1 differential is
 
 extended to all monomials by the graded Leibniz rule.  That expansion is
 written once, over the integers with eps set to an integer (`integer_d`), and
-every complex specializes it: a fiber reduces the integers mod p (eps = 1 is
-the Chevalley-Eilenberg complex of the n x n matrix Lie algebra, eps = 0 the
-singular, solvable fiber); the bundle, where eps stays the variable x and
-coefficients live in F[x], evaluates at eps = KRONECKER_BASE and reads the
-coefficients of the powers of x off as base-B digits (``bundle_digits``, the
-one bundle reader, which ``Complex.d_monomial`` and the fixed layer of
-``kummer`` share); the exhaustive d∘d = 0 scan does the same with
-two applications of d.  Sparse combinations of terms are merged with
-``exterior.add_term``.
+every complex is a fiber of it with field-scalar coefficients: it reduces the
+integers mod p (eps = 1 is the Chevalley-Eilenberg complex of the n x n
+matrix Lie algebra, eps = 0 the singular, solvable fiber).  The family over
+the affine line, eps = x, is read in one place: ``bundle_digits`` evaluates
+at eps = KRONECKER_BASE and reads the coefficients of 1 and x off as base-B
+digits, for the fixed layer of ``kummer``; the exhaustive d∘d = 0 scan does
+the same with two applications of d.  Sparse combinations of terms are
+merged with ``exterior.add_term``.
 
 A subcomplex is the list of its members.  ``grading_tables`` holds the
 internal class and the first-subscript sum mod n of every subset of the low
@@ -51,9 +50,8 @@ from .exterior import (
     subset_sums,
     wedge,
 )
-from .gf import Field, Poly
+from .gf import Field
 
-BUNDLE = "bundle"
 # the labels whose member sets σ maps onto themselves
 SIGMA_STABLE = ("full", "critical", "fsc")
 
@@ -71,27 +69,9 @@ class DgaDescriptor:
         self.n = n
         self.p = p
         self.field = field
-        self.epsilon = epsilon  # FieldScalar, or BUNDLE
+        self.epsilon = epsilon  # a FieldScalar of the prime subfield
         self.lie = lie
         self.label = label
-
-    def is_bundle(self) -> bool:
-        return self.epsilon == BUNDLE
-
-    def to_json(self) -> dict:
-        eps = "x" if self.is_bundle() else (
-            self.epsilon.v if self.field.m == 1 else list(self.epsilon.v)
-        )
-        return {
-            "version": 1,
-            "n": self.n,
-            "p": self.p,
-            "field": {"p": self.field.p, "m": self.field.m,
-                      "modulus": list(self.field.modulus)},
-            "epsilon": eps,
-            "lie": self.lie,
-            "label": self.label,
-        }
 
 
 def _generator_pair_table(n: int) -> dict[int, list[tuple[int, int, int]]]:
@@ -199,7 +179,7 @@ def kronecker_digits(v: int, count: int) -> list[int]:
 
 
 def bundle_digits(n: int, mask: int, p: int):
-    """d of a monomial on the bundle, read off integer_d at eps =
+    """d of a monomial over F_p[x], eps = x, read off integer_d at eps =
     KRONECKER_BASE: yields (target, (c0, c1)) with c_k the residue mod p of
     the coefficient of x^k, for each target where c0 + c1 x is nonzero."""
     for tgt, v in integer_d(generator_pair_table(n), mask, KRONECKER_BASE).items():
@@ -211,10 +191,8 @@ def bundle_digits(n: int, mask: int, p: int):
 
 
 def _integer_epsilon(descriptor: "DgaDescriptor") -> int:
-    """eps as the integer integer_d evaluates at: KRONECKER_BASE for the
-    bundle, else the residue of a prime-subfield scalar."""
-    if descriptor.is_bundle():
-        return KRONECKER_BASE
+    """eps as the integer integer_d evaluates at: the residue of a
+    prime-subfield scalar."""
     v = descriptor.epsilon.v
     if descriptor.field.m == 1:
         return v
@@ -249,12 +227,9 @@ class Complex:
             for mask in sorted(self._members):
                 self._basis_cache[mask.bit_count()].append(mask)
         self._block_cache: dict[int, dict[int, list[int]]] = {}
-        f = self.field
-        self._bundle = descriptor.is_bundle()
         self._eps = _integer_epsilon(descriptor)
         # the prime subfield, indexed by residue: every coefficient of d lies in it
-        self._scalars = [f.scalar(c) for c in range(f.p)]
-        self.ring_one = Poly.const(f, 1) if self._bundle else f.one
+        self._scalars = [self.field.scalar(c) for c in range(self.field.p)]
 
     # -- basis ------------------------------------------------------------------
 
@@ -320,12 +295,9 @@ class Complex:
     # -- differential -------------------------------------------------------------
 
     def d_monomial(self, mask: int) -> dict[int, object]:
-        """d of a basis monomial, as a map target mask -> ring coefficient."""
+        """d of a basis monomial, as a map target mask -> field scalar."""
         p = self.field.p
         scalars = self._scalars
-        if self._bundle:
-            return {tgt: Poly(self.field, (scalars[c0], scalars[c1]))
-                    for tgt, (c0, c1) in bundle_digits(self.n, mask, p)}
         out: dict[int, object] = {}
         for tgt, c in integer_d(self._table, mask, self._eps).items():
             c %= p
@@ -340,35 +312,23 @@ class Complex:
                 add_term(out, tgt, dc * c)
         return Cochain(self.n, out)
 
-    def coefficient(self, value) -> object:
-        """Coerce an integer into the coefficient ring."""
-        if self.descriptor.is_bundle():
-            return Poly.const(self.field, value)
-        return self.field.scalar(value)
-
     def __repr__(self):
-        eps = "x" if self.descriptor.is_bundle() else self.descriptor.epsilon
         return (f"Complex(lie={self.descriptor.lie}, label={self.descriptor.label}, "
-                f"n={self.n}, p={self.p}, field={self.field}, eps={eps})")
+                f"n={self.n}, p={self.p}, field={self.field}, "
+                f"eps={self.descriptor.epsilon})")
 
 
 # -- builders -------------------------------------------------------------------------
 
 
 def build_deformed(n: int, p: int, field: Field, epsilon) -> Complex:
-    """The deformed DGA with deformation parameter epsilon (or BUNDLE)."""
-    if epsilon != BUNDLE:
-        epsilon = field.scalar(epsilon)
-    return Complex(DgaDescriptor(n, p, field, epsilon))
+    """The fiber of the deformed DGA at the deformation parameter epsilon."""
+    return Complex(DgaDescriptor(n, p, field, field.scalar(epsilon)))
 
 
 def build_singular(n: int, p: int, field: Field) -> Complex:
     """The eps = 0 fiber: the Chevalley-Eilenberg complex of the solvable model."""
     return build_deformed(n, p, field, 0)
-
-
-def build_bundle(n: int, p: int, field: Field) -> Complex:
-    return build_deformed(n, p, field, BUNDLE)
 
 
 def build_gl(n: int, field: Field, p_for_grading: int) -> Complex:

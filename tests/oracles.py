@@ -13,7 +13,10 @@ taking a block's classes, kept as a reference for the present one.
 `wedge_sign_oracle` takes wedge signs by bubble sort of slot lists;
 `reduced_internal_degree`, `angle_bracket`, `sigma_apply`, `one_cochain`,
 `euler_characteristics_match`, `poly_degree` and `poly_evaluate` are small
-helpers that only the tests call.  So are `compose_transports`, the torsor
+helpers that only the tests call.  `Poly` is a dense polynomial over a field,
+and `Bundle` the family over F_p[x] (eps = x): d with `Poly` coefficients,
+built from `ravenel.bundle_digits`, for the checks of d∘d = 0 and the graded
+Leibniz rule over F_p[x]; the package itself has field-scalar cochains only.  So are `compose_transports`, the torsor
 product of two transports, and `circledast`, the tensor-sum product of the
 paper's eigenvalue lemma on dense matrices.
 `u_property_check` and `idempotent_exponent` are the paper's U-property tools
@@ -37,9 +40,10 @@ from stabfold.exterior import (
     slots_of,
     wedge,
 )
-from stabfold.gf import Field, FieldScalar, Poly
+from stabfold.gf import Field, FieldScalar
 from stabfold.homology import insert_row, nullspace, reduce_against, rref
 from stabfold.kummer import Transport
+from stabfold.ravenel import bundle_digits
 from stabfold.retract import Derivation
 
 
@@ -165,8 +169,6 @@ def sigma_apply(cx, z: Cochain, semilinear: bool = False) -> Cochain:
         q = field.p ** (field.m // cx.n)
 
         def twist(c):
-            if isinstance(c, Poly):
-                return Poly(field, [field.pow(a, q) for a in c.coeffs])
             return field.pow(c, q)
     else:
         twist = lambda c: c
@@ -182,7 +184,8 @@ def sigma_apply(cx, z: Cochain, semilinear: bool = False) -> Cochain:
 def one_cochain(cx, text: str) -> Cochain:
     """The signed monomial text as a cochain of cx with coefficient one."""
     sign, mask = parse_monomial(text, cx.n)
-    return Cochain(cx.n, {mask: cx.ring_one if sign > 0 else -cx.ring_one})
+    one = cx.field.one
+    return Cochain(cx.n, {mask: one if sign > 0 else -one})
 
 
 def euler_characteristics_match(table) -> bool:
@@ -194,6 +197,105 @@ def euler_characteristics_match(table) -> bool:
         if chain != coh:
             return False
     return True
+
+
+# -- polynomials, and the family over F_p[x] ------------------------------------------
+
+
+class Poly:
+    """Dense univariate polynomial over a Field; the variable is semantic only."""
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: Field, coeffs):
+        cs = list(coeffs)
+        while cs and not cs[-1]:
+            cs.pop()
+        self.field = field
+        self.coeffs = tuple(cs)
+
+    @classmethod
+    def const(cls, field: Field, c) -> "Poly":
+        return cls(field, [field.scalar(c)])
+
+    @classmethod
+    def x_power(cls, field: Field, e: int, c=1) -> "Poly":
+        return cls(field, [field.zero] * e + [field.scalar(c)])
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Poly)
+            and self.field is other.field
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((id(self.field), self.coeffs))
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = out[i] + c
+        return Poly(self.field, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return Poly(self.field, [-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        if isinstance(other, FieldScalar):
+            return Poly(self.field, [c * other for c in self.coeffs])
+        if not self.coeffs or not other.coeffs:
+            return Poly(self.field, [])
+        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    if b:
+                        out[i + j] = out[i + j] + a * b
+        return Poly(self.field, out)
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            cv = c.v if self.field.m == 1 else list(c.v)
+            parts.append(f"{cv}" if i == 0 else (f"{cv}*x^{i}" if i > 1 else f"{cv}*x"))
+        return " + ".join(parts)
+
+
+class Bundle:
+    """The height-n family over F_p[x], eps = x, for p the field's
+    characteristic: d of a monomial as {target: c0 + c1 x}, the digits of
+    ``ravenel.bundle_digits``, and d of a cochain with ``Poly`` coefficients."""
+
+    def __init__(self, n: int, field: Field):
+        self.n = n
+        self.field = field
+        self.one = Poly.const(field, 1)
+
+    def d_monomial(self, mask: int) -> dict[int, Poly]:
+        scalar = self.field.scalar
+        return {tgt: Poly(self.field, (scalar(c0), scalar(c1)))
+                for tgt, (c0, c1) in bundle_digits(self.n, mask, self.field.p)}
+
+    def d_cochain(self, z: Cochain) -> Cochain:
+        out: dict[int, Poly] = {}
+        for mask, c in z.terms.items():
+            for tgt, dc in self.d_monomial(mask).items():
+                add_term(out, tgt, dc * c)
+        return Cochain(self.n, out)
 
 
 def poly_degree(f: Poly) -> int:

@@ -671,3 +671,27 @@ def test_fields_above_2_16_elements_are_refused(capsys):
         assert "2^16" in captured.err and not captured.out
     # dims only grades by p and builds no field
     assert main(["dims", "--p", "65537"]) == 0
+
+
+def test_a_closed_pipe_ends_the_run_without_a_traceback():
+    # the reader is gone before anything is written, so the first write of
+    # the JSON payload meets a broken pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(stabfold.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stabfold.cli", "pages", "--n", "3", "--p", "19",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+def test_an_unwritable_cache_directory_is_a_usage_error(capsys, tmp_path):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    code = main(BETTI_N2 + ["--cache-dir", str(blocker)])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err.count("\n") == 1 and str(blocker) in captured.err

@@ -2,12 +2,11 @@ import random
 
 import pytest
 
-from oracles import poly_divmod, poly_evaluate, poly_gcd, poly_monic
+from oracles import Poly, poly_divmod, poly_evaluate, poly_gcd, poly_monic
 
 from stabfold.gf import (
     Field,
     FieldError,
-    Poly,
     field_create,
     nth_roots,
     primitive_root_of_unity,

@@ -36,7 +36,6 @@ from stabfold.homology import (
 from stabfold import ravenel
 from stabfold.ravenel import (
     Complex,
-    build_bundle,
     build_deformed,
     build_gl,
     build_singular,
@@ -158,12 +157,6 @@ def test_betti_ravenel_n3_total_152():
         assert totals.get(9 - s, 0) == b
 
 
-def test_betti_rejects_bundle():
-    f = field_create(5)
-    with pytest.raises(ValueError):
-        betti(build_bundle(2, 5, f))
-
-
 def oracle_betti(cx, rank) -> dict:
     """Betti entries from the block matrices, with ranks from an oracle."""
     ranks, dims = {}, {}
@@ -235,23 +228,22 @@ def test_height2_ring_relations():
     f = field_create(11)
     cx = build_singular(2, 11, f)
     coh = Cohomology(cx)
-    one = cx.ring_one
     h10 = one_cochain(cx, "h[1,0]")  # = h[1,2]
     h11 = one_cochain(cx, "h[1,1]")
     diff = one_cochain(cx, "h[2,0]") - one_cochain(cx, "h[2,1]")
-    g0 = diff.wedge(h10, one)
-    g1 = diff.wedge(h11, one)
+    g0 = diff.wedge(h10)
+    g1 = diff.wedge(h11)
     for z in (h10, h11, g0, g1):
         assert not cx.d_cochain(z)
-    assert not coh.reduce_cocycle(h10.wedge(g0, one))
-    assert not coh.reduce_cocycle(h11.wedge(g1, one))
-    lhs = coh.reduce_cocycle(h10.wedge(g1, one))
-    rhs = coh.reduce_cocycle(h11.wedge(g0, one))
+    assert not coh.reduce_cocycle(h10.wedge(g0))
+    assert not coh.reduce_cocycle(h11.wedge(g1))
+    lhs = coh.reduce_cocycle(h10.wedge(g1))
+    rhs = coh.reduce_cocycle(h11.wedge(g0))
     assert lhs
     assert lhs == {r: -c for r, c in rhs.items()}
     for a in (g0, g1):
         for b in (g0, g1):
-            assert not coh.reduce_cocycle(a.wedge(b, one))
+            assert not coh.reduce_cocycle(a.wedge(b))
 
 
 def test_exterior_ring_check_gl2_and_gl3():
@@ -404,13 +396,10 @@ def test_block_order_does_not_change_the_classes(case):
     same_blocks(lone)
 
 
-@pytest.mark.parametrize("make", [
-    lambda f: FiniteComplex(f, {0: ["a"], 1: ["b"]}, {"a": {"b": f.one}}),
-    lambda f: build_bundle(2, 5, f),
-])
-def test_cohomology_refuses_complexes_without_fiber_cochains(make):
-    with pytest.raises(ValueError, match="fiber-mode"):
-        Cohomology(make(field_create(5)))
+def test_cohomology_refuses_a_finite_complex():
+    f = field_create(5)
+    with pytest.raises(ValueError, match="not a FiniteComplex"):
+        Cohomology(FiniteComplex(f, {0: ["a"], 1: ["b"]}, {"a": {"b": f.one}}))
 
 
 def test_block_classes_need_no_reduce_against_per_kernel_vector(monkeypatch):
@@ -722,7 +711,7 @@ def test_custom_member_lists_get_singleton_orbits(monkeypatch):
         return real(c)
 
     monkeypatch.setattr(pages, "betti", recorded)
-    pages.core_pages(FixedLayer(build_bundle(3, 7, f), KummerConnection.sigma(3)))
+    pages.core_pages(FixedLayer(KummerConnection.sigma(3), f))
     assert any(isinstance(c, Complex) for c in seen[1:])
     assert any(isinstance(c, FiniteComplex) for c in seen[1:])
     for c in seen:

@@ -20,7 +20,7 @@ from stabfold.kummer import (
     monodromy,
     solve_h_diagonal,
 )
-from stabfold.ravenel import build_bundle, build_deformed
+from stabfold.ravenel import build_deformed
 
 
 def test_sigma_parameters():
@@ -184,8 +184,7 @@ def test_transport_torsor_composition():
 def test_core_n1_fixture():
     # height 1, sigma flavor: core basis {1, x h[1,1]}
     f = field_create(5)
-    bundle = build_bundle(1, 5, f)
-    layer = FixedLayer(bundle, KummerConnection.sigma(1))
+    layer = FixedLayer(KummerConnection.sigma(1), f)
     assert layer.basis(0) == [0]
     assert layer.basis(1) == [generator_mask(1, 1, 1)]
     assert layer.alpha[generator_mask(1, 1, 1)] == -1
@@ -197,8 +196,7 @@ def test_core_n1_fixture():
 def test_core_n3_sigma_shifts():
     # core generated by x h[3,j], x k[i,j], x L1, x^2 L2
     f = field_create(7)
-    bundle = build_bundle(3, 7, f)
-    layer = FixedLayer(bundle, KummerConnection.sigma(3))
+    layer = FixedLayer(KummerConnection.sigma(3), f)
     for j in (1, 2, 3):
         assert layer.alpha[generator_mask(3, j, 3)] == -1
     for i in (1, 2, 3):
@@ -215,14 +213,14 @@ def test_core_n3_sigma_shifts():
 def test_core_homogeneity_sigma_holds_n2_n3():
     for n, p in [(2, 11), (3, 7), (3, 19)]:
         f = field_create(p)
-        layer = FixedLayer(build_bundle(n, p, f), KummerConnection.sigma(n))
+        layer = FixedLayer(KummerConnection.sigma(n), f)
         assert layer.closed
         assert core_homogeneity(layer)["holds"]
 
 
 def test_core_homogeneity_semilinear_n3_fails_on_degree_one():
     f = field_create(7)
-    layer = FixedLayer(build_bundle(3, 7, f), KummerConnection.semilinear(3, 7))
+    layer = FixedLayer(KummerConnection.semilinear(3, 7), f)
     out = core_homogeneity(layer)
     assert not out["holds"]
     # the earliest witness sits among the degree-1 core generators h~[3,j]
@@ -233,7 +231,7 @@ def test_core_semilinear_n2_closed_but_inhomogeneous():
     # at height 2 the fixed basis agrees for both flavors and the semilinear
     # core is still closed, but d(h~[2,2]) already jumps x-valuation
     f = field_create(11)
-    layer = FixedLayer(build_bundle(2, 11, f), KummerConnection.semilinear(2, 11))
+    layer = FixedLayer(KummerConnection.semilinear(2, 11), f)
     assert layer.closed
     out = core_homogeneity(layer)
     assert not out["holds"]
@@ -242,8 +240,7 @@ def test_core_semilinear_n2_closed_but_inhomogeneous():
 
 def test_core_evaluation_at_one_matches_fixed_fiber():
     f = field_create(7)
-    bundle = build_bundle(3, 7, f)
-    layer = FixedLayer(bundle, KummerConnection.sigma(3))
+    layer = FixedLayer(KummerConnection.sigma(3), f)
     fiber = build_deformed(3, 7, f, 1)
     for s in range(10):
         for m in layer.basis(s):
@@ -256,8 +253,7 @@ def test_core_evaluation_at_one_matches_fixed_fiber():
 
 def test_medial_n1_filtration_table():
     f = field_create(5)
-    bundle = build_bundle(1, 5, f)
-    layer = FixedLayer(bundle, KummerConnection.sigma(1))
+    layer = FixedLayer(KummerConnection.sigma(1), f)
     h = generator_mask(1, 1, 1)
     # fil(x^w b) = w + alpha(b)
     assert 0 + layer.alpha[h] == -1
@@ -274,13 +270,13 @@ def test_medial_n1_filtration_table():
 
 def test_medial_n2_weight_preserving():
     f = field_create(11)
-    bundle = build_bundle(2, 11, f)
-    layer = FixedLayer(bundle, KummerConnection.sigma(2))
+    layer = FixedLayer(KummerConnection.sigma(2), f)
     assert layer.homogeneity_witness() is None
     # basis = first-subscript monomials, every cohomological degree
     for s in range(5):
         assert layer.basis(s) == [
-            m for m in bundle.basis(s) if first_subscript_sum(m, 2) == 0
+            m for m in build_deformed(2, 11, f, 0).basis(s)
+            if first_subscript_sum(m, 2) == 0
         ]
 
 
@@ -290,7 +286,7 @@ def test_fixed_layer_refuses_a_differential_that_leaves_the_fixed_basis():
     conn = KummerConnection.custom(2, {(1, 1): 0, (2, 1): 0, (2, 2): 0,
                                        (1, 2): Fraction(1, 2)})
     with pytest.raises(ValueError, match=r"d\(h\[2,1\]\) reaches h\[1,1\]h\[1,2\]"):
-        FixedLayer(build_bundle(2, 11, field_create(11)), conn)
+        FixedLayer(conn, field_create(11))
 
 
 def test_fixed_fiber_betti_equality_holds_at_n2_only():

@@ -14,7 +14,7 @@ from stabfold.pages import (
     medial_pages,
     run_pages,
 )
-from stabfold.ravenel import build_bundle, build_gl, build_singular
+from stabfold.ravenel import build_gl, build_singular
 
 
 def test_zero_differential_collapses_immediately():
@@ -136,17 +136,11 @@ def test_block_matrix_names_a_label_that_leaves_its_block():
         betti(fc)
 
 
-def test_fixed_layer_refuses_a_fiber_complex():
-    f = field_create(5)
-    with pytest.raises(ValueError, match="bundle"):
-        FixedLayer(build_singular(1, 5, f), KummerConnection.sigma(1))
-
-
 @pytest.mark.parametrize("n,p", [(1, 5), (2, 11), (3, 7), (3, 19)])
 def test_core_and_medial_e1_agree_on_every_column(n, p):
     # for sigma every term has e = 0, so the core mod x and the medial weight
     # pieces t >= 0 are the same complex up to relabelling
-    layer = FixedLayer(build_bundle(n, p, field_create(p)), KummerConnection.sigma(n))
+    layer = FixedLayer(KummerConnection.sigma(n), field_create(p))
     core, medial = core_pages(layer), medial_pages(layer)
     for t in range(4):
         for s in range(n * n + 1):
@@ -155,7 +149,7 @@ def test_core_and_medial_e1_agree_on_every_column(n, p):
 
 def test_monodromy_ss_core_n1():
     f = field_create(5)
-    layer = FixedLayer(build_bundle(1, 5, f), KummerConnection.sigma(1))
+    layer = FixedLayer(KummerConnection.sigma(1), f)
     report = core_pages(layer)
     assert report.collapse_page == 1
     # E_1^{s,t} = H^s(fiber) = 1 for s in {0,1}, every t >= 0; nothing at t < 0
@@ -168,7 +162,7 @@ def test_monodromy_ss_core_n1():
 
 def test_monodromy_ss_medial_n1_nonsurjectivity_corner():
     f = field_create(5)
-    layer = FixedLayer(build_bundle(1, 5, f), KummerConnection.sigma(1))
+    layer = FixedLayer(KummerConnection.sigma(1), f)
     report = medial_pages(layer)
     # the medial page has E_1^{1,-1} = 1 where the core page has zero
     assert report.dim(1, 1, -1) == 1
@@ -179,7 +173,7 @@ def test_monodromy_ss_medial_n1_nonsurjectivity_corner():
 
 def test_monodromy_ss_core_n2_collapse_and_fiber_match():
     f = field_create(11)
-    layer = FixedLayer(build_bundle(2, 11, f), KummerConnection.sigma(2))
+    layer = FixedLayer(KummerConnection.sigma(2), f)
     report = core_pages(layer)
     assert report.collapse_page == 1
     assert report.notes["e1_matches_smooth_fiber"]
@@ -192,7 +186,7 @@ def test_monodromy_ss_core_n2_collapse_and_fiber_match():
 
 def test_monodromy_ss_core_n3_sigma_collapse():
     f = field_create(7)
-    layer = FixedLayer(build_bundle(3, 7, f), KummerConnection.sigma(3))
+    layer = FixedLayer(KummerConnection.sigma(3), f)
     report = core_pages(layer)
     assert report.collapse_page == 1
     assert report.notes["certified_by"] == "strict x-adic compatibility"
@@ -201,7 +195,7 @@ def test_monodromy_ss_core_n3_sigma_collapse():
 
 def test_monodromy_ss_rejects_unclosed_core():
     f = field_create(7)
-    layer = FixedLayer(build_bundle(3, 7, f), KummerConnection.semilinear(3, 7))
+    layer = FixedLayer(KummerConnection.semilinear(3, 7), f)
     assert not layer.closed
     with pytest.raises(ValueError):
         core_pages(layer)
@@ -211,7 +205,7 @@ def test_windowed_pages_on_inhomogeneous_closed_core():
     # the height-2 semilinear core is closed but not homogeneous; its pages
     # still converge to the same totals in the reported window
     f = field_create(11)
-    layer = FixedLayer(build_bundle(2, 11, f), KummerConnection.semilinear(2, 11))
+    layer = FixedLayer(KummerConnection.semilinear(2, 11), f)
     assert layer.closed
     report = core_pages(layer, t_report=2)
     assert report.notes.get("window_limited")
@@ -275,7 +269,7 @@ def test_medial_pages_eliminate_the_whole_fixed_basis_once(monkeypatch, n, p):
     # totals still equal those of its own piece
     from stabfold import pages
 
-    layer = FixedLayer(build_bundle(n, p, field_create(p)), KummerConnection.sigma(n))
+    layer = FixedLayer(KummerConnection.sigma(n), field_create(p))
     low, whole = min(layer.alpha.values()), max(layer.alpha.values())
     calls = []
 
@@ -360,7 +354,7 @@ def windowed_core_input(monkeypatch):
         return real(fc, r_max)
 
     monkeypatch.setattr(pages, "run_pages", capture)
-    layer = FixedLayer(build_bundle(2, 11, field_create(11)), KummerConnection.semilinear(2, 11))
+    layer = FixedLayer(KummerConnection.semilinear(2, 11), field_create(11))
     core_pages(layer, t_report=2)
     (fc, r_max), = seen
     return fc, r_max

@@ -37,3 +37,35 @@ def test_package_imports_only_the_standard_library():
                 if top != "stabfold" and top not in sys.stdlib_module_names:
                     found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, found
+
+
+
+# definitions that no package code names, each with its callers
+_NAMED_OUTSIDE_THE_PACKAGE = {
+    "homology.nullspace": "the tests",
+    "homology.exterior_ring_check": "acceptance criterion 4 and perfbench gl4-critical",
+    "homology.cup": "the tests",
+    "kummer.monodromy": "the tests",
+}
+
+
+def test_every_definition_is_named_elsewhere_in_the_package():
+    # every function, method and class defined in the package is named in
+    # its code (as a name or an attribute, not in a docstring) outside its
+    # own body; dunder methods are called by the language.  The match is by
+    # name alone, so it cannot see an unused method whose name another
+    # definition shares and is named, such as a to_json on one class of two
+    defs, refs = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defs.append((path.stem, node.name, node.lineno, node.end_lineno))
+            elif isinstance(node, ast.Name):
+                refs.append((path.stem, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path.stem, node.attr, node.lineno))
+    found = {f"{module}.{name}" for module, name, first, last in defs
+             if not any(n == name and not (m == module and first <= line <= last)
+                        for m, n, line in refs)}
+    assert found == set(_NAMED_OUTSIDE_THE_PACKAGE), found
