@@ -361,6 +361,45 @@ def test_verify_outputs_are_pinned(capsys, flags, json_digest, text_digest):
         assert hashlib.sha256(captured.out.encode()).hexdigest() == digest, fmt
 
 
+# sha256 of the --format json stdout of `betti --no-cache`.  They cover the
+# σ-character split (n = 2 at p = 11, n = 3 at p = 19, n = 4 at p = 37, gl_3
+# at p = 7) and the unsplit path where GF(p) holds no primitive n-th root of
+# unity (n = 3 at p = 5 and p = 2).  These payloads change only on purpose
+BETTI_DIGESTS = [
+    (["--lie", "ravenel", "--n", "2", "--p", "11"],
+     "7e13112d8b3caa8fc681daf6153c5ebe8b9ce4dc907a2b503045e3ea2b114aac"),
+    (["--lie", "ravenel", "--n", "3", "--p", "19"],
+     "116411568d9fc345612ebd1f38c733d9ca940cdf9a7af5b698bc607b512007d3"),
+    (["--lie", "ravenel", "--n", "3", "--p", "5"],
+     "4b86831da88759887fcd56927a130f769be46de44fd384639cb4896dec95dbcc"),
+    (["--lie", "ravenel", "--n", "3", "--p", "2"],
+     "41b358b50724a475c38e62028d1d7bd11bff4447b7d62edc3d8edebe2b18eba5"),
+    (["--lie", "ravenel", "--n", "4", "--p", "37", "--epsilon", "0", "--slow"],
+     "b3194eb02f90b367c4f11850c165acc7f1e05eaf9157794cc99e01a8b9b814ed"),
+    (["--lie", "ravenel", "--n", "4", "--p", "37", "--epsilon", "1", "--slow"],
+     "987b61ab8d662217888ef5aca0eac6458915925c384ae4de2f03e8e32e884cab"),
+    (["--lie", "ravenel", "--complex", "cc", "--n", "4", "--p", "37", "--epsilon", "0"],
+     "2369a066ed04bc9b423263f0c743fbe2edb1ae15157e9649fa88cf776e5f3815"),
+    (["--lie", "ravenel", "--complex", "cc", "--n", "4", "--p", "37", "--epsilon", "1"],
+     "f68f0238c52ce4d341458d23c23b600f682fdd3e8669fe7b39c955639205d0de"),
+    (["--lie", "ravenel", "--complex", "fsc", "--n", "4", "--p", "37", "--epsilon", "0"],
+     "5b17201cfb784ce4c7078fc74763012c51b91075d7f7483f0bf552ba0f8503ae"),
+    (["--lie", "ravenel", "--complex", "fsc", "--n", "4", "--p", "37", "--epsilon", "1"],
+     "e8a7c5bfc0d6bdadc0654224d9ae8b3209d094bdbaf04453dc681c5791ec2dca"),
+    (["--lie", "gl", "--n", "3", "--p", "7"],
+     "6115713a9deba0b01d7341427f88b5e09e2ceaf28b9913a973da276a2d0a5fdf"),
+]
+
+
+@pytest.mark.parametrize("flags,digest", BETTI_DIGESTS,
+                         ids=[" ".join(f) for f, _ in BETTI_DIGESTS])
+def test_betti_json_payloads_are_pinned(capsys, flags, digest):
+    assert main(["betti"] + flags + ["--no-cache", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert not captured.err
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
 def _connection_file(tmp_path, n, values):
     """A --params file: values maps (i, j) to (num, den), absent means 0."""
     path = tmp_path / "conn.json"
