@@ -151,8 +151,47 @@ def _sorted_monomial(slots: list[int]) -> tuple[int, int]:
 
 
 def sigma_shift(mask: int, n: int) -> tuple[int, int]:
-    """Image of a monomial under h[i,j] -> h[i,j+1], with the reordering sign."""
-    return _sorted_monomial([slot(i, j + 1, n) for i, j in slots_of(mask, n)])
+    """Image of a monomial under h[i,j] -> h[i,j+1], with the reordering sign.
+
+    Each i-row of n slots rotates up by one bit, its top slot h[i,n] wrapping
+    to h[i,1].  Rows keep their order, and the wrapped generator moves from
+    last to first in its row, past the row's other generators: the sign
+    flips by (popcount - 1) for every row whose top slot is set."""
+    # the top slot of every row: bit n - 1 of each base-2^n digit
+    tops = ((1 << n * n) - 1) // ((1 << n) - 1) << (n - 1)
+    wrapped = mask & tops
+    flips = 0
+    rest = wrapped
+    while rest:
+        low = rest & -rest
+        # the generators of this top slot's row: its n bits up to low
+        flips += (mask & (2 * low - 1) & -(low >> (n - 1))).bit_count() - 1
+        rest ^= low
+    shifted = ((mask ^ wrapped) << 1) | (wrapped >> (n - 1))
+    return (-1 if flips & 1 else 1), shifted
+
+
+def sigma_orbits(masks: list[int], n: int) -> tuple[list, dict]:
+    """The σ-orbits of a list of monomials that σ maps onto itself, in the
+    order of their first members: (representative r, size k, sign ε) with
+    σ^k(r) = ε r for each, and, for each monomial t, (orbit, j, sign) with
+    σ^j(r) = sign t, 0 <= j < k."""
+    orbits: list[tuple[int, int, int]] = []
+    where: dict[int, tuple[int, int, int]] = {}
+    for r in masks:
+        if r in where:
+            continue
+        t, j, sign = r, 0, 1
+        while True:
+            where[t] = (len(orbits), j, sign)
+            flip, t = sigma_shift(t, n)
+            j, sign = j + 1, sign * flip
+            if t == r:
+                break
+        orbits.append((r, j, sign))
+    if len(where) != len(masks):
+        raise ValueError("σ does not map these monomials onto themselves")
+    return orbits, where
 
 
 # -- textual syntax ----------------------------------------------------------------

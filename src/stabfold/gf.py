@@ -236,12 +236,6 @@ class Field:
 
     # -- multiplicative structure ----------------------------------------------
 
-    def element_order(self, a: FieldScalar) -> int:
-        if not a:
-            raise FieldError("zero has no multiplicative order")
-        q1 = self.cardinality - 1
-        return q1 // math.gcd(self._log[a.v], q1)
-
     def primitive_element(self) -> FieldScalar:
         """Smallest generator of the multiplicative group, in counting order."""
         if self._primitive is None:
@@ -270,7 +264,9 @@ class Coding:
     column -> code.  ``encode``/``decode`` map a single nonzero element,
     ``encode_row``/``decode_row`` a row; ``step(row, c, prow)`` is the
     engine's row step (row -= c * prow in place, dropping the entries that
-    cancel) and ``normalize(row, c)`` a new row equal to row / c.
+    cancel) and ``normalize(row, c)`` a new row equal to row / c.  ``mul``
+    multiplies two codes and ``add_to`` adds a code into one entry of a row,
+    for rows assembled from several terms per entry.
 
     Products add logs mod q - 1; -1 = g^h with h = (q - 1)/2, or h = 0 when
     p = 2; g^a + g^b = g^(a + Z(b - a)) with the field's Zech table Z, whose
@@ -302,6 +298,19 @@ class Coding:
 
     def neg(self, c: int) -> int:
         return (c + self.half) % self.q1
+
+    def mul(self, a: int, b: int) -> int:
+        return (a + b) % self.q1
+
+    def add_to(self, row: dict, col, c: int) -> None:
+        """row[col] += c in place, dropping an entry that cancels."""
+        a = row.get(col)
+        if a is None:
+            row[col] = c
+        elif (z := self.zech[(c - a) % self.q1]) is None:
+            del row[col]
+        else:
+            row[col] = (a + z) % self.q1
 
     def step(self, row: dict, c: int, prow: dict) -> None:
         q1, zech = self.q1, self.zech

@@ -40,6 +40,21 @@ be σ-stable share (the full, critical and first-subscript complexes, as
 ``Complex.block_orbits`` reads their labels); custom member lists and a
 ``FiniteComplex`` have one orbit per block.
 
+A σ-fixed block, p u = u (the critical class u = 0 among them), is its own
+orbit, and σ acts on it.  When the field holds a primitive n-th root of
+unity λ, σ^n = 1 splits the block into the eigenspaces of λ^e, e = 0 .. n-1,
+which d keeps apart, so ``betti`` ranks one small block per character and
+adds the ranks.  On the orbit of a representative r, of size k with
+σ^k(r) = ε r, ε = ±1, the λ^e-eigenspace is spanned by
+sum_j λ^(-e j) σ^j(r) when λ^(e k) = ε, and is zero otherwise: an orbit
+carries exactly the k characters with λ^(e k) = ε (a fixed monomial, k = 1,
+only those with λ^e = ε), and the characters share out the block.  In these
+bases, up to the nonzero scalars k of the source and 1/k' of the target
+orbits, d has the entry sum c (±λ^(e j)) at row r', column r, over the
+terms c t of d(r) with σ^j(r') = ±t, r' the representative of t.  So d is
+read on the representatives only (``sigma_characters``), and
+``block_matrix`` assembles each character's rows.
+
 Above the middle, 2 s > N - 1 for the top degree N, ``betti`` copies each
 rank from a block below.  <a, b>, the coefficient of the top monomial in
 a b, pairs the (s, u) block perfectly with the (N - s, u_top - u) block,
@@ -77,9 +92,10 @@ echelon takes only those columns, none of which reduces to zero.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import NamedTuple
 
-from .exterior import Cochain, degree, format_monomial
-from .gf import Field
+from .exterior import Cochain, degree, format_monomial, sigma_orbits
+from .gf import Field, primitive_root_of_unity
 
 
 # -- elimination ----------------------------------------------------------------
@@ -227,27 +243,86 @@ class FiniteComplex:
     def dual_class(self, u: int) -> None:
         return None
 
+    def sigma_acts(self) -> bool:
+        return False
+
     def d_monomial(self, label) -> dict:
         return self._diff.get(label, {})
 
 
-def block_matrix(cx, s: int, u: int):
+class Character(NamedTuple):
+    """The λ^e-eigenspace of σ on a σ-fixed (s, u) block, as ``block_matrix``
+    reads it: ``columns`` holds (r, d(r)) for each source representative r
+    whose orbit carries λ^e, and ``targets`` maps every monomial t of the
+    (s + 1, u) block to (row, code of ±λ^(e j)), σ^j(r') = ±t for the
+    representative r' of t, with row None when the orbit of r' does not
+    carry λ^e."""
+    e: int
+    columns: list
+    targets: dict
+    nrows: int
+
+
+def sigma_characters(cx, s: int, u: int) -> list[Character]:
+    """The characters λ^e, e = 0 .. n - 1, of σ on the σ-fixed (s, u) block,
+    for a primitive n-th root of unity λ of the field.  d is read once on
+    each source representative, for all of them."""
+    field, n = cx.field, cx.n
+    encode = field.coding.encode
+    lam, sign_of = primitive_root_of_unity(field, n), {1: field.one, -1: -field.one}
+    src, _ = sigma_orbits(cx.blocks(s).get(u, []), n)
+    tgt, where = sigma_orbits(cx.blocks(s + 1).get(u, []), n)
+    terms = [(r, cx.d_monomial(r)) for r, _k, _sign in src]
+    out = []
+    for e in range(n):
+        power = [field.pow(lam, e * j) for j in range(n + 1)]
+        code = {sign: [encode(x * one) for x in power] for sign, one in sign_of.items()}
+        # an orbit of size k carries λ^e when λ^(e k) is the sign of σ^k on it
+        columns = [t for t, (_r, k, sign) in zip(terms, src) if power[k] == sign_of[sign]]
+        row_of = {}
+        for o, (_r, k, sign) in enumerate(tgt):
+            if power[k] == sign_of[sign]:
+                row_of[o] = len(row_of)
+        targets = {t: (row_of.get(o), code[sign][j]) for t, (o, j, sign) in where.items()}
+        out.append(Character(e, columns, targets, len(row_of)))
+    return out
+
+
+def block_matrix(cx, s: int, u: int, character: Character | None = None):
     """Coded rows of d^s restricted to the (s, u) block: one sparse row per
-    target in the (s+1, u) block, columns indexed by the source basis."""
-    encode = cx.field.coding.encode
-    src = cx.blocks(s).get(u, [])
-    tgt = cx.blocks(s + 1).get(u, [])
-    tgt_index = {m: i for i, m in enumerate(tgt)}
-    rows: list[dict[int, object]] = [dict() for _ in tgt]
-    for j, mask in enumerate(src):
-        for t, c in cx.d_monomial(mask).items():
-            i = tgt_index.get(t)
-            if i is None:
+    target in the (s+1, u) block, columns indexed by the source basis.
+
+    Given a ``Character`` λ^e of σ on a σ-fixed block, the rows of d on its
+    eigenspace instead: one column per representative in
+    ``character.columns``, one row per target representative that carries
+    λ^e.  A term c t of d(r) adds c (±λ^(e j)) at the row of t's
+    representative r', σ^j(r') = ±t (see the module docstring)."""
+    coding = cx.field.coding
+    encode, mul, add_to = coding.encode, coding.mul, coding.add_to
+    if character is None:
+        src = cx.blocks(s).get(u, [])
+        tgt = cx.blocks(s + 1).get(u, [])
+        columns = zip(src, map(cx.d_monomial, src))
+        targets = {m: (i, None) for i, m in enumerate(tgt)}
+        nrows, ncols = len(tgt), len(src)
+    else:
+        columns, targets, nrows = character.columns, character.targets, character.nrows
+        ncols = len(columns)
+    rows: list[dict[int, object]] = [dict() for _ in range(nrows)]
+    for j, (mask, terms) in enumerate(columns):
+        for t, c in terms.items():
+            hit = targets.get(t)
+            if hit is None:
                 where = (repr(mask) if isinstance(cx, FiniteComplex)
                          else format_monomial(mask, cx.n))
                 raise AssertionError(f"differential leaves block u={u}: {where}")
-            rows[i][j] = encode(c)
-    return rows, len(src)
+            i, shift = hit
+            if shift is None:
+                rows[i][j] = encode(c)
+            elif i is not None:
+                # two terms of d(r) may share a representative
+                add_to(rows[i], j, mul(encode(c), shift))
+    return rows, ncols
 
 
 def betti_numbers(dims: dict, ranks: dict) -> dict:
@@ -274,6 +349,8 @@ def block_ranks(cx) -> tuple[dict, dict]:
     target gets the same check in turn, as a source one degree up."""
     field, top = cx.field, cx.top_degree
     full = (1 << top) - 1
+    # σ-fixed blocks split by the characters of σ when λ lies in the field
+    split = cx.sigma_acts() and (field.cardinality - 1) % cx.n == 0
     blocks = {s: cx.blocks(s) for s in range(-1, top + 2)}
     ranks: dict[tuple[int, int], int] = {}
     dims: dict[tuple[int, int], int] = {}
@@ -285,7 +362,13 @@ def block_ranks(cx) -> tuple[dict, dict]:
         for orbit in cx.block_orbits(s):
             dual = 2 * s > top - 1 and cx.dual_class(orbit[0]) is not None
             if not dual:
-                ranks[(s, orbit[0])] = matrix_rank(*block_matrix(cx, s, orbit[0]), field)
+                lead = orbit[0]
+                if split and len(orbit) == 1:
+                    parts = (block_matrix(cx, s, lead, ch)
+                             for ch in sigma_characters(cx, s, lead))
+                else:
+                    parts = [block_matrix(cx, s, lead)]
+                ranks[(s, lead)] = sum(matrix_rank(*part, field) for part in parts)
             for u in orbit:
                 if dual:
                     found = (top - 1 - s, cx.dual_class(u))
@@ -442,13 +525,6 @@ class Cohomology:
                 if c:
                     out[(s, u, i)] = c
         return out
-
-    def cup(self, a: tuple[int, int, int], b: tuple[int, int, int]):
-        """Cup product of two basis classes, as class coordinates."""
-        za = self.representative(a)
-        zb = self.representative(b)
-        prod = za.wedge(zb)
-        return self.reduce_cocycle(prod)
 
 
 # -- ring recognition ---------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Rational-parameter connections on the family of DGAs over the affine line
-eps = x: parallel transport, monodromy operators and the fixed layer of a
-connection.
+eps = x: parallel transport and the fixed layer of a connection.
 
 A connection here is an assignment of an exact rational parameter to each
 generator h[i,j]; monomial parameters add along wedge products.  The two
@@ -211,37 +210,6 @@ def solve_h_diagonal(n: int, field: Field, eps, delta, mode: str = "sigma",
     for t in out:
         t.verify_dga_map(n, _CHECK_GRADING_PRIME)
     return out
-
-
-# -- monodromy -------------------------------------------------------------------------
-
-
-class Monodromy:
-    """The diagonal operator T(b) = omega^(D*alpha(b)) b on any fiber,
-    including the singular one."""
-
-    def __init__(self, conn: KummerConnection, field: Field, omega: FieldScalar):
-        self.conn = conn
-        self.field = field
-        self.omega = omega
-        if field.element_order(omega) != conn.denominator:
-            raise ValueError(
-                f"monodromy needs a root of unity of exact order {conn.denominator}"
-            )
-
-    def exponent(self, mask: int) -> int:
-        a = self.conn.monomial_parameter(mask)
-        return int(a * self.conn.denominator)
-
-    def eigenvalue(self, mask: int) -> FieldScalar:
-        return self.field.pow(self.omega, self.exponent(mask))
-
-    def apply(self, z: Cochain) -> Cochain:
-        return Cochain(z.n, {m: c * self.eigenvalue(m) for m, c in z.terms.items()})
-
-
-def monodromy(conn: KummerConnection, field: Field, omega) -> Monodromy:
-    return Monodromy(conn, field, field.scalar(omega))
 
 
 # -- the fixed layer ---------------------------------------------------------------------

@@ -110,13 +110,15 @@ def generator_pair_table(n: int) -> dict[int, list[tuple[int, int, int]]]:
 class GradingTables(NamedTuple):
     """The internal class and the first-subscript sum mod n of each subset of
     the low ``half`` slots and of the high n^2 - half slots: a monomial's
-    value is the sum of its halves' entries."""
+    value is the sum of its halves' entries.  ``lo_by_degree[k]`` lists the
+    low halves with k slots, ascending."""
     half: int
     modulus: int  # of the internal class, 2(p^n - 1)
     class_lo: list
     class_hi: list
     fsum_lo: list
     fsum_hi: list
+    lo_by_degree: list
 
 
 _GRADING_TABLES: dict[tuple[int, int], GradingTables] = {}
@@ -127,10 +129,13 @@ def grading_tables(n: int, p: int) -> GradingTables:
         weights, mod = internal_weights(n, p)
         firsts = [b // n + 1 for b in range(n * n)]
         half = n * n // 2
+        lo_by_degree = [[] for _ in range(half + 1)]
+        for lo in range(1 << half):
+            lo_by_degree[lo.bit_count()].append(lo)
         _GRADING_TABLES[(n, p)] = GradingTables(half, mod, *(
             [v % m for v in subset_sums(values, 0)] for values, m in (
                 (weights[:half], mod), (weights[half:], mod),
-                (firsts[:half], n), (firsts[half:], n))))
+                (firsts[:half], n), (firsts[half:], n))), lo_by_degree)
     return _GRADING_TABLES[(n, p)]
 
 
@@ -245,9 +250,27 @@ class Complex:
             return []
         if s not in self._basis_cache:
             # only the full complex gets here: every subset is a member
-            generators = [1 << b for b in range(self.top_degree)]
-            self._basis_cache[s] = sorted(map(sum, combinations(generators, s)))
+            self._basis_cache[s], self._block_cache[s] = self._enumerate(s)
         return self._basis_cache[s]
+
+    def _enumerate(self, s: int) -> tuple[list[int], dict[int, list[int]]]:
+        """Basis and blocks of degree s of the full complex, in one pass over
+        the halves of the grading tables: each high half h in ascending order,
+        then each low half l with s - |h| slots.  The masks h << half | l come
+        out ascending, and the class of each is class_lo[l] + class_hi[h]."""
+        g = self._grading
+        half, mod, class_lo, lows = g.half, g.modulus, g.class_lo, g.lo_by_degree
+        basis: list[int] = []
+        blocks: dict[int, list[int]] = {}
+        for hi, hi_class in enumerate(g.class_hi):
+            k = s - hi.bit_count()
+            if 0 <= k <= half:
+                base = hi << half
+                for lo in lows[k]:
+                    mask = base | lo
+                    basis.append(mask)
+                    blocks.setdefault((class_lo[lo] + hi_class) % mod, []).append(mask)
+        return basis, blocks
 
     def dim(self) -> int:
         return sum(len(self.basis(s)) for s in range(self.top_degree + 1))
@@ -259,11 +282,20 @@ class Complex:
 
     def blocks(self, s: int) -> dict[int, list[int]]:
         if s not in self._block_cache:
-            out: dict[int, list[int]] = {}
-            for mask in self.basis(s):
-                out.setdefault(self.block_key(mask), []).append(mask)
-            self._block_cache[s] = out
+            # the full complex's basis fills in its blocks as well
+            basis = self.basis(s)
+            if s not in self._block_cache:
+                out: dict[int, list[int]] = {}
+                for mask in basis:
+                    out.setdefault(self.block_key(mask), []).append(mask)
+                self._block_cache[s] = out
         return self._block_cache[s]
+
+    def sigma_acts(self) -> bool:
+        """Does σ map the members onto themselves, commuting with d?  So for
+        all monomials and for the critical and first-subscript complexes, once
+        ``sigma_certificate`` holds."""
+        return self.descriptor.label in SIGMA_STABLE and sigma_certificate(self.n, self.p)
 
     def block_orbits(self, s: int) -> list[list[int]]:
         """The internal classes of degree s in σ-orbits u, p u, p^2 u, ...
@@ -272,8 +304,7 @@ class Complex:
         σ-stable: all monomials, or the critical or first-subscript complex
         (σ keeps class 0 and the first-subscript sum)."""
         blocks = self.blocks(s)
-        if (self.descriptor.label not in SIGMA_STABLE
-                or not sigma_certificate(self.n, self.p)):
+        if not self.sigma_acts():
             return [[u] for u in blocks]
         orbits, seen = [], set()
         for u in blocks:

@@ -10,7 +10,13 @@ units, without the package's generator pair table or wedge signs.
 `extra_term_table` a term that breaks the duality certificate.
 `full_kernel_representatives` is no independent code but the earlier way of
 taking a block's classes, kept as a reference for the present one.
-`wedge_sign_oracle` takes wedge signs by bubble sort of slot lists;
+`wedge_sign_oracle` takes wedge signs by bubble sort of slot lists, and
+`sigma_shift_oracle` the signs of the cyclic shift σ with it, against the bit
+rotation of `exterior.sigma_shift`.  `cup` is the cup product of two classes
+of a `homology.Cohomology`, `Monodromy` the diagonal operator
+T(b) = omega^(D alpha(b)) b of a connection, which the package names in its
+claims but never builds, and `element_order` the multiplicative order it
+checks omega by;
 `reduced_internal_degree`, `angle_bracket`, `sigma_apply`, `one_cochain`,
 `euler_characteristics_match`, `poly_degree` and `poly_evaluate` are small
 helpers that only the tests call.  `Poly` is a dense polynomial over a field,
@@ -35,7 +41,6 @@ from stabfold.exterior import (
     generator_mask,
     normalize_j,
     parse_monomial,
-    sigma_shift,
     slot,
     slots_of,
     wedge,
@@ -156,6 +161,15 @@ def angle_bracket(mask: int, n: int) -> tuple[int, ...]:
     return tuple(t)
 
 
+def sigma_shift_oracle(mask: int, n: int) -> tuple[int, int]:
+    """(sign, mask) of h[i,j] -> h[i,j+1] on a monomial, by bubble sort of the
+    shifted slot list: the sort-based shift the package used before its bit
+    rotation."""
+    shifted = [slot(i, j + 1, n) for i, j in slots_of(mask, n)]
+    sign = wedge_sign_oracle(shifted, [])
+    return sign, sum(1 << b for b in shifted)
+
+
 def sigma_apply(cx, z: Cochain, semilinear: bool = False) -> Cochain:
     """The cyclic shift h[i,j] -> h[i,j+1] on a cochain; the semilinear variant
     twists coefficients by the designated order-n Frobenius power."""
@@ -175,10 +189,54 @@ def sigma_apply(cx, z: Cochain, semilinear: bool = False) -> Cochain:
 
     out: dict[int, object] = {}
     for mask, c in z.terms.items():
-        sign, shifted = sigma_shift(mask, cx.n)
+        sign, shifted = sigma_shift_oracle(mask, cx.n)
         cc = twist(c)
         add_term(out, shifted, -cc if sign < 0 else cc)
     return Cochain(cx.n, out)
+
+
+def cup(coh, a: tuple[int, int, int], b: tuple[int, int, int]) -> dict:
+    """Cup product of two basis classes of a ``homology.Cohomology``, as class
+    coordinates."""
+    return coh.reduce_cocycle(coh.representative(a).wedge(coh.representative(b)))
+
+
+def element_order(field: Field, a: FieldScalar) -> int:
+    """Multiplicative order of a nonzero element, by repeated multiplication."""
+    if not a:
+        raise ValueError("zero has no multiplicative order")
+    k, x = 1, a
+    while x != field.one:
+        k, x = k + 1, x * a
+    return k
+
+
+class Monodromy:
+    """The diagonal operator T(b) = omega^(D*alpha(b)) b of a
+    ``kummer.KummerConnection`` on any fiber, including the singular one."""
+
+    def __init__(self, conn, field: Field, omega: FieldScalar):
+        self.conn = conn
+        self.field = field
+        self.omega = omega
+        if element_order(field, omega) != conn.denominator:
+            raise ValueError(
+                f"monodromy needs a root of unity of exact order {conn.denominator}"
+            )
+
+    def exponent(self, mask: int) -> int:
+        a = self.conn.monomial_parameter(mask)
+        return int(a * self.conn.denominator)
+
+    def eigenvalue(self, mask: int) -> FieldScalar:
+        return self.field.pow(self.omega, self.exponent(mask))
+
+    def apply(self, z: Cochain) -> Cochain:
+        return Cochain(z.n, {m: c * self.eigenvalue(m) for m, c in z.terms.items()})
+
+
+def monodromy(conn, field: Field, omega) -> Monodromy:
+    return Monodromy(conn, field, field.scalar(omega))
 
 
 def one_cochain(cx, text: str) -> Cochain:

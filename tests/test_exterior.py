@@ -3,7 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import angle_bracket, reduced_internal_degree, wedge_sign_oracle
+from oracles import (
+    angle_bracket,
+    reduced_internal_degree,
+    sigma_shift_oracle,
+    wedge_sign_oracle,
+)
 
 from stabfold.exterior import (
     degree,
@@ -12,6 +17,7 @@ from stabfold.exterior import (
     generator_mask,
     internal_degree,
     parse_monomial,
+    sigma_orbits,
     sigma_shift,
     slots_of,
     split_join,
@@ -210,6 +216,34 @@ def test_sigma_shift_cyclic():
             s, m = sigma_shift(m, n)
             sign *= s
         assert m == m0 and sign == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sigma_shift_matches_the_sort_oracle_on_every_monomial(n):
+    # the bit rotation against a bubble sort of the shifted slot list
+    for mask in range(1 << (n * n)):
+        assert sigma_shift(mask, n) == sigma_shift_oracle(mask, n), mask
+
+
+def test_sigma_orbits_of_the_degree_2_monomials_at_n2():
+    # h[1,1]h[1,2] and h[2,1]h[2,2] are fixed up to the sign -1 (σ swaps
+    # the two generators of a row), the other four monomials of degree 2
+    # form two orbits of size 2
+    n = 2
+    masks = sorted((1 << a) | (1 << b) for a in range(4) for b in range(a + 1, 4))
+    orbits, where = sigma_orbits(masks, n)
+    h = {(i, j): gm(i, j, n) for i in (1, 2) for j in (1, 2)}
+    assert orbits == [(h[1, 1] | h[1, 2], 1, -1), (h[1, 1] | h[2, 1], 2, 1),
+                      (h[1, 2] | h[2, 1], 2, 1), (h[2, 1] | h[2, 2], 1, -1)]
+    assert sorted(where) == masks
+    for t, (o, j, sign) in where.items():
+        r = orbits[o][0]
+        for _ in range(j):
+            flip, r = sigma_shift(r, n)
+            sign *= flip
+        assert r == t and sign == 1
+    with pytest.raises(ValueError, match="onto themselves"):
+        sigma_orbits([h[1, 1]], n)
 
 
 def test_slots_canonical_order():

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 from oracles import (
+    cup,
     dense_rank_oracle,
     euler_characteristics_match,
     extra_term_table,
@@ -32,6 +33,7 @@ from stabfold.homology import (
     monomial_projection,
     nullspace,
     rref,
+    sigma_characters,
 )
 from stabfold import ravenel
 from stabfold.ravenel import (
@@ -219,7 +221,7 @@ def test_cup_unit():
     coh = Cohomology(cx)
     unit = (0, 0, 0)
     for ref in coh.classes():
-        prod = coh.cup(unit, ref)
+        prod = cup(coh, unit, ref)
         assert prod == {ref: f.one}
 
 
@@ -542,6 +544,59 @@ def test_orbit_copied_ranks_gl4_over_gf169():
     assert assert_copied_ranks_eliminate(subcomplex(cx, "fsc")) > 0
 
 
+def assert_characters_split(cx, oracle=None) -> int:
+    """On every σ-fixed block of cx: the characters λ^0 .. λ^(n-1) of σ share
+    out the block's monomials and its target's, and their ranks add up to
+    the least-column rank of the whole block, which equals the oracle's on
+    the decoded rows when one is given.  Returns how many blocks it split."""
+    field, n = cx.field, cx.n
+    split = 0
+    for s in range(cx.top_degree + 1):
+        for u in [orbit[0] for orbit in cx.block_orbits(s) if len(orbit) == 1]:
+            characters = sigma_characters(cx, s, u)
+            assert [ch.e for ch in characters] == list(range(n))
+            assert sum(len(ch.columns) for ch in characters) == len(cx.blocks(s)[u])
+            assert sum(ch.nrows for ch in characters) == len(cx.blocks(s + 1).get(u, []))
+            rows, ncols = block_matrix(cx, s, u)
+            rank = matrix_rank(rows, ncols, field)
+            assert sum(matrix_rank(*block_matrix(cx, s, u, ch), field)
+                       for ch in characters) == rank, (s, u)
+            if oracle is not None:
+                assert rank == oracle([field.coding.decode_row(r) for r in rows],
+                                      ncols, field)
+            split += 1
+    return split
+
+
+@pytest.mark.parametrize("n,p", [(1, 3), (2, 11), (2, 2), (3, 19), (3, 2), (4, 37)])
+@pytest.mark.parametrize("eps", [0, 1, 2])
+def test_character_ranks_add_up_to_the_block_rank(monkeypatch, n, p, eps):
+    f = field_create(p)
+    cx = build_deformed(n, p, f, eps)
+    complexes = [cx, subcomplex(cx, "critical"), subcomplex(cx, "fsc")]
+    if (p - 1) % n:
+        # GF(2) holds no primitive square or cube root of unity: betti takes
+        # the unsplit path
+        split = []
+        monkeypatch.setattr(homology, "sigma_characters",
+                            lambda *args: split.append(args) or [])
+        for c in complexes:
+            betti(c)
+        assert not split
+        return
+    oracle = sympy_rank if n <= 2 else None
+    for c in complexes:
+        assert assert_characters_split(c, oracle) >= n * n + 1
+    if n == 4:
+        assert [len(ch.columns) for ch in sigma_characters(cx, 7, 0)] == [97] * 4
+
+
+def test_character_ranks_gl4_over_gf169():
+    cx = build_gl(4, field_create(13, 2), 13)
+    for c in (cx, subcomplex(cx, "critical"), subcomplex(cx, "fsc")):
+        assert assert_characters_split(c) >= 17
+
+
 def test_block_orbits_of_the_headline_fiber():
     # n = 4, p = 37: 1,929 blocks in 506 orbits, 467 of size 4, 22 of size 2
     # and 17 fixed, the critical blocks
@@ -555,11 +610,15 @@ def test_block_orbits_of_the_headline_fiber():
 
 
 def count_block_matrix_calls(monkeypatch) -> list:
+    """The (s, u) of each block betti assembles: once per call without a
+    character, and once per σ-fixed block split by characters, at its first
+    character λ^0."""
     calls = []
 
-    def counted(cx, s, u):
-        calls.append((s, u))
-        return block_matrix(cx, s, u)
+    def counted(cx, s, u, character=None):
+        if character is None or character.e == 0:
+            calls.append((s, u))
+        return block_matrix(cx, s, u, character)
 
     monkeypatch.setattr(homology, "block_matrix", counted)
     return calls
@@ -582,7 +641,8 @@ def test_a_flipped_pair_sign_breaks_the_sigma_certificate(monkeypatch, gslot, k)
     # monomial without h[3,2] now reaches the top one, the duality
     # certificate fails too and no rank is copied at all; h[1,1] h[1,2] of
     # d(h[2,1]) does not contain h[2,1], and the upper half is still copied
-    # from the dual blocks
+    # from the dual blocks.  GF(19) holds a primitive cube root of unity, yet
+    # no block is split by the characters of a σ that does not commute with d
     n, p = 3, 19
     dual = gslot == 3
     real = ravenel.generator_pair_table
@@ -599,6 +659,10 @@ def test_a_flipped_pair_sign_breaks_the_sigma_certificate(monkeypatch, gslot, k)
     monkeypatch.setattr(ravenel, "_DUALITY_CERTIFICATES", {})
     assert not ravenel.sigma_certificate(n, p)
     calls = count_block_matrix_calls(monkeypatch)
+    split = []
+    characters = homology.sigma_characters
+    monkeypatch.setattr(homology, "sigma_characters",
+                        lambda *args: split.append(args) or characters(*args))
     for cx in (build_deformed(n, p, field_create(p), 1),
                subcomplex(build_deformed(n, p, field_create(p), 0), "fsc")):
         calls.clear()
@@ -608,6 +672,7 @@ def test_a_flipped_pair_sign_breaks_the_sigma_certificate(monkeypatch, gslot, k)
         table = betti(cx)
         every = [(s, u) for s in range(n * n + 1) for u in cx.blocks(s)]
         assert sorted(calls) == sorted(lower_half(cx) if dual else every)
+        assert not split
         assert table.entries == oracle_betti(cx, dense_rank_oracle)
 
 

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import compose_transports
+from oracles import compose_transports, monodromy
 
 from stabfold.exterior import (
     Cochain,
@@ -17,7 +17,6 @@ from stabfold.kummer import (
     FixedLayer,
     KummerConnection,
     core_homogeneity,
-    monodromy,
     solve_h_diagonal,
 )
 from stabfold.ravenel import build_deformed

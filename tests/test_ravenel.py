@@ -252,6 +252,22 @@ def test_subcomplex_dims():
     assert subcomplex(cx3, "fsc").dim() == 176
 
 
+@pytest.mark.parametrize("n,p", [(1, 3), (2, 11), (3, 2), (3, 19), (4, 2), (4, 37)])
+def test_full_basis_and_blocks_are_every_subset_by_class(n, p):
+    # the one-pass enumeration over the halves of the grading tables against
+    # every subset of each size, ascending, keyed by exterior's bit-by-bit
+    # internal degree; the blocks' keys come in the order of their first mask
+    cx = build_singular(n, p, field_create(p))
+    for s in range(-1, n * n + 2):
+        subsets = (sorted(sum(1 << b for b in c) for c in combinations(range(n * n), s))
+                   if 0 <= s <= n * n else [])
+        blocks: dict[int, list[int]] = {}
+        for m in subsets:
+            blocks.setdefault(internal_degree(m, n, p), []).append(m)
+        assert cx.basis(s) == subsets
+        assert list(cx.blocks(s).items()) == list(blocks.items())
+
+
 def _members(sub) -> list[int]:
     """The basis of sub over all degrees, each degree ascending."""
     out = []

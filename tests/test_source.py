@@ -44,8 +44,6 @@ def test_package_imports_only_the_standard_library():
 _NAMED_OUTSIDE_THE_PACKAGE = {
     "homology.nullspace": "the tests",
     "homology.exterior_ring_check": "acceptance criterion 4 and perfbench gl4-critical",
-    "homology.cup": "the tests",
-    "kummer.monodromy": "the tests",
 }
 
 
