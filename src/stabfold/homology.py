@@ -303,6 +303,7 @@ def block_matrix(cx, s: int, u: int, character: Character | None = None):
         src = cx.blocks(s).get(u, [])
         tgt = cx.blocks(s + 1).get(u, [])
         columns = zip(src, map(cx.d_monomial, src))
+        # no character: each target is its own row, and no code is scaled
         targets = {m: (i, None) for i, m in enumerate(tgt)}
         nrows, ncols = len(tgt), len(src)
     else:

@@ -26,7 +26,8 @@ each term of d(g) keeps g's internal class and first-subscript sum mod n, and
 both gradings add along the wedge products of the Leibniz rule.
 ``sigma_certificate`` checks on the same table that the cyclic shift σ
 commutes with d and multiplies the internal class by p, so ``betti``
-eliminates one block per σ-orbit, and ``duality_certificate`` that d vanishes
+eliminates one block per σ-orbit and splits the σ-fixed ones by the
+characters of σ, and ``duality_certificate`` that d vanishes
 in degree n^2 - 1, so it copies the ranks above the middle degree from their
 Poincaré-dual blocks (see ``homology``).
 """

@@ -14,9 +14,9 @@ taking a block's classes, kept as a reference for the present one.
 `sigma_shift_oracle` the signs of the cyclic shift σ with it, against the bit
 rotation of `exterior.sigma_shift`.  `cup` is the cup product of two classes
 of a `homology.Cohomology`, `Monodromy` the diagonal operator
-T(b) = omega^(D alpha(b)) b of a connection, which the package names in its
-claims but never builds, and `element_order` the multiplicative order it
-checks omega by;
+T(b) = omega^(D alpha(b)) b of a connection, whose fixed monomials the
+package lists (`KummerConnection.fixed_masks`) without building T, and
+`element_order` the multiplicative order it checks omega by;
 `reduced_internal_degree`, `angle_bracket`, `sigma_apply`, `one_cochain`,
 `euler_characteristics_match`, `poly_degree` and `poly_evaluate` are small
 helpers that only the tests call.  `Poly` is a dense polynomial over a field,
