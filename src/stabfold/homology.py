@@ -91,6 +91,7 @@ echelon takes only those columns, none of which reduces to zero.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -225,13 +226,15 @@ class FiniteComplex:
     """A finite cochain complex over a field on arbitrary hashable labels:
     the labels of each degree, and d as label -> {label: coefficient} one
     degree up.  Each degree is one block, u = 0, so ``betti``, ``block_matrix``
-    and ``pages.run_pages`` read it like a ``Complex``."""
+    and ``pages.run_pages`` read it like a ``Complex``.  Zero coefficients of
+    ``diff`` are dropped: d is the same map without them."""
 
     def __init__(self, field, labels_by_degree: dict[int, list], diff: dict):
         self.field = field
         self.top_degree = max(labels_by_degree, default=0)
         self._labels = labels_by_degree
-        self._diff = diff
+        self._diff = {a: {b: c for b, c in row.items() if c}
+                      for a, row in diff.items()}
 
     def blocks(self, s: int) -> dict[int, list]:
         labels = self._labels.get(s)
@@ -263,15 +266,19 @@ class Character(NamedTuple):
     nrows: int
 
 
-def sigma_characters(cx, s: int, u: int) -> list[Character]:
+def sigma_characters(cx, s: int, u: int, orbits=None) -> list[Character]:
     """The characters λ^e, e = 0 .. n - 1, of σ on the σ-fixed (s, u) block,
     for a primitive n-th root of unity λ of the field.  d is read once on
-    each source representative, for all of them."""
+    each source representative, for all of them.  ``orbits(s, u)`` gives the
+    ``exterior.sigma_orbits`` of the (s, u) block; ``block_ranks`` hands in a
+    memo, so a block that is the target of d^(s-1) and the source of d^s has
+    its orbits found once."""
     field, n = cx.field, cx.n
     encode = field.coding.encode
     lam, sign_of = primitive_root_of_unity(field, n), {1: field.one, -1: -field.one}
-    src, _ = sigma_orbits(cx.blocks(s).get(u, []), n)
-    tgt, where = sigma_orbits(cx.blocks(s + 1).get(u, []), n)
+    orbits = orbits or (lambda s, u: sigma_orbits(cx.blocks(s).get(u, []), n))
+    src, _ = orbits(s, u)
+    tgt, where = orbits(s + 1, u)
     terms = [(r, cx.d_monomial(r)) for r, _k, _sign in src]
     out = []
     for e in range(n):
@@ -353,6 +360,7 @@ def block_ranks(cx) -> tuple[dict, dict]:
     # σ-fixed blocks split by the characters of σ when λ lies in the field
     split = cx.sigma_acts() and (field.cardinality - 1) % cx.n == 0
     blocks = {s: cx.blocks(s) for s in range(-1, top + 2)}
+    orbits = cache(lambda s, u: sigma_orbits(blocks[s].get(u, []), cx.n))
     ranks: dict[tuple[int, int], int] = {}
     dims: dict[tuple[int, int], int] = {}
 
@@ -366,7 +374,7 @@ def block_ranks(cx) -> tuple[dict, dict]:
                 lead = orbit[0]
                 if split and len(orbit) == 1:
                     parts = (block_matrix(cx, s, lead, ch)
-                             for ch in sigma_characters(cx, s, lead))
+                             for ch in sigma_characters(cx, s, lead, orbits))
                 else:
                     parts = [block_matrix(cx, s, lead)]
                 ranks[(s, lead)] = sum(matrix_rank(*part, field) for part in parts)

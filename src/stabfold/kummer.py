@@ -32,7 +32,7 @@ from math import lcm
 
 from .exterior import Cochain, add_term, format_monomial, split_join, subset_sums
 from .gf import Field, FieldScalar, nth_roots
-from .ravenel import bundle_digits
+from .ravenel import bundle_digits, kronecker_term_table
 
 
 class KummerConnection:
@@ -242,10 +242,11 @@ class FixedLayer:
         scalar = self.field.scalar
         self._terms: dict[int, list[tuple[int, FieldScalar, int]]] = {}
         self.closure_failures: list[tuple[int, int, int]] = []
+        terms_x = kronecker_term_table(n)
         for s in range(self.top_degree + 1):
             for m in self._basis[s]:
                 terms = []
-                for tgt, digits in bundle_digits(n, m, self.field.p):
+                for tgt, digits in bundle_digits(terms_x, m, self.field.p):
                     if tgt not in self.alpha:
                         raise ValueError(
                             f"d({format_monomial(m, n)}) reaches "

@@ -9,7 +9,12 @@ extended to all monomials by the graded Leibniz rule.  That expansion is
 written once, over the integers with eps set to an integer (`integer_d`), and
 every complex is a fiber of it with field-scalar coefficients: it reduces the
 integers mod p (eps = 1 is the Chevalley-Eilenberg complex of the n x n
-matrix Lie algebra, eps = 0 the singular, solvable fiber).  The family over
+matrix Lie algebra, eps = 0 the singular, solvable fiber).  ``integer_d``
+reads a ``term_table``, built once per pair table and integer eps from the
+pair table it is handed, never cached by n.  It lists, per generator g, each
+pair term lo < hi whose coefficient is nonzero at that eps, with its sign
+mask (g - 1) ^ (((lo - 1) ^ (hi - 1)) & ~g): the Leibniz sign of the term on
+a monomial m is the parity of m & sign mask, one popcount.  The family over
 the affine line, eps = x, is read in one place: ``bundle_digits`` evaluates
 at eps = KRONECKER_BASE and reads the coefficients of 1 and x off as base-B
 digits, for the fixed layer of ``kummer``; the exhaustive d∘d = 0 scan does
@@ -140,34 +145,50 @@ def grading_tables(n: int, p: int) -> GradingTables:
     return _GRADING_TABLES[(n, p)]
 
 
-def integer_d(table, mask: int, eps: int) -> dict[int, int]:
-    """d of a monomial over Z with eps set to the integer eps, by the graded
-    Leibniz rule over a pair table: {target mask: coefficient}.  A target
-    whose terms cancel keeps the entry 0."""
+def term_table(pairs, eps: int) -> list[list[tuple[int, int, int, int]]]:
+    """The pair table ``pairs`` at the integer eps, per generator slot g:
+    (other, sign mask, coefficient, pair mask) for each term of d(g) whose
+    coefficient, presign or presign * eps, is nonzero.  ``other`` is the pair
+    without g: a monomial m holding g meets the pair in g alone when
+    ``other & m`` is 0.  d(g) moves past the generators of m below g, and its
+    pair lo < hi into the rest r = m - g past those below lo and below hi; as
+    r & X = m & X & ~g, the sign is the parity of m & sign mask."""
+    out = []
+    for gslot in range(len(pairs)):
+        low = 1 << gslot
+        terms = []
+        for pmask, presign, e in pairs[gslot]:
+            if e and not eps:
+                continue
+            lo = pmask & -pmask
+            sign_mask = (low - 1) ^ (((lo - 1) ^ ((pmask ^ lo) - 1)) & ~low)
+            c = presign * eps if e else presign
+            terms.append((pmask & ~low, sign_mask, c, pmask))
+        out.append(terms)
+    return out
+
+
+def kronecker_term_table(n: int) -> list[list[tuple[int, int, int, int]]]:
+    """The term table of the height-n pair table at eps = KRONECKER_BASE."""
+    return term_table(generator_pair_table(n), KRONECKER_BASE)
+
+
+def integer_d(terms, mask: int) -> dict[int, int]:
+    """d of a monomial over Z by the graded Leibniz rule, read off a
+    ``term_table`` (which fixes the integer eps): {target mask: coefficient}.
+    A target whose terms cancel keeps the entry 0."""
     out: dict[int, int] = {}
     mm = mask
     while mm:
         low = mm & -mm
         rest = mask ^ low
-        below = (mask & (low - 1)).bit_count()
-        for pmask, presign, e in table[low.bit_length() - 1]:
-            if pmask & rest or (e and not eps):
+        for other, sign_mask, c, pmask in terms[low.bit_length() - 1]:
+            if other & mask:
                 continue
-            # d(g) moves to g's place, past the generators below g; its pair
-            # (lo < hi) then sorts into rest past those below lo and below hi
-            lo = pmask & -pmask
-            if (below + (rest & (lo - 1)).bit_count()
-                    + (rest & ((pmask ^ lo) - 1)).bit_count()) & 1:
-                c = -presign
-            else:
-                c = presign
-            if e:
-                c *= eps
-            tgt = pmask | rest
-            if tgt in out:
-                out[tgt] += c
-            else:
-                out[tgt] = c
+            tgt = rest | pmask
+            if (mask & sign_mask).bit_count() & 1:
+                c = -c
+            out[tgt] = out.get(tgt, 0) + c
         mm ^= low
     return out
 
@@ -184,11 +205,12 @@ def kronecker_digits(v: int, count: int) -> list[int]:
     return out
 
 
-def bundle_digits(n: int, mask: int, p: int):
-    """d of a monomial over F_p[x], eps = x, read off integer_d at eps =
-    KRONECKER_BASE: yields (target, (c0, c1)) with c_k the residue mod p of
-    the coefficient of x^k, for each target where c0 + c1 x is nonzero."""
-    for tgt, v in integer_d(generator_pair_table(n), mask, KRONECKER_BASE).items():
+def bundle_digits(terms, mask: int, p: int):
+    """d of a monomial over F_p[x], eps = x, read off integer_d on the
+    ``kronecker_term_table`` terms: yields (target, (c0, c1)) with c_k the
+    residue mod p of the coefficient of x^k, for each target where c0 + c1 x
+    is nonzero."""
+    for tgt, v in integer_d(terms, mask).items():
         c0, c1 = kronecker_digits(v, 2)
         c0 %= p
         c1 %= p
@@ -224,7 +246,6 @@ class Complex:
         self._grading = grading_tables(self.n, self.p)
         self.internal_modulus = self._grading.modulus
         self._key_bits = (1 << self._grading.half) - 1
-        self._table = generator_pair_table(self.n)
         self._members = None
         self._basis_cache: dict[int, list[int]] = {}
         if members is not None:
@@ -233,7 +254,8 @@ class Complex:
             for mask in sorted(self._members):
                 self._basis_cache[mask.bit_count()].append(mask)
         self._block_cache: dict[int, dict[int, list[int]]] = {}
-        self._eps = _integer_epsilon(descriptor)
+        self._terms = term_table(generator_pair_table(self.n),
+                                 _integer_epsilon(descriptor))
         # the prime subfield, indexed by residue: every coefficient of d lies in it
         self._scalars = [self.field.scalar(c) for c in range(self.field.p)]
 
@@ -331,7 +353,7 @@ class Complex:
         p = self.field.p
         scalars = self._scalars
         out: dict[int, object] = {}
-        for tgt, c in integer_d(self._table, mask, self._eps).items():
+        for tgt, c in integer_d(self._terms, mask).items():
             c %= p
             if c:
                 out[tgt] = scalars[c]
@@ -432,12 +454,12 @@ def duality_certificate(n: int, p: int, label: str) -> bool:
     mod n): Poincaré duality of a unimodular Lie algebra's complex."""
     key = (n, p, label)
     if key not in _DUALITY_CERTIFICATES:
-        table, top = generator_pair_table(n), (1 << n * n) - 1
+        terms, top = kronecker_term_table(n), (1 << n * n) - 1
         _DUALITY_CERTIFICATES[key] = (
             label in SIGMA_STABLE
             and (label != "fsc" or first_subscript_sum(top, n) == 0)
             and internal_degree(top, n, p) == 0
-            and not any(any(integer_d(table, top ^ (1 << b), KRONECKER_BASE).values())
+            and not any(any(integer_d(terms, top ^ (1 << b)).values())
                         for b in range(n * n)))
     return _DUALITY_CERTIFICATES[key]
 
@@ -536,7 +558,7 @@ def dd_zero_exhaustive(n: int, primes: list[int]) -> dict:
     eps = x (each c_k).  "bad" counts the failing monomials per (p, eps), with
     eps in (0, 1, "x").
     """
-    table = generator_pair_table(n)
+    terms = kronecker_term_table(n)
     checked = 0
     failures = []
     bad = {(p, eps): 0 for p in primes for eps in (0, 1, "x")}
@@ -547,10 +569,10 @@ def dd_zero_exhaustive(n: int, primes: list[int]) -> dict:
             for b in combo:
                 mask |= 1 << b
             acc: dict[int, int] = {}
-            for t1, v1 in integer_d(table, mask, KRONECKER_BASE).items():
+            for t1, v1 in integer_d(terms, mask).items():
                 d1 = d_next.get(t1)
                 if d1 is None:
-                    d1 = d_next[t1] = integer_d(table, t1, KRONECKER_BASE)
+                    d1 = d_next[t1] = integer_d(terms, t1)
                 for t2, v2 in d1.items():
                     acc[t2] = acc.get(t2, 0) + v1 * v2
             failed = set()

@@ -6,8 +6,11 @@ it works over every GF(p^m) but shares the field arithmetic of `gf.py`.
 GF(p), so it shares no code with the package; it covers prime fields only.
 `gl_ce_differential` derives the gl_n differential from the bracket of matrix
 units, without the package's generator pair table or wedge signs.
-`flipped_sign_table` plants a sign fault for the checks to catch, and
-`extra_term_table` a term that breaks the duality certificate.
+`leibniz_d_oracle` expands d of a monomial from the generator formula over
+(i, j) pairs, with `wedge_sign_oracle`'s signs and no pair table.
+`flipped_sign_table` plants a sign fault for the checks to catch,
+`below_dropped_terms` a term table whose Leibniz signs skip the generators
+below g, and `extra_term_table` a term that breaks the duality certificate.
 `full_kernel_representatives` is no independent code but the earlier way of
 taking a block's classes, kept as a reference for the present one.
 `wedge_sign_oracle` takes wedge signs by bubble sort of slot lists, and
@@ -48,7 +51,7 @@ from stabfold.exterior import (
 from stabfold.gf import Field, FieldScalar
 from stabfold.homology import insert_row, nullspace, reduce_against, rref
 from stabfold.kummer import Transport
-from stabfold.ravenel import bundle_digits
+from stabfold.ravenel import bundle_digits, kronecker_term_table
 from stabfold.retract import Derivation
 
 
@@ -134,6 +137,35 @@ def wedge_sign_oracle(a_slots: list[int], b_slots: list[int]) -> int | None:
                 seq[j], seq[j + 1] = seq[j + 1], seq[j]
                 sign = -sign
     return sign
+
+
+def leibniz_d_oracle(n: int, mask: int) -> dict[int, tuple[int, int]]:
+    """d of a monomial over Z[eps] as {target mask: (c0, c1)}, d = c0 + eps c1,
+    from the generator formula of the ``ravenel`` docstring,
+
+        d(h[i,j]) = sum_{l=1}^{i-1} h[l,j] h[i-l,j+l]
+                  + eps * sum_{l=i}^{n} h[l,j] h[i-l+n,j+l],
+
+    and the graded Leibniz rule written out word by word: the t-th generator
+    of the ascending word is replaced by each pair (sign (-1)^(t-1)), and the
+    word sorted by ``wedge_sign_oracle``'s bubble sort.  Uses neither the
+    package's pair table nor its wedge.  Targets whose terms cancel are
+    dropped."""
+    def slot_of(i, j):
+        return (i - 1) * n + (j - 1) % n
+
+    gens = [(b // n + 1, b % n + 1) for b in range(n * n) if mask >> b & 1]
+    out: dict[int, list[int]] = {}
+    for t, (i, j) in enumerate(gens):
+        for ell in range(1, n + 1):
+            k, i2 = (0, i - ell) if ell < i else (1, i - ell + n)
+            word = [slot_of(*g) for g in gens]
+            word[t:t + 1] = [slot_of(ell, j), slot_of(i2, j + ell)]
+            sign = wedge_sign_oracle(word, [])
+            if sign is not None:
+                c = out.setdefault(sum(1 << b for b in word), [0, 0])
+                c[k] += (-1) ** t * sign
+    return {tgt: (c0, c1) for tgt, (c0, c1) in out.items() if c0 or c1}
 
 
 def reduced_weights(n: int, p: int) -> tuple[list[int], int]:
@@ -342,11 +374,12 @@ class Bundle:
         self.n = n
         self.field = field
         self.one = Poly.const(field, 1)
+        self._terms = kronecker_term_table(n)
 
     def d_monomial(self, mask: int) -> dict[int, Poly]:
         scalar = self.field.scalar
         return {tgt: Poly(self.field, (scalar(c0), scalar(c1)))
-                for tgt, (c0, c1) in bundle_digits(self.n, mask, self.field.p)}
+                for tgt, (c0, c1) in bundle_digits(self._terms, mask, self.field.p)}
 
     def d_cochain(self, z: Cochain) -> Cochain:
         out: dict[int, Poly] = {}
@@ -374,6 +407,14 @@ def flipped_sign_table(table, gslot=0, k=0):
     pmask, presign, e = out[gslot][k]
     out[gslot][k] = (pmask, -presign, e)
     return out
+
+
+def below_dropped_terms(terms):
+    """A copy of a ``ravenel.term_table`` whose sign masks lack the part for
+    the generators below g, low - 1: d(g) no longer passes them."""
+    return [[(other, sign_mask ^ ((1 << g) - 1), c, pmask)
+             for other, sign_mask, c, pmask in slot_terms]
+            for g, slot_terms in enumerate(terms)]
 
 
 def extra_term_table(table, n, i, c):

@@ -626,6 +626,23 @@ def test_verify_dd_zero_reports_a_flipped_sign(capsys, monkeypatch):
     assert code == 1 and "[FAIL] dd=0 n=2 p=11 eps=1" in out
 
 
+def test_verify_dd_zero_reports_a_sign_mask_without_the_generators_below_g(
+        capsys, monkeypatch):
+    from stabfold import ravenel
+
+    from oracles import below_dropped_terms
+
+    real = ravenel.term_table
+    monkeypatch.setattr(ravenel, "term_table",
+                        lambda pairs, eps: below_dropped_terms(real(pairs, eps)))
+    code, js = run_json(capsys, "verify", "dd-zero", "--n", "3")
+    assert code == 1 and not js["ok"]
+    assert not any(c["ok"] for c in js["checks"])
+    assert {c["name"] for c in js["checks"]} == {
+        f"dd=0 n=3 p={p} {what} (exhaustive)"
+        for p in (19, 23) for what in ("eps=0", "eps=1", "bundle")}
+
+
 def test_version_defined_once():
     import stabfold
     from stabfold import cli

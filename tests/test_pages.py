@@ -128,6 +128,20 @@ def test_finite_betti_simple():
     assert out.entries == {(0, 0): 1, (1, 0): 1}
 
 
+@pytest.mark.parametrize("p,m", [(7, 1), (5, 2)])
+def test_finite_betti_ignores_zero_coefficients(p, m):
+    # a zero entry of d is the same map as no entry
+    f = field_create(p, m)
+    basis = {0: ["a"], 1: ["b", "c"], 2: ["d"]}
+    diff = {"b": {"d": f.one}, "c": {"d": f.one}}
+    with_zeros = {"a": {"b": f.zero, "c": f.zero}, "b": {"d": f.one},
+                  "c": {"d": f.one, "e": f.zero}}
+    assert (betti(FiniteComplex(f, basis, with_zeros))
+            == betti(FiniteComplex(f, basis, diff)))
+    lone = betti(FiniteComplex(f, {0: ["a"], 1: ["b"]}, {"a": {"b": f.zero}}))
+    assert lone.entries == {(0, 0): 1, (1, 0): 1}
+
+
 def test_block_matrix_names_a_label_that_leaves_its_block():
     # labels need not be monomial masks: the error names the label itself
     f = field_create(5)

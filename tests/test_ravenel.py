@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -28,13 +29,16 @@ from stabfold.ravenel import (
     integer_d,
     kronecker_digits,
     subcomplex,
+    term_table,
 )
 
 from oracles import (
     Bundle,
     Poly,
+    below_dropped_terms,
     flipped_sign_table,
     gl_ce_differential,
+    leibniz_d_oracle,
     one_cochain,
     poly_evaluate,
     reduced_weights,
@@ -182,15 +186,65 @@ def test_bundle_and_fibers_against_direct_expansion_every_monomial(n, p):
 
 def test_kronecker_digits_are_the_eps_grading():
     # d at eps = B, read in balanced base B, is c0 + eps * c1 at every integer eps
-    table = generator_pair_table(3)
+    pairs = generator_pair_table(3)
+    at = {e: term_table(pairs, e) for e in (0, 1, 2, -3, KRONECKER_BASE)}
     for mask in range(1 << 9):
         graded = {t: kronecker_digits(v, 2)
-                  for t, v in integer_d(table, mask, KRONECKER_BASE).items()}
+                  for t, v in integer_d(at[KRONECKER_BASE], mask).items()}
         for e in (0, 1, 2, -3):
-            direct = {t: c for t, c in integer_d(table, mask, e).items() if c}
+            direct = {t: c for t, c in integer_d(at[e], mask).items() if c}
             assert direct == {t: c0 + e * c1 for t, (c0, c1) in graded.items()
                               if c0 + e * c1}
     assert kronecker_digits(-5 + 7 * KRONECKER_BASE - 3 * KRONECKER_BASE**2, 3) == [-5, 7, -3]
+
+
+def oracle_mismatches(n, masks, eps_values, make_terms=term_table):
+    """(mask, eps) for each monomial and eps where integer_d on the term table
+    ``make_terms(pairs, eps)`` differs from ``leibniz_d_oracle``."""
+    pairs = generator_pair_table(n)
+    at = {e: make_terms(pairs, e) for e in eps_values}
+    bad = []
+    for mask in masks:
+        expected = leibniz_d_oracle(n, mask)
+        for e, terms in at.items():
+            got = {t: c for t, c in integer_d(terms, mask).items() if c}
+            if got != {t: c0 + e * c1 for t, (c0, c1) in expected.items() if c0 + e * c1}:
+                bad.append((mask, e))
+    return bad
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_integer_d_matches_the_leibniz_oracle_on_every_monomial(n):
+    assert not oracle_mismatches(n, range(1 << n * n), (0, 1, 2, KRONECKER_BASE))
+
+
+def test_integer_d_matches_the_leibniz_oracle_on_the_n4_critical_monomials_only():
+    # n = 4 covers only the 2,432 monomials of the critical complex, not all
+    # 65,536 monomials
+    cx = subcomplex(build_singular(4, 37, field_create(37)), "critical")
+    masks = [m for s in range(17) for m in cx.basis(s)]
+    assert len(masks) == 2432
+    assert not oracle_mismatches(4, masks, (0, 1))
+
+
+def test_the_leibniz_oracle_catches_a_sign_mask_without_the_generators_below_g():
+    eps_values = (0, 1, 2, KRONECKER_BASE)
+    bad = oracle_mismatches(3, range(1 << 9), eps_values,
+                            lambda pairs, e: below_dropped_terms(term_table(pairs, e)))
+    assert {e for _mask, e in bad} == set(eps_values)
+
+
+def test_integer_d_output_is_pinned_at_n3():
+    # keys, values, kept zero entries and insertion order of every n = 3
+    # monomial's d, as the expansion with three popcounts per pair term gave them
+    pairs = generator_pair_table(3)
+    digest = hashlib.sha256()
+    for eps in (0, 1, KRONECKER_BASE):
+        terms = term_table(pairs, eps)
+        for mask in range(1 << 9):
+            digest.update(repr(list(integer_d(terms, mask).items())).encode())
+    assert digest.hexdigest() == (
+        "5f28997e753fe06b7741bf46d8ee80a8672ee37e0ef47907787890f8f9274281")
 
 
 def test_dd_zero_scan_catches_a_flipped_sign(monkeypatch):
