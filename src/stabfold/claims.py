@@ -149,7 +149,7 @@ def claim_model_kernel(n: int | None, p: int | None) -> list[dict]:
         field = field_create(p, ext)
         cx = build_gl(n, field, p)
         h, _ = lambda_h_pair(cx, primitive_root_of_unity(field, n))
-        model = kernel_model(cx, laplacian(cx, h))
+        model = kernel_model(cx, [laplacian(cx, h)])
         cc = subcomplex(cx, "critical")
         same = all(model.basis(s) == cc.basis(s) for s in range(n * n + 1))
         checks.append(_check(f"ker(dh+hd) equals the critical complex of gl_{n}", same))

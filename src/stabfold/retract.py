@@ -8,15 +8,18 @@ lam(h[i,j]) = sum_{l=1}^{i} w^(j+l).
 Kernel models rest on a generator-level certificate: d and h are odd
 derivations, so D = dh + hd is an even one, and a D diagonal on the
 generators is diagonal on every monomial, with the sum of its generators'
-eigenvalues.  ``_closed_model`` still scans closure under d on every kernel
-monomial: no certificate covers a computed kernel.
+eigenvalues.  So a common kernel is the span of the monomials whose
+eigenvalue sums all vanish, read off one join of half-slot tables.  It is a
+sub-DGA without any expansion of d: d∘d = 0 gives dD = dhd = Dd, so d maps
+ker D into itself.  That premise is the dd-zero claim, which
+``ravenel.dd_zero_exhaustive`` checks monomial by monomial at n <= 4.
 """
 
 from __future__ import annotations
 
-from .exterior import Cochain, add_term, format_monomial, split_join, subset_sums
+from .exterior import Cochain, add_term, split_join, subset_sums
 from .gf import FieldScalar
-from .ravenel import ClosureError, Complex, DgaDescriptor
+from .ravenel import Complex, DgaDescriptor
 
 
 class Derivation:
@@ -24,15 +27,15 @@ class Derivation:
     degree -1 determined by its values on the degree-1 basis, or a
     degree-preserving ungraded derivation given by an operator.
 
-    An operator is trusted to be a derivation, D(ab) = D(a)b + aD(b): kernel
-    models read D off its values on generators.  ``laplacian`` builds one
-    from the odd derivations d and h."""
+    An operator is trusted to be a derivation, D(ab) = D(a)b + aD(b), that
+    commutes with d: kernel models read D off its values on generators and
+    take its kernel to be closed under d.  ``laplacian`` builds one from the
+    odd derivations d and h."""
 
-    def __init__(self, cx, degree_shift: int, graded: bool,
+    def __init__(self, cx, degree_shift: int,
                  values: dict[int, FieldScalar] | None = None, op=None):
         self.cx = cx
         self.degree_shift = degree_shift
-        self.graded = graded
         self.values = values
         self._op = op
 
@@ -68,7 +71,7 @@ def extend_functional(cx, values: dict) -> Derivation:
         v = cx.field.scalar(v)
         if v:
             vals[s] = v
-    return Derivation(cx, -1, True, values=vals)
+    return Derivation(cx, -1, values=vals)
 
 
 def laplacian(cx, h: Derivation) -> Derivation:
@@ -79,7 +82,7 @@ def laplacian(cx, h: Derivation) -> Derivation:
     def op(z: Cochain) -> Cochain:
         return cx.d_cochain(h.apply(z)) + h.apply(cx.d_cochain(z))
 
-    return Derivation(cx, 0, False, op=op)
+    return Derivation(cx, 0, op=op)
 
 
 def lambda_h_pair(cx, omega: FieldScalar):
@@ -132,56 +135,42 @@ def _diagonal_eigenvalues(cx, D: Derivation) -> dict[int, FieldScalar]:
     return out
 
 
-def kernel_masks(cx, D: Derivation) -> set[int]:
-    """Monomials annihilated by a degree-preserving derivation that is
-    diagonal on the generators, on a full complex.
+def kernel_masks(cx, derivations) -> list[int]:
+    """Monomials annihilated by every one of some degree-preserving
+    derivations diagonal on the generators, on a full complex; ascending.
 
-    Certificate: ``_diagonal_eigenvalues`` checks diagonality on every
-    generator, and D is a derivation, so each monomial is an eigenvector
-    whose eigenvalue is the sum of its generators' eigenvalues.  The kernel
-    is spanned by the monomials with eigenvalue sum zero: the
-    ``split_join`` of the eigenvalue sums of every subset of the low slots
-    with minus those of every subset of the high slots.  The join ranges
-    over all 2^(n^2) monomials, so the complex must hold them all."""
+    Certificate: ``_diagonal_eigenvalues`` checks each derivation on every
+    generator, and each is a derivation, so every monomial is an
+    eigenvector whose eigenvalue is the sum of its generators' eigenvalues.
+    The common kernel is spanned by the monomials whose sums all vanish: one
+    ``split_join`` keyed by the tuple of eigenvalue sums of each subset of
+    the low slots, one entry per derivation, against the tuple of negated
+    sums of each subset of the high slots.  With no derivations every key is
+    (), so every monomial is listed.  The join ranges over all 2^(n^2)
+    monomials, so the complex must hold them all."""
     if cx.descriptor.label != "full":
         raise ValueError("kernel_masks joins over every monomial; it needs a "
                          f"full complex, not one labelled {cx.descriptor.label!r}")
-    field = cx.field
-    gen_eigen = _diagonal_eigenvalues(cx, D)
+    zero = cx.field.zero
+    eigen = [_diagonal_eigenvalues(cx, D) for D in derivations]
     slots = cx.top_degree
     half = slots // 2
-    lo_sum = [x.v for x in subset_sums(
-        [gen_eigen[1 << i] for i in range(half)], field.zero)]
-    neg_hi_sum = [(-x).v for x in subset_sums(
-        [gen_eigen[1 << i] for i in range(half, slots)], field.zero)]
-    return set(split_join(lo_sum, neg_hi_sum, half))
+
+    def keys(gen_slots: range, negate: bool) -> list[tuple]:
+        cols = [[x.v for x in subset_sums(
+            [-e[1 << i] if negate else e[1 << i] for i in gen_slots], zero)]
+            for e in eigen]
+        return [tuple(col[sub] for col in cols) for sub in range(1 << len(gen_slots))]
+
+    return split_join(keys(range(half), False), keys(range(half, slots), True), half)
 
 
-def _closed_model(cx, kern: set[int]) -> Complex:
-    """The sub-DGA of cx on the monomials of kern, after checking on every
-    one of them that d stays inside kern (ker D is closed under d since D
-    commutes with d; a miss means a wrong kernel)."""
+def kernel_model(cx, derivations) -> Complex:
+    """The sub-DGA on the common kernel of derivations diagonal on the
+    generators.  Each commutes with d, so d maps the kernel into itself."""
     desc = DgaDescriptor(cx.n, cx.p, cx.field, cx.descriptor.epsilon,
                          cx.descriptor.lie, "custom")
-    model = Complex(desc, members=kern)
-    for mask in sorted(kern):
-        for tgt in model.d_monomial(mask):
-            if tgt not in kern:
-                raise ClosureError(
-                    "kernel model not closed under d at "
-                    + format_monomial(mask, cx.n))
-    return model
-
-
-def kernel_model(cx, D: Derivation) -> Complex:
-    """The sub-DGA ker D, for D diagonal on the generators."""
-    return _closed_model(cx, kernel_masks(cx, D))
-
-
-def intersection_model(cx, derivations) -> Complex:
-    """Common kernel of several generator-diagonal derivations, as a sub-DGA."""
-    kerns = [kernel_masks(cx, D) for D in derivations]
-    return _closed_model(cx, set.intersection(*kerns) if kerns else {0})
+    return Complex(desc, members=kernel_masks(cx, derivations))
 
 
 # -- cyclotomic bookkeeping -----------------------------------------------------------
@@ -245,11 +234,13 @@ def smallest_extension_degree(p: int, n: int) -> int:
 
 
 def critical_model(cx) -> dict:
-    """The model-kernel recipe for the critical complex: one derivation per
-    irreducible rational factor of (x^n - 1)/(x - 1), kernels intersected.
+    """The model-kernel recipe for the critical complex: one derivation
+    D = dh + hd per irreducible rational factor of (x^n - 1)/(x - 1), and
+    the model is their common kernel (``kernel_model``).  At n = 1 there is
+    no factor, and the model is the whole complex.
 
-    Returns {"model": Complex, "omegas": roots used, "derivations": [...]}.
-    Raises if the complex's field lacks a required root of unity.
+    Returns {"model": Complex, "omegas": roots used}.  Raises if the
+    complex's field lacks a required root of unity.
     """
     from .gf import primitive_root_of_unity
 
@@ -268,9 +259,5 @@ def critical_model(cx) -> dict:
                 f"an element of order {d} is not a root of the {d}-th "
                 "cyclotomic polynomial")
         omegas.append(omega)
-    derivations = []
-    for omega in omegas:
-        h, _lam = lambda_h_pair(cx, omega)
-        derivations.append(laplacian(cx, h))
-    model = intersection_model(cx, derivations)
-    return {"model": model, "omegas": omegas, "derivations": derivations}
+    derivations = [laplacian(cx, lambda_h_pair(cx, omega)[0]) for omega in omegas]
+    return {"model": kernel_model(cx, derivations), "omegas": omegas}

@@ -7,7 +7,8 @@ GF(p), so it shares no code with the package; it covers prime fields only.
 `gl_ce_differential` derives the gl_n differential from the bracket of matrix
 units, without the package's generator pair table or wedge signs.
 `leibniz_d_oracle` expands d of a monomial from the generator formula over
-(i, j) pairs, with `wedge_sign_oracle`'s signs and no pair table.
+(i, j) pairs, with `wedge_sign_oracle`'s signs and no pair table, and
+`closure_oracle` scans a member list for d-targets outside it with it.
 `flipped_sign_table` plants a sign fault for the checks to catch,
 `below_dropped_terms` a term table whose Leibniz signs skip the generators
 below g, and `extra_term_table` a term that breaks the duality certificate.
@@ -166,6 +167,18 @@ def leibniz_d_oracle(n: int, mask: int) -> dict[int, tuple[int, int]]:
                 c = out.setdefault(sum(1 << b for b in word), [0, 0])
                 c[k] += (-1) ** t * sign
     return {tgt: (c0, c1) for tgt, (c0, c1) in out.items() if c0 or c1}
+
+
+def closure_oracle(cx, members) -> list[tuple[int, int]]:
+    """Every (member, target) with a nonzero term of d(member) at a target
+    outside ``members``, ascending: the closure scan of a sub-DGA, with d
+    read through ``leibniz_d_oracle`` at the complex's epsilon.  Shares no
+    code with ``ravenel.integer_d`` or ``exterior.split_join``."""
+    field, eps = cx.field, cx.descriptor.epsilon
+    members = set(members)
+    return [(mask, tgt) for mask in sorted(members)
+            for tgt, (c0, c1) in sorted(leibniz_d_oracle(cx.n, mask).items())
+            if tgt not in members and field.scalar(c0) + eps * field.scalar(c1)]
 
 
 def reduced_weights(n: int, p: int) -> tuple[list[int], int]:

@@ -779,7 +779,7 @@ def test_custom_member_lists_get_singleton_orbits(monkeypatch):
     f = field_create(7)
     cx = build_gl(3, f, 7)
     h, _ = lambda_h_pair(cx, primitive_root_of_unity(f, 3))
-    model = kernel_model(cx, laplacian(cx, h))
+    model = kernel_model(cx, [laplacian(cx, h)])
     assert model.descriptor.label == "custom"
     seen = [model]
     # the fixed-mask fiber that core_pages compares E_1 with

@@ -4,6 +4,7 @@ import pytest
 from oracles import (
     Poly,
     circledast,
+    closure_oracle,
     idempotent_exponent,
     minimal_polynomial,
     one_cochain,
@@ -23,7 +24,6 @@ from stabfold.retract import (
     critical_model,
     cyclotomic_polynomial,
     extend_functional,
-    intersection_model,
     kernel_masks,
     kernel_model,
     lambda_h_pair,
@@ -35,6 +35,10 @@ from stabfold.retract import (
 
 def mat(field, rows):
     return [[field.scalar(x) for x in r] for r in rows]
+
+
+def members(cx):
+    return [m for s in range(cx.top_degree + 1) for m in cx.basis(s)]
 
 
 def test_zero_functional_extends_to_zero():
@@ -148,7 +152,7 @@ def test_laplacian_eigenvalue_sum_on_every_monomial(n, p):
     w = f.scalar(4) if n == 2 else primitive_root_of_unity(f, 3)
     h, lam = lambda_h_pair(cx, w)
     D = laplacian(cx, h)
-    kern = kernel_masks(cx, D)
+    kern = kernel_masks(cx, [D])
     checked = 0
     for s in range(n * n + 1):
         for mask in cx.basis(s):
@@ -167,16 +171,16 @@ def test_kernel_masks_rejects_a_perturbed_h():
     h, _ = lambda_h_pair(cx, primitive_root_of_unity(f, 3))
     h.values[generator_mask(1, 1, 3).bit_length() - 1] = f.one
     with pytest.raises(NotDiagonalError):
-        kernel_masks(cx, laplacian(cx, h))
+        kernel_masks(cx, [laplacian(cx, h)])
     with pytest.raises(NotDiagonalError):
-        intersection_model(cx, [laplacian(cx, h)])
+        kernel_model(cx, [laplacian(cx, h)])
 
 
 def test_u_property_examples():
     f = field_create(5)
     cx = build_gl(2, f, 5)
     # D = 0
-    zero = Derivation(cx, 0, False, op=lambda z: Cochain(2, {}))
+    zero = Derivation(cx, 0, op=lambda z: Cochain(2, {}))
     out = u_property_check(cx, zero)
     assert out["diagonalizable"] and out["eigenvalues"] == {f.zero}
     # the distinguished pair at w = 4
@@ -218,19 +222,21 @@ def test_idempotent_exponent_examples():
 def test_kernel_model_zero_derivation_is_whole_complex():
     f = field_create(5)
     cx = build_gl(2, f, 5)
-    zero = Derivation(cx, 0, False, op=lambda z: Cochain(2, {}))
-    model = kernel_model(cx, zero)
+    zero = Derivation(cx, 0, op=lambda z: Cochain(2, {}))
+    model = kernel_model(cx, [zero])
     assert model.dim() == cx.dim()
+    assert closure_oracle(cx, members(model)) == []
 
 
 def test_kernel_model_gl2_is_critical_complex():
     f = field_create(5)
     cx = build_gl(2, f, 5)
     h, _ = lambda_h_pair(cx, f.scalar(4))
-    model = kernel_model(cx, laplacian(cx, h))
+    model = kernel_model(cx, [laplacian(cx, h)])
     cc = subcomplex(cx, "critical")
     for s in range(5):
         assert model.basis(s) == cc.basis(s)
+    assert closure_oracle(cx, members(model)) == []
     out = induced_map_rank(inclusion_map(model, cx))
     assert out["quasi_isomorphism"]
 
@@ -240,10 +246,11 @@ def test_kernel_model_gl3():
     cx = build_gl(3, f, 7)
     w = primitive_root_of_unity(f, 3)
     h, _ = lambda_h_pair(cx, w)
-    model = kernel_model(cx, laplacian(cx, h))
+    model = kernel_model(cx, [laplacian(cx, h)])
     cc = subcomplex(cx, "critical")
     for s in range(10):
         assert model.basis(s) == cc.basis(s)
+    assert closure_oracle(cx, members(model)) == []
 
 
 def test_kernel_model_reads_its_bases_off_the_kernel(monkeypatch):
@@ -252,7 +259,7 @@ def test_kernel_model_reads_its_bases_off_the_kernel(monkeypatch):
     f = field_create(7)
     cx = build_gl(3, f, 7)
     h, _ = lambda_h_pair(cx, primitive_root_of_unity(f, 3))
-    model = kernel_model(cx, laplacian(cx, h))
+    model = kernel_model(cx, [laplacian(cx, h)])
     tested = []
     contains = Complex.contains
 
@@ -265,6 +272,7 @@ def test_kernel_model_reads_its_bases_off_the_kernel(monkeypatch):
     assert [model.basis(s) for s in range(10)] == [cc.basis(s) for s in range(10)]
     assert tested == []
     assert model.contains(cc.basis(3)[0]) and not model.contains(cx.basis(1)[0])
+    assert closure_oracle(cx, members(model)) == []
 
 
 def test_kernel_model_rejects_non_diagonal():
@@ -280,18 +288,20 @@ def test_kernel_model_rejects_non_diagonal():
         return Cochain(2, out)
 
     with pytest.raises(NotDiagonalError):
-        kernel_model(cx, Derivation(cx, 0, False, op=swap))
+        kernel_model(cx, [Derivation(cx, 0, op=swap)])
 
 
 def test_kernel_models_check_closure_on_every_monomial(monkeypatch):
+    # kernel models take closure under d from dD = Dd, with no scan; a
+    # planted kernel missing one d-target fails the closure oracle, and the
+    # model-kernel claim refuses it
     from stabfold import retract
-    from stabfold.ravenel import ClosureError
+    from stabfold.claims import claim_model_kernel
 
     f = field_create(7)
     cx = build_gl(3, f, 7)
     h, _ = lambda_h_pair(cx, primitive_root_of_unity(f, 3))
-    D = laplacian(cx, h)
-    kern = retract.kernel_masks(cx, D)
+    kern = set(retract.kernel_masks(cx, [laplacian(cx, h)]))
     # plant a kernel missing one d-target of a degree-2 kernel monomial; no
     # degree-1 kernel monomial reaches it, so a degree-1 check cannot see it
     target = min(t for m in sorted(kern) if degree(m) == 2
@@ -299,11 +309,33 @@ def test_kernel_models_check_closure_on_every_monomial(monkeypatch):
     assert degree(target) == 3
     assert not any(target in cx.d_monomial(m) for m in kern if degree(m) == 1)
     planted = kern - {target}
-    monkeypatch.setattr(retract, "kernel_masks", lambda *a, **k: set(planted))
-    with pytest.raises(ClosureError, match="not closed under d"):
-        kernel_model(cx, D)
-    with pytest.raises(ClosureError, match="not closed under d"):
-        intersection_model(cx, [D])
+    assert closure_oracle(cx, kern) == []
+    misses = closure_oracle(cx, planted)
+    assert misses and {t for _, t in misses} == {target}
+    assert all(degree(m) == 2 for m, _ in misses)
+    # the claim's quasi-isomorphism check assembles d on the model's blocks,
+    # whose guard finds the missing target
+    monkeypatch.setattr(retract, "kernel_masks", lambda *a: sorted(planted))
+    with pytest.raises(AssertionError, match="differential leaves block"):
+        claim_model_kernel(3, 7)
+
+
+def test_critical_model_expands_d_only_on_generators(monkeypatch):
+    # laplacian expands d on the generators and the unit; closure of the
+    # model needs no expansion of d on its 2,432 monomials
+    f = field_create(13, 2)
+    cx = build_gl(4, f, 13)
+    expanded = []
+    d_monomial = Complex.d_monomial
+
+    def counted(c, mask):
+        expanded.append(mask)
+        return d_monomial(c, mask)
+
+    monkeypatch.setattr(Complex, "d_monomial", counted)
+    model = critical_model(cx)["model"]
+    assert model.dim() == 2432
+    assert expanded and max(degree(m) for m in expanded) <= 1
 
 
 def test_cyclotomic_polynomials():
@@ -323,7 +355,7 @@ def test_kernel_masks_refuses_a_complex_that_is_not_full():
     h, _ = lambda_h_pair(cx, primitive_root_of_unity(f, 3))
     cc = subcomplex(cx, "critical")
     with pytest.raises(ValueError, match="full complex"):
-        kernel_masks(cc, laplacian(cc, h))
+        kernel_masks(cc, [laplacian(cc, h)])
 
 
 def test_smallest_extension_degree():
@@ -334,16 +366,20 @@ def test_smallest_extension_degree():
     assert smallest_extension_degree(19, 3) == 1
 
 
-def test_critical_model_composite_n4():
-    # composite height: intersection over both cyclotomic factors of
-    # (x^4 - 1)/(x - 1), over a degree-2 extension of F_13
-    f = field_create(13, 2)
-    cx = build_gl(4, f, 13)
+@pytest.mark.parametrize("n,p,m", [(4, 13, 2), (1, 5, 1)])
+def test_critical_model_composite_n4(n, p, m):
+    # composite height: common kernel of both cyclotomic factors of
+    # (x^4 - 1)/(x - 1), over a degree-2 extension of F_13; at height 1
+    # there is no factor, and the model is all of gl_1 = {1, h[1,1]}, each
+    # weight 2(p - 1)p being 0 mod 2(p - 1)
+    f = field_create(p, m)
+    cx = build_gl(n, f, p)
     out = critical_model(cx)
     model = out["model"]
     cc = subcomplex(cx, "critical")
-    for s in range(17):
+    for s in range(n * n + 1):
         assert model.basis(s) == cc.basis(s)
+    assert closure_oracle(cx, members(model)) == []
 
 
 def test_circledast_paper_matrix():
