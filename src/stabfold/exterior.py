@@ -9,6 +9,11 @@ monomial is lexicographic on (i, j) and monomial equality is integer equality.
 ``add_term`` is the one merge-add into a sparse combination {key: nonzero
 coefficient}; cochains, d of a cochain, the shift and the derivations use it.
 
+Every element of the dihedral group ⟨σ, τ⟩, σ: h[i,j] -> h[i,j+1] and
+τ: h[i,j] -> h[i,-i-j], keeps the first subscript, so ``dihedral`` acts on
+monomials row by row from tables, with the reordering sign, and
+``cyclic_orbits`` lists the orbits of one signed permutation on a block.
+
 The gradings are additive over the generators, so the monomials where one
 vanishes are a meet-in-the-middle join: ``subset_sums`` tabulates it on the
 subsets of the low and of the high half of the slots, and ``split_join``
@@ -19,8 +24,11 @@ models and monodromy-fixed bases are all listed so, testing no subset.
 from __future__ import annotations
 
 import re
+from functools import cache
 
 MAX_N = 5  # 25 slots; full-basis scans stay inside one machine word
+# the dihedral actions look up whole rows of at most this many slots at once
+_CHUNK_BITS = 10
 
 
 def normalize_j(j: int, n: int) -> int:
@@ -150,47 +158,65 @@ def _sorted_monomial(slots: list[int]) -> tuple[int, int]:
     return sign, mask
 
 
-def sigma_shift(mask: int, n: int) -> tuple[int, int]:
-    """Image of a monomial under h[i,j] -> h[i,j+1], with the reordering sign.
+def dihedral(n: int, a: int, reflect: bool = False):
+    """The signed permutation of the monomials induced by σ^a: h[i,j] ->
+    h[i,j+a], or with ``reflect`` by σ^a τ: h[i,j] -> h[i,a-i-j], as a
+    function mask -> (sign, image).
 
-    Each i-row of n slots rotates up by one bit, its top slot h[i,n] wrapping
-    to h[i,1].  Rows keep their order, and the wrapped generator moves from
-    last to first in its row, past the row's other generators: the sign
-    flips by (popcount - 1) for every row whose top slot is set."""
-    # the top slot of every row: bit n - 1 of each base-2^n digit
-    tops = ((1 << n * n) - 1) // ((1 << n) - 1) << (n - 1)
-    wrapped = mask & tops
-    flips = 0
-    rest = wrapped
-    while rest:
-        low = rest & -rest
-        # the generators of this top slot's row: its n bits up to low
-        flips += (mask & (2 * low - 1) & -(low >> (n - 1))).bit_count() - 1
-        rest ^= low
-    shifted = ((mask ^ wrapped) << 1) | (wrapped >> (n - 1))
-    return (-1 if flips & 1 else 1), shifted
+    Every element keeps the first subscript, so it permutes the slots of each
+    i-row among themselves, the rows keep their order, and a generator passes
+    only generators of its own row: the sign is the parity of the inversions
+    of the images within each row.  The action is tabulated over chunks of
+    whole rows, one lookup per chunk of image << 1 | parity; the chunks'
+    images are disjoint, so one XOR adds the images and the parities."""
+    return _dihedral(n, a % n, bool(reflect))
 
 
-def sigma_orbits(masks: list[int], n: int) -> tuple[list, dict]:
-    """The σ-orbits of a list of monomials that σ maps onto itself, in the
-    order of their first members: (representative r, size k, sign ε) with
-    σ^k(r) = ε r for each, and, for each monomial t, (orbit, j, sign) with
-    σ^j(r) = sign t, 0 <= j < k."""
+@cache
+def _dihedral(n: int, a: int, reflect: bool):
+    width = max(1, _CHUNK_BITS // n) * n
+    chunks = []
+    for base in range(0, n * n, width):
+        table = [0]
+        for b in range(base, min(base + width, n * n)):
+            i, j = b // n + 1, b % n + 1
+            t = slot(i, a - i - j if reflect else j + a, n) + 1
+            # the new generator comes last in its chunk, after every one it
+            # joins: it passes those whose images lie above its own
+            table += [(e | 1 << t) ^ (e >> t).bit_count() & 1 for e in table]
+        chunks.append((base, len(table) - 1, table))
+
+    def act(mask: int) -> tuple[int, int]:
+        image = 0
+        for base, bits, table in chunks:
+            image ^= table[mask >> base & bits]
+        return (-1 if image & 1 else 1), image >> 1
+
+    return act
+
+
+def cyclic_orbits(masks: list[int], act, sign: int = 1) -> tuple[list, dict]:
+    """The orbits of the cyclic group generated by g: m -> sign * act(m), a
+    signed permutation of the monomials (``act`` a ``dihedral`` element), on
+    a list of monomials that g maps onto itself, in the order of their first
+    members: (representative r, size k, sign ε) with g^k(r) = ε r for each,
+    and, for each monomial t, (orbit, j, sign) with g^j(r) = sign t,
+    0 <= j < k."""
     orbits: list[tuple[int, int, int]] = []
     where: dict[int, tuple[int, int, int]] = {}
     for r in masks:
         if r in where:
             continue
-        t, j, sign = r, 0, 1
+        t, j, total = r, 0, 1
         while True:
-            where[t] = (len(orbits), j, sign)
-            flip, t = sigma_shift(t, n)
-            j, sign = j + 1, sign * flip
+            where[t] = (len(orbits), j, total)
+            flip, t = act(t)
+            j, total = j + 1, total * flip * sign
             if t == r:
                 break
-        orbits.append((r, j, sign))
+        orbits.append((r, j, total))
     if len(where) != len(masks):
-        raise ValueError("σ does not map these monomials onto themselves")
+        raise ValueError("the action does not map these monomials onto themselves")
     return orbits, where
 
 

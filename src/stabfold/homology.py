@@ -18,8 +18,8 @@ class coordinates and cup products are ``FieldScalar``-valued.
 
 ``block_matrix`` is the one place that turns d on an (s, u) block into coded
 rows, and every consumer reads those rows rather than expanding d again:
-``betti`` streams them block by block into ranks, one block per σ-orbit up
-to the middle degree;
+``betti`` streams them block by block into ranks, one block per orbit of
+⟨σ, τ⟩ up to the middle degree;
 ``Cohomology`` hands each block's rows to two consumers, the cocycles of
 BlockCohomology(s, u) and, at the image columns the first has found, the
 coboundaries of BlockCohomology(s + 1, u), holding them only until the second
@@ -52,8 +52,28 @@ only those with λ^e = ε), and the characters share out the block.  In these
 bases, up to the nonzero scalars k of the source and 1/k' of the target
 orbits, d has the entry sum c (±λ^(e j)) at row r', column r, over the
 terms c t of d(r) with σ^j(r') = ±t, r' the representative of t.  So d is
-read on the representatives only (``sigma_characters``), and
-``block_matrix`` assembles each character's rows.
+read on the representatives only (``characters``), and ``block_matrix``
+assembles each character's rows.  The same holds for any cyclic group of
+signed permutations of a block and its target that commute with d.
+
+The reflection τ: h[i,j] -> h[i,-i-j] permutes the generators too, and
+``ravenel.tau_certificate`` checks on them that d τ = -τ d at every integer
+eps, τ^2 = 1 and τ σ = σ^(-1) τ.  So τ' = (-1)^s τ on degree s commutes with
+d.  τ maps the (s, u) block onto one block (s, v) only when p is large
+against n, so each block map is checked on every monomial of the block and
+of its target (``tau_maps``), and a block whose check fails is eliminated
+as it would be without τ.  Three cases, for a lead u of a σ-orbit and v
+the class of τ of its first monomial (``tau_class``):
+- v lies in a σ-orbit ranked before: τ' conjugates d on the (s, u) block to
+  d on the (s, v) block, and the rank is copied, the σ-orbits paired.
+- v = p^b u lies in u's own σ-orbit: ρ = σ^(-b) τ' maps the block onto
+  itself, commutes with d, and ρ^2 = 1, as τ σ^(-b) τ = σ^b.  For odd p its
+  characters ±1 split the block in two, read off the orbits of ρ.  Here the
+  orbit walk of ρ is the check (``reflection_tables``): it stops at a
+  monomial outside the block.
+- The block is σ-fixed and v = u: τ maps the λ^e-eigenspace of σ onto the
+  λ^(-e) one (σ τ x = τ σ^(-1) x), conjugating d, so the λ^(-e) rank is
+  the λ^e rank.
 
 Above the middle, 2 s > N - 1 for the top degree N, ``betti`` copies each
 rank from a block below.  <a, b>, the coefficient of the top monomial in
@@ -93,9 +113,10 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
+from math import gcd
 from typing import NamedTuple
 
-from .exterior import Cochain, degree, format_monomial, sigma_orbits
+from .exterior import Cochain, cyclic_orbits, degree, dihedral, format_monomial
 from .gf import Field, primitive_root_of_unity
 
 
@@ -249,50 +270,95 @@ class FiniteComplex:
     def sigma_acts(self) -> bool:
         return False
 
+    def tau_acts(self) -> bool:
+        return False
+
     def d_monomial(self, label) -> dict:
         return self._diff.get(label, {})
 
 
 class Character(NamedTuple):
-    """The λ^e-eigenspace of σ on a σ-fixed (s, u) block, as ``block_matrix``
-    reads it: ``columns`` holds (r, d(r)) for each source representative r
-    whose orbit carries λ^e, and ``targets`` maps every monomial t of the
-    (s + 1, u) block to (row, code of ±λ^(e j)), σ^j(r') = ±t for the
-    representative r' of t, with row None when the orbit of r' does not
-    carry λ^e."""
+    """The λ^e-eigenspace of a cyclic group of signed permutations on an
+    (s, u) block that it maps onto itself, as ``block_matrix`` reads it:
+    ``columns`` holds (r, d(r)) for each source representative r whose orbit
+    carries λ^e, and ``targets`` maps every monomial t of the (s + 1, u) block
+    to (row, code of ±λ^(e j)), g^j(r') = ±t for the representative r' of t,
+    with row None when the orbit of r' does not carry λ^e."""
     e: int
     columns: list
     targets: dict
     nrows: int
 
 
-def sigma_characters(cx, s: int, u: int, orbits=None) -> list[Character]:
-    """The characters λ^e, e = 0 .. n - 1, of σ on the σ-fixed (s, u) block,
-    for a primitive n-th root of unity λ of the field.  d is read once on
-    each source representative, for all of them.  ``orbits(s, u)`` gives the
-    ``exterior.sigma_orbits`` of the (s, u) block; ``block_ranks`` hands in a
-    memo, so a block that is the target of d^(s-1) and the source of d^s has
-    its orbits found once."""
-    field, n = cx.field, cx.n
+def group_orbits(cx, s: int, u: int, a: int, reflect: bool) -> tuple[list, dict]:
+    """The ``exterior.cyclic_orbits`` on the (s, u) block of σ^a, or with
+    ``reflect`` of the involution (-1)^s σ^a τ, which commutes with d."""
+    sign = -1 if reflect and s % 2 else 1
+    return cyclic_orbits(cx.blocks(s).get(u, []), dihedral(cx.n, a, reflect), sign)
+
+
+def characters(cx, s: int, u: int, element=(1, False), es=None,
+               tables=None) -> list[Character]:
+    """The characters λ^e, e in ``es`` (all by default), of the cyclic group
+    generated by the ``group_orbits`` element (a, reflect) on the (s, u)
+    block: ⟨σ⟩ of order n, or ⟨(-1)^s σ^a τ⟩ of order 2 with λ = -1.  λ is a
+    primitive root of unity of the group's order in the field; the group
+    maps the (s, u) and (s + 1, u) blocks onto themselves.  d is read once on
+    each source representative, for all characters.  ``tables`` are the
+    ``group_orbits`` of the (s, u) and the (s + 1, u) block when the caller
+    has them: ``block_ranks`` keeps those of σ, so a block that is the target
+    of d^(s-1) and the source of d^s has its σ-orbits found once."""
+    field = cx.field
+    a, reflect = element
+    order = 2 if reflect else cx.n // gcd(a, cx.n)
     encode = field.coding.encode
-    lam, sign_of = primitive_root_of_unity(field, n), {1: field.one, -1: -field.one}
-    orbits = orbits or (lambda s, u: sigma_orbits(cx.blocks(s).get(u, []), n))
-    src, _ = orbits(s, u)
-    tgt, where = orbits(s + 1, u)
+    lam, sign_of = primitive_root_of_unity(field, order), {1: field.one, -1: -field.one}
+    (src, _), (tgt, where) = tables or [group_orbits(cx, t, u, a, reflect) for t in (s, s + 1)]
     terms = [(r, cx.d_monomial(r)) for r, _k, _sign in src]
     out = []
-    for e in range(n):
-        power = [field.pow(lam, e * j) for j in range(n + 1)]
+    for e in range(order) if es is None else es:
+        power = [field.pow(lam, e * j) for j in range(order + 1)]
         code = {sign: [encode(x * one) for x in power] for sign, one in sign_of.items()}
-        # an orbit of size k carries λ^e when λ^(e k) is the sign of σ^k on it
-        columns = [t for t, (_r, k, sign) in zip(terms, src) if power[k] == sign_of[sign]]
+        # an orbit of size k carries λ^e when λ^(e k) is the sign of g^k on it
+        carries = {(k, sign) for k in range(1, order + 1) for sign, one in sign_of.items()
+                   if power[k] == one}
+        columns = [t for t, (_r, k, sign) in zip(terms, src) if (k, sign) in carries]
         row_of = {}
         for o, (_r, k, sign) in enumerate(tgt):
-            if power[k] == sign_of[sign]:
+            if (k, sign) in carries:
                 row_of[o] = len(row_of)
         targets = {t: (row_of.get(o), code[sign][j]) for t, (o, j, sign) in where.items()}
         out.append(Character(e, columns, targets, len(row_of)))
     return out
+
+
+def tau_class(cx, s: int, u: int) -> int:
+    """The class of τ of the (s, u) block's first monomial: the class of the
+    block τ maps the (s, u) block onto, if it maps it onto one block at all,
+    which ``tau_maps`` checks."""
+    return cx.block_key(dihedral(cx.n, 0, True)(cx.blocks(s)[u][0])[1])
+
+
+def tau_maps(cx, s: int, u: int, v: int) -> bool:
+    """Does τ map the (s, u) block onto the (s, v) block and the (s + 1, u)
+    block onto the (s + 1, v) block?  Checked on every monomial of both: τ's
+    map on classes is well defined only for p large against n."""
+    tau = dihedral(cx.n, 0, True)
+    for t in (s, s + 1):
+        blocks = cx.blocks(t)
+        if sorted(tau(m)[1] for m in blocks.get(u, ())) != blocks.get(v, []):
+            return False
+    return True
+
+
+def reflection_tables(cx, s: int, u: int, a: int):
+    """The ``group_orbits`` of the involution (-1)^s σ^a τ on the (s, u) block
+    and on its target, or None when σ^a τ takes a monomial out of them: its
+    orbit walk meets every monomial of both, and checks the block map there."""
+    try:
+        return [group_orbits(cx, t, u, a, True) for t in (s, s + 1)]
+    except ValueError:
+        return None
 
 
 def block_matrix(cx, s: int, u: int, character: Character | None = None):
@@ -346,38 +412,77 @@ def betti_numbers(dims: dict, ranks: dict) -> dict:
 
 def block_ranks(cx) -> tuple[dict, dict]:
     """Dimension and rank of d of every (s, u) block.  Up to the middle, 2 s
-    <= N - 1 for the top degree N, one elimination per orbit of
-    ``cx.block_orbits``, its rank copied along the orbit once the block's
-    source and target are seen to have the sizes of the ones it was found on.
-    Above it, when ``cx.dual_class`` gives the class v dual to u, the rank of
-    the dual block (N - 1 - s, v), copied once the complements of the (s, u)
-    monomials are seen to be exactly the (N - s, v) monomials.  That pins v to
-    u_top - u, as classes add along products, so the complements of the
-    target (s + 1, u) lie in the dual's source (N - 1 - s, v); a nonempty
-    target gets the same check in turn, as a source one degree up."""
+    <= N - 1 for the top degree N, one elimination per orbit of the dihedral
+    group ⟨σ, τ⟩ on the classes: ``cx.block_orbits`` are the σ-orbits, and
+    when ``cx.tau_acts``, a σ-orbit whose lead τ maps onto a block of a
+    σ-orbit ranked before takes that block's rank.  Each rank is copied along
+    a σ-orbit or along τ once the block's source and target are seen to have
+    the sizes of the ones it was found on.  Above it, when ``cx.dual_class``
+    gives the class v dual to u, the rank of the dual block (N - 1 - s, v),
+    copied once the complements of the (s, u) monomials are seen to be
+    exactly the (N - s, v) monomials.  That pins v to u_top - u, as classes
+    add along products, so the complements of the target (s + 1, u) lie in
+    the dual's source (N - 1 - s, v); a nonempty target gets the same check
+    in turn, as a source one degree up."""
     field, top = cx.field, cx.top_degree
     full = (1 << top) - 1
-    # σ-fixed blocks split by the characters of σ when λ lies in the field
-    split = cx.sigma_acts() and (field.cardinality - 1) % cx.n == 0
+
+    def splits(order):
+        # a primitive root of unity of the group's order lies in the field
+        return (field.cardinality - 1) % order == 0
+
+    sigma_split = cx.sigma_acts() and splits(cx.n)
+    tau = cx.tau_acts()
     blocks = {s: cx.blocks(s) for s in range(-1, top + 2)}
-    orbits = cache(lambda s, u: sigma_orbits(blocks[s].get(u, []), cx.n))
+    sigma_orbits = cache(lambda s, u: group_orbits(cx, s, u, 1, False))
     ranks: dict[tuple[int, int], int] = {}
     dims: dict[tuple[int, int], int] = {}
 
     def sizes(s, u):
         return len(blocks[s].get(u, ())), len(blocks[s + 1].get(u, ()))
 
+    def copy(key, found):
+        if sizes(*key) != sizes(*found):
+            raise RuntimeError(f"block {key} and the block {found} "
+                               "whose rank it takes differ in size")
+        ranks[key] = ranks[found]
+
+    def rank(s, u, character=None):
+        return matrix_rank(*block_matrix(cx, s, u, character), field)
+
+    def rank_lead(s, orbit):
+        """The rank of the lead block of a σ-orbit: copied along τ from a
+        σ-orbit ranked before, or eliminated; split by the characters of σ
+        on a σ-fixed block, λ^(-e) taken from λ^e when τ maps the block onto
+        itself, or by the two characters of the involution σ^a τ' on a block
+        that σ^a τ maps onto itself."""
+        lead = orbit[0]
+        v = tau_class(cx, s, lead) if tau else None
+        if v is not None and v not in orbit and (s, v) in ranks and tau_maps(cx, s, lead, v):
+            copy((s, lead), (s, v))
+        elif len(orbit) == 1 and sigma_split:
+            n = cx.n
+            paired = v == lead and tau_maps(cx, s, lead, lead)
+            parts = characters(cx, s, lead, (1, False),
+                               [e for e in range(n) if not paired or e <= -e % n],
+                               (sigma_orbits(s, lead), sigma_orbits(s + 1, lead)))
+            # τ maps λ^e onto λ^(-e)
+            ranks[(s, lead)] = sum(
+                rank(s, lead, ch) * (2 if paired and ch.e != -ch.e % n else 1) for ch in parts)
+        else:
+            tables = None
+            if v in orbit and splits(2):
+                # σ^a maps v = p^b u back to u for a = -b
+                a = -orbit.index(v) % cx.n
+                tables = reflection_tables(cx, s, lead, a)
+            parts = characters(cx, s, lead, (a, True), None, tables) if tables else [None]
+            ranks[(s, lead)] = sum(rank(s, lead, ch) for ch in parts)
+
     for s in range(top + 1):
         for orbit in cx.block_orbits(s):
             dual = 2 * s > top - 1 and cx.dual_class(orbit[0]) is not None
             if not dual:
-                lead = orbit[0]
-                if split and len(orbit) == 1:
-                    parts = (block_matrix(cx, s, lead, ch)
-                             for ch in sigma_characters(cx, s, lead, orbits))
-                else:
-                    parts = [block_matrix(cx, s, lead)]
-                ranks[(s, lead)] = sum(matrix_rank(*part, field) for part in parts)
+                rank_lead(s, orbit)
             for u in orbit:
                 if dual:
                     found = (top - 1 - s, cx.dual_class(u))
@@ -386,12 +491,9 @@ def block_ranks(cx) -> tuple[dict, dict]:
                             != blocks[top - s].get(found[1], [])[::-1]):
                         raise RuntimeError(f"block {(s, u)} is not the complement of "
                                            f"the block {(top - s, found[1])}")
+                    ranks[(s, u)] = ranks.get(found, 0)
                 else:
-                    found = (s, orbit[0])
-                    if sizes(s, u) != sizes(*found):
-                        raise RuntimeError(f"block {(s, u)} and the block {found} "
-                                           "whose rank it takes differ in size")
-                ranks[(s, u)] = ranks.get(found, 0)
+                    copy((s, u), (s, orbit[0]))
         dims.update(((s, u), len(monos)) for u, monos in blocks[s].items())
     return dims, ranks
 

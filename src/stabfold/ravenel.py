@@ -32,9 +32,11 @@ both gradings add along the wedge products of the Leibniz rule.
 ``sigma_certificate`` checks on the same table that the cyclic shift σ
 commutes with d and multiplies the internal class by p, so ``betti``
 eliminates one block per σ-orbit and splits the σ-fixed ones by the
-characters of σ, and ``duality_certificate`` that d vanishes
-in degree n^2 - 1, so it copies the ranks above the middle degree from their
-Poincaré-dual blocks (see ``homology``).
+characters of σ; ``tau_certificate`` that the reflection τ anticommutes
+with d, so it pairs σ-orbits and halves the blocks that some σ^a τ keeps;
+and ``duality_certificate`` that d vanishes in degree n^2 - 1, so it copies
+the ranks above the middle degree from their Poincaré-dual blocks (see
+``homology``).
 """
 
 from __future__ import annotations
@@ -46,12 +48,12 @@ from typing import NamedTuple
 from .exterior import (
     Cochain,
     add_term,
+    dihedral,
     first_subscript_sum,
     generator_mask,
     internal_degree,
     internal_weights,
     normalize_j,
-    sigma_shift,
     split_join,
     subset_sums,
     wedge,
@@ -320,6 +322,12 @@ class Complex:
         ``sigma_certificate`` holds."""
         return self.descriptor.label in SIGMA_STABLE and sigma_certificate(self.n, self.p)
 
+    def tau_acts(self) -> bool:
+        """Does τ' = (-1)^s τ commute with d on these members, by
+        ``tau_certificate``?  For the member sets that σ keeps; which block τ
+        maps onto which is checked per block by ``betti``."""
+        return self.descriptor.label in SIGMA_STABLE and tau_certificate(self.n, self.p)
+
     def block_orbits(self, s: int) -> list[list[int]]:
         """The internal classes of degree s in σ-orbits u, p u, p^2 u, ...
         (mod 2(p^n - 1)), each led by its first class in ``blocks`` order.
@@ -394,28 +402,38 @@ class ClosureError(RuntimeError):
     """A labeled subcomplex failed to be closed under the differential."""
 
 
-def _sigma_commutes(n: int, p: int) -> bool:
-    weights, mod = internal_weights(n, p)
+def _slot_map(act, n: int) -> list[int]:
+    """The slot of act(g) for the generator g of each slot."""
+    return [act(1 << g)[1].bit_length() - 1 for g in range(n * n)]
+
+
+def _commutes(n: int, act, sign: int) -> bool:
+    """Does the slot action ``act`` keep each generator's first subscript and
+    satisfy d(act(g)) = sign * act(d(g)) on every generator g, on the
+    eps-free and on the eps terms of the pair table apart?"""
     table = generator_pair_table(n)
 
-    def d_part(gslot: int, eps: int, shifted: bool) -> dict[int, int]:
-        """The eps-free (eps = 0) or the eps (eps = 1) part of d(g), or of
-        σ(d(g)) when shifted."""
+    def d_part(gslot: int, eps: int, acted: bool) -> dict[int, int]:
+        """The eps-free (eps = 0) or the eps (eps = 1) part of act(d(g)) when
+        acted, else of sign * d(g)."""
         out: dict[int, int] = {}
         for pmask, presign, e in table[gslot]:
             if e == eps:
-                sign, tgt = sigma_shift(pmask, n) if shifted else (1, pmask)
-                add_term(out, tgt, sign * presign)
+                flip, tgt = act(pmask) if acted else (sign, pmask)
+                add_term(out, tgt, flip * presign)
         return out
 
-    for gslot in range(n * n):
-        image = sigma_shift(1 << gslot, n)[1].bit_length() - 1
-        if (weights[gslot] % 2 or weights[image] != p * weights[gslot] % mod
-                or image // n != gslot // n
-                or any(d_part(gslot, e, True) != d_part(image, e, False)
-                       for e in (0, 1))):
-            return False
-    return True
+    return all(image // n == gslot // n
+               and all(d_part(gslot, e, True) == d_part(image, e, False) for e in (0, 1))
+               for gslot, image in enumerate(_slot_map(act, n)))
+
+
+def _sigma_commutes(n: int, p: int) -> bool:
+    weights, mod = internal_weights(n, p)
+    sigma = dihedral(n, 1)
+    return _commutes(n, sigma, 1) and all(
+        w % 2 == 0 and weights[image] == p * w % mod
+        for w, image in zip(weights, _slot_map(sigma, n)))
 
 
 _SIGMA_CERTIFICATES: dict[tuple[int, int], bool] = {}
@@ -430,11 +448,47 @@ def sigma_certificate(n: int, p: int) -> bool:
     p^n u = u, and the orbit of a class closes within n steps), and σ
     commutes with d on the pair table, on the eps-free and on the eps terms
     apart, so for every integer eps.  σ permutes the generators with the
-    reordering sign of ``sigma_shift``, an algebra automorphism, so all of it
-    holds on every monomial."""
+    reordering sign of ``exterior.dihedral``, an algebra automorphism, so all
+    of it holds on every monomial."""
     if (n, p) not in _SIGMA_CERTIFICATES:
         _SIGMA_CERTIFICATES[(n, p)] = _sigma_commutes(n, p)
     return _SIGMA_CERTIFICATES[(n, p)]
+
+
+def _tau_anticommutes(n: int, p: int) -> bool:
+    weights, _mod = internal_weights(n, p)
+    tau = dihedral(n, 0, True)
+    tau_of, sigma_of = _slot_map(tau, n), _slot_map(dihedral(n, 1), n)
+    class_of: dict[int, int] = {}
+    return _commutes(n, tau, -1) and all(
+        tau_of[tau_of[g]] == g and sigma_of[tau_of[sigma_of[g]]] == tau_of[g]
+        and class_of.setdefault(weights[g], weights[tau_of[g]]) == weights[tau_of[g]]
+        for g in range(n * n))
+
+
+_TAU_CERTIFICATES: dict[tuple[int, int], bool] = {}
+
+
+def tau_certificate(n: int, p: int) -> bool:
+    """Does the reflection τ: h[i,j] -> h[i,-i-j] anticommute with d on the
+    height-n complexes graded by p, so that τ' = (-1)^s τ on degree s commutes
+    with it?
+
+    Checked on the generators, as ``sigma_certificate`` checks σ: τ keeps each
+    first subscript, τ^2 = 1 and σ τ σ = τ on the slots, d(τ g) =
+    -τ(d g) on the pair table, on the eps-free and on the eps terms apart (so
+    for every integer eps), and τ sends generators of one internal class to
+    generators of one class.  τ permutes the generators, an algebra
+    automorphism, and d is a derivation, so d τ = -τ d on every monomial.
+
+    On a monomial, the class of τ(m) is -ι(u) for the class u of m, where ι
+    replaces p by p^(-1) = p^(n-1) in each weight 2(p^i - 1)p^j.  That is a
+    function of u only while u determines m's signed base-p digits, for p
+    large against n, so no formula certifies the map on classes: ``betti``
+    checks each block map it uses on the block's own monomials."""
+    if (n, p) not in _TAU_CERTIFICATES:
+        _TAU_CERTIFICATES[(n, p)] = _tau_anticommutes(n, p)
+    return _TAU_CERTIFICATES[(n, p)]
 
 
 _DUALITY_CERTIFICATES: dict[tuple[int, int, str], bool] = {}

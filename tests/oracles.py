@@ -10,13 +10,15 @@ units, without the package's generator pair table or wedge signs.
 (i, j) pairs, with `wedge_sign_oracle`'s signs and no pair table, and
 `closure_oracle` scans a member list for d-targets outside it with it.
 `flipped_sign_table` plants a sign fault for the checks to catch,
+`flipped_along_j` one that keeps σ and breaks τ,
 `below_dropped_terms` a term table whose Leibniz signs skip the generators
 below g, and `extra_term_table` a term that breaks the duality certificate.
 `full_kernel_representatives` is no independent code but the earlier way of
 taking a block's classes, kept as a reference for the present one.
 `wedge_sign_oracle` takes wedge signs by bubble sort of slot lists, and
-`sigma_shift_oracle` the signs of the cyclic shift σ with it, against the bit
-rotation of `exterior.sigma_shift`.  `cup` is the cup product of two classes
+`sigma_shift_oracle` the signs of the cyclic shift σ with it, and
+`tau_oracle` those of every element σ^a and σ^a τ of the dihedral group,
+against the row tables of `exterior.dihedral`.  `cup` is the cup product of two classes
 of a `homology.Cohomology`, `Monodromy` the diagonal operator
 T(b) = omega^(D alpha(b)) b of a connection, whose fixed monomials the
 package lists (`KummerConnection.fixed_masks`) without building T, and
@@ -208,11 +210,22 @@ def angle_bracket(mask: int, n: int) -> tuple[int, ...]:
 
 def sigma_shift_oracle(mask: int, n: int) -> tuple[int, int]:
     """(sign, mask) of h[i,j] -> h[i,j+1] on a monomial, by bubble sort of the
-    shifted slot list: the sort-based shift the package used before its bit
-    rotation."""
+    shifted slot list: the sort-based shift the package used before its row
+    tables."""
     shifted = [slot(i, j + 1, n) for i, j in slots_of(mask, n)]
     sign = wedge_sign_oracle(shifted, [])
     return sign, sum(1 << b for b in shifted)
+
+
+def tau_oracle(mask: int, n: int, a: int = 0, reflect: bool = True) -> tuple[int, int]:
+    """(sign, mask) of the dihedral element σ^a τ: h[i,j] -> h[i,a-i-j], or
+    without ``reflect`` of σ^a: h[i,j] -> h[i,j+a], on a monomial: the image
+    slots of its generators in canonical order, sorted by
+    ``wedge_sign_oracle``'s bubble sort.  Reads the bits and writes the slots
+    itself, sharing no code with the table action ``exterior.dihedral``."""
+    gens = [(b // n + 1, b % n + 1) for b in range(n * n) if mask >> b & 1]
+    image = [(i - 1) * n + ((a - i - j if reflect else j + a) - 1) % n for i, j in gens]
+    return wedge_sign_oracle(image, []), sum(1 << b for b in image)
 
 
 def sigma_apply(cx, z: Cochain, semilinear: bool = False) -> Cochain:
@@ -419,6 +432,21 @@ def flipped_sign_table(table, gslot=0, k=0):
     out = {s: list(terms) for s, terms in table.items()}
     pmask, presign, e = out[gslot][k]
     out[gslot][k] = (pmask, -presign, e)
+    return out
+
+
+def flipped_along_j(table, n, i, k):
+    """A copy of a generator pair table with the sign of the k-th term of
+    d(h[i,j]) negated for every j.  The terms are listed in the same order
+    for every j, so σ still commutes with d; τ maps the term
+    h[l,j] h[i-l,j+l] of d(h[i,j]) to the term h[i-l,j'] h[l,j'+i-l] of
+    d(h[i,j']), j' = -i-j, which keeps its sign unless l = i - l, so d no
+    longer anticommutes with τ."""
+    out = {s: list(terms) for s, terms in table.items()}
+    for j in range(1, n + 1):
+        terms = out[slot(i, j, n)]
+        pmask, presign, e = terms[k]
+        terms[k] = (pmask, -presign, e)
     return out
 
 

@@ -135,6 +135,29 @@ def test_verify_model_kernel_n2(capsys):
     assert code == 0 and js["ok"]
 
 
+def test_verify_model_kernel_reports_a_kernel_that_is_not_closed(capsys, monkeypatch):
+    # a kernel missing one d-target of a degree-2 kernel monomial: both
+    # checks fail, the quasi-isomorphism check unrun, with no traceback
+    from stabfold import retract
+    from stabfold.exterior import degree
+    from stabfold.gf import field_create, primitive_root_of_unity
+    from stabfold.ravenel import build_gl
+
+    f = field_create(7)
+    cx = build_gl(3, f, 7)
+    h, _ = retract.lambda_h_pair(cx, primitive_root_of_unity(f, 3))
+    kern = retract.kernel_masks(cx, [retract.laplacian(cx, h)])
+    target = min(t for m in kern if degree(m) == 2 for t in cx.d_monomial(m) if t in kern)
+    monkeypatch.setattr(retract, "kernel_masks",
+                        lambda *a: [m for m in kern if m != target])
+    code = main(["verify", "model-kernel", "--n", "3", "--p", "7"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "[FAIL] ker(dh+hd) equals the critical complex of gl_3" in out
+    assert "[FAIL] inclusion is a quasi-isomorphism" in out
+    assert "Traceback" not in out + err
+
+
 def test_verify_collapse_n2(capsys):
     code, js = run_json(capsys, "verify", "collapse", "--n", "2")
     assert code == 0 and js["ok"]

@@ -7,18 +7,19 @@ from oracles import (
     angle_bracket,
     reduced_internal_degree,
     sigma_shift_oracle,
+    tau_oracle,
     wedge_sign_oracle,
 )
 
 from stabfold.exterior import (
+    cyclic_orbits,
     degree,
+    dihedral,
     first_subscript_sum,
     format_monomial,
     generator_mask,
     internal_degree,
     parse_monomial,
-    sigma_orbits,
-    sigma_shift,
     slots_of,
     split_join,
     wedge,
@@ -205,7 +206,8 @@ def test_parse_and_format_roundtrip():
 
 def test_sigma_shift_cyclic():
     n = 3
-    s, m = sigma_shift(gm(1, n, n), n)
+    sigma_shift = dihedral(n, 1)
+    s, m = sigma_shift(gm(1, n, n))
     assert (s, m) == (1, gm(1, 1, n))
     # sigma^n is the identity on any monomial, with total sign +1
     rng = random.Random(43)
@@ -213,16 +215,54 @@ def test_sigma_shift_cyclic():
         m0 = sum(1 << s for s in rng.sample(range(n * n), rng.randint(0, 5)))
         m, sign = m0, 1
         for _ in range(n):
-            s, m = sigma_shift(m, n)
+            s, m = sigma_shift(m)
             sign *= s
         assert m == m0 and sign == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_sigma_shift_matches_the_sort_oracle_on_every_monomial(n):
-    # the bit rotation against a bubble sort of the shifted slot list
+    # the row tables against a bubble sort of the shifted slot list
+    sigma_shift = dihedral(n, 1)
     for mask in range(1 << (n * n)):
-        assert sigma_shift(mask, n) == sigma_shift_oracle(mask, n), mask
+        assert sigma_shift(mask) == sigma_shift_oracle(mask, n), mask
+
+
+@pytest.mark.parametrize("reflect", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_dihedral_element_matches_the_sort_oracle_on_every_monomial(n, reflect):
+    # σ^a and σ^a τ, a = 0 .. n - 1, against the bubble sort of the image
+    # slots; a and a + n name one element
+    for a in range(n):
+        act = dihedral(n, a, reflect)
+        assert dihedral(n, a + n, reflect) is act
+        for mask in range(1 << (n * n)):
+            assert act(mask) == tau_oracle(mask, n, a, reflect), (a, mask)
+
+
+def compose(*acts):
+    """The signed map m -> acts[0](acts[1](...(m))) on monomials."""
+    def composite(mask):
+        sign = 1
+        for act in reversed(acts):
+            flip, mask = act(mask)
+            sign *= flip
+        return sign, mask
+    return composite
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tau_is_an_involution_reversing_sigma_on_every_monomial(n):
+    # τ^2 = 1 and τ σ = σ^(-1) τ, signs included, in the package's tables
+    # and in the oracle
+    tau, sigma, back = dihedral(n, 0, True), dihedral(n, 1), dihedral(n, -1)
+    for mask in range(1 << (n * n)):
+        assert compose(tau, tau)(mask) == (1, mask)
+        assert compose(tau, sigma)(mask) == compose(back, tau)(mask)
+        sign, image = tau_oracle(mask, n)
+        assert tau_oracle(image, n) == (sign, mask)
+        # σ^a τ is σ^a after τ
+        assert compose(sigma, tau)(mask) == dihedral(n, 1, True)(mask)
 
 
 def test_sigma_orbits_of_the_degree_2_monomials_at_n2():
@@ -231,7 +271,8 @@ def test_sigma_orbits_of_the_degree_2_monomials_at_n2():
     # form two orbits of size 2
     n = 2
     masks = sorted((1 << a) | (1 << b) for a in range(4) for b in range(a + 1, 4))
-    orbits, where = sigma_orbits(masks, n)
+    sigma_shift = dihedral(n, 1)
+    orbits, where = cyclic_orbits(masks, sigma_shift)
     h = {(i, j): gm(i, j, n) for i in (1, 2) for j in (1, 2)}
     assert orbits == [(h[1, 1] | h[1, 2], 1, -1), (h[1, 1] | h[2, 1], 2, 1),
                       (h[1, 2] | h[2, 1], 2, 1), (h[2, 1] | h[2, 2], 1, -1)]
@@ -239,11 +280,11 @@ def test_sigma_orbits_of_the_degree_2_monomials_at_n2():
     for t, (o, j, sign) in where.items():
         r = orbits[o][0]
         for _ in range(j):
-            flip, r = sigma_shift(r, n)
+            flip, r = sigma_shift(r)
             sign *= flip
         assert r == t and sign == 1
     with pytest.raises(ValueError, match="onto themselves"):
-        sigma_orbits([h[1, 1]], n)
+        cyclic_orbits([h[1, 1]], sigma_shift)
 
 
 def test_slots_canonical_order():

@@ -313,11 +313,13 @@ def test_kernel_models_check_closure_on_every_monomial(monkeypatch):
     misses = closure_oracle(cx, planted)
     assert misses and {t for _, t in misses} == {target}
     assert all(degree(m) == 2 for m, _ in misses)
-    # the claim's quasi-isomorphism check assembles d on the model's blocks,
-    # whose guard finds the missing target
+    # the claim's basis check finds the kernel differs from the critical
+    # complex, and its quasi-isomorphism check, which assembles d on the
+    # model's blocks, is reported failed without running
     monkeypatch.setattr(retract, "kernel_masks", lambda *a: sorted(planted))
-    with pytest.raises(AssertionError, match="differential leaves block"):
-        claim_model_kernel(3, 7)
+    checks = claim_model_kernel(3, 7)
+    assert [c["ok"] for c in checks] == [False, False]
+    assert checks[1]["detail"] == "not run: the kernel is not the critical complex"
 
 
 def test_critical_model_expands_d_only_on_generators(monkeypatch):
