@@ -57,7 +57,7 @@ def config_hash(cfg: dict) -> str:
 
 
 def cache_root(args) -> Path:
-    if getattr(args, "cache_dir", None):
+    if args.cache_dir:
         return Path(args.cache_dir)
     return Path(os.environ.get("STABFOLD_CACHE", ".stabfold-cache"))
 
@@ -105,10 +105,9 @@ def cache_put(root: Path, key: str, payload: dict) -> None:
 
 
 def emit(args, payload: dict, text_lines: list[str]) -> None:
-    fmt = getattr(args, "format", "text")
-    if fmt == "json":
+    if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=1, default=str))
-    elif fmt == "csv" and "csv" in payload:
+    elif args.format == "csv":
         sys.stdout.write(payload["csv"])
     else:
         print(f"# stabfold {VERSION}  config={payload.get('config_hash', '')}")
@@ -532,7 +531,7 @@ def _height(text: str) -> int:
 
 
 def _prime(text: str) -> int:
-    p = _integer(text, "p", 2)
+    p = _integer(text, "p", 2, (1 << 64) - 1)
     if not is_prime(p):
         raise argparse.ArgumentTypeError(f"p must be a prime, got {p}")
     return p
@@ -562,16 +561,15 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"stabfold {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-        p.add_argument("--cache-dir", default=None)
+    def common(p, *csv):
+        p.add_argument("--format", choices=["text", "json", *csv], default="text")
 
     p_dims = sub.add_parser("dims", help="dimension tables for n = 1..n-max")
     p_dims.add_argument("--n-max", type=lambda t: _integer(t, "n-max", 1, MAX_N),
                         default=5)
     p_dims.add_argument("--p", type=_prime, default=None,
                         help="grading prime (default: smallest prime > 2n^2 per row)")
-    common(p_dims)
+    common(p_dims, "csv")
     p_dims.set_defaults(fn=cmd_dims)
 
     p_betti = sub.add_parser("betti", help="Betti table of a configured complex")
@@ -587,7 +585,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_betti.add_argument("--slow", action="store_true",
                          help="allow jobs above the default size gate")
     p_betti.add_argument("--no-cache", action="store_true")
-    common(p_betti)
+    p_betti.add_argument("--cache-dir", default=None)
+    common(p_betti, "csv")
     p_betti.set_defaults(fn=cmd_betti)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")

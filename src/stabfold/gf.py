@@ -5,7 +5,10 @@ Scalars are immutable and carry a reference to their field, so values from
 different fields never mix silently.  Fields have at most 2^16 elements
 (``field_create`` refuses larger ones), and each gets log, exp and Zech
 tables to the base of its smallest primitive element: products, inverses,
-powers and discrete logs are table lookups.
+powers and discrete logs are table lookups.  The modulus of GF(p^m) is the
+first monic irreducible polynomial of degree m in base-p order, found by
+trial division by every monic polynomial of degree 1 .. m // 2; ``is_prime``
+is a deterministic Miller-Rabin test, so a prime near 2^64 is settled at once.
 
 Sparse linear algebra does not use scalars.  Each field carries a ``Coding``
 (``Field.coding``) that maps a nonzero element g^k to its discrete log k, an
@@ -23,18 +26,34 @@ from typing import Iterator
 _TABLE_LIMIT = 1 << 16
 
 
+# the first 12 primes: as Miller-Rabin bases they decide every n below
+# 318,665,857,834,031,151,167,461 > 3.1 * 10^23 (Sorenson and Webster,
+# Math. Comp. 86, 2017)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_WITNESS_LIMIT = 318_665_857_834_031_151_167_461
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test; n at or above _WITNESS_LIMIT is refused."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    if n >= _WITNESS_LIMIT:
+        raise ValueError(f"is_prime decides n below {_WITNESS_LIMIT:,} only")
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^r d with d odd
+    d = (n - 1) >> r
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -338,67 +357,28 @@ class Coding:
 
 
 def _poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Rabin test for a monic polynomial y^m + sum coeffs[i] y^i over GF(p),
-    m >= 2: irreducible iff y^(p^m) = y mod f and gcd(f, y^(p^(m/q)) - y) = 1
-    for every prime divisor q of m."""
+    """Is the monic y^m + sum coeffs[i] y^i over GF(p) irreducible?  By trial
+    division: a reducible one has a monic factor of degree 1 .. m // 2, and
+    each of those leaves a nonzero remainder."""
     m = len(coeffs)
-
-    def mulmod(a, b):
-        prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        for k in range(2 * m - 2, m - 1, -1):
-            c = prod[k]
-            if c:
-                for i in range(m):
-                    prod[k - m + i] = (prod[k - m + i] - c * coeffs[i]) % p
-            prod[k] = 0
-        return prod[:m]
-
-    def ypow(e):
-        res, base = [1] + [0] * (m - 1), [0, 1] + [0] * (m - 2)
-        while e:
-            if e & 1:
-                res = mulmod(res, base)
-            base = mulmod(base, base)
-            e >>= 1
-        return res
-
-    def gcd_with(poly):
-        # gcd(f, poly) where poly has degree < m, f monic of degree m
-        a = list(coeffs) + [1]
-        b = list(poly)
-        while any(b):
-            while len(b) > 1 and b[-1] == 0:
-                b.pop()
-            db = len(b) - 1
-            inv_lead = pow(b[-1], p - 2, p)
-            # reduce a mod b
-            a = a[:]
-            for k in range(len(a) - 1, db - 1, -1):
-                c = a[k]
-                if c:
-                    q = (c * inv_lead) % p
-                    for i in range(db + 1):
-                        a[k - db + i] = (a[k - db + i] - q * b[i]) % p
-            a, b = b, a[:db]
-            if not b:
-                break
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-        return a
-
-    if ypow(p**m) != [0, 1] + [0] * (m - 2):
-        return False
-    for q in factorize(m):
-        t = ypow(p ** (m // q))
-        t[1] = (t[1] - 1) % p
-        g = gcd_with(t)
-        if len(g) > 1 or g[0] == 0:
-            return False
+    for d in range(1, m // 2 + 1):
+        for k in range(p**d):
+            g = [k // p**i % p for i in range(d)]  # y^d + sum g[i] y^i
+            r = list(coeffs) + [1]
+            for top in range(m, d - 1, -1):
+                if c := r[top]:
+                    for i in range(d):
+                        r[top - d + i] = (r[top - d + i] - c * g[i]) % p
+            if not any(r[:d]):
+                return False
     return True
+
+
+def _modulus(p: int, m: int) -> tuple[int, ...]:
+    """The first monic irreducible polynomial of degree m over GF(p) in
+    base-p order (one always exists): y itself, (0,), for m = 1."""
+    candidates = (tuple(k // p**i % p for i in range(m)) for k in range(p**m))
+    return next(c for c in candidates if _poly_is_irreducible(c, p))
 
 
 _FIELD_CACHE: dict[tuple[int, int], Field] = {}
@@ -406,24 +386,18 @@ _FIELD_CACHE: dict[tuple[int, int], Field] = {}
 
 def field_create(p: int, m: int = 1) -> Field:
     """The field GF(p^m) with deterministic modulus; identical inputs share one object."""
-    if not is_prime(p):
-        raise FieldError(f"{p} is not prime")
     if m < 1:
         raise FieldError("extension degree must be >= 1")
-    if p**m > _TABLE_LIMIT:
-        raise FieldError(f"a field of {p}^{m} = {p**m:,} elements is above the limit "
-                         f"of 2^16 = {_TABLE_LIMIT:,} elements, which bounds its log tables")
+    # p >= 2, so m > 16 is above the limit: p**m is never formed for a large m
+    if m > 16 or p**m > _TABLE_LIMIT:
+        raise FieldError(f"a field of {p}^{m} elements is above the limit of "
+                         f"2^16 = {_TABLE_LIMIT:,} elements, which bounds its log tables")
+    if not is_prime(p):
+        raise FieldError(f"{p} is not prime")
     key = (p, m)
-    if key in _FIELD_CACHE:
-        return _FIELD_CACHE[key]
-    if m == 1:
-        field = Field(p, 1, (0,))
-    else:
-        # the first irreducible modulus in base-p order; one always exists
-        candidates = (tuple(k // p**i % p for i in range(m)) for k in range(p**m))
-        field = Field(p, m, next(c for c in candidates if _poly_is_irreducible(c, p)))
-    _FIELD_CACHE[key] = field
-    return field
+    if key not in _FIELD_CACHE:
+        _FIELD_CACHE[key] = Field(p, m, _modulus(p, m))
+    return _FIELD_CACHE[key]
 
 
 # -- roots ----------------------------------------------------------------------

@@ -31,14 +31,16 @@ windows of ``pages``) is read the same way.
 ``betti`` eliminates one block per σ-orbit.  The cyclic shift σ: h[i,j] ->
 h[i,j+1] permutes the generators, so it is an algebra automorphism, and
 ``ravenel.sigma_certificate`` checks on the generators that it multiplies the
-internal class by p and commutes with d at every integer eps.  So σ maps the
+internal class by p and commutes with d at every integer eps; a complex reads
+the verdict for its own pair table as ``Complex.sigma_acts``.  So σ maps the
 (s, u) block bijectively onto the (s, p u) block, each monomial to a signed
 monomial, and d on the image block is d on the block conjugated by signed
 permutation matrices: the ranks agree, and the one rank of an orbit is copied
 along it once the blocks' sizes are seen to agree.  Only member sets known to
 be σ-stable share (the full, critical and first-subscript complexes, as
 ``Complex.block_orbits`` reads their labels); custom member lists and a
-``FiniteComplex`` have one orbit per block.
+``FiniteComplex``, whose ``sigma_acts`` and ``tau_acts`` are False, have one
+orbit per block.
 
 A σ-fixed block, p u = u (the critical class u = 0 among them), is its own
 orbit, and σ acts on it.  When the field holds a primitive n-th root of
@@ -58,11 +60,11 @@ signed permutations of a block and its target that commute with d.
 
 The reflection τ: h[i,j] -> h[i,-i-j] permutes the generators too, and
 ``ravenel.tau_certificate`` checks on them that d τ = -τ d at every integer
-eps, τ^2 = 1 and τ σ = σ^(-1) τ.  So τ' = (-1)^s τ on degree s commutes with
-d.  τ maps the (s, u) block onto one block (s, v) only when p is large
-against n, so each block map is checked on every monomial of the block and
-of its target (``tau_maps``), and a block whose check fails is eliminated
-as it would be without τ.  Three cases, for a lead u of a σ-orbit and v
+eps, τ^2 = 1 and τ σ = σ^(-1) τ, read per complex as ``Complex.tau_acts``.
+So τ' = (-1)^s τ on degree s commutes with d.  τ maps the (s, u) block onto
+one block (s, v) only when p is large against n, so each block map is
+checked on every monomial of the block and of its target (``tau_maps``),
+and a block whose check fails is eliminated as it would be without τ.  Three cases, for a lead u of a σ-orbit and v
 the class of τ of its first monomial (``tau_class``):
 - v lies in a σ-orbit ranked before: τ' conjugates d on the (s, u) block to
   d on the (s, v) block, and the rank is copied, the σ-orbits paired.
@@ -79,11 +81,11 @@ Above the middle, 2 s > N - 1 for the top degree N, ``betti`` copies each
 rank from a block below.  <a, b>, the coefficient of the top monomial in
 a b, pairs the (s, u) block perfectly with the (N - s, u_top - u) block,
 each monomial with its complement up to sign.  ``ravenel.duality_certificate``
-checks that d vanishes on the N monomials of degree N - 1 at every integer
-eps, that u_top = 0 and that the members are closed under complement.  Then
-d(a b) = 0 for a of degree s and b of degree N - 1 - s, so <d a, b> =
--+<a, d b>: d on the (N - 1 - s, u_top - u) block is the signed transpose of
-d on the (s, u) block, and the ranks agree.  This is Poincaré duality of the
+checks on the complex's pair table that d vanishes on the N monomials of
+degree N - 1 at every integer eps, that u_top = 0 and that the members are
+closed under complement.  Then d(a b) = 0 for a of degree s and b of degree
+N - 1 - s, so <d a, b> = -+<a, d b>: d on the (N - 1 - s, u_top - u) block
+is the signed transpose of d on the (s, u) block, and the ranks agree.  This is Poincaré duality of the
 complex of a unimodular Lie algebra (Koszul 1950): gl_n at eps = 1, the
 nilpotent L(n, n) at eps = 0.  ``Complex.dual_class`` names the dual class
 for the same member sets as σ; custom member lists and a ``FiniteComplex``
@@ -264,14 +266,10 @@ class FiniteComplex:
     def block_orbits(self, s: int) -> list[list[int]]:
         return [[u] for u in self.blocks(s)]
 
+    sigma_acts = tau_acts = False
+
     def dual_class(self, u: int) -> None:
         return None
-
-    def sigma_acts(self) -> bool:
-        return False
-
-    def tau_acts(self) -> bool:
-        return False
 
     def d_monomial(self, label) -> dict:
         return self._diff.get(label, {})
@@ -431,8 +429,8 @@ def block_ranks(cx) -> tuple[dict, dict]:
         # a primitive root of unity of the group's order lies in the field
         return (field.cardinality - 1) % order == 0
 
-    sigma_split = cx.sigma_acts() and splits(cx.n)
-    tau = cx.tau_acts()
+    sigma_split = cx.sigma_acts and splits(cx.n)
+    tau = cx.tau_acts
     blocks = {s: cx.blocks(s) for s in range(-1, top + 2)}
     sigma_orbits = cache(lambda s, u: group_orbits(cx, s, u, 1, False))
     ranks: dict[tuple[int, int], int] = {}

@@ -10,7 +10,9 @@ subspaces Z_r^(s,t) = {x in F^t C^s : dx in F^(t+r)}:
                   - z_(r-1)(s-1,t-r+1) + z_r(s-1,t-r+1).
 
 For a filtration of span W every differential on pages beyond W vanishes for
-lack of targets, which is the collapse certificate.
+lack of targets, which is the collapse certificate.  The critical block,
+class u = 0, is the same filtration on ``ravenel.subcomplex(cx, "critical")``,
+whose members are listed without enumerating the full complex.
 
 ``run_pages`` expands no differential itself: it reads each block's
 ``homology.block_matrix`` rows once, checks on their entries that d never
@@ -35,24 +37,17 @@ from bisect import bisect_left
 
 from .exterior import add_term, first_subscript_filtration, format_monomial
 from .homology import FiniteComplex, betti, betti_numbers, block_matrix, matrix_rank
-from .ravenel import Complex, DgaDescriptor
+from .ravenel import Complex, DgaDescriptor, subcomplex
 
 
 class FilteredComplex:
-    def __init__(self, cx, fil, u_filter=None):
+    def __init__(self, cx, fil):
         self.cx = cx
         self.fil = fil  # mask -> int
-        self.u_filter = u_filter  # predicate on u, or None for all classes
-
-    def blocks(self, s: int) -> dict[int, list[int]]:
-        blocks = self.cx.blocks(s)
-        if self.u_filter is None:
-            return blocks
-        return {u: monos for u, monos in blocks.items() if self.u_filter(u)}
 
     def fil_range(self) -> tuple[int, int]:
         fils = [self.fil(m) for s in range(self.cx.top_degree + 1)
-                for monos in self.blocks(s).values() for m in monos]
+                for monos in self.cx.blocks(s).values() for m in monos]
         return (min(fils), max(fils)) if fils else (0, 0)
 
 
@@ -61,17 +56,15 @@ def filter_first_subscript(ce_gl) -> FilteredComplex:
 
     Its associated graded differential (the filtration-preserving part) is
     the eps = 0 fiber's, with identical structure constants, on every
-    monomial.  Certificate, checked on the generator pair table: each
+    monomial.  Certificate, checked on the pair table of ``ce_gl``: each
     eps-free term keeps the first-subscript sum of its generator and each eps
     term raises it by exactly n.  The sum is additive, so on any monomial the
     eps-free terms of d keep its filtration, the eps terms raise it by n, and
     no target receives both kinds.
     """
-    from .ravenel import generator_pair_table
-
     n = ce_gl.n
     fil = lambda mask: first_subscript_filtration(mask, n)
-    for gslot, terms in generator_pair_table(n).items():
+    for gslot, terms in ce_gl.pairs.items():
         for pmask, _sign, e in terms:
             if fil(pmask) != fil(1 << gslot) + e * n:
                 raise AssertionError(
@@ -82,17 +75,17 @@ def filter_first_subscript(ce_gl) -> FilteredComplex:
 
 
 def critical_block(fc: FilteredComplex) -> FilteredComplex:
-    """Restriction to internal class 0 (degrees divisible by 2(p^n - 1))."""
-    return FilteredComplex(fc.cx, fc.fil, lambda u: u == 0)
+    """The filtration on the critical subcomplex, internal class 0 (degrees
+    divisible by 2(p^n - 1)), of the full complex of ``fc``."""
+    return FilteredComplex(subcomplex(fc.cx, "critical"), fc.fil)
 
 
 class PageReport:
-    def __init__(self, entries, ranks, r_listed: int, span: int,
+    def __init__(self, entries, ranks, span: int,
                  collapse_page: int | None, notes: dict | None = None):
         # entries[r][(s, t, u)] = dim E_r ; ranks[r][(s, t, u)] = rank of d_r out
         self.entries = entries
         self.ranks = ranks
-        self.r_listed = r_listed
         self.span = span
         self.collapse_page = collapse_page
         self.notes = notes or {}
@@ -150,7 +143,7 @@ def run_pages(fc: FilteredComplex, r_max: int | None = None) -> PageReport:
 
     # per (s, u): source fil values, target fil values, and the d-matrix
     data: dict[tuple[int, int], dict] = {}
-    keys = {(s, u) for s in range(cx.top_degree + 1) for u in fc.blocks(s)}
+    keys = {(s, u) for s in range(cx.top_degree + 1) for u in cx.blocks(s)}
 
     def block_data(s, u):
         """Filtration values and the ``block_matrix`` entries of the (s, u)
@@ -236,8 +229,7 @@ def run_pages(fc: FilteredComplex, r_max: int | None = None) -> PageReport:
 
     last_nonzero = max((r for r, rk in ranks.items() if any(rk.values())), default=0)
     entries.pop(r_stop + 1, None)
-    report = PageReport(entries, ranks, r_stop, span,
-                        last_nonzero + 1 if to_infinity else None)
+    report = PageReport(entries, ranks, span, last_nonzero + 1 if to_infinity else None)
     if to_infinity:
         einf = report.e_infinity_totals()
         expected = betti_numbers({k: len(data[k]["src_fil"]) for k in keys},
@@ -273,7 +265,7 @@ def core_pages(layer, t_report: int = 3) -> PageReport:
         for t in range(0, t_report + 1):
             entries[1][(s, t, 0)] = b
     if layer.homogeneity_witness() is None:
-        report = PageReport(entries, {1: {}}, 1, t_report, 1,
+        report = PageReport(entries, {1: {}}, t_report, 1,
                             notes={"certified_by": "strict x-adic compatibility"})
     else:
         report = _windowed_pages(layer, t_report)
@@ -314,7 +306,7 @@ def medial_pages(layer, t_report: int = 3) -> PageReport:
             totals[key] = betti(FiniteComplex(layer.field, gr, diff)).totals_by_degree()
         for s, b in totals[key].items():
             entries[1][(s, t, 0)] = b
-    return PageReport(entries, {1: {}}, 1, t_report, 1,
+    return PageReport(entries, {1: {}}, t_report, 1,
                       notes={"certified_by": "weight grading"})
 
 

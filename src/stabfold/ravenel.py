@@ -26,23 +26,29 @@ internal class and the first-subscript sum mod n of every subset of the low
 and of the high half of the slots, and ``subcomplex`` lists the critical and
 first-subscript complexes as the ``exterior.split_join`` of those tables: the
 monomials whose two halves cancel.  Their closure under d rests on a
-generator-level certificate that ``subcomplex`` checks on the pair table:
-each term of d(g) keeps g's internal class and first-subscript sum mod n, and
-both gradings add along the wedge products of the Leibniz rule.
-``sigma_certificate`` checks on the same table that the cyclic shift σ
-commutes with d and multiplies the internal class by p, so ``betti``
-eliminates one block per σ-orbit and splits the σ-fixed ones by the
-characters of σ; ``tau_certificate`` that the reflection τ anticommutes
+generator-level certificate that ``subcomplex`` checks on the pair table of
+the complex it restricts: each term of d(g) keeps g's internal class and
+first-subscript sum mod n, and both gradings add along the wedge products of
+the Leibniz rule.
+
+Each complex keeps the pair table its d is read from (``Complex.pairs``),
+and its symmetries are certified on that table, at most once per complex
+and never shared between complexes: ``sigma_certificate`` checks that the
+cyclic shift σ commutes with d and multiplies the internal class by p, so
+``betti`` eliminates one block per σ-orbit and splits the σ-fixed ones by
+the characters of σ; ``tau_certificate`` that the reflection τ anticommutes
 with d, so it pairs σ-orbits and halves the blocks that some σ^a τ keeps;
 and ``duality_certificate`` that d vanishes in degree n^2 - 1, so it copies
 the ranks above the middle degree from their Poincaré-dual blocks (see
-``homology``).
+``homology``).  All three hold only for the member sets in SIGMA_STABLE.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from itertools import combinations
+from math import isqrt
 from typing import NamedTuple
 
 from .exterior import (
@@ -256,8 +262,10 @@ class Complex:
             for mask in sorted(self._members):
                 self._basis_cache[mask.bit_count()].append(mask)
         self._block_cache: dict[int, dict[int, list[int]]] = {}
-        self._terms = term_table(generator_pair_table(self.n),
-                                 _integer_epsilon(descriptor))
+        # d and every certificate of this complex read this one table
+        self.pairs = generator_pair_table(self.n)
+        self._terms = term_table(self.pairs, _integer_epsilon(descriptor))
+        self._sigma_stable = descriptor.label in SIGMA_STABLE
         # the prime subfield, indexed by residue: every coefficient of d lies in it
         self._scalars = [self.field.scalar(c) for c in range(self.field.p)]
 
@@ -316,17 +324,24 @@ class Complex:
                 self._block_cache[s] = out
         return self._block_cache[s]
 
+    @cached_property
     def sigma_acts(self) -> bool:
         """Does σ map the members onto themselves, commuting with d?  So for
         all monomials and for the critical and first-subscript complexes, once
-        ``sigma_certificate`` holds."""
-        return self.descriptor.label in SIGMA_STABLE and sigma_certificate(self.n, self.p)
+        ``sigma_certificate`` holds on this complex's pair table."""
+        return self._sigma_stable and sigma_certificate(self.pairs, self.p)
 
+    @cached_property
     def tau_acts(self) -> bool:
         """Does τ' = (-1)^s τ commute with d on these members, by
         ``tau_certificate``?  For the member sets that σ keeps; which block τ
         maps onto which is checked per block by ``betti``."""
-        return self.descriptor.label in SIGMA_STABLE and tau_certificate(self.n, self.p)
+        return self._sigma_stable and tau_certificate(self.pairs, self.p)
+
+    @cached_property
+    def _dual(self) -> bool:
+        return self._sigma_stable and duality_certificate(
+            self.pairs, self.p, self.descriptor.label)
 
     def block_orbits(self, s: int) -> list[list[int]]:
         """The internal classes of degree s in σ-orbits u, p u, p^2 u, ...
@@ -335,7 +350,7 @@ class Complex:
         σ-stable: all monomials, or the critical or first-subscript complex
         (σ keeps class 0 and the first-subscript sum)."""
         blocks = self.blocks(s)
-        if not self.sigma_acts():
+        if not self.sigma_acts:
             return [[u] for u in blocks]
         orbits, seen = [], set()
         for u in blocks:
@@ -350,7 +365,7 @@ class Complex:
     def dual_class(self, u: int) -> int | None:
         """The class u_top - u = -u of the blocks dual to the class-u blocks,
         if ``duality_certificate`` holds for these members, else None."""
-        if not duality_certificate(self.n, self.p, self.descriptor.label):
+        if not self._dual:
             return None
         return -u % self.internal_modulus
 
@@ -407,17 +422,16 @@ def _slot_map(act, n: int) -> list[int]:
     return [act(1 << g)[1].bit_length() - 1 for g in range(n * n)]
 
 
-def _commutes(n: int, act, sign: int) -> bool:
+def _commutes(pairs, n: int, act, sign: int) -> bool:
     """Does the slot action ``act`` keep each generator's first subscript and
     satisfy d(act(g)) = sign * act(d(g)) on every generator g, on the
     eps-free and on the eps terms of the pair table apart?"""
-    table = generator_pair_table(n)
 
     def d_part(gslot: int, eps: int, acted: bool) -> dict[int, int]:
         """The eps-free (eps = 0) or the eps (eps = 1) part of act(d(g)) when
         acted, else of sign * d(g)."""
         out: dict[int, int] = {}
-        for pmask, presign, e in table[gslot]:
+        for pmask, presign, e in pairs[gslot]:
             if e == eps:
                 flip, tgt = act(pmask) if acted else (sign, pmask)
                 add_term(out, tgt, flip * presign)
@@ -428,20 +442,10 @@ def _commutes(n: int, act, sign: int) -> bool:
                for gslot, image in enumerate(_slot_map(act, n)))
 
 
-def _sigma_commutes(n: int, p: int) -> bool:
-    weights, mod = internal_weights(n, p)
-    sigma = dihedral(n, 1)
-    return _commutes(n, sigma, 1) and all(
-        w % 2 == 0 and weights[image] == p * w % mod
-        for w, image in zip(weights, _slot_map(sigma, n)))
-
-
-_SIGMA_CERTIFICATES: dict[tuple[int, int], bool] = {}
-
-
-def sigma_certificate(n: int, p: int) -> bool:
+def sigma_certificate(pairs, p: int) -> bool:
     """Does the cyclic shift σ: h[i,j] -> h[i,j+1] map the (s, u) blocks of
-    the height-n complexes graded by p onto one another, commuting with d?
+    the complexes of the pair table ``pairs`` graded by p onto one another,
+    commuting with d?
 
     Checked on the generators: σ multiplies each slot's internal weight by p
     mod 2(p^n - 1) and keeps its first subscript, every weight is even (so
@@ -450,29 +454,18 @@ def sigma_certificate(n: int, p: int) -> bool:
     apart, so for every integer eps.  σ permutes the generators with the
     reordering sign of ``exterior.dihedral``, an algebra automorphism, so all
     of it holds on every monomial."""
-    if (n, p) not in _SIGMA_CERTIFICATES:
-        _SIGMA_CERTIFICATES[(n, p)] = _sigma_commutes(n, p)
-    return _SIGMA_CERTIFICATES[(n, p)]
+    n = isqrt(len(pairs))
+    weights, mod = internal_weights(n, p)
+    sigma = dihedral(n, 1)
+    return _commutes(pairs, n, sigma, 1) and all(
+        w % 2 == 0 and weights[image] == p * w % mod
+        for w, image in zip(weights, _slot_map(sigma, n)))
 
 
-def _tau_anticommutes(n: int, p: int) -> bool:
-    weights, _mod = internal_weights(n, p)
-    tau = dihedral(n, 0, True)
-    tau_of, sigma_of = _slot_map(tau, n), _slot_map(dihedral(n, 1), n)
-    class_of: dict[int, int] = {}
-    return _commutes(n, tau, -1) and all(
-        tau_of[tau_of[g]] == g and sigma_of[tau_of[sigma_of[g]]] == tau_of[g]
-        and class_of.setdefault(weights[g], weights[tau_of[g]]) == weights[tau_of[g]]
-        for g in range(n * n))
-
-
-_TAU_CERTIFICATES: dict[tuple[int, int], bool] = {}
-
-
-def tau_certificate(n: int, p: int) -> bool:
+def tau_certificate(pairs, p: int) -> bool:
     """Does the reflection τ: h[i,j] -> h[i,-i-j] anticommute with d on the
-    height-n complexes graded by p, so that τ' = (-1)^s τ on degree s commutes
-    with it?
+    complexes of the pair table ``pairs`` graded by p, so that τ' = (-1)^s τ
+    on degree s commutes with it?
 
     Checked on the generators, as ``sigma_certificate`` checks σ: τ keeps each
     first subscript, τ^2 = 1 and σ τ σ = τ on the slots, d(τ g) =
@@ -486,18 +479,22 @@ def tau_certificate(n: int, p: int) -> bool:
     function of u only while u determines m's signed base-p digits, for p
     large against n, so no formula certifies the map on classes: ``betti``
     checks each block map it uses on the block's own monomials."""
-    if (n, p) not in _TAU_CERTIFICATES:
-        _TAU_CERTIFICATES[(n, p)] = _tau_anticommutes(n, p)
-    return _TAU_CERTIFICATES[(n, p)]
+    n = isqrt(len(pairs))
+    weights, _mod = internal_weights(n, p)
+    tau = dihedral(n, 0, True)
+    tau_of, sigma_of = _slot_map(tau, n), _slot_map(dihedral(n, 1), n)
+    class_of: dict[int, int] = {}
+    return _commutes(pairs, n, tau, -1) and all(
+        tau_of[tau_of[g]] == g and sigma_of[tau_of[sigma_of[g]]] == tau_of[g]
+        and class_of.setdefault(weights[g], weights[tau_of[g]]) == weights[tau_of[g]]
+        for g in range(n * n))
 
 
-_DUALITY_CERTIFICATES: dict[tuple[int, int, str], bool] = {}
-
-
-def duality_certificate(n: int, p: int, label: str) -> bool:
+def duality_certificate(pairs, p: int, label: str) -> bool:
     """Is d^(N-1-s) on the (N-1-s, -u) block the signed transpose of d^s on
     the (s, u) block under the pairing of a monomial with its complement, for
-    the height-n members ``label`` graded by p (N = n^2)?
+    the σ-stable members ``label`` of the complexes of the pair table
+    ``pairs`` graded by p (N = n^2)?
 
     Checked on the N monomials of degree N - 1: d vanishes on each, on the
     eps-free and on the eps terms apart (``integer_d`` at KRONECKER_BASE), so
@@ -506,16 +503,12 @@ def duality_certificate(n: int, p: int, label: str) -> bool:
     that of a d(b).  The top monomial has class 0, and the members are closed
     under complement (for ``fsc``, the top monomial's first-subscript sum is 0
     mod n): Poincaré duality of a unimodular Lie algebra's complex."""
-    key = (n, p, label)
-    if key not in _DUALITY_CERTIFICATES:
-        terms, top = kronecker_term_table(n), (1 << n * n) - 1
-        _DUALITY_CERTIFICATES[key] = (
-            label in SIGMA_STABLE
-            and (label != "fsc" or first_subscript_sum(top, n) == 0)
+    n = isqrt(len(pairs))
+    terms, top = term_table(pairs, KRONECKER_BASE), (1 << n * n) - 1
+    return ((label != "fsc" or first_subscript_sum(top, n) == 0)
             and internal_degree(top, n, p) == 0
             and not any(any(integer_d(terms, top ^ (1 << b)).values())
                         for b in range(n * n)))
-    return _DUALITY_CERTIFICATES[key]
 
 
 def subcomplex(cx: Complex, which: str) -> Complex:
@@ -531,7 +524,7 @@ def subcomplex(cx: Complex, which: str) -> Complex:
     if which not in ("critical", "fsc"):
         raise ValueError(f"unknown subcomplex label {which!r}")
 
-    for gslot, terms in generator_pair_table(n).items():
+    for gslot, terms in cx.pairs.items():
         gmask = 1 << gslot
         for pmask, _sign, _eps in terms:
             if cx.block_key(pmask) != cx.block_key(gmask):

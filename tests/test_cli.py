@@ -491,6 +491,11 @@ def test_betti_gl_config_still_hashes_epsilon_0(capsys):
     ["dims", "--n-max", "0"],
     ["pages", "--n", "2", "--p", "11", "--r-max", "0"],
     ["monodromy", "--n", "2", "--p", "11", "--t-report", "-3"],
+    # only betti reads a cache, and only dims and betti write csv
+    ["verify", "tables", "--format", "csv"],
+    ["presentations", "--n", "2", "--format", "csv"],
+    ["dims", "--cache-dir", "x"],
+    ["pages", "--n", "2", "--p", "11", "--cache-dir", "x"],
 ])
 def test_bad_arguments_exit_2_with_message(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -498,6 +503,32 @@ def test_bad_arguments_exit_2_with_message(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+def test_a_large_p_is_decided_at_once():
+    # a prime near 10^18 is accepted and the semiprime 1000000007 * 1000000009
+    # refused, each within a second or so; p >= 2^64 is refused outright.  A
+    # subprocess, so that a primality test that never ends fails the test
+    env = dict(os.environ, PYTHONPATH=str(Path(stabfold.__file__).parents[1]))
+
+    def stabfold_cli(*argv):
+        return subprocess.run([sys.executable, "-m", "stabfold.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    assert stabfold_cli("dims", "--n-max", "1", "--p", "1000000000000000003").returncode == 0
+    for p, why in (("1000000016000000063", "must be a prime"),
+                   (str(1 << 64), "must be 2..")):
+        proc = stabfold_cli("betti", "--lie", "ravenel", "--n", "2", "--p", p)
+        assert proc.returncode == 2 and why in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_a_field_far_above_the_limit_is_refused_in_one_line(capsys):
+    # 2^100000 is not written out in the message
+    assert main(["betti", "--lie", "ravenel", "--n", "2", "--p", "2",
+                 "--ext", "100000", "--no-cache"]) == 2
+    err = capsys.readouterr().err
+    assert "2^16" in err and err.count("\n") == 1
 
 
 def _params(i, j, num, den):

@@ -1,13 +1,17 @@
+import hashlib
 import random
+from itertools import product
 
 import pytest
 
 from oracles import Poly, element_order, poly_divmod, poly_evaluate, poly_gcd, poly_monic
 
+from stabfold import gf
 from stabfold.gf import (
     Field,
     FieldError,
     field_create,
+    is_prime,
     nth_roots,
     primitive_root_of_unity,
 )
@@ -200,6 +204,65 @@ def test_modulus_is_irreducible_by_brute_factoring():
         mod = Poly(base, [base.scalar(c) for c in f.modulus] + [base.one])
         for e in base.elements():
             assert poly_evaluate(mod, e) != base.zero
+
+
+def prime_powers(limit: int) -> list[tuple[int, int]]:
+    """Every (p, m), p prime and m >= 2, with p^m <= limit."""
+    return [(p, m) for p in range(2, int(limit ** 0.5) + 1) if is_prime(p)
+            for m in range(2, limit.bit_length()) if p**m <= limit]
+
+
+def test_the_modulus_of_every_field_is_pinned():
+    # the (p, m, modulus) triples of the 93 fields GF(p^m), m >= 2, up to 2^16
+    # elements, as the Rabin test chose them before trial division took over
+    triples = [(p, m, gf._modulus(p, m)) for p, m in prime_powers(1 << 16)]
+    assert len(triples) == 93
+    assert hashlib.sha256(repr(triples).encode()).hexdigest() == (
+        "a0de9600ed07f80b76b90f67a588fe2140ae177f4c3afb31fde55d375b90ddc2")
+
+
+def mobius(n: int) -> int:
+    out, d = 1, 2
+    while n > 1:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return out
+
+
+def test_irreducibles_of_each_degree_are_counted_exactly():
+    # there are (1/m) sum_{d | m} mu(d) p^(m/d) monic irreducibles of degree m
+    # over GF(p) (Lidl-Niederreiter, Finite Fields, Thm 3.25): the predicate
+    # finds exactly that many among all p^m monic candidates
+    pairs = prime_powers(3000)
+    assert len(pairs) == 36
+    for p, m in pairs:
+        expected = sum(mobius(d) * p ** (m // d) for d in range(1, m + 1) if m % d == 0)
+        found = sum(gf._poly_is_irreducible(c, p) for c in product(range(p), repeat=m))
+        assert m * found == expected, (p, m)
+
+
+def test_is_prime_equals_trial_division_below_10_5():
+    sieve = bytearray([1]) * 10**5
+    sieve[0] = sieve[1] = 0
+    for d in range(2, 317):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, 10**5, d)))
+    assert [n for n in range(10**5) if is_prime(n)] == [n for n in range(10**5) if sieve[n]]
+
+
+def test_is_prime_decides_large_inputs_at_once():
+    # strong pseudoprimes to the first 4 and the first 9 prime bases, a
+    # semiprime of two primes near 10^9, and primes near 2^64
+    assert not any(is_prime(n) for n in (3215031751, 3825123056546413051,
+                                         1000000007 * 1000000009))
+    assert all(is_prime(n) for n in (1000000007, 1000000000000000003, 2**61 - 1,
+                                     2**64 - 59))
+    with pytest.raises(ValueError):
+        is_prime(gf._WITNESS_LIMIT)  # the least strong pseudoprime to all 12 bases
 
 
 # -- the codings of sparse linear algebra -----------------------------------------

@@ -568,7 +568,7 @@ def assert_characters_split(cx, oracle=None) -> int:
             rank = matrix_rank(rows, ncols, field)
             by_e = [matrix_rank(*block_matrix(cx, s, u, ch), field) for ch in chars]
             assert sum(by_e) == rank, (s, u)
-            if cx.tau_acts() and tau_maps(cx, s, u, u):
+            if cx.tau_acts and tau_maps(cx, s, u, u):
                 assert all(by_e[e] == by_e[-e % n] for e in range(n)), (s, u, by_e)
             if oracle is not None:
                 assert rank == oracle([field.coding.decode_row(r) for r in rows],
@@ -661,6 +661,34 @@ def lower_half(cx) -> list:
             for orbit in cx.block_orbits(s)]
 
 
+def test_a_certificate_follows_its_complex(monkeypatch):
+    # σ, τ and duality are certified on the pair table of the complex that
+    # reads them: a complex built before a sign fault is planted keeps its d
+    # and its verdicts, read before the fault or after it, and one built
+    # after takes both from the faulty table
+    n, p = 3, 19
+    field = field_create(p)
+
+    def verdicts(cx):
+        return cx.sigma_acts, cx.tau_acts, cx.dual_class(0) is not None
+
+    def d(cx):
+        return [cx.d_monomial(mask) for mask in range(1 << n * n)]
+
+    before, unread = build_deformed(n, p, field, 1), build_deformed(n, p, field, 1)
+    assert verdicts(before) == (True, True, True)
+    d_before = d(before)
+    real = ravenel.generator_pair_table
+    faulty = flipped_sign_table(real(n))
+    monkeypatch.setattr(ravenel, "generator_pair_table",
+                        lambda m: faulty if m == n else real(m))
+    after = build_deformed(n, p, field, 1)
+    assert verdicts(after) == (False, False, False)
+    assert d(after) != d_before
+    assert verdicts(before) == verdicts(unread) == (True, True, True)
+    assert d(before) == d(unread) == d_before
+
+
 @pytest.mark.parametrize("gslot,k", [(0, 0), (3, 0)])
 def test_a_flipped_pair_sign_breaks_the_sigma_certificate(monkeypatch, gslot, k):
     # at n = 3, d(h[1,1]) has only eps terms and d(h[2,1]) (slot 3) starts
@@ -686,11 +714,8 @@ def test_a_flipped_pair_sign_breaks_the_sigma_certificate(monkeypatch, gslot, k)
 
     monkeypatch.setattr(ravenel, "generator_pair_table",
                         lambda m: faulty if m == n else real(m))
-    monkeypatch.setattr(ravenel, "_SIGMA_CERTIFICATES", {})
-    monkeypatch.setattr(ravenel, "_TAU_CERTIFICATES", {})
-    monkeypatch.setattr(ravenel, "_DUALITY_CERTIFICATES", {})
-    assert not ravenel.sigma_certificate(n, p)
-    assert not ravenel.tau_certificate(n, p)
+    assert not ravenel.sigma_certificate(faulty, p)
+    assert not ravenel.tau_certificate(faulty, p)
     calls = count_block_matrix_calls(monkeypatch)
     split = []
     monkeypatch.setattr(homology, "characters",
@@ -748,20 +773,17 @@ def test_a_pair_term_breaking_duality_leaves_every_sigma_lead_eliminated(monkeyp
     faulty = extra_term_table(real(n), n, 1, 2)
     monkeypatch.setattr(ravenel, "generator_pair_table",
                         lambda m: faulty if m == n else real(m))
-    monkeypatch.setattr(ravenel, "_SIGMA_CERTIFICATES", {})
-    monkeypatch.setattr(ravenel, "_TAU_CERTIFICATES", {})
-    monkeypatch.setattr(ravenel, "_DUALITY_CERTIFICATES", {})
     top = (1 << n * n) - 1
     assert any(ravenel.integer_d(ravenel.term_table(faulty, 0),
                                  top ^ generator_mask(3, 3, n)).values())
-    assert ravenel.sigma_certificate(n, p)
-    assert not ravenel.tau_certificate(n, p)
+    assert ravenel.sigma_certificate(faulty, p)
+    assert not ravenel.tau_certificate(faulty, p)
     calls = count_block_matrix_calls(monkeypatch)
     for eps, label in ((0, "full"), (1, "full"), (0, "critical"), (1, "fsc")):
         cx = build_deformed(n, p, field_create(p), eps)
         if label != "full":
             cx = subcomplex(cx, label)
-        assert not ravenel.duality_certificate(n, p, label)
+        assert not ravenel.duality_certificate(faulty, p, label)
         assert cx.dual_class(0) is None
         calls.clear()
         table = betti(cx)
@@ -968,11 +990,8 @@ def test_a_term_that_breaks_tau_but_keeps_sigma_leaves_every_sigma_lead_eliminat
     assert faulty[6][0][0] == generator_mask(1, 1, n) | generator_mask(2, 2, n)
     monkeypatch.setattr(ravenel, "generator_pair_table",
                         lambda m: faulty if m == n else real(m))
-    monkeypatch.setattr(ravenel, "_SIGMA_CERTIFICATES", {})
-    monkeypatch.setattr(ravenel, "_TAU_CERTIFICATES", {})
-    monkeypatch.setattr(ravenel, "_DUALITY_CERTIFICATES", {})
-    assert ravenel.sigma_certificate(n, p)
-    assert not ravenel.tau_certificate(n, p)
+    assert ravenel.sigma_certificate(faulty, p)
+    assert not ravenel.tau_certificate(faulty, p)
     calls = count_block_matrix_calls(monkeypatch)
     split = []
     monkeypatch.setattr(homology, "characters", lambda cx, s, u, element=(1, False), *rest: (
@@ -981,7 +1000,7 @@ def test_a_term_that_breaks_tau_but_keeps_sigma_leaves_every_sigma_lead_eliminat
         cx = build_deformed(n, p, field_create(p), eps)
         if label != "full":
             cx = subcomplex(cx, label)
-        assert not cx.tau_acts()
+        assert not cx.tau_acts
         calls.clear()
         table = betti(cx)
         dual = cx.dual_class(0) is not None
@@ -1022,7 +1041,7 @@ def test_tau_falls_back_where_its_block_map_leaves_the_block(monkeypatch, n, p, 
     cx = build_deformed(n, p, field, eps)
     if label != "full":
         cx = subcomplex(cx, label)
-    assert cx.tau_acts()
+    assert cx.tau_acts
     seen = tau_at_work(monkeypatch)
     table = betti(cx)
     monkeypatch.undo()

@@ -314,7 +314,7 @@ def oracle_pages(fc, r_max=None) -> PageReport:
     span = hi - lo
     r_stop = max(span + 1 if r_max is None else min(r_max, span + 1), 1)
     to_infinity = r_stop >= span + 1
-    keys = [(s, u) for s in range(cx.top_degree + 1) for u in fc.blocks(s)]
+    keys = [(s, u) for s in range(cx.top_degree + 1) for u in cx.blocks(s)]
     ranks, zdims = {}, {}
 
     def z(s, u, t, r):
@@ -352,8 +352,7 @@ def oracle_pages(fc, r_max=None) -> PageReport:
     del entries[r_stop + 1]
     last = max((r for r, rk in diffs.items() if rk), default=0)
     notes = {"e_infinity_matches_betti": True} if to_infinity else {}
-    return PageReport(entries, diffs, r_stop, span,
-                      last + 1 if to_infinity else None, notes)
+    return PageReport(entries, diffs, span, last + 1 if to_infinity else None, notes)
 
 
 def windowed_core_input(monkeypatch):
