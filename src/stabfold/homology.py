@@ -82,8 +82,8 @@ rank from a block below.  <a, b>, the coefficient of the top monomial in
 a b, pairs the (s, u) block perfectly with the (N - s, u_top - u) block,
 each monomial with its complement up to sign.  ``ravenel.duality_certificate``
 checks on the complex's pair table that d vanishes on the N monomials of
-degree N - 1 at every integer eps, that u_top = 0 and that the members are
-closed under complement.  Then d(a b) = 0 for a of degree s and b of degree
+degree N - 1 at every integer eps and that u_top = 0; the complex checks
+that its members are closed under complement.  Then d(a b) = 0 for a of degree s and b of degree
 N - 1 - s, so <d a, b> = -+<a, d b>: d on the (N - 1 - s, u_top - u) block
 is the signed transpose of d on the (s, u) block, and the ranks agree.  This is Poincaré duality of the
 complex of a unimodular Lie algebra (Koszul 1950): gl_n at eps = 1, the

@@ -12,7 +12,8 @@ subspaces Z_r^(s,t) = {x in F^t C^s : dx in F^(t+r)}:
 For a filtration of span W every differential on pages beyond W vanishes for
 lack of targets, which is the collapse certificate.  The critical block,
 class u = 0, is the same filtration on ``ravenel.subcomplex(cx, "critical")``,
-whose members are listed without enumerating the full complex.
+whose members are listed without enumerating the full complex; its
+certificate is checked again on the pair table the block reads d from.
 
 ``run_pages`` expands no differential itself: it reads each block's
 ``homology.block_matrix`` rows once, checks on their entries that d never
@@ -75,9 +76,10 @@ def filter_first_subscript(ce_gl) -> FilteredComplex:
 
 
 def critical_block(fc: FilteredComplex) -> FilteredComplex:
-    """The filtration on the critical subcomplex, internal class 0 (degrees
-    divisible by 2(p^n - 1)), of the full complex of ``fc``."""
-    return FilteredComplex(subcomplex(fc.cx, "critical"), fc.fil)
+    """The first-subscript filtration on the critical subcomplex, internal
+    class 0 (degrees divisible by 2(p^n - 1)), of the full complex of ``fc``,
+    certified on the block's own pair table."""
+    return filter_first_subscript(subcomplex(fc.cx, "critical"))
 
 
 class PageReport:

@@ -27,7 +27,7 @@ and of the high half of the slots, and ``subcomplex`` lists the critical and
 first-subscript complexes as the ``exterior.split_join`` of those tables: the
 monomials whose two halves cancel.  Their closure under d rests on a
 generator-level certificate that ``subcomplex`` checks on the pair table of
-the complex it restricts: each term of d(g) keeps g's internal class and
+the subcomplex it returns: each term of d(g) keeps g's internal class and
 first-subscript sum mod n, and both gradings add along the wedge products of
 the Leibniz rule.
 
@@ -48,7 +48,6 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from itertools import combinations
-from math import isqrt
 from typing import NamedTuple
 
 from .exterior import (
@@ -329,19 +328,22 @@ class Complex:
         """Does σ map the members onto themselves, commuting with d?  So for
         all monomials and for the critical and first-subscript complexes, once
         ``sigma_certificate`` holds on this complex's pair table."""
-        return self._sigma_stable and sigma_certificate(self.pairs, self.p)
+        return self._sigma_stable and sigma_certificate(self.pairs, self.n, self.p)
 
     @cached_property
     def tau_acts(self) -> bool:
         """Does τ' = (-1)^s τ commute with d on these members, by
         ``tau_certificate``?  For the member sets that σ keeps; which block τ
         maps onto which is checked per block by ``betti``."""
-        return self._sigma_stable and tau_certificate(self.pairs, self.p)
+        return self._sigma_stable and tau_certificate(self.pairs, self.n, self.p)
 
     @cached_property
     def _dual(self) -> bool:
-        return self._sigma_stable and duality_certificate(
-            self.pairs, self.p, self.descriptor.label)
+        # members closed under complement: for fsc, the top monomial's sum is 0 mod n
+        top = (1 << self.top_degree) - 1
+        return (self._sigma_stable
+                and (self.descriptor.label != "fsc" or first_subscript_sum(top, self.n) == 0)
+                and duality_certificate(self.pairs, self.n, self.p))
 
     def block_orbits(self, s: int) -> list[list[int]]:
         """The internal classes of degree s in σ-orbits u, p u, p^2 u, ...
@@ -442,10 +444,10 @@ def _commutes(pairs, n: int, act, sign: int) -> bool:
                for gslot, image in enumerate(_slot_map(act, n)))
 
 
-def sigma_certificate(pairs, p: int) -> bool:
+def sigma_certificate(pairs, n: int, p: int) -> bool:
     """Does the cyclic shift σ: h[i,j] -> h[i,j+1] map the (s, u) blocks of
-    the complexes of the pair table ``pairs`` graded by p onto one another,
-    commuting with d?
+    the complexes of the height-n pair table ``pairs`` graded by p onto one
+    another, commuting with d?
 
     Checked on the generators: σ multiplies each slot's internal weight by p
     mod 2(p^n - 1) and keeps its first subscript, every weight is even (so
@@ -454,7 +456,6 @@ def sigma_certificate(pairs, p: int) -> bool:
     apart, so for every integer eps.  σ permutes the generators with the
     reordering sign of ``exterior.dihedral``, an algebra automorphism, so all
     of it holds on every monomial."""
-    n = isqrt(len(pairs))
     weights, mod = internal_weights(n, p)
     sigma = dihedral(n, 1)
     return _commutes(pairs, n, sigma, 1) and all(
@@ -462,10 +463,10 @@ def sigma_certificate(pairs, p: int) -> bool:
         for w, image in zip(weights, _slot_map(sigma, n)))
 
 
-def tau_certificate(pairs, p: int) -> bool:
+def tau_certificate(pairs, n: int, p: int) -> bool:
     """Does the reflection τ: h[i,j] -> h[i,-i-j] anticommute with d on the
-    complexes of the pair table ``pairs`` graded by p, so that τ' = (-1)^s τ
-    on degree s commutes with it?
+    complexes of the height-n pair table ``pairs`` graded by p, so that
+    τ' = (-1)^s τ on degree s commutes with it?
 
     Checked on the generators, as ``sigma_certificate`` checks σ: τ keeps each
     first subscript, τ^2 = 1 and σ τ σ = τ on the slots, d(τ g) =
@@ -479,7 +480,6 @@ def tau_certificate(pairs, p: int) -> bool:
     function of u only while u determines m's signed base-p digits, for p
     large against n, so no formula certifies the map on classes: ``betti``
     checks each block map it uses on the block's own monomials."""
-    n = isqrt(len(pairs))
     weights, _mod = internal_weights(n, p)
     tau = dihedral(n, 0, True)
     tau_of, sigma_of = _slot_map(tau, n), _slot_map(dihedral(n, 1), n)
@@ -490,47 +490,38 @@ def tau_certificate(pairs, p: int) -> bool:
         for g in range(n * n))
 
 
-def duality_certificate(pairs, p: int, label: str) -> bool:
+def duality_certificate(pairs, n: int, p: int) -> bool:
     """Is d^(N-1-s) on the (N-1-s, -u) block the signed transpose of d^s on
-    the (s, u) block under the pairing of a monomial with its complement, for
-    the σ-stable members ``label`` of the complexes of the pair table
-    ``pairs`` graded by p (N = n^2)?
+    the (s, u) block under the pairing of a monomial with its complement, in
+    the complexes of the height-n pair table ``pairs`` graded by p whose
+    members are closed under complement (N = n^2)?
 
     Checked on the N monomials of degree N - 1: d vanishes on each, on the
     eps-free and on the eps terms apart (``integer_d`` at KRONECKER_BASE), so
     for every integer eps.  Then d(a b) = d(a) b +- a d(b) is 0 for a of
     degree s and b of degree N - 1 - s: the top coefficient of d(a) b is -+
-    that of a d(b).  The top monomial has class 0, and the members are closed
-    under complement (for ``fsc``, the top monomial's first-subscript sum is 0
-    mod n): Poincaré duality of a unimodular Lie algebra's complex."""
-    n = isqrt(len(pairs))
+    that of a d(b).  The top monomial has class 0, so the (N - 1 - s, -u)
+    block pairs with the (s, u) one: Poincaré duality of a unimodular Lie
+    algebra's complex.  Which members are closed under complement is a fact
+    of the member set, which ``Complex`` checks."""
     terms, top = term_table(pairs, KRONECKER_BASE), (1 << n * n) - 1
-    return ((label != "fsc" or first_subscript_sum(top, n) == 0)
-            and internal_degree(top, n, p) == 0
-            and not any(any(integer_d(terms, top ^ (1 << b)).values())
-                        for b in range(n * n)))
+    return internal_degree(top, n, p) == 0 and not any(
+        any(integer_d(terms, top ^ (1 << b)).values()) for b in range(n * n))
 
 
 def subcomplex(cx: Complex, which: str) -> Complex:
     """The critical or first-subscript subcomplex of a full complex.
 
-    Closure under d on every monomial, at every n, rests on the pair-table
-    certificate checked here: each term of d(g) keeps g's internal class and
-    first-subscript sum mod n, and both add along wedge products.
+    Closure under d on every monomial, at every n, rests on the certificate
+    checked here on the pair table the subcomplex reads its d from: each term
+    of d(g) keeps g's internal class and first-subscript sum mod n, and both
+    add along wedge products.
     """
     if cx.descriptor.label != "full":
         raise ValueError("subcomplex expects a full complex")
     n, p = cx.n, cx.p
     if which not in ("critical", "fsc"):
         raise ValueError(f"unknown subcomplex label {which!r}")
-
-    for gslot, terms in cx.pairs.items():
-        gmask = 1 << gslot
-        for pmask, _sign, _eps in terms:
-            if cx.block_key(pmask) != cx.block_key(gmask):
-                raise ClosureError(f"internal class not preserved at slot {gslot}")
-            if first_subscript_sum(pmask, n) != first_subscript_sum(gmask, n):
-                raise ClosureError(f"first-subscript class not preserved at {gslot}")
 
     g = grading_tables(n, p)
     if which == "critical":
@@ -539,7 +530,15 @@ def subcomplex(cx: Complex, which: str) -> Complex:
         lo, hi = g.fsum_lo, [(-f) % n for f in g.fsum_hi]
     desc = DgaDescriptor(n, p, cx.field, cx.descriptor.epsilon,
                          cx.descriptor.lie, which)
-    return Complex(desc, members=split_join(lo, hi, g.half))
+    sub = Complex(desc, members=split_join(lo, hi, g.half))
+    for gslot, terms in sub.pairs.items():
+        gmask = 1 << gslot
+        for pmask, _sign, _eps in terms:
+            if sub.block_key(pmask) != sub.block_key(gmask):
+                raise ClosureError(f"internal class not preserved at slot {gslot}")
+            if first_subscript_sum(pmask, n) != first_subscript_sum(gmask, n):
+                raise ClosureError(f"first-subscript class not preserved at {gslot}")
+    return sub
 
 
 def _class_tallies(n: int, p: int):

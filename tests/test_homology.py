@@ -714,8 +714,8 @@ def test_a_flipped_pair_sign_breaks_the_sigma_certificate(monkeypatch, gslot, k)
 
     monkeypatch.setattr(ravenel, "generator_pair_table",
                         lambda m: faulty if m == n else real(m))
-    assert not ravenel.sigma_certificate(faulty, p)
-    assert not ravenel.tau_certificate(faulty, p)
+    assert not ravenel.sigma_certificate(faulty, n, p)
+    assert not ravenel.tau_certificate(faulty, n, p)
     calls = count_block_matrix_calls(monkeypatch)
     split = []
     monkeypatch.setattr(homology, "characters",
@@ -776,14 +776,14 @@ def test_a_pair_term_breaking_duality_leaves_every_sigma_lead_eliminated(monkeyp
     top = (1 << n * n) - 1
     assert any(ravenel.integer_d(ravenel.term_table(faulty, 0),
                                  top ^ generator_mask(3, 3, n)).values())
-    assert ravenel.sigma_certificate(faulty, p)
-    assert not ravenel.tau_certificate(faulty, p)
+    assert ravenel.sigma_certificate(faulty, n, p)
+    assert not ravenel.tau_certificate(faulty, n, p)
     calls = count_block_matrix_calls(monkeypatch)
     for eps, label in ((0, "full"), (1, "full"), (0, "critical"), (1, "fsc")):
         cx = build_deformed(n, p, field_create(p), eps)
         if label != "full":
             cx = subcomplex(cx, label)
-        assert not ravenel.duality_certificate(faulty, p, label)
+        assert not ravenel.duality_certificate(faulty, n, p)
         assert cx.dual_class(0) is None
         calls.clear()
         table = betti(cx)
@@ -990,8 +990,8 @@ def test_a_term_that_breaks_tau_but_keeps_sigma_leaves_every_sigma_lead_eliminat
     assert faulty[6][0][0] == generator_mask(1, 1, n) | generator_mask(2, 2, n)
     monkeypatch.setattr(ravenel, "generator_pair_table",
                         lambda m: faulty if m == n else real(m))
-    assert ravenel.sigma_certificate(faulty, p)
-    assert not ravenel.tau_certificate(faulty, p)
+    assert ravenel.sigma_certificate(faulty, n, p)
+    assert not ravenel.tau_certificate(faulty, n, p)
     calls = count_block_matrix_calls(monkeypatch)
     split = []
     monkeypatch.setattr(homology, "characters", lambda cx, s, u, element=(1, False), *rest: (

@@ -46,10 +46,14 @@ def test_filter_first_subscript_rejects_a_misgraded_pair_table(monkeypatch):
     table = {s: list(terms) for s, terms in real(2).items()}
     pmask, presign, _e = table[2][0]  # d(h[2,1]) = h[1,1]h[1,2], eps-free
     table[2][0] = (pmask, presign, 1)
+    fc = filter_first_subscript(build_gl(2, field_create(11), 11))
     monkeypatch.setattr(ravenel, "generator_pair_table",
                         lambda n: table if n == 2 else real(n))
     with pytest.raises(AssertionError):
         filter_first_subscript(build_gl(2, field_create(11), 11))
+    # the critical block reads d from the faulty table, and is certified on it
+    with pytest.raises(AssertionError):
+        critical_block(fc)
 
 
 def test_e1_equals_singular_betti_n2():
