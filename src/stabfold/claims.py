@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .exterior import MAX_N, first_subscript_sum, format_monomial, internal_degree, parse_monomial
-from .gf import field_create, is_prime, nth_roots, primitive_root_of_unity
-from .homology import betti, exterior_profile, inclusion_map, induced_map_rank, monomial_projection
+from .gf import field_create, is_prime, nth_roots
+from .homology import betti, exterior_profile, induced_map_rank
 from .homology import block_matrix, matrix_rank
 from .kummer import FixedLayer, KummerConnection, core_homogeneity, solve_h_diagonal
 from .pages import critical_block, filter_first_subscript, run_pages
@@ -32,7 +32,7 @@ from .ravenel import (
     dims_by_class,
     subcomplex,
 )
-from .retract import critical_model, kernel_model, lambda_h_pair, laplacian, smallest_extension_degree
+from .retract import critical_model, smallest_extension_degree
 
 # commands and claims that enumerate all 2^(n^2) monomials of the full
 # complex refuse heights above this one
@@ -145,25 +145,20 @@ def claim_model_kernel(n: int | None, p: int | None) -> list[dict]:
     except ValueError as exc:
         raise UsageError(f"model-kernel at n={n}, p={p}: {exc}")
     checks = []
+    # criterion 4 runs gl_4 over GF(p^2) whatever the smallest field is
+    cx = build_gl(n, field_create(p, 2 if n == 4 else ext), p)
+    out = critical_model(cx)
+    model = out["model"]
+    cc = subcomplex(cx, "critical")
+    same = all(model.basis(s) == cc.basis(s) for s in range(n * n + 1))
     if n < 4:
-        field = field_create(p, ext)
-        cx = build_gl(n, field, p)
-        h, _ = lambda_h_pair(cx, primitive_root_of_unity(field, n))
-        model = kernel_model(cx, [laplacian(cx, h)])
-        cc = subcomplex(cx, "critical")
-        same = all(model.basis(s) == cc.basis(s) for s in range(n * n + 1))
         checks.append(_check(f"ker(dh+hd) equals the critical complex of gl_{n}", same))
         # the critical complex is closed under d (``subcomplex``'s
         # certificate); a kernel that differs from it may not be a subcomplex
-        qi = same and induced_map_rank(inclusion_map(model, cx))["quasi_isomorphism"]
+        qi = same and induced_map_rank(model, cx)["quasi_isomorphism"]
         checks.append(_check("inclusion is a quasi-isomorphism", qi,
                              "" if same else "not run: the kernel is not the critical complex"))
     else:
-        field = field_create(p, 2)
-        cx = build_gl(4, field, p)
-        out = critical_model(cx)
-        cc = subcomplex(cx, "critical")
-        same = all(out["model"].basis(s) == cc.basis(s) for s in range(17))
         checks.append(_check(
             "intersection of the cyclotomic-factor kernels equals the "
             "critical complex of gl_4", same and len(out["omegas"]) == 2,
@@ -288,7 +283,7 @@ def claim_invariant_cycles(n: int | None, p: int | None) -> list[dict]:
     checks = [_check(
         f"dim H^s(critical at 0) = dim H^s(FSC at 1) for all s (n={n}, p={p})",
         c0 == f1 == exterior_profile(degs), detail)]
-    out = induced_map_rank(monomial_projection(full0, fsc0))
+    out = induced_map_rank(full0, fsc0)
     checks.append(_check(
         f"the singular fiber surjects onto the fixed-point cohomology "
         f"(n={n}, p={p})", out["surjective_on_cohomology"]))

@@ -115,12 +115,8 @@ def emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def coeff_repr(c, field) -> str:
-    return str(c.v if field.m == 1 else list(c.v))
-
-
 def format_cochain(z: Cochain, cx) -> str:
-    return " + ".join(f"({coeff_repr(z.terms[m], cx.field)})*{format_monomial(m, cx.n)}"
+    return " + ".join(f"({z.terms[m].v})*{format_monomial(m, cx.n)}"
                       for m in sorted(z.terms)) or "0"
 
 

@@ -302,11 +302,6 @@ class Cochain:
     def scale_neg(self):
         return Cochain(self.n, {m: -c for m, c in self.terms.items()})
 
-    def scale(self, c):
-        if not c:
-            return Cochain(self.n, {})
-        return Cochain(self.n, {m: coeff * c for m, coeff in self.terms.items()})
-
     def wedge(self, other: "Cochain") -> "Cochain":
         """Bilinear wedge product."""
         out: dict[int, object] = {}

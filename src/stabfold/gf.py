@@ -1,14 +1,18 @@
 """Exact arithmetic in GF(p) and GF(p^m): every cochain of the package has
 its coefficients in one such field.
 
-Scalars are immutable and carry a reference to their field, so values from
-different fields never mix silently.  Fields have at most 2^16 elements
-(``field_create`` refuses larger ones), and each gets log, exp and Zech
-tables to the base of its smallest primitive element: products, inverses,
-powers and discrete logs are table lookups.  The modulus of GF(p^m) is the
-first monic irreducible polynomial of degree m in base-p order, found by
-trial division by every monic polynomial of degree 1 .. m // 2; ``is_prime``
-is a deterministic Miller-Rabin test, so a prime near 2^64 is settled at once.
+An element is one int, its index: the sum c_i p^i of its coordinates
+(c_0, ..., c_{m-1}) in the power basis of the field's modulus, so in GF(p)
+the residue.  Scalars are immutable and carry a reference to their field, so
+values from different fields never mix silently.  Fields have at most 2^16
+elements (``field_create`` refuses larger ones), and each gets log, exp and
+Zech tables to the base of its smallest primitive element, through which all
+arithmetic runs: g^a + g^b = g^(a + Z(b - a)) with the Zech table Z.  Only
+``_raw_mul``, which builds the tables, multiplies coordinates.  The modulus
+of GF(p^m) is the first monic irreducible polynomial of degree m in base-p
+order, found by trial division by every monic polynomial of degree
+1 .. m // 2; ``is_prime`` is a deterministic Miller-Rabin test, so a prime
+near 2^64 is settled at once.
 
 Sparse linear algebra does not use scalars.  Each field carries a ``Coding``
 (``Field.coding``) that maps a nonzero element g^k to its discrete log k, an
@@ -76,14 +80,13 @@ class FieldError(ValueError):
 
 
 class FieldScalar:
-    """Element of GF(p^m) in the power basis of the field's modulus polynomial.
-
-    ``v`` is a plain residue for m = 1 and a tuple of m residues otherwise.
-    """
+    """Element of GF(p^m): ``v`` is the index sum c_i p^i of its coordinates
+    (c_0, ..., c_{m-1}) in the power basis of the field's modulus polynomial,
+    so in GF(p) it is the residue itself."""
 
     __slots__ = ("field", "v")
 
-    def __init__(self, field: "Field", v):
+    def __init__(self, field: "Field", v: int):
         self.field = field
         self.v = v
 
@@ -98,28 +101,27 @@ class FieldScalar:
         return hash((id(self.field), self.v))
 
     def __bool__(self):
-        return self.v != 0 if self.field.m == 1 else any(self.v)
+        return self.v != 0
 
     def __add__(self, other):
+        # g^a + g^b = g^(a + Z(b - a)), as in Coding.step
+        a, b = self.v, other.v
+        if not a:
+            return other
+        if not b:
+            return self
         f = self.field
-        if f.m == 1:
-            return FieldScalar(f, (self.v + other.v) % f.p)
-        p = f.p
-        return FieldScalar(f, tuple((a + b) % p for a, b in zip(self.v, other.v)))
+        log = f._log
+        z = f._zech[log[b] - log[a]]
+        return f.zero if z is None else FieldScalar(f, f._exp[log[a] + z - len(f._exp)])
 
     def __sub__(self, other):
-        f = self.field
-        if f.m == 1:
-            return FieldScalar(f, (self.v - other.v) % f.p)
-        p = f.p
-        return FieldScalar(f, tuple((a - b) % p for a, b in zip(self.v, other.v)))
+        return self + -other
 
     def __neg__(self):
+        # -1 = g^h, and g^(a + h) = g^(a - h) as 2h = q - 1 (h = 0 when p = 2)
         f = self.field
-        if f.m == 1:
-            return FieldScalar(f, (-self.v) % f.p)
-        p = f.p
-        return FieldScalar(f, tuple((-a) % p for a in self.v))
+        return FieldScalar(f, f._exp[f._log[self.v] - f.coding.half]) if self.v else self
 
     def __mul__(self, other):
         return self.field.mul(self, other)
@@ -130,11 +132,26 @@ class FieldScalar:
     def inverse(self) -> "FieldScalar":
         return self.field.inv(self)
 
+    def coordinates(self) -> tuple[int, ...]:
+        return _digits(self.v, self.field.p, self.field.m)
+
     def __repr__(self):
         f = self.field
-        if f.m == 1:
-            return f"GF({f.p}):{self.v}"
-        return f"GF({f.p}^{f.m}):{list(self.v)}"
+        return f"{f!r}:{self.v if f.m == 1 else list(self.coordinates())}"
+
+
+def _digits(k: int, p: int, m: int) -> tuple[int, ...]:
+    """The m base-p digits of k, least significant first."""
+    return tuple([k // p**i % p for i in range(m)])
+
+
+def _index(digits, p: int) -> int:
+    """The int whose base-p digits, least significant first, are the
+    given integers reduced mod p: the inverse of ``_digits``."""
+    k = 0
+    for c in reversed(digits):
+        k = k * p + int(c) % p
+    return k
 
 
 class Field:
@@ -150,8 +167,8 @@ class Field:
         self.m = m
         self.modulus = modulus  # (c_0, ..., c_{m-1}) of y^m + c_{m-1}y^{m-1} + ... + c_0
         self.cardinality = p**m
-        self.zero = FieldScalar(self, 0 if m == 1 else (0,) * m)
-        self.one = FieldScalar(self, 1 if m == 1 else (1,) + (0,) * (m - 1))
+        self.zero = FieldScalar(self, 0)
+        self.one = FieldScalar(self, 1)
         self._primitive: FieldScalar | None = None
         self._build_tables()
         self.coding = Coding(self)
@@ -159,45 +176,32 @@ class Field:
     # -- construction helpers -------------------------------------------------
 
     def scalar(self, x) -> FieldScalar:
-        """Coerce an integer, residue tuple, or scalar into this field."""
+        """Coerce an integer, coordinate sequence, or scalar into this field."""
         if isinstance(x, FieldScalar):
             if x.field is not self:
                 raise FieldError("scalar from a different field")
             return x
         if isinstance(x, int):
-            if self.m == 1:
-                return FieldScalar(self, x % self.p)
-            return FieldScalar(self, (x % self.p,) + (0,) * (self.m - 1))
-        v = tuple(int(c) % self.p for c in x)
-        if len(v) != self.m:
-            raise FieldError(f"expected {self.m} coordinates, got {len(v)}")
-        return FieldScalar(self, v if self.m > 1 else v[0])
+            return FieldScalar(self, x % self.p)
+        if len(x) != self.m:
+            raise FieldError(f"expected {self.m} coordinates, got {len(x)}")
+        return FieldScalar(self, _index(x, self.p))
 
     def elements(self) -> Iterator[FieldScalar]:
         """All field elements in counting order (coordinates base p, c_0 fastest)."""
-        p, m = self.p, self.m
-        if m == 1:
-            for v in range(p):
-                yield FieldScalar(self, v)
-            return
-        for k in range(self.cardinality):
-            digits = []
-            kk = k
-            for _ in range(m):
-                digits.append(kk % p)
-                kk //= p
-            yield FieldScalar(self, tuple(digits))
+        return (FieldScalar(self, v) for v in range(self.cardinality))
 
     # -- raw arithmetic, which builds the tables --------------------------------
 
-    def _raw_mul(self, a, b):
+    def _raw_mul(self, a: int, b: int) -> int:
+        """The index of the product of the elements of indices a and b: their
+        coordinate polynomials multiplied modulo the modulus."""
         p, m = self.p, self.m
-        if m == 1:
-            return (a * b) % p
         prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
+        bs = _digits(b, p, m)
+        for i, ai in enumerate(_digits(a, p, m)):
             if ai:
-                for j, bj in enumerate(b):
+                for j, bj in enumerate(bs):
                     prod[i + j] += ai * bj
         # reduce modulo y^m + c_{m-1}y^{m-1} + ... + c_0
         mod = self.modulus
@@ -206,11 +210,10 @@ class Field:
             if c:
                 for i in range(m):
                     prod[k - m + i] -= c * mod[i]
-            prod[k] = 0
-        return tuple(x % p for x in prod[:m])
+        return _index(prod[:m], p)
 
-    def _raw_pow(self, a, e: int):
-        res = self.one.v
+    def _raw_pow(self, a: int, e: int) -> int:
+        res = 1
         while e:
             if e & 1:
                 res = self._raw_mul(res, a)
@@ -220,16 +223,17 @@ class Field:
 
     def _build_tables(self):
         g = self.primitive_element().v
-        exp = [None] * (self.cardinality - 1)
-        log = {}
-        acc = self.one.v
+        exp = [0] * (self.cardinality - 1)
+        log: list[int | None] = [None] * self.cardinality
+        acc = 1
         for i in range(len(exp)):
             exp[i] = acc
             log[acc] = i
             acc = self._raw_mul(acc, g)
-        # Zech logarithms: zech[k] = log(1 + g^k), None where 1 + g^k = 0
-        one = self.one
-        zech = [log.get((FieldScalar(self, e) + one).v) for e in exp]
+        # Zech logarithms: zech[k] = log(1 + g^k), None where 1 + g^k = 0;
+        # adding 1 raises the coordinate c_0 only
+        p = self.p
+        zech = [log[e - e % p + (e + 1) % p] for e in exp]
         self._exp, self._log, self._zech = exp, log, zech
 
     # -- table arithmetic ----------------------------------------------------------
@@ -260,9 +264,9 @@ class Field:
         if self._primitive is None:
             q1 = self.cardinality - 1
             qs = list(factorize(q1))
-            for a in self.elements():
-                if a and all(self._raw_pow(a.v, q1 // q) != self.one.v for q in qs):
-                    self._primitive = a
+            for a in range(1, self.cardinality):
+                if all(self._raw_pow(a, q1 // q) != 1 for q in qs):
+                    self._primitive = FieldScalar(self, a)
                     break
             else:  # pragma: no cover - never reached, the group is cyclic
                 raise FieldError("no primitive element found")
@@ -363,7 +367,7 @@ def _poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     m = len(coeffs)
     for d in range(1, m // 2 + 1):
         for k in range(p**d):
-            g = [k // p**i % p for i in range(d)]  # y^d + sum g[i] y^i
+            g = _digits(k, p, d)  # y^d + sum g[i] y^i
             r = list(coeffs) + [1]
             for top in range(m, d - 1, -1):
                 if c := r[top]:
@@ -377,7 +381,7 @@ def _poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
 def _modulus(p: int, m: int) -> tuple[int, ...]:
     """The first monic irreducible polynomial of degree m over GF(p) in
     base-p order (one always exists): y itself, (0,), for m = 1."""
-    candidates = (tuple(k // p**i % p for i in range(m)) for k in range(p**m))
+    candidates = (_digits(k, p, m) for k in range(p**m))
     return next(c for c in candidates if _poly_is_irreducible(c, p))
 
 

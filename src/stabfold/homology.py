@@ -722,70 +722,39 @@ def exterior_ring_check(cx, expected_degrees: list[int]) -> dict:
 # -- induced maps -----------------------------------------------------------------------
 
 
-class ChainMap:
-    """Degree-0 map between fiber complexes, given on basis monomials."""
+def induced_map_rank(source, target) -> dict:
+    """Per-(s, u) rank of the map on cohomology induced by the monomial map
+    source -> target that keeps each monomial the target holds and sends the
+    rest to 0 (an inclusion, or the projection onto a subcomplex), with
+    isomorphism and surjectivity verdicts.
 
-    def __init__(self, source, target, fn):
-        self.source = source
-        self.target = target
-        self.fn = fn
+    The map must commute with d: keep(d m) = d(keep m) is checked on every
+    source monomial m, and a failure raises ValueError."""
+    def keep(terms: dict) -> Cochain:
+        return Cochain(target.n, {m: c for m, c in terms.items() if target.contains(m)})
 
-    def apply(self, z: Cochain) -> Cochain:
-        out = Cochain(self.target.n, {})
-        for mask, c in z.terms.items():
-            out = out + self.fn(mask).scale(c)
-        return out
+    for s in range(source.top_degree + 1):
+        for mask in source.basis(s):
+            image = target.d_monomial(mask) if target.contains(mask) else {}
+            if keep(source.d_monomial(mask)).terms != image:
+                raise ValueError(f"not a chain map at {format_monomial(mask, source.n)}")
 
-    def verify_chain_property(self) -> None:
-        src = self.source
-        tgt = self.target
-        for s in range(src.top_degree + 1):
-            for mask in src.basis(s):
-                lhs = self.apply(Cochain(src.n, src.d_monomial(mask)))
-                rhs = tgt.d_cochain(self.fn(mask))
-                if lhs != rhs:
-                    raise ValueError(
-                        f"not a chain map at {format_monomial(mask, src.n)}"
-                    )
-
-
-def inclusion_map(sub, full) -> ChainMap:
-    one = full.field.one
-    return ChainMap(sub, full, lambda m: Cochain(full.n, {m: one}))
-
-
-def monomial_projection(full, target) -> ChainMap:
-    """Kill basis monomials outside the target subcomplex, keep the rest."""
-    one = target.field.one
-
-    def fn(mask):
-        if target.contains(mask):
-            return Cochain(target.n, {mask: one})
-        return Cochain(target.n, {})
-
-    return ChainMap(full, target, fn)
-
-
-def induced_map_rank(chmap: ChainMap) -> dict:
-    """Per-(s, u) rank of the induced map on cohomology, with isomorphism and
-    surjectivity verdicts."""
-    chmap.verify_chain_property()
-    src_coh = Cohomology(chmap.source)
-    tgt_coh = Cohomology(chmap.target)
-    field = chmap.source.field
+    src_coh = Cohomology(source)
+    tgt_coh = Cohomology(target)
+    field = source.field
     ranks: dict[tuple[int, int], int] = {}
     src_b: dict[tuple[int, int], int] = {}
     tgt_b: dict[tuple[int, int], int] = {}
 
     keys = set()
-    for s in range(chmap.source.top_degree + 1):
-        keys.update((s, u) for u in chmap.source.blocks(s))
-    for s in range(chmap.target.top_degree + 1):
-        keys.update((s, u) for u in chmap.target.blocks(s))
+    for s in range(source.top_degree + 1):
+        keys.update((s, u) for u in source.blocks(s))
+    for s in range(target.top_degree + 1):
+        keys.update((s, u) for u in target.blocks(s))
 
     for (s, u) in sorted(keys):
-        sb = src_coh.block(s, u) if u in chmap.source.blocks(s) else None
-        tb = tgt_coh.block(s, u) if u in chmap.target.blocks(s) else None
+        sb = src_coh.block(s, u) if u in source.blocks(s) else None
+        tb = tgt_coh.block(s, u) if u in target.blocks(s) else None
         sdim = sb.dim if sb else 0
         tdim = tb.dim if tb else 0
         if sdim:
@@ -797,7 +766,7 @@ def induced_map_rank(chmap: ChainMap) -> dict:
             continue
         image_rows = []
         for i in range(sdim):
-            img = chmap.apply(sb.representative(i))
+            img = keep(sb.representative(i).terms)
             coords = tb.reduce(img)
             vec = field.coding.encode_row(dict(enumerate(coords)))
             if vec:

@@ -28,6 +28,7 @@ the one layer.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 from .exterior import Cochain, add_term, format_monomial, split_join, subset_sums
@@ -36,10 +37,8 @@ from .ravenel import bundle_digits, kronecker_term_table
 
 
 class KummerConnection:
-    def __init__(self, n: int, params: dict[int, Fraction], flavor: str = "custom",
-                 p: int | None = None):
+    def __init__(self, n: int, params: dict[int, Fraction], flavor: str = "custom"):
         self.n = n
-        self.p = p
         self.flavor = flavor
         self.params = params  # slot -> Fraction
         self.denominator = lcm(*(f.denominator for f in params.values())) if params else 1
@@ -59,7 +58,7 @@ class KummerConnection:
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 params[(i - 1) * n + (j - 1)] = Fraction(-(p ** (i + j) - p**j), mod)
-        return cls(n, params, flavor="semilinear", p=p)
+        return cls(n, params, flavor="semilinear")
 
     @classmethod
     def custom(cls, n: int, pairs: dict[tuple[int, int], Fraction]) -> "KummerConnection":
@@ -175,16 +174,15 @@ def solve_h_diagonal(n: int, field: Field, eps, delta, mode: str = "sigma",
     if not eps or not delta:
         raise ValueError("transports connect smooth fibers only (eps, delta != 0)")
     ratio = delta * eps.inverse()
-    sort_key = lambda x: x.v
     out: list[Transport] = []
     if mode == "sigma":
-        for zeta in sorted(nth_roots(field, ratio, n), key=sort_key):
+        for zeta in sorted(nth_roots(field, ratio, n), key=FieldScalar.coordinates):
             out.append(Transport(n, field, eps, delta, zeta, [zeta] * n, "sigma"))
     elif mode == "semilinear":
         if q is None:
             raise ValueError("semilinear mode needs the Frobenius power q")
         e = (q**n - 1) // (q - 1)
-        for zeta in sorted(nth_roots(field, ratio, e), key=sort_key):
+        for zeta in sorted(nth_roots(field, ratio, e), key=FieldScalar.coordinates):
             xs = [field.zero] * n
             xs[0] = zeta
             for j in range(1, n):
@@ -192,19 +190,12 @@ def solve_h_diagonal(n: int, field: Field, eps, delta, mode: str = "sigma",
             out.append(Transport(n, field, eps, delta, zeta, xs, "semilinear"))
     elif mode == "all":
         nonzero = [x for x in field.elements() if x]
-        def rec(prefix):
-            if len(prefix) == n - 1:
-                prod = field.one
-                for x in prefix:
-                    prod = prod * x
-                xn = ratio * prod.inverse()
-                if xn:
-                    out.append(Transport(n, field, eps, delta, None,
-                                         prefix + [xn], "all"))
-                return
-            for x in nonzero:
-                rec(prefix + [x])
-        rec([])
+        for prefix in product(nonzero, repeat=n - 1):
+            prod = field.one
+            for x in prefix:
+                prod = prod * x
+            out.append(Transport(n, field, eps, delta, None,
+                                 [*prefix, ratio * prod.inverse()], "all"))
     else:
         raise ValueError(f"unknown transport mode {mode!r}")
     for t in out:

@@ -229,11 +229,9 @@ def _integer_epsilon(descriptor: "DgaDescriptor") -> int:
     """eps as the integer integer_d evaluates at: the residue of a
     prime-subfield scalar."""
     v = descriptor.epsilon.v
-    if descriptor.field.m == 1:
-        return v
-    if any(v[1:]):
+    if v >= descriptor.field.p:
         raise ValueError("epsilon must lie in the prime subfield")
-    return v[0]
+    return v
 
 
 class Complex:

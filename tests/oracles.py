@@ -386,7 +386,7 @@ class Poly:
         for i, c in enumerate(self.coeffs):
             if not c:
                 continue
-            cv = c.v if self.field.m == 1 else list(c.v)
+            cv = c.v if self.field.m == 1 else list(c.coordinates())
             parts.append(f"{cv}" if i == 0 else (f"{cv}*x^{i}" if i > 1 else f"{cv}*x"))
         return " + ".join(parts)
 

@@ -15,6 +15,8 @@ from stabfold.gf import (
     nth_roots,
     primitive_root_of_unity,
 )
+from stabfold.homology import Cohomology
+from stabfold.ravenel import build_gl, subcomplex
 
 
 def test_field_create_prime_field():
@@ -219,6 +221,37 @@ def test_the_modulus_of_every_field_is_pinned():
     assert len(triples) == 93
     assert hashlib.sha256(repr(triples).encode()).hexdigest() == (
         "a0de9600ed07f80b76b90f67a588fe2140ae177f4c3afb31fde55d375b90ddc2")
+
+
+def test_extension_field_results_are_pinned():
+    # coordinates of the primitive element of the 36 fields GF(p^m), m >= 2,
+    # up to 3,000 elements, and of every class representative of the
+    # critical complex of gl_4 over GF(13^2) in every block, as computed
+    # while an element of GF(p^m) was its tuple of coordinates
+    prims = [(p, m, field_create(p, m).primitive_element().coordinates())
+             for p, m in prime_powers(3000)]
+    coh = Cohomology(subcomplex(build_gl(4, field_create(13, 2), 13), "critical"))
+    reps = [(s, u, i, sorted((mask, c.coordinates())
+                             for mask, c in coh.representative((s, u, i)).terms.items()))
+            for s, u, i in coh.classes()]
+    assert len(prims) == 36 and len(reps) == 16
+    assert hashlib.sha256(repr((prims, reps)).encode()).hexdigest() == (
+        "b595c3bcae41d6e8c887201c8d5be2d84ad4eac2a69afe863d708b51c43b7ce4")
+
+
+@pytest.mark.parametrize("p, m", prime_powers(125))
+def test_table_sums_agree_with_coordinate_arithmetic_on_every_pair(p, m):
+    # +, - and unary - read the log, exp and Zech tables; the oracle adds
+    # coordinates mod p.  * reads the tables too, _raw_mul none
+    f = field_create(p, m)
+    coords = list(product(range(p), repeat=m))
+    elems = [f.scalar(c) for c in coords]
+    for a, x in zip(coords, elems):
+        assert -x == f.scalar([-ai for ai in a])
+        for b, y in zip(coords, elems):
+            assert x + y == f.scalar([ai + bi for ai, bi in zip(a, b)])
+            assert x - y == f.scalar([ai - bi for ai, bi in zip(a, b)])
+            assert (x * y).v == f._raw_mul(x.v, y.v)
 
 
 def mobius(n: int) -> int:

@@ -170,6 +170,18 @@ def test_transport_semilinear_mode():
         assert t.xs[1] == f.pow(t.xs[0], 5)
 
 
+def test_transports_are_listed_by_the_coordinates_of_their_root():
+    # over GF(p^2) the roots sort as coordinate pairs (c_0, c_1), which is not
+    # the order of their indices c_0 + p c_1
+    def roots(n, p, **mode):
+        ts = solve_h_diagonal(n, field_create(p, 2), 1, 1, **mode)
+        return [t.zeta.coordinates() for t in ts]
+
+    assert roots(4, 3, mode="sigma") == [(0, 1), (0, 2), (1, 0), (2, 0)]
+    assert roots(2, 5, mode="semilinear", q=5) == [
+        (1, 0), (2, 1), (2, 4), (3, 1), (3, 4), (4, 0)]
+
+
 def test_transport_torsor_composition():
     f = field_create(19)
     t1 = solve_h_diagonal(3, f, 1, 8, mode="sigma")[0]

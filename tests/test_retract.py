@@ -16,7 +16,7 @@ from oracles import (
 
 from stabfold.exterior import Cochain, degree, generator_mask
 from stabfold.gf import field_create, primitive_root_of_unity
-from stabfold.homology import induced_map_rank, inclusion_map
+from stabfold.homology import induced_map_rank
 from stabfold.ravenel import Complex, build_gl, subcomplex
 from stabfold.retract import (
     Derivation,
@@ -237,7 +237,7 @@ def test_kernel_model_gl2_is_critical_complex():
     for s in range(5):
         assert model.basis(s) == cc.basis(s)
     assert closure_oracle(cx, members(model)) == []
-    out = induced_map_rank(inclusion_map(model, cx))
+    out = induced_map_rank(model, cx)
     assert out["quasi_isomorphism"]
 
 
