@@ -145,19 +145,6 @@ def first_subscript_sum(mask: int, n: int) -> int:
     return first_subscript_filtration(mask, n) % n
 
 
-def _sorted_monomial(slots: list[int]) -> tuple[int, int]:
-    """(sign, mask) of a product of distinct generators written in the given
-    slot order: the sign is the parity of the permutation sorting the list."""
-    sign = 1
-    mask = 0
-    for a, s in enumerate(slots):
-        for t in slots[a + 1:]:
-            if s > t:
-                sign = -sign
-        mask |= 1 << s
-    return sign, mask
-
-
 def dihedral(n: int, a: int, reflect: bool = False):
     """The signed permutation of the monomials induced by σ^a: h[i,j] ->
     h[i,j+a], or with ``reflect`` by σ^a τ: h[i,j] -> h[i,a-i-j], as a
@@ -245,9 +232,14 @@ def parse_monomial(text: str, n: int) -> tuple[int, int]:
         pos = m.end()
     if text[pos:].strip() or not slots:
         raise ValueError(f"not a monomial: {text!r}")
-    if len(set(slots)) != len(slots):
-        raise ValueError(f"repeated generator in {text!r}")
-    return _sorted_monomial(slots)
+    sign, mask = 1, 0
+    for s in slots:
+        w = wedge(mask, 1 << s)
+        if w is None:
+            raise ValueError(f"repeated generator in {text!r}")
+        flip, mask = w
+        sign *= flip
+    return sign, mask
 
 
 def format_monomial(mask: int, n: int) -> str:

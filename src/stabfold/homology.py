@@ -9,6 +9,10 @@ rows are inserted shortest first, and the coding's single ``row -= c * prow``
 step serves rank, reduced echelon form, kernels and reduction of
 representatives.  A row space has exactly one reduced echelon form with pivots
 at least columns, so every result is independent of the insertion order.
+``insert_row`` also serves the filtered pairing of ``pages.run_pages``,
+whose insertion order is the filtration's, deepest source first, not
+shortest first: there the pivot each source lands on is the result, not
+only the row space.
 
 Every complex read here, a ``ravenel.Complex`` or a ``FiniteComplex``, has
 field-scalar coefficients; the family over F[x] reaches this module only
@@ -24,7 +28,7 @@ rows, and every consumer reads those rows rather than expanding d again:
 BlockCohomology(s, u) and, at the image columns the first has found, the
 coboundaries of BlockCohomology(s + 1, u), holding them only until the second
 has taken them; ``exterior_ring_check`` reads its Betti profile off those
-blocks' classes; and ``pages.run_pages`` filters them by the filtration.  A
+blocks' classes; and ``pages.run_pages`` pairs them by the filtration.  A
 ``FiniteComplex`` on arbitrary labels (the cores, medial layers and x-adic
 windows of ``pages``) is read the same way.
 

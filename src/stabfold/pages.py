@@ -3,11 +3,17 @@
 Conventions: filtrations are decreasing (F^t contains F^(t+1)) and the
 differential never lowers the filtration value, so the page-r differential
 goes E_r^(s,t) -> E_r^(s+1,t+r).  Everything splits along the internal class
-u, and pages are computed blockwise from dimensions of the classical
-subspaces Z_r^(s,t) = {x in F^t C^s : dx in F^(t+r)}:
+u, and pages are computed blockwise from one filtered pairing of each block
+(Zomorodian-Carlsson): its sources, inserted with ``homology.insert_row``
+deepest first, against its targets, indexed from the shallowest.  Each pivot
+pairs a source at filtration a with the shallowest target of its reduced
+image, at b >= a.  A row is reduced only by rows inserted before it, which
+lie as deep or deeper, so the change of basis is filtered; over a field the
+complex splits into such pairs and singletons, and the pair lengths b - a,
+which do not depend on how ties are ordered, are the pages (Basu-Parida):
 
-    dim E_r^(s,t) = z_r(s,t) - z_(r-1)(s,t+1)
-                  - z_(r-1)(s-1,t-r+1) + z_r(s-1,t-r+1).
+    dim E_r^(s,t) = dim C^(s,t) - #(pair ends at (s, t) of length < r),
+    rank d_r out of (s,t) = #(pairs from (s, t) of length r).
 
 For a filtration of span W every differential on pages beyond W vanishes for
 lack of targets, which is the collapse certificate.  The critical block,
@@ -16,14 +22,11 @@ whose members are listed without enumerating the full complex; its
 certificate is checked again on the pair table the block reads d from.
 
 ``run_pages`` expands no differential itself: it reads each block's
-``homology.block_matrix`` rows once, checks on their entries that d never
-lowers the filtration, and cuts each z_r matrix out of them by the source
-and target filtration values.  A z_r matrix of a block is fixed by two
-counts, nc source columns with fil >= t and nr target rows with fil < t + r,
-so each distinct (nc, nr) is eliminated once, however many (t, r) cut it
-out.  When the pages reach E-infinity, their totals
-are cross-checked against Betti numbers from the rank of each full block,
-taken on the same rows before they are cut.
+``homology.block_matrix`` rows once and checks on their entries that d never
+lowers the filtration.  When the pages reach E-infinity, their totals are
+cross-checked against Betti numbers from the rank of each full block, an
+elimination of the same rows apart from the pairing, so a lost or an extra
+pair fails.
 
 The monodromy spectral sequences read one ``kummer.FixedLayer``, whose
 terms carry the exponent e = k + alpha(b') - alpha(b): ``core_pages`` gives
@@ -34,10 +37,11 @@ filtration, which need e = 0 on every term.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections import Counter
 
 from .exterior import add_term, first_subscript_filtration, format_monomial
-from .homology import FiniteComplex, betti, betti_numbers, block_matrix, matrix_rank
+from .homology import (FiniteComplex, betti, betti_numbers, block_matrix, insert_row,
+                       matrix_rank)
 from .ravenel import Complex, DgaDescriptor, subcomplex
 
 
@@ -129,11 +133,12 @@ def run_pages(fc: FilteredComplex, r_max: int | None = None) -> PageReport:
 
     Pages are listed for r = 1 .. min(r_max, span + 1); differentials beyond
     the filtration span vanish for lack of targets, so the listed range
-    certifies the collapse page.  Each z_r matrix is eliminated once per
-    distinct (nc, nr), its counts of columns and rows, not once per (t, r).
+    certifies the collapse page.  Each (s, u) block is paired once: its
+    sources, inserted deepest first, against its targets, indexed from the
+    shallowest, and every page and rank is counted off the pair lengths.
     When the listed range reaches E-infinity, its totals per (s, u) are
     cross-checked against Betti numbers from the ranks of the full block
-    rows, taken apart from the cut z_r matrices.
+    rows, eliminated apart from the pairing.
     """
     cx = fc.cx
     field = cx.field
@@ -143,21 +148,21 @@ def run_pages(fc: FilteredComplex, r_max: int | None = None) -> PageReport:
     r_stop = max(r_stop, 1)
     to_infinity = r_stop >= span + 1
 
-    # per (s, u): source fil values, target fil values, and the d-matrix
-    data: dict[tuple[int, int], dict] = {}
-    keys = {(s, u) for s in range(cx.top_degree + 1) for u in cx.blocks(s)}
-
-    def block_data(s, u):
-        """Filtration values and the ``block_matrix`` entries of the (s, u)
-        block by source column, as (target row, code) pairs, once; with the
-        rank of the full block when E-infinity is to be checked."""
-        if (s, u) in data:
-            return data[(s, u)]
+    fils = {(s, u): [fc.fil(m) for m in monos]
+            for s in range(cx.top_degree + 1) for u, monos in cx.blocks(s).items()}
+    page = Counter((s, a, u) for (s, u), src_fil in fils.items() for a in src_fil)
+    # pairs by length b - a, as (s, a, b, u): a source at (s, a) paired with
+    # a target at (s + 1, b)
+    by_length: dict[int, list] = {}
+    block_ranks = {}
+    for (s, u), src_fil in fils.items():
+        tgt_fil = fils.get((s + 1, u), [])
         rows, ncols = block_matrix(cx, s, u)
-        rank = matrix_rank(rows, ncols, field) if to_infinity else None
-        src_fil = [fc.fil(m) for m in cx.blocks(s).get(u, [])]
-        tgt_fil = [fc.fil(m) for m in cx.blocks(s + 1).get(u, [])]
-        cols = [[] for _ in range(ncols)]
+        if to_infinity:
+            block_ranks[(s, u)] = matrix_rank(rows, ncols, field)
+        # d of each source, on targets keyed (fil, index): the least key of a
+        # row is its shallowest target
+        cols = [{} for _ in range(ncols)]
         for i, row in enumerate(rows):
             for j, c in row.items():
                 if src_fil[j] > tgt_fil[i]:
@@ -165,77 +170,30 @@ def run_pages(fc: FilteredComplex, r_max: int | None = None) -> PageReport:
                         "differential lowers the filtration; the decreasing "
                         "convention is violated"
                     )
-                cols[j].append((i, c))
-        entry = {"src_fil": src_fil, "tgt_fil": tgt_fil, "cols": cols,
-                 "src_sorted": sorted(src_fil), "tgt_sorted": sorted(tgt_fil),
-                 "rank": rank}
-        data[(s, u)] = entry
-        return entry
+                cols[j][(tgt_fil[i], i)] = c
+        ech: dict[tuple[int, int], dict] = {}
+        for j in sorted(range(ncols), key=src_fil.__getitem__, reverse=True):
+            pivot = insert_row(cols[j], ech, field)
+            if pivot is not None:
+                a, b = src_fil[j], pivot[0]
+                by_length.setdefault(b - a, []).append((s, a, b, u))
 
-    zcache: dict[tuple[int, int, int, int], int] = {}
-
-    def zdim(s, u, t, r):
-        """dim of {x in F^t C^(s,u) : dx in F^(t+r)}.  The cut matrix has the
-        nc columns with fil >= t and the nr rows with fil < t + r, so
-        (s, u, nc, nr) fixes it and each distinct one is eliminated once."""
-        if s < 0:
-            return 0
-        bd = block_data(s, u)
-        src, tgt = bd["src_sorted"], bd["tgt_sorted"]
-        cut = t + r
-        nc = len(src) - bisect_left(src, t)
-        nr = bisect_left(tgt, cut)
-        if not nc or not nr:
-            return nc
-        key = (s, u, nc, nr)
-        if key not in zcache:
-            rows: dict[int, dict[int, object]] = {}
-            for j, f in enumerate(bd["src_fil"]):
-                if f >= t:
-                    for i, c in bd["cols"][j]:
-                        if bd["tgt_fil"][i] < cut:
-                            rows.setdefault(i, {})[j] = c
-            zcache[key] = nc - matrix_rank(list(rows.values()), nc, field)
-        return zcache[key]
-
+    # E_r has lost both ends of each pair shorter than r; d_r is the pairs of
+    # length exactly r, counted at their sources
     entries: dict[int, dict[tuple[int, int, int], int]] = {}
-    for r in range(1, r_stop + 2):
-        page: dict[tuple[int, int, int], int] = {}
-        for (s, u) in keys:
-            bd = block_data(s, u)
-            fils = sorted(set(bd["src_fil"]))
-            for t in fils:
-                d = (
-                    zdim(s, u, t, r)
-                    - zdim(s, u, t + 1, r - 1)
-                    - zdim(s - 1, u, t - r + 1, r - 1)
-                    + zdim(s - 1, u, t - r + 1, r)
-                )
-                if d:
-                    page[(s, t, u)] = d
-        entries[r] = page
-
     ranks: dict[int, dict[tuple[int, int, int], int]] = {}
     for r in range(1, r_stop + 1):
-        rk: dict[tuple[int, int, int], int] = {}
-        cur, nxt = entries[r], entries[r + 1]
-        for (s, t, u) in sorted(cur):
-            out = (
-                cur.get((s, t, u), 0)
-                - nxt.get((s, t, u), 0)
-                - rk.get((s - 1, t - r, u), 0)
-            )
-            if out:
-                rk[(s, t, u)] = out
-        ranks[r] = rk
+        for s, a, b, u in by_length.get(r - 1, []):
+            page[(s, a, u)] -= 1
+            page[(s + 1, b, u)] -= 1
+        entries[r] = {k: v for k, v in page.items() if v}
+        ranks[r] = dict(Counter((s, a, u) for s, a, _b, u in by_length.get(r, [])))
 
-    last_nonzero = max((r for r, rk in ranks.items() if any(rk.values())), default=0)
-    entries.pop(r_stop + 1, None)
+    last_nonzero = max((r for r, rk in ranks.items() if rk), default=0)
     report = PageReport(entries, ranks, span, last_nonzero + 1 if to_infinity else None)
     if to_infinity:
         einf = report.e_infinity_totals()
-        expected = betti_numbers({k: len(data[k]["src_fil"]) for k in keys},
-                                 {k: bd["rank"] for k, bd in data.items()})
+        expected = betti_numbers({k: len(v) for k, v in fils.items()}, block_ranks)
         if einf != expected:
             raise AssertionError(
                 f"E-infinity totals {einf} disagree with Betti numbers {expected}"

@@ -576,7 +576,7 @@ def test_bad_params_file_exits_2_with_message(capsys, tmp_path, content, message
 ])
 def test_verify_suites_pass_at_n4(capsys, suite):
     # invariant-cycles takes about 9 s on a 2-core machine, run with -m slow;
-    # collapse about 1 s, since run_pages eliminates each cut matrix once
+    # collapse under 1 s, since run_pages pairs each block in one pass
     code, js = run_json(capsys, "verify", suite, "--n", "4")
     assert code == 0 and js["ok"]
 
