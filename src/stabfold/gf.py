@@ -319,9 +319,6 @@ class Coding:
         decode = self.decode
         return {k: decode(c) for k, c in row.items()}
 
-    def neg(self, c: int) -> int:
-        return (c + self.half) % self.q1
-
     def mul(self, a: int, b: int) -> int:
         return (a + b) % self.q1
 

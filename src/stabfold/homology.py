@@ -21,16 +21,36 @@ they enter the engine and decoded where results leave it: representatives,
 class coordinates and cup products are ``FieldScalar``-valued.
 
 ``block_matrix`` is the one place that turns d on an (s, u) block into coded
-rows, and every consumer reads those rows rather than expanding d again:
+rows, one row d(m) per source m, indexed by the monomials of the (s + 1, u)
+block, and every consumer reads those rows rather than expanding d again:
 ``betti`` streams them block by block into ranks, one block per orbit of
 ⟨σ, τ⟩ up to the middle degree;
 ``Cohomology`` hands each block's rows to two consumers, the cocycles of
-BlockCohomology(s, u) and, at the image columns the first has found, the
+BlockCohomology(s, u) and, at the image sources the first has found, the
 coboundaries of BlockCohomology(s + 1, u), holding them only until the second
 has taken them; ``exterior_ring_check`` reads its Betti profile off those
 blocks' classes; and ``pages.run_pages`` pairs them by the filtration.  A
 ``FiniteComplex`` on arbitrary labels (the cores, medial layers and x-adic
-windows of ``pages``) is read the same way.
+windows of ``pages``) is read the same way.  ``block_matrix`` takes a set of
+sources to skip, whose rows it leaves empty without expanding d on them.
+
+Clearing (Chen-Kerber 2011, Bauer-Kerber-Reininghaus 2014) chooses the
+sources to skip.  Let P be the pivots of an echelon of d^(s-1), as columns
+of the (s, u) block, and B = im d^(s-1).  The echelon has one vector of B
+with least column q for each q in P, so the sources outside P together with
+B span C^s, and d^s kills B when d∘d = 0: the rows of the sources outside P span
+im d^s, its rank is unchanged, and only b_s of them reduce to zero, in place
+of rank d^(s-1) + b_s.  ``betti`` walks each class up the degrees and clears
+every block it eliminates by the pivot set of the block one degree down,
+keyed by (s, u, element, e): the same class, and the same split, whole, a
+character λ^e of σ, or a character of an involution σ^a τ'.  A character's
+sources at degree s are its target columns at degree s - 1, as both enumerate
+the same ``group_orbits`` of the (s, u) block filtered by the orbits that
+carry λ^e.  A block whose partner one degree down was copied, not
+eliminated, is cleared by nothing.  The premise d∘d = 0 is
+``ravenel.dd_zero_certificate`` on the complex's pair table, read per
+complex as ``Complex.dd_zero``; a ``FiniteComplex`` and custom member lists
+claim nothing, and clear nothing.
 
 ``betti`` eliminates one block per σ-orbit.  The cyclic shift σ: h[i,j] ->
 h[i,j+1] permutes the generators, so it is an algebra automorphism, and
@@ -56,7 +76,7 @@ sum_j λ^(-e j) σ^j(r) when λ^(e k) = ε, and is zero otherwise: an orbit
 carries exactly the k characters with λ^(e k) = ε (a fixed monomial, k = 1,
 only those with λ^e = ε), and the characters share out the block.  In these
 bases, up to the nonzero scalars k of the source and 1/k' of the target
-orbits, d has the entry sum c (±λ^(e j)) at row r', column r, over the
+orbits, d has the entry sum c (±λ^(e j)) at row r, column r', over the
 terms c t of d(r) with σ^j(r') = ±t, r' the representative of t.  So d is
 read on the representatives only (``characters``), and ``block_matrix``
 assembles each character's rows.  The same holds for any cyclic group of
@@ -98,21 +118,21 @@ monomials are seen to be the monomials of the (N - s, u_top - u) block.
 
 Representatives come from one identity.  Let B = im d_(s-1) and Z = ker d_s
 on a block, and let pi reduce a vector against an echelon of B, zeroing B's
-pivot coordinates; pi is linear with kernel B.  The premise is d∘d = 0,
-which ``ravenel.dd_zero_exhaustive`` establishes monomial by monomial: it
-puts B inside Z, so pi(z) = z - b stays in Z, and
+pivot coordinates; pi is linear with kernel B.  When d∘d = 0, which
+``ravenel.dd_zero_exhaustive`` establishes monomial by monomial, B lies
+inside Z, so pi(z) = z - b stays in Z, and
 
-    pi(Z) = Z ∩ span{e_q : q not a pivot of B}.
+    pi(Z) = Z ∩ span{e_q : q not a pivot of B},
 
-A block's classes are therefore the kernel of d_s with B's pivot columns
-deleted: one vector per class, where the full kernel of d_s has one per
-dimension of Z.
-
-The premise serves twice: d_s kills pi(v) - v in B, so d_s∘pi = d_s, and d_s
-on the columns that are no pivot of B has the image of d_s.  The pivots of
-its reduced echelon form, the block's image columns, index a column basis:
-d_s there is a basis of the next block's B, and the next block's coboundary
-echelon takes only those columns, none of which reduces to zero.
+one vector per class, where Z has one per dimension.  ``nullspace`` finds it
+in one identity-augmented pass over the rows of the sources outside B's
+pivots, the same clearing as ``betti``'s: the row of q is d(e_q) followed
+by e_q in a second part of the columns.  A row that pivots in the d part is
+a source whose image is independent of those before it, and these image
+sources index a basis of im d_s, the next block's B; a row that pivots in
+the identity part is a cocycle, and these cocycles span pi(Z), as d_s∘pi =
+d_s.  Their reduced echelon form is the unique one of pi(Z): the
+representatives.
 """
 
 from __future__ import annotations
@@ -155,9 +175,14 @@ def echelon(rows, field: Field) -> dict[int, dict]:
     return ech
 
 
-def matrix_rank(rows, ncols: int, field: Field) -> int:
-    """Number of pivots of coded rows; the engine does not need ncols."""
-    return len(echelon(rows, field))
+def matrix_rank(rows, ncols: int, field: Field, pivots: set | None = None) -> int:
+    """Number of pivots of coded rows; the engine does not need ncols.  The
+    pivot columns are added to ``pivots`` when it is given: they clear the
+    next degree (see the module docstring)."""
+    ech = echelon(rows, field)
+    if pivots is not None:
+        pivots.update(ech)
+    return len(ech)
 
 
 def rref(rows: list[dict[int, object]], field: Field):
@@ -175,30 +200,28 @@ def rref(rows: list[dict[int, object]], field: Field):
     return [dict(ech[p]) for p in pivots], pivots
 
 
-def nullspace(rows: list[dict[int, object]], ncols: int, field: Field):
-    """Kernel basis of the coded matrix (rows act on column vectors), one
-    coded vector per free column, echelon-style and deterministic."""
-    rr, pivots = rref(rows, field)
-    return rref_kernel(rr, pivots, range(ncols), field)
+def nullspace(rows: list[dict], width: int, field: Field, skip=()):
+    """Image and kernel of the map whose source q has the coded row rows[q]
+    on the columns 0 .. width - 1, on the sources outside ``skip``, in one
+    identity-augmented pass: the row of q is rows[q] plus e_q at column
+    width + q, inserted in ascending q.  A row pivots in the first part
+    exactly when rows[q] is independent of the kept rows before it.
 
-
-def rref_kernel(rr, pivots, labels, field: Field):
-    """Kernel basis of a reduced echelon form ``rref`` returned on the columns
-    0 .. len(labels) - 1: one coded vector per non-pivot column, written with
-    column k relabelled labels[k]."""
-    coding = field.coding
-    pivot_set = set(pivots)
-    basis = []
-    for k, free in enumerate(labels):
-        if k in pivot_set:
-            continue
-        vec = {free: coding.one}
-        for p, row in zip(pivots, rr):
-            v = row.get(k)
-            if v is not None:
-                vec[labels[p]] = coding.neg(v)
-        basis.append(vec)
-    return basis
+    Returns those image sources, ascending, and the reduced echelon form of
+    the rows that pivot in the identity part, relabelled to the sources, with
+    its pivots: a basis of the kernel on span{e_q : q not in skip}."""
+    one = field.coding.one
+    ech: dict[int, dict] = {}
+    image = []
+    for q, row in enumerate(rows):
+        if q not in skip:
+            augmented = dict(row)
+            augmented[width + q] = one
+            # e_q stays in the row: every row before it ends left of width + q
+            if insert_row(augmented, ech, field) < width:
+                image.append(q)
+    kernel = [{c - width: v for c, v in row.items()} for p, row in ech.items() if p >= width]
+    return (image, *rref(kernel, field))
 
 
 def reduce_against(vec: dict[int, object], rr_rows, pivots, field: Field):
@@ -270,7 +293,7 @@ class FiniteComplex:
     def block_orbits(self, s: int) -> list[list[int]]:
         return [[u] for u in self.blocks(s)]
 
-    sigma_acts = tau_acts = False
+    sigma_acts = tau_acts = dd_zero = False
 
     def dual_class(self, u: int) -> None:
         return None
@@ -282,14 +305,15 @@ class FiniteComplex:
 class Character(NamedTuple):
     """The λ^e-eigenspace of a cyclic group of signed permutations on an
     (s, u) block that it maps onto itself, as ``block_matrix`` reads it:
-    ``columns`` holds (r, d(r)) for each source representative r whose orbit
+    ``sources`` holds (r, d(r)) for each source representative r whose orbit
     carries λ^e, and ``targets`` maps every monomial t of the (s + 1, u) block
-    to (row, code of ±λ^(e j)), g^j(r') = ±t for the representative r' of t,
-    with row None when the orbit of r' does not carry λ^e."""
+    to (column, code of ±λ^(e j)), g^j(r') = ±t for the representative r' of
+    t, with column None when the orbit of r' does not carry λ^e; ``width``
+    counts the target representatives whose orbits carry λ^e."""
     e: int
-    columns: list
+    sources: list
     targets: dict
-    nrows: int
+    width: int
 
 
 def group_orbits(cx, s: int, u: int, a: int, reflect: bool) -> tuple[list, dict]:
@@ -324,13 +348,13 @@ def characters(cx, s: int, u: int, element=(1, False), es=None,
         # an orbit of size k carries λ^e when λ^(e k) is the sign of g^k on it
         carries = {(k, sign) for k in range(1, order + 1) for sign, one in sign_of.items()
                    if power[k] == one}
-        columns = [t for t, (_r, k, sign) in zip(terms, src) if (k, sign) in carries]
-        row_of = {}
+        sources = [t for t, (_r, k, sign) in zip(terms, src) if (k, sign) in carries]
+        column_of = {}
         for o, (_r, k, sign) in enumerate(tgt):
             if (k, sign) in carries:
-                row_of[o] = len(row_of)
-        targets = {t: (row_of.get(o), code[sign][j]) for t, (o, j, sign) in where.items()}
-        out.append(Character(e, columns, targets, len(row_of)))
+                column_of[o] = len(column_of)
+        targets = {t: (column_of.get(o), code[sign][j]) for t, (o, j, sign) in where.items()}
+        out.append(Character(e, sources, targets, len(column_of)))
     return out
 
 
@@ -363,29 +387,34 @@ def reflection_tables(cx, s: int, u: int, a: int):
         return None
 
 
-def block_matrix(cx, s: int, u: int, character: Character | None = None):
-    """Coded rows of d^s restricted to the (s, u) block: one sparse row per
-    target in the (s+1, u) block, columns indexed by the source basis.
+def block_matrix(cx, s: int, u: int, character: Character | None = None, skip=()):
+    """Coded rows of d^s restricted to the (s, u) block: one sparse row d(m)
+    per source m of the block, indexed by the (s + 1, u) block, and the
+    number of those target columns.  The row of each source index in
+    ``skip`` is left empty, and d is not expanded on it.
 
     Given a ``Character`` λ^e of σ on a σ-fixed block, the rows of d on its
-    eigenspace instead: one column per representative in
-    ``character.columns``, one row per target representative that carries
-    λ^e.  A term c t of d(r) adds c (±λ^(e j)) at the row of t's
-    representative r', σ^j(r') = ±t (see the module docstring)."""
+    eigenspace instead: one row per representative in ``character.sources``,
+    one column per target representative that carries λ^e.  A term c t of
+    d(r) adds c (±λ^(e j)) at the column of t's representative r',
+    σ^j(r') = ±t (see the module docstring)."""
     coding = cx.field.coding
     encode, mul, add_to = coding.encode, coding.mul, coding.add_to
     if character is None:
         src = cx.blocks(s).get(u, [])
         tgt = cx.blocks(s + 1).get(u, [])
-        columns = zip(src, map(cx.d_monomial, src))
-        # no character: each target is its own row, and no code is scaled
+        sources = [(m, None if j in skip else cx.d_monomial(m)) for j, m in enumerate(src)]
+        # no character: each target is its own column, and no code is scaled
         targets = {m: (i, None) for i, m in enumerate(tgt)}
-        nrows, ncols = len(tgt), len(src)
+        width = len(tgt)
     else:
-        columns, targets, nrows = character.columns, character.targets, character.nrows
-        ncols = len(columns)
-    rows: list[dict[int, object]] = [dict() for _ in range(nrows)]
-    for j, (mask, terms) in enumerate(columns):
+        sources, targets, width = character.sources, character.targets, character.width
+    rows: list[dict[int, object]] = []
+    for j, (mask, terms) in enumerate(sources):
+        row: dict[int, object] = {}
+        rows.append(row)
+        if j in skip:
+            continue
         for t, c in terms.items():
             hit = targets.get(t)
             if hit is None:
@@ -394,11 +423,11 @@ def block_matrix(cx, s: int, u: int, character: Character | None = None):
                 raise AssertionError(f"differential leaves block u={u}: {where}")
             i, shift = hit
             if shift is None:
-                rows[i][j] = encode(c)
+                row[i] = encode(c)
             elif i is not None:
                 # two terms of d(r) may share a representative
-                add_to(rows[i], j, mul(encode(c), shift))
-    return rows, ncols
+                add_to(row, i, mul(encode(c), shift))
+    return rows, width
 
 
 def betti_numbers(dims: dict, ranks: dict) -> dict:
@@ -425,7 +454,11 @@ def block_ranks(cx) -> tuple[dict, dict]:
     exactly the (N - s, v) monomials.  That pins v to u_top - u, as classes
     add along products, so the complements of the target (s + 1, u) lie in
     the dual's source (N - 1 - s, v); a nonempty target gets the same check
-    in turn, as a source one degree up."""
+    in turn, as a source one degree up.
+
+    Each block eliminated is cleared, when ``cx.dd_zero``, by the pivot set
+    of the block one degree down in the same class and split (see the module
+    docstring); ``pivots`` keeps those sets by (s, u, element, e)."""
     field, top = cx.field, cx.top_degree
     full = (1 << top) - 1
 
@@ -439,6 +472,7 @@ def block_ranks(cx) -> tuple[dict, dict]:
     sigma_orbits = cache(lambda s, u: group_orbits(cx, s, u, 1, False))
     ranks: dict[tuple[int, int], int] = {}
     dims: dict[tuple[int, int], int] = {}
+    pivots: dict[tuple, set] = {}
 
     def sizes(s, u):
         return len(blocks[s].get(u, ())), len(blocks[s + 1].get(u, ()))
@@ -449,8 +483,11 @@ def block_ranks(cx) -> tuple[dict, dict]:
                                "whose rank it takes differ in size")
         ranks[key] = ranks[found]
 
-    def rank(s, u, character=None):
-        return matrix_rank(*block_matrix(cx, s, u, character), field)
+    def rank(s, u, element=None, character=None):
+        e = None if character is None else character.e
+        rows, width = block_matrix(cx, s, u, character, pivots.get((s - 1, u, element, e), ()))
+        found = pivots.setdefault((s, u, element, e), set()) if cx.dd_zero else None
+        return matrix_rank(rows, width, field, found)
 
     def rank_lead(s, orbit):
         """The rank of the lead block of a σ-orbit: copied along τ from a
@@ -469,16 +506,19 @@ def block_ranks(cx) -> tuple[dict, dict]:
                                [e for e in range(n) if not paired or e <= -e % n],
                                (sigma_orbits(s, lead), sigma_orbits(s + 1, lead)))
             # τ maps λ^e onto λ^(-e)
-            ranks[(s, lead)] = sum(
-                rank(s, lead, ch) * (2 if paired and ch.e != -ch.e % n else 1) for ch in parts)
+            ranks[(s, lead)] = sum(rank(s, lead, (1, False), ch)
+                                   * (2 if paired and ch.e != -ch.e % n else 1) for ch in parts)
         else:
             tables = None
             if v in orbit and splits(2):
                 # σ^a maps v = p^b u back to u for a = -b
                 a = -orbit.index(v) % cx.n
                 tables = reflection_tables(cx, s, lead, a)
-            parts = characters(cx, s, lead, (a, True), None, tables) if tables else [None]
-            ranks[(s, lead)] = sum(rank(s, lead, ch) for ch in parts)
+            if tables:
+                ranks[(s, lead)] = sum(rank(s, lead, (a, True), ch)
+                                       for ch in characters(cx, s, lead, (a, True), None, tables))
+            else:
+                ranks[(s, lead)] = rank(s, lead)
 
     for s in range(top + 1):
         for orbit in cx.block_orbits(s):
@@ -514,17 +554,19 @@ class BlockCohomology:
     reduced echelon form plus the machinery to reduce any cocycle to class
     coordinates.
 
-    d_out and d_in are the ``block_matrix`` rows of d on this block, whose
-    kernel Z holds the cocycles, and of d on the (s - 1, u) block, whose
-    columns at ``image``, that block's ``image_cols``, are a basis of the
-    coboundaries B.  As d∘d = 0 puts B inside Z, reducing Z against an echelon
-    of B gives pi(Z) = Z ∩ span{e_q : q not a pivot of B} (see the module
-    docstring): the kernel of d_out with B's pivot columns deleted, whose
-    reduced echelon basis is the representatives, one vector per class.  The
-    pivots of that restricted d_out, as columns of this block, are
-    ``image_cols``, a basis of the (s + 1, u) block's coboundaries."""
+    d_in are the ``block_matrix`` rows of d on the (s - 1, u) block, whose
+    rows at ``image``, that block's ``image_cols``, are a basis of the
+    coboundaries B.  As d∘d = 0 puts B inside Z = ker d, reducing Z against
+    an echelon of B gives pi(Z) = Z ∩ span{e_q : q not a pivot of B} (see
+    the module docstring): the kernel that ``nullspace`` finds on the sources
+    that are no pivot of B, whose reduced echelon basis is the
+    representatives, one vector per class.  Its rows come from
+    d_out(skip), called once with B's pivots as skip: the ``block_matrix``
+    rows of d on this block, those of skip left empty.  The sources whose
+    rows pivot are ``image_cols``, and their rows are a basis of the
+    (s + 1, u) block's coboundaries."""
 
-    def __init__(self, cx, s: int, u: int, *, d_out: list, d_in: list, image: list):
+    def __init__(self, cx, s: int, u: int, *, d_out, d_in: list, image: list):
         self.cx = cx
         self.s = s
         self.u = u
@@ -533,21 +575,11 @@ class BlockCohomology:
         self.monomials = cx.blocks(s).get(u, [])
         self.index = {m: i for i, m in enumerate(self.monomials)}
 
-        cob_vectors: dict[int, dict] = {j: {} for j in image}
-        for i, row in enumerate(d_in):
-            for j in cob_vectors.keys() & row.keys():
-                cob_vectors[j][i] = row[j]
-        cob = echelon(cob_vectors.values(), field)
+        cob = echelon([d_in[j] for j in image], field)
         self.cob_pivots = sorted(cob)
         self.cob_rows = [cob[p] for p in self.cob_pivots]
-
-        # the kernel of d_out on the columns that are no pivot of B
-        free = [q for q in range(len(self.monomials)) if q not in cob]
-        at = {q: k for k, q in enumerate(free)}
-        restricted = [{at[q]: c for q, c in row.items() if q in at} for row in d_out]
-        rr, pivots = rref(restricted, field)
-        self.image_cols = [free[k] for k in pivots]
-        self.rep_rows, self.rep_pivots = rref(rref_kernel(rr, pivots, free, field), field)
+        width = len(self.cx.blocks(s + 1).get(u, []))
+        self.image_cols, self.rep_rows, self.rep_pivots = nullspace(d_out(cob), width, field, cob)
 
     @property
     def dim(self) -> int:
@@ -587,11 +619,12 @@ class BlockCohomology:
 class Cohomology:
     """Lazy per-block cohomology of a ``ravenel.Complex``.
 
-    A block is built after the block below it, whose image columns it takes.
+    A block is built after the block below it, whose image sources it takes.
     The rows of d on an (s, u) block serve two blocks: BlockCohomology(s, u)
     takes its cocycles, BlockCohomology(s + 1, u) its coboundaries at the
-    image columns.  They are assembled once, for the first, and held only
-    until the second takes them."""
+    image sources.  They are assembled once, for the first, but for the
+    sources that are pivots of its coboundaries, and held only until the
+    second takes them, and only when some row is nonzero."""
 
     def __init__(self, cx):
         if isinstance(cx, FiniteComplex):
@@ -605,12 +638,16 @@ class Cohomology:
         key = (s, u)
         if key not in self._blocks:
             image = self.block(s - 1, u).image_cols if u in self.cx.blocks(s - 1) else []
-            d_out = block_matrix(self.cx, s, u)[0]
+
+            def d_out(skip):
+                rows = block_matrix(self.cx, s, u, skip=skip)[0]
+                if any(rows):
+                    self._held[key] = rows
+                return rows
+
             self._blocks[key] = BlockCohomology(
                 self.cx, s, u, d_out=d_out, d_in=self._held.pop((s - 1, u), []),
                 image=image)
-            if d_out:
-                self._held[key] = d_out
         return self._blocks[key]
 
     def classes(self) -> list[tuple[int, int, int]]:

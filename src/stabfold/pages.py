@@ -22,11 +22,20 @@ whose members are listed without enumerating the full complex; its
 certificate is checked again on the pair table the block reads d from.
 
 ``run_pages`` expands no differential itself: it reads each block's
-``homology.block_matrix`` rows once and checks on their entries that d never
-lowers the filtration.  When the pages reach E-infinity, their totals are
-cross-checked against Betti numbers from the rank of each full block, an
-elimination of the same rows apart from the pairing, so a lost or an extra
-pair fails.
+``homology.block_matrix`` rows, one per source, once, and checks on the
+entries the pairing reads that d never lowers the filtration.
+
+The twist (Chen-Kerber 2011) skips, when d∘d = 0 (``Complex.dd_zero``),
+each source that was paired as a target one degree down.  Such a target q
+is the shallowest term of a reduced row, a coboundary b = c e_q + (terms at
+least as deep); replacing e_q by b is a filtered change of basis, b is a
+cocycle whose row is zero, and the pair lengths do not depend on the
+filtered basis.  So the skipped sources lose no pair and add none.
+
+When the pages reach E-infinity, their totals are cross-checked against
+Betti numbers from the rank of each block, an echelon of the same rows
+apart from the pairing, cleared by its own pivots one degree down and never
+by the pairing's, so a lost or an extra pair fails.
 
 The monodromy spectral sequences read one ``kummer.FixedLayer``, whose
 terms carry the exponent e = k + alpha(b') - alpha(b): ``core_pages`` gives
@@ -137,8 +146,11 @@ def run_pages(fc: FilteredComplex, r_max: int | None = None) -> PageReport:
     sources, inserted deepest first, against its targets, indexed from the
     shallowest, and every page and rank is counted off the pair lengths.
     When the listed range reaches E-infinity, its totals per (s, u) are
-    cross-checked against Betti numbers from the ranks of the full block
-    rows, eliminated apart from the pairing.
+    cross-checked against Betti numbers from the rank of each block, its own
+    echelon apart from the pairing.  When ``cx.dd_zero``, the pairing skips
+    the sources paired as targets one degree down (the twist), and the
+    echelon those of its own pivots one degree down (``homology``'s
+    clearing); d is expanded only on the sources one of the two reads.
     """
     cx = fc.cx
     field = cx.field
@@ -155,28 +167,42 @@ def run_pages(fc: FilteredComplex, r_max: int | None = None) -> PageReport:
     # a target at (s + 1, b)
     by_length: dict[int, list] = {}
     block_ranks = {}
+    # per block, when d∘d = 0: the targets it paired, skipped as sources one
+    # degree up (the twist), and the pivots of its E-infinity echelon
+    paired: dict[tuple[int, int], set] = {}
+    pivots: dict[tuple[int, int], set] = {}
     for (s, u), src_fil in fils.items():
         tgt_fil = fils.get((s + 1, u), [])
-        rows, ncols = block_matrix(cx, s, u)
+        twist, cleared = paired.get((s - 1, u), set()), pivots.get((s - 1, u), set())
+        rows, width = block_matrix(cx, s, u, skip=twist & cleared)
         if to_infinity:
-            block_ranks[(s, u)] = matrix_rank(rows, ncols, field)
-        # d of each source, on targets keyed (fil, index): the least key of a
+            found = pivots.setdefault((s, u), set()) if cx.dd_zero else None
+            block_ranks[(s, u)] = matrix_rank(
+                [row for j, row in enumerate(rows) if j not in cleared], width, field, found)
+        # targets from the shallowest, ties by index: the least column of a
         # row is its shallowest target
-        cols = [{} for _ in range(ncols)]
-        for i, row in enumerate(rows):
-            for j, c in row.items():
+        order = sorted(range(len(tgt_fil)), key=lambda i: (tgt_fil[i], i))
+        column = {i: k for k, i in enumerate(order)}
+        ech, hit = {}, set()
+        for j in sorted(range(len(rows)), key=src_fil.__getitem__, reverse=True):
+            if j in twist:
+                continue
+            row = {}
+            for i, c in rows[j].items():
                 if src_fil[j] > tgt_fil[i]:
                     raise AssertionError(
                         "differential lowers the filtration; the decreasing "
                         "convention is violated"
                     )
-                cols[j][(tgt_fil[i], i)] = c
-        ech: dict[tuple[int, int], dict] = {}
-        for j in sorted(range(ncols), key=src_fil.__getitem__, reverse=True):
-            pivot = insert_row(cols[j], ech, field)
+                row[column[i]] = c
+            pivot = insert_row(row, ech, field)
             if pivot is not None:
-                a, b = src_fil[j], pivot[0]
-                by_length.setdefault(b - a, []).append((s, a, b, u))
+                i = order[pivot]
+                hit.add(i)
+                by_length.setdefault(tgt_fil[i] - src_fil[j], []).append(
+                    (s, src_fil[j], tgt_fil[i], u))
+        if cx.dd_zero:
+            paired[(s, u)] = hit
 
     # E_r has lost both ends of each pair shorter than r; d_r is the pairs of
     # length exactly r, counted at their sources

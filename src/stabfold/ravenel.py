@@ -38,9 +38,11 @@ cyclic shift σ commutes with d and multiplies the internal class by p, so
 ``betti`` eliminates one block per σ-orbit and splits the σ-fixed ones by
 the characters of σ; ``tau_certificate`` that the reflection τ anticommutes
 with d, so it pairs σ-orbits and halves the blocks that some σ^a τ keeps;
-and ``duality_certificate`` that d vanishes in degree n^2 - 1, so it copies
-the ranks above the middle degree from their Poincaré-dual blocks (see
-``homology``).  All three hold only for the member sets in SIGMA_STABLE.
+``duality_certificate`` that d vanishes in degree n^2 - 1, so it copies
+the ranks above the middle degree from their Poincaré-dual blocks; and
+``dd_zero_certificate`` that d∘d vanishes on the generators, so it clears
+each elimination by the pivots of the one below it (see ``homology``).  All
+four hold only for the member sets in SIGMA_STABLE.
 """
 
 from __future__ import annotations
@@ -336,6 +338,13 @@ class Complex:
         return self._sigma_stable and tau_certificate(self.pairs, self.n, self.p)
 
     @cached_property
+    def dd_zero(self) -> bool:
+        """Does d∘d vanish, by ``dd_zero_certificate``?  Claimed for the
+        member sets that σ keeps; ``homology`` clears its eliminations by it,
+        and custom member lists clear nothing."""
+        return self._sigma_stable and dd_zero_certificate(self.pairs, self.n)
+
+    @cached_property
     def _dual(self) -> bool:
         # members closed under complement: for fsc, the top monomial's sum is 0 mod n
         top = (1 << self.top_degree) - 1
@@ -505,6 +514,27 @@ def duality_certificate(pairs, n: int, p: int) -> bool:
     terms, top = term_table(pairs, KRONECKER_BASE), (1 << n * n) - 1
     return internal_degree(top, n, p) == 0 and not any(
         any(integer_d(terms, top ^ (1 << b)).values()) for b in range(n * n))
+
+
+def dd_zero_certificate(pairs, n: int) -> bool:
+    """Does d∘d vanish on the complexes of the height-n pair table ``pairs``,
+    at every integer eps?
+
+    Checked on the n^2 generators: d(d(g)) = 0 over the integers at
+    eps = KRONECKER_BASE, where its balanced base-B digits are the
+    coefficients of 1, eps and eps^2, so it vanishes at every integer eps.  d
+    is an odd derivation, so d∘d is an even one, d(d(a b)) = d(d a) b +
+    a d(d b), and vanishing on the generators it vanishes on every
+    monomial."""
+    terms = term_table(pairs, KRONECKER_BASE)
+    for g in range(n * n):
+        dd: dict[int, int] = {}
+        for t1, v1 in integer_d(terms, 1 << g).items():
+            for t2, v2 in integer_d(terms, t1).items():
+                dd[t2] = dd.get(t2, 0) + v1 * v2
+        if any(dd.values()):
+            return False
+    return True
 
 
 def subcomplex(cx: Complex, which: str) -> Complex:

@@ -14,7 +14,10 @@ units, without the package's generator pair table or wedge signs.
 `below_dropped_terms` a term table whose Leibniz signs skip the generators
 below g, and `extra_term_table` a term that breaks the duality certificate.
 `full_kernel_representatives` is no independent code but the earlier way of
-taking a block's classes, kept as a reference for the present one.
+taking a block's classes, kept as a reference for the present one, with the
+earlier kernel, `kernel_basis`, read off a reduced echelon form.
+`transpose` turns the package's rows, one per source, into the rows of the
+same matrix by target, as the oracles above read it.
 `wedge_sign_oracle` takes wedge signs by bubble sort of slot lists, and
 `sigma_shift_oracle` the signs of the cyclic shift σ with it, and
 `tau_oracle` those of every element σ^a and σ^a τ of the dihedral group,
@@ -52,7 +55,7 @@ from stabfold.exterior import (
     wedge,
 )
 from stabfold.gf import Field, FieldScalar
-from stabfold.homology import insert_row, nullspace, reduce_against, rref
+from stabfold.homology import insert_row, reduce_against, rref
 from stabfold.kummer import Transport
 from stabfold.ravenel import bundle_digits, kronecker_term_table
 from stabfold.retract import Derivation
@@ -499,9 +502,40 @@ def compose_transports(first, then):
     return Transport(first.n, first.field, first.eps, then.delta, zeta, xs, first.mode)
 
 
+def transpose(rows, width):
+    """The coded rows of a matrix, rows[j] over columns 0 .. width - 1, read
+    by column: (one row per column i, holding (j, c) for each entry c of
+    rows[j] at i, and the number of rows).  ``transpose(*block_matrix(...))``
+    is d on a block as one row per target, indexed by the sources."""
+    out = [{} for _ in range(width)]
+    for j, row in enumerate(rows):
+        for i, c in row.items():
+            out[i][j] = c
+    return out, len(rows)
+
+
+def kernel_basis(rows, ncols, field):
+    """Kernel basis of coded rows acting on column vectors, one coded vector
+    per non-pivot column of their reduced echelon form."""
+    coding = field.coding
+    rr, pivots = rref(rows, field)
+    pivot_set = set(pivots)
+    basis = []
+    for k in range(ncols):
+        if k in pivot_set:
+            continue
+        vec = {k: coding.one}
+        for p, row in zip(pivots, rr):
+            v = row.get(k)
+            if v is not None:
+                vec[p] = coding.mul(v, coding.half)  # -v
+        basis.append(vec)
+    return basis
+
+
 def full_kernel_representatives(d_out, d_in, ncols, field):
     """A block's class representatives the long way: the full kernel of the
-    coded rows d_out, each vector reduced against the reduced echelon form of
+    coded rows d_out, one per target, each vector reduced against the reduced echelon form of
     the coboundary columns of d_in, and the reduced echelon form of what
     survives; returns (rows, pivots)."""
     cob: dict[int, dict] = {}
@@ -510,7 +544,7 @@ def full_kernel_representatives(d_out, d_in, ncols, field):
             cob.setdefault(j, {})[i] = c
     cob_rows, cob_pivots = rref(list(cob.values()), field)
     reduced = [reduce_against(v, cob_rows, cob_pivots, field)
-               for v in nullspace(d_out, ncols, field)]
+               for v in kernel_basis(d_out, ncols, field)]
     return rref([r for r in reduced if r], field)
 
 

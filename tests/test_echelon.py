@@ -9,7 +9,7 @@ scalar arithmetic.
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_rank_oracle
+from oracles import dense_rank_oracle, kernel_basis, transpose
 
 from stabfold.gf import field_create
 from stabfold.homology import echelon, matrix_rank, nullspace, reduce_against, rref
@@ -49,6 +49,24 @@ def add_multiple(rows, i, j, c):
         else:
             out[i].pop(col, None)
     return out
+
+
+@FAST
+@given(matrices(), st.data())
+def test_nullspace_is_the_reduced_kernel_and_the_pivot_columns(mat, data):
+    # on the sources outside skip, the identity-augmented pass gives the
+    # reduced echelon form of the kernel of the earlier rref route and, as
+    # image sources, the pivot columns of the reduced echelon form
+    field, rows, ncols = mat
+    skip = set(data.draw(st.lists(st.integers(0, ncols - 1), max_size=3)))
+    kept = [c for c in range(ncols) if c not in skip]
+    at = {c: k for k, c in enumerate(kept)}
+    restricted = [{at[c]: v for c, v in r.items() if c in at} for r in coded(rows, field)]
+    image, kern, pivots = nullspace(*transpose(coded(rows, field), ncols), field, skip)
+    old = [{kept[k]: v for k, v in vec.items()}
+           for vec in kernel_basis(restricted, len(kept), field)]
+    assert (kern, pivots) == rref(old, field)
+    assert image == [kept[k] for k in rref(restricted, field)[1]]
 
 
 @FAST
@@ -101,7 +119,8 @@ def test_rref_idempotent_with_sorted_normalized_pivots(mat):
 @given(matrices())
 def test_nullspace_annihilates_with_corank_vectors(mat):
     field, rows, ncols = mat
-    kern = nullspace(coded(rows, field), ncols, field)
+    # nullspace reads one row per source, a column of rows
+    _image, kern, _pivots = nullspace(*transpose(coded(rows, field), ncols), field)
     assert len(kern) == ncols - matrix_rank(coded(rows, field), ncols, field)
     for vec in map(field.coding.decode_row, kern):
         for row in rows:

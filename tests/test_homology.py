@@ -13,6 +13,7 @@ from oracles import (
     one_cochain,
     sympy_rank,
     tau_oracle,
+    transpose,
 )
 
 from stabfold import homology
@@ -109,9 +110,10 @@ def test_nullspace_annihilates():
     for _ in range(20):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         rows = random_sparse_rows(rng, f, nr, nc)
-        kern = nullspace(coded(rows, f), nc, f)
+        # nullspace reads one row per source, a column of rows
+        image, kern, _pivots = nullspace(*transpose(coded(rows, f), nc), f)
         rank = dense_rank_oracle(rows, nc, f)
-        assert len(kern) == nc - rank
+        assert len(kern) == nc - rank and len(image) == rank
         for v in map(f.coding.decode_row, kern):
             for row in rows:
                 acc = f.zero
@@ -165,7 +167,7 @@ def oracle_betti(cx, rank) -> dict:
     for s in range(cx.top_degree + 1):
         for u, monos in cx.blocks(s).items():
             dims[(s, u)] = len(monos)
-            rows, ncols = block_matrix(cx, s, u)
+            rows, ncols = transpose(*block_matrix(cx, s, u))
             scalars = [cx.field.coding.decode_row(r) for r in rows]
             ranks[(s, u)] = rank(scalars, ncols, cx.field)
     entries = {}
@@ -258,7 +260,9 @@ def test_exterior_ring_check_gl2_and_gl3():
 
 def test_exterior_ring_check_expands_d_once_per_monomial(monkeypatch):
     # each block's rows serve its kernel, the next block's coboundaries and
-    # the class counts; none of them expands d again
+    # the class counts; none of them expands d again, and none expands it on
+    # the pivots of a block's coboundaries, whose rows the kernel never reads:
+    # one per unit of rank of d, (80 - 8) / 2 = 36
     f = field_create(7)
     cc3 = subcomplex(build_gl(3, f, 7), "critical")
     expanded = []
@@ -270,8 +274,12 @@ def test_exterior_ring_check_expands_d_once_per_monomial(monkeypatch):
 
     monkeypatch.setattr(Complex, "d_monomial", counted)
     assert exterior_ring_check(cc3, [1, 3, 5])["holds"]
-    assert len(expanded) == cc3.dim() == 80
-    assert sorted(expanded) == sorted(m for s in range(10) for m in cc3.basis(s))
+    monkeypatch.undo()
+    coh = Cohomology(cc3)
+    unread = {coh.block(s, 0).monomials[q] for s in range(10) for q in coh.block(s, 0).cob_pivots}
+    assert cc3.dim() == 80 and len(unread) == 36
+    assert sorted(expanded) == sorted(m for s in range(10) for m in cc3.basis(s)
+                                      if m not in unread)
 
 
 # complexes whose every block the class tests visit, by coverage id
@@ -309,7 +317,7 @@ def test_block_classes_against_dense_oracle(case):
     for s, u in _blocks(cx):
         bc = coh.block(s, u)
         ncols = len(bc.monomials)
-        d_out = [decode(r) for r in block_matrix(cx, s, u)[0]]
+        d_out = [decode(r) for r in transpose(*block_matrix(cx, s, u))[0]]
         ranks[(s, u)] = dense_rank_oracle(d_out, ncols, field)
         rank_b = ranks.get((s - 1, u), 0)
         assert bc.dim == ncols - ranks[(s, u)] - rank_b
@@ -317,7 +325,7 @@ def test_block_classes_against_dense_oracle(case):
             assert not cx.d_cochain(bc.representative(i))
         cob: dict[int, dict] = {}
         if s > 0 and u in cx.blocks(s - 1):
-            for i, row in enumerate(block_matrix(cx, s - 1, u)[0]):
+            for i, row in enumerate(transpose(*block_matrix(cx, s - 1, u))[0]):
                 for j, c in decode(row).items():
                     cob.setdefault(j, {})[i] = c
         reps = [decode(r) for r in bc.rep_rows]
@@ -334,8 +342,8 @@ def test_block_classes_equal_full_kernel_pipeline(case):
     coh = Cohomology(cx)
     for s, u in _blocks(cx):
         bc = coh.block(s, u)
-        d_in = block_matrix(cx, s - 1, u)[0] if s > 0 else []
-        old = full_kernel_representatives(block_matrix(cx, s, u)[0], d_in,
+        d_in = transpose(*block_matrix(cx, s - 1, u))[0] if s > 0 else []
+        old = full_kernel_representatives(transpose(*block_matrix(cx, s, u))[0], d_in,
                                           len(bc.monomials), cx.field)
         assert (bc.rep_rows, bc.rep_pivots) == old
 
@@ -363,7 +371,7 @@ def test_coboundary_echelon_takes_no_dependent_vector(case, monkeypatch):
         bc = coh.block(s, u)
         assert sizes == [(len(bc.cob_pivots), len(bc.cob_pivots))]
         cob: dict[int, dict] = {}
-        for i, row in enumerate(block_matrix(cx, s - 1, u)[0] if s > 0 else []):
+        for i, row in enumerate(transpose(*block_matrix(cx, s - 1, u))[0] if s > 0 else []):
             for j, c in row.items():
                 cob.setdefault(j, {})[i] = c
         assert bc.cob_pivots == rref(list(cob.values()), cx.field)[1]
@@ -482,7 +490,7 @@ def test_block_matrix_respects_blocks():
     cx = build_singular(2, 11, f)
     for s in range(4):
         for u in cx.blocks(s):
-            rows, ncols = block_matrix(cx, s, u)
+            rows, ncols = transpose(*block_matrix(cx, s, u))
             assert ncols == len(cx.blocks(s)[u])
 
 
@@ -551,8 +559,8 @@ def assert_characters_split(cx, oracle=None) -> int:
         for u in [orbit[0] for orbit in cx.block_orbits(s) if len(orbit) == 1]:
             chars = characters(cx, s, u)
             assert [ch.e for ch in chars] == list(range(n))
-            assert sum(len(ch.columns) for ch in chars) == len(cx.blocks(s)[u])
-            assert sum(ch.nrows for ch in chars) == len(cx.blocks(s + 1).get(u, []))
+            assert sum(len(ch.sources) for ch in chars) == len(cx.blocks(s)[u])
+            assert sum(ch.width for ch in chars) == len(cx.blocks(s + 1).get(u, []))
             rows, ncols = block_matrix(cx, s, u)
             rank = matrix_rank(rows, ncols, field)
             by_e = [matrix_rank(*block_matrix(cx, s, u, ch), field) for ch in chars]
@@ -586,7 +594,7 @@ def test_character_ranks_add_up_to_the_block_rank(monkeypatch, n, p, eps):
     for c in complexes:
         assert assert_characters_split(c, oracle) >= n * n + 1
     if n == 4:
-        assert [len(ch.columns) for ch in characters(cx, 7, 0)] == [97] * 4
+        assert [len(ch.sources) for ch in characters(cx, 7, 0)] == [97] * 4
 
 
 def test_betti_finds_the_sigma_orbits_of_each_block_once(monkeypatch):
@@ -631,12 +639,12 @@ def count_block_matrix_calls(monkeypatch, whole=None) -> list:
     without a character are appended to ``whole`` as well."""
     calls = []
 
-    def counted(cx, s, u, character=None):
+    def counted(cx, s, u, character=None, skip=()):
         if character is None or character.e == 0:
             calls.append((s, u))
         if character is None and whole is not None:
             whole.append((s, u))
-        return block_matrix(cx, s, u, character)
+        return block_matrix(cx, s, u, character, skip)
 
     monkeypatch.setattr(homology, "block_matrix", counted)
     return calls
@@ -850,6 +858,8 @@ def test_custom_member_lists_get_singleton_orbits(monkeypatch):
         for s in range(c.top_degree + 1):
             assert c.block_orbits(s) == [[u] for u in c.blocks(s)]
             assert all(c.dual_class(u) is None for u in c.blocks(s))
+        # nor is d∘d = 0 claimed for them: betti clears nothing there
+        assert not c.dd_zero
 
 
 # -- the reflection τ ------------------------------------------------------------
@@ -871,8 +881,8 @@ def assert_reflections_split(cx) -> int:
         a = -orbit.index(v) % cx.n
         halves = characters(cx, s, u, (a, True))
         assert [ch.e for ch in halves] == [0, 1]
-        assert sum(len(ch.columns) for ch in halves) == len(cx.blocks(s)[u])
-        assert sum(ch.nrows for ch in halves) == len(cx.blocks(s + 1).get(u, []))
+        assert sum(len(ch.sources) for ch in halves) == len(cx.blocks(s)[u])
+        assert sum(ch.width for ch in halves) == len(cx.blocks(s + 1).get(u, []))
         assert (sum(matrix_rank(*block_matrix(cx, s, u, ch), field) for ch in halves)
                 == matrix_rank(*block_matrix(cx, s, u), field)), (s, u, a)
         split += 1
@@ -954,18 +964,108 @@ def test_tau_pairs_and_splits_the_headline_fiber(monkeypatch):
 
 
 def test_betti_counters_at_the_headline_fiber(monkeypatch):
-    # the work of betti(ravenel n = 4, p = 37, eps = 0): the columns handed to
-    # matrix_rank (7,568 with σ alone) and the expansions of d (6,827)
+    # the work of betti(ravenel n = 4, p = 37, eps = 0): the source rows
+    # handed to elimination (7,568 with σ alone, 6,023 uncleared) and the
+    # expansions of d (6,827 with σ alone, 3,719 uncleared)
     cx = build_singular(4, 37, field_create(37))
-    cols, expanded = [], []
-    rank, d_monomial = homology.matrix_rank, Complex.d_monomial
-    monkeypatch.setattr(homology, "matrix_rank",
-                        lambda rows, ncols, field: cols.append(ncols) or rank(rows, ncols, field))
+    rows, expanded = [], []
+    d_monomial = Complex.d_monomial
+
+    def counted(cx, s, u, character=None, skip=()):
+        out = block_matrix(cx, s, u, character, skip)
+        rows.append(len(out[0]) - len(skip))
+        return out
+
+    monkeypatch.setattr(homology, "block_matrix", counted)
     monkeypatch.setattr(Complex, "d_monomial",
                         lambda c, mask: expanded.append(mask) or d_monomial(c, mask))
     assert betti(cx).grand_total() == 3440
-    assert (sum(cols), len(expanded)) == (6023, 3719)
+    assert (sum(rows), len(expanded)) == (4614, 3632)
     assert len(set(expanded)) == len(expanded)
+
+
+def assert_clearing_keeps_ranks(cx) -> int:
+    """Every block betti eliminates cleared by a nonempty set: the set is
+    the pivot set of d one degree down on the same class and split, whole, a
+    character λ^e of σ or one of an involution σ^a τ', eliminated uncleared;
+    no cleared row is assembled; the rank is the uncleared rank of the same
+    rows, and the rows that reduce to zero number b_s of that class and
+    split.  Returns how many blocks were cleared."""
+    field = cx.field
+    cleared, element_of = [], {}
+
+    def split(c, s, u, element=(1, False), es=None, tables=None):
+        out = characters(c, s, u, element, es, tables)
+        element_of.update((id(ch), (element, ch)) for ch in out)
+        return out
+
+    def assembled(c, s, u, character=None, skip=()):
+        rows, width = block_matrix(c, s, u, character, skip)
+        if skip:
+            cleared.append((s, u, character, set(skip), rows))
+        return rows, width
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "characters", split)
+        mp.setattr(homology, "block_matrix", assembled)
+        block_ranks(cx)
+
+    def piece(s, u, element, e):
+        """The uncleared rows of d on the (s, u) block's class and split."""
+        if element is None:
+            return block_matrix(cx, s, u)[0]
+        return block_matrix(cx, s, u, characters(cx, s, u, element, [e])[0])[0]
+
+    for s, u, character, skip, rows in cleared:
+        element = None if character is None else element_of[id(character)][0]
+        e = None if character is None else character.e
+        whole, below = piece(s, u, element, e), piece(s - 1, u, element, e)
+        assert skip == set(homology.echelon(below, field)), (s, u, element, e)
+        assert not any(rows[j] for j in skip)
+        rank = matrix_rank(rows, 0, field)
+        assert rank == matrix_rank(whole, 0, field), (s, u, element, e)
+        b_s = len(whole) - rank - matrix_rank(below, 0, field)
+        assert len(rows) - len(skip) - rank == b_s, (s, u, element, e)
+    return len(cleared)
+
+
+@pytest.mark.parametrize("n,p", [(1, 3), (2, 11), (2, 2), (3, 19), (3, 2), (4, 37)])
+@pytest.mark.parametrize("eps", [0, 1, 2])
+def test_cleared_ranks_equal_uncleared_ranks(n, p, eps):
+    # below the middle degree of n <= 2 only d^0 = 0 lies under a block
+    cx = build_deformed(n, p, field_create(p), eps)
+    for c in (cx, subcomplex(cx, "critical"), subcomplex(cx, "fsc")):
+        assert c.dd_zero
+        assert (assert_clearing_keeps_ranks(c) > 0) == (n > 2)
+
+
+def test_cleared_ranks_gl4_over_gf169():
+    cx = build_gl(4, field_create(13, 2), 13)
+    for c in (cx, subcomplex(cx, "critical"), subcomplex(cx, "fsc")):
+        assert assert_clearing_keeps_ranks(c) > 0
+
+
+def test_clearing_rests_on_the_dd_zero_certificate(monkeypatch):
+    # the sign and term faults that the σ, τ and duality tests plant all
+    # break d∘d = 0: the certificate refuses each, betti clears nothing and
+    # equals the oracle; forced to clear, it drops sources whose rows d∘d ≠ 0
+    # keeps independent, and the Betti table is wrong
+    n, p = 3, 19
+    real = ravenel.generator_pair_table
+    assert all(ravenel.dd_zero_certificate(real(m), m) for m in (2, 3, 4, 5))
+    field = field_create(p)
+    for faulty in (flipped_sign_table(real(n)), flipped_sign_table(real(n), 3, 0),
+                   flipped_along_j(real(n), n, 3, 0), extra_term_table(real(n), n, 1, 2)):
+        assert not ravenel.dd_zero_certificate(faulty, n)
+        monkeypatch.setattr(ravenel, "generator_pair_table",
+                            lambda m, faulty=faulty: faulty if m == n else real(m))
+        cx = build_deformed(n, p, field, 1)
+        assert not cx.dd_zero
+        expected = oracle_betti(cx, dense_rank_oracle)
+        assert betti(cx).entries == expected
+        forced = build_deformed(n, p, field, 1)
+        monkeypatch.setattr(forced, "dd_zero", True)
+        assert betti(forced).entries != expected
 
 
 def test_a_term_that_breaks_tau_but_keeps_sigma_leaves_every_sigma_lead_eliminated(

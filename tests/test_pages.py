@@ -3,7 +3,7 @@ from oracles import dense_rank_oracle
 
 from stabfold.exterior import first_subscript_filtration, generator_mask
 from stabfold.gf import field_create
-from stabfold.homology import FiniteComplex, betti
+from stabfold.homology import FiniteComplex, betti, block_ranks
 from stabfold.kummer import FixedLayer, KummerConnection
 from stabfold.pages import (
     FilteredComplex,
@@ -432,15 +432,17 @@ def test_run_pages_matches_cut_matrices_ranked_by_the_oracle(monkeypatch, case):
 def test_run_pages_pairs_and_ranks_each_block_once(monkeypatch, block, blocks):
     # on gl_3 over GF(19) each (s, u) block is ranked once, for the
     # E-infinity check, and paired in one pass that inserts each of its
-    # sources once
+    # sources once.  Each leaves out rank d^(s-1) sources: the ranking its
+    # own pivots one degree down, the pass the sources paired as targets one
+    # degree down
     from stabfold import pages
 
     real_rank, real_insert = pages.matrix_rank, pages.insert_row
     ranked, passes = [], []  # passes: [echelon, rows inserted into it]
 
-    def counted_rank(rows, ncols, field):
-        ranked.append(ncols)
-        return real_rank(rows, ncols, field)
+    def counted_rank(rows, ncols, field, pivots=None):
+        ranked.append(len(rows))
+        return real_rank(rows, ncols, field, pivots)
 
     def counted_insert(row, ech, field):
         if not passes or passes[-1][0] is not ech:
@@ -457,5 +459,9 @@ def test_run_pages_pairs_and_ranks_each_block_once(monkeypatch, block, blocks):
     sizes = sorted(len(monos) for s in range(fc.cx.top_degree + 1)
                    for monos in fc.cx.blocks(s).values())
     assert len(sizes) == blocks
-    assert sorted(ranked) == sizes
-    assert sorted(count for _ech, count in passes) == sizes
+    ranks = block_ranks(fc.cx)[1]
+    kept = sorted(len(monos) - ranks.get((s - 1, u), 0) for s in range(fc.cx.top_degree + 1)
+                  for u, monos in fc.cx.blocks(s).items())
+    assert sum(kept) < sum(sizes)
+    assert sorted(ranked) == kept
+    assert sorted(count for _ech, count in passes) == [k for k in kept if k]

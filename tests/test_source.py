@@ -42,7 +42,6 @@ def test_package_imports_only_the_standard_library():
 
 # definitions that no package code names, each with its callers
 _NAMED_OUTSIDE_THE_PACKAGE = {
-    "homology.nullspace": "the tests",
     "homology.exterior_ring_check": "acceptance criterion 4 and perfbench gl4-critical",
 }
 
