@@ -9,10 +9,9 @@ monomial is lexicographic on (i, j) and monomial equality is integer equality.
 ``add_term`` is the one merge-add into a sparse combination {key: nonzero
 coefficient}; cochains, d of a cochain, the shift and the derivations use it.
 
-Every element of the dihedral group ⟨σ, τ⟩, σ: h[i,j] -> h[i,j+1] and
-τ: h[i,j] -> h[i,-i-j], keeps the first subscript, so ``dihedral`` acts on
-monomials row by row from tables, with the reordering sign, and
-``cyclic_orbits`` lists the orbits of one signed permutation on a block.
+The cyclic shift σ: h[i,j] -> h[i,j+1] and its powers keep the first
+subscript, so ``sigma_power`` acts on monomials row by row from tables, with
+the reordering sign.
 
 The gradings are additive over the generators, so the monomials where one
 vanishes are a meet-in-the-middle join: ``subset_sums`` tabulates it on the
@@ -27,7 +26,7 @@ import re
 from functools import cache
 
 MAX_N = 5  # 25 slots; full-basis scans stay inside one machine word
-# the dihedral actions look up whole rows of at most this many slots at once
+# the powers of σ look up whole rows of at most this many slots at once
 _CHUNK_BITS = 10
 
 
@@ -145,29 +144,28 @@ def first_subscript_sum(mask: int, n: int) -> int:
     return first_subscript_filtration(mask, n) % n
 
 
-def dihedral(n: int, a: int, reflect: bool = False):
+def sigma_power(n: int, a: int):
     """The signed permutation of the monomials induced by σ^a: h[i,j] ->
-    h[i,j+a], or with ``reflect`` by σ^a τ: h[i,j] -> h[i,a-i-j], as a
-    function mask -> (sign, image).
+    h[i,j+a], as a function mask -> (sign, image).
 
-    Every element keeps the first subscript, so it permutes the slots of each
-    i-row among themselves, the rows keep their order, and a generator passes
-    only generators of its own row: the sign is the parity of the inversions
-    of the images within each row.  The action is tabulated over chunks of
+    σ^a keeps the first subscript, so it permutes the slots of each i-row
+    among themselves, the rows keep their order, and a generator passes only
+    generators of its own row: the sign is the parity of the inversions of
+    the images within each row.  The action is tabulated over chunks of
     whole rows, one lookup per chunk of image << 1 | parity; the chunks'
     images are disjoint, so one XOR adds the images and the parities."""
-    return _dihedral(n, a % n, bool(reflect))
+    return _sigma_power(n, a % n)
 
 
 @cache
-def _dihedral(n: int, a: int, reflect: bool):
+def _sigma_power(n: int, a: int):
     width = max(1, _CHUNK_BITS // n) * n
     chunks = []
     for base in range(0, n * n, width):
         table = [0]
         for b in range(base, min(base + width, n * n)):
             i, j = b // n + 1, b % n + 1
-            t = slot(i, a - i - j if reflect else j + a, n) + 1
+            t = slot(i, j + a, n) + 1
             # the new generator comes last in its chunk, after every one it
             # joins: it passes those whose images lie above its own
             table += [(e | 1 << t) ^ (e >> t).bit_count() & 1 for e in table]
@@ -180,31 +178,6 @@ def _dihedral(n: int, a: int, reflect: bool):
         return (-1 if image & 1 else 1), image >> 1
 
     return act
-
-
-def cyclic_orbits(masks: list[int], act, sign: int = 1) -> tuple[list, dict]:
-    """The orbits of the cyclic group generated by g: m -> sign * act(m), a
-    signed permutation of the monomials (``act`` a ``dihedral`` element), on
-    a list of monomials that g maps onto itself, in the order of their first
-    members: (representative r, size k, sign ε) with g^k(r) = ε r for each,
-    and, for each monomial t, (orbit, j, sign) with g^j(r) = sign t,
-    0 <= j < k."""
-    orbits: list[tuple[int, int, int]] = []
-    where: dict[int, tuple[int, int, int]] = {}
-    for r in masks:
-        if r in where:
-            continue
-        t, j, total = r, 0, 1
-        while True:
-            where[t] = (len(orbits), j, total)
-            flip, t = act(t)
-            j, total = j + 1, total * flip * sign
-            if t == r:
-                break
-        orbits.append((r, j, total))
-    if len(where) != len(masks):
-        raise ValueError("the action does not map these monomials onto themselves")
-    return orbits, where
 
 
 # -- textual syntax ----------------------------------------------------------------

@@ -287,9 +287,7 @@ class Coding:
     column -> code.  ``encode``/``decode`` map a single nonzero element,
     ``encode_row``/``decode_row`` a row; ``step(row, c, prow)`` is the
     engine's row step (row -= c * prow in place, dropping the entries that
-    cancel) and ``normalize(row, c)`` a new row equal to row / c.  ``mul``
-    multiplies two codes and ``add_to`` adds a code into one entry of a row,
-    for rows assembled from several terms per entry.
+    cancel) and ``normalize(row, c)`` a new row equal to row / c.
 
     Products add logs mod q - 1; -1 = g^h with h = (q - 1)/2, or h = 0 when
     p = 2; g^a + g^b = g^(a + Z(b - a)) with the field's Zech table Z, whose
@@ -318,19 +316,6 @@ class Coding:
     def decode_row(self, row: dict) -> dict:
         decode = self.decode
         return {k: decode(c) for k, c in row.items()}
-
-    def mul(self, a: int, b: int) -> int:
-        return (a + b) % self.q1
-
-    def add_to(self, row: dict, col, c: int) -> None:
-        """row[col] += c in place, dropping an entry that cancels."""
-        a = row.get(col)
-        if a is None:
-            row[col] = c
-        elif (z := self.zech[(c - a) % self.q1]) is None:
-            del row[col]
-        else:
-            row[col] = (a + z) % self.q1
 
     def step(self, row: dict, c: int, prow: dict) -> None:
         q1, zech = self.q1, self.zech

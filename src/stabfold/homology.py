@@ -23,8 +23,8 @@ class coordinates and cup products are ``FieldScalar``-valued.
 ``block_matrix`` is the one place that turns d on an (s, u) block into coded
 rows, one row d(m) per source m, indexed by the monomials of the (s + 1, u)
 block, and every consumer reads those rows rather than expanding d again:
-``betti`` streams them block by block into ranks, one block per orbit of
-⟨σ, τ⟩ up to the middle degree;
+``betti`` streams them block by block into ranks, one block per σ-orbit up
+to the middle degree;
 ``Cohomology`` hands each block's rows to two consumers, the cocycles of
 BlockCohomology(s, u) and, at the image sources the first has found, the
 coboundaries of BlockCohomology(s + 1, u), holding them only until the second
@@ -41,13 +41,8 @@ with least column q for each q in P, so the sources outside P together with
 B span C^s, and d^s kills B when d∘d = 0: the rows of the sources outside P span
 im d^s, its rank is unchanged, and only b_s of them reduce to zero, in place
 of rank d^(s-1) + b_s.  ``betti`` walks each class up the degrees and clears
-every block it eliminates by the pivot set of the block one degree down,
-keyed by (s, u, element, e): the same class, and the same split, whole, a
-character λ^e of σ, or a character of an involution σ^a τ'.  A character's
-sources at degree s are its target columns at degree s - 1, as both enumerate
-the same ``group_orbits`` of the (s, u) block filtered by the orbits that
-carry λ^e.  A block whose partner one degree down was copied, not
-eliminated, is cleared by nothing.  The premise d∘d = 0 is
+every block it eliminates by the pivot set of the block one degree down in
+the same class, keeping those sets by (s, u).  The premise d∘d = 0 is
 ``ravenel.dd_zero_certificate`` on the complex's pair table, read per
 complex as ``Complex.dd_zero``; a ``FiniteComplex`` and custom member lists
 claim nothing, and clear nothing.
@@ -60,46 +55,13 @@ the verdict for its own pair table as ``Complex.sigma_acts``.  So σ maps the
 (s, u) block bijectively onto the (s, p u) block, each monomial to a signed
 monomial, and d on the image block is d on the block conjugated by signed
 permutation matrices: the ranks agree, and the one rank of an orbit is copied
-along it once the blocks' sizes are seen to agree.  Only member sets known to
-be σ-stable share (the full, critical and first-subscript complexes, as
-``Complex.block_orbits`` reads their labels); custom member lists and a
-``FiniteComplex``, whose ``sigma_acts`` and ``tau_acts`` are False, have one
-orbit per block.
-
-A σ-fixed block, p u = u (the critical class u = 0 among them), is its own
-orbit, and σ acts on it.  When the field holds a primitive n-th root of
-unity λ, σ^n = 1 splits the block into the eigenspaces of λ^e, e = 0 .. n-1,
-which d keeps apart, so ``betti`` ranks one small block per character and
-adds the ranks.  On the orbit of a representative r, of size k with
-σ^k(r) = ε r, ε = ±1, the λ^e-eigenspace is spanned by
-sum_j λ^(-e j) σ^j(r) when λ^(e k) = ε, and is zero otherwise: an orbit
-carries exactly the k characters with λ^(e k) = ε (a fixed monomial, k = 1,
-only those with λ^e = ε), and the characters share out the block.  In these
-bases, up to the nonzero scalars k of the source and 1/k' of the target
-orbits, d has the entry sum c (±λ^(e j)) at row r, column r', over the
-terms c t of d(r) with σ^j(r') = ±t, r' the representative of t.  So d is
-read on the representatives only (``characters``), and ``block_matrix``
-assembles each character's rows.  The same holds for any cyclic group of
-signed permutations of a block and its target that commute with d.
-
-The reflection τ: h[i,j] -> h[i,-i-j] permutes the generators too, and
-``ravenel.tau_certificate`` checks on them that d τ = -τ d at every integer
-eps, τ^2 = 1 and τ σ = σ^(-1) τ, read per complex as ``Complex.tau_acts``.
-So τ' = (-1)^s τ on degree s commutes with d.  τ maps the (s, u) block onto
-one block (s, v) only when p is large against n, so each block map is
-checked on every monomial of the block and of its target (``tau_maps``),
-and a block whose check fails is eliminated as it would be without τ.  Three cases, for a lead u of a σ-orbit and v
-the class of τ of its first monomial (``tau_class``):
-- v lies in a σ-orbit ranked before: τ' conjugates d on the (s, u) block to
-  d on the (s, v) block, and the rank is copied, the σ-orbits paired.
-- v = p^b u lies in u's own σ-orbit: ρ = σ^(-b) τ' maps the block onto
-  itself, commutes with d, and ρ^2 = 1, as τ σ^(-b) τ = σ^b.  For odd p its
-  characters ±1 split the block in two, read off the orbits of ρ.  Here the
-  orbit walk of ρ is the check (``reflection_tables``): it stops at a
-  monomial outside the block.
-- The block is σ-fixed and v = u: τ maps the λ^e-eigenspace of σ onto the
-  λ^(-e) one (σ τ x = τ σ^(-1) x), conjugating d, so the λ^(-e) rank is
-  the λ^e rank.
+along it once the blocks' sizes are seen to agree.  An orbit is led by its
+least class, the same in every degree, so the block one degree below an
+eliminated block was eliminated too, and its pivots clear it.  Only member
+sets known to be σ-stable share (the full, critical and first-subscript
+complexes, as ``Complex.block_orbits`` reads their labels); custom member
+lists and a ``FiniteComplex``, whose ``sigma_acts`` is False, have one orbit
+per block.
 
 Above the middle, 2 s > N - 1 for the top degree N, ``betti`` copies each
 rank from a block below.  <a, b>, the coefficient of the top monomial in
@@ -137,13 +99,10 @@ representatives.
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import combinations
-from math import gcd
-from typing import NamedTuple
 
-from .exterior import Cochain, cyclic_orbits, degree, dihedral, format_monomial
-from .gf import Field, primitive_root_of_unity
+from .exterior import Cochain, degree, format_monomial
+from .gf import Field
 
 
 # -- elimination ----------------------------------------------------------------
@@ -293,7 +252,7 @@ class FiniteComplex:
     def block_orbits(self, s: int) -> list[list[int]]:
         return [[u] for u in self.blocks(s)]
 
-    sigma_acts = tau_acts = dd_zero = False
+    sigma_acts = dd_zero = False
 
     def dual_class(self, u: int) -> None:
         return None
@@ -302,132 +261,27 @@ class FiniteComplex:
         return self._diff.get(label, {})
 
 
-class Character(NamedTuple):
-    """The λ^e-eigenspace of a cyclic group of signed permutations on an
-    (s, u) block that it maps onto itself, as ``block_matrix`` reads it:
-    ``sources`` holds (r, d(r)) for each source representative r whose orbit
-    carries λ^e, and ``targets`` maps every monomial t of the (s + 1, u) block
-    to (column, code of ±λ^(e j)), g^j(r') = ±t for the representative r' of
-    t, with column None when the orbit of r' does not carry λ^e; ``width``
-    counts the target representatives whose orbits carry λ^e."""
-    e: int
-    sources: list
-    targets: dict
-    width: int
-
-
-def group_orbits(cx, s: int, u: int, a: int, reflect: bool) -> tuple[list, dict]:
-    """The ``exterior.cyclic_orbits`` on the (s, u) block of σ^a, or with
-    ``reflect`` of the involution (-1)^s σ^a τ, which commutes with d."""
-    sign = -1 if reflect and s % 2 else 1
-    return cyclic_orbits(cx.blocks(s).get(u, []), dihedral(cx.n, a, reflect), sign)
-
-
-def characters(cx, s: int, u: int, element=(1, False), es=None,
-               tables=None) -> list[Character]:
-    """The characters λ^e, e in ``es`` (all by default), of the cyclic group
-    generated by the ``group_orbits`` element (a, reflect) on the (s, u)
-    block: ⟨σ⟩ of order n, or ⟨(-1)^s σ^a τ⟩ of order 2 with λ = -1.  λ is a
-    primitive root of unity of the group's order in the field; the group
-    maps the (s, u) and (s + 1, u) blocks onto themselves.  d is read once on
-    each source representative, for all characters.  ``tables`` are the
-    ``group_orbits`` of the (s, u) and the (s + 1, u) block when the caller
-    has them: ``block_ranks`` keeps those of σ, so a block that is the target
-    of d^(s-1) and the source of d^s has its σ-orbits found once."""
-    field = cx.field
-    a, reflect = element
-    order = 2 if reflect else cx.n // gcd(a, cx.n)
-    encode = field.coding.encode
-    lam, sign_of = primitive_root_of_unity(field, order), {1: field.one, -1: -field.one}
-    (src, _), (tgt, where) = tables or [group_orbits(cx, t, u, a, reflect) for t in (s, s + 1)]
-    terms = [(r, cx.d_monomial(r)) for r, _k, _sign in src]
-    out = []
-    for e in range(order) if es is None else es:
-        power = [field.pow(lam, e * j) for j in range(order + 1)]
-        code = {sign: [encode(x * one) for x in power] for sign, one in sign_of.items()}
-        # an orbit of size k carries λ^e when λ^(e k) is the sign of g^k on it
-        carries = {(k, sign) for k in range(1, order + 1) for sign, one in sign_of.items()
-                   if power[k] == one}
-        sources = [t for t, (_r, k, sign) in zip(terms, src) if (k, sign) in carries]
-        column_of = {}
-        for o, (_r, k, sign) in enumerate(tgt):
-            if (k, sign) in carries:
-                column_of[o] = len(column_of)
-        targets = {t: (column_of.get(o), code[sign][j]) for t, (o, j, sign) in where.items()}
-        out.append(Character(e, sources, targets, len(column_of)))
-    return out
-
-
-def tau_class(cx, s: int, u: int) -> int:
-    """The class of τ of the (s, u) block's first monomial: the class of the
-    block τ maps the (s, u) block onto, if it maps it onto one block at all,
-    which ``tau_maps`` checks."""
-    return cx.block_key(dihedral(cx.n, 0, True)(cx.blocks(s)[u][0])[1])
-
-
-def tau_maps(cx, s: int, u: int, v: int) -> bool:
-    """Does τ map the (s, u) block onto the (s, v) block and the (s + 1, u)
-    block onto the (s + 1, v) block?  Checked on every monomial of both: τ's
-    map on classes is well defined only for p large against n."""
-    tau = dihedral(cx.n, 0, True)
-    for t in (s, s + 1):
-        blocks = cx.blocks(t)
-        if sorted(tau(m)[1] for m in blocks.get(u, ())) != blocks.get(v, []):
-            return False
-    return True
-
-
-def reflection_tables(cx, s: int, u: int, a: int):
-    """The ``group_orbits`` of the involution (-1)^s σ^a τ on the (s, u) block
-    and on its target, or None when σ^a τ takes a monomial out of them: its
-    orbit walk meets every monomial of both, and checks the block map there."""
-    try:
-        return [group_orbits(cx, t, u, a, True) for t in (s, s + 1)]
-    except ValueError:
-        return None
-
-
-def block_matrix(cx, s: int, u: int, character: Character | None = None, skip=()):
+def block_matrix(cx, s: int, u: int, skip=()):
     """Coded rows of d^s restricted to the (s, u) block: one sparse row d(m)
     per source m of the block, indexed by the (s + 1, u) block, and the
     number of those target columns.  The row of each source index in
-    ``skip`` is left empty, and d is not expanded on it.
-
-    Given a ``Character`` λ^e of σ on a σ-fixed block, the rows of d on its
-    eigenspace instead: one row per representative in ``character.sources``,
-    one column per target representative that carries λ^e.  A term c t of
-    d(r) adds c (±λ^(e j)) at the column of t's representative r',
-    σ^j(r') = ±t (see the module docstring)."""
-    coding = cx.field.coding
-    encode, mul, add_to = coding.encode, coding.mul, coding.add_to
-    if character is None:
-        src = cx.blocks(s).get(u, [])
-        tgt = cx.blocks(s + 1).get(u, [])
-        sources = [(m, None if j in skip else cx.d_monomial(m)) for j, m in enumerate(src)]
-        # no character: each target is its own column, and no code is scaled
-        targets = {m: (i, None) for i, m in enumerate(tgt)}
-        width = len(tgt)
-    else:
-        sources, targets, width = character.sources, character.targets, character.width
+    ``skip`` is left empty, and d is not expanded on it."""
+    encode = cx.field.coding.encode
+    column = {m: i for i, m in enumerate(cx.blocks(s + 1).get(u, []))}
     rows: list[dict[int, object]] = []
-    for j, (mask, terms) in enumerate(sources):
+    for j, mask in enumerate(cx.blocks(s).get(u, [])):
         row: dict[int, object] = {}
         rows.append(row)
         if j in skip:
             continue
-        for t, c in terms.items():
-            hit = targets.get(t)
-            if hit is None:
+        for t, c in cx.d_monomial(mask).items():
+            i = column.get(t)
+            if i is None:
                 where = (repr(mask) if isinstance(cx, FiniteComplex)
                          else format_monomial(mask, cx.n))
                 raise AssertionError(f"differential leaves block u={u}: {where}")
-            i, shift = hit
-            if shift is None:
-                row[i] = encode(c)
-            elif i is not None:
-                # two terms of d(r) may share a representative
-                add_to(row, i, mul(encode(c), shift))
-    return rows, width
+            row[i] = encode(c)
+    return rows, len(column)
 
 
 def betti_numbers(dims: dict, ranks: dict) -> dict:
@@ -443,88 +297,37 @@ def betti_numbers(dims: dict, ranks: dict) -> dict:
 
 def block_ranks(cx) -> tuple[dict, dict]:
     """Dimension and rank of d of every (s, u) block.  Up to the middle, 2 s
-    <= N - 1 for the top degree N, one elimination per orbit of the dihedral
-    group ⟨σ, τ⟩ on the classes: ``cx.block_orbits`` are the σ-orbits, and
-    when ``cx.tau_acts``, a σ-orbit whose lead τ maps onto a block of a
-    σ-orbit ranked before takes that block's rank.  Each rank is copied along
-    a σ-orbit or along τ once the block's source and target are seen to have
-    the sizes of the ones it was found on.  Above it, when ``cx.dual_class``
-    gives the class v dual to u, the rank of the dual block (N - 1 - s, v),
-    copied once the complements of the (s, u) monomials are seen to be
-    exactly the (N - s, v) monomials.  That pins v to u_top - u, as classes
-    add along products, so the complements of the target (s + 1, u) lie in
-    the dual's source (N - 1 - s, v); a nonempty target gets the same check
-    in turn, as a source one degree up.
-
-    Each block eliminated is cleared, when ``cx.dd_zero``, by the pivot set
-    of the block one degree down in the same class and split (see the module
-    docstring); ``pivots`` keeps those sets by (s, u, element, e)."""
+    <= N - 1 for the top degree N, one elimination per σ-orbit of classes,
+    ``cx.block_orbits``, on the block of its lead, copied along the orbit
+    once each block's source and target are seen to have the lead's sizes.
+    Each elimination is cleared, when ``cx.dd_zero``, by the pivot set of the
+    block one degree down in the same class: orbits are led by their least
+    class in every degree, so that block was eliminated too (see the module
+    docstring).  Above the middle, when ``cx.dual_class`` gives the class v
+    dual to u, the rank of the dual block (N - 1 - s, v), copied once the
+    complements of the (s, u) monomials are seen to be exactly the (N - s, v)
+    monomials.  That pins v to u_top - u, as classes add along products, so
+    the complements of the target (s + 1, u) lie in the dual's source
+    (N - 1 - s, v); a nonempty target gets the same check in turn, as a
+    source one degree up."""
     field, top = cx.field, cx.top_degree
     full = (1 << top) - 1
-
-    def splits(order):
-        # a primitive root of unity of the group's order lies in the field
-        return (field.cardinality - 1) % order == 0
-
-    sigma_split = cx.sigma_acts and splits(cx.n)
-    tau = cx.tau_acts
     blocks = {s: cx.blocks(s) for s in range(-1, top + 2)}
-    sigma_orbits = cache(lambda s, u: group_orbits(cx, s, u, 1, False))
     ranks: dict[tuple[int, int], int] = {}
     dims: dict[tuple[int, int], int] = {}
-    pivots: dict[tuple, set] = {}
+    pivots: dict[tuple[int, int], set] = {}
 
     def sizes(s, u):
         return len(blocks[s].get(u, ())), len(blocks[s + 1].get(u, ()))
 
-    def copy(key, found):
-        if sizes(*key) != sizes(*found):
-            raise RuntimeError(f"block {key} and the block {found} "
-                               "whose rank it takes differ in size")
-        ranks[key] = ranks[found]
-
-    def rank(s, u, element=None, character=None):
-        e = None if character is None else character.e
-        rows, width = block_matrix(cx, s, u, character, pivots.get((s - 1, u, element, e), ()))
-        found = pivots.setdefault((s, u, element, e), set()) if cx.dd_zero else None
-        return matrix_rank(rows, width, field, found)
-
-    def rank_lead(s, orbit):
-        """The rank of the lead block of a σ-orbit: copied along τ from a
-        σ-orbit ranked before, or eliminated; split by the characters of σ
-        on a σ-fixed block, λ^(-e) taken from λ^e when τ maps the block onto
-        itself, or by the two characters of the involution σ^a τ' on a block
-        that σ^a τ maps onto itself."""
-        lead = orbit[0]
-        v = tau_class(cx, s, lead) if tau else None
-        if v is not None and v not in orbit and (s, v) in ranks and tau_maps(cx, s, lead, v):
-            copy((s, lead), (s, v))
-        elif len(orbit) == 1 and sigma_split:
-            n = cx.n
-            paired = v == lead and tau_maps(cx, s, lead, lead)
-            parts = characters(cx, s, lead, (1, False),
-                               [e for e in range(n) if not paired or e <= -e % n],
-                               (sigma_orbits(s, lead), sigma_orbits(s + 1, lead)))
-            # τ maps λ^e onto λ^(-e)
-            ranks[(s, lead)] = sum(rank(s, lead, (1, False), ch)
-                                   * (2 if paired and ch.e != -ch.e % n else 1) for ch in parts)
-        else:
-            tables = None
-            if v in orbit and splits(2):
-                # σ^a maps v = p^b u back to u for a = -b
-                a = -orbit.index(v) % cx.n
-                tables = reflection_tables(cx, s, lead, a)
-            if tables:
-                ranks[(s, lead)] = sum(rank(s, lead, (a, True), ch)
-                                       for ch in characters(cx, s, lead, (a, True), None, tables))
-            else:
-                ranks[(s, lead)] = rank(s, lead)
-
     for s in range(top + 1):
         for orbit in cx.block_orbits(s):
-            dual = 2 * s > top - 1 and cx.dual_class(orbit[0]) is not None
+            lead = orbit[0]
+            dual = 2 * s > top - 1 and cx.dual_class(lead) is not None
             if not dual:
-                rank_lead(s, orbit)
+                rows, width = block_matrix(cx, s, lead, pivots.pop((s - 1, lead), ()))
+                pivot_set = pivots.setdefault((s, lead), set()) if cx.dd_zero else None
+                ranks[(s, lead)] = matrix_rank(rows, width, field, pivot_set)
             for u in orbit:
                 if dual:
                     found = (top - 1 - s, cx.dual_class(u))
@@ -534,8 +337,11 @@ def block_ranks(cx) -> tuple[dict, dict]:
                         raise RuntimeError(f"block {(s, u)} is not the complement of "
                                            f"the block {(top - s, found[1])}")
                     ranks[(s, u)] = ranks.get(found, 0)
+                elif sizes(s, u) != sizes(s, lead):
+                    raise RuntimeError(f"block {(s, u)} and the block {(s, lead)} "
+                                       "whose rank it takes differ in size")
                 else:
-                    copy((s, u), (s, orbit[0]))
+                    ranks[(s, u)] = ranks[(s, lead)]
         dims.update(((s, u), len(monos)) for u, monos in blocks[s].items())
     return dims, ranks
 

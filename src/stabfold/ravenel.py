@@ -35,14 +35,12 @@ Each complex keeps the pair table its d is read from (``Complex.pairs``),
 and its symmetries are certified on that table, at most once per complex
 and never shared between complexes: ``sigma_certificate`` checks that the
 cyclic shift σ commutes with d and multiplies the internal class by p, so
-``betti`` eliminates one block per σ-orbit and splits the σ-fixed ones by
-the characters of σ; ``tau_certificate`` that the reflection τ anticommutes
-with d, so it pairs σ-orbits and halves the blocks that some σ^a τ keeps;
-``duality_certificate`` that d vanishes in degree n^2 - 1, so it copies
-the ranks above the middle degree from their Poincaré-dual blocks; and
-``dd_zero_certificate`` that d∘d vanishes on the generators, so it clears
-each elimination by the pivots of the one below it (see ``homology``).  All
-four hold only for the member sets in SIGMA_STABLE.
+``betti`` eliminates one block per σ-orbit; ``duality_certificate`` that d
+vanishes in degree n^2 - 1, so it copies the ranks above the middle degree
+from their Poincaré-dual blocks; and ``dd_zero_certificate`` that d∘d
+vanishes on the generators, so it clears each elimination by the pivots of
+the one below it (see ``homology``).  All three hold only for the member
+sets in SIGMA_STABLE.
 """
 
 from __future__ import annotations
@@ -55,12 +53,12 @@ from typing import NamedTuple
 from .exterior import (
     Cochain,
     add_term,
-    dihedral,
     first_subscript_sum,
     generator_mask,
     internal_degree,
     internal_weights,
     normalize_j,
+    sigma_power,
     split_join,
     subset_sums,
     wedge,
@@ -331,13 +329,6 @@ class Complex:
         return self._sigma_stable and sigma_certificate(self.pairs, self.n, self.p)
 
     @cached_property
-    def tau_acts(self) -> bool:
-        """Does τ' = (-1)^s τ commute with d on these members, by
-        ``tau_certificate``?  For the member sets that σ keeps; which block τ
-        maps onto which is checked per block by ``betti``."""
-        return self._sigma_stable and tau_certificate(self.pairs, self.n, self.p)
-
-    @cached_property
     def dd_zero(self) -> bool:
         """Does d∘d vanish, by ``dd_zero_certificate``?  Claimed for the
         member sets that σ keeps; ``homology`` clears its eliminations by it,
@@ -354,10 +345,11 @@ class Complex:
 
     def block_orbits(self, s: int) -> list[list[int]]:
         """The internal classes of degree s in σ-orbits u, p u, p^2 u, ...
-        (mod 2(p^n - 1)), each led by its first class in ``blocks`` order.
-        Singletons unless ``sigma_certificate`` holds and the members are
-        σ-stable: all monomials, or the critical or first-subscript complex
-        (σ keeps class 0 and the first-subscript sum)."""
+        (mod 2(p^n - 1)), each led by its least class u, so an orbit has the
+        same lead in every degree.  Singletons unless ``sigma_certificate``
+        holds and the members are σ-stable: all monomials, or the critical
+        or first-subscript complex (σ keeps class 0 and the first-subscript
+        sum)."""
         blocks = self.blocks(s)
         if not self.sigma_acts:
             return [[u] for u in blocks]
@@ -368,7 +360,8 @@ class Complex:
                 while (v := orbit[-1] * self.p % self.internal_modulus) != u:
                     orbit.append(v)
                 seen.update(orbit)
-                orbits.append(orbit)
+                k = orbit.index(min(orbit))
+                orbits.append(orbit[k:] + orbit[:k])
         return orbits
 
     def dual_class(self, u: int) -> int | None:
@@ -426,31 +419,6 @@ class ClosureError(RuntimeError):
     """A labeled subcomplex failed to be closed under the differential."""
 
 
-def _slot_map(act, n: int) -> list[int]:
-    """The slot of act(g) for the generator g of each slot."""
-    return [act(1 << g)[1].bit_length() - 1 for g in range(n * n)]
-
-
-def _commutes(pairs, n: int, act, sign: int) -> bool:
-    """Does the slot action ``act`` keep each generator's first subscript and
-    satisfy d(act(g)) = sign * act(d(g)) on every generator g, on the
-    eps-free and on the eps terms of the pair table apart?"""
-
-    def d_part(gslot: int, eps: int, acted: bool) -> dict[int, int]:
-        """The eps-free (eps = 0) or the eps (eps = 1) part of act(d(g)) when
-        acted, else of sign * d(g)."""
-        out: dict[int, int] = {}
-        for pmask, presign, e in pairs[gslot]:
-            if e == eps:
-                flip, tgt = act(pmask) if acted else (sign, pmask)
-                add_term(out, tgt, flip * presign)
-        return out
-
-    return all(image // n == gslot // n
-               and all(d_part(gslot, e, True) == d_part(image, e, False) for e in (0, 1))
-               for gslot, image in enumerate(_slot_map(act, n)))
-
-
 def sigma_certificate(pairs, n: int, p: int) -> bool:
     """Does the cyclic shift σ: h[i,j] -> h[i,j+1] map the (s, u) blocks of
     the complexes of the height-n pair table ``pairs`` graded by p onto one
@@ -461,40 +429,25 @@ def sigma_certificate(pairs, n: int, p: int) -> bool:
     p^n u = u, and the orbit of a class closes within n steps), and σ
     commutes with d on the pair table, on the eps-free and on the eps terms
     apart, so for every integer eps.  σ permutes the generators with the
-    reordering sign of ``exterior.dihedral``, an algebra automorphism, so all
-    of it holds on every monomial."""
+    reordering sign of ``exterior.sigma_power``, an algebra automorphism, so
+    all of it holds on every monomial."""
     weights, mod = internal_weights(n, p)
-    sigma = dihedral(n, 1)
-    return _commutes(pairs, n, sigma, 1) and all(
-        w % 2 == 0 and weights[image] == p * w % mod
-        for w, image in zip(weights, _slot_map(sigma, n)))
+    sigma = sigma_power(n, 1)
 
+    def d_part(gslot: int, eps: int, acted: bool) -> dict[int, int]:
+        """The eps-free (eps = 0) or the eps (eps = 1) part of σ(d(g)) when
+        acted, else of d(g)."""
+        out: dict[int, int] = {}
+        for pmask, presign, e in pairs[gslot]:
+            if e == eps:
+                flip, tgt = sigma(pmask) if acted else (1, pmask)
+                add_term(out, tgt, flip * presign)
+        return out
 
-def tau_certificate(pairs, n: int, p: int) -> bool:
-    """Does the reflection τ: h[i,j] -> h[i,-i-j] anticommute with d on the
-    complexes of the height-n pair table ``pairs`` graded by p, so that
-    τ' = (-1)^s τ on degree s commutes with it?
-
-    Checked on the generators, as ``sigma_certificate`` checks σ: τ keeps each
-    first subscript, τ^2 = 1 and σ τ σ = τ on the slots, d(τ g) =
-    -τ(d g) on the pair table, on the eps-free and on the eps terms apart (so
-    for every integer eps), and τ sends generators of one internal class to
-    generators of one class.  τ permutes the generators, an algebra
-    automorphism, and d is a derivation, so d τ = -τ d on every monomial.
-
-    On a monomial, the class of τ(m) is -ι(u) for the class u of m, where ι
-    replaces p by p^(-1) = p^(n-1) in each weight 2(p^i - 1)p^j.  That is a
-    function of u only while u determines m's signed base-p digits, for p
-    large against n, so no formula certifies the map on classes: ``betti``
-    checks each block map it uses on the block's own monomials."""
-    weights, _mod = internal_weights(n, p)
-    tau = dihedral(n, 0, True)
-    tau_of, sigma_of = _slot_map(tau, n), _slot_map(dihedral(n, 1), n)
-    class_of: dict[int, int] = {}
-    return _commutes(pairs, n, tau, -1) and all(
-        tau_of[tau_of[g]] == g and sigma_of[tau_of[sigma_of[g]]] == tau_of[g]
-        and class_of.setdefault(weights[g], weights[tau_of[g]]) == weights[tau_of[g]]
-        for g in range(n * n))
+    images = [sigma(1 << g)[1].bit_length() - 1 for g in range(n * n)]
+    return all(image // n == gslot // n and w % 2 == 0 and weights[image] == p * w % mod
+               and all(d_part(gslot, e, True) == d_part(image, e, False) for e in (0, 1))
+               for gslot, (w, image) in enumerate(zip(weights, images)))
 
 
 def duality_certificate(pairs, n: int, p: int) -> bool:

@@ -10,7 +10,7 @@ units, without the package's generator pair table or wedge signs.
 (i, j) pairs, with `wedge_sign_oracle`'s signs and no pair table, and
 `closure_oracle` scans a member list for d-targets outside it with it.
 `flipped_sign_table` plants a sign fault for the checks to catch,
-`flipped_along_j` one that keeps σ and breaks τ,
+`flipped_along_j` one that keeps σ and breaks d∘d = 0,
 `below_dropped_terms` a term table whose Leibniz signs skip the generators
 below g, and `extra_term_table` a term that breaks the duality certificate.
 `full_kernel_representatives` is no independent code but the earlier way of
@@ -20,8 +20,8 @@ earlier kernel, `kernel_basis`, read off a reduced echelon form.
 same matrix by target, as the oracles above read it.
 `wedge_sign_oracle` takes wedge signs by bubble sort of slot lists, and
 `sigma_shift_oracle` the signs of the cyclic shift σ with it, and
-`tau_oracle` those of every element σ^a and σ^a τ of the dihedral group,
-against the row tables of `exterior.dihedral`.  `cup` is the cup product of two classes
+`sigma_power_oracle` those of every power σ^a, against the row tables of
+`exterior.sigma_power`.  `cup` is the cup product of two classes
 of a `homology.Cohomology`, `Monodromy` the diagonal operator
 T(b) = omega^(D alpha(b)) b of a connection, whose fixed monomials the
 package lists (`KummerConnection.fixed_masks`) without building T, and
@@ -220,14 +220,13 @@ def sigma_shift_oracle(mask: int, n: int) -> tuple[int, int]:
     return sign, sum(1 << b for b in shifted)
 
 
-def tau_oracle(mask: int, n: int, a: int = 0, reflect: bool = True) -> tuple[int, int]:
-    """(sign, mask) of the dihedral element σ^a τ: h[i,j] -> h[i,a-i-j], or
-    without ``reflect`` of σ^a: h[i,j] -> h[i,j+a], on a monomial: the image
-    slots of its generators in canonical order, sorted by
-    ``wedge_sign_oracle``'s bubble sort.  Reads the bits and writes the slots
-    itself, sharing no code with the table action ``exterior.dihedral``."""
+def sigma_power_oracle(mask: int, n: int, a: int) -> tuple[int, int]:
+    """(sign, mask) of σ^a: h[i,j] -> h[i,j+a] on a monomial: the image slots
+    of its generators in canonical order, sorted by ``wedge_sign_oracle``'s
+    bubble sort.  Reads the bits and writes the slots itself, sharing no code
+    with the table action ``exterior.sigma_power``."""
     gens = [(b // n + 1, b % n + 1) for b in range(n * n) if mask >> b & 1]
-    image = [(i - 1) * n + ((a - i - j if reflect else j + a) - 1) % n for i, j in gens]
+    image = [(i - 1) * n + (j + a - 1) % n for i, j in gens]
     return wedge_sign_oracle(image, []), sum(1 << b for b in image)
 
 
@@ -528,7 +527,7 @@ def kernel_basis(rows, ncols, field):
         for p, row in zip(pivots, rr):
             v = row.get(k)
             if v is not None:
-                vec[p] = coding.mul(v, coding.half)  # -v
+                vec[p] = coding.encode(-coding.decode(v))
         basis.append(vec)
     return basis
 

@@ -384,10 +384,11 @@ def test_verify_outputs_are_pinned(capsys, flags, json_digest, text_digest):
         assert hashlib.sha256(captured.out.encode()).hexdigest() == digest, fmt
 
 
-# sha256 of the --format json stdout of `betti --no-cache`.  They cover the
-# σ-character split (n = 2 at p = 11, n = 3 at p = 19, n = 4 at p = 37, gl_3
-# at p = 7) and the unsplit path where GF(p) holds no primitive n-th root of
-# unity (n = 3 at p = 5 and p = 2).  These payloads change only on purpose
+# sha256 of the --format json stdout of `betti --no-cache`.  They cover one
+# cleared elimination per σ-orbit below the middle degree with the ranks
+# above it copied from the dual blocks (n = 2 at p = 11, n = 3 at p = 19,
+# n = 4 at p = 37, gl_3 at p = 7), at primes large and small against n
+# (n = 3 at p = 5 and p = 2).  These payloads change only on purpose
 BETTI_DIGESTS = [
     (["--lie", "ravenel", "--n", "2", "--p", "11"],
      "7e13112d8b3caa8fc681daf6153c5ebe8b9ce4dc907a2b503045e3ea2b114aac"),

@@ -12,13 +12,12 @@ from oracles import (
     full_kernel_representatives,
     one_cochain,
     sympy_rank,
-    tau_oracle,
     transpose,
 )
 
 from stabfold import homology
 from stabfold.claims import claim_duality
-from stabfold.exterior import Cochain, dihedral, generator_mask, parse_monomial
+from stabfold.exterior import Cochain, generator_mask, parse_monomial
 from stabfold.gf import field_create
 from stabfold.homology import (
     BlockCohomology,
@@ -32,9 +31,7 @@ from stabfold.homology import (
     induced_map_rank,
     matrix_rank,
     nullspace,
-    characters,
     rref,
-    tau_maps,
 )
 from stabfold import ravenel
 from stabfold.ravenel import (
@@ -477,6 +474,27 @@ def test_retraction_onto_fsc_surjective():
     assert out["surjective_on_cohomology"]
 
 
+def test_projection_drops_the_monomials_outside_the_target():
+    # at p = 2 an internal class mixes first-subscript sums, so blocks with
+    # classes on both sides hold source representatives with monomials
+    # outside the first-subscript complex, which the map must drop before
+    # reducing in the target.  The complex splits by the first-subscript sum
+    # mod n, so the projection onto the summand of sum 0 has the target's
+    # Betti number as its rank on every block
+    cx = build_singular(3, 2, field_create(2))
+    fsc = subcomplex(cx, "fsc")
+    src, tgt = Cohomology(cx), Cohomology(fsc)
+    mixed = [(s, u) for s in range(cx.top_degree + 1) for u in fsc.blocks(s)
+             if tgt.block(s, u).dim and any(
+                 not fsc.contains(m) for i in range(src.block(s, u).dim)
+                 for m in src.block(s, u).representative(i).terms)]
+    assert mixed
+    out = induced_map_rank(cx, fsc)
+    assert all(out["ranks"][key] == out["target_betti"][key] > 0 for key in mixed)
+    assert out["ranks"] == {k: out["target_betti"].get(k, 0) for k in out["ranks"]}
+    assert out["surjective_on_cohomology"] and not out["quasi_isomorphism"]
+
+
 def test_non_chain_map_rejected():
     # the identity on monomials from the eps = 0 fiber to the eps = 1 fiber
     # does not commute with d, whose eps-terms only the second has
@@ -498,15 +516,13 @@ def test_block_matrix_respects_blocks():
 
 
 def assert_copied_ranks_eliminate(cx, oracle=None) -> int:
-    """Every rank that ``block_ranks`` copies, along a σ-orbit, along τ or
-    from a dual block, or adds up from the characters of σ or of an
-    involution σ^a τ', equals the rank of eliminating that block itself,
-    unsplit; given an oracle, every block's rank also equals the oracle's on
-    its decoded rows.  Returns how many ranks were copied."""
+    """Every rank that ``block_ranks`` copies, along a σ-orbit or from a
+    dual block, equals the rank of eliminating that block itself; given an
+    oracle, every block's rank also equals the oracle's on its decoded rows.
+    Returns how many ranks were copied."""
     field = cx.field
-    whole = []
     with pytest.MonkeyPatch.context() as mp:
-        eliminated = count_block_matrix_calls(mp, whole)
+        eliminated = count_block_matrix_calls(mp)
         _dims, ranks = block_ranks(cx)
     blocks = [(s, u) for s in range(cx.top_degree + 1) for u in cx.blocks(s)]
     assert sorted(ranks) == sorted(blocks)
@@ -515,7 +531,7 @@ def assert_copied_ranks_eliminate(cx, oracle=None) -> int:
         orbits = cx.block_orbits(s)
         assert sorted(u for orbit in orbits for u in orbit) == sorted(cx.blocks(s))
     for s, u in blocks:
-        if oracle is None and (s, u) in whole:
+        if oracle is None and (s, u) in eliminated:
             continue
         rows, ncols = block_matrix(cx, s, u)
         assert ranks[(s, u)] == matrix_rank(rows, ncols, field), (s, u)
@@ -542,87 +558,15 @@ def test_orbit_copied_ranks_equal_eliminated_ranks(n, p, eps):
 
 def test_orbit_copied_ranks_gl4_over_gf169():
     cx = build_gl(4, field_create(13, 2), 13)
-    assert assert_copied_ranks_eliminate(cx) > 0
-    assert assert_copied_ranks_eliminate(subcomplex(cx, "fsc")) > 0
-
-
-def assert_characters_split(cx, oracle=None) -> int:
-    """On every σ-fixed block of cx: the characters λ^0 .. λ^(n-1) of σ share
-    out the block's monomials and its target's, and their ranks add up to
-    the least-column rank of the whole block, which equals the oracle's on
-    the decoded rows when one is given.  Where τ maps the block onto itself,
-    the λ^e and λ^(-e) ranks, each eliminated, agree.  Returns how many
-    blocks it split."""
-    field, n = cx.field, cx.n
-    split = 0
-    for s in range(cx.top_degree + 1):
-        for u in [orbit[0] for orbit in cx.block_orbits(s) if len(orbit) == 1]:
-            chars = characters(cx, s, u)
-            assert [ch.e for ch in chars] == list(range(n))
-            assert sum(len(ch.sources) for ch in chars) == len(cx.blocks(s)[u])
-            assert sum(ch.width for ch in chars) == len(cx.blocks(s + 1).get(u, []))
-            rows, ncols = block_matrix(cx, s, u)
-            rank = matrix_rank(rows, ncols, field)
-            by_e = [matrix_rank(*block_matrix(cx, s, u, ch), field) for ch in chars]
-            assert sum(by_e) == rank, (s, u)
-            if cx.tau_acts and tau_maps(cx, s, u, u):
-                assert all(by_e[e] == by_e[-e % n] for e in range(n)), (s, u, by_e)
-            if oracle is not None:
-                assert rank == oracle([field.coding.decode_row(r) for r in rows],
-                                      ncols, field)
-            split += 1
-    return split
-
-
-@pytest.mark.parametrize("n,p", [(1, 3), (2, 11), (2, 2), (3, 19), (3, 2), (4, 37)])
-@pytest.mark.parametrize("eps", [0, 1, 2])
-def test_character_ranks_add_up_to_the_block_rank(monkeypatch, n, p, eps):
-    f = field_create(p)
-    cx = build_deformed(n, p, f, eps)
-    complexes = [cx, subcomplex(cx, "critical"), subcomplex(cx, "fsc")]
-    if (p - 1) % n:
-        # GF(2) holds no primitive square or cube root of unity: betti takes
-        # no characters of σ, and with -1 = 1 none of an involution either
-        split = []
-        monkeypatch.setattr(homology, "characters",
-                            lambda *args: split.append(args) or [])
-        for c in complexes:
-            betti(c)
-        assert not split
-        return
-    oracle = sympy_rank if n <= 2 else None
-    for c in complexes:
-        assert assert_characters_split(c, oracle) >= n * n + 1
-    if n == 4:
-        assert [len(ch.sources) for ch in characters(cx, 7, 0)] == [97] * 4
-
-
-def test_betti_finds_the_sigma_orbits_of_each_block_once(monkeypatch):
-    # the class-0 blocks of degrees 1 .. 7 are the target of one split block
-    # and the source of the next; their σ-orbits are found once per run.  The
-    # orbits of an involution σ^a τ' are found on the source and the target
-    # of each of the 93 blocks it splits, and not kept
-    cx = build_singular(4, 37, field_create(37))
-    seen = []
-    real = homology.cyclic_orbits
-    monkeypatch.setattr(homology, "cyclic_orbits", lambda masks, act, sign=1: (
-        seen.append((tuple(masks), act, sign)) or real(masks, act, sign)))
-    table = betti(cx)
-    sigma = [masks for masks, act, _sign in seen if act is dihedral(4, 1)]
-    assert len(sigma) == len(set(sigma)) == 9
-    assert len(seen) == 9 + 2 * 93
-    assert table.grand_total() == 3440
-
-
-def test_character_ranks_gl4_over_gf169():
-    cx = build_gl(4, field_create(13, 2), 13)
-    for c in (cx, subcomplex(cx, "critical"), subcomplex(cx, "fsc")):
-        assert assert_characters_split(c) >= 17
+    for label in ("full", "critical", "fsc"):
+        c = cx if label == "full" else subcomplex(cx, label)
+        assert assert_copied_ranks_eliminate(c) > 0
 
 
 def test_block_orbits_of_the_headline_fiber():
     # n = 4, p = 37: 1,929 blocks in 506 orbits, 467 of size 4, 22 of size 2
-    # and 17 fixed, the critical blocks
+    # and 17 fixed, the critical blocks; each orbit is led by its least
+    # class, so a class leads its orbit in every degree or in none
     cx = build_singular(4, 37, field_create(37))
     orbits = [(s, orbit) for s in range(17) for orbit in cx.block_orbits(s)]
     sizes = [len(orbit) for _s, orbit in orbits]
@@ -630,21 +574,20 @@ def test_block_orbits_of_the_headline_fiber():
     assert {k: sizes.count(k) for k in set(sizes)} == {4: 467, 2: 22, 1: 17}
     assert sorted((s, orbit[0]) for s, orbit in orbits if len(orbit) == 1) == [
         (s, 0) for s in range(17)]
+    assert all(orbit[0] == min(orbit) for _s, orbit in orbits)
+    lead_of = {}
+    for _s, orbit in orbits:
+        for u in orbit:
+            assert lead_of.setdefault(u, orbit[0]) == orbit[0]
 
 
-def count_block_matrix_calls(monkeypatch, whole=None) -> list:
-    """The (s, u) of each block betti assembles: once per call without a
-    character, and once per block split by characters, of σ or of an
-    involution σ^a τ', at its first character λ^0.  The blocks assembled
-    without a character are appended to ``whole`` as well."""
+def count_block_matrix_calls(monkeypatch) -> list:
+    """The (s, u) of each block betti assembles, once per call."""
     calls = []
 
-    def counted(cx, s, u, character=None, skip=()):
-        if character is None or character.e == 0:
-            calls.append((s, u))
-        if character is None and whole is not None:
-            whole.append((s, u))
-        return block_matrix(cx, s, u, character, skip)
+    def counted(cx, s, u, skip=()):
+        calls.append((s, u))
+        return block_matrix(cx, s, u, skip)
 
     monkeypatch.setattr(homology, "block_matrix", counted)
     return calls
@@ -659,7 +602,7 @@ def lower_half(cx) -> list:
 
 
 def test_a_certificate_follows_its_complex(monkeypatch):
-    # σ, τ and duality are certified on the pair table of the complex that
+    # σ and duality are certified on the pair table of the complex that
     # reads them: a complex built before a sign fault is planted keeps its d
     # and its verdicts, read before the fault or after it, and one built
     # after takes both from the faulty table
@@ -667,38 +610,35 @@ def test_a_certificate_follows_its_complex(monkeypatch):
     field = field_create(p)
 
     def verdicts(cx):
-        return cx.sigma_acts, cx.tau_acts, cx.dual_class(0) is not None
+        return cx.sigma_acts, cx.dual_class(0) is not None
 
     def d(cx):
         return [cx.d_monomial(mask) for mask in range(1 << n * n)]
 
     before, unread = build_deformed(n, p, field, 1), build_deformed(n, p, field, 1)
-    assert verdicts(before) == (True, True, True)
+    assert verdicts(before) == (True, True)
     d_before = d(before)
     real = ravenel.generator_pair_table
     faulty = flipped_sign_table(real(n))
     monkeypatch.setattr(ravenel, "generator_pair_table",
                         lambda m: faulty if m == n else real(m))
     after = build_deformed(n, p, field, 1)
-    assert verdicts(after) == (False, False, False)
+    assert verdicts(after) == (False, False)
     assert d(after) != d_before
-    assert verdicts(before) == verdicts(unread) == (True, True, True)
+    assert verdicts(before) == verdicts(unread) == (True, True)
     assert d(before) == d(unread) == d_before
 
 
 @pytest.mark.parametrize("gslot,k", [(0, 0), (3, 0)])
 def test_a_flipped_pair_sign_breaks_the_sigma_certificate(monkeypatch, gslot, k):
     # at n = 3, d(h[1,1]) has only eps terms and d(h[2,1]) (slot 3) starts
-    # with an eps-free one: a sign flipped in either part breaks σ d = d σ
-    # and d τ = -τ d, and betti then eliminates every block, copying no rank
-    # along σ or τ.  The
+    # with an eps-free one: a sign flipped in either part breaks σ d = d σ,
+    # and betti then eliminates every block, copying no rank along σ.  The
     # flipped term h[1,1] h[3,2] of d(h[1,1]) contains h[1,1], so d of the
     # monomial without h[3,2] now reaches the top one, the duality
     # certificate fails too and no rank is copied at all; h[1,1] h[1,2] of
     # d(h[2,1]) does not contain h[2,1], and the upper half is still copied
-    # from the dual blocks.  GF(19) holds a primitive cube root of unity and
-    # -1, yet no block is split by the characters of a σ, or of an involution
-    # σ^a τ', that does not commute with d
+    # from the dual blocks
     n, p = 3, 19
     dual = gslot == 3
     real = ravenel.generator_pair_table
@@ -712,11 +652,7 @@ def test_a_flipped_pair_sign_breaks_the_sigma_certificate(monkeypatch, gslot, k)
     monkeypatch.setattr(ravenel, "generator_pair_table",
                         lambda m: faulty if m == n else real(m))
     assert not ravenel.sigma_certificate(faulty, n, p)
-    assert not ravenel.tau_certificate(faulty, n, p)
     calls = count_block_matrix_calls(monkeypatch)
-    split = []
-    monkeypatch.setattr(homology, "characters",
-                        lambda *args: split.append(args) or characters(*args))
     for cx in (build_deformed(n, p, field_create(p), 1),
                subcomplex(build_deformed(n, p, field_create(p), 0), "fsc")):
         calls.clear()
@@ -726,38 +662,17 @@ def test_a_flipped_pair_sign_breaks_the_sigma_certificate(monkeypatch, gslot, k)
         table = betti(cx)
         every = [(s, u) for s in range(n * n + 1) for u in cx.blocks(s)]
         assert sorted(calls) == sorted(lower_half(cx) if dual else every)
-        assert not split
         assert table.entries == oracle_betti(cx, dense_rank_oracle)
 
 
-def dihedral_leads(cx) -> list:
-    """The blocks betti eliminates below the middle when σ and τ act: the
-    σ-orbit leads of degree s, 2 s <= N - 1, but for those whose block and
-    target τ maps into the blocks of one class v of a σ-orbit listed before,
-    read off ``tau_oracle`` on each of their monomials."""
-    top, leads = cx.top_degree, []
-    for s in range(top + 1):
-        if 2 * s > top - 1:
-            break
-        before = set()
-        for orbit in cx.block_orbits(s):
-            images = {cx.block_key(tau_oracle(m, cx.n)[1])
-                      for t in (s, s + 1) for m in cx.blocks(t).get(orbit[0], [])}
-            if not (len(images) == 1 and images <= before):
-                leads.append((s, orbit[0]))
-            before.update(orbit)
-    return leads
-
-
 def test_betti_eliminates_one_block_per_orbit(monkeypatch):
-    # one block per orbit of ⟨σ, τ⟩: σ-orbits that τ pairs share one
-    # elimination
+    # one block per σ-orbit below the middle, on its lead
     cx = build_deformed(3, 19, field_create(19), 1)
     calls = count_block_matrix_calls(monkeypatch)
     table = betti(cx)
-    leads = dihedral_leads(cx)
+    leads = lower_half(cx)
     assert calls == leads and [s for s, _u in leads][-1] == 4
-    assert len(leads) < len(lower_half(cx)) < sum(len(cx.blocks(s)) for s in range(5))
+    assert len(leads) < sum(len(cx.blocks(s)) for s in range(5))
     assert table.entries == oracle_betti(cx, dense_rank_oracle)
 
 
@@ -774,7 +689,6 @@ def test_a_pair_term_breaking_duality_leaves_every_sigma_lead_eliminated(monkeyp
     assert any(ravenel.integer_d(ravenel.term_table(faulty, 0),
                                  top ^ generator_mask(3, 3, n)).values())
     assert ravenel.sigma_certificate(faulty, n, p)
-    assert not ravenel.tau_certificate(faulty, n, p)
     calls = count_block_matrix_calls(monkeypatch)
     for eps, label in ((0, "full"), (1, "full"), (0, "critical"), (1, "fsc")):
         cx = build_deformed(n, p, field_create(p), eps)
@@ -862,117 +776,18 @@ def test_custom_member_lists_get_singleton_orbits(monkeypatch):
         assert not c.dd_zero
 
 
-# -- the reflection τ ------------------------------------------------------------
-
-
-def assert_reflections_split(cx) -> int:
-    """On every σ-orbit lead below the middle that some σ^a τ maps onto
-    itself, with its target: the two characters ±1 of the involution σ^a τ'
-    share out the block's monomials and its target's, and their ranks add up
-    to the rank of the whole block.  Returns how many blocks it split."""
-    field = cx.field
-    split = 0
-    for s, u in lower_half(cx):
-        orbit = next(o for o in cx.block_orbits(s) if o[0] == u)
-        v = homology.tau_class(cx, s, u)
-        if v not in orbit or not tau_maps(cx, s, u, v):
-            continue
-        # σ^a maps v = p^b u back to u
-        a = -orbit.index(v) % cx.n
-        halves = characters(cx, s, u, (a, True))
-        assert [ch.e for ch in halves] == [0, 1]
-        assert sum(len(ch.sources) for ch in halves) == len(cx.blocks(s)[u])
-        assert sum(ch.width for ch in halves) == len(cx.blocks(s + 1).get(u, []))
-        assert (sum(matrix_rank(*block_matrix(cx, s, u, ch), field) for ch in halves)
-                == matrix_rank(*block_matrix(cx, s, u), field)), (s, u, a)
-        split += 1
-    return split
-
-
-@pytest.mark.parametrize("n,p", [(2, 11), (3, 19), (4, 37)])
-@pytest.mark.parametrize("eps", [0, 1, 2])
-def test_reflection_halves_add_up_to_the_block_rank(n, p, eps):
-    cx = build_deformed(n, p, field_create(p), eps)
-    for c in (cx, subcomplex(cx, "critical"), subcomplex(cx, "fsc")):
-        assert assert_reflections_split(c) > 0
-
-
-def test_reflection_halves_gl4_over_gf169():
-    cx = build_gl(4, field_create(13, 2), 13)
-    for c in (cx, subcomplex(cx, "critical"), subcomplex(cx, "fsc")):
-        assert assert_reflections_split(c) > 0
-    assert assert_copied_ranks_eliminate(subcomplex(cx, "critical")) > 0
-
-
-def tau_at_work(monkeypatch) -> dict:
-    """What betti does with τ in one run: "failed" lists the (s, u, v) of each
-    block map τ: (s, u) -> (s, v) that failed its check, in ``tau_maps`` or
-    in ``reflection_tables`` (v = None there);
-    "eliminated" and "whole" are the blocks ``count_block_matrix_calls``
-    sees assembled, and assembled without a character."""
-    seen = {"failed": []}
-    real_maps, real_tables = homology.tau_maps, homology.reflection_tables
-
-    def maps(cx, s, u, v):
-        ok = real_maps(cx, s, u, v)
-        if not ok:
-            seen["failed"].append((s, u, v))
-        return ok
-
-    def tables(cx, s, u, a):
-        out = real_tables(cx, s, u, a)
-        if out is None:
-            seen["failed"].append((s, u, None))
-        return out
-
-    monkeypatch.setattr(homology, "tau_maps", maps)
-    monkeypatch.setattr(homology, "reflection_tables", tables)
-    whole = []
-    eliminated = count_block_matrix_calls(monkeypatch, whole)
-    seen["eliminated"], seen["whole"] = eliminated, whole
-    return seen
-
-
-def tau_copies(cx, eliminated) -> list:
-    """The σ-orbit leads below the middle that betti did not eliminate: their
-    ranks came along τ."""
-    return [lead for lead in lower_half(cx) if lead not in eliminated]
-
-
-def test_tau_pairs_and_splits_the_headline_fiber(monkeypatch):
-    # n = 4, p = 37: below the middle, 227 σ-orbits of blocks, 8 of them
-    # σ-fixed (class 0) and mapped onto themselves by τ; of the other 219, τ
-    # pairs 126 in 63 pairs and maps 93 into their own σ-orbit, at eps = 0
-    # and at eps = 1
-    for eps in (0, 1):
-        cx = build_deformed(4, 37, field_create(37), eps)
-        kinds = {"paired": 0, "stable": 0, "fixed": 0}
-        for s, u in lower_half(cx):
-            orbit = next(o for o in cx.block_orbits(s) if o[0] == u)
-            v = homology.tau_class(cx, s, u)
-            assert tau_maps(cx, s, u, v)
-            kinds["fixed" if len(orbit) == 1 else "stable" if v in orbit else "paired"] += 1
-            assert v == u or len(orbit) > 1
-        assert kinds == {"paired": 126, "stable": 93, "fixed": 8}
-        seen = tau_at_work(monkeypatch)
-        betti(cx)
-        assert not seen["failed"]
-        assert len(tau_copies(cx, seen["eliminated"])) == 63
-        # 164 eliminations: the σ-fixed blocks split by σ, the 93 that τ maps
-        # into their own σ-orbit in two, and the first orbit of each pair whole
-        assert len(seen["eliminated"]) == 164 and len(seen["whole"]) == 63
-
-
 def test_betti_counters_at_the_headline_fiber(monkeypatch):
     # the work of betti(ravenel n = 4, p = 37, eps = 0): the source rows
-    # handed to elimination (7,568 with σ alone, 6,023 uncleared) and the
-    # expansions of d (6,827 with σ alone, 3,719 uncleared)
+    # handed to elimination and the expansions of d, one per uncleared source
+    # of the 227 σ-orbit leads below the middle (7,568 rows and 6,827
+    # expansions with σ alone, uncleared; 4,614 and 3,632 cleared with the
+    # characters of σ and with τ, which expanded d on orbit representatives)
     cx = build_singular(4, 37, field_create(37))
     rows, expanded = [], []
     d_monomial = Complex.d_monomial
 
-    def counted(cx, s, u, character=None, skip=()):
-        out = block_matrix(cx, s, u, character, skip)
+    def counted(cx, s, u, skip=()):
+        out = block_matrix(cx, s, u, skip)
         rows.append(len(out[0]) - len(skip))
         return out
 
@@ -980,59 +795,52 @@ def test_betti_counters_at_the_headline_fiber(monkeypatch):
     monkeypatch.setattr(Complex, "d_monomial",
                         lambda c, mask: expanded.append(mask) or d_monomial(c, mask))
     assert betti(cx).grand_total() == 3440
-    assert (sum(rows), len(expanded)) == (4614, 3632)
+    assert len(rows) == 227
+    assert (sum(rows), len(expanded)) == (4842, 4842)
     assert len(set(expanded)) == len(expanded)
 
 
 def assert_clearing_keeps_ranks(cx) -> int:
-    """Every block betti eliminates cleared by a nonempty set: the set is
-    the pivot set of d one degree down on the same class and split, whole, a
-    character λ^e of σ or one of an involution σ^a τ', eliminated uncleared;
-    no cleared row is assembled; the rank is the uncleared rank of the same
-    rows, and the rows that reduce to zero number b_s of that class and
-    split.  Returns how many blocks were cleared."""
+    """Every block betti eliminates is cleared by the pivot set of d on its
+    partner, the block one degree down in the same class, eliminated
+    uncleared: a nonempty set whenever that rank d^(s-1) is nonzero, and then
+    the partner was eliminated too.  No cleared row is assembled; the rank
+    is the uncleared rank of the same rows, and the rows that reduce to zero
+    number b_s of that class.  Returns how many blocks were cleared."""
     field = cx.field
-    cleared, element_of = [], {}
+    calls = []
 
-    def split(c, s, u, element=(1, False), es=None, tables=None):
-        out = characters(c, s, u, element, es, tables)
-        element_of.update((id(ch), (element, ch)) for ch in out)
-        return out
-
-    def assembled(c, s, u, character=None, skip=()):
-        rows, width = block_matrix(c, s, u, character, skip)
-        if skip:
-            cleared.append((s, u, character, set(skip), rows))
+    def assembled(c, s, u, skip=()):
+        rows, width = block_matrix(c, s, u, skip)
+        calls.append((s, u, set(skip), rows))
         return rows, width
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(homology, "characters", split)
         mp.setattr(homology, "block_matrix", assembled)
         block_ranks(cx)
-
-    def piece(s, u, element, e):
-        """The uncleared rows of d on the (s, u) block's class and split."""
-        if element is None:
-            return block_matrix(cx, s, u)[0]
-        return block_matrix(cx, s, u, characters(cx, s, u, element, [e])[0])[0]
-
-    for s, u, character, skip, rows in cleared:
-        element = None if character is None else element_of[id(character)][0]
-        e = None if character is None else character.e
-        whole, below = piece(s, u, element, e), piece(s - 1, u, element, e)
-        assert skip == set(homology.echelon(below, field)), (s, u, element, e)
+    eliminated = {(s, u) for s, u, _skip, _rows in calls}
+    cleared = 0
+    for s, u, skip, rows in calls:
+        whole, below = block_matrix(cx, s, u)[0], block_matrix(cx, s - 1, u)[0]
+        assert skip == set(homology.echelon(below, field)), (s, u)
+        if not skip:
+            continue
+        assert (s - 1, u) in eliminated, (s, u)
         assert not any(rows[j] for j in skip)
         rank = matrix_rank(rows, 0, field)
-        assert rank == matrix_rank(whole, 0, field), (s, u, element, e)
+        assert rank == matrix_rank(whole, 0, field), (s, u)
         b_s = len(whole) - rank - matrix_rank(below, 0, field)
-        assert len(rows) - len(skip) - rank == b_s, (s, u, element, e)
-    return len(cleared)
+        assert len(rows) - len(skip) - rank == b_s, (s, u)
+        cleared += 1
+    return cleared
 
 
 @pytest.mark.parametrize("n,p", [(1, 3), (2, 11), (2, 2), (3, 19), (3, 2), (4, 37)])
 @pytest.mark.parametrize("eps", [0, 1, 2])
 def test_cleared_ranks_equal_uncleared_ranks(n, p, eps):
-    # below the middle degree of n <= 2 only d^0 = 0 lies under a block
+    # below the middle degree of n <= 2 only d^0 = 0 lies under a block.
+    # σ-orbits are led by their least class in every degree, so no block is
+    # eliminated uncleared while d^(s-1) below it is nonzero
     cx = build_deformed(n, p, field_create(p), eps)
     for c in (cx, subcomplex(cx, "critical"), subcomplex(cx, "fsc")):
         assert c.dd_zero
@@ -1045,8 +853,21 @@ def test_cleared_ranks_gl4_over_gf169():
         assert assert_clearing_keeps_ranks(c) > 0
 
 
+@pytest.mark.slow
+def test_cleared_ranks_of_the_height5_critical_complex():
+    # n = 5, eps = 0 over GF(61): one class, u = 0, and one cleared
+    # elimination per degree up to the middle, 12; about 4 s and 90 MB
+    cc = subcomplex(build_singular(5, 61, field_create(61)), "critical")
+    dims, ranks = block_ranks(cc)
+    assert [ranks[(s, 0)] for s in range(9)] == [
+        0, 4, 16, 63, 216, 623, 1556, 3343, 6190]
+    betti_by_degree = homology.betti_numbers(dims, ranks)
+    assert [betti_by_degree.get((s, 0), 0) for s in range(13)] == [
+        1, 1, 0, 1, 1, 1, 1, 1, 2, 2, 2, 1, 2]
+
+
 def test_clearing_rests_on_the_dd_zero_certificate(monkeypatch):
-    # the sign and term faults that the σ, τ and duality tests plant all
+    # the sign and term faults that the σ and duality tests plant all
     # break d∘d = 0: the certificate refuses each, betti clears nothing and
     # equals the oracle; forced to clear, it drops sources whose rows d∘d ≠ 0
     # keeps independent, and the Betti table is wrong
@@ -1070,9 +891,10 @@ def test_clearing_rests_on_the_dd_zero_certificate(monkeypatch):
 
 def test_a_term_that_breaks_tau_but_keeps_sigma_leaves_every_sigma_lead_eliminated(
         monkeypatch):
-    # the first term h[1,j] h[2,j+1] of d(h[3,j]) flips sign for every j: σ
-    # still commutes with d, τ maps it onto the unflipped h[2,j'] h[1,j'+2] of
-    # d(h[3,j']), and tau_certificate refuses τ; betti copies nothing along τ
+    # the first term h[1,j] h[2,j+1] of d(h[3,j]) flips sign for every j: the
+    # reflection h[i,j] -> h[i,-i-j] maps it onto the unflipped h[2,j'] h[1,j'+2]
+    # of d(h[3,j']), so that symmetry is broken, but σ still commutes with d
+    # and betti still eliminates one block per σ-orbit
     n, p = 3, 19
     real = ravenel.generator_pair_table
     faulty = flipped_along_j(real(n), n, 3, 0)
@@ -1080,67 +902,15 @@ def test_a_term_that_breaks_tau_but_keeps_sigma_leaves_every_sigma_lead_eliminat
     monkeypatch.setattr(ravenel, "generator_pair_table",
                         lambda m: faulty if m == n else real(m))
     assert ravenel.sigma_certificate(faulty, n, p)
-    assert not ravenel.tau_certificate(faulty, n, p)
     calls = count_block_matrix_calls(monkeypatch)
-    split = []
-    monkeypatch.setattr(homology, "characters", lambda cx, s, u, element=(1, False), *rest: (
-        split.append(element) or characters(cx, s, u, element, *rest)))
     for eps, label in ((0, "full"), (1, "full"), (1, "critical"), (0, "fsc")):
         cx = build_deformed(n, p, field_create(p), eps)
         if label != "full":
             cx = subcomplex(cx, label)
-        assert not cx.tau_acts
+        assert cx.sigma_acts
         calls.clear()
         table = betti(cx)
         dual = cx.dual_class(0) is not None
         assert calls == (lower_half(cx) if dual else [
             (s, orbit[0]) for s in range(n * n + 1) for orbit in cx.block_orbits(s)])
-        assert set(split) == {(1, False)}
         assert table.entries == oracle_betti(cx, dense_rank_oracle)
-
-
-def test_a_block_map_to_the_wrong_class_is_caught(monkeypatch):
-    # tau_class names p v, the next class of the σ-orbit of τ's true image v:
-    # no lead outside class 0 passes the per-block check, so nothing is
-    # copied along τ and no block is split in two, and the Betti table stands
-    for eps in (0, 1):
-        cx = build_deformed(3, 19, field_create(19), eps)
-        expected = betti(cx)
-        real = homology.tau_class
-        monkeypatch.setattr(homology, "tau_class", lambda c, s, u: (
-            real(c, s, u) * c.p % c.internal_modulus))
-        seen = tau_at_work(monkeypatch)
-        assert betti(cx) == expected
-        leads = lower_half(cx)
-        assert seen["eliminated"] == leads
-        assert seen["whole"] == [(s, u) for s, u in leads if u != 0]
-        assert {(s, u) for s, u, _v in seen["failed"]} < set(leads)
-        monkeypatch.undo()
-
-
-@pytest.mark.parametrize("n,p,label", [(3, 2, "full"), (4, 5, "fsc")])
-@pytest.mark.parametrize("eps", [0, 1, 2])
-def test_tau_falls_back_where_its_block_map_leaves_the_block(monkeypatch, n, p, label, eps):
-    # at small p the class of τ(m) depends on more than the class of m: some
-    # block maps fail their check.  Those blocks are eliminated whole, and
-    # betti equals the oracles: sympy on the fsc complex at n = 4, where the
-    # dense oracle takes about 9 s for each eps, and the dense oracle on each
-    # block whose check failed
-    field = field_create(p)
-    cx = build_deformed(n, p, field, eps)
-    if label != "full":
-        cx = subcomplex(cx, label)
-    assert cx.tau_acts
-    seen = tau_at_work(monkeypatch)
-    table = betti(cx)
-    monkeypatch.undo()
-    failed = {(s, u) for s, u, _v in seen["failed"]}
-    assert failed and failed <= set(seen["whole"])
-    assert not failed & set(tau_copies(cx, seen["eliminated"]))
-    ranks = block_ranks(cx)[1]
-    for s, u in failed:
-        rows, ncols = block_matrix(cx, s, u)
-        scalars = [field.coding.decode_row(r) for r in rows]
-        assert dense_rank_oracle(scalars, ncols, field) == ranks[(s, u)]
-    oracle = dense_rank_oracle if n == 3 else sympy_rank
-    assert table.entries == oracle_betti(cx, oracle)
