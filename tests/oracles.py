@@ -20,11 +20,11 @@ earlier kernel, `kernel_basis`, read off a reduced echelon form.
 same matrix by target, as the oracles above read it.
 `wedge_sign_oracle` takes wedge signs by bubble sort of slot lists, and
 `sigma_shift_oracle` the signs of the cyclic shift σ with it, and
-`sigma_power_oracle` those of every power σ^a, against the row tables of
-`exterior.sigma_power`.  `cup` is the cup product of two classes
-of a `homology.Cohomology`, `Monodromy` the diagonal operator
-T(b) = omega^(D alpha(b)) b of a connection, whose fixed monomials the
-package lists (`KummerConnection.fixed_masks`) without building T, and
+`tau_oracle` those of every element σ^a and σ^a τ of the dihedral group,
+against the row tables of `exterior.sigma_power` and `splits.dihedral`.
+`cup` is the cup product of two classes of a `homology.Cohomology`,
+`Monodromy` the diagonal operator T(b) = omega^(D alpha(b)) b of a
+connection, whose fixed monomials the package lists (`KummerConnection.fixed_masks`) without building T, and
 `element_order` the multiplicative order it checks omega by;
 `reduced_internal_degree`, `angle_bracket`, `sigma_apply`, `one_cochain`,
 `euler_characteristics_match`, `poly_degree` and `poly_evaluate` are small
@@ -220,13 +220,15 @@ def sigma_shift_oracle(mask: int, n: int) -> tuple[int, int]:
     return sign, sum(1 << b for b in shifted)
 
 
-def sigma_power_oracle(mask: int, n: int, a: int) -> tuple[int, int]:
-    """(sign, mask) of σ^a: h[i,j] -> h[i,j+a] on a monomial: the image slots
-    of its generators in canonical order, sorted by ``wedge_sign_oracle``'s
-    bubble sort.  Reads the bits and writes the slots itself, sharing no code
-    with the table action ``exterior.sigma_power``."""
+def tau_oracle(mask: int, n: int, a: int = 0, reflect: bool = True) -> tuple[int, int]:
+    """(sign, mask) of the dihedral element σ^a τ: h[i,j] -> h[i,a-i-j], or
+    without ``reflect`` of σ^a: h[i,j] -> h[i,j+a], on a monomial: the image
+    slots of its generators in canonical order, sorted by
+    ``wedge_sign_oracle``'s bubble sort.  Reads the bits and writes the slots
+    itself, sharing no code with the table actions ``exterior.sigma_power``
+    and ``splits.dihedral``."""
     gens = [(b // n + 1, b % n + 1) for b in range(n * n) if mask >> b & 1]
-    image = [(i - 1) * n + (j + a - 1) % n for i, j in gens]
+    image = [(i - 1) * n + ((a - i - j if reflect else j + a) - 1) % n for i, j in gens]
     return wedge_sign_oracle(image, []), sum(1 << b for b in image)
 
 

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from oracles import (
     angle_bracket,
     reduced_internal_degree,
-    sigma_power_oracle,
     sigma_shift_oracle,
+    tau_oracle,
     wedge_sign_oracle,
 )
+from splits import cyclic_orbits, dihedral
 
 from stabfold.exterior import (
     degree,
@@ -227,15 +228,66 @@ def test_sigma_shift_matches_the_sort_oracle_on_every_monomial(n):
         assert sigma_shift(mask) == sigma_shift_oracle(mask, n), mask
 
 
+@pytest.mark.parametrize("reflect", [False, True])
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_every_power_of_sigma_matches_the_sort_oracle_on_every_monomial(n):
-    # σ^a, a = 0 .. n - 1, against the bubble sort of the image slots; a and
-    # a + n name one element
+def test_every_dihedral_element_matches_the_sort_oracle_on_every_monomial(n, reflect):
+    # σ^a (the package's exterior.sigma_power) and σ^a τ (the row tables of
+    # the split cross-checks), a = 0 .. n - 1, against the bubble sort of the
+    # image slots; a and a + n name one element
     for a in range(n):
-        act = sigma_power(n, a)
-        assert sigma_power(n, a + n) is act
+        act = dihedral(n, a, reflect)
+        assert dihedral(n, a + n, reflect) is act
+        if not reflect:
+            assert act is sigma_power(n, a)
         for mask in range(1 << (n * n)):
-            assert act(mask) == sigma_power_oracle(mask, n, a), (a, mask)
+            assert act(mask) == tau_oracle(mask, n, a, reflect), (a, mask)
+
+
+def compose(*acts):
+    """The signed map m -> acts[0](acts[1](...(m))) on monomials."""
+    def composite(mask):
+        sign = 1
+        for act in reversed(acts):
+            flip, mask = act(mask)
+            sign *= flip
+        return sign, mask
+    return composite
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tau_is_an_involution_reversing_sigma_on_every_monomial(n):
+    # τ^2 = 1 and τ σ = σ^(-1) τ, signs included, in the tables and in the
+    # oracle
+    tau, sigma, back = dihedral(n, 0, True), dihedral(n, 1), dihedral(n, -1)
+    for mask in range(1 << (n * n)):
+        assert compose(tau, tau)(mask) == (1, mask)
+        assert compose(tau, sigma)(mask) == compose(back, tau)(mask)
+        sign, image = tau_oracle(mask, n)
+        assert tau_oracle(image, n) == (sign, mask)
+        # σ^a τ is σ^a after τ
+        assert compose(sigma, tau)(mask) == dihedral(n, 1, True)(mask)
+
+
+def test_sigma_orbits_of_the_degree_2_monomials_at_n2():
+    # h[1,1]h[1,2] and h[2,1]h[2,2] are fixed up to the sign -1 (σ swaps
+    # the two generators of a row), the other four monomials of degree 2
+    # form two orbits of size 2
+    n = 2
+    masks = sorted((1 << a) | (1 << b) for a in range(4) for b in range(a + 1, 4))
+    sigma_shift = sigma_power(n, 1)
+    orbits, where = cyclic_orbits(masks, sigma_shift)
+    h = {(i, j): gm(i, j, n) for i in (1, 2) for j in (1, 2)}
+    assert orbits == [(h[1, 1] | h[1, 2], 1, -1), (h[1, 1] | h[2, 1], 2, 1),
+                      (h[1, 2] | h[2, 1], 2, 1), (h[2, 1] | h[2, 2], 1, -1)]
+    assert sorted(where) == masks
+    for t, (o, j, sign) in where.items():
+        r = orbits[o][0]
+        for _ in range(j):
+            flip, r = sigma_shift(r)
+            sign *= flip
+        assert r == t and sign == 1
+    with pytest.raises(ValueError, match="onto themselves"):
+        cyclic_orbits([h[1, 1]], sigma_shift)
 
 
 def test_slots_canonical_order():

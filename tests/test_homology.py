@@ -14,11 +14,20 @@ from oracles import (
     sympy_rank,
     transpose,
 )
+from splits import (
+    character_matrix,
+    characters,
+    group_orbits,
+    tau_acts,
+    tau_certificate,
+    tau_class,
+    tau_maps,
+)
 
 from stabfold import homology
 from stabfold.claims import claim_duality
 from stabfold.exterior import Cochain, generator_mask, parse_monomial
-from stabfold.gf import field_create
+from stabfold.gf import FieldError, field_create
 from stabfold.homology import (
     BlockCohomology,
     Cohomology,
@@ -562,6 +571,63 @@ def test_orbit_copied_ranks_gl4_over_gf169():
         c = cx if label == "full" else subcomplex(cx, label)
         assert assert_copied_ranks_eliminate(c) > 0
 
+def assert_characters_split(cx, oracle=None) -> int:
+    """On every σ-fixed block of cx: the characters λ^0 .. λ^(n-1) of σ share
+    out the block's monomials and its target's, and their ranks add up to
+    the least-column rank of the whole block and to the rank ``block_ranks``
+    gives it, which equals the oracle's on the decoded rows when one is
+    given.  Where τ maps the block onto itself, the λ^e and λ^(-e) ranks,
+    each eliminated, agree.  Returns how many blocks it split."""
+    field, n = cx.field, cx.n
+    ranks = block_ranks(cx)[1]
+    tau = tau_acts(cx)
+    split = 0
+    for s in range(cx.top_degree + 1):
+        for u in [orbit[0] for orbit in cx.block_orbits(s) if len(orbit) == 1]:
+            chars = characters(cx, s, u)
+            assert [ch.e for ch in chars] == list(range(n))
+            assert sum(len(ch.sources) for ch in chars) == len(cx.blocks(s)[u])
+            assert sum(ch.width for ch in chars) == len(cx.blocks(s + 1).get(u, []))
+            rows, ncols = block_matrix(cx, s, u)
+            rank = matrix_rank(rows, ncols, field)
+            by_e = [matrix_rank(*character_matrix(cx, s, u, ch), field) for ch in chars]
+            assert sum(by_e) == rank == ranks[(s, u)], (s, u)
+            if tau and tau_maps(cx, s, u, u):
+                assert all(by_e[e] == by_e[-e % n] for e in range(n)), (s, u, by_e)
+            if oracle is not None:
+                assert rank == oracle([field.coding.decode_row(r) for r in rows],
+                                      ncols, field)
+            split += 1
+    return split
+
+
+@pytest.mark.parametrize("n,p", [(1, 3), (2, 11), (2, 2), (3, 19), (3, 2), (4, 37)])
+@pytest.mark.parametrize("eps", [0, 1, 2])
+def test_character_ranks_add_up_to_the_block_rank(n, p, eps):
+    f = field_create(p)
+    cx = build_deformed(n, p, f, eps)
+    complexes = [cx, subcomplex(cx, "critical"), subcomplex(cx, "fsc")]
+    if (p - 1) % n:
+        # GF(2) holds no primitive square or cube root of unity: σ has no
+        # characters to split a block by, and with -1 = 1 no involution
+        # σ^a τ' has either
+        for c in complexes:
+            for element in ((1, False), (0, True)):
+                with pytest.raises(FieldError, match="root not present"):
+                    characters(c, 1, 0, element)
+        return
+    oracle = sympy_rank if n <= 2 else None
+    for c in complexes:
+        assert assert_characters_split(c, oracle) >= n * n + 1
+    if n == 4:
+        assert [len(ch.sources) for ch in characters(cx, 7, 0)] == [97] * 4
+
+
+def test_character_ranks_gl4_over_gf169():
+    cx = build_gl(4, field_create(13, 2), 13)
+    for c in (cx, subcomplex(cx, "critical"), subcomplex(cx, "fsc")):
+        assert assert_characters_split(c) >= 17
+
 
 def test_block_orbits_of_the_headline_fiber():
     # n = 4, p = 37: 1,929 blocks in 506 orbits, 467 of size 4, 22 of size 2
@@ -602,7 +668,7 @@ def lower_half(cx) -> list:
 
 
 def test_a_certificate_follows_its_complex(monkeypatch):
-    # σ and duality are certified on the pair table of the complex that
+    # σ, τ and duality are certified on the pair table of the complex that
     # reads them: a complex built before a sign fault is planted keeps its d
     # and its verdicts, read before the fault or after it, and one built
     # after takes both from the faulty table
@@ -610,30 +676,31 @@ def test_a_certificate_follows_its_complex(monkeypatch):
     field = field_create(p)
 
     def verdicts(cx):
-        return cx.sigma_acts, cx.dual_class(0) is not None
+        return cx.sigma_acts, tau_acts(cx), cx.dual_class(0) is not None
 
     def d(cx):
         return [cx.d_monomial(mask) for mask in range(1 << n * n)]
 
     before, unread = build_deformed(n, p, field, 1), build_deformed(n, p, field, 1)
-    assert verdicts(before) == (True, True)
+    assert verdicts(before) == (True, True, True)
     d_before = d(before)
     real = ravenel.generator_pair_table
     faulty = flipped_sign_table(real(n))
     monkeypatch.setattr(ravenel, "generator_pair_table",
                         lambda m: faulty if m == n else real(m))
     after = build_deformed(n, p, field, 1)
-    assert verdicts(after) == (False, False)
+    assert verdicts(after) == (False, False, False)
     assert d(after) != d_before
-    assert verdicts(before) == verdicts(unread) == (True, True)
+    assert verdicts(before) == verdicts(unread) == (True, True, True)
     assert d(before) == d(unread) == d_before
 
 
 @pytest.mark.parametrize("gslot,k", [(0, 0), (3, 0)])
 def test_a_flipped_pair_sign_breaks_the_sigma_certificate(monkeypatch, gslot, k):
     # at n = 3, d(h[1,1]) has only eps terms and d(h[2,1]) (slot 3) starts
-    # with an eps-free one: a sign flipped in either part breaks σ d = d σ,
-    # and betti then eliminates every block, copying no rank along σ.  The
+    # with an eps-free one: a sign flipped in either part breaks σ d = d σ
+    # and d τ = -τ d, and betti then eliminates every block, copying no rank
+    # along σ.  The
     # flipped term h[1,1] h[3,2] of d(h[1,1]) contains h[1,1], so d of the
     # monomial without h[3,2] now reaches the top one, the duality
     # certificate fails too and no rank is copied at all; h[1,1] h[1,2] of
@@ -652,6 +719,7 @@ def test_a_flipped_pair_sign_breaks_the_sigma_certificate(monkeypatch, gslot, k)
     monkeypatch.setattr(ravenel, "generator_pair_table",
                         lambda m: faulty if m == n else real(m))
     assert not ravenel.sigma_certificate(faulty, n, p)
+    assert not tau_certificate(faulty, n, p)
     calls = count_block_matrix_calls(monkeypatch)
     for cx in (build_deformed(n, p, field_create(p), 1),
                subcomplex(build_deformed(n, p, field_create(p), 0), "fsc")):
@@ -689,6 +757,7 @@ def test_a_pair_term_breaking_duality_leaves_every_sigma_lead_eliminated(monkeyp
     assert any(ravenel.integer_d(ravenel.term_table(faulty, 0),
                                  top ^ generator_mask(3, 3, n)).values())
     assert ravenel.sigma_certificate(faulty, n, p)
+    assert not tau_certificate(faulty, n, p)
     calls = count_block_matrix_calls(monkeypatch)
     for eps, label in ((0, "full"), (1, "full"), (0, "critical"), (1, "fsc")):
         cx = build_deformed(n, p, field_create(p), eps)
@@ -774,6 +843,82 @@ def test_custom_member_lists_get_singleton_orbits(monkeypatch):
             assert all(c.dual_class(u) is None for u in c.blocks(s))
         # nor is d∘d = 0 claimed for them: betti clears nothing there
         assert not c.dd_zero
+
+
+# -- the reflection τ ------------------------------------------------------------
+
+
+def assert_reflections_split(cx) -> int:
+    """On every σ-orbit lead below the middle that some σ^a τ maps onto
+    itself, with its target: the two characters ±1 of the involution σ^a τ'
+    share out the block's monomials and its target's, and their ranks add up
+    to the rank of the whole block and to the rank ``block_ranks`` gives it.
+    Returns how many blocks it split."""
+    field = cx.field
+    ranks = block_ranks(cx)[1]
+    split = 0
+    for s, u in lower_half(cx):
+        orbit = next(o for o in cx.block_orbits(s) if o[0] == u)
+        v = tau_class(cx, s, u)
+        if v not in orbit or not tau_maps(cx, s, u, v):
+            continue
+        # σ^a maps v = p^b u back to u
+        a = -orbit.index(v) % cx.n
+        halves = characters(cx, s, u, (a, True))
+        assert [ch.e for ch in halves] == [0, 1]
+        assert sum(len(ch.sources) for ch in halves) == len(cx.blocks(s)[u])
+        assert sum(ch.width for ch in halves) == len(cx.blocks(s + 1).get(u, []))
+        assert (sum(matrix_rank(*character_matrix(cx, s, u, ch), field) for ch in halves)
+                == matrix_rank(*block_matrix(cx, s, u), field) == ranks[(s, u)]), (s, u, a)
+        split += 1
+    return split
+
+
+@pytest.mark.parametrize("n,p", [(2, 11), (3, 19), (4, 37)])
+@pytest.mark.parametrize("eps", [0, 1, 2])
+def test_reflection_halves_add_up_to_the_block_rank(n, p, eps):
+    cx = build_deformed(n, p, field_create(p), eps)
+    for c in (cx, subcomplex(cx, "critical"), subcomplex(cx, "fsc")):
+        assert assert_reflections_split(c) > 0
+
+
+def test_reflection_halves_gl4_over_gf169():
+    cx = build_gl(4, field_create(13, 2), 13)
+    for c in (cx, subcomplex(cx, "critical"), subcomplex(cx, "fsc")):
+        assert assert_reflections_split(c) > 0
+    assert assert_copied_ranks_eliminate(subcomplex(cx, "critical")) > 0
+
+
+def test_tau_pairs_and_splits_the_headline_fiber():
+    # n = 4, p = 37: below the middle, 227 σ-orbits of blocks, 8 of them
+    # σ-fixed (class 0) and mapped onto themselves by τ; of the other 219, τ
+    # pairs 126 in 63 pairs and maps 93 into their own σ-orbit, at eps = 0
+    # and at eps = 1.  τ' conjugates d on a block to d on its partner, so
+    # the ranks block_ranks finds on the two σ-orbits of a pair agree; an
+    # involution σ^a τ' maps each of the other 101 blocks and its target
+    # onto themselves, and splits it
+    for eps in (0, 1):
+        cx = build_deformed(4, 37, field_create(37), eps)
+        assert tau_acts(cx)
+        ranks = block_ranks(cx)[1]
+        kinds = {"paired": 0, "stable": 0, "fixed": 0}
+        pairs = set()
+        for s, u in lower_half(cx):
+            lead = {w: o[0] for o in cx.block_orbits(s) for w in o}
+            orbit = next(o for o in cx.block_orbits(s) if o[0] == u)
+            v = tau_class(cx, s, u)
+            assert tau_maps(cx, s, u, v)
+            kinds["fixed" if len(orbit) == 1 else "stable" if v in orbit else "paired"] += 1
+            assert v == u or len(orbit) > 1
+            if v in orbit:
+                a = -orbit.index(v) % cx.n
+                for t in (s, s + 1):
+                    group_orbits(cx, t, u, a, True)
+            else:
+                assert ranks[(s, v)] == ranks[(s, u)], (s, u, v)
+                pairs.add((s, frozenset((u, lead[v]))))
+        assert kinds == {"paired": 126, "stable": 93, "fixed": 8}
+        assert len(pairs) == 63
 
 
 def test_betti_counters_at_the_headline_fiber(monkeypatch):
@@ -893,8 +1038,8 @@ def test_a_term_that_breaks_tau_but_keeps_sigma_leaves_every_sigma_lead_eliminat
         monkeypatch):
     # the first term h[1,j] h[2,j+1] of d(h[3,j]) flips sign for every j: the
     # reflection h[i,j] -> h[i,-i-j] maps it onto the unflipped h[2,j'] h[1,j'+2]
-    # of d(h[3,j']), so that symmetry is broken, but σ still commutes with d
-    # and betti still eliminates one block per σ-orbit
+    # of d(h[3,j']), and tau_certificate refuses τ, but σ still commutes
+    # with d and betti still eliminates one block per σ-orbit
     n, p = 3, 19
     real = ravenel.generator_pair_table
     faulty = flipped_along_j(real(n), n, 3, 0)
@@ -902,15 +1047,59 @@ def test_a_term_that_breaks_tau_but_keeps_sigma_leaves_every_sigma_lead_eliminat
     monkeypatch.setattr(ravenel, "generator_pair_table",
                         lambda m: faulty if m == n else real(m))
     assert ravenel.sigma_certificate(faulty, n, p)
+    assert not tau_certificate(faulty, n, p)
     calls = count_block_matrix_calls(monkeypatch)
     for eps, label in ((0, "full"), (1, "full"), (1, "critical"), (0, "fsc")):
         cx = build_deformed(n, p, field_create(p), eps)
         if label != "full":
             cx = subcomplex(cx, label)
-        assert cx.sigma_acts
+        assert cx.sigma_acts and not tau_acts(cx)
         calls.clear()
         table = betti(cx)
         dual = cx.dual_class(0) is not None
         assert calls == (lower_half(cx) if dual else [
             (s, orbit[0]) for s in range(n * n + 1) for orbit in cx.block_orbits(s)])
         assert table.entries == oracle_betti(cx, dense_rank_oracle)
+
+
+def tau_failures(cx) -> set:
+    """The σ-orbit leads below the middle that τ does not map onto the block
+    of ``tau_class``, with their targets: the blocks no τ split reaches."""
+    return {(s, u) for s, u in lower_half(cx) if not tau_maps(cx, s, u, tau_class(cx, s, u))}
+
+
+def test_a_block_map_to_the_wrong_class_is_caught():
+    # p v, the next class of the σ-orbit of τ's true image v, is the wrong
+    # partner for every lead outside the σ-fixed class 0: tau_maps refuses
+    # it there, so the τ splits above rest on checked block maps
+    for eps in (0, 1):
+        cx = build_deformed(3, 19, field_create(19), eps)
+        assert not tau_failures(cx)
+        leads = lower_half(cx)
+        wrong = [(s, u) for s, u in leads if not tau_maps(
+            cx, s, u, tau_class(cx, s, u) * cx.p % cx.internal_modulus)]
+        assert wrong == [(s, u) for s, u in leads if u != 0]
+
+
+@pytest.mark.parametrize("n,p,label", [(3, 2, "full"), (4, 5, "fsc")])
+@pytest.mark.parametrize("eps", [0, 1, 2])
+def test_tau_falls_back_where_its_block_map_leaves_the_block(n, p, label, eps):
+    # at small p the class of τ(m) depends on more than the class of m: some
+    # block maps fail their check though τ anticommutes with d, and no τ
+    # split reaches those blocks.  Their ranks from block_ranks equal the
+    # dense oracle's, and betti equals the oracles: sympy on the fsc complex
+    # at n = 4, where the dense oracle takes about 9 s for each eps
+    field = field_create(p)
+    cx = build_deformed(n, p, field, eps)
+    if label != "full":
+        cx = subcomplex(cx, label)
+    assert tau_acts(cx)
+    failed = tau_failures(cx)
+    assert failed
+    ranks = block_ranks(cx)[1]
+    for s, u in failed:
+        rows, ncols = block_matrix(cx, s, u)
+        scalars = [field.coding.decode_row(r) for r in rows]
+        assert dense_rank_oracle(scalars, ncols, field) == ranks[(s, u)]
+    oracle = dense_rank_oracle if n == 3 else sympy_rank
+    assert betti(cx).entries == oracle_betti(cx, oracle)

@@ -43,7 +43,9 @@ from oracles import (
     poly_evaluate,
     reduced_weights,
     sigma_apply,
+    tau_oracle,
 )
+from splits import tau_certificate
 
 
 def test_n1_zero_differential():
@@ -495,6 +497,26 @@ def test_sigma_cyclic_and_commutes_with_d():
                 zz = sigma_apply(cx, zz)
             assert zz == z
             assert sigma_apply(cx, cx.d_cochain(z)) == cx.d_cochain(sigma_apply(cx, z))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tau_anticommutes_with_d_on_every_monomial(n):
+    # d(τ m) = -τ(d m) over Z[eps], both sides from the oracles (the Leibniz
+    # expansion and the sort-based τ), on every monomial: what
+    # tau_certificate infers from the generators of the package's pair table
+    def tau_d(mask):
+        out = {}
+        for tgt, (c0, c1) in leibniz_d_oracle(n, mask).items():
+            sign, image = tau_oracle(tgt, n)
+            out[image] = (-sign * c0, -sign * c1)
+        return out
+
+    for mask in range(1 << (n * n)):
+        sign, image = tau_oracle(mask, n)
+        d_image = {t: (sign * c0, sign * c1)
+                   for t, (c0, c1) in leibniz_d_oracle(n, image).items()}
+        assert d_image == tau_d(mask), mask
+    assert tau_certificate(generator_pair_table(n), n, 7)
 
 
 def test_sigma_semilinear_needs_matching_extension():
