@@ -17,18 +17,19 @@ only the row space.
 Every complex read here, a ``ravenel.Complex`` or a ``FiniteComplex``, has
 field-scalar coefficients; the family over F[x] reaches this module only
 through its fibers and the fixed layers of ``kummer``.  Rows are coded where
-they enter the engine and decoded where results leave it: representatives,
-class coordinates and cup products are ``FieldScalar``-valued.
+they enter the engine, the rows of d by the complex's ``d_row``, and decoded
+where results leave it: representatives, class coordinates and cup products
+are ``FieldScalar``-valued.
 
 ``block_matrix`` is the one place that turns d on an (s, u) block into coded
 rows, one row d(m) per source m, indexed by the monomials of the (s + 1, u)
 block, and every consumer reads those rows rather than expanding d again:
 ``betti`` streams them block by block into ranks, one block per σ-orbit up
 to the middle degree;
-``Cohomology`` hands each block's rows to two consumers, the cocycles of
-BlockCohomology(s, u) and, at the image sources the first has found, the
-coboundaries of BlockCohomology(s + 1, u), holding them only until the second
-has taken them; ``exterior_ring_check`` reads its Betti profile off those
+``Cohomology`` eliminates each block's rows once, for the cocycles of
+BlockCohomology(s, u), and hands the echelon of im d that the same pass
+leaves up to BlockCohomology(s + 1, u) as its coboundaries, eliminated no
+second time; ``exterior_ring_check`` reads its Betti profile off those
 blocks' classes; and ``pages.run_pages`` pairs them by the filtration.  A
 ``FiniteComplex`` on arbitrary labels (the cores, medial layers and x-adic
 windows of ``pages``) is read the same way.  ``block_matrix`` takes a set of
@@ -89,12 +90,13 @@ inside Z, so pi(z) = z - b stays in Z, and
 one vector per class, where Z has one per dimension.  ``nullspace`` finds it
 in one identity-augmented pass over the rows of the sources outside B's
 pivots, the same clearing as ``betti``'s: the row of q is d(e_q) followed
-by e_q in a second part of the columns.  A row that pivots in the d part is
-a source whose image is independent of those before it, and these image
-sources index a basis of im d_s, the next block's B; a row that pivots in
-the identity part is a cocycle, and these cocycles span pi(Z), as d_s∘pi =
-d_s.  Their reduced echelon form is the unique one of pi(Z): the
-representatives.
+by e_q in a second part of the columns.  The rows that pivot in the d part,
+cut to it, are an echelon of im d_s, the next block's B, normalized at
+their least columns as ``echelon``'s are; a row that pivots in the identity
+part is a cocycle, and these cocycles span pi(Z), as d_s∘pi = d_s.  Their
+reduced echelon form is the unique one of pi(Z): the representatives.  Both
+it and the pivot set of B depend only on the row spaces, not on the order
+the rows went in.
 """
 
 from __future__ import annotations
@@ -163,22 +165,25 @@ def nullspace(rows: list[dict], width: int, field: Field, skip=()):
     """Image and kernel of the map whose source q has the coded row rows[q]
     on the columns 0 .. width - 1, on the sources outside ``skip``, in one
     identity-augmented pass: the row of q is rows[q] plus e_q at column
-    width + q, inserted in ascending q.  A row pivots in the first part
-    exactly when rows[q] is independent of the kept rows before it.
+    width + q, inserted shortest first, as ``echelon`` does.  The augmented
+    rows span the graph {(d v, v)}, so the rows that pivot in the first part
+    are an echelon of im d, and those that pivot in the identity part, whose
+    first part is zero, are a basis of the kernel.
 
-    Returns those image sources, ascending, and the reduced echelon form of
-    the rows that pivot in the identity part, relabelled to the sources, with
-    its pivots: a basis of the kernel on span{e_q : q not in skip}."""
+    Returns the echelon of im d, pivot -> row with the columns from width on
+    dropped, each row normalized at its least column, and the reduced echelon
+    form of the kernel rows, relabelled to the sources, with its pivots: a
+    basis of the kernel on span{e_q : q not in skip}."""
     one = field.coding.one
     ech: dict[int, dict] = {}
-    image = []
-    for q, row in enumerate(rows):
-        if q not in skip:
-            augmented = dict(row)
-            augmented[width + q] = one
-            # e_q stays in the row: every row before it ends left of width + q
-            if insert_row(augmented, ech, field) < width:
-                image.append(q)
+    kept = [q for q in range(len(rows)) if q not in skip]
+    for q in sorted(kept, key=lambda q: len(rows[q])):
+        augmented = dict(rows[q])
+        augmented[width + q] = one
+        # e_q stays in the row: no earlier row holds column width + q
+        insert_row(augmented, ech, field)
+    image = {p: {c: v for c, v in row.items() if c < width}
+             for p, row in ech.items() if p < width}
     kernel = [{c - width: v for c, v in row.items()} for p, row in ech.items() if p >= width]
     return (image, *rref(kernel, field))
 
@@ -260,27 +265,29 @@ class FiniteComplex:
     def d_monomial(self, label) -> dict:
         return self._diff.get(label, {})
 
+    def d_row(self, label, column: dict) -> dict[int, int]:
+        encode = self.field.coding.encode
+        return {column[b]: encode(c) for b, c in self._diff.get(label, {}).items()}
+
 
 def block_matrix(cx, s: int, u: int, skip=()):
     """Coded rows of d^s restricted to the (s, u) block: one sparse row d(m)
     per source m of the block, indexed by the (s + 1, u) block, and the
     number of those target columns.  The row of each source index in
     ``skip`` is left empty, and d is not expanded on it."""
-    encode = cx.field.coding.encode
     column = {m: i for i, m in enumerate(cx.blocks(s + 1).get(u, []))}
-    rows: list[dict[int, object]] = []
+    d_row = cx.d_row
+    rows: list[dict[int, int]] = []
     for j, mask in enumerate(cx.blocks(s).get(u, [])):
-        row: dict[int, object] = {}
-        rows.append(row)
         if j in skip:
+            rows.append({})
             continue
-        for t, c in cx.d_monomial(mask).items():
-            i = column.get(t)
-            if i is None:
-                where = (repr(mask) if isinstance(cx, FiniteComplex)
-                         else format_monomial(mask, cx.n))
-                raise AssertionError(f"differential leaves block u={u}: {where}")
-            row[i] = encode(c)
+        try:
+            rows.append(d_row(mask, column))
+        except KeyError:
+            where = (repr(mask) if isinstance(cx, FiniteComplex)
+                     else format_monomial(mask, cx.n))
+            raise AssertionError(f"differential leaves block u={u}: {where}") from None
     return rows, len(column)
 
 
@@ -360,19 +367,17 @@ class BlockCohomology:
     reduced echelon form plus the machinery to reduce any cocycle to class
     coordinates.
 
-    d_in are the ``block_matrix`` rows of d on the (s - 1, u) block, whose
-    rows at ``image``, that block's ``image_cols``, are a basis of the
-    coboundaries B.  As d∘d = 0 puts B inside Z = ker d, reducing Z against
-    an echelon of B gives pi(Z) = Z ∩ span{e_q : q not a pivot of B} (see
-    the module docstring): the kernel that ``nullspace`` finds on the sources
-    that are no pivot of B, whose reduced echelon basis is the
-    representatives, one vector per class.  Its rows come from
-    d_out(skip), called once with B's pivots as skip: the ``block_matrix``
-    rows of d on this block, those of skip left empty.  The sources whose
-    rows pivot are ``image_cols``, and their rows are a basis of the
-    (s + 1, u) block's coboundaries."""
+    ``cob`` is an echelon of the coboundaries B, pivot -> row, each row
+    normalized at its least column: the ``image`` of the (s - 1, u) block.
+    As d∘d = 0 puts B inside Z = ker d, reducing Z against it gives
+    pi(Z) = Z ∩ span{e_q : q not a pivot of B} (see the module docstring):
+    the kernel that ``nullspace`` finds on the ``block_matrix`` rows of d on
+    this block, those of B's pivots skipped, whose reduced echelon basis is
+    the representatives, one vector per class.  The same pass leaves
+    ``image``, an echelon of im d on this block: the (s + 1, u) block's
+    coboundaries."""
 
-    def __init__(self, cx, s: int, u: int, *, d_out, d_in: list, image: list):
+    def __init__(self, cx, s: int, u: int, cob: dict[int, dict]):
         self.cx = cx
         self.s = s
         self.u = u
@@ -381,11 +386,10 @@ class BlockCohomology:
         self.monomials = cx.blocks(s).get(u, [])
         self.index = {m: i for i, m in enumerate(self.monomials)}
 
-        cob = echelon([d_in[j] for j in image], field)
         self.cob_pivots = sorted(cob)
         self.cob_rows = [cob[p] for p in self.cob_pivots]
-        width = len(self.cx.blocks(s + 1).get(u, []))
-        self.image_cols, self.rep_rows, self.rep_pivots = nullspace(d_out(cob), width, field, cob)
+        rows, width = block_matrix(cx, s, u, skip=cob)
+        self.image, self.rep_rows, self.rep_pivots = nullspace(rows, width, field, cob)
 
     @property
     def dim(self) -> int:
@@ -425,12 +429,9 @@ class BlockCohomology:
 class Cohomology:
     """Lazy per-block cohomology of a ``ravenel.Complex``.
 
-    A block is built after the block below it, whose image sources it takes.
-    The rows of d on an (s, u) block serve two blocks: BlockCohomology(s, u)
-    takes its cocycles, BlockCohomology(s + 1, u) its coboundaries at the
-    image sources.  They are assembled once, for the first, but for the
-    sources that are pivots of its coboundaries, and held only until the
-    second takes them, and only when some row is nonzero."""
+    A block is built after the block below it, whose ``image`` echelon is its
+    coboundaries: each block runs one elimination, and its rows of d are
+    assembled once and dropped when it is built."""
 
     def __init__(self, cx):
         if isinstance(cx, FiniteComplex):
@@ -438,22 +439,12 @@ class Cohomology:
                              "not a FiniteComplex")
         self.cx = cx
         self._blocks: dict[tuple[int, int], BlockCohomology] = {}
-        self._held: dict[tuple[int, int], list] = {}
 
     def block(self, s: int, u: int) -> BlockCohomology:
         key = (s, u)
         if key not in self._blocks:
-            image = self.block(s - 1, u).image_cols if u in self.cx.blocks(s - 1) else []
-
-            def d_out(skip):
-                rows = block_matrix(self.cx, s, u, skip=skip)[0]
-                if any(rows):
-                    self._held[key] = rows
-                return rows
-
-            self._blocks[key] = BlockCohomology(
-                self.cx, s, u, d_out=d_out, d_in=self._held.pop((s - 1, u), []),
-                image=image)
+            cob = self.block(s - 1, u).image if u in self.cx.blocks(s - 1) else {}
+            self._blocks[key] = BlockCohomology(self.cx, s, u, cob)
         return self._blocks[key]
 
     def classes(self) -> list[tuple[int, int, int]]:

@@ -9,8 +9,10 @@ extended to all monomials by the graded Leibniz rule.  That expansion is
 written once, over the integers with eps set to an integer (`integer_d`), and
 every complex is a fiber of it with field-scalar coefficients: it reduces the
 integers mod p (eps = 1 is the Chevalley-Eilenberg complex of the n x n
-matrix Lie algebra, eps = 0 the singular, solvable fiber).  ``integer_d``
-reads a ``term_table``, built once per pair table and integer eps from the
+matrix Lie algebra, eps = 0 the singular, solvable fiber).  A complex reads
+it two ways: ``Complex.d_monomial`` as field scalars, for cochains, and
+``Complex.d_row`` as the codes of ``gf.Coding``, for the rows of
+``homology.block_matrix``.  ``integer_d`` reads a ``term_table``, built once per pair table and integer eps from the
 pair table it is handed, never cached by n.  It lists, per generator g, each
 pair term lo < hi whose coefficient is nonzero at that eps, with its sign
 mask (g - 1) ^ (((lo - 1) ^ (hi - 1)) & ~g): the Leibniz sign of the term on
@@ -263,8 +265,10 @@ class Complex:
         self.pairs = generator_pair_table(self.n)
         self._terms = term_table(self.pairs, _integer_epsilon(descriptor))
         self._sigma_stable = descriptor.label in SIGMA_STABLE
-        # the prime subfield, indexed by residue: every coefficient of d lies in it
+        # the prime subfield, indexed by residue: every coefficient of d lies
+        # in it; and the code of each nonzero residue, for coded rows of d
         self._scalars = [self.field.scalar(c) for c in range(self.field.p)]
+        self._codes = [None] + [self.field.coding.encode(c) for c in self._scalars[1:]]
 
     # -- basis ------------------------------------------------------------------
 
@@ -382,6 +386,19 @@ class Complex:
             c %= p
             if c:
                 out[tgt] = scalars[c]
+        return out
+
+    def d_row(self, mask: int, column: dict[int, int]) -> dict[int, int]:
+        """d of a basis monomial as a coded row {column[target]: code}, read
+        off the same ``integer_d`` as ``d_monomial``; a target with a nonzero
+        coefficient outside ``column`` raises KeyError."""
+        p = self.field.p
+        codes = self._codes
+        out: dict[int, int] = {}
+        for tgt, c in integer_d(self._terms, mask).items():
+            c %= p
+            if c:
+                out[column[tgt]] = codes[c]
         return out
 
     def d_cochain(self, z: Cochain) -> Cochain:

@@ -55,18 +55,25 @@ def add_multiple(rows, i, j, c):
 @given(matrices(), st.data())
 def test_nullspace_is_the_reduced_kernel_and_the_pivot_columns(mat, data):
     # on the sources outside skip, the identity-augmented pass gives the
-    # reduced echelon form of the kernel of the earlier rref route and, as
-    # image sources, the pivot columns of the reduced echelon form
+    # reduced echelon form of the kernel of the earlier rref route and an
+    # echelon of the image, one row per pivot column of the reduced echelon
+    # form, each normalized at its least column
     field, rows, ncols = mat
     skip = set(data.draw(st.lists(st.integers(0, ncols - 1), max_size=3)))
     kept = [c for c in range(ncols) if c not in skip]
     at = {c: k for k, c in enumerate(kept)}
     restricted = [{at[c]: v for c, v in r.items() if c in at} for r in coded(rows, field)]
-    image, kern, pivots = nullspace(*transpose(coded(rows, field), ncols), field, skip)
+    by_source, width = transpose(coded(rows, field), ncols)
+    image, kern, pivots = nullspace(by_source, width, field, skip)
     old = [{kept[k]: v for k, v in vec.items()}
            for vec in kernel_basis(restricted, len(kept), field)]
     assert (kern, pivots) == rref(old, field)
-    assert image == [kept[k] for k in rref(restricted, field)[1]]
+    assert len(image) == len(rref(restricted, field)[1])
+    columns = [by_source[q] for q in kept]
+    assert sorted(image) == rref(columns, field)[1]
+    assert rref(list(image.values()), field) == rref(columns, field)
+    for p, row in image.items():
+        assert min(row) == p and row[p] == field.coding.one and max(row) < width
 
 
 @FAST

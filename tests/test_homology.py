@@ -26,7 +26,7 @@ from splits import (
 
 from stabfold import homology
 from stabfold.claims import claim_duality
-from stabfold.exterior import Cochain, generator_mask, parse_monomial
+from stabfold.exterior import Cochain, format_monomial, generator_mask, parse_monomial
 from stabfold.gf import FieldError, field_create
 from stabfold.homology import (
     BlockCohomology,
@@ -40,6 +40,7 @@ from stabfold.homology import (
     induced_map_rank,
     matrix_rank,
     nullspace,
+    reduce_against,
     rref,
 )
 from stabfold import ravenel
@@ -268,17 +269,20 @@ def test_exterior_ring_check_expands_d_once_per_monomial(monkeypatch):
     # each block's rows serve its kernel, the next block's coboundaries and
     # the class counts; none of them expands d again, and none expands it on
     # the pivots of a block's coboundaries, whose rows the kernel never reads:
-    # one per unit of rank of d, (80 - 8) / 2 = 36
+    # one per unit of rank of d, (80 - 8) / 2 = 36.  Expansions are counted
+    # as coded rows and as scalar maps alike
     f = field_create(7)
     cc3 = subcomplex(build_gl(3, f, 7), "critical")
     expanded = []
-    d_monomial = Complex.d_monomial
+    d_row, d_monomial = Complex.d_row, Complex.d_monomial
 
-    def counted(cx, mask):
+    def counted(cx, mask, column):
         expanded.append(mask)
-        return d_monomial(cx, mask)
+        return d_row(cx, mask, column)
 
-    monkeypatch.setattr(Complex, "d_monomial", counted)
+    monkeypatch.setattr(Complex, "d_row", counted)
+    monkeypatch.setattr(Complex, "d_monomial",
+                        lambda cx, mask: expanded.append(mask) or d_monomial(cx, mask))
     assert exterior_ring_check(cc3, [1, 3, 5])["holds"]
     monkeypatch.undo()
     coh = Cohomology(cc3)
@@ -356,18 +360,22 @@ def test_block_classes_equal_full_kernel_pipeline(case):
 
 @pytest.mark.parametrize("case", list(CLASS_CASES))
 def test_coboundary_echelon_takes_no_dependent_vector(case, monkeypatch):
-    # the image columns of the block below are a basis of B: each vector
-    # entering a block's coboundary echelon gives a pivot, and the pivots are
-    # those of the reduced echelon form of all the coboundary columns
+    # a block's coboundaries are the echelon of im d that the block below
+    # handed up, eliminated no second time: each row lies in the span of the
+    # coboundary columns, is normalized at its least column, and these least
+    # columns are distinct and are the pivots of the reduced echelon form of
+    # all the coboundary columns.  The one echelon a block runs outside its
+    # pass is the kernel's rref, and each kernel vector entering it gives a
+    # pivot
     cx = CLASS_CASES[case]()
+    field = cx.field
     sizes = []
     real = homology.echelon
 
     def counted(rows, field):
         rows = list(rows)
         ech = real(rows, field)
-        if sys._getframe(1).f_code is BlockCohomology.__init__.__code__:
-            sizes.append((len(rows), len(ech)))
+        sizes.append((sys._getframe(1).f_code.co_name, len(rows), len(ech)))
         return ech
 
     monkeypatch.setattr(homology, "echelon", counted)
@@ -375,31 +383,46 @@ def test_coboundary_echelon_takes_no_dependent_vector(case, monkeypatch):
     for s, u in _blocks(cx):
         sizes.clear()
         bc = coh.block(s, u)
-        assert sizes == [(len(bc.cob_pivots), len(bc.cob_pivots))]
+        assert sizes == [("rref", bc.dim, bc.dim)]
         cob: dict[int, dict] = {}
         for i, row in enumerate(transpose(*block_matrix(cx, s - 1, u))[0] if s > 0 else []):
             for j, c in row.items():
                 cob.setdefault(j, {})[i] = c
-        assert bc.cob_pivots == rref(list(cob.values()), cx.field)[1]
+        cob_rows, cob_pivots = rref(list(cob.values()), field)
+        assert bc.cob_pivots == cob_pivots
+        leads = [min(row) for row in bc.cob_rows]
+        assert len(set(leads)) == len(leads) and leads == bc.cob_pivots
+        for p, row in zip(leads, bc.cob_rows):
+            assert row[p] == field.coding.one
+            assert not reduce_against(row, cob_rows, cob_pivots, field), (s, u, p)
 
 
 @pytest.mark.parametrize("case", ["gl3-critical-GF7", "ravenel3-eps1-GF19"])
 def test_block_order_does_not_change_the_classes(case):
     # blocks requested from the top degree down, or one top-degree cocycle
     # reduced on its own, build the same blocks as an upward classes(), and
-    # hold no rows afterwards
+    # hold no rows of d afterwards: a block's coboundary rows are the very
+    # rows of the image echelon of the block below, not copies
     cx = CLASS_CASES[case]()
     up = Cohomology(cx)
     refs = up.classes()
 
+    def handed_up(coh):
+        for (s, u), bc in coh._blocks.items():
+            above = coh._blocks.get((s + 1, u))
+            if above is not None:
+                assert above.cob_pivots == sorted(bc.image)
+                assert all(row is bc.image[p]
+                           for p, row in zip(above.cob_pivots, above.cob_rows))
+
     def same_blocks(coh):
-        assert not coh._held
+        handed_up(coh)
         for key, bc in coh._blocks.items():
             ref = up._blocks[key]
             assert (bc.rep_rows, bc.rep_pivots, bc.cob_pivots) == (
                 ref.rep_rows, ref.rep_pivots, ref.cob_pivots)
 
-    assert not up._held
+    handed_up(up)
     down = Cohomology(cx)
     for s, u in reversed(list(_blocks(cx))):
         down.block(s, u)
@@ -519,6 +542,65 @@ def test_block_matrix_respects_blocks():
         for u in cx.blocks(s):
             rows, ncols = transpose(*block_matrix(cx, s, u))
             assert ncols == len(cx.blocks(s)[u])
+
+
+def assert_rows_encode_d_monomial(cx) -> int:
+    """On every monomial of every block, the coded row of ``d_row`` is
+    ``d_monomial`` encoded through the target block's column index, and it
+    is the monomial's ``block_matrix`` row.  Returns how many monomials."""
+    encode = cx.field.coding.encode
+    count = 0
+    for s in range(cx.top_degree + 1):
+        for u, monos in cx.blocks(s).items():
+            column = {m: i for i, m in enumerate(cx.blocks(s + 1).get(u, []))}
+            rows, width = block_matrix(cx, s, u)
+            assert width == len(column)
+            for mask, row in zip(monos, rows):
+                want = {column[t]: encode(c) for t, c in cx.d_monomial(mask).items()}
+                assert cx.d_row(mask, column) == want == row, (s, u, mask)
+                count += 1
+    return count
+
+
+@pytest.mark.parametrize("n,p", [(1, 3), (2, 11), (2, 2), (3, 19), (3, 7)])
+@pytest.mark.parametrize("eps", [0, 1, 2])
+def test_d_row_is_d_monomial_coded(n, p, eps):
+    cx = build_deformed(n, p, field_create(p), eps)
+    assert assert_rows_encode_d_monomial(cx) == 1 << n * n
+
+
+def test_d_row_is_d_monomial_coded_on_gl4_critical_over_gf169():
+    cc4 = subcomplex(build_gl(4, field_create(13, 2), 13), "critical")
+    assert assert_rows_encode_d_monomial(cc4) == 2432
+
+
+def test_d_row_of_a_finite_complex_drops_zero_coefficients():
+    f = field_create(5)
+    basis = {0: ["a"], 1: ["b", "c"], 2: ["d", "e"]}
+    diff = {"a": {"b": f.zero, "c": f.one + f.one}, "b": {"d": f.one, "e": f.zero},
+            "c": {"d": -f.one}}
+    fc = FiniteComplex(f, basis, diff)
+    assert assert_rows_encode_d_monomial(fc) == 5
+    encode = f.coding.encode
+    assert fc.d_row("a", {"b": 0, "c": 1}) == {1: encode(f.one + f.one)}
+    assert fc.d_row("b", {"d": 0, "e": 1}) == {0: encode(f.one)}
+    assert fc.d_row("d", {}) == {}
+
+
+def test_block_matrix_names_a_monomial_that_leaves_its_block():
+    # a member list that leaves out a target of d: the row of its source
+    # cannot be indexed, and the error names the block and the source
+    f = field_create(7)
+    cx = build_gl(2, f, 7)
+    target = next(t for m in cx.basis(1) for t in cx.d_monomial(m))
+    u = cx.block_key(target)
+    bad = Complex(cx.descriptor, members=[m for s in range(5) for m in cx.basis(s)
+                                          if m != target])
+    source = next(m for m in bad.blocks(1)[u] if target in cx.d_monomial(m))
+    message = f"differential leaves block u={u}: {format_monomial(source, 2)}"
+    with pytest.raises(AssertionError) as err:
+        block_matrix(bad, 1, u)
+    assert str(err.value) == message
 
 
 # -- block orbits -------------------------------------------------------------------
@@ -929,7 +1011,7 @@ def test_betti_counters_at_the_headline_fiber(monkeypatch):
     # characters of σ and with τ, which expanded d on orbit representatives)
     cx = build_singular(4, 37, field_create(37))
     rows, expanded = [], []
-    d_monomial = Complex.d_monomial
+    d_row, d_monomial = Complex.d_row, Complex.d_monomial
 
     def counted(cx, s, u, skip=()):
         out = block_matrix(cx, s, u, skip)
@@ -937,6 +1019,9 @@ def test_betti_counters_at_the_headline_fiber(monkeypatch):
         return out
 
     monkeypatch.setattr(homology, "block_matrix", counted)
+    # expansions as coded rows and as scalar maps alike
+    monkeypatch.setattr(Complex, "d_row",
+                        lambda c, mask, column: expanded.append(mask) or d_row(c, mask, column))
     monkeypatch.setattr(Complex, "d_monomial",
                         lambda c, mask: expanded.append(mask) or d_monomial(c, mask))
     assert betti(cx).grand_total() == 3440

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -66,3 +67,33 @@ def test_every_definition_is_named_elsewhere_in_the_package():
              if not any(n == name and not (m == module and first <= line <= last)
                         for m, n, line in refs)}
     assert found == set(_NAMED_OUTSIDE_THE_PACKAGE), found
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # perfbench/tracing.py wraps package functions and methods by name from
+    # outside the package: each (module, "name") or (module.Class, "name")
+    # pair its install() lists, and each attribute it assigns, must resolve
+    path = PACKAGE.parent.parent / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text(), str(path))
+    install = next(node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "install")
+
+    def owner(node):
+        if isinstance(node, ast.Name):
+            return importlib.import_module(f"stabfold.{node.id}")
+        return getattr(owner(node.value), node.attr)
+
+    pairs = []
+    for node in ast.walk(install):
+        if (isinstance(node, ast.Tuple) and len(node.elts) >= 2
+                and isinstance(node.elts[1], ast.Constant) and isinstance(node.elts[1].value, str)):
+            pairs.append((node.elts[0], node.elts[1].value))
+        elif isinstance(node, ast.Assign):
+            pairs.extend((t.value, t.attr) for t in node.targets
+                         if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Attribute))
+    wrapped = {f"{ast.unparse(base)}.{attr}": (base, attr) for base, attr in pairs}
+    assert {"homology.nullspace", "homology.matrix_rank", "homology.rref",
+            "homology.reduce_against", "homology.block_matrix",
+            "homology.BlockCohomology.__init__", "ravenel.Complex.d_monomial"} <= wrapped.keys()
+    missing = [name for name, (base, attr) in wrapped.items() if not hasattr(owner(base), attr)]
+    assert not missing, missing
