@@ -4,11 +4,14 @@ products, ring recognition, and ranks of induced maps.
 All linear algebra runs through one sparse echelon over rows
 ``{column: code}``, where a code is the discrete log of a nonzero field
 element in the coding of the field passed along (``Field.coding``, see
-``gf``).  Each pivot sits at its row's least column and is normalized to one,
-rows are inserted shortest first, and the coding's single ``row -= c * prow``
-step serves rank, reduced echelon form, kernels and reduction of
-representatives.  A row space has exactly one reduced echelon form with pivots
-at least columns, so every result is independent of the insertion order.
+``gf``).  Each pivot sits at its row's least column, rows are inserted
+shortest first, and the coding's single ``row -= c * prow`` step serves rank,
+reduced echelon form, kernels and reduction of representatives.  Codes are
+logs, so a step scales by the difference of the two rows' codes at the pivot,
+and a stored row keeps its scale: rows are normalized to one only where
+results leave the engine, in ``rref`` and ``nullspace``.  A row space has
+exactly one reduced echelon form with pivots at least columns, so every
+result is independent of the insertion order.
 ``insert_row`` also serves the filtered pairing of ``pages.run_pages``,
 whose insertion order is the filtration's, deepest source first, not
 shortest first: there the pivot each source lands on is the result, not
@@ -91,12 +94,11 @@ one vector per class, where Z has one per dimension.  ``nullspace`` finds it
 in one identity-augmented pass over the rows of the sources outside B's
 pivots, the same clearing as ``betti``'s: the row of q is d(e_q) followed
 by e_q in a second part of the columns.  The rows that pivot in the d part,
-cut to it, are an echelon of im d_s, the next block's B, normalized at
-their least columns as ``echelon``'s are; a row that pivots in the identity
-part is a cocycle, and these cocycles span pi(Z), as d_s∘pi = d_s.  Their
-reduced echelon form is the unique one of pi(Z): the representatives.  Both
-it and the pivot set of B depend only on the row spaces, not on the order
-the rows went in.
+cut to it and normalized at their least columns, are an echelon of im d_s,
+the next block's B; a row that pivots in the identity part is a cocycle, and
+these cocycles span pi(Z), as d_s∘pi = d_s.  Their reduced echelon form is
+the unique one of pi(Z): the representatives.  Both it and the pivot set of B
+depend only on the row spaces, not on the order the rows went in.
 """
 
 from __future__ import annotations
@@ -112,23 +114,28 @@ from .gf import Field
 
 def insert_row(row: dict, ech: dict[int, dict], field: Field):
     """Reduce the coded ``row`` (consumed) against the echelon ``ech`` (pivot
-    -> row) until its least column is not a pivot; store it there, normalized,
-    and return that column, or None when the row reduces to zero."""
-    coding = field.coding
+    -> row) until its least column is not a pivot; store it there as it
+    stands, not normalized, and return that column, or None when the row
+    reduces to zero.  A row that was stepped is stored as a fresh dict: the
+    stepped one keeps the slots of the entries it cancelled."""
+    step = field.coding.step
+    stepped = False
     while row:
         piv = min(row)
         prow = ech.get(piv)
         if prow is None:
-            ech[piv] = coding.normalize(row, row[piv])
+            ech[piv] = dict(row) if stepped else row
             return piv
-        coding.step(row, row[piv], prow)
+        step(row, row[piv] - prow[piv], prow)
+        stepped = True
         if piv in row:
             raise ArithmeticError(f"row step left its pivot column {piv} in the row")
     return None
 
 
 def echelon(rows, field: Field) -> dict[int, dict]:
-    """Echelon of the row space, pivot column -> row, shortest rows first."""
+    """Echelon of the row space, pivot column -> row, shortest rows first;
+    each row has its pivot at its least column, at the scale it landed with."""
     ech: dict[int, dict] = {}
     for r in sorted(rows, key=len):
         if r:
@@ -137,9 +144,9 @@ def echelon(rows, field: Field) -> dict[int, dict]:
 
 
 def matrix_rank(rows, ncols: int, field: Field, pivots: set | None = None) -> int:
-    """Number of pivots of coded rows; the engine does not need ncols.  The
-    pivot columns are added to ``pivots`` when it is given: they clear the
-    next degree (see the module docstring)."""
+    """Number of pivots of coded rows; the engine does not need ncols, and
+    no row is normalized.  The pivot columns are added to ``pivots`` when it
+    is given: they clear the next degree (see the module docstring)."""
     ech = echelon(rows, field)
     if pivots is not None:
         pivots.update(ech)
@@ -148,7 +155,8 @@ def matrix_rank(rows, ncols: int, field: Field, pivots: set | None = None) -> in
 
 def rref(rows: list[dict[int, object]], field: Field):
     """Reduced row echelon form of coded sparse rows; returns (rows, pivot
-    columns), rows ordered by pivot column, each pivot normalized to one."""
+    columns), rows ordered by pivot column, each normalized to one at its
+    pivot on the way out."""
     step = field.coding.step
     ech = echelon(rows, field)
     pivots = sorted(ech)
@@ -157,8 +165,8 @@ def rref(rows: list[dict[int, object]], field: Field):
     for p in reversed(pivots):
         row = ech[p]
         for q in [q for q in row if q != p and q in ech]:
-            step(row, row[q], ech[q])
-    return [dict(ech[p]) for p in pivots], pivots
+            step(row, row[q] - ech[q][q], ech[q])
+    return [field.coding.normalize(ech[p], ech[p][p]) for p in pivots], pivots
 
 
 def nullspace(rows: list[dict], width: int, field: Field, skip=()):
@@ -171,10 +179,11 @@ def nullspace(rows: list[dict], width: int, field: Field, skip=()):
     first part is zero, are a basis of the kernel.
 
     Returns the echelon of im d, pivot -> row with the columns from width on
-    dropped, each row normalized at its least column, and the reduced echelon
-    form of the kernel rows, relabelled to the sources, with its pivots: a
-    basis of the kernel on span{e_q : q not in skip}."""
-    one = field.coding.one
+    dropped, each row normalized to one at its least column as it is cut,
+    and the reduced echelon form of the kernel rows, relabelled to the
+    sources, with its pivots: a basis of the kernel on
+    span{e_q : q not in skip}."""
+    one, q1 = field.coding.one, field.coding.q1
     ech: dict[int, dict] = {}
     kept = [q for q in range(len(rows)) if q not in skip]
     for q in sorted(kept, key=lambda q: len(rows[q])):
@@ -182,7 +191,7 @@ def nullspace(rows: list[dict], width: int, field: Field, skip=()):
         augmented[width + q] = one
         # e_q stays in the row: no earlier row holds column width + q
         insert_row(augmented, ech, field)
-    image = {p: {c: v for c, v in row.items() if c < width}
+    image = {p: {c: (v - row[p]) % q1 for c, v in row.items() if c < width}
              for p, row in ech.items() if p < width}
     kernel = [{c - width: v for c, v in row.items()} for p, row in ech.items() if p >= width]
     return (image, *rref(kernel, field))
@@ -192,16 +201,16 @@ def reduce_against(vec: dict[int, object], rr_rows, pivots, field: Field):
     """Eliminate the pivot coordinates of an echelon family from a coded
     vector: the one vector of vec + span(rows) that is zero at every pivot.
 
-    Any echelon will do, reduced or not, as long as the pivots come in
-    ascending order and each row's least column is its pivot: a step at one
-    pivot then touches only larger columns, so the pivots already cleared
-    stay clear."""
+    Any echelon will do, reduced or not, normalized or not, as long as the
+    pivots come in ascending order and each row's least column is its pivot:
+    a step at one pivot then touches only larger columns, so the pivots
+    already cleared stay clear."""
     step = field.coding.step
     out = dict(vec)
     for p, row in zip(pivots, rr_rows):
         c = out.get(p)
         if c is not None:
-            step(out, c, row)
+            step(out, c - row[p], row)
     return out
 
 
@@ -367,15 +376,16 @@ class BlockCohomology:
     reduced echelon form plus the machinery to reduce any cocycle to class
     coordinates.
 
-    ``cob`` is an echelon of the coboundaries B, pivot -> row, each row
-    normalized at its least column: the ``image`` of the (s - 1, u) block.
+    ``cob`` is an echelon of the coboundaries B, pivot -> row, each row's
+    pivot at its least column: the ``image`` of the (s - 1, u) block, which
+    ``nullspace`` normalizes there, though ``reduce`` would take any scale.
     As d∘d = 0 puts B inside Z = ker d, reducing Z against it gives
     pi(Z) = Z ∩ span{e_q : q not a pivot of B} (see the module docstring):
     the kernel that ``nullspace`` finds on the ``block_matrix`` rows of d on
     this block, those of B's pivots skipped, whose reduced echelon basis is
-    the representatives, one vector per class.  The same pass leaves
-    ``image``, an echelon of im d on this block: the (s + 1, u) block's
-    coboundaries."""
+    the representatives, one vector per class, normalized by ``rref``.  The
+    same pass leaves ``image``, an echelon of im d on this block: the
+    (s + 1, u) block's coboundaries."""
 
     def __init__(self, cx, s: int, u: int, cob: dict[int, dict]):
         self.cx = cx

@@ -126,7 +126,7 @@ class GradingTables(NamedTuple):
     """The internal class and the first-subscript sum mod n of each subset of
     the low ``half`` slots and of the high n^2 - half slots: a monomial's
     value is the sum of its halves' entries.  ``lo_by_degree[k]`` lists the
-    low halves with k slots, ascending."""
+    low halves with k slots, ascending, each as the pair (lo, class_lo[lo])."""
     half: int
     modulus: int  # of the internal class, 2(p^n - 1)
     class_lo: list
@@ -144,13 +144,13 @@ def grading_tables(n: int, p: int) -> GradingTables:
         weights, mod = internal_weights(n, p)
         firsts = [b // n + 1 for b in range(n * n)]
         half = n * n // 2
+        tables = [[v % m for v in subset_sums(values, 0)] for values, m in (
+            (weights[:half], mod), (weights[half:], mod),
+            (firsts[:half], n), (firsts[half:], n))]
         lo_by_degree = [[] for _ in range(half + 1)]
-        for lo in range(1 << half):
-            lo_by_degree[lo.bit_count()].append(lo)
-        _GRADING_TABLES[(n, p)] = GradingTables(half, mod, *(
-            [v % m for v in subset_sums(values, 0)] for values, m in (
-                (weights[:half], mod), (weights[half:], mod),
-                (firsts[:half], n), (firsts[half:], n))), lo_by_degree)
+        for lo, lo_class in enumerate(tables[0]):
+            lo_by_degree[lo.bit_count()].append((lo, lo_class))
+        _GRADING_TABLES[(n, p)] = GradingTables(half, mod, *tables, lo_by_degree)
     return _GRADING_TABLES[(n, p)]
 
 
@@ -241,8 +241,10 @@ class Complex:
 
     Bases and blocks are computed lazily per cohomological degree; the block
     key is the internal degree class mod 2(p^n - 1).  A subcomplex is given
-    by the list of its ``members``, which its bases read by degree; without
-    one, every monomial is a member.
+    by the list of its ``members``, which its bases read by degree, and its
+    blocks split those bases.  Without one, every monomial is a member: the
+    blocks are enumerated directly, and a basis is built from them only when
+    asked for.
     """
 
     def __init__(self, descriptor: DgaDescriptor, members=None):
@@ -280,31 +282,37 @@ class Complex:
         return self._members is None or mask in self._members
 
     def basis(self, s: int) -> list[int]:
+        """The members of degree s, ascending; for the full complex, the
+        sorted union of its blocks, built on the first call."""
         if s < 0 or s > self.top_degree:
             return []
         if s not in self._basis_cache:
             # only the full complex gets here: every subset is a member
-            self._basis_cache[s], self._block_cache[s] = self._enumerate(s)
+            self._basis_cache[s] = sorted(
+                m for block in self.blocks(s).values() for m in block)
         return self._basis_cache[s]
 
-    def _enumerate(self, s: int) -> tuple[list[int], dict[int, list[int]]]:
-        """Basis and blocks of degree s of the full complex, in one pass over
-        the halves of the grading tables: each high half h in ascending order,
-        then each low half l with s - |h| slots.  The masks h << half | l come
-        out ascending, and the class of each is class_lo[l] + class_hi[h]."""
+    def _enumerate(self, s: int) -> dict[int, list[int]]:
+        """Blocks of degree s of the full complex, empty outside 0 .. N, in
+        one pass over the halves of the grading tables: each high half h in
+        ascending order, then each low half l with s - |h| slots.  The masks
+        h << half | l come out ascending, so each block is ascending, and the
+        class of each is class_lo[l] + class_hi[h]."""
         g = self._grading
-        half, mod, class_lo, lows = g.half, g.modulus, g.class_lo, g.lo_by_degree
-        basis: list[int] = []
+        half, mod, lows = g.half, g.modulus, g.lo_by_degree
         blocks: dict[int, list[int]] = {}
+        get = blocks.get
         for hi, hi_class in enumerate(g.class_hi):
             k = s - hi.bit_count()
             if 0 <= k <= half:
                 base = hi << half
-                for lo in lows[k]:
-                    mask = base | lo
-                    basis.append(mask)
-                    blocks.setdefault((class_lo[lo] + hi_class) % mod, []).append(mask)
-        return basis, blocks
+                for lo, lo_class in lows[k]:
+                    u = (lo_class + hi_class) % mod
+                    block = get(u)
+                    if block is None:
+                        block = blocks[u] = []
+                    block.append(base | lo)
+        return blocks
 
     def dim(self) -> int:
         return sum(len(self.basis(s)) for s in range(self.top_degree + 1))
@@ -315,12 +323,14 @@ class Complex:
                 % g.modulus)
 
     def blocks(self, s: int) -> dict[int, list[int]]:
+        """The members of degree s by internal class, each block ascending:
+        enumerated for the full complex, split off the basis otherwise."""
         if s not in self._block_cache:
-            # the full complex's basis fills in its blocks as well
-            basis = self.basis(s)
-            if s not in self._block_cache:
+            if self._members is None:
+                self._block_cache[s] = self._enumerate(s)
+            else:
                 out: dict[int, list[int]] = {}
-                for mask in basis:
+                for mask in self.basis(s):
                     out.setdefault(self.block_key(mask), []).append(mask)
                 self._block_cache[s] = out
         return self._block_cache[s]

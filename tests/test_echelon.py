@@ -6,13 +6,16 @@ field's coding, and its results are decoded wherever they are compared with
 scalar arithmetic.
 """
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import dense_rank_oracle, kernel_basis, transpose
 
 from stabfold.gf import field_create
-from stabfold.homology import echelon, matrix_rank, nullspace, reduce_against, rref
+from stabfold.homology import (echelon, insert_row, matrix_rank, nullspace,
+                               reduce_against, rref)
 
 FIELDS = [field_create(5), field_create(7), field_create(2, 3), field_create(3, 2)]
 MAX_ROWS, MAX_COLS = 6, 7
@@ -49,6 +52,63 @@ def add_multiple(rows, i, j, c):
         else:
             out[i].pop(col, None)
     return out
+
+
+def normalizing_echelon(rows, field):
+    """Reference echelon that normalizes each row to one at its pivot as it
+    stores it, and steps by the row's own code at the pivot."""
+    coding = field.coding
+    ech = {}
+    for r in sorted(rows, key=len):
+        row = dict(r)
+        while row:
+            piv = min(row)
+            prow = ech.get(piv)
+            if prow is None:
+                ech[piv] = coding.normalize(row, row[piv])
+                break
+            coding.step(row, row[piv], prow)
+    return ech
+
+
+@FAST
+@given(matrices())
+def test_stored_rows_are_the_normalizing_echelon_rows_up_to_scale(mat):
+    # each stored row has its pivot at its least column and, normalized
+    # there, is the row a normalizing insert stores; rref's rows leave
+    # normalized
+    field, rows, _ncols = mat
+    coding = field.coding
+    rows = coded(rows, field)
+    ech = echelon(rows, field)
+    reference = normalizing_echelon(rows, field)
+    assert sorted(ech) == sorted(reference)
+    for p, row in ech.items():
+        assert min(row) == p
+        assert coding.normalize(row, row[p]) == reference[p]
+    for p, row in zip(*reversed(rref(rows, field))):
+        assert min(row) == p and row[p] == coding.one
+
+
+def test_a_stepped_row_is_stored_compact():
+    # the second row cancels twenty entries against the first: the dict
+    # that was stepped keeps their slots, the stored row must not
+    field = field_create(7)
+    ech = {}
+    assert insert_row({c: 0 for c in range(20)}, ech, field) == 0
+    assert insert_row({c: 0 for c in range(22)}, ech, field) == 20
+    stored = ech[20]
+    assert stored == {20: 0, 21: 0}
+    assert sys.getsizeof(stored) == sys.getsizeof(dict(stored))
+
+
+def test_a_row_stored_unstepped_is_the_row_handed_in():
+    # a row that meets no pivot is stored as it stands, scale and all
+    field = field_create(7)
+    ech = {}
+    row = {3: 4, 5: 1}
+    assert insert_row(row, ech, field) == 3
+    assert ech[3] is row and row == {3: 4, 5: 1}
 
 
 @FAST

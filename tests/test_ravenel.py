@@ -324,6 +324,33 @@ def test_full_basis_and_blocks_are_every_subset_by_class(n, p):
         assert list(cx.blocks(s).items()) == list(blocks.items())
 
 
+FULL_CASES = {
+    "ravenel2-GF11": lambda: build_singular(2, 11, field_create(11)),
+    "ravenel3-GF19": lambda: build_singular(3, 19, field_create(19)),
+    "ravenel4-GF37": lambda: build_singular(4, 37, field_create(37)),
+    "gl4-GF169": lambda: build_gl(4, field_create(13, 2), 13),
+}
+
+
+@pytest.mark.parametrize("case", FULL_CASES)
+def test_full_blocks_and_basis_group_every_mask_by_degree_and_class(case):
+    # every mask of the full complex, ascending, grouped by popcount and
+    # block_key: the blocks enumerated per degree, ascending, and the basis,
+    # their sorted union, whichever of the two is asked for first
+    cx, fresh = FULL_CASES[case](), FULL_CASES[case]()
+    top = cx.top_degree
+    oracle: dict[int, dict[int, list[int]]] = {s: {} for s in range(top + 1)}
+    for m in range(1 << top):
+        oracle[m.bit_count()].setdefault(cx.block_key(m), []).append(m)
+    for s in range(-1, top + 2):
+        want = oracle.get(s, {})
+        members = [m for m in range(1 << top) if m.bit_count() == s]
+        assert list(cx.blocks(s).items()) == list(want.items()), s
+        assert cx.basis(s) == members, s
+        assert fresh.basis(s) == members, s
+        assert list(fresh.blocks(s).items()) == list(want.items()), s
+
+
 def _members(sub) -> list[int]:
     """The basis of sub over all degrees, each degree ascending."""
     out = []
