@@ -168,6 +168,11 @@ def claim_model_kernel(n: int | None, p: int | None) -> list[dict]:
             "critical and full complexes have equal Betti totals",
             t_cc.totals_by_degree() == t_full.totals_by_degree()
             and t_cc.grand_total() == 16))
+    failed = next((c for c in checks if not c["ok"]), None)
+    if failed and p <= 2 * n * n:
+        failed["detail"] += ("; " if failed["detail"] else "") + (
+            f"the theorem is checked for p above 2n^2 = {2 * n * n} "
+            f"(TABLE_PRIMES[{n}] = {TABLE_PRIMES[n]}), and p = {p} lies below that bound")
     return checks
 
 

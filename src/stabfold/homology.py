@@ -32,8 +32,10 @@ to the middle degree;
 ``Cohomology`` eliminates each block's rows once, for the cocycles of
 BlockCohomology(s, u), and hands the echelon of im d that the same pass
 leaves up to BlockCohomology(s + 1, u) as its coboundaries, eliminated no
-second time; ``exterior_ring_check`` reads its Betti profile off those
-blocks' classes; and ``pages.run_pages`` pairs them by the filtration.  A
+second time; ``exterior_ring_check`` reads its Betti profile off
+``block_ranks`` and builds a BlockCohomology only for the blocks of its
+generators, on the echelons ``block_ranks`` left one degree down; and
+``pages.run_pages`` pairs them by the filtration.  A
 ``FiniteComplex`` on arbitrary labels (the cores, medial layers and x-adic
 windows of ``pages``) is read the same way.  ``block_matrix`` takes a set of
 sources to skip, whose rows it leaves empty without expanding d on them.
@@ -105,7 +107,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .exterior import Cochain, degree, format_monomial
+from .exterior import Cochain, degree, format_monomial, wedge
 from .gf import Field
 
 
@@ -143,10 +145,11 @@ def echelon(rows, field: Field) -> dict[int, dict]:
     return ech
 
 
-def matrix_rank(rows, ncols: int, field: Field, pivots: set | None = None) -> int:
+def matrix_rank(rows, ncols: int, field: Field, pivots: set | dict | None = None) -> int:
     """Number of pivots of coded rows; the engine does not need ncols, and
     no row is normalized.  The pivot columns are added to ``pivots`` when it
-    is given: they clear the next degree (see the module docstring)."""
+    is given: they clear the next degree (see the module docstring).  A dict
+    gets the echelon itself, pivot -> row, and answers ``in`` the same way."""
     ech = echelon(rows, field)
     if pivots is not None:
         pivots.update(ech)
@@ -311,7 +314,7 @@ def betti_numbers(dims: dict, ranks: dict) -> dict:
     return out
 
 
-def block_ranks(cx) -> tuple[dict, dict]:
+def block_ranks(cx, echelons: dict[int, dict] | None = None) -> tuple[dict, dict]:
     """Dimension and rank of d of every (s, u) block.  Up to the middle, 2 s
     <= N - 1 for the top degree N, one elimination per σ-orbit of classes,
     ``cx.block_orbits``, on the block of its lead, copied along the orbit
@@ -325,13 +328,19 @@ def block_ranks(cx) -> tuple[dict, dict]:
     monomials.  That pins v to u_top - u, as classes add along products, so
     the complements of the target (s + 1, u) lie in the dual's source
     (N - 1 - s, v); a nonempty target gets the same check in turn, as a
-    source one degree up."""
+    source one degree up.
+
+    For each degree s that is a key of ``echelons``, the echelon of im d^s
+    on each block this eliminates is kept there by class, echelons[s][u] =
+    {pivot: row}: the coboundaries of the (s + 1, u) block, at the scale its
+    rows landed with.  Blocks whose rank was copied get none."""
     field, top = cx.field, cx.top_degree
+    keep = echelons or {}
     full = (1 << top) - 1
     blocks = {s: cx.blocks(s) for s in range(-1, top + 2)}
     ranks: dict[tuple[int, int], int] = {}
     dims: dict[tuple[int, int], int] = {}
-    pivots: dict[tuple[int, int], set] = {}
+    pivots: dict[tuple[int, int], set | dict] = {}
 
     def sizes(s, u):
         return len(blocks[s].get(u, ())), len(blocks[s + 1].get(u, ()))
@@ -342,8 +351,13 @@ def block_ranks(cx) -> tuple[dict, dict]:
             dual = 2 * s > top - 1 and cx.dual_class(lead) is not None
             if not dual:
                 rows, width = block_matrix(cx, s, lead, pivots.pop((s - 1, lead), ()))
-                pivot_set = pivots.setdefault((s, lead), set()) if cx.dd_zero else None
-                ranks[(s, lead)] = matrix_rank(rows, width, field, pivot_set)
+                kept = keep.get(s)
+                found = {} if kept is not None else set() if cx.dd_zero else None
+                ranks[(s, lead)] = matrix_rank(rows, width, field, found)
+                if kept is not None:
+                    kept[lead] = found
+                if cx.dd_zero:
+                    pivots[(s, lead)] = found
             for u in orbit:
                 if dual:
                     found = (top - 1 - s, cx.dual_class(u))
@@ -377,8 +391,9 @@ class BlockCohomology:
     coordinates.
 
     ``cob`` is an echelon of the coboundaries B, pivot -> row, each row's
-    pivot at its least column: the ``image`` of the (s - 1, u) block, which
-    ``nullspace`` normalizes there, though ``reduce`` would take any scale.
+    pivot at its least column, at any scale: the ``image`` of the (s - 1, u)
+    block, which ``nullspace`` normalizes there, or the echelon that
+    ``block_ranks`` kept of it.
     As d∘d = 0 puts B inside Z = ker d, reducing Z against it gives
     pi(Z) = Z ∩ span{e_q : q not a pivot of B} (see the module docstring):
     the kernel that ``nullspace`` finds on the ``block_matrix`` rows of d on
@@ -457,14 +472,6 @@ class Cohomology:
             self._blocks[key] = BlockCohomology(self.cx, s, u, cob)
         return self._blocks[key]
 
-    def classes(self) -> list[tuple[int, int, int]]:
-        out = []
-        for s in range(self.cx.top_degree + 1):
-            for u in sorted(self.cx.blocks(s)):
-                bc = self.block(s, u)
-                out.extend((s, u, i) for i in range(bc.dim))
-        return out
-
     def representative(self, ref: tuple[int, int, int]) -> Cochain:
         s, u, i = ref
         return self.block(s, u).representative(i)
@@ -499,72 +506,127 @@ def exterior_profile(degrees) -> dict[int, int]:
 
 
 def exterior_ring_check(cx, expected_degrees: list[int]) -> dict:
-    """Does the cohomology ring look like the exterior algebra on one generator
-    in each expected (odd) degree?
+    """Is the cohomology ring the exterior algebra on one generator in each
+    expected odd degree?  Decided by the top-product certificate:
 
-    The class counts per degree, read off the blocks' cohomology, are compared
-    with the exterior profile first; on mismatch no generator search runs.
-    Then generators are chosen greedily (any class independent of products of
-    the earlier generators), and all square-free cup monomials must be linearly
-    independent and exhaust the cohomology.
-    """
-    field = cx.field
-    coding = field.coding
-    coh = Cohomology(cx)
-    all_classes = coh.classes()
-    by_degree: dict[int, list] = {}
-    for ref in all_classes:
-        by_degree.setdefault(ref[0], []).append(ref)
+    - the Betti profile per degree, from ``block_ranks``, is the exterior
+      profile; on mismatch no generator search runs;
+    - generators are chosen greedily: in each expected degree d, the first
+      class in (s, u, i) order that is independent of the products of the
+      earlier generators landing in degree d;
+    - ``certify_top_product`` holds on their representatives z_1 .. z_k:
+      each is a cocycle, their degrees sum to the top degree N, whose
+      monomial is a member, and z_1 ⋯ z_k has a nonzero top coefficient.
+
+    Why that suffices.  An odd cochain squares to zero at the cochain level
+    in every characteristic: m m = 0 for a monomial, and m m' = -m' m.  For
+    a set S of generators let z_S be their product in order.  Take S ≠ T of
+    equal degree: S meets the complement T^c, so z_S z_(T^c) repeats a factor
+    and is 0, while z_S z_(S^c) = ± z_1 ⋯ z_k.  The exterior profile has
+    b_N = 1 and C^N is spanned by the top monomial, so B^N = 0 and the top
+    coefficient is a nonzero functional on H^N.  If a combination of z_S of
+    one degree, coefficient a_T on z_T, is a coboundary d w, multiplying by
+    the cocycle z_(T^c) gives a_T (± z_1 ⋯ z_k) = ± d(w z_(T^c)), which lies
+    in B^N = 0, so a_T = 0.  The 2^k products are independent, the profile
+    says they exhaust H, and they multiply as in the exterior algebra.
+
+    A generator's block is one ``BlockCohomology`` on the coboundaries that
+    ``block_ranks`` eliminated one degree down; where it copied that rank,
+    along a σ-orbit or from its dual block, the block comes from the
+    ``Cohomology`` chain instead."""
+    chain = Cohomology(cx)
+    field, coding = cx.field, cx.field.coding
     poincare = exterior_profile(expected_degrees)
-    totals = {s: len(refs) for s, refs in by_degree.items()}
+    kept: dict[int, dict] = {d - 1: {} for d in expected_degrees}
+    dims, ranks = block_ranks(cx, kept)
+    table = BettiTable(betti_numbers(dims, ranks), dims)
+    totals = table.totals_by_degree()
     if totals != poincare:
         return {
             "holds": False,
             "reason": f"Betti profile {totals} differs from exterior profile {poincare}",
         }
 
-    nclasses = len(all_classes)
-    class_index = {ref: i for i, ref in enumerate(all_classes)}
+    def block(s: int, u: int) -> BlockCohomology:
+        cob = kept[s - 1].get(u)
+        return chain.block(s, u) if cob is None else BlockCohomology(cx, s, u, cob)
 
-    def coords_of(z: Cochain) -> dict[int, object]:
-        """Coded class coordinates of a cocycle."""
-        return {class_index[r]: coding.encode(c)
-                for r, c in coh.reduce_cocycle(z).items()}
-
-    # representative cochain for each square-free product of chosen generators,
-    # keyed by the (distinct) degrees of the factors
     generators: list[tuple[int, int, int]] = []
-    products: dict[frozenset, Cochain] = {
-        frozenset(): coh.representative((0, 0, 0))
-    }
+    cocycles: list[Cochain] = []
     for d in expected_degrees:
-        spanned = [coords_of(z) for subset, z in products.items() if sum(subset) == d]
-        rr_rows, rr_piv = rref(spanned, field)
-        candidate = None
-        for ref in by_degree.get(d, []):
-            red = reduce_against({class_index[ref]: coding.one}, rr_rows, rr_piv, field)
-            if red:
-                candidate = ref
+        landing: dict[int, list[Cochain]] = {}
+        for r in range(1, len(cocycles) + 1):
+            for factors in combinations(range(len(cocycles)), r):
+                if sum(generators[j][0] for j in factors) == d:
+                    z = wedge_product(cx, [cocycles[j] for j in factors])
+                    if z:
+                        landing.setdefault(cx.block_key(next(iter(z.terms))), []).append(z)
+        found = None
+        for u in sorted(u for s, u in table.entries if s == d):
+            bc = block(d, u)
+            try:
+                spanned = [coding.encode_row(dict(enumerate(bc.reduce(z))))
+                           for z in landing.get(u, ())]
+            except ValueError:
+                return {"holds": False,
+                        "reason": f"a product of generators in degree {d} is not a cocycle"}
+            rr_rows, rr_piv = rref(spanned, field)
+            for i in range(bc.dim):
+                if reduce_against({i: coding.one}, rr_rows, rr_piv, field):
+                    found = bc, i
+                    break
+            if found:
                 break
-        if candidate is None:
+        if found is None:
             return {"holds": False,
                     "reason": f"no indecomposable class in degree {d}"}
-        generators.append(candidate)
-        zc = coh.representative(candidate)
-        for subset, z in list(products.items()):
-            products[subset | {d}] = zc.wedge(z)
+        bc, i = found
+        generators.append((d, bc.u, i))
+        cocycles.append(bc.representative(i))
 
-    for g in generators:
-        zg = coh.representative(g)
-        if coh.reduce_cocycle(zg.wedge(zg)):
-            return {"holds": False,
-                    "reason": f"generator in degree {g[0]} has nonzero square"}
-    vectors = [coords_of(z) for z in products.values()]
-    if matrix_rank(vectors, nclasses, field) != len(vectors):
-        return {"holds": False, "reason": "cup monomials are linearly dependent"}
-    if len(vectors) != nclasses:
-        return {"holds": False, "reason": "cup monomials do not exhaust cohomology"}
+    reason = certify_top_product(cx, expected_degrees, cocycles)
+    if reason:
+        return {"holds": False, "reason": reason}
     return {"holds": True, "generators": generators}
+
+
+def wedge_product(cx, factors: list[Cochain]) -> Cochain:
+    """The wedge product of cochains in order; the unit for none."""
+    out = Cochain(cx.n, {0: cx.field.one})
+    for z in factors:
+        out = out.wedge(z)
+    return out
+
+
+def certify_top_product(cx, degrees: list[int], cocycles: list[Cochain]) -> str | None:
+    """Why the cochains z_1 .. z_k, of the given degrees, are no certificate
+    that H is exterior on them (see ``exterior_ring_check``), or None when
+    they are one: each degree is odd and each z is a cocycle, d z = 0
+    checked term by term by ``cx.d_cochain``; the degrees sum to the top
+    degree N and the top monomial is a member; and the top coefficient of
+    z_1 ⋯ z_k is nonzero.  That coefficient is the pairing of z_1 ⋯ z_(k-1)
+    with the complements of the terms of z_k."""
+    for d, z in zip(degrees, cocycles, strict=True):
+        if d % 2 == 0:
+            return f"generator degree {d} is even: its square need not vanish"
+        if cx.d_cochain(z):
+            return f"generator in degree {d} is not a cocycle"
+    top = cx.top_degree
+    if sum(degrees) != top:
+        return f"generator degrees sum to {sum(degrees)}, not the top degree {top}"
+    full = (1 << top) - 1
+    if not cx.contains(full):
+        return "the top monomial is not a member"
+    head = wedge_product(cx, cocycles[:-1]).terms
+    coefficient = cx.field.zero
+    for m, c in cocycles[-1].terms.items():
+        a = head.get(full ^ m)
+        if a:
+            sign, _ = wedge(full ^ m, m)
+            coefficient = coefficient + a * c if sign > 0 else coefficient - a * c
+    if not coefficient:
+        return "the product of the generators has top coefficient 0"
+    return None
 
 
 # -- induced maps -----------------------------------------------------------------------

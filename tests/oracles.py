@@ -22,6 +22,8 @@ same matrix by target, as the oracles above read it.
 `sigma_shift_oracle` the signs of the cyclic shift σ with it, and
 `tau_oracle` those of every element σ^a and σ^a τ of the dihedral group,
 against the row tables of `exterior.sigma_power` and `splits.dihedral`.
+`exterior_ring_oracle` is the earlier ring recognition, from the classes of
+every block (`classes`), kept as a reference for the top-product certificate.
 `cup` is the cup product of two classes of a `homology.Cohomology`,
 `Monodromy` the diagonal operator T(b) = omega^(D alpha(b)) b of a
 connection, whose fixed monomials the package lists (`KummerConnection.fixed_masks`) without building T, and
@@ -55,7 +57,14 @@ from stabfold.exterior import (
     wedge,
 )
 from stabfold.gf import Field, FieldScalar
-from stabfold.homology import insert_row, reduce_against, rref
+from stabfold.homology import (
+    Cohomology,
+    exterior_profile,
+    insert_row,
+    matrix_rank,
+    reduce_against,
+    rref,
+)
 from stabfold.kummer import Transport
 from stabfold.ravenel import bundle_digits, kronecker_term_table
 from stabfold.retract import Derivation
@@ -255,6 +264,81 @@ def sigma_apply(cx, z: Cochain, semilinear: bool = False) -> Cochain:
         cc = twist(c)
         add_term(out, shifted, -cc if sign < 0 else cc)
     return Cochain(cx.n, out)
+
+
+def classes(coh) -> list[tuple[int, int, int]]:
+    """Every class (s, u, i) of a ``homology.Cohomology``, by degree, then
+    internal class, then index in the block's representative basis."""
+    out = []
+    for s in range(coh.cx.top_degree + 1):
+        for u in sorted(coh.cx.blocks(s)):
+            out.extend((s, u, i) for i in range(coh.block(s, u).dim))
+    return out
+
+
+def exterior_ring_oracle(cx, expected_degrees: list[int]) -> dict:
+    """The earlier ring recognition, which ``homology.exterior_ring_check``
+    replaces with the top-product certificate: the class counts of every
+    block's cohomology against the exterior profile; generators chosen
+    greedily, each the first class of its degree independent of the products
+    of earlier generators landing there; then every generator's square must
+    reduce to zero, and the 2^k square-free cup monomials must be linearly
+    independent and as many as the classes."""
+    field = cx.field
+    coding = field.coding
+    coh = Cohomology(cx)
+    all_classes = classes(coh)
+    by_degree: dict[int, list] = {}
+    for ref in all_classes:
+        by_degree.setdefault(ref[0], []).append(ref)
+    poincare = exterior_profile(expected_degrees)
+    totals = {s: len(refs) for s, refs in by_degree.items()}
+    if totals != poincare:
+        return {
+            "holds": False,
+            "reason": f"Betti profile {totals} differs from exterior profile {poincare}",
+        }
+
+    nclasses = len(all_classes)
+    class_index = {ref: i for i, ref in enumerate(all_classes)}
+
+    def coords_of(z: Cochain) -> dict[int, object]:
+        return {class_index[r]: coding.encode(c)
+                for r, c in coh.reduce_cocycle(z).items()}
+
+    # representative cochain for each square-free product of chosen generators,
+    # keyed by the (distinct) degrees of the factors
+    generators: list[tuple[int, int, int]] = []
+    products: dict[frozenset, Cochain] = {
+        frozenset(): coh.representative((0, 0, 0))
+    }
+    for d in expected_degrees:
+        spanned = [coords_of(z) for subset, z in products.items() if sum(subset) == d]
+        rr_rows, rr_piv = rref(spanned, field)
+        candidate = None
+        for ref in by_degree.get(d, []):
+            if reduce_against({class_index[ref]: coding.one}, rr_rows, rr_piv, field):
+                candidate = ref
+                break
+        if candidate is None:
+            return {"holds": False,
+                    "reason": f"no indecomposable class in degree {d}"}
+        generators.append(candidate)
+        zc = coh.representative(candidate)
+        for subset, z in list(products.items()):
+            products[subset | {d}] = zc.wedge(z)
+
+    for g in generators:
+        zg = coh.representative(g)
+        if coh.reduce_cocycle(zg.wedge(zg)):
+            return {"holds": False,
+                    "reason": f"generator in degree {g[0]} has nonzero square"}
+    vectors = [coords_of(z) for z in products.values()]
+    if matrix_rank(vectors, nclasses, field) != len(vectors):
+        return {"holds": False, "reason": "cup monomials are linearly dependent"}
+    if len(vectors) != nclasses:
+        return {"holds": False, "reason": "cup monomials do not exhaust cohomology"}
+    return {"holds": True, "generators": generators}
 
 
 def cup(coh, a: tuple[int, int, int], b: tuple[int, int, int]) -> dict:

@@ -135,6 +135,19 @@ def test_verify_model_kernel_n2(capsys):
     assert code == 0 and js["ok"]
 
 
+def test_verify_model_kernel_below_the_table_prime_says_so(capsys):
+    # at p = 2 <= 2n^2 = 18 the kernel is not the critical complex: the claim
+    # still fails with status 1, and the failing check names the bound; the
+    # quasi-isomorphism check keeps its own detail
+    code, js = run_json(capsys, "verify", "model-kernel", "--n", "3", "--p", "2")
+    assert code == 1 and not js["ok"]
+    first, second = js["checks"]
+    assert not first["ok"] and first["detail"] == (
+        "the theorem is checked for p above 2n^2 = 18 (TABLE_PRIMES[3] = 19), "
+        "and p = 2 lies below that bound")
+    assert second["detail"] == "not run: the kernel is not the critical complex"
+
+
 def test_verify_model_kernel_reports_a_kernel_that_is_not_closed(capsys, monkeypatch):
     # a kernel missing one d-target of a degree-2 kernel monomial: both
     # checks fail, the quasi-isomorphism check unrun, with no traceback

@@ -3,9 +3,11 @@ import sys
 
 import pytest
 from oracles import (
+    classes,
     cup,
     dense_rank_oracle,
     euler_characteristics_match,
+    exterior_ring_oracle,
     extra_term_table,
     flipped_along_j,
     flipped_sign_table,
@@ -35,6 +37,7 @@ from stabfold.homology import (
     betti,
     block_matrix,
     block_ranks,
+    certify_top_product,
     exterior_profile,
     exterior_ring_check,
     induced_map_rank,
@@ -205,7 +208,7 @@ def test_representatives_n1():
     f = field_create(3)
     cx = build_deformed(1, 3, f, 1)
     coh = Cohomology(cx)
-    refs = coh.classes()
+    refs = classes(coh)
     reps = [coh.representative(r) for r in refs]
     assert Cochain(1, {0: f.one}) in reps
     assert Cochain(1, {generator_mask(1, 1, 1): f.one}) in reps
@@ -229,7 +232,7 @@ def test_cup_unit():
     cx = build_singular(2, 11, f)
     coh = Cohomology(cx)
     unit = (0, 0, 0)
-    for ref in coh.classes():
+    for ref in classes(coh):
         prod = cup(coh, unit, ref)
         assert prod == {ref: f.one}
 
@@ -266,11 +269,13 @@ def test_exterior_ring_check_gl2_and_gl3():
 
 
 def test_exterior_ring_check_expands_d_once_per_monomial(monkeypatch):
-    # each block's rows serve its kernel, the next block's coboundaries and
-    # the class counts; none of them expands d again, and none expands it on
-    # the pivots of a block's coboundaries, whose rows the kernel never reads:
-    # one per unit of rank of d, (80 - 8) / 2 = 36.  Expansions are counted
-    # as coded rows and as scalar maps alike
+    # d is expanded only on the blocks the check reads, once for each reader,
+    # and never on a pivot of a block's coboundaries, whose row no
+    # elimination reads (36 of them, one per unit of rank of d):
+    # block_ranks reads degrees 0 .. 4, the middle of N = 9 (27 monomials);
+    # the kernels of the generators' blocks read degrees 1, 3 and 5 (19);
+    # and d z = 0 is checked on each term of the three generators (10).
+    # Expansions are counted as coded rows and as scalar maps alike
     f = field_create(7)
     cc3 = subcomplex(build_gl(3, f, 7), "critical")
     expanded = []
@@ -288,8 +293,10 @@ def test_exterior_ring_check_expands_d_once_per_monomial(monkeypatch):
     coh = Cohomology(cc3)
     unread = {coh.block(s, 0).monomials[q] for s in range(10) for q in coh.block(s, 0).cob_pivots}
     assert cc3.dim() == 80 and len(unread) == 36
-    assert sorted(expanded) == sorted(m for s in range(10) for m in cc3.basis(s)
-                                      if m not in unread)
+    read = [m for s in (0, 1, 2, 3, 4, 1, 3, 5) for m in cc3.basis(s) if m not in unread]
+    terms = [m for d in (1, 3, 5) for m in coh.representative((d, 0, 0)).terms]
+    assert (len(read), len(terms)) == (46, 10)
+    assert sorted(expanded) == sorted(read + terms)
 
 
 # complexes whose every block the class tests visit, by coverage id
@@ -405,7 +412,7 @@ def test_block_order_does_not_change_the_classes(case):
     # rows of the image echelon of the block below, not copies
     cx = CLASS_CASES[case]()
     up = Cohomology(cx)
-    refs = up.classes()
+    refs = classes(up)
 
     def handed_up(coh):
         for (s, u), bc in coh._blocks.items():
@@ -443,8 +450,9 @@ def test_cohomology_refuses_a_finite_complex():
 
 def test_block_classes_need_no_reduce_against_per_kernel_vector(monkeypatch):
     # building the classes of every block of gl_3's critical complex reduces
-    # nothing; the ring check then reduces only its cup products and cocycles
-    # (two calls per BlockCohomology.reduce) and its generator candidates
+    # nothing; the ring check then reduces no cocycle, as no product of
+    # earlier generators lands in degree 3 or 5, and only the unit vector of
+    # each generator candidate against that empty span: three calls
     f = field_create(7)
     cc3 = subcomplex(build_gl(3, f, 7), "critical")
     callers = []
@@ -461,16 +469,14 @@ def test_block_classes_need_no_reduce_against_per_kernel_vector(monkeypatch):
 
     monkeypatch.setattr(homology, "reduce_against", counted)
     monkeypatch.setattr(BlockCohomology, "reduce", counted_reduce)
-    Cohomology(cc3).classes()
+    classes(Cohomology(cc3))
     assert callers == []
     assert exterior_ring_check(cc3, [1, 3, 5])["holds"]
-    reduces = callers.count("BlockCohomology.reduce")
-    assert callers.count("reduce") == 2 * reduces
-    assert len(callers) == 3 * reduces + callers.count("exterior_ring_check")
+    assert callers == ["exterior_ring_check"] * 3
     kernel_vectors = sum(
         len(cc3.blocks(s)[u]) - matrix_rank(*block_matrix(cc3, s, u), f)
         for s, u in _blocks(cc3))
-    assert len(callers) - reduces < kernel_vectors
+    assert len(callers) < kernel_vectors
 
 
 def test_exterior_ring_check_rejects_ravenel_full():
@@ -479,6 +485,129 @@ def test_exterior_ring_check_rejects_ravenel_full():
     out = exterior_ring_check(cx, [1, 3])
     assert not out["holds"]
     assert "profile" in out["reason"]
+
+
+def _ravenel_critical(n, p, eps):
+    return subcomplex(build_deformed(n, p, field_create(p), eps), "critical")
+
+
+# complexes on which the top-product certificate and the earlier ring
+# recognition must agree, with the verdict both give: gl_3 over F_2 fails on
+# its profile (ROADMAP item 7), and so does the full n = 2 singular fiber
+RING_CASES = {
+    "gl2-critical-F7": (lambda: subcomplex(build_gl(2, field_create(7), 7), "critical"),
+                        [1, 3], True),
+    "gl3-critical-F7": (lambda: subcomplex(build_gl(3, field_create(7), 7), "critical"),
+                        [1, 3, 5], True),
+    "gl4-critical-GF169": (lambda: subcomplex(build_gl(4, field_create(13, 2), 13),
+                                              "critical"), [1, 3, 5, 7], True),
+    "ravenel3-eps0-GF19": (lambda: _ravenel_critical(3, 19, 0), [1, 3, 5], True),
+    "ravenel3-eps1-GF19": (lambda: _ravenel_critical(3, 19, 1), [1, 3, 5], True),
+    "ravenel4-eps0-GF37": (lambda: _ravenel_critical(4, 37, 0), [1, 3, 5, 7], True),
+    "ravenel4-eps1-GF37": (lambda: _ravenel_critical(4, 37, 1), [1, 3, 5, 7], True),
+    "gl3-critical-F2": (lambda: subcomplex(build_gl(3, field_create(2), 2), "critical"),
+                        [1, 3, 5], False),
+    "ravenel2-full-eps0-GF11": (lambda: build_singular(2, 11, field_create(11)),
+                                [1, 3], False),
+}
+
+
+@pytest.mark.parametrize("case", RING_CASES)
+def test_exterior_ring_check_agrees_with_the_earlier_recognition(case):
+    # verdict, generators and reason, on fresh complexes for each side
+    make, degrees, holds = RING_CASES[case]
+    out = exterior_ring_check(make(), degrees)
+    assert out == exterior_ring_oracle(make(), degrees)
+    assert out["holds"] == holds
+    assert holds or "profile" in out["reason"]
+
+
+@pytest.mark.parametrize("n, p", [(3, 19), (4, 37)])
+@pytest.mark.parametrize("eps", [0, 1])
+def test_the_critical_complex_is_an_exterior_ring_at_both_fibers(n, p, eps):
+    # the paper's headline as a ring: at the singular fiber (eps = 0) and at
+    # gl_n (eps = 1), H of the critical complex is exterior on one class in
+    # each degree 1, 3, ..., 2n - 1, all of internal class 0
+    degrees = list(range(1, 2 * n, 2))
+    out = exterior_ring_check(_ravenel_critical(n, p, eps), degrees)
+    assert out == {"holds": True, "generators": [(d, 0, 0) for d in degrees]}
+
+
+@pytest.mark.parametrize("n, calls", [(2, (2, 5)), (3, (5, 3))])
+def test_exterior_ring_check_eliminates_each_block_below_the_middle_once(
+        monkeypatch, n, calls):
+    # block_ranks eliminates degrees 0 .. (N - 1) // 2 once each, and each
+    # generator block runs one kernel pass on the echelon block_ranks kept one
+    # degree down.  At n = 3 that is all (5 ranks, 3 kernels).  At n = 2,
+    # N = 4, the rank of d^2 is a duality copy, so the degree-3 generator's
+    # block comes from the Cohomology chain: 2 ranks, and kernels of the
+    # degree-1 block and of the chain's blocks 0 .. 3
+    cx = subcomplex(build_gl(n, field_create(7), 7), "critical")
+    counts = {"matrix_rank": 0, "nullspace": 0}
+    for name in counts:
+        def counted(*args, _name=name, _f=getattr(homology, name), **kwargs):
+            counts[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(homology, name, counted)
+    assert exterior_ring_check(cx, list(range(1, 2 * n, 2)))["holds"]
+    assert (counts["matrix_rank"], counts["nullspace"]) == calls
+
+
+def _top_coefficient(cx, cochains):
+    prod = Cochain(cx.n, {0: cx.field.one})
+    for z in cochains:
+        prod = prod.wedge(z)
+    return prod.terms.get((1 << cx.top_degree) - 1, cx.field.zero)
+
+
+def _coboundary(cx, z):
+    # d of a degree-2 monomial: a cocycle whose class is 0
+    w = next(m for m in cx.basis(2) if cx.d_monomial(m))
+    return Cochain(cx.n, cx.d_monomial(w))
+
+
+def _not_a_cocycle(cx, z):
+    # z plus c times a degree-1 monomial that d does not kill, with c chosen
+    # so that the top product stays nonzero: only d z = 0 can catch it
+    m = next(m for m in cx.basis(1) if cx.d_monomial(m))
+    gens = [Cohomology(cx).representative((d, 0, 0)) for d in (1, 3, 5)]
+    for c in range(1, cx.field.p):
+        planted = z + Cochain(cx.n, {m: cx.field.scalar(c)})
+        if _top_coefficient(cx, [planted] + gens[1:]):
+            return planted
+    raise AssertionError("no multiple keeps the top product nonzero")
+
+
+@pytest.mark.parametrize("degree, plant, reason", [
+    (3, _coboundary, "top coefficient 0"),
+    (5, lambda cx, z: Cochain(cx.n), "top coefficient 0"),
+    (1, _not_a_cocycle, "generator in degree 1 is not a cocycle"),
+])
+def test_planted_generator_faults_fail_the_ring_check(monkeypatch, degree, plant, reason):
+    # one generator's representative replaced by a coboundary, by 0, or by a
+    # cochain that is no cocycle but has a nonzero top product: the check
+    # says holds False with a reason, and raises nothing
+    cx = subcomplex(build_gl(3, field_create(7), 7), "critical")
+    fault = plant(cx, Cohomology(cx).representative((degree, 0, 0)))
+    representative = BlockCohomology.representative
+    monkeypatch.setattr(BlockCohomology, "representative",
+                        lambda bc, i: fault if bc.s == degree else representative(bc, i))
+    out = exterior_ring_check(cx, [1, 3, 5])
+    assert out["holds"] is False and reason in out["reason"]
+
+
+def test_certificate_needs_degrees_summing_to_the_top_degree():
+    # z_1, z_3, z_5 of gl_3's critical complex are a certificate; z_1, z_3
+    # alone have degrees summing to 4, not the top degree 9, and a degree
+    # list with an even entry is refused before any product is formed
+    cx = subcomplex(build_gl(3, field_create(7), 7), "critical")
+    coh = Cohomology(cx)
+    z = [coh.representative((d, 0, 0)) for d in (1, 3, 5)]
+    assert certify_top_product(cx, [1, 3, 5], z) is None
+    assert _top_coefficient(cx, z)
+    assert certify_top_product(cx, [1, 3], z[:2]) == (
+        "generator degrees sum to 4, not the top degree 9")
+    assert "even" in certify_top_product(cx, [1, 2, 5], z)
 
 
 def test_induced_identity_map():
