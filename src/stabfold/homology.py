@@ -33,9 +33,11 @@ to the middle degree;
 BlockCohomology(s, u), and hands the echelon of im d that the same pass
 leaves up to BlockCohomology(s + 1, u) as its coboundaries, eliminated no
 second time; ``exterior_ring_check`` reads its Betti profile off
-``block_ranks`` and builds a BlockCohomology only for the blocks of its
-generators, on the echelons ``block_ranks`` left one degree down; and
-``pages.run_pages`` pairs them by the filtration.  A
+``block_ranks``, which eliminates the class-0 block of each generator degree
+up to the middle by the kernel pass of its BlockCohomology and hands that
+block over, and builds any other generator block it reads on the echelon
+``block_ranks`` left one degree down; and ``pages.run_pages`` pairs them by
+the filtration.  A
 ``FiniteComplex`` on arbitrary labels (the cores, medial layers and x-adic
 windows of ``pages``) is read the same way.  ``block_matrix`` takes a set of
 sources to skip, whose rows it leaves empty without expanding d on them.
@@ -194,9 +196,15 @@ def nullspace(rows: list[dict], width: int, field: Field, skip=()):
         augmented[width + q] = one
         # e_q stays in the row: no earlier row holds column width + q
         insert_row(augmented, ech, field)
-    image = {p: {c: (v - row[p]) % q1 for c, v in row.items() if c < width}
-             for p, row in ech.items() if p < width}
-    kernel = [{c - width: v for c, v in row.items()} for p, row in ech.items() if p >= width]
+    # each augmented row is dropped as it is cut, so the echelon and its
+    # cut copies are not held at once
+    image, kernel = {}, []
+    for p in list(ech):
+        row = ech.pop(p)
+        if p < width:
+            image[p] = {c: (v - row[p]) % q1 for c, v in row.items() if c < width}
+        else:
+            kernel.append({c - width: v for c, v in row.items()})
     return (image, *rref(kernel, field))
 
 
@@ -314,7 +322,7 @@ def betti_numbers(dims: dict, ranks: dict) -> dict:
     return out
 
 
-def block_ranks(cx, echelons: dict[int, dict] | None = None) -> tuple[dict, dict]:
+def block_ranks(cx, handoff: dict[int, dict] | None = None) -> tuple[dict, dict]:
     """Dimension and rank of d of every (s, u) block.  Up to the middle, 2 s
     <= N - 1 for the top degree N, one elimination per σ-orbit of classes,
     ``cx.block_orbits``, on the block of its lead, copied along the orbit
@@ -330,12 +338,18 @@ def block_ranks(cx, echelons: dict[int, dict] | None = None) -> tuple[dict, dict
     (N - 1 - s, v); a nonempty target gets the same check in turn, as a
     source one degree up.
 
-    For each degree s that is a key of ``echelons``, the echelon of im d^s
-    on each block this eliminates is kept there by class, echelons[s][u] =
-    {pivot: row}: the coboundaries of the (s + 1, u) block, at the scale its
-    rows landed with.  Blocks whose rank was copied get none."""
+    For each degree s that is a key of ``handoff``, handoff[s][u] gets what
+    the cohomology of the (s, u) block is built on, by class.  The class-0
+    block, when this eliminates it and ``cx.dd_zero`` holds, is eliminated by
+    the kernel pass of a ``BlockCohomology`` in place of ``matrix_rank``: its
+    rank is the size of the pass's ``image``, whose pivots clear the next
+    degree, and the block is handed over without that image once they have.
+    Each other class whose (s - 1, u) block this eliminates gets that
+    block's echelon of im d, {pivot: row}: the coboundaries of the (s, u)
+    block, at the scale its rows landed with.  Classes whose rank one degree
+    down was copied get nothing."""
     field, top = cx.field, cx.top_degree
-    keep = echelons or {}
+    handoff = handoff or {}
     full = (1 << top) - 1
     blocks = {s: cx.blocks(s) for s in range(-1, top + 2)}
     ranks: dict[tuple[int, int], int] = {}
@@ -350,14 +364,20 @@ def block_ranks(cx, echelons: dict[int, dict] | None = None) -> tuple[dict, dict
             lead = orbit[0]
             dual = 2 * s > top - 1 and cx.dual_class(lead) is not None
             if not dual:
-                rows, width = block_matrix(cx, s, lead, pivots.pop((s - 1, lead), ()))
-                kept = keep.get(s)
-                found = {} if kept is not None else set() if cx.dd_zero else None
-                ranks[(s, lead)] = matrix_rank(rows, width, field, found)
-                if kept is not None:
-                    kept[lead] = found
-                if cx.dd_zero:
-                    pivots[(s, lead)] = found
+                cob = pivots.pop((s - 1, lead), {})
+                if lead == 0 and s in handoff and cx.dd_zero:
+                    bc = handoff[s][lead] = BlockCohomology(cx, s, lead, cob)
+                    ranks[(s, lead)] = len(bc.image)
+                    pivots[(s, lead)], bc.image = bc.image, None
+                else:
+                    rows, width = block_matrix(cx, s, lead, cob)
+                    above = handoff.get(s + 1)
+                    found = {} if above is not None else set() if cx.dd_zero else None
+                    ranks[(s, lead)] = matrix_rank(rows, width, field, found)
+                    if above is not None:
+                        above[lead] = found
+                    if cx.dd_zero:
+                        pivots[(s, lead)] = found
             for u in orbit:
                 if dual:
                     found = (top - 1 - s, cx.dual_class(u))
@@ -392,8 +412,10 @@ class BlockCohomology:
 
     ``cob`` is an echelon of the coboundaries B, pivot -> row, each row's
     pivot at its least column, at any scale: the ``image`` of the (s - 1, u)
-    block, which ``nullspace`` normalizes there, or the echelon that
-    ``block_ranks`` kept of it.
+    block, which ``nullspace`` normalizes there, or the echelon of the
+    (s - 1, u) block that ``block_ranks`` eliminated, at the scale its rows
+    landed with; ``block_ranks`` builds the blocks it hands over on the
+    latter.
     As d∘d = 0 puts B inside Z = ker d, reducing Z against it gives
     pi(Z) = Z ∩ span{e_q : q not a pivot of B} (see the module docstring):
     the kernel that ``nullspace`` finds on the ``block_matrix`` rows of d on
@@ -530,15 +552,19 @@ def exterior_ring_check(cx, expected_degrees: list[int]) -> dict:
     in B^N = 0, so a_T = 0.  The 2^k products are independent, the profile
     says they exhaust H, and they multiply as in the exterior algebra.
 
-    A generator's block is one ``BlockCohomology`` on the coboundaries that
-    ``block_ranks`` eliminated one degree down; where it copied that rank,
-    along a σ-orbit or from its dual block, the block comes from the
-    ``Cohomology`` chain instead."""
+    Each generator block is eliminated once.  The search reads the class-0
+    block of a degree first, whenever it has cohomology, and ``block_ranks``
+    hands that block over, its kernel pass run in place of its rank
+    elimination, for each expected degree up to the middle when
+    ``cx.dd_zero`` holds.  Any other block it reads is one
+    ``BlockCohomology`` on the coboundaries that ``block_ranks`` eliminated
+    one degree down; where it copied that rank, along a σ-orbit or from its
+    dual block, the block comes from the ``Cohomology`` chain instead."""
     chain = Cohomology(cx)
     field, coding = cx.field, cx.field.coding
     poincare = exterior_profile(expected_degrees)
-    kept: dict[int, dict] = {d - 1: {} for d in expected_degrees}
-    dims, ranks = block_ranks(cx, kept)
+    handoff: dict[int, dict] = {d: {} for d in expected_degrees}
+    dims, ranks = block_ranks(cx, handoff)
     table = BettiTable(betti_numbers(dims, ranks), dims)
     totals = table.totals_by_degree()
     if totals != poincare:
@@ -548,8 +574,10 @@ def exterior_ring_check(cx, expected_degrees: list[int]) -> dict:
         }
 
     def block(s: int, u: int) -> BlockCohomology:
-        cob = kept[s - 1].get(u)
-        return chain.block(s, u) if cob is None else BlockCohomology(cx, s, u, cob)
+        got = handoff[s].get(u)
+        if isinstance(got, BlockCohomology):
+            return got
+        return chain.block(s, u) if got is None else BlockCohomology(cx, s, u, got)
 
     generators: list[tuple[int, int, int]] = []
     cocycles: list[Cochain] = []
