@@ -107,6 +107,7 @@ depend only on the row spaces, not on the order the rows went in.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 
 from .exterior import Cochain, degree, format_monomial, wedge
@@ -185,9 +186,9 @@ def nullspace(rows: list[dict], width: int, field: Field, skip=()):
 
     Returns the echelon of im d, pivot -> row with the columns from width on
     dropped, each row normalized to one at its least column as it is cut,
-    and the reduced echelon form of the kernel rows, relabelled to the
-    sources, with its pivots: a basis of the kernel on
-    span{e_q : q not in skip}."""
+    and the kernel rows relabelled to the sources, as they landed in the
+    echelon, neither reduced nor normalized: a basis of the kernel on
+    span{e_q : q not in skip}, whose ``rref`` is the unique reduced one."""
     one, q1 = field.coding.one, field.coding.q1
     ech: dict[int, dict] = {}
     kept = [q for q in range(len(rows)) if q not in skip]
@@ -205,7 +206,7 @@ def nullspace(rows: list[dict], width: int, field: Field, skip=()):
             image[p] = {c: (v - row[p]) % q1 for c, v in row.items() if c < width}
         else:
             kernel.append({c - width: v for c, v in row.items()})
-    return (image, *rref(kernel, field))
+    return image, kernel
 
 
 def reduce_against(vec: dict[int, object], rr_rows, pivots, field: Field):
@@ -322,6 +323,19 @@ def betti_numbers(dims: dict, ranks: dict) -> dict:
     return out
 
 
+def complement_class(cx, s: int, u: int) -> int:
+    """The class v = ``cx.dual_class(u)`` of the (N - s, v) block dual to the
+    (s, u) block, once the complements of the (s, u) monomials are seen to be
+    exactly the (N - s, v) monomials, N the top degree."""
+    top = cx.top_degree
+    v = cx.dual_class(u)
+    full = (1 << top) - 1
+    # blocks ascend, so their complements descend
+    if [m ^ full for m in cx.blocks(s)[u]] != cx.blocks(top - s).get(v, [])[::-1]:
+        raise RuntimeError(f"block {(s, u)} is not the complement of the block {(top - s, v)}")
+    return v
+
+
 def block_ranks(cx, handoff: dict[int, dict] | None = None) -> tuple[dict, dict]:
     """Dimension and rank of d of every (s, u) block.  Up to the middle, 2 s
     <= N - 1 for the top degree N, one elimination per σ-orbit of classes,
@@ -350,7 +364,6 @@ def block_ranks(cx, handoff: dict[int, dict] | None = None) -> tuple[dict, dict]
     down was copied get nothing."""
     field, top = cx.field, cx.top_degree
     handoff = handoff or {}
-    full = (1 << top) - 1
     blocks = {s: cx.blocks(s) for s in range(-1, top + 2)}
     ranks: dict[tuple[int, int], int] = {}
     dims: dict[tuple[int, int], int] = {}
@@ -380,13 +393,7 @@ def block_ranks(cx, handoff: dict[int, dict] | None = None) -> tuple[dict, dict]
                         pivots[(s, lead)] = found
             for u in orbit:
                 if dual:
-                    found = (top - 1 - s, cx.dual_class(u))
-                    # blocks ascend, so their complements descend
-                    if ([m ^ full for m in blocks[s][u]]
-                            != blocks[top - s].get(found[1], [])[::-1]):
-                        raise RuntimeError(f"block {(s, u)} is not the complement of "
-                                           f"the block {(top - s, found[1])}")
-                    ranks[(s, u)] = ranks.get(found, 0)
+                    ranks[(s, u)] = ranks.get((top - 1 - s, complement_class(cx, s, u)), 0)
                 elif sizes(s, u) != sizes(s, lead):
                     raise RuntimeError(f"block {(s, u)} and the block {(s, lead)} "
                                        "whose rank it takes differ in size")
@@ -419,10 +426,12 @@ class BlockCohomology:
     As d∘d = 0 puts B inside Z = ker d, reducing Z against it gives
     pi(Z) = Z ∩ span{e_q : q not a pivot of B} (see the module docstring):
     the kernel that ``nullspace`` finds on the ``block_matrix`` rows of d on
-    this block, those of B's pivots skipped, whose reduced echelon basis is
-    the representatives, one vector per class, normalized by ``rref``.  The
-    same pass leaves ``image``, an echelon of im d on this block: the
-    (s + 1, u) block's coboundaries."""
+    this block, those of B's pivots skipped.  Its length is ``dim``, and its
+    reduced echelon basis, taken by ``rref`` when ``rep_rows`` or
+    ``rep_pivots`` is first read, is the representatives, one vector per
+    class: a block read only for its size, or whose complex fails before its
+    classes are read, never reduces them.  The same pass leaves ``image``, an
+    echelon of im d on this block: the (s + 1, u) block's coboundaries."""
 
     def __init__(self, cx, s: int, u: int, cob: dict[int, dict]):
         self.cx = cx
@@ -436,11 +445,21 @@ class BlockCohomology:
         self.cob_pivots = sorted(cob)
         self.cob_rows = [cob[p] for p in self.cob_pivots]
         rows, width = block_matrix(cx, s, u, skip=cob)
-        self.image, self.rep_rows, self.rep_pivots = nullspace(rows, width, field, cob)
+        self.image, self._kernel = nullspace(rows, width, field, cob)
+        self.dim = len(self._kernel)
+
+    @cached_property
+    def _representatives(self) -> tuple[list, list]:
+        kernel, self._kernel = self._kernel, None
+        return rref(kernel, self.cx.field)
 
     @property
-    def dim(self) -> int:
-        return len(self.rep_rows)
+    def rep_rows(self) -> list[dict]:
+        return self._representatives[0]
+
+    @property
+    def rep_pivots(self) -> list[int]:
+        return self._representatives[1]
 
     def representative(self, idx: int) -> Cochain:
         row = self.coding.decode_row(self.rep_rows[idx])

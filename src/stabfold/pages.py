@@ -21,9 +21,10 @@ class u = 0, is the same filtration on ``ravenel.subcomplex(cx, "critical")``,
 whose members are listed without enumerating the full complex; its
 certificate is checked again on the pair table the block reads d from.
 
-``run_pages`` expands no differential itself: it reads each block's
-``homology.block_matrix`` rows, one per source, once, and checks on the
-entries the pairing reads that d never lowers the filtration.
+``run_pages`` expands no differential itself: it reads the
+``homology.block_matrix`` rows of each block it pairs, one per source, once,
+and checks on the entries the pairing reads that d never lowers the
+filtration.
 
 The twist (Chen-Kerber 2011) skips, when d∘d = 0 (``Complex.dd_zero``),
 each source that was paired as a target one degree down.  Such a target q
@@ -37,6 +38,23 @@ Betti numbers from the rank of each block, an echelon of the same rows
 apart from the pairing, cleared by its own pivots one degree down and never
 by the pairing's, so a lost or an extra pair fails.
 
+On the first-subscript filtration, which ``filter_first_subscript``
+certifies ``symmetric``, only one block per σ-orbit of classes below the
+middle degree is paired and ranked, as ``homology.block_ranks`` eliminates
+one, and the rest are copied.  Two arguments carry the copies.  σ permutes
+the generators keeping their first subscripts, so on each orbit it is a
+signed permutation of the monomials that keeps their filtration and
+commutes with d: a filtered isomorphism between the blocks of the orbit,
+under which the pairs do not change (Zomorodian-Carlsson).  Above the
+middle, Poincaré duality makes d on the (s, u) block the signed transpose
+of d on the dual (N - 1 - s, -u) block under m -> ~m, and as the
+filtration adds over generators, fil(~m) = F - fil(m) for the filtration F
+of the top monomial: transposing with the filtration reversed maps each
+pair (a, b) of the dual block to the pair (F - b, F - a), of the same
+length (de Silva-Morozov-Vejdemo-Johansson).  Each copy is made only once
+the filtrations it rests on are checked on the block.  A filtration without
+the certificate, and every ``FiniteComplex`` window, pairs every block.
+
 The monodromy spectral sequences read one ``kummer.FixedLayer``, whose
 terms carry the exponent e = k + alpha(b') - alpha(b): ``core_pages`` gives
 the x-adic pages of the core (E_1 from the e = 0 part, windowed pages when
@@ -48,21 +66,23 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .exterior import add_term, first_subscript_filtration, format_monomial
-from .homology import (FiniteComplex, betti, betti_numbers, block_matrix, insert_row,
-                       matrix_rank)
-from .ravenel import Complex, DgaDescriptor, subcomplex
+from .exterior import add_term, format_monomial, sigma_power
+from .homology import (FiniteComplex, betti, betti_numbers, block_matrix, complement_class,
+                       insert_row, matrix_rank)
+from .ravenel import Complex, DgaDescriptor, grading_tables, subcomplex
 
 
 class FilteredComplex:
-    def __init__(self, cx, fil):
-        self.cx = cx
-        self.fil = fil  # mask -> int
+    """A complex and a filtration of its basis, mask -> int.  ``symmetric``
+    certifies that σ keeps the filtration of each generator and that the
+    filtration is a sum over the generators of a monomial, so ``run_pages``
+    may copy pairs along σ-orbits and from Poincaré-dual blocks; only
+    ``filter_first_subscript`` sets it."""
 
-    def fil_range(self) -> tuple[int, int]:
-        fils = [self.fil(m) for s in range(self.cx.top_degree + 1)
-                for monos in self.cx.blocks(s).values() for m in monos]
-        return (min(fils), max(fils)) if fils else (0, 0)
+    def __init__(self, cx, fil, symmetric: bool = False):
+        self.cx = cx
+        self.fil = fil
+        self.symmetric = symmetric
 
 
 def filter_first_subscript(ce_gl) -> FilteredComplex:
@@ -75,9 +95,15 @@ def filter_first_subscript(ce_gl) -> FilteredComplex:
     term raises it by exactly n.  The sum is additive, so on any monomial the
     eps-free terms of d keep its filtration, the eps terms raise it by n, and
     no target receives both kinds.
+
+    The filtration is read off the per-half sums of ``ravenel.grading_tables``,
+    a sum over generators by construction; the result is ``symmetric`` once σ
+    is seen to keep the filtration of each generator.
     """
     n = ce_gl.n
-    fil = lambda mask: first_subscript_filtration(mask, n)
+    g = grading_tables(n, ce_gl.p)
+    low = (1 << g.half) - 1
+    fil = lambda mask: g.fsum_lo[mask & low] + g.fsum_hi[mask >> g.half]
     for gslot, terms in ce_gl.pairs.items():
         for pmask, _sign, e in terms:
             if fil(pmask) != fil(1 << gslot) + e * n:
@@ -85,7 +111,9 @@ def filter_first_subscript(ce_gl) -> FilteredComplex:
                     "associated graded differs from the singular fiber at "
                     + format_monomial(1 << gslot, n)
                 )
-    return FilteredComplex(ce_gl, fil)
+    sigma = sigma_power(n, 1)
+    symmetric = all(fil(sigma(1 << b)[1]) == fil(1 << b) for b in range(n * n))
+    return FilteredComplex(ce_gl, fil, symmetric)
 
 
 def critical_block(fc: FilteredComplex) -> FilteredComplex:
@@ -142,70 +170,116 @@ def run_pages(fc: FilteredComplex, r_max: int | None = None) -> PageReport:
 
     Pages are listed for r = 1 .. min(r_max, span + 1); differentials beyond
     the filtration span vanish for lack of targets, so the listed range
-    certifies the collapse page.  Each (s, u) block is paired once: its
-    sources, inserted deepest first, against its targets, indexed from the
-    shallowest, and every page and rank is counted off the pair lengths.
-    When the listed range reaches E-infinity, its totals per (s, u) are
-    cross-checked against Betti numbers from the rank of each block, its own
-    echelon apart from the pairing.  When ``cx.dd_zero``, the pairing skips
-    the sources paired as targets one degree down (the twist), and the
-    echelon those of its own pivots one degree down (``homology``'s
-    clearing); d is expanded only on the sources one of the two reads.
+    certifies the collapse page.  The filtration is read once per monomial.
+    A block is paired once: its sources, inserted deepest first, against its
+    targets, indexed from the shallowest, and every page and rank is counted
+    off the pair lengths.  When the listed range reaches E-infinity, its
+    totals per (s, u) are cross-checked against Betti numbers from the rank
+    of each block, its own echelon apart from the pairing.  When
+    ``cx.dd_zero``, the pairing skips the sources paired as targets one
+    degree down (the twist), and the echelon those of its own pivots one
+    degree down (``homology``'s clearing); d is expanded only on the sources
+    one of the two reads.
+
+    When ``fc.symmetric``, only the lead of each σ-orbit of classes below
+    the middle, 2 s <= N - 1 for the top degree N, is paired and ranked, and
+    the twist and the clearing go by lead.  Each other block of the orbit is
+    the lead's under σ, a filtered signed-permutation isomorphism, and takes
+    its pairs (a, b) and rank once its source and target filtrations are
+    seen to be the lead's as multisets.  Above the middle, d on the (s, u)
+    block is the signed transpose of d on the dual (N - 1 - s, v) block,
+    v = ``cx.dual_class(u)``, with the filtration reversed: fil(~m) =
+    F - fil(m) for the filtration F of the top monomial, so a dual pair
+    (a, b) becomes (F - b, F - a).  ``homology.complement_class`` and
+    fil(~m) = F - fil(m) are checked on the block first, and on its target
+    block as a source one degree up.
     """
     cx = fc.cx
-    field = cx.field
-    lo, hi = fc.fil_range()
-    span = hi - lo
+    field, top = cx.field, cx.top_degree
+    fils = {(s, u): [fc.fil(m) for m in monos]
+            for s in range(top + 1) for u, monos in cx.blocks(s).items()}
+    span = (max(map(max, fils.values()), default=0)
+            - min(map(min, fils.values()), default=0))
     r_stop = span + 1 if r_max is None else min(r_max, span + 1)
     r_stop = max(r_stop, 1)
     to_infinity = r_stop >= span + 1
 
-    fils = {(s, u): [fc.fil(m) for m in monos]
-            for s in range(cx.top_degree + 1) for u, monos in cx.blocks(s).items()}
     page = Counter((s, a, u) for (s, u), src_fil in fils.items() for a in src_fil)
-    # pairs by length b - a, as (s, a, b, u): a source at (s, a) paired with
-    # a target at (s + 1, b)
-    by_length: dict[int, list] = {}
-    block_ranks = {}
-    # per block, when d∘d = 0: the targets it paired, skipped as sources one
-    # degree up (the twist), and the pivots of its E-infinity echelon
+    # per block, its pairs (a, b): a source at (s, a) paired with a target
+    # at (s + 1, b); and its rank, for the E-infinity check
+    pairs: dict[tuple[int, int], list] = {}
+    block_rank: dict[tuple[int, int], int] = {}
+    # per lead block, when d∘d = 0: the targets it paired, skipped as sources
+    # one degree up (the twist), and the pivots of its E-infinity echelon
     paired: dict[tuple[int, int], set] = {}
     pivots: dict[tuple[int, int], set] = {}
-    for (s, u), src_fil in fils.items():
-        tgt_fil = fils.get((s + 1, u), [])
-        twist, cleared = paired.get((s - 1, u), set()), pivots.get((s - 1, u), set())
-        rows, width = block_matrix(cx, s, u, skip=twist & cleared)
-        if to_infinity:
-            found = pivots.setdefault((s, u), set()) if cx.dd_zero else None
-            block_ranks[(s, u)] = matrix_rank(
-                [row for j, row in enumerate(rows) if j not in cleared], width, field, found)
-        # targets from the shallowest, ties by index: the least column of a
-        # row is its shallowest target
-        order = sorted(range(len(tgt_fil)), key=lambda i: (tgt_fil[i], i))
-        column = {i: k for k, i in enumerate(order)}
-        ech, hit = {}, set()
-        for j in sorted(range(len(rows)), key=src_fil.__getitem__, reverse=True):
-            if j in twist:
+    top_fil = fc.fil((1 << top) - 1) if fc.symmetric else None
+
+    def shape(s, u):
+        return [sorted(fils.get((t, u), ())) for t in (s, s + 1)]
+
+    for s in range(top + 1):
+        orbits = cx.block_orbits(s) if fc.symmetric else [[u] for u in cx.blocks(s)]
+        for orbit in orbits:
+            lead = orbit[0]
+            if fc.symmetric and 2 * s > top - 1 and cx.dual_class(lead) is not None:
+                for u in orbit:
+                    v = complement_class(cx, s, u)
+                    if [top_fil - a for a in fils[(s, u)]] != fils[(top - s, v)][::-1]:
+                        raise AssertionError(
+                            f"the filtration of block {(s, u)} is not the top "
+                            f"monomial's minus that of the complements")
+                    dual = (top - 1 - s, v)
+                    pairs[(s, u)] = [(top_fil - b, top_fil - a) for a, b in pairs.get(dual, ())]
+                    block_rank[(s, u)] = block_rank.get(dual, 0)
                 continue
-            row = {}
-            for i, c in rows[j].items():
-                if src_fil[j] > tgt_fil[i]:
+            src_fil, tgt_fil = fils[(s, lead)], fils.get((s + 1, lead), [])
+            twist = paired.pop((s - 1, lead), set())
+            cleared = pivots.pop((s - 1, lead), set())
+            rows, width = block_matrix(cx, s, lead, skip=twist & cleared)
+            if to_infinity:
+                found = pivots.setdefault((s, lead), set()) if cx.dd_zero else None
+                block_rank[(s, lead)] = matrix_rank(
+                    [row for j, row in enumerate(rows) if j not in cleared], width, field,
+                    found)
+            # targets from the shallowest, ties by index: the least column of
+            # a row is its shallowest target
+            order = sorted(range(len(tgt_fil)), key=lambda i: (tgt_fil[i], i))
+            column = {i: k for k, i in enumerate(order)}
+            ech, hit, found_pairs = {}, set(), []
+            for j in sorted(range(len(rows)), key=src_fil.__getitem__, reverse=True):
+                if j in twist:
+                    continue
+                row = {}
+                for i, c in rows[j].items():
+                    if src_fil[j] > tgt_fil[i]:
+                        raise AssertionError(
+                            "differential lowers the filtration; the decreasing "
+                            "convention is violated"
+                        )
+                    row[column[i]] = c
+                pivot = insert_row(row, ech, field)
+                if pivot is not None:
+                    i = order[pivot]
+                    hit.add(i)
+                    found_pairs.append((src_fil[j], tgt_fil[i]))
+            if cx.dd_zero:
+                paired[(s, lead)] = hit
+            pairs[(s, lead)] = found_pairs
+            for u in orbit[1:]:
+                if shape(s, u) != shape(s, lead):
                     raise AssertionError(
-                        "differential lowers the filtration; the decreasing "
-                        "convention is violated"
-                    )
-                row[column[i]] = c
-            pivot = insert_row(row, ech, field)
-            if pivot is not None:
-                i = order[pivot]
-                hit.add(i)
-                by_length.setdefault(tgt_fil[i] - src_fil[j], []).append(
-                    (s, src_fil[j], tgt_fil[i], u))
-        if cx.dd_zero:
-            paired[(s, u)] = hit
+                        f"block {(s, u)} and the block {(s, lead)} whose pairs it "
+                        "takes differ in their filtrations")
+                pairs[(s, u)] = found_pairs
+                block_rank[(s, u)] = block_rank.get((s, lead), 0)
 
     # E_r has lost both ends of each pair shorter than r; d_r is the pairs of
     # length exactly r, counted at their sources
+    by_length: dict[int, list] = {}
+    for (s, u), block_pairs in pairs.items():
+        for a, b in block_pairs:
+            by_length.setdefault(b - a, []).append((s, a, b, u))
     entries: dict[int, dict[tuple[int, int, int], int]] = {}
     ranks: dict[int, dict[tuple[int, int, int], int]] = {}
     for r in range(1, r_stop + 1):
@@ -219,7 +293,7 @@ def run_pages(fc: FilteredComplex, r_max: int | None = None) -> PageReport:
     report = PageReport(entries, ranks, span, last_nonzero + 1 if to_infinity else None)
     if to_infinity:
         einf = report.e_infinity_totals()
-        expected = betti_numbers({k: len(v) for k, v in fils.items()}, block_ranks)
+        expected = betti_numbers({k: len(v) for k, v in fils.items()}, block_rank)
         if einf != expected:
             raise AssertionError(
                 f"E-infinity totals {einf} disagree with Betti numbers {expected}"

@@ -24,14 +24,16 @@ the same with two applications of d.  Sparse combinations of terms are
 merged with ``exterior.add_term``.
 
 A subcomplex is the list of its members.  ``grading_tables`` holds the
-internal class and the first-subscript sum mod n of every subset of the low
-and of the high half of the slots, and ``subcomplex`` lists the critical and
-first-subscript complexes as the ``exterior.split_join`` of those tables: the
-monomials whose two halves cancel.  Their closure under d rests on a
-generator-level certificate that ``subcomplex`` checks on the pair table of
-the subcomplex it returns: each term of d(g) keeps g's internal class and
-first-subscript sum mod n, and both gradings add along the wedge products of
-the Leibniz rule.
+internal class and the integer first-subscript sum of every subset of the
+low and of the high half of the slots.  ``subcomplex`` lists the critical and
+first-subscript complexes as the ``exterior.split_join`` of those tables, the
+sums taken mod n: the monomials whose two halves cancel.  Their closure
+under d rests on a generator-level certificate that ``subcomplex`` checks on
+the pair table of the subcomplex it returns: each term of d(g) keeps g's
+internal class and first-subscript sum mod n, and both gradings add along
+the wedge products of the Leibniz rule.  The filtration of
+``pages.filter_first_subscript`` is the integer sum, read off the same
+tables.
 
 Each complex keeps the pair table its d is read from (``Complex.pairs``),
 and its symmetries are certified on that table, at most once per complex
@@ -123,10 +125,11 @@ def generator_pair_table(n: int) -> dict[int, list[tuple[int, int, int]]]:
 
 
 class GradingTables(NamedTuple):
-    """The internal class and the first-subscript sum mod n of each subset of
-    the low ``half`` slots and of the high n^2 - half slots: a monomial's
-    value is the sum of its halves' entries.  ``lo_by_degree[k]`` lists the
-    low halves with k slots, ascending, each as the pair (lo, class_lo[lo])."""
+    """The internal class and the integer first-subscript sum of each subset
+    of the low ``half`` slots and of the high n^2 - half slots: a monomial's
+    value is the sum of its halves' entries, the class taken mod
+    ``modulus``.  ``lo_by_degree[k]`` lists the low halves with k slots,
+    ascending, each as the pair (lo, class_lo[lo])."""
     half: int
     modulus: int  # of the internal class, 2(p^n - 1)
     class_lo: list
@@ -144,9 +147,9 @@ def grading_tables(n: int, p: int) -> GradingTables:
         weights, mod = internal_weights(n, p)
         firsts = [b // n + 1 for b in range(n * n)]
         half = n * n // 2
-        tables = [[v % m for v in subset_sums(values, 0)] for values, m in (
-            (weights[:half], mod), (weights[half:], mod),
-            (firsts[:half], n), (firsts[half:], n))]
+        tables = [[v % mod for v in subset_sums(weights[:half], 0)],
+                  [v % mod for v in subset_sums(weights[half:], 0)],
+                  subset_sums(firsts[:half], 0), subset_sums(firsts[half:], 0)]
         lo_by_degree = [[] for _ in range(half + 1)]
         for lo, lo_class in enumerate(tables[0]):
             lo_by_degree[lo.bit_count()].append((lo, lo_class))
@@ -535,7 +538,7 @@ def subcomplex(cx: Complex, which: str) -> Complex:
     if which == "critical":
         lo, hi = g.class_lo, [(-u) % g.modulus for u in g.class_hi]
     else:
-        lo, hi = g.fsum_lo, [(-f) % n for f in g.fsum_hi]
+        lo, hi = [f % n for f in g.fsum_lo], [(-f) % n for f in g.fsum_hi]
     desc = DgaDescriptor(n, p, cx.field, cx.descriptor.epsilon,
                          cx.descriptor.lie, which)
     sub = Complex(desc, members=split_join(lo, hi, g.half))
@@ -554,8 +557,8 @@ def _class_tallies(n: int, p: int):
     for each half, the number of its subsets per (internal class, first-
     subscript sum mod n); returns (low tally, high tally, internal modulus)."""
     g = grading_tables(n, p)
-    return (Counter(zip(g.class_lo, g.fsum_lo)), Counter(zip(g.class_hi, g.fsum_hi)),
-            g.modulus)
+    return (Counter((u, f % n) for u, f in zip(g.class_lo, g.fsum_lo)),
+            Counter((u, f % n) for u, f in zip(g.class_hi, g.fsum_hi)), g.modulus)
 
 
 def _containment_witness_count(n: int, p: int) -> int:

@@ -121,7 +121,7 @@ def test_nullspace_annihilates():
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         rows = random_sparse_rows(rng, f, nr, nc)
         # nullspace reads one row per source, a column of rows
-        image, kern, _pivots = nullspace(*transpose(coded(rows, f), nc), f)
+        image, kern = nullspace(*transpose(coded(rows, f), nc), f)
         rank = dense_rank_oracle(rows, nc, f)
         assert len(kern) == nc - rank and len(image) == rank
         for v in map(f.coding.decode_row, kern):
@@ -392,6 +392,8 @@ def test_coboundary_echelon_takes_no_dependent_vector(case, monkeypatch):
     for s, u in _blocks(cx):
         sizes.clear()
         bc = coh.block(s, u)
+        assert sizes == []
+        assert bc.rep_pivots == sorted(bc.rep_pivots)
         assert sizes == [("rref", bc.dim, bc.dim)]
         cob: dict[int, dict] = {}
         for i, row in enumerate(transpose(*block_matrix(cx, s - 1, u))[0] if s > 0 else []):
@@ -705,6 +707,26 @@ def test_only_class_0_generator_blocks_run_the_kernel_pass(monkeypatch):
     assert out == {"holds": True, "generators": [(d, 0, 0) for d in (1, 3, 5, 7)]}
     assert built == {True: [(1, 0), (3, 0), (5, 0), (7, 0)], False: []}
     assert nullspace_calls[0] == 4
+
+
+def test_a_ring_check_failing_on_its_profile_reduces_no_kernel(monkeypatch):
+    # FSC at n = 4 over GF(37) at eps = 0 fails on its Betti profile.
+    # block_ranks runs the kernel passes of the class-0 generator blocks it
+    # hands over, but no class is read, so no kernel is reduced by rref
+    cx = _ravenel_fsc(4, 37, 0)
+    calls = {"nullspace": 0, "rref": 0}
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(homology, name, counted(name, getattr(homology, name)))
+    out = exterior_ring_check(cx, [1, 3, 5, 7])
+    assert out["holds"] is False and out["reason"].startswith("Betti profile")
+    assert calls == {"nullspace": 4, "rref": 0}
 
 
 def test_induced_identity_map():

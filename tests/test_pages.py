@@ -1,7 +1,7 @@
 import pytest
 from oracles import dense_rank_oracle
 
-from stabfold.exterior import first_subscript_filtration, generator_mask
+from stabfold.exterior import slots_of
 from stabfold.gf import field_create
 from stabfold.homology import FiniteComplex, betti, block_ranks
 from stabfold.kummer import FixedLayer, KummerConnection
@@ -350,8 +350,9 @@ def oracle_pages(fc, r_max=None) -> PageReport:
     target rows with fil < t + r, built from d_monomial and ranked by the
     dense oracle, once per distinct pair of column and row sets."""
     cx = fc.cx
-    lo, hi = fc.fil_range()
-    span = hi - lo
+    fils = [fc.fil(m) for s in range(cx.top_degree + 1)
+            for monos in cx.blocks(s).values() for m in monos]
+    span = max(fils, default=0) - min(fils, default=0)
     r_stop = max(span + 1 if r_max is None else min(r_max, span + 1), 1)
     to_infinity = r_stop >= span + 1
     keys = [(s, u) for s in range(cx.top_degree + 1) for u in cx.blocks(s)]
@@ -414,31 +415,31 @@ def windowed_core_input(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["gl2-full", "gl2-critical", "gl3-full",
-                                  "gl3-critical", "windowed-core"])
+                                  "gl3-critical", "windowed-core", "gl3-full-GF7",
+                                  "gl3-full-r2"])
 def test_run_pages_matches_cut_matrices_ranked_by_the_oracle(monkeypatch, case):
     # every z_r that run_pages reads, taken from its own cut matrix, gives
-    # the same pages, differentials and collapse page
+    # the same pages, differentials and collapse page; on gl_3 over GF(7),
+    # with other σ-orbits than over GF(19), and with the pages cut at r = 2,
+    # most blocks take their pairs along σ or from their dual blocks
     if case == "windowed-core":
         fc, r_max = windowed_core_input(monkeypatch)
     else:
-        n, p = (2, 11) if case.startswith("gl2") else (3, 19)
-        fc, r_max = filter_first_subscript(build_gl(n, field_create(p), p)), None
+        n, p = (2, 11) if case.startswith("gl2") else (3, 7) if case.endswith("GF7") else (3, 19)
+        fc = filter_first_subscript(build_gl(n, field_create(p), p))
+        r_max = 2 if case.endswith("r2") else None
         if case.endswith("critical"):
             fc = critical_block(fc)
     assert run_pages(fc, r_max).to_json() == oracle_pages(fc, r_max).to_json()
 
 
-@pytest.mark.parametrize("block,blocks", [("full", 118), ("critical", 10)])
-def test_run_pages_pairs_and_ranks_each_block_once(monkeypatch, block, blocks):
-    # on gl_3 over GF(19) each (s, u) block is ranked once, for the
-    # E-infinity check, and paired in one pass that inserts each of its
-    # sources once.  Each leaves out rank d^(s-1) sources: the ranking its
-    # own pivots one degree down, the pass the sources paired as targets one
-    # degree down
+def counted_calls(monkeypatch):
+    """The rows handed to pages.matrix_rank per call, and the sources
+    inserted per pairing pass, as [echelon, count]."""
     from stabfold import pages
 
     real_rank, real_insert = pages.matrix_rank, pages.insert_row
-    ranked, passes = [], []  # passes: [echelon, rows inserted into it]
+    ranked, passes = [], []
 
     def counted_rank(rows, ncols, field, pivots=None):
         ranked.append(len(rows))
@@ -452,16 +453,66 @@ def test_run_pages_pairs_and_ranks_each_block_once(monkeypatch, block, blocks):
 
     monkeypatch.setattr(pages, "matrix_rank", counted_rank)
     monkeypatch.setattr(pages, "insert_row", counted_insert)
+    return ranked, passes
+
+
+@pytest.mark.parametrize("block,blocks", [("full", 118), ("critical", 10)])
+def test_run_pages_pairs_and_ranks_each_block_once(monkeypatch, block, blocks):
+    # on gl_3 over GF(19) the lead of each σ-orbit below the middle,
+    # 2 s <= 8, is ranked once, for the E-infinity check, and paired in one
+    # pass that inserts each of its sources once; every other block takes
+    # its pairs and rank along its orbit or from its dual block.  Each leaves
+    # out rank d^(s-1) sources: the ranking its own pivots one degree down,
+    # the pass the sources paired as targets one degree down
+    ranked, passes = counted_calls(monkeypatch)
     fc = filter_first_subscript(build_gl(3, field_create(19), 19))
     if block == "critical":
         fc = critical_block(fc)
     run_pages(fc)
-    sizes = sorted(len(monos) for s in range(fc.cx.top_degree + 1)
-                   for monos in fc.cx.blocks(s).values())
-    assert len(sizes) == blocks
-    ranks = block_ranks(fc.cx)[1]
-    kept = sorted(len(monos) - ranks.get((s - 1, u), 0) for s in range(fc.cx.top_degree + 1)
-                  for u, monos in fc.cx.blocks(s).items())
-    assert sum(kept) < sum(sizes)
+    cx = fc.cx
+    assert sum(len(cx.blocks(s)) for s in range(cx.top_degree + 1)) == blocks
+    ranks = block_ranks(cx)[1]
+    kept = sorted(len(cx.blocks(s)[lead]) - ranks.get((s - 1, lead), 0)
+                  for s in range(5) for lead, *_ in cx.block_orbits(s))
+    assert len(kept) == {"full": 23, "critical": 5}[block]
     assert sorted(ranked) == kept
     assert sorted(count for _ech, count in passes) == [k for k in kept if k]
+
+
+def test_run_pages_copies_nothing_for_a_filtration_sigma_moves(monkeypatch):
+    # the second-subscript sum never falls along d, but σ shifts the second
+    # subscripts: the filtration is not symmetric, so every block of the
+    # full gl_3 complex is paired and ranked on its own
+    ranked, _passes = counted_calls(monkeypatch)
+    cx = build_gl(3, field_create(19), 19)
+    fc = FilteredComplex(cx, lambda m: sum(j for _i, j in slots_of(m, 3)))
+    report = run_pages(fc)
+    assert len(ranked) == sum(len(cx.blocks(s)) for s in range(cx.top_degree + 1)) == 118
+    assert report.to_json() == oracle_pages(fc).to_json()
+
+
+def merge_first_orbits(real):
+    """block_orbits with the first two orbits of each degree merged: the
+    second orbit's classes take the first lead's pairs."""
+    def faulty(s):
+        orbits = real(s)
+        return [orbits[0] + orbits[1], *orbits[2:]] if len(orbits) > 1 else orbits
+    return faulty
+
+
+def test_run_pages_copy_checks_catch_a_planted_fault(monkeypatch):
+    # each copy is checked before it is made: a class put into the wrong
+    # σ-orbit meets other filtrations than its lead's (in degree 1 of gl_3
+    # the orbit of h[1,j] has filtration 1, that of h[2,j] filtration 2), and
+    # a filtration that is not the top one's minus that of the complements
+    # fails the duality check, though it leaves every paired block valid
+    fc = filter_first_subscript(build_gl(3, field_create(19), 19))
+    real = fc.cx.block_orbits
+    monkeypatch.setattr(fc.cx, "block_orbits", merge_first_orbits(real))
+    with pytest.raises(AssertionError, match="differ in their filtrations"):
+        run_pages(fc)
+    monkeypatch.setattr(fc.cx, "block_orbits", real)
+    shifted = FilteredComplex(fc.cx, lambda m: fc.fil(m) + (m.bit_count() == 7),
+                              symmetric=True)
+    with pytest.raises(AssertionError, match="minus that of the complements"):
+        run_pages(shifted)
