@@ -5,9 +5,10 @@ reports.
 `verify NAME` looks NAME up in ``claims.CLAIMS`` and prints its checks. The
 claims live in ``claims``, with ``UsageError``, the refusal that ``main``
 turns into exit status 2; so does a ``gf.FieldError``, such as a field above
-2^16 elements.  A cache directory that cannot be written is a ``UsageError``
-too, and a reader that closes stdout early ends the run with exit status 1
-and no traceback.
+2^16 elements.  A ``ravenel.ClosureError``, a subcomplex failing its closure
+certificate, fails the claim that built it, with exit status 1.  A cache
+directory that cannot be written is a ``UsageError`` too, and a reader that
+closes stdout early ends the run with exit status 1 and no traceback.
 
 Every run prints a provenance header (tool version plus a hash of the
 canonical config) and produces deterministic output: all iteration orders are
@@ -40,7 +41,8 @@ from .gf import FieldError, field_create, is_prime
 from .homology import Cohomology, betti, matrix_rank
 from .kummer import FixedLayer, KummerConnection, core_homogeneity
 from .pages import core_pages, critical_block, filter_first_subscript, medial_pages, run_pages
-from .ravenel import build_deformed, build_gl, build_singular, dims_by_class, subcomplex
+from .ravenel import (ClosureError, build_deformed, build_gl, build_singular, dims_by_class,
+                      subcomplex)
 
 SCHEMA_VERSION = 1
 
@@ -246,7 +248,10 @@ def cmd_verify(args) -> int:
         raise UsageError(f"verify {args.suite} runs fixed heights and primes; "
                          "it takes no --n or --p")
     cfg = {"cmd": "verify", "suite": args.suite, "n": args.n, "p": args.p}
-    checks = claim.run(args.n, args.p)
+    try:
+        checks = claim.run(args.n, args.p)
+    except ClosureError as exc:
+        checks = [_check("the claim's subcomplexes are closed under d", False, str(exc))]
     ok = all(c["ok"] for c in checks)
     payload = {"config_hash": config_hash(cfg), "version": VERSION,
                "suite": args.suite, "checks": checks, "ok": ok}

@@ -1,5 +1,5 @@
 """Exact cohomology over finite fields: Betti tables, representatives, cup
-products, ring recognition, and ranks of induced maps.
+products and ring recognition.
 
 All linear algebra runs through one sparse echelon over rows
 ``{column: code}``, where a code is the discrete log of a nonzero field
@@ -465,23 +465,13 @@ class BlockCohomology:
         row = self.coding.decode_row(self.rep_rows[idx])
         return Cochain(self.cx.n, {self.monomials[c]: v for c, v in row.items()})
 
-    def vector_of(self, z: Cochain) -> dict[int, object]:
-        """The coded coordinate vector of a cochain on this block."""
-        encode = self.coding.encode
-        vec = {}
-        for mask, c in z.terms.items():
-            i = self.index.get(mask)
-            if i is None:
-                raise ValueError(
-                    f"cochain not supported on block (s={self.s}, u={self.u})"
-                )
-            vec[i] = encode(c)
-        return vec
-
     def reduce(self, z: Cochain) -> list:
         """Class coordinates of a cocycle in this block's representative basis."""
         field = self.cx.field
-        vec = reduce_against(self.vector_of(z), self.cob_rows, self.cob_pivots, field)
+        if not self.index.keys() >= z.terms.keys():
+            raise ValueError(f"cochain not supported on block (s={self.s}, u={self.u})")
+        vec = {self.index[m]: self.coding.encode(c) for m, c in z.terms.items()}
+        vec = reduce_against(vec, self.cob_rows, self.cob_pivots, field)
         # the representatives are reduced, so a class coordinate is the entry
         # at its pivot
         decode = self.coding.decode
@@ -674,71 +664,3 @@ def certify_top_product(cx, degrees: list[int], cocycles: list[Cochain]) -> str 
     if not coefficient:
         return "the product of the generators has top coefficient 0"
     return None
-
-
-# -- induced maps -----------------------------------------------------------------------
-
-
-def induced_map_rank(source, target) -> dict:
-    """Per-(s, u) rank of the map on cohomology induced by the monomial map
-    source -> target that keeps each monomial the target holds and sends the
-    rest to 0 (an inclusion, or the projection onto a subcomplex), with
-    isomorphism and surjectivity verdicts.
-
-    The map must commute with d: keep(d m) = d(keep m) is checked on every
-    source monomial m, and a failure raises ValueError."""
-    def keep(terms: dict) -> Cochain:
-        return Cochain(target.n, {m: c for m, c in terms.items() if target.contains(m)})
-
-    for s in range(source.top_degree + 1):
-        for mask in source.basis(s):
-            image = target.d_monomial(mask) if target.contains(mask) else {}
-            if keep(source.d_monomial(mask)).terms != image:
-                raise ValueError(f"not a chain map at {format_monomial(mask, source.n)}")
-
-    src_coh = Cohomology(source)
-    tgt_coh = Cohomology(target)
-    field = source.field
-    ranks: dict[tuple[int, int], int] = {}
-    src_b: dict[tuple[int, int], int] = {}
-    tgt_b: dict[tuple[int, int], int] = {}
-
-    keys = set()
-    for s in range(source.top_degree + 1):
-        keys.update((s, u) for u in source.blocks(s))
-    for s in range(target.top_degree + 1):
-        keys.update((s, u) for u in target.blocks(s))
-
-    for (s, u) in sorted(keys):
-        sb = src_coh.block(s, u) if u in source.blocks(s) else None
-        tb = tgt_coh.block(s, u) if u in target.blocks(s) else None
-        sdim = sb.dim if sb else 0
-        tdim = tb.dim if tb else 0
-        if sdim:
-            src_b[(s, u)] = sdim
-        if tdim:
-            tgt_b[(s, u)] = tdim
-        if not sdim or not tdim:
-            ranks[(s, u)] = 0
-            continue
-        image_rows = []
-        for i in range(sdim):
-            img = keep(sb.representative(i).terms)
-            coords = tb.reduce(img)
-            vec = field.coding.encode_row(dict(enumerate(coords)))
-            if vec:
-                image_rows.append(vec)
-        ranks[(s, u)] = matrix_rank(image_rows, tdim, field)
-
-    iso = all(
-        ranks.get(k, 0) == src_b.get(k, 0) == tgt_b.get(k, 0)
-        for k in set(src_b) | set(tgt_b)
-    )
-    surjective = all(ranks.get(k, 0) == tgt_b.get(k, 0) for k in tgt_b)
-    return {
-        "ranks": ranks,
-        "source_betti": src_b,
-        "target_betti": tgt_b,
-        "quasi_isomorphism": iso,
-        "surjective_on_cohomology": surjective,
-    }

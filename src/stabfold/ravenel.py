@@ -28,10 +28,10 @@ internal class and the integer first-subscript sum of every subset of the
 low and of the high half of the slots.  ``subcomplex`` lists the critical and
 first-subscript complexes as the ``exterior.split_join`` of those tables, the
 sums taken mod n: the monomials whose two halves cancel.  Their closure
-under d rests on a generator-level certificate that ``subcomplex`` checks on
-the pair table of the subcomplex it returns: each term of d(g) keeps g's
-internal class and first-subscript sum mod n, and both gradings add along
-the wedge products of the Leibniz rule.  The filtration of
+under d rests on a generator-level certificate, ``closure_fault``, that
+``subcomplex`` checks on the pair table of the subcomplex it returns: each
+term of d(g) keeps g's internal class and first-subscript sum mod n, and
+both gradings add along the wedge products of the Leibniz rule.  The filtration of
 ``pages.filter_first_subscript`` is the integer sum, read off the same
 tables.
 
@@ -523,10 +523,8 @@ def dd_zero_certificate(pairs, n: int) -> bool:
 def subcomplex(cx: Complex, which: str) -> Complex:
     """The critical or first-subscript subcomplex of a full complex.
 
-    Closure under d on every monomial, at every n, rests on the certificate
-    checked here on the pair table the subcomplex reads its d from: each term
-    of d(g) keeps g's internal class and first-subscript sum mod n, and both
-    add along wedge products.
+    Closure under d on every monomial, at every n, rests on ``closure_fault``,
+    checked here on the pair table the subcomplex reads its d from.
     """
     if cx.descriptor.label != "full":
         raise ValueError("subcomplex expects a full complex")
@@ -542,14 +540,24 @@ def subcomplex(cx: Complex, which: str) -> Complex:
     desc = DgaDescriptor(n, p, cx.field, cx.descriptor.epsilon,
                          cx.descriptor.lie, which)
     sub = Complex(desc, members=split_join(lo, hi, g.half))
-    for gslot, terms in sub.pairs.items():
+    if fault := closure_fault(sub):
+        raise ClosureError(fault)
+    return sub
+
+
+def closure_fault(cx: Complex) -> str | None:
+    """None if each term of d(g) keeps g's internal class and first-subscript
+    sum on the pair table of cx, else where it fails.  Both gradings add along
+    wedge products, so then d keeps both on every monomial, at every eps, and
+    the full complex is the direct sum of its classes of either grading."""
+    for gslot, terms in cx.pairs.items():
         gmask = 1 << gslot
         for pmask, _sign, _eps in terms:
-            if sub.block_key(pmask) != sub.block_key(gmask):
-                raise ClosureError(f"internal class not preserved at slot {gslot}")
-            if first_subscript_sum(pmask, n) != first_subscript_sum(gmask, n):
-                raise ClosureError(f"first-subscript class not preserved at {gslot}")
-    return sub
+            if cx.block_key(pmask) != cx.block_key(gmask):
+                return f"internal class not preserved at slot {gslot}"
+            if first_subscript_sum(pmask, cx.n) != first_subscript_sum(gmask, cx.n):
+                return f"first-subscript class not preserved at {gslot}"
+    return None
 
 
 def _class_tallies(n: int, p: int):

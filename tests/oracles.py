@@ -16,6 +16,11 @@ below g, and `extra_term_table` a term that breaks the duality certificate.
 `full_kernel_representatives` is no independent code but the earlier way of
 taking a block's classes, kept as a reference for the present one, with the
 earlier kernel, `kernel_basis`, read off a reduced echelon form.
+`induced_map_rank` is the earlier way of deciding the claims' induced maps,
+kept as a reference: the rank, per block, of the map on cohomology of a
+monomial inclusion or projection.  The package now decides them from the
+grading.  Like `full_kernel_representatives`, it shares the package's
+elimination engine, so it is not independent code.
 `transpose` turns the package's rows, one per source, into the rows of the
 same matrix by target, as the oracles above read it.
 `wedge_sign_oracle` takes wedge signs by bubble sort of slot lists, and
@@ -49,6 +54,7 @@ from sympy.polys.matrices import DomainMatrix
 from stabfold.exterior import (
     Cochain,
     add_term,
+    format_monomial,
     generator_mask,
     normalize_j,
     parse_monomial,
@@ -631,6 +637,71 @@ def full_kernel_representatives(d_out, d_in, ncols, field):
     reduced = [reduce_against(v, cob_rows, cob_pivots, field)
                for v in kernel_basis(d_out, ncols, field)]
     return rref([r for r in reduced if r], field)
+
+
+def induced_map_rank(source, target) -> dict:
+    """Per-(s, u) rank of the map on cohomology induced by the monomial map
+    source -> target that keeps each monomial the target holds and sends the
+    rest to 0 (an inclusion, or the projection onto a subcomplex), with
+    isomorphism and surjectivity verdicts.
+
+    The map must commute with d: keep(d m) = d(keep m) is checked on every
+    source monomial m, and a failure raises ValueError."""
+    def keep(terms: dict) -> Cochain:
+        return Cochain(target.n, {m: c for m, c in terms.items() if target.contains(m)})
+
+    for s in range(source.top_degree + 1):
+        for mask in source.basis(s):
+            image = target.d_monomial(mask) if target.contains(mask) else {}
+            if keep(source.d_monomial(mask)).terms != image:
+                raise ValueError(f"not a chain map at {format_monomial(mask, source.n)}")
+
+    src_coh = Cohomology(source)
+    tgt_coh = Cohomology(target)
+    field = source.field
+    ranks: dict[tuple[int, int], int] = {}
+    src_b: dict[tuple[int, int], int] = {}
+    tgt_b: dict[tuple[int, int], int] = {}
+
+    keys = set()
+    for s in range(source.top_degree + 1):
+        keys.update((s, u) for u in source.blocks(s))
+    for s in range(target.top_degree + 1):
+        keys.update((s, u) for u in target.blocks(s))
+
+    for (s, u) in sorted(keys):
+        sb = src_coh.block(s, u) if u in source.blocks(s) else None
+        tb = tgt_coh.block(s, u) if u in target.blocks(s) else None
+        sdim = sb.dim if sb else 0
+        tdim = tb.dim if tb else 0
+        if sdim:
+            src_b[(s, u)] = sdim
+        if tdim:
+            tgt_b[(s, u)] = tdim
+        if not sdim or not tdim:
+            ranks[(s, u)] = 0
+            continue
+        image_rows = []
+        for i in range(sdim):
+            img = keep(sb.representative(i).terms)
+            coords = tb.reduce(img)
+            vec = field.coding.encode_row(dict(enumerate(coords)))
+            if vec:
+                image_rows.append(vec)
+        ranks[(s, u)] = matrix_rank(image_rows, tdim, field)
+
+    iso = all(
+        ranks.get(k, 0) == src_b.get(k, 0) == tgt_b.get(k, 0)
+        for k in set(src_b) | set(tgt_b)
+    )
+    surjective = all(ranks.get(k, 0) == tgt_b.get(k, 0) for k in tgt_b)
+    return {
+        "ranks": ranks,
+        "source_betti": src_b,
+        "target_betti": tgt_b,
+        "quasi_isomorphism": iso,
+        "surjective_on_cohomology": surjective,
+    }
 
 
 # -- the U-property tools ------------------------------------------------------------

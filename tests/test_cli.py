@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import stabfold
+from stabfold import ravenel
 from stabfold.claims import CLAIMS
 from stabfold.cli import main
+from stabfold.gf import field_create
 
 
 def run(capsys, *argv):
@@ -378,6 +380,9 @@ VERIFY_DIGESTS = [
     (["invariant-cycles", "--n", "3"],
      "9107c63a0816897419253004beb551d8dd73f95f56e144d44ae7721e29bea714",
      "2ac551d6ca37aa0166aedfe5d01d1021f63dc22be2a9e4004aafa4b119ee8557"),
+    (["invariant-cycles", "--n", "4"],
+     "592ab3ec35d0b315abf42ac60e2f4b43f90ea631f0df76368a448f358ee551aa",
+     "6ac15ae73e14ae9cb644705c8842edafda6511ac98dfd012bc77442f7c180495"),
     (["duality", "--n", "2"],
      "9ca3648033149c5b4edbe389dc2ef8dc0d255f38debadb09a7339d385b5ca178",
      "7c611902b180455956b8334212cee01fd4680613f0ac7685ca8a5a46f7bea5a1"),
@@ -584,13 +589,10 @@ def test_bad_params_file_exits_2_with_message(capsys, tmp_path, content, message
     assert not captured.out
 
 
-@pytest.mark.parametrize("suite", [
-    pytest.param("invariant-cycles", marks=pytest.mark.slow),
-    "collapse",
-])
+@pytest.mark.parametrize("suite", ["invariant-cycles", "collapse"])
 def test_verify_suites_pass_at_n4(capsys, suite):
-    # invariant-cycles takes about 9 s on a 2-core machine, run with -m slow;
-    # collapse under 1 s, since run_pages pairs each block in one pass
+    # each under 1 s: invariant-cycles reads its surjection off the grading,
+    # and run_pages pairs each block in one pass
     code, js = run_json(capsys, "verify", suite, "--n", "4")
     assert code == 0 and js["ok"]
 
@@ -603,6 +605,29 @@ def test_verify_duality_covers_every_block_at_n4(capsys):
     assert code == 0 and js["ok"]
     assert [c["detail"] for c in js["checks"]] == [
         "exhaustive, 1,929 blocks", "exhaustive, 17 blocks", "exhaustive, 495 blocks"] * 2
+
+
+def test_a_closure_fault_fails_verify_without_a_traceback(monkeypatch, capsys):
+    # the first term of d(h[1,1]) moved onto a pair of another internal
+    # class: the subcomplexes' closure certificate fails, and the claim that
+    # builds them fails with its message, exit status 1
+    n, p = 2, 11
+    real = ravenel.generator_pair_table
+    table = real(n)
+    key = ravenel.build_singular(n, p, field_create(p)).block_key
+    pmask, sign, eps = table[0][0]
+    other = next(pm for terms in table.values() for pm, _s, _e in terms
+                 if key(pm) != key(pmask))
+    faulty = dict(table)
+    faulty[0] = [(other, sign, eps)] + table[0][1:]
+    monkeypatch.setattr(ravenel, "generator_pair_table",
+                        lambda m: faulty if m == n else real(m))
+    assert main(["verify", "invariant-cycles", "--n", str(n)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert ("[FAIL] the claim's subcomplexes are closed under d  "
+            "(internal class not preserved at slot 0)") in captured.out
+    assert captured.out.rstrip().endswith("suite invariant-cycles: FAILURES")
 
 
 def test_closed_form_basis_sizes_match_enumeration():

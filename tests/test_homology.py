@@ -12,6 +12,7 @@ from oracles import (
     flipped_along_j,
     flipped_sign_table,
     full_kernel_representatives,
+    induced_map_rank,
     one_cochain,
     sympy_rank,
     transpose,
@@ -26,8 +27,8 @@ from splits import (
     tau_maps,
 )
 
-from stabfold import homology
-from stabfold.claims import claim_duality
+from stabfold import claims, homology
+from stabfold.claims import claim_duality, claim_invariant_cycles, claim_model_kernel
 from stabfold.exterior import Cochain, format_monomial, generator_mask, parse_monomial
 from stabfold.gf import FieldError, field_create
 from stabfold.homology import (
@@ -40,7 +41,6 @@ from stabfold.homology import (
     certify_top_product,
     exterior_profile,
     exterior_ring_check,
-    induced_map_rank,
     matrix_rank,
     nullspace,
     reduce_against,
@@ -54,6 +54,7 @@ from stabfold.ravenel import (
     build_singular,
     subcomplex,
 )
+from stabfold.retract import critical_model, smallest_extension_degree
 
 
 def random_sparse_rows(rng, field, nrows, ncols, density=0.4):
@@ -781,6 +782,39 @@ def test_non_chain_map_rejected():
     f = field_create(11)
     with pytest.raises(ValueError, match="not a chain map"):
         induced_map_rank(build_singular(2, 11, f), build_deformed(2, 11, f, 1))
+
+
+@pytest.mark.parametrize("n,p", [(2, 11), (3, 19), (4, 37)])
+def test_invariant_cycles_grading_verdict_agrees_with_the_oracle(n, p):
+    # the claim reads the surjection off the first-subscript grading; the
+    # oracle reduces the projected representatives class by class
+    cx = build_singular(n, p, field_create(p))
+    oracle = induced_map_rank(cx, subcomplex(cx, "fsc"))["surjective_on_cohomology"]
+    assert claim_invariant_cycles(n, p)[1]["ok"] is oracle is True
+
+
+@pytest.mark.parametrize("n,p", [(2, 5), (3, 7)])
+def test_model_kernel_grading_verdict_agrees_with_the_oracle(n, p):
+    # the claim compares the Betti tables of the critical complex and gl_n
+    cx = build_gl(n, field_create(p, smallest_extension_degree(p, n)), p)
+    oracle = induced_map_rank(critical_model(cx)["model"], cx)["quasi_isomorphism"]
+    assert claim_model_kernel(n, p)[1]["ok"] is oracle is True
+
+
+def test_model_kernel_grading_verdict_agrees_with_the_oracle_on_gl3_gf2(monkeypatch):
+    # over GF(2) gl_3 has cohomology outside the critical complex, so its
+    # inclusion is no quasi-isomorphism.  The kernel at p = 2 is not the
+    # critical complex, so the claim is handed the critical complex as its
+    # model, over GF(2) itself, to reach its Betti comparison
+    monkeypatch.setattr(claims, "smallest_extension_degree", lambda p, n: 1)
+    monkeypatch.setattr(claims, "critical_model", lambda cx: {
+        "model": subcomplex(cx, "critical"), "omegas": []})
+    gl = build_gl(3, field_create(2), 2)
+    cc = subcomplex(gl, "critical")
+    assert betti(cc) != betti(gl)
+    oracle = induced_map_rank(cc, gl)["quasi_isomorphism"]
+    same, qi = claim_model_kernel(3, 2)
+    assert same["ok"] and qi["ok"] is oracle is False
 
 
 def test_block_matrix_respects_blocks():

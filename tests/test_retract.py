@@ -6,6 +6,7 @@ from oracles import (
     circledast,
     closure_oracle,
     idempotent_exponent,
+    induced_map_rank,
     minimal_polynomial,
     one_cochain,
     poly_degree,
@@ -16,7 +17,6 @@ from oracles import (
 
 from stabfold.exterior import Cochain, degree, generator_mask
 from stabfold.gf import field_create, primitive_root_of_unity
-from stabfold.homology import induced_map_rank
 from stabfold.ravenel import Complex, build_gl, subcomplex
 from stabfold.retract import (
     Derivation,
@@ -314,8 +314,9 @@ def test_kernel_models_check_closure_on_every_monomial(monkeypatch):
     assert misses and {t for _, t in misses} == {target}
     assert all(degree(m) == 2 for m, _ in misses)
     # the claim's basis check finds the kernel differs from the critical
-    # complex, and its quasi-isomorphism check, which assembles d on the
-    # model's blocks, is reported failed without running
+    # complex, and its quasi-isomorphism check, which compares Betti tables
+    # only once the kernel is that summand of gl_3, is reported failed
+    # without running
     monkeypatch.setattr(retract, "kernel_masks", lambda *a: sorted(planted))
     checks = claim_model_kernel(3, 7)
     assert [c["ok"] for c in checks] == [False, False]
